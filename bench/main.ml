@@ -215,8 +215,11 @@ let bench_e12_crash_explorer_par () =
 let bench_byzantine_explorer () =
   (* the Byzantine model on the e12 space: same n=3 subject, budget-1
      corruption instead of budget-1 crashing — measures what the forge
-     successors cost over plain crash exploration (the search runs the
-     full graph: the [check] never trips, matching the crash subject) *)
+     successors cost over plain crash exploration.  The [check] never
+     trips, but the forge successors blow the space past the default
+     300k-config budget: the run stops there and its row is labelled
+     truncated, so its time is not comparable with the crash subject's
+     full graph *)
   let module Ex = Sim.Explorer.Make (K2) in
   ignore
     (Ex.explore_with_crashes ~model:(Sim.Fault_model.Byzantine 1) ~n:3
@@ -239,10 +242,11 @@ let bench_mobile_explorer () =
 let bench_crash_explorer_scaling domains () =
   (* scaling family: the e12:crash-explorer-n3 space at fixed worker
      counts over the shared sharded dedup table.  Every member admits
-     the same 12 832 configurations (dedup is global, tickets are
+     the same 28 374 configurations (dedup is global, tickets are
      dense), so ns_per_run differences are pure scheduling +
      synchronisation cost; the JSON writer derives speedup_vs_seq
-     against the sequential e12 subject *)
+     against the sequential e12 subject, and writes null where the
+     worker count exceeds the machine's cores *)
   let module Ex = Sim.Explorer.Make (K2) in
   ignore
     (Ex.explore_with_crashes_par ~domains ~n:3
@@ -484,6 +488,9 @@ let bench_serve_throughput () =
       if Ksa_svc.Daemon.serve cfg <> 0 then
         failwith "bench: serve exited non-zero")
 
+let scaling_domains = [ 1; 2; 4; 8 ]
+let scaling_subject d = Printf.sprintf "scaling:crash-explorer-n3-d%d" d
+
 (* One (name, thunk) pair per subject: bechamel times the thunk, and
    in [--json] mode a single extra invocation between two
    Metrics.snapshot calls yields the per-run counter deltas that go
@@ -506,10 +513,11 @@ let subjects =
     ("e12:crash-explorer-par-n3", bench_e12_crash_explorer_par);
     ("model:byzantine-explorer-n3", bench_byzantine_explorer);
     ("model:mobile-explorer-n3", bench_mobile_explorer);
-    ("scaling:crash-explorer-n3-d1", bench_crash_explorer_scaling 1);
-    ("scaling:crash-explorer-n3-d2", bench_crash_explorer_scaling 2);
-    ("scaling:crash-explorer-n3-d4", bench_crash_explorer_scaling 4);
-    ("scaling:crash-explorer-n3-d8", bench_crash_explorer_scaling 8);
+  ]
+  @ List.map
+      (fun d -> (scaling_subject d, bench_crash_explorer_scaling d))
+      scaling_domains
+  @ [
     ("reduction:crash-n3-none", bench_reduction_crash_n3 Sim.Canon.No_reduction);
     ("reduction:crash-n3-sym", bench_reduction_crash_n3 Sim.Canon.Symmetry);
     ("reduction:crash-n4-sym+por", bench_reduction_crash_n4);
@@ -567,26 +575,52 @@ let counter_deltas () =
       ("ksa/" ^ name, delta))
     subjects
 
+(* The commit being measured, suffixed "-dirty" when the working tree
+   differs from it, or "unknown" outside a git checkout. *)
+let git_rev () =
+  match
+    Unix.open_process_in
+      "git describe --always --dirty --exclude '*' 2>/dev/null"
+  with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let out = try String.trim (input_line ic) with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when out <> "" -> out
+      | _ -> "unknown")
+
 (* Machine-readable perf trajectory: benchmark name -> ns/run plus
    the counter deltas of one run, one JSON object, written next to
-   the cwd so successive PRs can diff it.  scaling:* rows also carry
-   speedup_vs_seq, the sequential e12 subject's ns/run over theirs,
-   reduction:* rows carry reduction_ratio, unreduced configs admitted
-   over theirs, the fuzz blind/coverage pair carries
+   the cwd so successive PRs can diff it.  A leading "_meta" entry
+   records the machine and build (cores, OCaml version, git rev).
+   Explorer rows (those with explore.* counters) carry truncated,
+   whether the run stopped at its config budget.  scaling:* rows also
+   carry speedup_vs_seq, the sequential e12 subject's ns/run over
+   theirs (null when the row's domains exceed the cores), reduction:*
+   rows carry reduction_ratio, unreduced configs admitted over
+   theirs, the fuzz blind/coverage pair carries
    distinct_states_per_sec, the campaign's distinct interned state
    ids over its wall-clock seconds, and serve:* rows carry
    jobs_per_sec, the daemon batch's completed jobs over its
    wall-clock seconds. *)
-let write_bench_json ~path rows =
+let write_bench_json ~path ~git_rev rows =
   let oc = open_out path in
-  output_string oc "{\n";
+  Printf.fprintf oc
+    "{\n  \"_meta\": {\n    \"nproc\": %d,\n    \"ocaml\": %S,\n    \"git_rev\": %S\n  }%s\n"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version git_rev
+    (if rows = [] then "" else ",");
   let total = List.length rows in
   List.iteri
-    (fun i (name, ns, counters, speedup, ratio, dsps, jps) ->
+    (fun i (name, ns, counters, truncated, speedup, ratio, dsps, jps) ->
       Printf.fprintf oc "  %S: {\n    \"ns_per_run\": %s" name
         (if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns);
+      (match truncated with
+      | Some t -> Printf.fprintf oc ",\n    \"truncated\": %b" t
+      | None -> ());
       (match speedup with
-      | Some s when not (Float.is_nan s) ->
+      | Some None -> output_string oc ",\n    \"speedup_vs_seq\": null"
+      | Some (Some s) when not (Float.is_nan s) ->
           Printf.fprintf oc ",\n    \"speedup_vs_seq\": %.3f" s
       | _ -> ());
       (match ratio with
@@ -718,24 +752,45 @@ let run_benchmarks ~json () =
           let counters =
             Option.value ~default:[] (List.assoc_opt name deltas)
           in
+          let truncated =
+            if
+              List.exists
+                (fun (k, _) -> String.starts_with ~prefix:"explore." k)
+                counters
+            then
+              Some
+                (Option.value ~default:0
+                   (List.assoc_opt "explore.budget_exhausted" counters)
+                > 0)
+            else None
+          in
+          (* a speedup is only claimed when domains <= cores *)
           let speedup =
-            if has name "scaling:" then Some (seq_ns /. ns) else None
+            List.find_map
+              (fun d ->
+                if name <> "ksa/" ^ scaling_subject d then None
+                else if d <= Domain.recommended_domain_count () then
+                  Some (Some (seq_ns /. ns))
+                else Some None)
+              scaling_domains
           in
           ( name,
             ns,
             counters,
+            truncated,
             speedup,
             reduction_ratio name,
             distinct_per_sec name ns,
             jobs_per_sec name ns ))
         rows
     in
-    let is_trace_subject (name, _, _, _, _, _, _) =
+    let is_trace_subject (name, _, _, _, _, _, _, _) =
       has name "screen:" || has name "indist:"
     in
     let screen_rows, explore_rows = List.partition is_trace_subject rows in
-    write_bench_json ~path:"BENCH_explore.json" explore_rows;
-    write_bench_json ~path:"BENCH_screen.json" screen_rows
+    let git_rev = git_rev () in
+    write_bench_json ~path:"BENCH_explore.json" ~git_rev explore_rows;
+    write_bench_json ~path:"BENCH_screen.json" ~git_rev screen_rows
   end
 
 let () =

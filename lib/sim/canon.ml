@@ -3,9 +3,12 @@
    This module is pure integer/array arithmetic — it knows nothing
    about any particular algorithm.  The engine feeds it the interned
    per-pid rows of a configuration (state id, decided value, crashed
-   bit) plus the packed pending triples, and gets back the
-   orbit-representative core that the reduced {!Engine.key} serializes,
-   together with the witnessing permutation.  The explorer uses
+   bit) plus the packed pending triples, and {!key} writes the
+   configuration's dedup key — exact, or the orbit representative's —
+   straight into one exactly-sized buffer.  {!canonicalize} and
+   {!serialize} spell the orbit representative out as a value,
+   together with the witnessing permutation; they are the reference
+   {!key} is tested against, not a production path.  The explorer uses
    {!Action} to name delivery transitions by content so sleep sets
    survive message-id renumbering, work-stealing handoff and
    checkpoint resume. *)
@@ -48,7 +51,7 @@ let triple_payload t = t land payload_mask
    is already named by the stepping pid *)
 let triple_content t = ((t lsr 51) lsl 40) lor (t land payload_mask)
 
-(* ---- little-endian int serialization, shared with Engine.key ---- *)
+(* ---- little-endian int serialization ---- *)
 
 let put b pos i =
   Bytes.set_int64_le b !pos (Int64.of_int i);
@@ -133,11 +136,13 @@ end
    The interned rows of a configuration under a crashed-set mask.
    [decided] keeps every output ever written, including by crashed
    processes: the k-agreement oracle counts them. *)
-type rows = {
+type 'd rows = {
   n : int;
   crashed : int;  (** bitmask of crashed pids *)
   state_ids : int array;  (** interned local-state id per pid *)
-  decided : int option array;  (** decided value per pid *)
+  decided : 'd option array;
+      (** decided output per pid, in whatever shape the caller keeps
+          it; {!key} projects the value out *)
   triples : int array;  (** packed (src, dst, payload) triples, any order *)
 }
 
@@ -292,3 +297,126 @@ let serialize ~crashed c =
   put b pos nt;
   Array.iter (put b pos) c.retained;
   Bytes.unsafe_to_string b
+
+(* ---- dedup keys ----
+
+   [key] is the only production key builder.  It counts first, then
+   writes the little-endian int sequence into an exactly-sized buffer
+   and sorts the slices that need sorting in place, so a key costs
+   one allocation: the key itself.  The orbit layout is
+   [serialize ~crashed (canonicalize rows)] byte for byte (the
+   qcheck suite compares the two), and the exact layout is the
+   pre-reduction key's; checkpoints store both, so neither may
+   drift. *)
+
+let get b i = Int64.to_int (Bytes.get_int64_le b (8 * i))
+let set b i v = Bytes.set_int64_le b (8 * i) (Int64.of_int v)
+
+(* insertion sort of the int slots [lo, hi) of [b]: the slices sorted
+   here (pending triples, decided values) are a handful of ints *)
+let sort_slots b lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = get b i in
+    let j = ref (i - 1) in
+    while !j >= lo && get b !j > x do
+      set b (!j + 1) (get b !j);
+      decr j
+    done;
+    set b (!j + 1) x
+  done
+
+(* crashed mask; per-pid state ids; |decided|; (pid, value) pairs;
+   |pending|; sorted triples *)
+let exact_key ~value r =
+  let n = r.n and m = Array.length r.triples in
+  let d = ref 0 in
+  for p = 0 to n - 1 do
+    match r.decided.(p) with Some _ -> incr d | None -> ()
+  done;
+  let b = Bytes.create (8 * (3 + n + (2 * !d) + m)) in
+  set b 0 r.crashed;
+  for p = 0 to n - 1 do
+    set b (1 + p) r.state_ids.(p)
+  done;
+  set b (1 + n) !d;
+  let i = ref (2 + n) in
+  for p = 0 to n - 1 do
+    match r.decided.(p) with
+    | Some x ->
+        set b !i p;
+        set b (!i + 1) (value x);
+        i := !i + 2
+    | None -> ()
+  done;
+  set b !i m;
+  let lo = !i + 1 in
+  for j = 0 to m - 1 do
+    set b (lo + j) r.triples.(j)
+  done;
+  sort_slots b lo (lo + m);
+  Bytes.unsafe_to_string b
+
+(* the layout {!serialize} gives {!canonicalize}'s core *)
+let orbit_key ~value r =
+  let n = r.n and crashed = r.crashed in
+  let nt = ref 0 and src_mask = ref 0 in
+  for j = 0 to Array.length r.triples - 1 do
+    let t = r.triples.(j) in
+    if crashed land (1 lsl triple_dst t) = 0 then begin
+      incr nt;
+      src_mask := !src_mask lor (1 lsl triple_src t)
+    end
+  done;
+  (* the {!movable} pids, as a mask *)
+  let movable = crashed land lnot !src_mask in
+  let nf = ref 0 and nm = ref 0 in
+  for p = 0 to n - 1 do
+    match r.decided.(p) with
+    | Some _ -> if movable land (1 lsl p) <> 0 then incr nm else incr nf
+    | None -> ()
+  done;
+  let b = Bytes.create (8 * (5 + n + (2 * !nf) + !nm + !nt)) in
+  set b 0 (-1);
+  set b 1 crashed;
+  for p = 0 to n - 1 do
+    set b (2 + p)
+      (if crashed land (1 lsl p) <> 0 then -1 else r.state_ids.(p))
+  done;
+  set b (2 + n) !nf;
+  let i = ref (3 + n) in
+  for p = 0 to n - 1 do
+    match r.decided.(p) with
+    | Some x when movable land (1 lsl p) = 0 ->
+        set b !i p;
+        set b (!i + 1) (value x);
+        i := !i + 2
+    | Some _ | None -> ()
+  done;
+  set b !i !nm;
+  incr i;
+  let lo = !i in
+  for p = 0 to n - 1 do
+    match r.decided.(p) with
+    | Some x when movable land (1 lsl p) <> 0 ->
+        set b !i (value x);
+        incr i
+    | Some _ | None -> ()
+  done;
+  sort_slots b lo !i;
+  set b !i !nt;
+  incr i;
+  let lo = !i in
+  for j = 0 to Array.length r.triples - 1 do
+    let t = r.triples.(j) in
+    if crashed land (1 lsl triple_dst t) = 0 then begin
+      set b !i t;
+      incr i
+    end
+  done;
+  sort_slots b lo !i;
+  Bytes.unsafe_to_string b
+
+let key ~reduction ~value rows =
+  match reduction with
+  | No_reduction -> exact_key ~value rows
+  | Symmetry | Symmetry_por -> orbit_key ~value rows

@@ -2,8 +2,9 @@
 
     Pure integer/array arithmetic over the interned rows of a
     configuration — no dependency on any algorithm.  {!Engine.key}
-    calls {!canonicalize} + {!serialize} when a symmetry reduction is
-    requested; the explorer's sleep sets are lists of {!Action.t}. *)
+    calls {!key}, which writes exact and orbit keys directly;
+    {!canonicalize} + {!serialize} are the reference it is tested
+    against.  The explorer's sleep sets are lists of {!Action.t}. *)
 
 (** How aggressively the explorers collapse the state space.
 
@@ -87,16 +88,42 @@ end
 
 (** {1 Process-permutation symmetry} *)
 
-(** The interned rows of a configuration under a crashed-set mask. *)
-type rows = {
+(** The interned rows of a configuration under a crashed-set mask.
+    ['d] is the caller's shape of a decided output ({!key} takes the
+    projection to its value), so the engine hands over its own arrays
+    without a copy. *)
+type 'd rows = {
   n : int;
   crashed : int;  (** bitmask of crashed pids *)
   state_ids : int array;  (** interned local-state id per pid *)
-  decided : int option array;  (** decided value per pid *)
+  decided : 'd option array;  (** decided output per pid *)
   triples : int array;  (** packed (src, dst, payload) triples, any order *)
 }
 
-val movable : rows -> int list
+val key : reduction:reduction -> value:('d -> int) -> 'd rows -> string
+(** The dedup key of a configuration, written into one exactly-sized
+    buffer (the key is the only allocation).  [value] projects a
+    decided output to its value.
+
+    - [No_reduction]: the exact key — little-endian ints: crashed
+      mask; state id per pid; number of decided pids; a (pid, value)
+      pair per decided pid, pid-ascending; number of pending triples;
+      the triples, sorted.  Equal iff the rows are equal up to the
+      order of the triples.
+    - [Symmetry], [Symmetry_por]: the orbit key, byte-identical to
+      [serialize ~crashed (canonicalize rows)] with the values
+      projected.
+
+    Checkpoints store keys, so both layouts are fixed: the test suite
+    pins them with golden bytes. *)
+
+(** {2 Reference orbit representative}
+
+    The orbit representative spelled out as a value.  Not used to
+    build keys; it states what {!key} computes, and the test suite
+    checks the two agree. *)
+
+val movable : 'd rows -> int list
 (** Crashed pids with no pending live-destination message naming them
     as source: nothing about their identity is observable any more
     except their decided output, so they may be relabelled freely
@@ -118,11 +145,11 @@ type canonical = {
           set *)
 }
 
-val permute_rows : int array -> rows -> rows
+val permute_rows : int array -> 'd rows -> 'd rows
 (** [permute_rows perm rows] relabels every pid [p] as [perm.(p)] in
     the crashed mask, state rows, decided rows and triples. *)
 
-val canonicalize : rows -> canonical
+val canonicalize : int rows -> canonical
 (** Orbit representative + witness.  Sound by construction: only
     movable pids are reordered, and only their (pid ↛ value) binding
     is forgotten — the k-agreement oracle is invariant under it. *)

@@ -71,7 +71,6 @@ module Make (A : Algorithm.S) = struct
      {!Canon}, shared with the reduction layer that takes the triples
      apart again. *)
   let pack_triple = Canon.pack_triple
-  let payload_mask = Canon.payload_mask
 
   (* Transition memo.  For a failure-detector-free algorithm a step is
      a pure function of (local state, received sequence) — and both
@@ -88,11 +87,13 @@ module Make (A : Algorithm.S) = struct
     m_dec : Value.t option;
   }
 
-  (* The leading bool is the reduction flag: reduced and unreduced
-     explorations intern different (canonicalized vs raw) states under
-     the same ids, so their memo entries must not be conflated. *)
+  (* Keyed by (reduction flag, state id, {!Canon.triple_content} of
+     each received message in fold order).  The leading bool is the
+     reduction flag: reduced and unreduced explorations intern
+     different (canonicalized vs raw) states under the same ids, so
+     their memo entries must not be conflated. *)
   let memo_dls
-      : (bool * int * (int * int) list, memo_entry) Hashtbl.t Domain.DLS.key =
+      : (bool * int * int list, memo_entry) Hashtbl.t Domain.DLS.key =
     Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
   let make_init ~explore ~reduce ~n ~inputs =
@@ -165,16 +166,16 @@ module Make (A : Algorithm.S) = struct
   let check_deliverable c pid ids =
     List.map
       (fun id ->
-        match Int_map.find_opt id c.pending with
-        | None ->
+        match Int_map.find id c.pending with
+        | exception Not_found ->
             raise (Invalid_action (Printf.sprintf "message #%d not pending" id))
-        | Some ((e : A.message Envelope.t), _) as pair ->
+        | ((e : A.message Envelope.t), _) as pair ->
             if not (Pid.equal e.dst pid) then
               raise
                 (Invalid_action
                    (Printf.sprintf "message #%d not addressed to p%d" id pid));
-            Option.get pair)
-      (List.sort_uniq compare ids)
+            pair)
+      (List.sort_uniq Int.compare ids)
 
   let exec_step ?fd ~pattern c pid ids =
     let next_time = c.time + 1 in
@@ -206,7 +207,9 @@ module Make (A : Algorithm.S) = struct
         List.sort
           (fun ((a : A.message Envelope.t), _)
                ((b : A.message Envelope.t), _) ->
-            compare (a.src, a.payload) (b.src, b.payload))
+            match Int.compare a.src b.src with
+            | 0 -> compare a.payload b.payload
+            | o -> o)
           env_pairs
       else env_pairs
     in
@@ -227,17 +230,14 @@ module Make (A : Algorithm.S) = struct
         let mkey =
           ( c.reduce,
             c.state_ids.(pid),
-            List.map
-              (fun ((e : A.message Envelope.t), t) ->
-                (e.src, t land payload_mask))
-              env_pairs )
+            List.map (fun (_, t) -> Canon.triple_content t) env_pairs )
         in
         let memo = Domain.DLS.get memo_dls in
-        match Hashtbl.find_opt memo mkey with
-        | Some m ->
+        match Hashtbl.find memo mkey with
+        | m ->
             Metrics.incr m_memo_hits;
             (m.m_state, m.m_sends, m.m_dec, m.m_state_id)
-        | None ->
+        | exception Not_found ->
             Metrics.incr m_memo_misses;
             let received =
               List.map
@@ -301,9 +301,11 @@ module Make (A : Algorithm.S) = struct
                    (fun ((d : A.message Envelope.t), _) -> d.id = e.id)
                    env_pairs))
             inbox.(pid));
-    let pending, next_id, sent_refs =
-      List.fold_left
-        (fun (pend, id, refs) (dst, payload, plid) ->
+    (* [refs] collects the (id, dst) of every send for the event log
+       only; exploration mode keeps no log *)
+    let rec send pend id refs = function
+      | [] -> (pend, id, refs)
+      | (dst, payload, plid) :: rest ->
           if not (Pid.valid ~n:c.n dst) then
             raise (Invalid_action (Printf.sprintf "send to invalid pid p%d" dst));
           let e =
@@ -314,10 +316,13 @@ module Make (A : Algorithm.S) = struct
             pack_triple pid dst
               (if plid >= 0 then plid else intern_payload payload)
           in
-          (Int_map.add id (e, triple) pend, id + 1, (id, dst) :: refs))
-        (pending, c.next_id, [])
-        sends3
+          send
+            (Int_map.add id (e, triple) pend)
+            (id + 1)
+            (if c.explore then refs else (id, dst) :: refs)
+            rest
     in
+    let pending, next_id, sent_refs = send pending c.next_id [] sends3 in
     let decided =
       match dec with
       | None -> c.decided
@@ -536,73 +541,34 @@ module Make (A : Algorithm.S) = struct
 
   (* ---- canonical configuration keys ----
 
-     One reduction-parameterized builder.  [No_reduction] emits the
-     exact byte layout the pre-reduction key produced (with the
-     crashed mask in the old leading [extra] slot), so unreduced
-     campaigns — and their checkpoints — are bit-compatible across the
-     refactor.  The symmetry modes hand the interned rows to
-     {!Canon.canonicalize} and serialize the orbit representative. *)
+     {!Canon.key} writes both layouts.  [No_reduction] emits the exact
+     byte layout the pre-reduction key produced (with the crashed mask
+     in the old leading [extra] slot), so unreduced campaigns — and
+     their checkpoints — are bit-compatible across the refactor.  The
+     engine hands over its own arrays: the decided rows keep their
+     decision times, which [fst] projects away. *)
 
   type key = string
 
   let triples_of c =
-    let m = Int_map.cardinal c.pending in
-    let triples = Array.make m 0 in
-    let i = ref 0 in
-    Int_map.iter
-      (fun _ (_, t) ->
-        triples.(!i) <- t;
-        incr i)
-      c.pending;
+    let triples = Array.make (Int_map.cardinal c.pending) 0 in
+    ignore
+      (Int_map.fold
+         (fun _ (_, t) i ->
+           triples.(i) <- t;
+           i + 1)
+         c.pending 0);
     triples
 
   let key ?(crashed = 0) ?(reduction = Canon.No_reduction) c =
-    match reduction with
-    | Canon.Symmetry | Canon.Symmetry_por ->
-        Canon.serialize ~crashed
-          (Canon.canonicalize
-             {
-               Canon.n = c.n;
-               crashed;
-               state_ids = c.state_ids;
-               decided = Array.map (Option.map fst) c.decided;
-               triples = triples_of c;
-             })
-    | Canon.No_reduction ->
-        let n = c.n in
-        let triples = triples_of c in
-        let m = Array.length triples in
-        let sids = c.state_ids in
-        Array.sort (fun (a : int) b -> compare a b) triples;
-        let d = ref 0 in
-        for p = 0 to n - 1 do
-          if c.decided.(p) <> None then incr d
-        done;
-        (* exact little-endian int sequence: crashed mask; per-pid
-           state ids; |decided|; (pid, value) pairs; |pending|; sorted
-           triples — key equality iff semantic cores are structurally
-           equal *)
-        let b = Bytes.create (8 * (3 + n + (2 * !d) + m)) in
-        let pos = ref 0 in
-        let add i =
-          Bytes.set_int64_le b !pos (Int64.of_int i);
-          pos := !pos + 8
-        in
-        add crashed;
-        for p = 0 to n - 1 do
-          add sids.(p)
-        done;
-        add !d;
-        for p = 0 to n - 1 do
-          match c.decided.(p) with
-          | Some (v, _) ->
-              add p;
-              add v
-          | None -> ()
-        done;
-        add m;
-        Array.iter add triples;
-        Bytes.unsafe_to_string b
+    Canon.key ~reduction ~value:fst
+      {
+        Canon.n = c.n;
+        crashed;
+        state_ids = c.state_ids;
+        decided = c.decided;
+        triples = triples_of c;
+      }
 
   let key_equal = String.equal
   let key_hash = Hashtbl.hash

@@ -506,26 +506,25 @@ module Make (A : Algorithm.S) = struct
 
   (* Delivery choices for a process whose buffer holds [mine]
      ((id, src) pairs in sending order): lists of message ids.
-     Single pass over the buffer for every policy. *)
+     [Per_sender] offers one bucket per sender, senders in order of
+     first appearance, each bucket in sending order.  A buffer names
+     at most n senders, so the buckets are list scans, not a table. *)
   let choices policy mine =
     match policy with
     | Empty_or_all -> (
         match mine with [] -> [ [] ] | _ -> [ []; List.map fst mine ])
     | Per_sender ->
-        let buckets : (Pid.t, int list ref) Hashtbl.t = Hashtbl.create 8 in
-        let senders = ref [] in
-        List.iter
-          (fun (id, src) ->
-            match Hashtbl.find_opt buckets src with
-            | Some l -> l := id :: !l
-            | None ->
-                Hashtbl.add buckets src (ref [ id ]);
-                senders := src :: !senders)
-          mine;
-        let senders = List.rev !senders in
-        let per_sender =
-          List.map (fun s -> List.rev !(Hashtbl.find buckets s)) senders
+        let rec senders seen = function
+          | [] -> List.rev seen
+          | (_, s) :: tl ->
+              senders (if List.mem s seen then seen else s :: seen) tl
         in
+        let rec bucket s = function
+          | [] -> []
+          | (id, src) :: tl -> if src = s then id :: bucket s tl else bucket s tl
+        in
+        let senders = senders [] mine in
+        let per_sender = List.map (fun s -> bucket s mine) senders in
         let all =
           match senders with
           | _ :: _ :: _ -> [ List.map fst mine ]
@@ -1230,19 +1229,20 @@ module Make (A : Algorithm.S) = struct
     | Some reason -> raise (Unsafe (decisions, reason))
     | None -> ());
     let budget = Fault_model.budget_or ~crash_budget model in
-    let alive = List.filter (fun p -> not (mask_mem mask p)) (Pid.universe n) in
-    let is_complete =
-      List.for_all (fun p -> E.decision_of config p <> None) alive
-    in
-    let undecided =
-      List.filter (fun p -> E.decision_of config p = None) alive
-    in
+    (* the live pids are the ones outside [mask]; the node is complete
+       when every one of them has decided *)
+    let undecided = ref [] in
+    for p = n - 1 downto 0 do
+      if (not (mask_mem mask p)) && Option.is_none (E.decision_of config p)
+      then undecided := p :: !undecided
+    done;
+    let undecided = !undecided in
+    let is_complete = match undecided with [] -> true | _ :: _ -> false in
     let succs = ref [] in
     if not is_complete then begin
       let pattern = pattern_of mask in
-      List.iter
-        (fun pid ->
-          let mine = E.inbox config pid in
+      for pid = 0 to n - 1 do
+        if not (mask_mem mask pid) then
           List.iter
             (fun deliver ->
               match
@@ -1250,8 +1250,8 @@ module Make (A : Algorithm.S) = struct
               with
               | Some config' -> succs := (config', mask) :: !succs
               | None -> assert false)
-            (choices policy mine))
-        alive;
+            (choices policy (E.inbox config pid))
+      done;
       (* one pass over the pending multiset buckets messages by sender
          for the drop-on-crash / omission successors *)
       let by_src_of () =
@@ -1265,8 +1265,8 @@ module Make (A : Algorithm.S) = struct
       | Fault_model.Crash | Fault_model.Byzantine _ ->
           if popcount mask - popcount base_mask < budget then begin
             let by_src = if drop_on_crash then by_src_of () else [||] in
-            List.iter
-              (fun victim ->
+            for victim = 0 to n - 1 do
+              if not (mask_mem mask victim) then begin
                 let mask' = mask_add mask victim in
                 succs := (config, mask') :: !succs;
                 if drop_on_crash && by_src.(victim) <> [] then
@@ -1275,8 +1275,9 @@ module Make (A : Algorithm.S) = struct
                       (Adversary.Drop by_src.(victim))
                   with
                   | Some config' -> succs := (config', mask') :: !succs
-                  | None -> assert false)
-              alive
+                  | None -> assert false
+              end
+            done
           end
       | Fault_model.Mobile t ->
           if t > 0 then begin

@@ -36,17 +36,22 @@ let mode_name = Canon.reduction_to_string
 
 (* ---------- rows generator ---------- *)
 
-(* Arbitrary well-formed interned rows: a handful of processes, any
-   crashed subset, small fake state/payload ids, and pending triples
-   over valid pids.  The canonicalization is pure integer arithmetic,
-   so nothing here needs a real engine. *)
+(* Arbitrary well-formed interned rows: up to eight processes, any
+   crashed subset (all-crashed and none-crashed on purpose), small
+   fake state/payload ids, negative and repeated decided values, and
+   up to 24 pending triples over valid pids.  The canonicalization is
+   pure integer arithmetic, so nothing here needs a real engine. *)
 let rows_gen =
   QCheck.Gen.(
-    int_range 2 6 >>= fun n ->
-    int_range 0 ((1 lsl n) - 1) >>= fun crashed ->
+    int_range 2 8 >>= fun n ->
+    let all = (1 lsl n) - 1 in
+    frequency [ (6, int_range 0 all); (1, return all); (1, return 0) ]
+    >>= fun crashed ->
     array_size (return n) (int_range 0 50) >>= fun state_ids ->
-    array_size (return n) (opt (int_range 0 3)) >>= fun decided ->
-    list_size (int_range 0 12)
+    array_size (return n)
+      (opt (frequency [ (8, int_range (-3) 3); (1, oneofl [ min_int; max_int ]) ]))
+    >>= fun decided ->
+    list_size (int_range 0 24)
       (int_range 0 (n - 1) >>= fun src ->
        int_range 0 (n - 1) >>= fun dst ->
        int_range 0 100 >>= fun payload ->
@@ -54,7 +59,7 @@ let rows_gen =
     >>= fun triples ->
     return { Canon.n; crashed; state_ids; decided; triples = Array.of_list triples })
 
-let pp_rows (r : Canon.rows) =
+let pp_rows (r : int Canon.rows) =
   Printf.sprintf "n=%d crashed=%#x states=[%s] decided=[%s] triples=[%s]" r.n
     r.crashed
     (String.concat ";" (Array.to_list (Array.map string_of_int r.state_ids)))
@@ -73,8 +78,96 @@ let pp_rows (r : Canon.rows) =
 
 let arb_rows = QCheck.make ~print:pp_rows rows_gen
 
-let orbit_key (rows : Canon.rows) =
+let orbit_key (rows : int Canon.rows) =
   Canon.serialize ~crashed:rows.crashed (Canon.canonicalize rows)
+
+(* ---------- the production key builder ---------- *)
+
+let key reduction (rows : int Canon.rows) =
+  Canon.key ~reduction ~value:Fun.id rows
+
+let prop_key_is_reference =
+  QCheck.Test.make ~name:"canon: direct orbit key = serialize . canonicalize"
+    ~count:2000 arb_rows (fun rows ->
+      List.for_all (fun m -> key m rows = orbit_key rows) reduced_modes)
+
+let prop_exact_key_order_free =
+  QCheck.Test.make ~name:"canon: exact key ignores the order of the triples"
+    ~count:500 arb_rows (fun rows ->
+      let rev = Array.of_list (List.rev (Array.to_list rows.Canon.triples)) in
+      key Canon.No_reduction rows
+      = key Canon.No_reduction { rows with Canon.triples = rev })
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* Golden bytes.  Checkpoints store dedup keys, so the layouts must
+   not drift — not even in step with the reference, which the
+   property above would miss.  Each literal is a little-endian int64
+   sequence, one int per 16 hex digits. *)
+let test_exact_key_golden () =
+  let rows =
+    {
+      Canon.n = 3;
+      crashed = 0b100;
+      state_ids = [| 5; 7; 9 |];
+      decided = [| Some 2; None; Some (-1) |];
+      triples = [| Canon.pack_triple 1 0 3; Canon.pack_triple 0 2 1 |];
+    }
+  in
+  (* crashed 4; states 5 7 9; 2 decided: (0, 2) (2, -1); 2 triples,
+     sorted: 0>2:1, 1>0:3 *)
+  Alcotest.(check string)
+    "exact key bytes"
+    (String.concat ""
+       [
+         "0400000000000000"; "0500000000000000"; "0700000000000000";
+         "0900000000000000"; "0200000000000000"; "0000000000000000";
+         "0200000000000000"; "0200000000000000"; "ffffffffffffffff";
+         "0200000000000000"; "0100000000020000"; "0300000000000800";
+       ])
+    (hex (key Canon.No_reduction rows))
+
+let test_orbit_key_golden () =
+  let rows =
+    {
+      Canon.n = 5;
+      crashed = 0b00111;
+      state_ids = [| 10; 11; 12; 13; 14 |];
+      decided = [| Some 3; Some 1; Some (-2); None; Some 1 |];
+      triples =
+        [|
+          Canon.pack_triple 4 3 2;
+          Canon.pack_triple 0 3 5;
+          Canon.pack_triple 1 2 6;
+          Canon.pack_triple 3 0 2;
+        |];
+    }
+  in
+  (* tag -1; crashed 7; row ids -1 -1 -1 13 14; 2 fixed outputs (p0
+     names a live-destination message, p4 is live): (0, 3) (4, 1); 2
+     movable values (p1, p2), sorted: -2 1; 2 retained triples,
+     sorted: 0>3:5, 4>3:2 (the two to crashed pids are elided) *)
+  let expected =
+    String.concat ""
+      [
+        "ffffffffffffffff"; "0700000000000000"; "ffffffffffffffff";
+        "ffffffffffffffff"; "ffffffffffffffff"; "0d00000000000000";
+        "0e00000000000000"; "0200000000000000"; "0000000000000000";
+        "0300000000000000"; "0400000000000000"; "0100000000000000";
+        "0200000000000000"; "feffffffffffffff"; "0100000000000000";
+        "0200000000000000"; "0500000000030000"; "0200000000032000";
+      ]
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check string)
+        ("orbit key bytes, " ^ mode_name m)
+        expected (hex (key m rows)))
+    reduced_modes
 
 (* ---------- canonicalization properties ---------- *)
 
@@ -91,7 +184,7 @@ let prop_witness_idempotent =
       && Array.to_list c'.Canon.perm = List.init rows.Canon.n Fun.id)
 
 (* a random permutation of the movable set, identity elsewhere *)
-let movable_shuffle_gen (rows : Canon.rows) =
+let movable_shuffle_gen (rows : int Canon.rows) =
   QCheck.Gen.(
     let movable = Canon.movable rows in
     shuffle_l movable >>= fun shuffled ->
@@ -540,6 +633,12 @@ let suites =
           test_independent_steps_commute;
         Alcotest.test_case "send masks recorded and dependence-inducing" `Quick
           test_sends_recorded_and_dependent;
+        qcheck prop_key_is_reference;
+        qcheck prop_exact_key_order_free;
+        Alcotest.test_case "exact key golden bytes" `Quick
+          test_exact_key_golden;
+        Alcotest.test_case "orbit key golden bytes" `Quick
+          test_orbit_key_golden;
       ] );
     ( "reduction.differential",
       [
