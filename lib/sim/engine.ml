@@ -378,6 +378,32 @@ module Make (A : Algorithm.S) = struct
       events;
     }
 
+  (* Idle-step test for the explorers.  The memo entry of an empty
+     delivery is a pure function of (reduction flag, state id), so when
+     it already exists and shows the same state id, no sends and no new
+     decision, the step's successor agrees with [c] on every row {!key}
+     reads — only time and the step count move.  Anything else (memo
+     miss, a pid [exec_step] would refuse, a decision it would reject)
+     answers [false] and leaves the caller to take the real step. *)
+  let idle_step ~pattern c pid =
+    (not A.uses_fd)
+    && Pid.valid ~n:c.n pid
+    && (match Failure_pattern.crash_time pattern pid with
+       | Some ct -> c.time + 1 <= ct
+       | None -> true)
+    &&
+    let sid = c.state_ids.(pid) in
+    match Hashtbl.find (Domain.DLS.get memo_dls) (c.reduce, sid, []) with
+    | exception Not_found -> false
+    | { m_state_id; m_sends = []; m_dec; _ } -> (
+        m_state_id = sid
+        &&
+        match (m_dec, c.decided.(pid)) with
+        | None, _ -> true
+        | Some v, Some (v0, _) -> Value.equal v v0
+        | Some _, None -> false)
+    | { m_sends = _ :: _; _ } -> false
+
   let exec_drop ~pattern c ids =
     if ids = [] then raise (Invalid_action "empty drop");
     let pending, dropped =

@@ -98,6 +98,19 @@ module Make (A : Algorithm.S) : sig
       @raise Invalid_action if the action violates the model,
       @raise Double_decision on a write-once violation. *)
 
+  val idle_step : pattern:Failure_pattern.t -> config -> Pid.t -> bool
+  (** [true] only when the calling domain's transition memo already
+      holds the entry for an empty delivery to [pid] in this
+      configuration's local state, and that entry proves the step idle:
+      same interned state, no sends, no new or conflicting decision.
+      [apply ~pattern c (Step {pid; deliver = []})] then returns a
+      configuration whose {!key} equals [c]'s under every [crashed]
+      mask and every reduction — keys exclude time and step counts.
+      Costs one memo probe and never steps, interns or counts a step.
+      [false] on a memo miss, for an invalid or crashed [pid], for
+      failure-detector algorithms, and whenever the step would raise;
+      the caller then takes the real step. *)
+
   val omit : config -> int list -> config
   (** Remove pending messages without the crashed-sender gate of
       [Drop]: the mobile model's transient omission, where a healthy

@@ -71,11 +71,17 @@ let m_spills = Metrics.counter "explore.spills"
    different sleep digest ("sleep-in-key" fragmentation) — subtract it
    from [admitted] to recover distinct configurations.  [noop_pruned]
    counts empty-delivery successors skipped because they provably
-   reproduce the parent key (self-loops in the keyed graph). *)
+   reproduce the parent key (self-loops in the keyed graph).
+   [idle_skipped] counts empty deliveries answered by {!Engine}'s
+   [idle_step] — proven idle by the transition memo, so never stepped,
+   keyed or probed.  Each one is also counted where its successor
+   always landed: a dedup (and, reduced, orbit) hit, or under sym+por a
+   [noop_pruned]. *)
 let m_orbit = Metrics.counter "explore.orbit_hits"
 let m_sleep_pruned = Metrics.counter "explore.sleep_pruned"
 let m_sleep_readmit = Metrics.counter "explore.sleep_readmitted"
 let m_noop_pruned = Metrics.counter "explore.noop_pruned"
+let m_idle = Metrics.counter "explore.idle_skipped"
 let g_frontier_peak = Metrics.gauge "explore.frontier.peak"
 let g_depth_peak = Metrics.gauge "explore.depth.peak"
 let g_max_configs = Metrics.gauge "explore.budget.max_configs"
@@ -545,18 +551,34 @@ module Make (A : Algorithm.S) = struct
         (Pid.universe n)
     then invalid_arg "Explorer: only initial crashes are supported"
 
+  (* An elided idle step's successor has its parent's key, and the
+     parent is admitted before it is expanded: count the dedup (and
+     orbit) hit that successor always was. *)
+  let idle_hit ~reduction =
+    Metrics.incr m_idle;
+    Metrics.incr m_dedup;
+    if reduction <> Canon.No_reduction then Metrics.incr m_orbit
+
   (* Successors of a non-terminal configuration under [policy]: every
      (stepper, delivery-choice) pair.  [steppers] is constant over the
-     whole search because only initial crashes are admitted. *)
-  let schedule_successors ~policy ~pattern ~steppers config k =
+     whole search because only initial crashes are admitted.  An empty
+     delivery {!E.idle_step} proves idle is not scheduled: its
+     successor would be deduplicated against this very configuration
+     when popped. *)
+  let schedule_successors ~reduction ~policy ~pattern ~steppers config k =
     List.iter
       (fun pid ->
         let mine = E.inbox config pid in
         List.iter
           (fun deliver ->
-            match E.apply ~pattern config (Adversary.Step { pid; deliver }) with
-            | Some config' -> k config'
-            | None -> assert false)
+            match deliver with
+            | [] when E.idle_step ~pattern config pid -> idle_hit ~reduction
+            | _ -> (
+                match
+                  E.apply ~pattern config (Adversary.Step { pid; deliver })
+                with
+                | Some config' -> k config'
+                | None -> assert false))
           (choices policy mine))
       steppers
 
@@ -592,7 +614,9 @@ module Make (A : Algorithm.S) = struct
      distinct reachable sleep digest ("sleep-in-key" fragmentation).
      Dropping a self-loop prunes no states: the child {e is} the
      parent, and this very node explores everything outside its own
-     sleep set while slept actions are covered at ancestors.
+     sleep set while slept actions are covered at ancestors.  The
+     transition memo answers most of these without a step
+     ({!E.idle_step}); the rest are stepped and their keys compared.
 
      Sleep sets prune {e transitions}, never states: every reachable
      configuration is still reached (along the representative
@@ -611,6 +635,10 @@ module Make (A : Algorithm.S) = struct
             let act = action_of config pid deliver in
             if List.exists (Canon.Action.equal act) sleep then
               Metrics.incr m_sleep_pruned
+            else if deliver = [] && E.idle_step ~pattern config pid then begin
+              Metrics.incr m_idle;
+              Metrics.incr m_noop_pruned
+            end
             else
               match
                 E.apply ~pattern config (Adversary.Step { pid; deliver })
@@ -801,8 +829,9 @@ module Make (A : Algorithm.S) = struct
                     (fun config' sleep' ->
                       succs := (config', depth + 1, sleep') :: !succs)
               | Canon.No_reduction | Canon.Symmetry ->
-                  schedule_successors ~policy ~pattern ~steppers:correct config
-                    (fun config' -> succs := (config', depth + 1, []) :: !succs));
+                  schedule_successors ~reduction ~policy ~pattern
+                    ~steppers:correct config (fun config' ->
+                      succs := (config', depth + 1, []) :: !succs));
               stack := List.rev_append !succs !stack
             end;
             Checkpoint.tick ckpt ~items:!visited snap
@@ -979,8 +1008,8 @@ module Make (A : Algorithm.S) = struct
                       local := (config', depth + 1, sleep') :: !local;
                       incr local_len)
               | Canon.No_reduction | Canon.Symmetry ->
-                  schedule_successors ~policy ~pattern ~steppers:correct config
-                    (fun config' ->
+                  schedule_successors ~reduction ~policy ~pattern
+                    ~steppers:correct config (fun config' ->
                       local := (config', depth + 1, []) :: !local;
                       incr local_len));
               maybe_spill ()
@@ -1195,9 +1224,26 @@ module Make (A : Algorithm.S) = struct
     undecided : Pid.t list;
   }
 
+  (* A successor of a crash-graph node: a (configuration, mask) pair
+     to key and admit, or the node itself — an empty delivery
+     {!E.idle_step} proves idle, whose key is the node's own.  The
+     self-loop stays an edge of the graph: the drivers record the
+     node's id in its place, exactly the id its key would have found. *)
+  type succ = Self | Next of E.config * int
+
+  (* The ids of a node's successors: [visit] keys and admits a [Next],
+     a [Self] is the node's own id [self]. *)
+  let succ_ids ~reduction ~self visit succs =
+    List.filter_map
+      (function
+        | Self ->
+            idle_hit ~reduction;
+            Some self
+        | Next (c, m) -> visit c m)
+      succs
+
   (* Per-node expansion, shared by the sequential and parallel
-     drivers: decisions check, completeness, and the successor
-     (config, mask) pairs.
+     drivers: decisions check, completeness, and the successors.
 
      The fault model dispatches here and only here:
 
@@ -1245,11 +1291,15 @@ module Make (A : Algorithm.S) = struct
         if not (mask_mem mask pid) then
           List.iter
             (fun deliver ->
-              match
-                E.apply ~pattern config (Adversary.Step { pid; deliver })
-              with
-              | Some config' -> succs := (config', mask) :: !succs
-              | None -> assert false)
+              match deliver with
+              | [] when E.idle_step ~pattern config pid ->
+                  succs := Self :: !succs
+              | _ -> (
+                  match
+                    E.apply ~pattern config (Adversary.Step { pid; deliver })
+                  with
+                  | Some config' -> succs := Next (config', mask) :: !succs
+                  | None -> assert false))
             (choices policy (E.inbox config pid))
       done;
       (* one pass over the pending multiset buckets messages by sender
@@ -1268,13 +1318,13 @@ module Make (A : Algorithm.S) = struct
             for victim = 0 to n - 1 do
               if not (mask_mem mask victim) then begin
                 let mask' = mask_add mask victim in
-                succs := (config, mask') :: !succs;
+                succs := Next (config, mask') :: !succs;
                 if drop_on_crash && by_src.(victim) <> [] then
                   match
                     E.apply ~pattern:(pattern_of mask') config
                       (Adversary.Drop by_src.(victim))
                   with
-                  | Some config' -> succs := (config', mask') :: !succs
+                  | Some config' -> succs := Next (config', mask') :: !succs
                   | None -> assert false
               end
             done
@@ -1284,7 +1334,7 @@ module Make (A : Algorithm.S) = struct
             let by_src = by_src_of () in
             for s = 0 to n - 1 do
               if by_src.(s) <> [] then
-                succs := (E.omit config by_src.(s), mask) :: !succs
+                succs := Next (E.omit config by_src.(s), mask) :: !succs
             done
           end);
       (match model with
@@ -1297,7 +1347,7 @@ module Make (A : Algorithm.S) = struct
                     E.apply ~pattern config
                       (Adversary.Forge { id = e.id; alt })
                   with
-                  | Some config' -> succs := (config', mask) :: !succs
+                  | Some config' -> succs := Next (config', mask) :: !succs
                   | None -> assert false
                 done)
             (E.pending config)
@@ -1456,10 +1506,7 @@ module Make (A : Algorithm.S) = struct
             Metrics.incr m_admitted;
             Hashtbl.add ids key id;
             if id >= Array.length !recs then begin
-              let bigger =
-                Array.make (2 * Array.length !recs)
-                  { succs = []; complete = false; mask = 0; undecided = [] }
-              in
+              let bigger = Array.make (2 * Array.length !recs) empty_rec in
               Array.blit !recs 0 bigger 0 (Array.length !recs);
               recs := bigger
             end;
@@ -1478,9 +1525,7 @@ module Make (A : Algorithm.S) = struct
         incr terminals;
         Metrics.incr m_terminals
       end;
-      let succs =
-        List.filter_map (fun (c, m) -> visit c m) succ_pairs
-      in
+      let succs = succ_ids ~reduction ~self:id visit succ_pairs in
       !recs.(id) <- { succs; complete = is_complete; mask; undecided }
     in
     let snap () =
@@ -1617,8 +1662,8 @@ module Make (A : Algorithm.S) = struct
         (* admit the root's successors inline and seed the pools *)
         let seed = ref [] in
         let root_succ_ids =
-          List.filter_map
-            (fun (c, m) ->
+          succ_ids ~reduction ~self:0
+            (fun c m ->
               let key = E.key ~crashed:m ~reduction c in
               match Shardset.admit seen key ~ticket with
               | Shardset.Found id ->
@@ -1689,7 +1734,7 @@ module Make (A : Algorithm.S) = struct
               expand_crash_node ~n ~policy ~drop_on_crash ~base_mask
                 ~crash_budget ~model ~forge_alts ~pattern_of ~check config mask
             in
-            let succs = List.filter_map (fun (c, m) -> visit c m) succ_pairs in
+            let succs = succ_ids ~reduction ~self:id visit succ_pairs in
             (* supervision can re-expand a node whose first expansion
                died mid-flight (re-pushed in-flight item): count its
                terminal only on the store's first write, so

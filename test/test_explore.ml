@@ -422,8 +422,201 @@ let test_key_exploration_agnostic () =
   Alcotest.(check bool) "stepped keys agree" true
     (E2.key_equal (E2.key ce') (E2.key cr'))
 
+(* ---------- idle-step elision is invisible ----------
+
+   The explorers answer memo-proven idle steps without stepping
+   ([Engine.idle_step]).  The literals below were measured before they
+   did: verdicts, stats, witnesses, admissions, dedup and orbit hits
+   must not move; only the step count may, and it must drop.  The
+   crash cells are border cells — kset_flp with L = n - t under a
+   k-agreement check, crashed processes keeping their in-flight
+   messages.  Each campaign applies its own algorithm functor, so its
+   transition memo starts cold whatever ran before it. *)
+
+module Metrics = Ksa_prim.Metrics
+
+let k_check ~k decisions =
+  if Sim.Value.count_distinct (List.map (fun (_, v, _) -> v) decisions) > k
+  then Some "k-agreement"
+  else None
+
+let stats_token (s : Sim.Explorer.stats) =
+  Printf.sprintf "visited=%d terminals=%d exhausted=%b" s.configs_visited
+    s.terminal_runs s.budget_exhausted
+
+let pids l = String.concat "," (List.map string_of_int l)
+
+let resilient_token (o : Sim.Explorer.resilient_outcome) =
+  match o with
+  | All_paths_decide s -> "all-paths-decide " ^ stats_token s
+  | Safety_violation { decisions; reason } ->
+      Printf.sprintf "violation %s [%s]" reason
+        (String.concat ";"
+           (List.map (fun (p, v, t) -> Printf.sprintf "(%d,%d,%d)" p v t)
+              decisions))
+  | Stuck { crashed; undecided_correct; stats } ->
+      Printf.sprintf "stuck {%s}/{%s} %s" (pids crashed)
+        (pids undecided_correct) (stats_token stats)
+  | Indeterminate s -> "indeterminate " ^ stats_token s
+
+type before_idle = {
+  verdict : string;
+  admitted : int;
+  dedup : int;
+  orbit : int;
+  steps : int;  (** [sim.steps] before elision: an upper bound now *)
+}
+
+(* [also]: further counters that must keep their literal values *)
+let check_invisible ?(also = []) label want run =
+  let before = Metrics.snapshot () in
+  let verdict = run () in
+  let d = Metrics.delta ~before ~after:(Metrics.snapshot ()) in
+  let count name = Option.value ~default:0 (List.assoc_opt name d) in
+  Alcotest.(check string) (label ^ ": verdict") want.verdict verdict;
+  List.iter
+    (fun (name, v) -> Alcotest.(check int) (label ^ ": " ^ name) v (count name))
+    (("explore.admitted", want.admitted)
+    :: ("explore.dedup.hits", want.dedup)
+    :: ("explore.orbit_hits", want.orbit)
+    :: also);
+  let steps = count "sim.steps" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: sim.steps %d < %d" label steps want.steps)
+    true (steps < want.steps);
+  Alcotest.(check bool)
+    (label ^ ": explore.idle_skipped > 0")
+    true
+    (count "explore.idle_skipped" > 0)
+
+let crash_cell ?domains ~n ~t ~k ~policy reduction () =
+  let module K = Ksa_algo.Kset_flp.Make (struct
+    let l = n - t
+  end) in
+  let module Ex = Sim.Explorer.Make (K) in
+  let inputs = distinct n and check = k_check ~k in
+  resilient_token
+    (match domains with
+    | None ->
+        Ex.explore_with_crashes ~reduction ~policy ~drop_on_crash:false ~n
+          ~inputs ~crash_budget:t ~check ()
+    | Some d ->
+        Ex.explore_with_crashes_par ~domains:d ~reduction ~policy
+          ~drop_on_crash:false ~n ~inputs ~crash_budget:t ~check ())
+
+let test_idle_crash_cells () =
+  let per_sender = Sim.Explorer.Per_sender in
+  let stuck =
+    {
+      verdict = "stuck {0}/{1,2} visited=19654 terminals=4283 exhausted=false";
+      admitted = 19654;
+      dedup = 65153;
+      orbit = 0;
+      steps = 71819;
+    }
+  and decides =
+    {
+      verdict = "all-paths-decide visited=1169 terminals=808 exhausted=false";
+      admitted = 1169;
+      dedup = 941;
+      orbit = 0;
+      steps = 1485;
+    }
+  in
+  List.iter
+    (fun (label, want, run) -> check_invisible label want run)
+    [
+      ( "n3 t1 k1",
+        stuck,
+        crash_cell ~n:3 ~t:1 ~k:1 ~policy:per_sender
+          Sim.Canon.No_reduction );
+      ( "n3 t1 k1 par(2)",
+        stuck,
+        crash_cell ~domains:2 ~n:3 ~t:1 ~k:1 ~policy:per_sender
+          Sim.Canon.No_reduction );
+      ( "n3 t2 k2",
+        {
+          verdict = "violation k-agreement [(0,0,1);(1,1,2);(2,2,5)]";
+          admitted = 38;
+          dedup = 7;
+          orbit = 0;
+          steps = 29;
+        },
+        crash_cell ~n:3 ~t:2 ~k:2 ~policy:per_sender
+          Sim.Canon.No_reduction );
+      ( "n3 t2 k3",
+        decides,
+        crash_cell ~n:3 ~t:2 ~k:3 ~policy:per_sender
+          Sim.Canon.No_reduction );
+      ( "n3 t2 k3 par(2)",
+        decides,
+        crash_cell ~domains:2 ~n:3 ~t:2 ~k:3 ~policy:per_sender
+          Sim.Canon.No_reduction );
+      ( "n4 t1 k1 empty-or-all sym",
+        {
+          verdict =
+            "stuck {0}/{1,2,3} visited=50586 terminals=414 exhausted=false";
+          admitted = 50586;
+          dedup = 277679;
+          orbit = 277679;
+          steps = 269144;
+        },
+        crash_cell ~n:4 ~t:1 ~k:1 ~policy:Sim.Explorer.Empty_or_all
+          Sim.Canon.Symmetry );
+    ]
+
+let test_idle_explore () =
+  let run ?domains reduction () =
+    let module K = Ksa_algo.Kset_flp.Make (struct
+      let l = 2
+    end) in
+    let module Ex = Sim.Explorer.Make (K) in
+    let pattern = FP.none ~n:3 and check = k_check ~k:1 in
+    stats_token
+      (stats_of "explore"
+         (match domains with
+         | None -> Ex.explore ~reduction ~n:3 ~inputs:(distinct 3) ~pattern ~check ()
+         | Some d ->
+             Ex.explore_par ~domains:d ~reduction ~n:3 ~inputs:(distinct 3)
+               ~pattern ~check ()))
+  in
+  let unreduced =
+    {
+      verdict = "visited=4930 terminals=601 exhausted=false";
+      admitted = 4930;
+      dedup = 20603;
+      orbit = 0;
+      steps = 25532;
+    }
+  and por =
+    {
+      verdict = "visited=3648 terminals=74 exhausted=false";
+      admitted = 3648;
+      dedup = 4147;
+      orbit = 4147;
+      steps = 18414;
+    }
+  in
+  List.iter
+    (fun domains ->
+      let tag = match domains with None -> "seq" | Some _ -> "par(2)" in
+      check_invisible ("explore none " ^ tag) unreduced
+        (run ?domains Sim.Canon.No_reduction);
+      (* under sym+por an idle step is also the self-loop it always was *)
+      check_invisible
+        ~also:[ ("explore.noop_pruned", 10620); ("explore.sleep_pruned", 3672) ]
+        ("explore sym+por " ^ tag) por
+        (run ?domains Sim.Canon.Symmetry_por))
+    [ None; Some 2 ]
+
 let suites =
   [
+    ( "explore.idle",
+      [
+        Alcotest.test_case "crash cells unchanged" `Quick test_idle_crash_cells;
+        Alcotest.test_case "crash-free explore unchanged" `Quick
+          test_idle_explore;
+      ] );
     ( "explore.parity",
       [
         Alcotest.test_case "n3 per-sender, 1/2/4/8 domains" `Quick

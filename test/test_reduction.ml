@@ -402,6 +402,190 @@ let test_sends_recorded_and_dependent () =
     "delivery-triggered broadcast names pid 0" true
     (report land (1 lsl 0) <> 0)
 
+(* ---------- idle-step elision ---------- *)
+
+(* Random explorer walks over n=3 configurations: each move either
+   crashes one more live process (keeping one alive) or steps a live
+   process on a random subset of its buffer.  At every configuration
+   on the way, every pid — crashed ones included — is first stepped
+   with the empty delivery (warming the memo exactly as an explorer's
+   first visit does), then asked [idle_step]; a [true] must come with
+   a step that succeeds and keeps the key under the walk's crashed
+   mask. *)
+module Idle_walk (A : Sim.Algorithm.S) = struct
+  module E = Sim.Engine.Make (A)
+
+  let n = 3
+
+  let pattern_of mask =
+    FP.initial_dead ~n
+      ~dead:(List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init n Fun.id))
+
+  let idle_keeps_key ~reduction c mask =
+    let pattern = pattern_of mask in
+    let key c = E.key ~crashed:mask ~reduction c in
+    List.for_all
+      (fun pid ->
+        let stepped =
+          try E.apply ~pattern c (Sim.Adversary.Step { pid; deliver = [] })
+          with E.Invalid_action _ | E.Double_decision _ -> None
+        in
+        (not (E.idle_step ~pattern c pid))
+        ||
+        match stepped with
+        | Some c' -> E.key_equal (key c') (key c)
+        | None -> false)
+      (List.init n Fun.id)
+
+  let holds ~reduction (seed, len) =
+    let rng = Random.State.make [| seed |] in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let rec go c mask len =
+      idle_keeps_key ~reduction c mask
+      && (len = 0
+         ||
+         let live =
+           List.filter (fun p -> mask land (1 lsl p) = 0) (List.init n Fun.id)
+         in
+         if List.length live > 1 && Random.State.int rng 6 = 0 then
+           go c (mask lor (1 lsl pick live)) (len - 1)
+         else
+           let pid = pick live in
+           let deliver =
+             List.filter
+               (fun _ -> Random.State.bool rng)
+               (List.map fst (E.inbox c pid))
+           in
+           match
+             E.apply ~pattern:(pattern_of mask) c
+               (Sim.Adversary.Step { pid; deliver })
+           with
+           | Some c' -> go c' mask (len - 1)
+           | None | (exception E.Double_decision _) -> true)
+    in
+    go (E.init_explore ~reduction ~n ~inputs:(distinct n) ()) 0 len
+end
+
+(* The real algorithms never change state on an empty delivery
+   without also sending or deciding.  [Tick] does each on its own, so
+   the walk meets every way a memo entry can fail to prove idleness:
+   two silent state changes, then pid 0 sends on every empty step
+   without changing state, while the others decide once and go idle;
+   a delivery resets the count, again silently. *)
+module Tick = struct
+  type state = { me : Sim.Pid.t; n : int; count : int }
+  type message = int
+
+  let name = "tick"
+  let uses_fd = false
+  let init ~n ~me ~input:_ = { me; n; count = 0 }
+
+  let step st ~received ~fd:_ =
+    match received with
+    | [] when st.count < 2 -> ({ st with count = st.count + 1 }, [], None)
+    | [] when st.me = 0 -> (st, [ (1 mod st.n, st.count) ], None)
+    | [] -> (st, [], Some st.me)
+    | _ :: _ -> ({ st with count = 0 }, [], None)
+
+  let canon st = st
+  let canon_message (m : message) = m
+  let forge_pool ~n:_ ~values:_ = []
+
+  let pp_state ppf st =
+    Format.fprintf ppf "{p%d count=%d}" st.me st.count
+
+  let pp_message = Format.pp_print_int
+end
+
+module Walk_k2 = Idle_walk (K2)
+module Walk_n2 = Idle_walk (N2)
+module Walk_trivial = Idle_walk (Ksa_algo.Trivial.A)
+module Walk_tick = Idle_walk (Tick)
+
+let prop_idle_step_keeps_key =
+  QCheck.Test.make ~name:"idle_step: a memo-proven idle step keeps the key"
+    ~count:200
+    QCheck.(pair (int_bound 0x3fffffff) (int_range 0 40))
+    (fun walk ->
+      List.for_all
+        (fun reduction ->
+          Walk_k2.holds ~reduction walk
+          && Walk_n2.holds ~reduction walk
+          && Walk_trivial.holds ~reduction walk
+          && Walk_tick.holds ~reduction walk)
+        Canon.all_reductions)
+
+(* A functor instance of its own, so its memo holds only what this
+   test puts there *)
+module E_idle = Sim.Engine.Make (Ksa_algo.Trivial.A)
+
+let test_idle_step_cases () =
+  let none = FP.none ~n:3 in
+  let step c pid =
+    match
+      E_idle.apply ~pattern:none c (Sim.Adversary.Step { pid; deliver = [] })
+    with
+    | Some c' -> c'
+    | None -> Alcotest.fail "step refused"
+  in
+  let c0 = E_idle.init_explore ~n:3 ~inputs:(distinct 3) () in
+  (* trivial decides on its first step and is settled afterwards *)
+  let c1 = step c0 0 in
+  Alcotest.(check bool)
+    "deciding step is not idle" false
+    (E_idle.idle_step ~pattern:none c0 0);
+  Alcotest.(check bool)
+    "memo miss: settled state never stepped" false
+    (E_idle.idle_step ~pattern:none c1 0);
+  ignore (step c1 0);
+  Alcotest.(check bool)
+    "memo hit: settled state is idle" true
+    (E_idle.idle_step ~pattern:none c1 0);
+  Alcotest.(check bool)
+    "crashed pid" false
+    (E_idle.idle_step ~pattern:(FP.initial_dead ~n:3 ~dead:[ 0 ]) c1 0);
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool)
+        (Printf.sprintf "invalid pid %d" pid)
+        false
+        (E_idle.idle_step ~pattern:none c1 pid))
+    [ -1; 3 ]
+
+(* An algorithm bug on purpose: its second step re-decides a different
+   value without changing state or sending *)
+module Redecide = struct
+  type state = int
+  type message = |
+
+  let name = "redecide"
+  let uses_fd = false
+  let init ~n:_ ~me:_ ~input:_ = 0
+  let step s ~received:_ ~fd:_ = (1, [], Some s)
+  let canon s = s
+  let canon_message (m : message) = m
+  let forge_pool ~n:_ ~values:_ = []
+  let pp_state = Format.pp_print_int
+  let pp_message _ (m : message) = match m with _ -> .
+end
+
+module E_redecide = Sim.Engine.Make (Redecide)
+
+let test_idle_step_double_decision () =
+  let none = FP.none ~n:1 in
+  let step c =
+    E_redecide.apply ~pattern:none c (Sim.Adversary.Step { pid = 0; deliver = [] })
+  in
+  let c0 = E_redecide.init_explore ~n:1 ~inputs:[| 0 |] () in
+  let c1 = Option.get (step c0) in
+  (* the failing step still leaves its memo entry: same state, no
+     sends, a conflicting decision *)
+  Alcotest.check_raises "second step re-decides" (E_redecide.Double_decision 0)
+    (fun () -> ignore (step c1));
+  Alcotest.(check bool)
+    "conflicting decision is not idle" false
+    (E_redecide.idle_step ~pattern:none c1 0)
+
 (* ---------- differential runs: reduced vs unreduced ---------- *)
 
 let subjects =
@@ -639,6 +823,10 @@ let suites =
           test_exact_key_golden;
         Alcotest.test_case "orbit key golden bytes" `Quick
           test_orbit_key_golden;
+        qcheck prop_idle_step_keeps_key;
+        Alcotest.test_case "idle_step refusals" `Quick test_idle_step_cases;
+        Alcotest.test_case "idle_step refuses a double decision" `Quick
+          test_idle_step_double_decision;
       ] );
     ( "reduction.differential",
       [
