@@ -1,14 +1,19 @@
 (** Global structural interning of values to dense integer ids.
 
     A registry maps values to small integers such that two values
-    receive the same id {e iff} they are structurally equal — the
-    table resolves generic-hash collisions with structural equality,
-    so id equality is exact, never "up to hash collision".  Interned
-    ids are the currency of the unified trace layer: every substrate
-    (the asynchronous engine, the Heard-Of engine) interns local
-    states into the same registry, which makes ids comparable across
-    engine functor instances, across substrates, and across domains
-    (the registry is mutex-protected).
+    receive the same id {e iff} they are structurally equal
+    ([compare a b = 0]) — the table resolves hash collisions with
+    [compare], so id equality is exact, never "up to hash collision".
+    Interned ids are the currency of the unified trace layer: every
+    substrate (the asynchronous engine, the Heard-Of engine) interns
+    local states into the same registry, which makes ids comparable
+    across engine functor instances, across substrates, and across
+    domains.
+
+    Lookups hash the whole value ({!hash}, the runtime's full-depth
+    traversal) before touching the table.  A hit is served without a
+    lock and without allocating; only the insertion of a value not
+    seen before takes the registry's mutex.
 
     The registry is intentionally type-agnostic: values of different
     types that happen to share a runtime representation receive the
@@ -25,27 +30,35 @@
 type t
 (** An interning registry. *)
 
+val hash : 'a -> int
+(** The hash a registry files a value under:
+    [Hashtbl.hash_param 256 256], the deepest traversal the runtime
+    allows.  Values equal under [compare] hash equally. *)
+
 val create : ?name:string -> ?size:int -> unit -> t
-(** A fresh registry ([size] is the initial table capacity).  When
-    [name] is given, the registry's occupancy is published as the
-    {!Metrics} probe ["<name>.size"], so snapshots report table
-    growth without touching the interning hot path. *)
+(** A fresh registry ([size] is the initial number of table slots,
+    rounded up to a power of two; the table doubles whenever it would
+    become more than half full).  When [name] is given, the registry's
+    occupancy is published as the {!Metrics} probe ["<name>.size"], so
+    snapshots report table growth without touching the interning hot
+    path. *)
 
 val id : t -> 'a -> int
 (** [id t v] is the dense id of [v] in [t], allocating the next id on
     first sight.  Ids count up from 0 in first-interning order.
-    Thread-safe. *)
+    Thread-safe: a value already interned is found without taking the
+    registry's mutex; a first sight takes it to assign the id. *)
 
 val count : t -> int
-(** Number of distinct values interned so far. *)
+(** Number of distinct values interned so far, read under the
+    registry's mutex. *)
 
 val watermark : t -> int
-(** A lock-free monotone lower bound on {!count}: the highest id
-    watermark published so far.  Because it is read without taking the
-    registry mutex it may lag concurrent interning, but it never
-    overshoots and never decreases — exactly what callers need for
-    cheap capacity hints (e.g. sizing a coverage bitmap over state
-    ids) without touching the interning hot path. *)
+(** A lock-free monotone lower bound on {!count}: the same counter,
+    read without taking the registry's mutex.  It may therefore lag
+    concurrent insertions, but it never overshoots and never
+    decreases — exactly what callers need for cheap capacity hints
+    (e.g. sizing a coverage bitmap over state ids). *)
 
 val dump : t -> Obj.t array
 (** The current id assignment, as an array whose index [i] holds the

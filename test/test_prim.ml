@@ -1,6 +1,7 @@
 module Rng = Ksa_prim.Rng
 module Listx = Ksa_prim.Listx
 module Metrics = Ksa_prim.Metrics
+module Intern = Ksa_prim.Intern
 
 let test_rng_deterministic () =
   let a = Rng.create ~seed:123 and b = Rng.create ~seed:123 in
@@ -238,6 +239,212 @@ let prop_chunks_flatten =
     QCheck.(pair (int_range 1 5) (small_list int))
     (fun (k, xs) -> List.concat (Listx.chunks k xs) = xs)
 
+(* the interner *)
+
+(* Nested values of the shapes process states are made of.  The leaf
+   domains are tiny so generated lists repeat values often; floats
+   include nan (equal to itself under [compare]) and both zeros
+   (equal to each other). *)
+type nested =
+  | I of int
+  | S of string
+  | F of float
+  | L of nested list
+  | T of nested * nested
+  | M of nested Ksa_sim.Pid.Map.t
+
+let gen_nested =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun i -> I i) (int_range (-2) 2);
+        map (fun s -> S s) (oneofl [ ""; "a"; "b" ]);
+        map (fun f -> F f) (oneofl [ 0.0; -0.0; 1.5; nan; infinity ]);
+      ]
+  in
+  (* the same bindings inserted in either order: maps with equal
+     bindings may differ in tree shape, and then differ under
+     [compare] *)
+  let map_of (rev, kvs) =
+    let kvs = if rev then List.rev kvs else kvs in
+    M
+      (List.fold_left
+         (fun m (k, v) -> Ksa_sim.Pid.Map.add k v m)
+         Ksa_sim.Pid.Map.empty kvs)
+  in
+  fix
+    (fun self d ->
+      if d = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun l -> L l) (list_size (int_bound 3) (self (d - 1))));
+            (1, map2 (fun a b -> T (a, b)) (self (d - 1)) (self (d - 1)));
+            ( 1,
+              map map_of
+                (pair bool
+                   (list_size (int_bound 4) (pair (int_bound 3) (self (d - 1)))))
+            );
+          ])
+    3
+
+let arb_nested_list =
+  QCheck.make
+    ~print:(fun vs -> string_of_int (List.length vs) ^ " values")
+    QCheck.Gen.(list_size (int_range 1 60) gen_nested)
+
+(* a structurally equal, physically distinct copy *)
+let deep_copy v = Marshal.from_string (Marshal.to_string v []) 0
+
+(* The reference: the index of the first [compare]-equal value among
+   the distinct values seen so far. *)
+let reference_ids vs =
+  let seen = ref [] in
+  let ids =
+    List.map
+      (fun v ->
+        let rec find i = function
+          | [] ->
+              seen := !seen @ [ v ];
+              i
+          | w :: rest -> if compare v w = 0 then i else find (i + 1) rest
+        in
+        find 0 !seen)
+      vs
+  in
+  (ids, List.length !seen)
+
+let prop_intern_exact =
+  QCheck.Test.make ~name:"intern: id a = id b iff compare a b = 0, dense in first-seen order"
+    ~count:300 arb_nested_list (fun vs ->
+      let r = Intern.create ~size:1 () in
+      let ids = List.map (fun v -> Intern.id r (deep_copy v)) vs in
+      let expected, distinct = reference_ids vs in
+      let pairs_ok =
+        List.for_all2
+          (fun a ia ->
+            List.for_all2 (fun b ib -> (ia = ib) = (compare a b = 0)) vs ids)
+          vs ids
+      in
+      ids = expected && pairs_ok
+      && Intern.count r = distinct
+      && Intern.watermark r = distinct
+      && List.map (Intern.id r) vs = ids)
+
+let prop_intern_dump_restore =
+  QCheck.Test.make ~name:"intern: dump then restore reproduces every id"
+    ~count:200 arb_nested_list (fun vs ->
+      let r = Intern.create ~size:1 () in
+      let ids = List.map (Intern.id r) vs in
+      let d = Intern.dump r in
+      let fresh = Intern.create ~size:1 () in
+      let same = Intern.restore r d in
+      let count = Intern.count r in
+      Intern.restore fresh (Array.map deep_copy d) = Ok ()
+      && Intern.count fresh = Array.length d
+      && List.map (fun v -> Intern.id fresh (deep_copy v)) vs = ids
+      && same = Ok ()
+      && count = Array.length d
+      && List.map (Intern.id r) vs = ids
+      && List.for_all2 (fun v i -> compare d.(i) (Obj.repr v) = 0) vs ids)
+
+let test_intern_restore_conflicts () =
+  let dumped = Array.map Obj.repr [| "x"; "y" |] in
+  (* "y" is live, but under another id than the dump gives it *)
+  let swapped = Intern.create () in
+  ignore (Intern.id swapped "y");
+  ignore (Intern.id swapped "x");
+  Alcotest.(check (result unit string))
+    "dumped id is another live id"
+    (Error "interner mismatch: dumped id 0 is live id 1")
+    (Intern.restore swapped dumped);
+  (* "x" is absent, but id 0 is already taken *)
+  let taken = Intern.create () in
+  ignore (Intern.id taken "z");
+  Alcotest.(check (result unit string))
+    "cannot graft"
+    (Error
+       "interner mismatch: cannot graft dumped id 0 into a table of 1 entries")
+    (Intern.restore taken dumped)
+
+let test_intern_concurrent () =
+  (* two domains intern overlapping streams into a registry that
+     starts with two slots, so inserts and resizes race with lock-free
+     hits.  Both walk the values in the same blocks of 16, meeting at
+     a barrier before each block; in each block domain [d] takes the
+     values with [i mod 4 <> d], half of them shared, in its own
+     shuffled order, so the two often first-see the same value at the
+     same moment.  Each stream runs twice; the second pass mostly
+     hits *)
+  let n = 20_000 and block = 16 in
+  let value i = (i mod 7, string_of_int i, [ i; -i ]) in
+  let r = Intern.create ~size:1 () in
+  let arrived = Atomic.make 0 in
+  let worker d =
+    let rng = Rng.create ~seed:d in
+    let blocks =
+      List.init (2 * n / block) (fun b ->
+          let b = b mod (n / block) in
+          Rng.shuffle rng
+            (List.filter
+               (fun i -> i mod 4 <> d)
+               (Listx.range (b * block) ((b + 1) * block))))
+    in
+    Domain.spawn (fun () ->
+        List.concat
+          (List.mapi
+             (fun round xs ->
+               Atomic.incr arrived;
+               while Atomic.get arrived < 2 * (round + 1) do
+                 Domain.cpu_relax ()
+               done;
+               List.map (fun i -> (i, Intern.id r (value i))) xs)
+             blocks))
+  in
+  let a = worker 0 and b = worker 1 in
+  let answers = Domain.join a @ Domain.join b in
+  let ids = Array.make n (-1) in
+  List.iter
+    (fun (i, id) ->
+      if ids.(i) < 0 then ids.(i) <- id
+      else if ids.(i) <> id then
+        Alcotest.failf "value %d got ids %d and %d" i ids.(i) id)
+    answers;
+  Alcotest.(check int) "count" n (Intern.count r);
+  Alcotest.(check (list int))
+    "ids are 0..count-1, one per value" (Listx.range 0 n)
+    (List.sort compare (Array.to_list ids));
+  let d = Intern.dump r in
+  Alcotest.(check int) "dump length" n (Array.length d);
+  Array.iteri
+    (fun i id ->
+      if compare d.(id) (Obj.repr (value i)) <> 0 then
+        Alcotest.failf "dump.(%d) is not value %d" id i)
+    ids
+
+module K2 = Ksa_algo.Kset_flp.Make (struct
+  let l = 2
+end)
+
+module FK2 = Ksa_sim.Fuzz.Make (K2)
+
+let test_intern_hash_spread () =
+  (* kset-flp states differ deep inside their report maps; a hash that
+     stops after a few words (the stdlib default reads 10 meaningful
+     ones) files them under a few hundred values *)
+  let cfg = Ksa_sim.Fuzz.default_config ~k:2 ~n:4 () in
+  (match FK2.run cfg ~seed:1001 ~trials:1000 with
+  | Ksa_sim.Fuzz.Clean _ -> ()
+  | _ -> Alcotest.fail "expected a clean k=2 campaign");
+  let vs = Intern.dump Intern.states in
+  let hashes = List.sort_uniq compare (Array.to_list (Array.map Intern.hash vs)) in
+  let total = Array.length vs and distinct = List.length hashes in
+  if total < 1000 then Alcotest.failf "only %d states interned" total;
+  if 100 * distinct < 99 * total then
+    Alcotest.failf "%d distinct hashes for %d states" distinct total
+
 let suites =
   [
     ( "prim.rng",
@@ -273,6 +480,15 @@ let suites =
         Alcotest.test_case "json" `Quick test_metrics_json;
         Alcotest.test_case "concurrent increments" `Quick
           test_metrics_concurrent_increments;
+      ] );
+    ( "prim.intern",
+      [
+        QCheck_alcotest.to_alcotest prop_intern_exact;
+        QCheck_alcotest.to_alcotest prop_intern_dump_restore;
+        Alcotest.test_case "restore conflicts" `Quick
+          test_intern_restore_conflicts;
+        Alcotest.test_case "concurrent interning" `Quick test_intern_concurrent;
+        Alcotest.test_case "hash spread" `Quick test_intern_hash_spread;
       ] );
     Test_util.qsuite "prim.properties"
       [
