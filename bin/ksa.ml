@@ -516,16 +516,6 @@ let explore algo_name n k l wait_for dead crash_budget model policy reduction
       ()
   in
   let resume = Option.map Checkpoint.payload resumed in
-  let domains =
-    if resume <> None && domains > 1 then begin
-      Printf.eprintf
-        "ksa: resuming on the sequential driver (checkpoints are \
-         sequential-format; verdicts are driver-independent)\n\
-         %!";
-      1
-    end
-    else domains
-  in
   let pp_stats ppf (s : Sim.Explorer.stats) =
     Format.fprintf ppf "%d configs visited, %d terminal runs%s"
       s.Sim.Explorer.configs_visited s.Sim.Explorer.terminal_runs
@@ -1357,9 +1347,9 @@ let serve_domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Worker domains per job.  1 (the default) keeps every job on the \
-           resumable sequential drivers; resumed jobs always run \
-           sequentially regardless.")
+          "Worker domains per job (default 1).  A resumed explore job runs \
+           on the sequential explorer regardless; a fuzz job resumes on D \
+           domains.")
 
 let exit_when_idle_arg =
   Arg.(

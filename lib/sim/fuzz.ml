@@ -80,8 +80,8 @@ type outcome =
   | Budget_exhausted of { trials : int }
 
 (* live counters; the authoritative per-campaign figures are in the
-   returned outcome (the parallel driver may run trials beyond the
-   first violation, so raw counters can exceed the canonical count) *)
+   returned outcome (several domains may run trials beyond the first
+   violation, so raw counters can exceed the canonical count) *)
 let m_trials = Metrics.counter "fuzz.trials"
 let m_violations = Metrics.counter "fuzz.violations"
 let m_shrink_candidates = Metrics.counter "fuzz.shrink.candidates"
@@ -162,16 +162,15 @@ let ddmin ~test xs =
    folding exactly the clean trials of epochs [0..e-1], in trial
    order.  Folds happen when the clean-trial watermark (the same
    contiguous-prefix watermark the checkpoints use) crosses an epoch
-   boundary, so the parallel driver folds the identical updates in
-   the identical order as the sequential one, no matter how its
-   domains interleave.  Violating trials contribute nothing (the
-   sequential driver stops at the first one, so folding them would
-   break parity).
+   boundary, so every domain count folds the identical updates in
+   the identical order, no matter how the domains interleave.
+   Violating trials contribute nothing (a one-domain campaign stops
+   at the first one, so folding them would break parity).
 
    The per-epoch generation state is published as an immutable [view]
    (entry array plus cumulative energy weights); workers read only
    views, and the mutable master state is touched only while holding
-   the caller's lock (the watermark mutex, in the parallel driver).
+   the campaign's watermark mutex.
 
    All tuning constants below are part of the deterministic contract:
    changing one changes campaign outcomes, exactly like changing the
@@ -375,10 +374,8 @@ module Cov = struct
   (* per-campaign coverage state: [master] folded through every trial
      below [base] (always an epoch boundary), clean-trial updates at
      or above [base] buffered in [pending], and the generation view
-     for each folded epoch boundary in [views].  Mutated only under
-     the campaign's watermark discipline: the sequential driver owns
-     it outright, the parallel driver guards every access with the
-     watermark mutex. *)
+     for each folded epoch boundary in [views].  While workers run,
+     it is touched only under the campaign's watermark mutex. *)
   type box = {
     mutable master : master;
     mutable base : int;
@@ -445,9 +442,6 @@ type payload = {
   pl_model : string; (* Fault_model.to_string of the campaign's model *)
 }
 
-let fuzz_snap ~model i () =
-  Marshal.to_string { pl_trial = i; pl_cov = None; pl_model = model } []
-
 let decode_payload s = (Marshal.from_string s 0 : payload)
 
 (* the trial stream is a pure function of (config, seed, i), and the
@@ -463,7 +457,7 @@ let warn_model_mismatch ~want ~got =
     (Fault_model.to_string want)
 
 (* canonical coverage payload at watermark [wm]; caller holds the
-   box's lock (parallel driver) or owns it (sequential) *)
+   campaign's watermark mutex *)
 let cov_payload ~model wm (b : Cov.box) =
   Cov.fold_to b (Cov.epoch_floor wm);
   let pend =
@@ -837,59 +831,13 @@ module Make (A : Algorithm.S) = struct
     Metrics.incr m_trials;
     (pattern, run)
 
-  (* ---------- sequential driver ---------- *)
-
-  (* Checkpoint payload of a fuzz campaign: the watermark — the
-     lowest trial index such that every trial below it completed
-     clean — plus, in coverage mode, the canonical corpus state at
-     that watermark.  Because trial [i] is a pure function of
-     (config, seed, i) (given, in coverage mode, the corpus state the
-     payload restores), a resumed campaign re-derives every later
-     trial (and any violation, its shrink included) bit-identically. *)
-
-  let run_cov ?on_trial ~ckpt ~start ~cov0 (cfg : config) ~seed ~trials =
-    let stopped () = match cfg.stop with Some f -> f () | None -> false in
-    let b = box_of_state ~start cov0 in
-    let mtag = Fault_model.to_string cfg.model in
-    let wm = ref start in
-    let snap () = Marshal.to_string (cov_payload ~model:mtag !wm b) [] in
-    let finish outcome =
-      Cov.fold_tail b;
-      outcome
-    in
-    let rec go i =
-      if i >= trials then finish (Clean { trials })
-      else if Checkpoint.interrupted ckpt then begin
-        Checkpoint.flush ckpt snap;
-        finish (Budget_exhausted { trials = i })
-      end
-      else if stopped () then begin
-        Checkpoint.flush ckpt snap;
-        finish (Budget_exhausted { trials = i })
-      end
-      else begin
-        Cov.fold_to b (Cov.epoch_floor i);
-        let view = Hashtbl.find b.Cov.views (Cov.epoch_floor i) in
-        let pattern, r = cov_trial cfg ~seed view i in
-        let () = Option.iter (fun f -> f i r) on_trial in
-        match check_run cfg r with
-        | None ->
-            Hashtbl.replace b.Cov.pending i (Cov.update_of_run ~pattern r);
-            wm := i + 1;
-            Checkpoint.tick ckpt ~items:(i + 1) snap;
-            go (i + 1)
-        | Some (prop, reason) ->
-            finish (Violation_found (violation_of cfg i pattern r prop reason))
-      end
-    in
-    go start
+  (* ---------- the campaign driver ---------- *)
 
   (* a payload written under a different --model (budget included)
      describes a different trial stream: warn and start fresh, exactly
      the explorer's --reduction policy *)
-  let resume_state (cfg : config) resume_from resume_payload =
-    match resume_payload with
-    | None -> (resume_from, None)
+  let resume_state (cfg : config) = function
+    | None -> (0, None)
     | Some s ->
         let p = decode_payload s in
         if p.pl_model <> Fault_model.to_string cfg.model then begin
@@ -898,83 +846,81 @@ module Make (A : Algorithm.S) = struct
         end
         else (p.pl_trial, p.pl_cov)
 
-  let run ?on_trial ?(ckpt = Checkpoint.ctl ()) ?(resume_from = 0)
-      ?resume_payload (cfg : config) ~seed ~trials =
-    let start, cov0 = resume_state cfg resume_from resume_payload in
-    let mtag = Fault_model.to_string cfg.model in
-    if cfg.coverage then run_cov ?on_trial ~ckpt ~start ~cov0 cfg ~seed ~trials
-    else
-      let stopped () = match cfg.stop with Some f -> f () | None -> false in
-      let rec go i =
-        if i >= trials then Clean { trials }
-        else if Checkpoint.interrupted ckpt then begin
-          Checkpoint.flush ckpt (fuzz_snap ~model:mtag i);
-          Budget_exhausted { trials = i }
-        end
-        else if stopped () then begin
-          (* a stop-hook expiry (e.g. --max-seconds) must preserve the
-             watermark exactly like an interrupt: without this flush
-             the campaign's progress since the last periodic tick was
-             silently discarded *)
-          Checkpoint.flush ckpt (fuzz_snap ~model:mtag i);
-          Budget_exhausted { trials = i }
-        end
-        else
-          let pattern, r = trial cfg ~seed i in
-          let () = Option.iter (fun f -> f i r) on_trial in
-          match check_run cfg r with
-          | None ->
-              Checkpoint.tick ckpt ~items:(i + 1) (fuzz_snap ~model:mtag (i + 1));
-              go (i + 1)
-          | Some (prop, reason) ->
-              Violation_found (violation_of cfg i pattern r prop reason)
-      in
-      go start
+  (* One ticket/watermark loop runs every campaign, blind or coverage,
+     on any number of domains; at [domains = 1] its single worker runs
+     in the calling domain.  Workers claim trial indices from a shared
+     ticket counter and stop claiming above [best], the lowest
+     violating index found so far.  Every ticket below it still runs,
+     so the minimum over the reported violations is exactly the first
+     violation in trial order, and shrinking (once, after the join) is
+     deterministic.  A done-set under the watermark mutex advances the
+     clean watermark in ticket order, so a written checkpoint never
+     claims an unfinished trial.
 
-  (* ---------- parallel coverage driver ----------
+     The checkpoint payload is that watermark plus, in coverage mode,
+     the canonical corpus state at it.  Trial [i] is a pure function
+     of (config, seed, i) — given, in coverage mode, the corpus state
+     the payload restores — so a resumed campaign re-derives every
+     later trial, any violation and its shrink bit-identically.
 
-     Same ticket/watermark skeleton as the blind driver below, plus
-     the epoch barrier: a worker holding ticket [i] must not generate
-     until the corpus is folded through [epoch_floor i], which in turn
-     requires the clean watermark to reach that boundary.  The barrier
-     cannot deadlock: a waiting worker's ticket [i] satisfies
-     [epoch_floor i <= i], and every trial below [epoch_floor i] is a
-     claimed ticket that either completes clean (advancing the
-     watermark) or violates — and a violation [v < epoch_floor i <= i]
-     makes the waiter bail via the [best] check.  The blind driver's
-     requeue-after-join supervision would stall the watermark forever
-     here, so a failing coverage ticket is retried once in place
-     (still ledgered); a second failure poisons the campaign and
-     propagates after the join, like the sequential driver's would. *)
-  let run_par_cov ~domains ~ckpt ~start ~cov0 (cfg : config) ~seed ~trials =
+     Blind and coverage campaigns differ only in the values below:
+     [prepare i] gives ticket [i]'s generator ([trial], or [cov_trial]
+     on the epoch view, [None] until that epoch is folded); [buffer]
+     turns a clean trial into what the watermark mutex commits with it
+     (coverage buffers its [Cov.update]); [payload] is what a
+     watermark writes.  The epoch wait cannot deadlock: a waiting
+     ticket [i] satisfies [epoch_floor i <= i], and every trial below
+     [epoch_floor i] is a claimed ticket that either completes clean
+     (advancing the watermark) or violates — and a violation
+     [v < epoch_floor i <= i] makes the waiter bail via [best].  For
+     the same reason a raising trial is retried once in place, not
+     requeued: a requeue would stall the wait.  A second failure
+     poisons the campaign, which flushes its checkpoint and re-raises
+     after the join. *)
+  let run ?on_trial ?(domains = 1) ?(ckpt = Checkpoint.ctl ()) ?resume_payload
+      (cfg : config) ~seed ~trials =
     check_weights cfg.weights;
-    let stop () = match cfg.stop with Some f -> f () | None -> false in
-    let stopped_early = Atomic.make false in
-    let interrupted = Atomic.make false in
-    let poison = Atomic.make None in
-    let next_ticket = Atomic.make start in
-    let best = Atomic.make max_int in
+    let start, cov0 = resume_state cfg resume_payload in
+    let model = Fault_model.to_string cfg.model in
     let wm_lock = Mutex.create () in
-    let done_tbl : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
     let watermark = ref start in
-    let b = box_of_state ~start cov0 in
-    let locked f =
-      Mutex.lock wm_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock wm_lock) f
+    let done_tbl : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let box = if cfg.coverage then Some (box_of_state ~start cov0) else None in
+    let prepare, buffer, payload =
+      match box with
+      | None ->
+          let blind = Some (trial cfg ~seed) in
+          let nothing () = () in
+          ( (fun _ -> blind),
+            (fun _ _ _ -> nothing),
+            fun wm -> { pl_trial = wm; pl_cov = None; pl_model = model } )
+      | Some b ->
+          ( (fun i ->
+              let target = Cov.epoch_floor i in
+              Mutex.protect wm_lock (fun () ->
+                  if b.Cov.base < target && !watermark >= target then
+                    Cov.fold_to b target;
+                  if b.Cov.base >= target then
+                    Hashtbl.find_opt b.Cov.views target
+                  else None)
+              |> Option.map (fun view -> cov_trial cfg ~seed view)),
+            (fun i pattern r ->
+              let u = Cov.update_of_run ~pattern r in
+              fun () -> Hashtbl.replace b.Cov.pending i u),
+            fun wm -> cov_payload ~model wm b )
     in
     (* lock order is checkpoint-then-watermark everywhere: [tick] and
        [flush] hold the checkpoint mutex when they invoke [snap], and
        [note_clean] releases the watermark mutex before ticking *)
-    let mtag = Fault_model.to_string cfg.model in
     let snap () =
       Marshal.to_string
-        (locked (fun () -> cov_payload ~model:mtag !watermark b))
+        (Mutex.protect wm_lock (fun () -> payload !watermark))
         []
     in
-    let note_clean i u =
+    let note_clean i commit =
       let wm =
-        locked (fun () ->
-            Hashtbl.replace b.Cov.pending i u;
+        Mutex.protect wm_lock (fun () ->
+            commit ();
             Hashtbl.replace done_tbl i ();
             while Hashtbl.mem done_tbl !watermark do
               Hashtbl.remove done_tbl !watermark;
@@ -984,243 +930,116 @@ module Make (A : Algorithm.S) = struct
       in
       Checkpoint.tick ckpt ~items:wm snap
     in
-    let await_view ~ticket target =
-      let rec wait () =
-        if Checkpoint.interrupted ckpt then begin
-          Atomic.set interrupted true;
-          None
-        end
-        else if stop () then begin
-          Atomic.set stopped_early true;
-          None
-        end
-        else if Atomic.get poison <> None || ticket > Atomic.get best then
-          None
-        else
-          let v =
-            locked (fun () ->
-                if b.Cov.base < target && !watermark >= target then
-                  Cov.fold_to b target;
-                if b.Cov.base >= target then
-                  Hashtbl.find_opt b.Cov.views target
-                else None)
-          in
-          match v with
-          | Some _ -> v
-          | None ->
-              Domain.cpu_relax ();
-              wait ()
-      in
-      wait ()
+    let stop = Option.value cfg.stop ~default:(fun () -> false) in
+    let cut = Atomic.make false in
+    let poison = Atomic.make None in
+    let next_ticket = Atomic.make start in
+    let best = Atomic.make max_int in
+    let rec lower i =
+      let b = Atomic.get best in
+      if i < b && not (Atomic.compare_and_set best b i) then lower i
     in
-    let worker w () =
-      Metrics.incr m_domains;
-      let run_ticket view i =
-        let pattern, r = cov_trial cfg ~seed view i in
+    let abandoned i = i > Atomic.get best || Atomic.get poison <> None in
+    (* one poll of the interrupt, then of the stop hook: a stop-hook
+       expiry (e.g. --max-seconds) preserves the watermark exactly like
+       an interrupt *)
+    let halted () =
+      if Checkpoint.interrupted ckpt || stop () then begin
+        Atomic.set cut true;
+        true
+      end
+      else false
+    in
+    (* polls only while it actually waits, which one domain never does *)
+    let rec await i =
+      match prepare i with
+      | Some _ as gen -> gen
+      | None ->
+          if abandoned i || halted () then None
+          else begin
+            Domain.cpu_relax ();
+            await i
+          end
+    in
+    let execute w gen i =
+      let attempt () =
+        let pattern, r = gen i in
+        (match on_trial with Some f -> f i r | None -> ());
         (pattern, r, check_run cfg r)
       in
-      let rec loop acc =
-        if Checkpoint.interrupted ckpt then begin
-          Atomic.set interrupted true;
-          acc
-        end
-        else if stop () then begin
-          Atomic.set stopped_early true;
-          acc
-        end
-        else if Atomic.get poison <> None then acc
+      match attempt () with
+      | res -> Ok res
+      | exception e -> (
+          Checkpoint.note_failure ckpt ~worker:w ~error:(Printexc.to_string e)
+            ~requeued:1;
+          match attempt () with
+          | res -> Ok res
+          | exception e2 ->
+              (* ledgered as non-requeued before the campaign is torn
+                 down, so a resumed run can see which ticket poisoned
+                 which worker *)
+              let bt = Printexc.get_raw_backtrace () in
+              Checkpoint.note_failure ckpt ~worker:w
+                ~error:(Printexc.to_string e2) ~requeued:0;
+              Metrics.incr m_poisoned;
+              Error (e2, bt))
+    in
+    let worker w () =
+      let rec loop found =
+        let i = Atomic.fetch_and_add next_ticket 1 in
+        if i >= trials || abandoned i || halted () then found
         else
-          let i = Atomic.fetch_and_add next_ticket 1 in
-          if i >= trials || i > Atomic.get best then acc
-          else
-            match await_view ~ticket:i (Cov.epoch_floor i) with
-            | None -> acc
-            | Some view -> (
-                let res =
-                  match run_ticket view i with
-                  | res -> Ok res
-                  | exception e -> (
-                      Checkpoint.note_failure ckpt ~worker:w
-                        ~error:(Printexc.to_string e) ~requeued:1;
-                      match run_ticket view i with
-                      | res -> Ok res
-                      | exception e2 ->
-                          (* second failure on the same ticket: ledger
-                             it as non-requeued before the campaign is
-                             torn down, so a resumed run can see which
-                             ticket poisoned which worker *)
-                          Checkpoint.note_failure ckpt ~worker:w
-                            ~error:(Printexc.to_string e2) ~requeued:0;
-                          Metrics.incr m_poisoned;
-                          Error (e2, Printexc.get_raw_backtrace ()))
-                in
-                match res with
-                | Ok (pattern, r, Some (prop, reason)) ->
-                    let rec lower () =
-                      let bst = Atomic.get best in
-                      if i < bst && not (Atomic.compare_and_set best bst i)
-                      then lower ()
-                    in
-                    lower ();
-                    loop ((i, pattern, r, prop, reason) :: acc)
-                | Ok (pattern, r, None) ->
-                    note_clean i (Cov.update_of_run ~pattern r);
-                    loop acc
-                | Error eb ->
-                    Atomic.set poison (Some eb);
-                    acc)
+          match await i with
+          | None -> found
+          | Some gen -> (
+              match execute w gen i with
+              | Ok (pattern, r, None) ->
+                  note_clean i (buffer i pattern r);
+                  loop found
+              | Ok (pattern, r, Some (prop, reason)) ->
+                  lower i;
+                  loop ((i, pattern, r, prop, reason) :: found)
+              | Error eb ->
+                  Atomic.set poison (Some eb);
+                  found)
       in
       loop []
     in
     let found =
-      List.init domains (fun w -> Domain.spawn (worker w))
-      |> List.concat_map Domain.join
+      if domains <= 1 then worker 0 ()
+      else
+        List.init domains (fun w ->
+            Metrics.incr m_domains;
+            Domain.spawn (worker w))
+        |> List.concat_map Domain.join
     in
     (match Atomic.get poison with
     | Some (e, bt) ->
-        (* flush so the poisoned-ticket ledger entry and the clean
-           watermark survive the raise — the campaign dies loudly but
-           resumably *)
+        (* the poisoned-ticket ledger entry and the clean watermark
+           survive the raise: the campaign dies loudly but resumably *)
         Checkpoint.flush ckpt snap;
         Printexc.raise_with_backtrace e bt
     | None -> ());
-    if Atomic.get interrupted || Atomic.get stopped_early then
-      Checkpoint.flush ckpt snap;
-    let finish outcome =
-      locked (fun () -> Cov.fold_tail b);
-      outcome
-    in
+    let cut = Atomic.get cut in
+    if cut then Checkpoint.flush ckpt snap;
     let by_trial (a, _, _, _, _) (b, _, _, _, _) = compare a b in
-    match List.sort by_trial found with
-    | (i, pattern, r, prop, reason) :: _ ->
-        finish (Violation_found (violation_of cfg i pattern r prop reason))
-    | [] ->
-        if Atomic.get interrupted || Atomic.get stopped_early then
-          finish (Budget_exhausted { trials = !watermark })
-        else finish (Clean { trials })
-
-  let run_par ?domains ?(ckpt = Checkpoint.ctl ()) ?(resume_from = 0)
-      ?resume_payload (cfg : config) ~seed ~trials =
-    let domains =
-      match domains with Some d -> max 1 d | None -> Explorer.default_domains ()
-    in
-    let mtag = Fault_model.to_string cfg.model in
-    let start, cov0 = resume_state cfg resume_from resume_payload in
-    if domains <= 1 then
-      (* resume_state already resolved the payload (model check
-         included); hand [run] the resolved start, dropping a payload
-         the model check rejected so the warning does not print twice *)
-      run ~ckpt ~resume_from:start
-        ?resume_payload:
-          (if cov0 = None && resume_payload <> None && start = 0 then None
-           else resume_payload)
-        cfg ~seed ~trials
-    else if cfg.coverage then
-      run_par_cov ~domains ~ckpt ~start ~cov0 cfg ~seed ~trials
-    else begin
-      check_weights cfg.weights;
-      let stop () = match cfg.stop with Some f -> f () | None -> false in
-      let stopped_early = Atomic.make false in
-      let interrupted = Atomic.make false in
-      let next_ticket = Atomic.make start in
-      (* lowest violating trial index found so far: workers stop
-         claiming tickets above it, but every ticket below it is still
-         executed by someone, so the minimum over all reported
-         violations is exactly the sequential first violation *)
-      let best = Atomic.make max_int in
-      (* the clean-trial watermark feeding periodic checkpoints: a
-         mutex-protected done-set advances it in ticket order, so a
-         written watermark never claims an unfinished trial *)
-      let wm_lock = Mutex.create () in
-      let done_tbl : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-      let watermark = ref start in
-      let note_clean i =
-        let wm =
-          Mutex.lock wm_lock;
-          Hashtbl.replace done_tbl i ();
-          while Hashtbl.mem done_tbl !watermark do
-            Hashtbl.remove done_tbl !watermark;
-            incr watermark
-          done;
-          let wm = !watermark in
-          Mutex.unlock wm_lock;
-          wm
-        in
-        Checkpoint.tick ckpt ~items:wm (fuzz_snap ~model:mtag wm)
-      in
-      let worker w () =
-        Metrics.incr m_domains;
-        let rec loop acc fails =
-          if Checkpoint.interrupted ckpt then begin
-            Atomic.set interrupted true;
-            (acc, fails)
-          end
-          else if stop () then begin
-            Atomic.set stopped_early true;
-            (acc, fails)
-          end
-          else
-            let i = Atomic.fetch_and_add next_ticket 1 in
-            if i >= trials || i > Atomic.get best then (acc, fails)
-            else
-              match
-                let pattern, r = trial cfg ~seed i in
-                (pattern, r, check_run cfg r)
-              with
-              | pattern, r, Some (prop, reason) ->
-                  let rec lower () =
-                    let b = Atomic.get best in
-                    if i < b && not (Atomic.compare_and_set best b i) then
-                      lower ()
-                  in
-                  lower ();
-                  loop ((i, pattern, r, prop, reason) :: acc) fails
-              | _, _, None ->
-                  note_clean i;
-                  loop acc fails
-              | exception e ->
-                  (* supervised: the ticket is re-executed after the
-                     join; the campaign itself keeps going *)
-                  loop acc ((w, i, Printexc.to_string e) :: fails)
-        in
-        loop [] []
-      in
-      let joined =
-        List.init domains (fun w -> Domain.spawn (worker w))
-        |> List.map Domain.join
-      in
-      let found = List.concat_map fst joined in
-      let failures = List.concat_map snd joined in
-      (* re-run every failed ticket in this domain: trials are pure
-         functions of (seed, index), so nothing is lost — a violation
-         on a re-run ticket competes for minimality like any other *)
-      let found =
-        List.fold_left
-          (fun acc (w, i, err) ->
-            Checkpoint.note_failure ckpt ~worker:w ~error:err ~requeued:1;
-            let pattern, r = trial cfg ~seed i in
-            match check_run cfg r with
-            | None ->
-                note_clean i;
-                acc
-            | Some (prop, reason) -> (i, pattern, r, prop, reason) :: acc)
-          found
-          (List.sort compare failures)
-      in
-      (* a stop-hook expiry preserves progress exactly like an
-         interrupt: flush the watermark instead of dropping it *)
-      if Atomic.get interrupted || Atomic.get stopped_early then
-        Checkpoint.flush ckpt (fuzz_snap ~model:mtag !watermark);
-      let by_trial (a, _, _, _, _) (b, _, _, _, _) = compare a b in
+    let outcome =
       match List.sort by_trial found with
       | (i, pattern, r, prop, reason) :: _ ->
           Violation_found (violation_of cfg i pattern r prop reason)
       | [] ->
-          if Atomic.get interrupted || Atomic.get stopped_early then
-            (* the contiguous clean watermark — what the checkpoint
-               recorded — not the racy count of claimed tickets, so
-               sequential and parallel Budget_exhausted counts agree *)
-            Budget_exhausted { trials = !watermark }
+          (* the contiguous clean watermark — what the checkpoint
+             recorded — not the racy count of claimed tickets *)
+          if cut then Budget_exhausted { trials = !watermark }
           else Clean { trials }
-    end
+    in
+    (* campaign-end coverage gauges report the whole campaign *)
+    Option.iter Cov.fold_tail box;
+    outcome
+
+  let run_par ?on_trial ?domains ?ckpt ?resume_payload cfg ~seed ~trials =
+    let domains =
+      match domains with Some d -> d | None -> Explorer.default_domains ()
+    in
+    run ?on_trial ~domains ?ckpt ?resume_payload cfg ~seed ~trials
 end

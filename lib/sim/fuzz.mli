@@ -12,9 +12,9 @@
     Determinism is load-bearing, exactly as for {!Ksa_prim.Rng}: trial
     [i] of a campaign is a pure function of the root seed and [i]
     (each trial's generator is derived with {!Ksa_prim.Rng.split_at},
-    never by consuming a shared stream), so the sequential and
-    parallel drivers fuzz the identical trial corpus and report the
-    identical first violation, and a saved counterexample replays to
+    never by consuming a shared stream), so a campaign fuzzes the
+    identical trial corpus and reports the identical first violation
+    at every domain count, and a saved counterexample replays to
     the same verdict on any machine. *)
 
 type weights = {
@@ -103,9 +103,9 @@ type config = {
           through the clean trials of earlier epochs only, in trial
           order — so trial [i] remains a pure function of
           [(config, seed, i)] and every blind-mode contract
-          (bit-reproducibility, seq/par parity, checkpoint/resume)
-          carries over verbatim; the corpus rides the checkpoint
-          payload. *)
+          (bit-reproducibility, parity across domain counts,
+          checkpoint/resume) carries over verbatim; the corpus rides
+          the checkpoint payload. *)
 }
 
 val default_config : ?k:int -> n:int -> unit -> config
@@ -132,9 +132,9 @@ type outcome =
   | Clean of { trials : int }  (** All trials ran; none violated. *)
   | Budget_exhausted of { trials : int }
       (** [config.stop] ended the campaign after [trials] trials with
-          no violation found.  Both drivers report the contiguous
-          clean-trial watermark — the figure the final checkpoint
-          flush records — so sequential and parallel counts agree. *)
+          no violation found: the contiguous clean-trial watermark, the
+          figure the final checkpoint flush records, at every domain
+          count. *)
 
 type coverage_summary = {
   cov_trials : int;  (** The payload's clean-trial watermark. *)
@@ -157,8 +157,8 @@ val coverage_of_payload : string -> coverage_summary option
 module Make (A : Algorithm.S) : sig
   val trial : config -> seed:int -> int -> Failure_pattern.t * Run.t
   (** The [i]-th trial of campaign [seed], as a pure function of
-      [(config, seed, i)] — the unit of sequential/parallel parity:
-      both drivers execute exactly this run for trial [i]. *)
+      [(config, seed, i)] — the unit of parity across domain counts:
+      every campaign executes exactly this run for trial [i]. *)
 
   val check_run : config -> Run.t -> (property * string) option
   (** First violated property of [config.properties], with reason. *)
@@ -184,85 +184,76 @@ module Make (A : Algorithm.S) : sig
   (** [shrink config ~pattern prop schedule] delta-debugs (ddmin) the
       schedule to a 1-minimal one whose replay still violates [prop];
       also returns the number of candidate replays.  If the input
-      schedule itself does not re-violate under replay (which the
-      drivers never produce), it is returned unshrunk. *)
+      schedule itself does not re-violate under replay (which a
+      campaign never produces), it is returned unshrunk. *)
 
   val resume_trial : string -> int
-  (** Decode the payload of a ["fuzz"]-kind checkpoint into the trial
-      watermark to pass as [resume_from].  Raises on garbage — gate
-      with {!Checkpoint.kind} first.  Coverage campaigns should
-      resume via [resume_payload] instead, which restores the corpus
-      along with the watermark. *)
+  (** Decode the payload of a ["fuzz"]-kind checkpoint into its trial
+      watermark: every trial below it completed clean.  Raises on
+      garbage — gate with {!Checkpoint.kind} first.  To resume, pass
+      the whole payload as [resume_payload]. *)
 
   val run :
     ?on_trial:(int -> Run.t -> unit) ->
-    ?ckpt:Checkpoint.ctl ->
-    ?resume_from:int ->
-    ?resume_payload:string ->
-    config ->
-    seed:int ->
-    trials:int ->
-    outcome
-  (** Sequential campaign: trials [0 .. trials-1] in order, stopping
-      at the first violation (which is then shrunk).  [on_trial] sees
-      every executed run — e.g. to collect the decision corpus.
-
-      [ckpt] attaches a {!Checkpoint} controller: after each clean
-      trial the driver offers a snapshot whose payload is the trial
-      watermark (every trial below it completed clean) plus, in
-      coverage mode, the canonical corpus state at that watermark;
-      at each trial boundary it polls the interrupt {e and} the
-      [stop] hook — either way of ending early flushes a final
-      checkpoint before returning [Budget_exhausted], so a
-      [--max-seconds] expiry preserves exactly what a SIGINT would.
-      [resume_payload] (the {!Checkpoint.payload} of a ["fuzz"]
-      checkpoint) restarts the campaign at the recorded watermark
-      with the recorded corpus; [resume_from] (default [0], from
-      {!resume_trial}) restarts blind campaigns by index alone.
-      Because trial [i] is a pure function of [(config, seed, i)],
-      the resumed campaign's verdict — violation trial, shrunk
-      schedule, corpus evolution, everything — is bit-identical to an
-      uninterrupted run's. *)
-
-  val run_par :
     ?domains:int ->
     ?ckpt:Checkpoint.ctl ->
-    ?resume_from:int ->
     ?resume_payload:string ->
     config ->
     seed:int ->
     trials:int ->
     outcome
-  (** Multicore campaign ([domains] defaults to
-      {!Explorer.default_domains}): workers claim trial indices from a
-      shared ticket counter (the explorer's clamp idiom) and stop
-      claiming tickets above the lowest violating index found so far.
-      Every trial below that index is still executed, so the reported
-      violation is exactly the sequential driver's first violation,
-      and shrinking (performed once, after join) is deterministic:
-      for a fixed seed the outcome is bit-identical to {!run}'s.  With
-      [config.stop] set, which trials ran is timing-dependent; only
-      then can the two drivers differ (and even then both report the
-      clean watermark, and both flush it to the checkpoint).
+  (** Campaign over trials [0 .. trials-1], reporting the first
+      violation in trial order (then shrunk).  [on_trial] sees every
+      executed run — e.g. to collect the decision corpus.
 
-      [ckpt]/[resume_from]/[resume_payload] behave as in {!run}; the
-      checkpointed watermark is maintained in ticket order under a
-      mutex, so a written snapshot never claims an unfinished trial,
-      and the snapshots resume on either driver.  In coverage mode the
-      corpus is shared across domains under that same mutex: updates
-      are buffered per trial and folded in strict trial order when the
-      watermark crosses an epoch boundary, so every domain generates
-      against the exact corpus state the sequential driver would hold
-      — parity is by construction, not by luck.  A worker trial that
-      raises a non-verdict exception is supervised: the failure lands
-      in the checkpoint ledger ([campaign.worker.failures] /
-      [campaign.requeues] metrics) and the ticket is re-executed —
-      after the join in blind mode, immediately in place in coverage
-      mode (a post-join requeue would stall the epoch barrier); a
-      repeated coverage failure propagates after the join — but not
-      silently: the poisoned ticket is ledgered with [requeued = 0],
-      the [fuzz.tickets_poisoned] counter records it, and the
-      checkpoint (ledger and clean watermark included) is flushed
-      before the exception re-raises, so the campaign dies loudly but
-      resumably. *)
+      [domains] (default [1]) workers claim trial indices from a
+      shared ticket counter; one worker runs in the calling domain,
+      more are spawned.  Workers stop claiming tickets above the
+      lowest violating index found so far, but every ticket below it
+      still runs, so for a fixed seed the outcome is bit-identical at
+      every domain count.  Only with [config.stop] set does which
+      trials ran depend on timing.  [on_trial] is invoked from the
+      domain that ran the trial: with [domains > 1] it runs
+      concurrently on several domains and must be thread-safe.
+
+      In coverage mode the corpus is shared under the watermark
+      mutex: clean-trial updates are buffered and folded in strict
+      trial order when the watermark crosses an epoch boundary, so
+      every worker generates against exactly the corpus state of an
+      uninterrupted one-domain run.
+
+      [ckpt] attaches a {!Checkpoint} controller: after each clean
+      trial the driver offers a snapshot whose payload is the clean
+      watermark (every trial below it completed clean, advanced in
+      ticket order) plus, in coverage mode, the canonical corpus
+      state at that watermark.  Each executed trial polls the
+      interrupt {e and} the [stop] hook once; either way of ending
+      early flushes a final checkpoint before returning
+      [Budget_exhausted], so a [--max-seconds] expiry preserves
+      exactly what a SIGINT would.  [resume_payload] (the
+      {!Checkpoint.payload} of a ["fuzz"] checkpoint, at any domain
+      count) restarts the campaign at the recorded watermark with the
+      recorded corpus; the resumed verdict — violation trial, shrunk
+      schedule, corpus evolution, everything — is bit-identical to an
+      uninterrupted run's.
+
+      A trial that raises is supervised: the failure lands in the
+      checkpoint ledger with [requeued = 1] ([campaign.worker.failures]
+      / [campaign.requeues] metrics) and the trial is retried once in
+      place.  A second failure poisons the campaign: it is ledgered
+      with [requeued = 0], [fuzz.tickets_poisoned] records it, the
+      checkpoint (ledger and clean watermark included) is flushed,
+      and the exception re-raises after the join — the campaign dies
+      loudly but resumably. *)
+
+  val run_par :
+    ?on_trial:(int -> Run.t -> unit) ->
+    ?domains:int ->
+    ?ckpt:Checkpoint.ctl ->
+    ?resume_payload:string ->
+    config ->
+    seed:int ->
+    trials:int ->
+    outcome
+  (** {!run} with [domains] defaulting to {!Explorer.default_domains}. *)
 end

@@ -129,16 +129,13 @@ let start_job st (j : Jobstore.job) =
     { Checkpoint.path = cpath; kind; fingerprint; policy = st.cfg.ckpt_policy }
   in
   let payload = Option.map Checkpoint.payload resume in
-  (* resume rides the sequential drivers only (checkpoints are
-     sequential-format), exactly like the CLI's fallback *)
-  let domains = if payload <> None then 1 else st.cfg.domains in
   let attempt = j.Jobstore.attempts in
   let dom =
     Domain.spawn (fun () ->
         let res =
           try
             let ckpt = Checkpoint.ctl ~sink ~interrupt ~ledger () in
-            Task.run ~attempt ~domains ?resume:payload ~ckpt spec
+            Task.run ~attempt ~domains:st.cfg.domains ?resume:payload ~ckpt spec
           with e -> Error ("uncaught: " ^ Printexc.to_string e)
         in
         Atomic.set r_done true;

@@ -53,7 +53,9 @@ type cfg = {
   retry_max : int;  (** Default retry budget for submitted jobs. *)
   seed : int;  (** Root seed for backoff jitter. *)
   deadline : float option;  (** Default per-job deadline. *)
-  domains : int;  (** Driver domains per job (1 = resumable seq). *)
+  domains : int;
+      (** Driver domains per job; {!Task.run} decides how a resumed
+          job uses them. *)
   exit_when_idle : bool;
       (** Exit 0 once no job is runnable or running (jobs waiting on
           a retry backoff count as runnable). *)

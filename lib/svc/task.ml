@@ -365,8 +365,12 @@ let run_probe ~attempt ~ckpt ~stop p =
   done;
   Probed { attempt }
 
+(* A resumed explore campaign runs on the sequential explorer: its
+   checkpoints are sequential-format, and its verdict and stats do not
+   depend on the driver.  A fuzz campaign resumes at any domain count. *)
 let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
     ?(ckpt = Checkpoint.ctl ()) ?resume spec =
+  let par = domains > 1 && resume = None in
   match spec with
   | Probe p -> Ok (run_probe ~attempt ~ckpt ~stop p)
   | Explore e -> (
@@ -389,7 +393,7 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                     Sim.Failure_pattern.initial_dead ~n ~dead:e.e_dead
                   in
                   let outcome =
-                    if domains > 1 then
+                    if par then
                       Ex.explore_par ~reduction ~domains ?max_configs ~policy
                         ~ckpt ~n ~inputs ~pattern ~check ()
                     else
@@ -400,7 +404,7 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                 end
                 else begin
                   let outcome =
-                    if domains > 1 then
+                    if par then
                       Ex.explore_with_crashes_par ~reduction ~model:e.e_model
                         ~domains ?max_configs ~policy ~drop_on_crash:e.e_drop
                         ~initially_dead:e.e_dead ~ckpt ~n ~inputs
@@ -441,15 +445,10 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                   coverage = f.f_coverage;
                 }
               in
-              let outcome =
-                if domains > 1 then
-                  F.run_par ~domains ~ckpt ?resume_payload:resume cfg
-                    ~seed:f.f_seed ~trials:f.f_trials
-                else
-                  F.run ~ckpt ?resume_payload:resume cfg ~seed:f.f_seed
-                    ~trials:f.f_trials
-              in
-              Ok (Fuzzed outcome)))
+              Ok
+                (Fuzzed
+                   (F.run ~domains ~ckpt ?resume_payload:resume cfg
+                      ~seed:f.f_seed ~trials:f.f_trials))))
 
 (* ---------- summaries ---------- *)
 

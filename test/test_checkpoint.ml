@@ -601,11 +601,12 @@ let test_fuzz_seq_resume () =
           Alcotest.(check bool) "cut mid-campaign" true (t > 0 && t < trials)
       | _ -> Alcotest.fail "interrupted fuzz should be Budget_exhausted");
       let t = load_restored path in
-      let resume_from = FK2.resume_trial (Checkpoint.payload t) in
+      let watermark = FK2.resume_trial (Checkpoint.payload t) in
       Alcotest.(check bool) "watermark mid-campaign" true
-        (resume_from > 0 && resume_from < trials);
+        (watermark > 0 && watermark < trials);
       check_fuzz_equal "fuzz seq resume" baseline
-        (FK2.run ~resume_from fuzz_cfg_clean ~seed:7 ~trials))
+        (FK2.run ~resume_payload:(Checkpoint.payload t) fuzz_cfg_clean ~seed:7
+           ~trials))
 
 let test_fuzz_par_resume () =
   let trials = 600 in
@@ -618,13 +619,13 @@ let test_fuzz_par_resume () =
       (match FK2.run_par ~domains:2 ~ckpt fuzz_cfg_clean ~seed:7 ~trials with
       | Sim.Fuzz.Budget_exhausted _ -> ()
       | _ -> Alcotest.fail "interrupted par fuzz should be Budget_exhausted");
-      let t = load_restored path in
-      let resume_from = FK2.resume_trial (Checkpoint.payload t) in
+      let payload = Checkpoint.payload (load_restored path) in
       (* resume on both drivers: same clean verdict *)
       check_fuzz_equal "fuzz par->seq resume" baseline
-        (FK2.run ~resume_from fuzz_cfg_clean ~seed:7 ~trials);
+        (FK2.run ~resume_payload:payload fuzz_cfg_clean ~seed:7 ~trials);
       check_fuzz_equal "fuzz par->par resume" baseline
-        (FK2.run_par ~domains:2 ~resume_from fuzz_cfg_clean ~seed:7 ~trials))
+        (FK2.run_par ~domains:2 ~resume_payload:payload fuzz_cfg_clean ~seed:7
+           ~trials))
 
 let test_fuzz_violation_resume () =
   let trials = 50 in
@@ -637,36 +638,116 @@ let test_fuzz_violation_resume () =
   Alcotest.(check bool) "violation late enough to resume before it" true
     (vtrial >= 1);
   (* resuming from any watermark at or below the violating trial must
-     rediscover the identical violation, shrink included *)
+     rediscover the identical violation, shrink included: cut a
+     checkpointed campaign at [vtrial / 2] and resume its payload *)
+  let payload =
+    with_tmp ".ckpt" (fun path ->
+        let ckpt =
+          Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz")
+            ~interrupt:(poll_interrupt (vtrial / 2)) ()
+        in
+        (match FN.run ~ckpt fuzz_cfg_violating ~seed:2 ~trials with
+        | Sim.Fuzz.Budget_exhausted _ -> ()
+        | _ -> Alcotest.fail "interrupted fuzz should be Budget_exhausted");
+        Checkpoint.payload (load_restored path))
+  in
   check_fuzz_equal "violation resume (seq)" baseline
-    (FN.run ~resume_from:(vtrial / 2) fuzz_cfg_violating ~seed:2 ~trials);
+    (FN.run ~resume_payload:payload fuzz_cfg_violating ~seed:2 ~trials);
   check_fuzz_equal "violation resume (par)" baseline
-    (FN.run_par ~domains:2 ~resume_from:(vtrial / 2) fuzz_cfg_violating
+    (FN.run_par ~domains:2 ~resume_payload:payload fuzz_cfg_violating
        ~seed:2 ~trials)
+
+(* one supervision policy at every domain count, blind or coverage *)
+let supervision_modes =
+  List.concat_map
+    (fun domains -> [ (domains, false); (domains, true) ])
+    [ 1; 2 ]
+
+let mode_name (domains, coverage) =
+  Printf.sprintf "d=%d %s" domains (if coverage then "coverage" else "blind")
+
+let with_property cfg name f =
+  {
+    cfg with
+    Sim.Fuzz.properties =
+      cfg.Sim.Fuzz.properties @ [ Sim.Fuzz.Custom (name, f) ];
+  }
 
 let test_fuzz_par_supervision () =
   let trials = 300 in
-  let baseline = FK2.run fuzz_cfg_clean ~seed:7 ~trials in
-  let armed = Atomic.make true in
-  let bomb _run =
-    if Atomic.compare_and_set armed true false then failwith "injected fault";
-    None
+  List.iter
+    (fun ((domains, coverage) as mode) ->
+      let name = mode_name mode in
+      let base = { fuzz_cfg_clean with Sim.Fuzz.coverage } in
+      let baseline = FK2.run base ~seed:7 ~trials in
+      let armed = Atomic.make true in
+      let bomb _run =
+        if Atomic.compare_and_set armed true false then
+          failwith "injected fault";
+        None
+      in
+      let ckpt = Checkpoint.ctl () in
+      let outcome =
+        FK2.run ~domains ~ckpt (with_property base "bomb" bomb) ~seed:7 ~trials
+      in
+      check_fuzz_equal ("supervised fuzz " ^ name) baseline outcome;
+      Alcotest.(check bool)
+        (name ^ ": fault was actually injected")
+        true
+        (not (Atomic.get armed));
+      Alcotest.(check bool)
+        (name ^ ": ledger records the failure")
+        true
+        (List.length (Checkpoint.ledger_of ckpt) >= 1))
+    supervision_modes
+
+let test_fuzz_poisoned_ticket () =
+  (* a property that raises on every run of one trial index: the
+     retry fails too, so the campaign flushes and re-raises.  The
+     property learns the index from [on_trial], which runs just before
+     it in the same domain. *)
+  let trials = 300 and poisoned = 37 in
+  let poisoned_count () =
+    Metrics.value (Metrics.counter "fuzz.tickets_poisoned")
   in
-  let cfg =
-    {
-      fuzz_cfg_clean with
-      Sim.Fuzz.properties =
-        fuzz_cfg_clean.Sim.Fuzz.properties
-        @ [ Sim.Fuzz.Custom ("bomb", bomb) ];
-    }
-  in
-  let ckpt = Checkpoint.ctl () in
-  let outcome = FK2.run_par ~domains:2 ~ckpt cfg ~seed:7 ~trials in
-  check_fuzz_equal "supervised fuzz" baseline outcome;
-  Alcotest.(check bool) "fault was actually injected" true
-    (not (Atomic.get armed));
-  Alcotest.(check bool) "ledger records the failure" true
-    (List.length (Checkpoint.ledger_of ckpt) >= 1)
+  List.iter
+    (fun ((domains, coverage) as mode) ->
+      let name = mode_name mode in
+      let current = Domain.DLS.new_key (fun () -> -1) in
+      let on_trial i _ = Domain.DLS.set current i in
+      let poison _run =
+        if Domain.DLS.get current = poisoned then failwith "poisoned trial";
+        None
+      in
+      let cfg =
+        with_property { fuzz_cfg_clean with Sim.Fuzz.coverage } "poison" poison
+      in
+      with_tmp ".ckpt" (fun path ->
+          let ckpt = Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz") () in
+          let before = poisoned_count () in
+          (match FK2.run ~on_trial ~domains ~ckpt cfg ~seed:7 ~trials with
+          | _ -> Alcotest.fail (name ^ ": a poisoned campaign must raise")
+          | exception Failure msg ->
+              Alcotest.(check string)
+                (name ^ ": re-raised") "poisoned trial" msg);
+          Alcotest.(check bool)
+            (name ^ ": ledger holds a non-requeued entry")
+            true
+            (List.exists
+               (fun (e : Checkpoint.ledger_entry) -> e.Checkpoint.requeued = 0)
+               (Checkpoint.ledger_of ckpt));
+          Alcotest.(check bool)
+            (name ^ ": poisoned campaign flushed a checkpoint")
+            true (Sys.file_exists path);
+          let wm = FK2.resume_trial (Checkpoint.payload (load_restored path)) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: watermark %d <= poisoned trial" name wm)
+            true (wm <= poisoned);
+          Alcotest.(check bool)
+            (name ^ ": fuzz.tickets_poisoned went up")
+            true
+            (poisoned_count () > before)))
+    supervision_modes
 
 (* ---------- stop (wall-clock budget) expiry flushes ----------
 
@@ -1069,6 +1150,8 @@ let suites =
           test_fuzz_violation_resume;
         Alcotest.test_case "fuzz: worker fault supervised" `Quick
           test_fuzz_par_supervision;
+        Alcotest.test_case "fuzz: poisoned trial flushes and raises" `Quick
+          test_fuzz_poisoned_ticket;
         Alcotest.test_case "fuzz: stop expiry flushes (seq)" `Quick
           test_fuzz_seq_stop_flush;
         Alcotest.test_case "fuzz: stop expiry flushes (par)" `Quick

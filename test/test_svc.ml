@@ -282,6 +282,77 @@ let test_task_explore_runs () =
   | Ok _ -> Alcotest.fail "expected Safe"
   | Error e -> Alcotest.fail e
 
+(* ---------- resume domain rule ---------- *)
+
+(* an interrupt hook that turns true after [n] polls, counting them *)
+let poll_after n =
+  let polls = Atomic.make 0 in
+  ((fun () -> Atomic.fetch_and_add polls 1 >= n), polls)
+
+(* checkpoint [spec] into a file in [dir], cut by [interrupt] or
+   [stop], and hand back the validated payload *)
+let cut_payload ~dir ?interrupt ?stop spec =
+  let path = Filename.concat dir "cut.ckpt" in
+  let kind = Task.kind spec and fingerprint = Task.fingerprint spec in
+  let sink =
+    { Checkpoint.path; kind; fingerprint; policy = Checkpoint.default_policy }
+  in
+  let ckpt = Checkpoint.ctl ~sink ?interrupt () in
+  ignore (ok_or_fail (Task.run ?stop ~ckpt spec));
+  Checkpoint.payload (ok_or_fail (Task.load_resume ~path ~kind ~fingerprint))
+
+let admitted () = Metrics.value (Metrics.counter "explore.admitted")
+
+let test_task_resume_explore_domains () =
+  (* a resumed explore job takes the sequential explorer even when
+     handed two domains: the baseline verdict and stats, from less
+     work than a fresh run *)
+  let spec =
+    match small_explore with
+    | Task.Explore e -> Task.Explore { e with Task.e_crash_budget = 1 }
+    | _ -> assert false
+  in
+  let count, polls = poll_after max_int in
+  let a0 = admitted () in
+  let baseline =
+    Task.summarize
+      (ok_or_fail (Task.run ~ckpt:(Checkpoint.ctl ~interrupt:count ()) spec))
+  in
+  let fresh = admitted () - a0 in
+  with_tmp_dir (fun dir ->
+      let cut, _ = poll_after (Atomic.get polls / 2) in
+      let payload = cut_payload ~dir ~interrupt:cut spec in
+      let a1 = admitted () in
+      let resumed =
+        Task.summarize (ok_or_fail (Task.run ~domains:2 ~resume:payload spec))
+      in
+      Alcotest.(check string)
+        "verdict" baseline.Task.verdict resumed.Task.verdict;
+      Alcotest.(check string) "stats" baseline.Task.detail resumed.Task.detail;
+      let delta = admitted () - a1 in
+      Alcotest.(check bool)
+        (Printf.sprintf "resume admitted %d < fresh %d" delta fresh)
+        true (delta < fresh))
+
+let test_task_resume_fuzz_domains () =
+  (* a coverage fuzz payload resumes at the caller's domain count *)
+  let spec =
+    match fuzz_spec with
+    | Task.Fuzz f -> Task.Fuzz { f with Task.f_coverage = true; f_trials = 200 }
+    | _ -> assert false
+  in
+  let baseline = Task.summarize (ok_or_fail (Task.run spec)) in
+  with_tmp_dir (fun dir ->
+      let stop, _ = poll_after 100 in
+      let payload = cut_payload ~dir ~stop spec in
+      (match Sim.Fuzz.coverage_of_payload payload with
+      | Some c -> Alcotest.(check int) "cut half way" 100 c.Sim.Fuzz.cov_trials
+      | None -> Alcotest.fail "payload carries no corpus");
+      let resumed =
+        Task.summarize (ok_or_fail (Task.run ~domains:2 ~resume:payload spec))
+      in
+      Alcotest.(check bool) "baseline outcome" true (resumed = baseline))
+
 (* ---------- Jobstore ---------- *)
 
 let test_jobstore_roundtrip () =
@@ -604,6 +675,10 @@ let suites =
         Alcotest.test_case "probe fails then succeeds" `Quick test_task_probe;
         Alcotest.test_case "load_resume names its refusal" `Quick
           test_task_load_resume_errors;
+        Alcotest.test_case "resumed explore runs sequentially at d=2" `Quick
+          test_task_resume_explore_domains;
+        Alcotest.test_case "coverage fuzz resumes at d=2" `Quick
+          test_task_resume_fuzz_domains;
         Alcotest.test_case "explore spec runs to a summary" `Quick
           test_task_explore_runs;
       ] );
