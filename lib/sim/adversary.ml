@@ -19,39 +19,60 @@ type action =
 
 type t = { describe : string; next : obs -> action }
 
+(* The helpers below run on every step of a recorded run: each is a
+   pid loop or one recursion over [obs.pending], with no throwaway
+   pid lists or per-call closures. *)
+
 (* p may take the next step (at time obs.time + 1) iff its crash time,
    if any, is not exceeded: a process with crash time ct takes no step
    with index > ct. *)
-let alive obs =
-  let next_time = obs.time + 1 in
-  List.filter
-    (fun p ->
-      match Failure_pattern.crash_time obs.pattern p with
-      | None -> true
-      | Some ct -> next_time <= ct)
-    (Pid.universe obs.n)
+let can_step obs p =
+  match Failure_pattern.crash_time obs.pattern p with
+  | None -> true
+  | Some ct -> obs.time + 1 <= ct
 
 let has_decided obs p = List.mem_assoc p obs.decided
 
-let undecided_alive obs = List.filter (fun p -> not (has_decided obs p)) (alive obs)
+let alive obs =
+  let acc = ref [] in
+  for p = obs.n - 1 downto 0 do
+    if can_step obs p then acc := p :: !acc
+  done;
+  !acc
 
-let all_correct_decided obs =
-  List.for_all (fun p -> has_decided obs p) (Failure_pattern.correct obs.pattern)
+let undecided_alive obs =
+  let acc = ref [] in
+  for p = obs.n - 1 downto 0 do
+    if can_step obs p && not (has_decided obs p) then acc := p :: !acc
+  done;
+  !acc
 
-let pending_for ?(allow = fun _ _ -> true) obs p =
-  List.filter_map
-    (fun m -> if m.dst = p && allow m.src m.dst then Some m.id else None)
-    obs.pending
+let rec correct_decided_from obs p =
+  p >= Failure_pattern.n obs.pattern
+  || (Failure_pattern.is_faulty obs.pattern p || has_decided obs p)
+     && correct_decided_from obs (p + 1)
 
-let droppable ?(victims = fun _ -> true) obs =
-  List.filter_map
-    (fun m ->
+let all_correct_decided obs = correct_decided_from obs 0
+
+let[@tail_mod_cons] rec ids_for allow p = function
+  | [] -> []
+  | m :: rest ->
+      if m.dst = p && (match allow with None -> true | Some f -> f m.src m.dst)
+      then m.id :: ids_for allow p rest
+      else ids_for allow p rest
+
+let pending_for ?allow obs p = ids_for allow p obs.pending
+
+let[@tail_mod_cons] rec crashed_sends victims obs = function
+  | [] -> []
+  | m :: rest ->
       if
-        victims m.src
+        (match victims with None -> true | Some f -> f m.src)
         && Failure_pattern.is_crashed obs.pattern m.src ~time:obs.time
-      then Some m.id
-      else None)
-    obs.pending
+      then m.id :: crashed_sends victims obs rest
+      else crashed_sends victims obs rest
+
+let droppable ?victims obs = crashed_sends victims obs obs.pending
 
 (* Under the Byzantine model the corrupted set rides the failure
    pattern (corruption subsumes crashing), so the forgeable messages

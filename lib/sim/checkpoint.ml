@@ -31,10 +31,13 @@ let magic = "KSACKPT1"
    terminal/bare dedup tables.  v4: [fuzz] payloads changed from a
    bare watermark integer to a record that also carries the greybox
    coverage state (bitmap, transition pairs, corpus, unfolded
-   updates).  Older files unmarshal into the wrong shapes, so they
-   are rejected by the version check and the CLI falls back to a
-   fresh campaign. *)
-let version = 4
+   updates).  v5: engine configurations (inside [explore] and
+   [explore-crash] snapshots) lost their pending-message map; the
+   per-destination inboxes, now holding (envelope, triple) pairs, are
+   the only pending index.  Older files unmarshal into the wrong
+   shapes, so they are rejected by the version check and the CLI
+   falls back to a fresh campaign. *)
+let version = 5
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

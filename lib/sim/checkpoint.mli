@@ -46,6 +46,11 @@ type ledger_entry = {
 
 (** {1 Reading} *)
 
+val version : int
+(** The framed-record version this build writes and the only one
+    {!load} accepts: it changes whenever a payload's marshalled
+    layout does. *)
+
 type t
 (** A loaded checkpoint. *)
 

@@ -1,4 +1,3 @@
-module Int_map = Map.Make (Int)
 module Intern = Ksa_prim.Intern
 module Metrics = Ksa_prim.Metrics
 
@@ -19,15 +18,16 @@ module Make (A : Algorithm.S) = struct
     time : int;
     states : A.state array; (* copy-on-write *)
     decided : (Value.t * int) option array; (* copy-on-write *)
-    pending : (A.message Envelope.t * int) Int_map.t;
-        (* envelope, paired with the packed (src, dst, payload id)
-           triple the key builder needs — precomputed once at send
-           time *)
-    inbox : A.message Envelope.t list array;
-        (* per-destination index over [pending], newest first;
-           copy-on-write.  Kept in lockstep with [pending] so the
-           explorer's per-process delivery choices are O(|buffer(p)|)
-           instead of O(|pending|). *)
+    inbox : (A.message Envelope.t * int) list array;
+        (* the pending messages, one list per destination, newest
+           first; copy-on-write.  Each envelope is paired with the
+           packed (src, dst, payload id) triple the key builder needs,
+           precomputed once at send time.  This is the only index of
+           the pending set: a send or a delivery touches one list, and
+           the explorer's per-process delivery choices are
+           O(|buffer(p)|).  Ids are allocated in send order, so every
+           list is strictly id-descending; {!pending} and {!observe}
+           merge the lists back into ascending id order. *)
     steps : int array; (* per-pid step counts; copy-on-write *)
     next_id : int;
     init_ids : int array; (* interned initial states; never mutated *)
@@ -72,6 +72,124 @@ module Make (A : Algorithm.S) = struct
      apart again. *)
   let pack_triple = Canon.pack_triple
 
+  (* ---- the per-destination pending lists ----
+
+     Top-level recursions rather than closures: the recorded-run step
+     loop calls these on every action. *)
+
+  type entry = A.message Envelope.t * int
+
+  (* The entry of message [id] in one id-descending inbox; the walk
+     stops at the first smaller id.  @raise Not_found *)
+  let rec find_entry id : entry list -> entry = function
+    | [] -> raise Not_found
+    | ((e, _) as x) :: rest ->
+        if e.Envelope.id = id then x
+        else if e.id < id then raise Not_found
+        else find_entry id rest
+
+  (* The entry of pending message [id] in any of the inboxes [0..p].
+     @raise Not_found *)
+  let rec find_pending inbox id p =
+    if p < 0 then raise Not_found
+    else
+      match find_entry id inbox.(p) with
+      | x -> x
+      | exception Not_found -> find_pending inbox id (p - 1)
+
+  let rec replace_id id x' : entry list -> entry list = function
+    | [] -> []
+    | ((e, _) as x) :: rest ->
+        if e.Envelope.id = id then x' :: rest else x :: replace_id id x' rest
+
+  (* The entries of [l] named by [ids], both id-descending, consed
+     onto [acc] — so in ascending id order.  One walk of [l].
+     @raise Not_found if [l] lacks one of them *)
+  let rec take_desc ids (l : entry list) acc =
+    match ids with
+    | [] -> acc
+    | id :: ids' -> (
+        match l with
+        | [] -> raise Not_found
+        | ((e, _) as x) :: rest ->
+            if e.Envelope.id = id then take_desc ids' rest (x :: acc)
+            else if e.id > id then take_desc ids rest acc
+            else raise Not_found)
+
+  (* [l] without the entries named by [ids] (both id-descending, all
+     of them in [l]); the tail behind the last of them is shared *)
+  let rec remove_desc ids (l : entry list) =
+    match ids with
+    | [] -> l
+    | id :: ids' -> (
+        match l with
+        | [] -> []
+        | ((e, _) as x) :: rest ->
+            if e.Envelope.id = id then remove_desc ids' rest
+            else x :: remove_desc ids rest)
+
+  (* ---- merging the inboxes into sending order ----
+
+     A binary max-heap over the non-empty inboxes.  A slot packs the
+     inbox's head id above its pid (pids fit 11 bits, as in
+     {!Canon.pack_triple}), so sifting compares and moves plain ints
+     and a merge costs O(|pending| log n). *)
+
+  let pid_bits = 11
+
+  let rec sift_down (heap : int array) size i =
+    let l = (2 * i) + 1 in
+    if l < size then begin
+      let r = l + 1 in
+      let m = if r < size && heap.(r) > heap.(l) then r else l in
+      if heap.(m) > heap.(i) then begin
+        let t = heap.(i) in
+        heap.(i) <- heap.(m);
+        heap.(m) <- t;
+        sift_down heap size m
+      end
+    end
+
+  (* [heads] holds the inbox tails not yet merged *)
+  let rec drain (heads : entry list array) heap size f acc =
+    if size = 0 then acc
+    else
+      let p = heap.(0) land ((1 lsl pid_bits) - 1) in
+      match heads.(p) with
+      | [] -> acc (* only non-empty inboxes are in the heap *)
+      | (e, _) :: rest ->
+          heads.(p) <- rest;
+          let size =
+            match rest with
+            | [] ->
+                heap.(0) <- heap.(size - 1);
+                size - 1
+            | (e', _) :: _ ->
+                heap.(0) <- (e'.Envelope.id lsl pid_bits) lor p;
+                size
+          in
+          sift_down heap size 0;
+          drain heads heap size f (f e acc)
+
+  (* Fold [f] over the pending messages from the newest down.  [f]
+     conses, so the result comes out in ascending id order — sending
+     order. *)
+  let merge_pending c f acc =
+    let heads = Array.copy c.inbox in
+    let heap = Array.make (max 1 c.n) 0 in
+    let size = ref 0 in
+    for p = 0 to c.n - 1 do
+      match heads.(p) with
+      | [] -> ()
+      | (e, _) :: _ ->
+          heap.(!size) <- (e.Envelope.id lsl pid_bits) lor p;
+          incr size
+    done;
+    for i = (!size / 2) - 1 downto 0 do
+      sift_down heap !size i
+    done;
+    drain heads heap !size f acc
+
   (* Transition memo.  For a failure-detector-free algorithm a step is
      a pure function of (local state, received sequence) — and both
      the DFS explorer and the recorded-mode portfolios (the Theorem 1
@@ -107,7 +225,6 @@ module Make (A : Algorithm.S) = struct
       time = 0;
       states;
       decided = Array.make n None;
-      pending = Int_map.empty;
       inbox = Array.make n [];
       steps = Array.make n 0;
       next_id = 0;
@@ -142,40 +259,57 @@ module Make (A : Algorithm.S) = struct
     done;
     !acc
 
-  let pending c = List.map (fun (_, (e, _)) -> e) (Int_map.bindings c.pending)
+  let pending c = merge_pending c (fun e acc -> e :: acc) []
   let events c = List.rev c.events
   let steps_taken c p = c.steps.(p)
 
   let inbox c p =
-    List.rev_map (fun (e : A.message Envelope.t) -> (e.id, e.src)) c.inbox.(p)
+    List.rev_map (fun ((e : A.message Envelope.t), _) -> (e.id, e.src)) c.inbox.(p)
 
+  (* One pass each over the inboxes and the decided row, with no
+     intermediate envelope or decision list. *)
   let observe ~pattern c =
+    let decided = ref [] in
+    for p = c.n - 1 downto 0 do
+      match c.decided.(p) with
+      | Some (v, _) -> decided := (p, v) :: !decided
+      | None -> ()
+    done;
     {
       Adversary.time = c.time;
       n = c.n;
       pending =
-        List.map
-          (fun (e : A.message Envelope.t) ->
-            { Adversary.id = e.id; src = e.src; dst = e.dst; sent_at = e.sent_at })
-          (pending c);
-      decided = List.map (fun (p, v, _) -> (p, v)) (decisions c);
+        merge_pending c
+          (fun (e : A.message Envelope.t) acc ->
+            { Adversary.id = e.id; src = e.src; dst = e.dst; sent_at = e.sent_at }
+            :: acc)
+          [];
+      decided = !decided;
       pattern;
       steps_taken = (fun p -> c.steps.(p));
     }
 
-  let check_deliverable c pid ids =
-    List.map
-      (fun id ->
-        match Int_map.find id c.pending with
-        | exception Not_found ->
-            raise (Invalid_action (Printf.sprintf "message #%d not pending" id))
-        | ((e : A.message Envelope.t), _) as pair ->
-            if not (Pid.equal e.dst pid) then
-              raise
-                (Invalid_action
-                   (Printf.sprintf "message #%d not addressed to p%d" id pid));
-            pair)
-      (List.sort_uniq Int.compare ids)
+  (* The entries of [ids_desc] (distinct, descending) in [pid]'s
+     inbox, in ascending id order.  A refusal names the smallest id
+     that is not there. *)
+  let check_deliverable c pid ids_desc =
+    match take_desc ids_desc c.inbox.(pid) [] with
+    | pairs -> pairs
+    | exception Not_found ->
+        let id =
+          List.fold_left
+            (fun m id ->
+              match find_entry id c.inbox.(pid) with
+              | _ -> m
+              | exception Not_found -> id)
+            max_int ids_desc
+        in
+        raise
+          (Invalid_action
+             (match find_pending c.inbox id (c.n - 1) with
+             | _ -> Printf.sprintf "message #%d not addressed to p%d" id pid
+             | exception Not_found ->
+                 Printf.sprintf "message #%d not pending" id))
 
   let exec_step ?fd ~pattern c pid ids =
     let next_time = c.time + 1 in
@@ -189,6 +323,7 @@ module Make (A : Algorithm.S) = struct
                 next_time))
     | Some _ | None -> ());
     Metrics.incr m_steps;
+    let ids = List.sort_uniq (fun a b -> Int.compare b a) ids in
     let env_pairs = check_deliverable c pid ids in
     (* Exploration mode folds a delivered batch in canonical
        (sender, payload) order rather than message-id order.  Ids
@@ -282,47 +417,30 @@ module Make (A : Algorithm.S) = struct
           dec,
           intern_state state' )
     in
-    let pending =
-      List.fold_left
-        (fun acc ((e : A.message Envelope.t), _) -> Int_map.remove e.id acc)
-        c.pending env_pairs
-    in
     let inbox = Array.copy c.inbox in
-    (* delivered messages were all addressed to [pid]: one filter of
-       its buffer keeps the inbox index in sync *)
-    (match env_pairs with
+    (* delivered messages were all addressed to [pid]: one pass over
+       its buffer removes them *)
+    (match ids with
     | [] -> ()
-    | _ ->
-        inbox.(pid) <-
-          List.filter
-            (fun (e : A.message Envelope.t) ->
-              not
-                (List.exists
-                   (fun ((d : A.message Envelope.t), _) -> d.id = e.id)
-                   env_pairs))
-            inbox.(pid));
+    | _ -> inbox.(pid) <- remove_desc ids inbox.(pid));
     (* [refs] collects the (id, dst) of every send for the event log
        only; exploration mode keeps no log *)
-    let rec send pend id refs = function
-      | [] -> (pend, id, refs)
+    let rec send id refs = function
+      | [] -> (id, refs)
       | (dst, payload, plid) :: rest ->
           if not (Pid.valid ~n:c.n dst) then
             raise (Invalid_action (Printf.sprintf "send to invalid pid p%d" dst));
           let e =
             { Envelope.id; src = pid; dst; sent_at = next_time; payload }
           in
-          inbox.(dst) <- e :: inbox.(dst);
           let triple =
             pack_triple pid dst
               (if plid >= 0 then plid else intern_payload payload)
           in
-          send
-            (Int_map.add id (e, triple) pend)
-            (id + 1)
-            (if c.explore then refs else (id, dst) :: refs)
-            rest
+          inbox.(dst) <- (e, triple) :: inbox.(dst);
+          send (id + 1) (if c.explore then refs else (id, dst) :: refs) rest
     in
-    let pending, next_id, sent_refs = send pending c.next_id [] sends3 in
+    let next_id, sent_refs = send c.next_id [] sends3 in
     let decided =
       match dec with
       | None -> c.decided
@@ -370,7 +488,6 @@ module Make (A : Algorithm.S) = struct
       time = next_time;
       states;
       decided;
-      pending;
       inbox;
       steps;
       next_id;
@@ -404,34 +521,31 @@ module Make (A : Algorithm.S) = struct
         | Some _, None -> false)
     | { m_sends = _ :: _; _ } -> false
 
-  let exec_drop ~pattern c ids =
-    if ids = [] then raise (Invalid_action "empty drop");
-    let pending, dropped =
-      List.fold_left
-        (fun (acc, dropped) id ->
-          match Int_map.find_opt id acc with
-          | None ->
-              raise (Invalid_action (Printf.sprintf "drop: message #%d not pending" id))
-          | Some ((e : A.message Envelope.t), _) ->
-              if not (Failure_pattern.is_crashed pattern e.src ~time:c.time)
-              then
-                raise
-                  (Invalid_action
-                     (Printf.sprintf
-                        "drop: sender p%d of message #%d has not crashed" e.src
-                        id))
-              else (Int_map.remove id acc, e :: dropped))
-        (c.pending, []) ids
-    in
+  (* Remove the pending messages [ids] in order, vetting each with
+     [check] first; an id not (or no longer) pending raises. *)
+  let remove_pending ~what c ids check =
+    if ids = [] then raise (Invalid_action ("empty " ^ what));
     let inbox = Array.copy c.inbox in
     List.iter
-      (fun (e : A.message Envelope.t) ->
-        inbox.(e.dst) <-
-          List.filter
-            (fun (m : A.message Envelope.t) -> m.id <> e.id)
-            inbox.(e.dst))
-      dropped;
-    { c with pending; inbox }
+      (fun id ->
+        match find_pending inbox id (c.n - 1) with
+        | exception Not_found ->
+            raise
+              (Invalid_action
+                 (Printf.sprintf "%s: message #%d not pending" what id))
+        | (e, _) ->
+            check e;
+            inbox.(e.dst) <- remove_desc [ id ] inbox.(e.dst))
+      ids;
+    { c with inbox }
+
+  let exec_drop ~pattern c ids =
+    remove_pending ~what:"drop" c ids (fun (e : A.message Envelope.t) ->
+        if not (Failure_pattern.is_crashed pattern e.src ~time:c.time) then
+          raise
+            (Invalid_action
+               (Printf.sprintf "drop: sender p%d of message #%d has not crashed"
+                  e.src e.id)))
 
   (* The forge pool is a pure function of (n, inputs): the explorer,
      the fuzz adversary and replay all recompute it and agree on the
@@ -440,10 +554,10 @@ module Make (A : Algorithm.S) = struct
     A.forge_pool ~n ~values:(Fault_model.forge_values inputs)
 
   let exec_forge c ~id ~alt =
-    match Int_map.find_opt id c.pending with
-    | None ->
+    match find_pending c.inbox id (c.n - 1) with
+    | exception Not_found ->
         raise (Invalid_action (Printf.sprintf "forge: message #%d not pending" id))
-    | Some ((e : A.message Envelope.t), _) ->
+    | (e, _) ->
         let pool = forge_pool ~n:c.n ~inputs:c.inputs in
         let size = List.length pool in
         if alt < 0 || alt >= size then
@@ -456,14 +570,10 @@ module Make (A : Algorithm.S) = struct
         let plid = intern_payload payload in
         let e' = { e with Envelope.payload } in
         let triple = pack_triple e.src e.dst plid in
-        let pending = Int_map.add id (e', triple) c.pending in
         let inbox = Array.copy c.inbox in
-        inbox.(e.dst) <-
-          List.map
-            (fun (m : A.message Envelope.t) -> if m.id = id then e' else m)
-            inbox.(e.dst);
+        inbox.(e.dst) <- replace_id id (e', triple) inbox.(e.dst);
         let forges = if c.explore then c.forges else (id, alt) :: c.forges in
-        { c with pending; inbox; forges }
+        { c with inbox; forges }
 
   (* Note: [Forge] is deliberately not gated on the failure pattern —
      fuzz replays run under a different pattern than the generating
@@ -482,29 +592,7 @@ module Make (A : Algorithm.S) = struct
      crashes) yet this round's messages are lost.  Not reachable
      through {!apply}: crash-model adversaries must keep going through
      the gated [Drop], and the explorer alone generates omissions. *)
-  let omit c ids =
-    if ids = [] then raise (Invalid_action "empty omit");
-    let pending, omitted =
-      List.fold_left
-        (fun (acc, omitted) id ->
-          match Int_map.find_opt id acc with
-          | None ->
-              raise
-                (Invalid_action
-                   (Printf.sprintf "omit: message #%d not pending" id))
-          | Some ((e : A.message Envelope.t), _) ->
-              (Int_map.remove id acc, e :: omitted))
-        (c.pending, []) ids
-    in
-    let inbox = Array.copy c.inbox in
-    List.iter
-      (fun (e : A.message Envelope.t) ->
-        inbox.(e.dst) <-
-          List.filter
-            (fun (m : A.message Envelope.t) -> m.id <> e.id)
-            inbox.(e.dst))
-      omitted;
-    { c with pending; inbox }
+  let omit c ids = remove_pending ~what:"omit" c ids ignore
 
   let trace_of c =
     (* c.events is newest-first: prepending while iterating it yields
@@ -576,14 +664,22 @@ module Make (A : Algorithm.S) = struct
 
   type key = string
 
+  (* Writes each id-descending inbox backwards, ending at [i]: the
+     array holds the triples by destination, ascending ids within
+     each.  {!Canon.key} sorts them. *)
+  let rec fill_triples triples i : entry list -> int = function
+    | [] -> i
+    | (_, t) :: rest ->
+        triples.(i - 1) <- t;
+        fill_triples triples (i - 1) rest
+
   let triples_of c =
-    let triples = Array.make (Int_map.cardinal c.pending) 0 in
-    ignore
-      (Int_map.fold
-         (fun _ (_, t) i ->
-           triples.(i) <- t;
-           i + 1)
-         c.pending 0);
+    let m = Array.fold_left (fun m l -> m + List.length l) 0 c.inbox in
+    let triples = Array.make m 0 in
+    let i = ref m in
+    for p = c.n - 1 downto 0 do
+      i := fill_triples triples !i c.inbox.(p)
+    done;
     triples
 
   let key ?(crashed = 0) ?(reduction = Canon.No_reduction) c =
@@ -603,14 +699,20 @@ module Make (A : Algorithm.S) = struct
      produced [c'] from [c].  Message ids are allocated monotonically
      and a step's sends cannot be delivered within the same step, so
      they are exactly the pending envelopes with ids at or above [c]'s
-     next free id. *)
+     next free id — and an inbox holds one iff its newest entry
+     does. *)
   let sends_between c c' =
     if c'.next_id = c.next_id then 0
-    else
-      Int_map.fold
-        (fun id ((e : A.message Envelope.t), _) acc ->
-          if id >= c.next_id then acc lor (1 lsl e.dst) else acc)
-        c'.pending 0
+    else begin
+      let mask = ref 0 in
+      for p = 0 to c'.n - 1 do
+        match c'.inbox.(p) with
+        | ((e : A.message Envelope.t), _) :: _ when e.id >= c.next_id ->
+            mask := !mask lor (1 lsl p)
+        | _ -> ()
+      done;
+      !mask
+    end
 
   (* content signature of a delivery batch for the DPOR sleep sets:
      sorted (src, payload id) pairs, independent of message-id
@@ -619,9 +721,9 @@ module Make (A : Algorithm.S) = struct
     List.sort compare
       (List.map
          (fun id ->
-           match Int_map.find_opt id c.pending with
-           | Some (_, t) -> Canon.triple_content t
-           | None ->
+           match find_pending c.inbox id (c.n - 1) with
+           | _, t -> Canon.triple_content t
+           | exception Not_found ->
                raise
                  (Invalid_action
                     (Printf.sprintf "message #%d not pending" id)))

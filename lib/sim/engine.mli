@@ -66,6 +66,10 @@ module Make (A : Algorithm.S) : sig
   val decision_of : config -> Pid.t -> Value.t option
   val decisions : config -> (Pid.t * Value.t * int) list
   val pending : config -> A.message Envelope.t list
+  (** The undelivered messages in sending order (ascending id): a
+      merge of the per-destination inboxes, which are the
+      configuration's only pending index. *)
+
   val events : config -> Event.t list
   (** Chronological event log of the prefix executed so far
       (empty in exploration mode). *)
@@ -76,10 +80,12 @@ module Make (A : Algorithm.S) : sig
 
   val inbox : config -> Pid.t -> (int * Pid.t) list
   (** [(id, src)] of the pending messages addressed to a process, in
-      sending order — served from a per-destination index maintained
-      by {!apply}, O(|buffer(p)|) rather than O(|pending|). *)
+      sending order — read from that process's own list,
+      O(|buffer(p)|) rather than O(|pending|). *)
 
   val observe : pattern:Failure_pattern.t -> config -> Adversary.obs
+  (** The adversary's view, built in one pass: [pending] in the same
+      sending order as {!pending}, [decided] sorted by pid. *)
 
   val forge_pool : n:int -> inputs:Value.t array -> A.message list
   (** The Byzantine forge pool of this system:

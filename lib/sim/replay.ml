@@ -31,40 +31,61 @@ let project ~keep run =
 
 (* Tracks, per channel, the ids of all messages ever seen pending, in
    id (= send) order: the seq-th element is the seq-th sent message of
-   the channel.  Ids are only appended (a message enters pending once). *)
+   the channel.  Each channel is an append-only int array with a
+   length, so [note] appends in O(1) and [nth_id] is one array read.
+   The channels (one per ordered pid pair) are allocated on the first
+   [note], which brings the system size. *)
 module Channel_log = struct
-  type t = (Pid.t * Pid.t, int list ref) Hashtbl.t (* ids, reversed *)
+  type chan = { mutable ids : int array; mutable len : int }
+  type t = { mutable n : int; mutable chans : chan array }
 
-  let create () : t = Hashtbl.create 64
+  let create () : t = { n = 0; chans = [||] }
+
+  (* [obs.pending] is in id order and every message is observed
+     pending before it leaves (a replay adversary notes each
+     observation before it picks a delivery, and [Drop]s come from
+     the same observation), so an id not yet logged on its channel
+     is larger than every id that is: appending exactly the ids
+     beyond the channel's last one logs each message once, in send
+     order. *)
+  let rec note_all (t : t) = function
+    | [] -> ()
+    | (m : Adversary.pending) :: rest ->
+        let ch = t.chans.((m.src * t.n) + m.dst) in
+        if ch.len = 0 || m.id > ch.ids.(ch.len - 1) then begin
+          if ch.len = Array.length ch.ids then begin
+            let ids = Array.make (max 4 (2 * ch.len)) 0 in
+            Array.blit ch.ids 0 ids 0 ch.len;
+            ch.ids <- ids
+          end;
+          ch.ids.(ch.len) <- m.id;
+          ch.len <- ch.len + 1
+        end;
+        note_all t rest
 
   let note (t : t) (obs : Adversary.obs) =
-    List.iter
-      (fun (m : Adversary.pending) ->
-        let key = (m.src, m.dst) in
-        let log =
-          match Hashtbl.find_opt t key with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.add t key l;
-              l
-        in
-        if not (List.mem m.id !log) then log := m.id :: !log)
-      obs.pending
+    if t.n = 0 then begin
+      t.n <- obs.n;
+      t.chans <- Array.init (obs.n * obs.n) (fun _ -> { ids = [||]; len = 0 })
+    end;
+    note_all t obs.pending
 
   let nth_id (t : t) ~src ~dst ~seq =
-    match Hashtbl.find_opt t (src, dst) with
-    | None -> None
-    | Some l -> List.nth_opt (List.rev !l) (seq - 1)
+    if src < 0 || src >= t.n || dst < 0 || dst >= t.n then None
+    else
+      let ch = t.chans.((src * t.n) + dst) in
+      if seq >= 1 && seq <= ch.len then Some ch.ids.(seq - 1) else None
 end
 
+(* [id] is among the pending messages of [obs] *)
+let rec is_pending id = function
+  | [] -> false
+  | (m : Adversary.pending) :: rest -> m.id = id || is_pending id rest
+
 let executable log (obs : Adversary.obs) desc =
-  let pending_ids =
-    List.map (fun (m : Adversary.pending) -> m.id) obs.pending
-  in
   let resolve { src; seq; forged } =
     match Channel_log.nth_id log ~src ~dst:desc.pid ~seq with
-    | Some id when List.mem id pending_ids -> Some (id, forged)
+    | Some id when is_pending id obs.pending -> Some (id, forged)
     | Some _ | None -> None
   in
   let ids = List.map resolve desc.deliver in
@@ -128,13 +149,10 @@ let interleave streams =
    receives is always engine-valid, so a mutant keeps as much of its
    parent's structure as the current run admits. *)
 let resolve_subset log (obs : Adversary.obs) desc =
-  let pending_ids =
-    List.map (fun (m : Adversary.pending) -> m.id) obs.pending
-  in
   List.filter_map
     (fun { src; seq; forged } ->
       match Channel_log.nth_id log ~src ~dst:desc.pid ~seq with
-      | Some id when List.mem id pending_ids -> Some (id, forged)
+      | Some id when is_pending id obs.pending -> Some (id, forged)
       | Some _ | None -> None)
     desc.deliver
   |> List.sort_uniq compare

@@ -150,16 +150,24 @@ let test_load_missing () =
   in
   check_contains "missing" ~sub:"ksa-no-such.ckpt" e
 
+(* 99 is from the future; [version - 1] is the previous layout, whose
+   marshalled configurations would load type-confused *)
 let test_load_wrong_version () =
-  with_tmp ".ckpt" (fun path ->
-      ok_or_fail (Durable.write_framed ~path ~magic:"KSACKPT1" ~version:99 "x");
-      let e = expect_error "version" (Checkpoint.load ~path) in
-      check_contains "version" ~sub:"version" e)
+  List.iter
+    (fun version ->
+      with_tmp ".ckpt" (fun path ->
+          ok_or_fail (Durable.write_framed ~path ~magic:"KSACKPT1" ~version "x");
+          let e = expect_error "version" (Checkpoint.load ~path) in
+          check_contains
+            (Printf.sprintf "version %d" version)
+            ~sub:"unsupported checkpoint version" e))
+    [ 99; Checkpoint.version - 1 ]
 
 let test_load_garbage_body () =
   with_tmp ".ckpt" (fun path ->
       ok_or_fail
-        (Durable.write_framed ~path ~magic:"KSACKPT1" ~version:4
+        (Durable.write_framed ~path ~magic:"KSACKPT1"
+           ~version:Checkpoint.version
            "not a marshalled tuple");
       let e = expect_error "garbage" (Checkpoint.load ~path) in
       check_contains "garbage" ~sub:"undecodable" e)

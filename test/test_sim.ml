@@ -395,6 +395,228 @@ let test_crash_explorer_valency () =
   in
   Alcotest.(check (list int)) "univalent with equal inputs" [ 7 ] vals0
 
+(* ---------- the pending index ----------
+
+   The per-destination inboxes are the engine's only pending index;
+   [pending] and [observe] merge them into sending (ascending id)
+   order.  Each run below is driven one action at a time, and every
+   configuration it passes through is checked. *)
+
+module K2 = Ksa_algo.Kset_flp.Make (struct
+  let l = 2
+end)
+
+module EK = Sim.Engine.Make (K2)
+
+let check_pending_index ~pattern c =
+  let pend = EK.pending c in
+  let rec ascending = function
+    | (a : K2.message Sim.Envelope.t) :: (b :: _ as rest) ->
+        a.id < b.id && ascending rest
+    | [ _ ] | [] -> true
+  in
+  if not (ascending pend) then failwith "pending not strictly id-ascending";
+  let from_inboxes =
+    List.concat_map
+      (fun p ->
+        let mine = EK.inbox c p in
+        if List.sort compare mine <> mine then failwith "inbox out of order";
+        List.map (fun (id, src) -> (id, src, p)) mine)
+      (List.init (EK.n c) Fun.id)
+  in
+  if
+    List.sort compare from_inboxes
+    <> List.map
+         (fun (e : K2.message Sim.Envelope.t) -> (e.id, e.src, e.dst))
+         pend
+  then failwith "pending differs from the union of the inboxes";
+  if
+    (EK.observe ~pattern c).Adv.pending
+    <> List.map
+         (fun (e : K2.message Sim.Envelope.t) ->
+           { Adv.id = e.id; src = e.src; dst = e.dst; sent_at = e.sent_at })
+         pend
+  then failwith "observe's pending differs from pending"
+
+type index_mode = Fair | Drops | Forges | Omits
+
+let some_of rng = function
+  | [] -> []
+  | xs -> (
+      match List.filter (fun _ -> Rng.bool rng) xs with
+      | [] -> [ Rng.pick rng xs ]
+      | some -> some)
+
+(* One action of a random adversary of the given mode; [None] ends the
+   run.  Omissions go through [EK.omit], the explorer's entry point
+   for the mobile model; every other action through [EK.apply]. *)
+let index_action mode rng ~pool ~pattern ~fair c =
+  let obs = EK.observe ~pattern c in
+  let step () =
+    match Adv.alive obs with
+    | [] -> None
+    | alive ->
+        let pid = Rng.pick rng alive in
+        let deliver =
+          List.filter (fun _ -> Rng.bool rng) (Adv.pending_for obs pid)
+        in
+        EK.apply ~pattern c (Adv.Step { pid; deliver })
+  in
+  match mode with
+  | Fair -> EK.apply ~pattern c (fair.Adv.next obs)
+  | Drops -> (
+      match Adv.droppable obs with
+      | _ :: _ as ids when Rng.int rng 3 = 0 ->
+          EK.apply ~pattern c (Adv.Drop (some_of rng ids))
+      | _ -> step ())
+  | Forges -> (
+      match Adv.forgeable obs with
+      | _ :: _ as ids when pool > 0 && Rng.int rng 3 = 0 ->
+          EK.apply ~pattern c
+            (Adv.Forge { id = Rng.pick rng ids; alt = Rng.int rng pool })
+      | _ -> step ())
+  | Omits -> (
+      match obs.pending with
+      | _ :: _ as ms when Rng.int rng 4 = 0 ->
+          let ids = List.map (fun (m : Adv.pending) -> m.id) ms in
+          Some (EK.omit c (some_of rng ids))
+      | _ -> step ())
+
+let prop_pending_index =
+  QCheck.Test.make
+    ~name:"pending = merged inboxes = observed, after every action"
+    ~count:120
+    QCheck.(triple int (int_range 3 4) (int_range 0 3))
+    (fun (seed, n, m) ->
+      let mode = [| Fair; Drops; Forges; Omits |].(m) in
+      let rng = Rng.create ~seed in
+      let pattern =
+        match mode with
+        | Fair | Omits -> FP.none ~n
+        | Drops | Forges ->
+            FP.of_crash_times ~n
+              (List.map
+                 (fun p -> (p, Rng.int rng 12))
+                 (Rng.sample rng (1 + Rng.int rng 2) (List.init n Fun.id)))
+      in
+      let inputs = distinct n in
+      let pool = List.length (EK.forge_pool ~n ~inputs) in
+      let fair = Adv.fair ~rng in
+      let rec go c k =
+        match check_pending_index ~pattern c with
+        | exception Failure msg ->
+            QCheck.Test.fail_reportf "after %d actions: %s" k msg
+        | () -> (
+            k >= 80
+            ||
+            match index_action mode rng ~pool ~pattern ~fair c with
+            | Some c' -> go c' (k + 1)
+            | None -> true)
+      in
+      go (EK.init ~n ~inputs) 0)
+
+(* [Step]'s two refusals of a delivery, word for word *)
+let test_step_delivery_messages () =
+  let pattern = FP.none ~n:3 in
+  let c = E.init ~n:3 ~inputs:(distinct 3) in
+  (* p0 broadcasts pings: ids 0 (to p1) and 1 (to p2) *)
+  let c =
+    Option.get (E.apply ~pattern c (Adv.Step { pid = 0; deliver = [] }))
+  in
+  Alcotest.check_raises "in another inbox"
+    (E.Invalid_action "message #1 not addressed to p1") (fun () ->
+      ignore (E.apply ~pattern c (Adv.Step { pid = 1; deliver = [ 0; 1 ] })));
+  Alcotest.check_raises "in no inbox"
+    (E.Invalid_action "message #42 not pending") (fun () ->
+      ignore (E.apply ~pattern c (Adv.Step { pid = 1; deliver = [ 42 ] })))
+
+(* ---------- adversary helpers against their list definitions ---------- *)
+
+let random_obs rng =
+  let n = 1 + Rng.int rng 6 in
+  let pids = List.init n Fun.id in
+  let pattern =
+    FP.of_crash_times ~n
+      (List.filter_map
+         (fun p -> if Rng.bool rng then Some (p, Rng.int rng 10) else None)
+         pids)
+  in
+  let time = Rng.int rng 10 in
+  let decided =
+    List.filter_map
+      (fun p -> if Rng.bool rng then Some (p, Rng.int rng 3) else None)
+      pids
+  in
+  let next = ref 0 in
+  let pending =
+    List.init (Rng.int rng 12) (fun _ ->
+        next := !next + 1 + Rng.int rng 3;
+        {
+          Adv.id = !next;
+          src = Rng.int rng n;
+          dst = Rng.int rng n;
+          sent_at = Rng.int rng (time + 1);
+        })
+  in
+  { Adv.time; n; pending; decided; pattern; steps_taken = (fun _ -> 0) }
+
+let prop_adversary_helpers =
+  QCheck.Test.make ~name:"adversary helpers match their list definitions"
+    ~count:500 QCheck.int (fun seed ->
+      let rng = Rng.create ~seed in
+      let obs = random_obs rng in
+      let pids = List.init obs.n Fun.id in
+      let decided p = List.mem_assoc p obs.decided in
+      let ids_where f =
+        List.filter_map
+          (fun (m : Adv.pending) -> if f m then Some m.id else None)
+          obs.pending
+      in
+      let allow_bits = Rng.int rng (1 lsl 30) in
+      let allow src dst =
+        allow_bits land (1 lsl (((src * obs.n) + dst) mod 30)) <> 0
+      in
+      let victims src = allow_bits land (1 lsl src) <> 0 in
+      let crashed_sender (m : Adv.pending) =
+        FP.is_crashed obs.pattern m.src ~time:obs.time
+      in
+      let alive =
+        List.filter
+          (fun p ->
+            match FP.crash_time obs.pattern p with
+            | None -> true
+            | Some ct -> obs.time + 1 <= ct)
+          pids
+      in
+      let check name show got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: got %s, want %s" name (show got)
+            (show want)
+      in
+      let ints l = String.concat "," (List.map string_of_int l) in
+      check "alive" ints (Adv.alive obs) alive;
+      check "undecided_alive" ints (Adv.undecided_alive obs)
+        (List.filter (fun p -> not (decided p)) alive);
+      check "all_correct_decided" string_of_bool
+        (Adv.all_correct_decided obs)
+        (List.for_all decided (FP.correct obs.pattern));
+      List.iter
+        (fun p ->
+          check "pending_for" ints (Adv.pending_for obs p)
+            (ids_where (fun m -> m.dst = p));
+          check "pending_for ~allow" ints
+            (Adv.pending_for ~allow obs p)
+            (ids_where (fun m -> m.dst = p && allow m.src m.dst)))
+        pids;
+      check "droppable" ints (Adv.droppable obs) (ids_where crashed_sender);
+      check "droppable ~victims" ints
+        (Adv.droppable ~victims obs)
+        (ids_where (fun m -> victims m.src && crashed_sender m));
+      check "forgeable ~victims" ints
+        (Adv.forgeable ~victims obs)
+        (ids_where (fun m -> victims m.src && crashed_sender m));
+      true)
+
 let suites =
   [
     ( "sim.failure_pattern",
@@ -416,6 +638,9 @@ let suites =
         Alcotest.test_case "write-once decision" `Quick test_write_once_decision;
         Alcotest.test_case "event log chronological" `Quick test_event_log_chronological;
         Alcotest.test_case "fd required" `Quick test_fd_required;
+        Alcotest.test_case "delivery refusal messages" `Quick
+          test_step_delivery_messages;
+        QCheck_alcotest.to_alcotest prop_pending_index;
       ] );
     ( "sim.run",
       [
@@ -429,6 +654,7 @@ let suites =
         Alcotest.test_case "fair terminates (30 seeds)" `Quick test_fair_terminates_many_seeds;
         Alcotest.test_case "fair lossy terminates" `Quick test_fair_lossy_terminates;
         Alcotest.test_case "crash drops" `Quick test_crash_after_decision_drops;
+        QCheck_alcotest.to_alcotest prop_adversary_helpers;
       ] );
     ( "sim.replay",
       [
