@@ -483,20 +483,221 @@ module Nodestore = struct
       | Some a -> a.(i land (chunk_size - 1))
 end
 
-(* spill once the private stack holds this many items (handing off
-   the oldest half) *)
-let spill_at = 64
+(* ---- the work-stealing runtime of both parallel drivers ----
 
-(* first [k] elements kept, the rest handed off; [k] is at most
-   [spill_at], so non-tail recursion is fine *)
-let rec split_at k l =
-  if k = 0 then ([], l)
-  else
-    match l with
-    | [] -> ([], [])
-    | x :: tl ->
-        let a, b = split_at (k - 1) tl in
-        (x :: a, b)
+   Everything a parallel search needs except the search itself:
+   [domains] workers over one {!Wspool}, each draining a private LIFO
+   stack between {!Pause} safepoints; one ticket-clamped admission
+   counter; the checkpoint/interrupt coordinator; and supervision.  A
+   driver supplies the per-item step ([make] builds it and its helpers
+   once per worker, not once per item), a recogniser for its verdict
+   exception, and the merge of a pause-the-world cut into its
+   sequential checkpoint format.
+
+   Supervision: a worker dying of a non-verdict exception keeps the
+   in-flight item, hands its whole stack back to the pool for the
+   survivors, leaves the live set, and is logged through
+   {!Checkpoint.note_failure}; its admissions stand and no ticket is
+   refunded.  If dead workers' items outlived every survivor, one
+   rescue worker drains them in the calling domain after the join —
+   a rescue that dies too is a systematic fault, surfaced as
+   [Failure]. *)
+module Workers = struct
+  type 'a t = {
+    domains : int;
+    max_configs : int;
+    count : int Atomic.t;
+    stop : bool Atomic.t;
+    pool : 'a Wspool.t;
+    seen : Shardset.t;
+  }
+
+  (* One worker's private stack.  The driver's step pushes successors
+     with [push] and sets [exhausted] when it turns a configuration
+     away or cuts a branch. *)
+  type 'a w = {
+    i : int;
+    pool : 'a Wspool.t;
+    mutable local : 'a list;
+    mutable len : int;
+    mutable exhausted : bool;
+  }
+
+  (* [seen] is the driver's dedup table, whose metrics are published
+     at the end of the run *)
+  let create ?domains ~max_configs ~seen () =
+    let domains =
+      max 1 (match domains with Some d -> d | None -> default_domains ())
+    in
+    {
+      domains;
+      max_configs;
+      count = Atomic.make 0;
+      stop = Atomic.make false;
+      pool = Wspool.create ~workers:domains;
+      seen;
+    }
+
+  let count t = Atomic.get t.count
+
+  (* The ticket clamp, fused with the dedup check under the shard lock
+     by {!Shardset.admit}: a ticket is only drawn for a genuinely-new
+     key, so tickets below the budget are dense and issued exactly
+     once (refunds only happen at or above the budget) — the admitted
+     count is exact even under domain races. *)
+  let ticket t () =
+    let tk = Atomic.fetch_and_add t.count 1 in
+    if tk >= t.max_configs then begin
+      Atomic.decr t.count;
+      None
+    end
+    else Some tk
+
+  let seed (t : _ t) items = Wspool.seed t.pool items
+
+  let push w item =
+    w.local <- item :: w.local;
+    w.len <- w.len + 1
+
+  (* spill once the private stack holds this many items *)
+  let spill_at = 64
+
+  (* first [k] elements kept, the rest handed off *)
+  let rec split_at k l =
+    if k = 0 then ([], l)
+    else
+      match l with
+      | [] -> ([], [])
+      | x :: tl ->
+          let a, b = split_at (k - 1) tl in
+          (x :: a, b)
+
+  (* hand the oldest half of a grown stack to this worker's pool once
+     the pool has run dry *)
+  let maybe_spill w =
+    if w.len >= spill_at && Wspool.own_pending w.pool w.i = 0 then begin
+      let keep = w.len / 2 in
+      let kept, handed = split_at keep w.local in
+      let count = w.len - keep in
+      w.local <- kept;
+      w.len <- keep;
+      Wspool.push_batch w.pool w.i ~count handed;
+      Metrics.incr m_spills;
+      Metrics.gauge_max g_frontier_peak (keep + Wspool.pending w.pool)
+    end
+
+  (* Run the search to completion, a verdict, or an interrupt.
+     [verdict e] recognises the driver's verdict exception; [merge
+     ~pending ~exhausted] turns a cut (every pending item, and whether
+     any worker was exhausted) into a checkpoint payload.  Returns the
+     verdicts found (worker order, rescue last) and whether the search
+     was exhausted or interrupted. *)
+  let run (t : _ t) ~ckpt ~verdict ~merge make =
+    let interrupted = ref false in
+    let pause = Pause.create t.domains in
+    let worker pause i () =
+      Metrics.incr m_domains;
+      let w = { i; pool = t.pool; local = []; len = 0; exhausted = false } in
+      let process = make w in
+      let violation = ref None and failure = ref None in
+      let snap () = (w.local, w.exhausted) in
+      let safepoint () = Pause.point pause i snap in
+      let stopped () = Atomic.get t.stop in
+      let rec drain () =
+        safepoint ();
+        if not (stopped ()) then
+          match w.local with
+          | item :: rest ->
+              w.local <- rest;
+              w.len <- w.len - 1;
+              (try process item
+               with e ->
+                 (* a non-verdict failure keeps the in-flight item, so
+                    nothing is lost when the stack is handed back *)
+                 if Option.is_none (verdict e) then push w item;
+                 raise e);
+              drain ()
+          | [] -> (
+              match Wspool.acquire t.pool i ~safepoint ~stopped with
+              | Some (count, batch) ->
+                  w.local <- batch;
+                  w.len <- count;
+                  drain ()
+              | None -> ())
+      in
+      (try Metrics.time t_worker drain
+       with e -> (
+         match verdict e with
+         | Some _ as v ->
+             violation := v;
+             Atomic.set t.stop true
+         | None ->
+             let error = Printexc.to_string e and requeued = ref 0 in
+             (try
+                if w.len > 0 then begin
+                  Wspool.push_batch t.pool i ~count:w.len w.local;
+                  requeued := w.len;
+                  w.local <- [];
+                  w.len <- 0
+                end
+              with _ -> ());
+             failure := Some (error, !requeued);
+             Wspool.retire t.pool));
+      Pause.exit pause i snap;
+      (w.exhausted, !violation, !failure)
+    in
+    (* a cut: every pending item sits in a parked worker's published
+       stack or in a pool *)
+    let merge slots =
+      let pending = ref [] and exhausted = ref false in
+      Array.iter
+        (function
+          | None -> ()
+          | Some (items, ex) ->
+              pending := List.rev_append items !pending;
+              if ex then exhausted := true)
+        slots;
+      Wspool.iter_pending t.pool (fun it -> pending := it :: !pending);
+      merge ~pending:!pending ~exhausted:!exhausted
+    in
+    let coordinator =
+      spawn_coordinator ~ckpt ~pause
+        ~items:(fun () -> count t)
+        ~merge
+        ~on_interrupt:(fun () ->
+          interrupted := true;
+          Atomic.set t.stop true)
+    in
+    let joined =
+      List.init t.domains (fun i -> Domain.spawn (worker (Some pause) i))
+      |> List.map Domain.join
+    in
+    stop_coordinator coordinator;
+    List.iteri
+      (fun i (_, _, failure) ->
+        match failure with
+        | Some (error, requeued) ->
+            Checkpoint.note_failure ckpt ~worker:i ~error ~requeued
+        | None -> ())
+      joined;
+    let failed = List.exists (fun (_, _, f) -> Option.is_some f) joined in
+    let rescued =
+      if failed && (not (Atomic.get t.stop)) && Wspool.pending t.pool > 0
+      then begin
+        Wspool.reset_for_rescue t.pool;
+        match worker None 0 () with
+        | _, _, Some (error, _) ->
+            failwith
+              (Printf.sprintf "explorer rescue worker failed twice: %s" error)
+        | r -> [ r ]
+      end
+      else []
+    in
+    Shardset.publish_metrics t.seen;
+    let results = joined @ rescued in
+    ( List.filter_map (fun (_, v, _) -> v) results,
+      !interrupted || List.exists (fun (ex, _, _) -> ex) results )
+end
 
 module Make (A : Algorithm.S) = struct
   module E = Engine.Make (A)
@@ -564,8 +765,10 @@ module Make (A : Algorithm.S) = struct
      whole search because only initial crashes are admitted.  An empty
      delivery {!E.idle_step} proves idle is not scheduled: its
      successor would be deduplicated against this very configuration
-     when popped. *)
-  let schedule_successors ~reduction ~policy ~pattern ~steppers config k =
+     when popped.  [k] receives each successor with [depth] (the
+     successors' depth) and an empty sleep set. *)
+  let schedule_successors ~reduction ~policy ~pattern ~steppers ~depth config
+      k =
     List.iter
       (fun pid ->
         let mine = E.inbox config pid in
@@ -577,7 +780,7 @@ module Make (A : Algorithm.S) = struct
                 match
                   E.apply ~pattern config (Adversary.Step { pid; deliver })
                 with
-                | Some config' -> k config'
+                | Some config' -> k config' depth []
                 | None -> assert false))
           (choices policy mine))
       steppers
@@ -624,8 +827,8 @@ module Make (A : Algorithm.S) = struct
      and violation checks are untouched.  The crash drivers do not use
      this — their Stuck classification is a property of the full
      transition graph, which edge-pruning would distort. *)
-  let schedule_successors_sleep ~reduction ~policy ~pattern ~steppers ~sleep
-      ~parent_key config k =
+  let schedule_successors_sleep ~reduction ~policy ~pattern ~steppers ~depth
+      ~sleep ~parent_key config k =
     let executed = ref [] in
     List.iter
       (fun pid ->
@@ -659,7 +862,7 @@ module Make (A : Algorithm.S) = struct
                         (Canon.Action.independent act)
                         (List.rev_append !executed sleep)
                     in
-                    k config' child_sleep;
+                    k config' depth child_sleep;
                     executed := act :: !executed
                   end)
           (choices policy mine))
@@ -717,6 +920,35 @@ module Make (A : Algorithm.S) = struct
       got
       (Fault_model.to_string want)
 
+  (* What expanding one admitted crash-free configuration found. *)
+  type expansion = Terminal of (Pid.t * Value.t * int) list | Cut | Expanded
+
+  (* Per-node expansion, shared by [explore] and [explore_par]: the
+     decisions check, completeness over the [correct] processes, the
+     [max_depth] cut, and the successors — handed to [push] with their
+     depth and sleep set, under the scheduler [reduction] selects. *)
+  let expand_node ~reduction ~policy ~pattern ~correct ~max_depth ~check ~push
+      config depth sleep bare =
+    Metrics.gauge_max g_depth_peak depth;
+    let decisions = E.decisions config in
+    (match check decisions with
+    | Some reason -> raise (Found (decisions, reason, depth))
+    | None -> ());
+    if List.for_all (fun p -> E.decision_of config p <> None) correct then
+      Terminal decisions
+    else if depth >= max_depth then Cut
+    else begin
+      (match reduction with
+      | Canon.Symmetry_por ->
+          schedule_successors_sleep ~reduction ~policy ~pattern
+            ~steppers:correct ~depth:(depth + 1) ~sleep ~parent_key:bare config
+            push
+      | Canon.No_reduction | Canon.Symmetry ->
+          schedule_successors ~reduction ~policy ~pattern ~steppers:correct
+            ~depth:(depth + 1) config push);
+      Expanded
+    end
+
   let explore ?(reduction = Canon.No_reduction) ?(max_depth = 200)
       ?(max_configs = 2_000_000) ?(policy = Per_sender)
       ?(on_terminal = fun _ -> ()) ?(ckpt = Checkpoint.ctl ()) ?resume ~n
@@ -764,6 +996,8 @@ module Make (A : Algorithm.S) = struct
         []
     in
     let correct = Failure_pattern.correct pattern in
+    let succs = ref [] in
+    let push config depth sleep = succs := (config, depth, sleep) :: !succs in
     (* Admission is clamped at the budget {e before} a configuration
        is counted (matching the dense-id [visit] of the crash
        drivers): [configs_visited] never overshoots [max_configs],
@@ -799,41 +1033,25 @@ module Make (A : Algorithm.S) = struct
             | Canon.No_reduction | Canon.Symmetry -> ());
             incr visited;
             Metrics.incr m_admitted;
-            Metrics.gauge_max g_depth_peak depth;
-            let decisions = E.decisions config in
-            (match check decisions with
-            | Some reason -> raise (Found (decisions, reason, depth))
-            | None -> ());
-            let done_ =
-              List.for_all (fun p -> E.decision_of config p <> None) correct
-            in
-            if done_ then begin
-              (* terminals are keyed by the bare configuration key:
-                 under sym+por the same terminal configuration can be
-                 admitted once per distinct sleep digest, but it is
-                 one terminal state, counted (and reported) once *)
-              if not (Hashtbl.mem term_seen bare) then begin
-                Hashtbl.add term_seen bare ();
-                incr terminals;
-                Metrics.incr m_terminals;
-                on_terminal decisions
-              end
-            end
-            else if depth >= max_depth then exhausted := true
-            else begin
-              let succs = ref [] in
-              (match reduction with
-              | Canon.Symmetry_por ->
-                  schedule_successors_sleep ~reduction ~policy ~pattern
-                    ~steppers:correct ~sleep ~parent_key:bare config
-                    (fun config' sleep' ->
-                      succs := (config', depth + 1, sleep') :: !succs)
-              | Canon.No_reduction | Canon.Symmetry ->
-                  schedule_successors ~reduction ~policy ~pattern
-                    ~steppers:correct config (fun config' ->
-                      succs := (config', depth + 1, []) :: !succs));
-              stack := List.rev_append !succs !stack
-            end;
+            (match
+               expand_node ~reduction ~policy ~pattern ~correct ~max_depth
+                 ~check ~push config depth sleep bare
+             with
+            | Terminal decisions ->
+                (* terminals are keyed by the bare configuration key:
+                   under sym+por the same terminal configuration can be
+                   admitted once per distinct sleep digest, but it is
+                   one terminal state, counted (and reported) once *)
+                if not (Hashtbl.mem term_seen bare) then begin
+                  Hashtbl.add term_seen bare ();
+                  incr terminals;
+                  Metrics.incr m_terminals;
+                  on_terminal decisions
+                end
+            | Cut -> exhausted := true
+            | Expanded ->
+                stack := List.rev_append !succs !stack;
+                succs := []);
             Checkpoint.tick ckpt ~items:!visited snap
           end;
           loop ()
@@ -860,21 +1078,20 @@ module Make (A : Algorithm.S) = struct
      reachable configuration is admitted and expanded exactly once:
      the visited set — and with it verdict and stats — equals the
      sequential driver's whenever no budget truncates, and parallelism
-     buys wall-clock instead of duplicated work.  The frontier flows
-     through a {!Wspool}: private LIFO stacks, batched spills, and
-     half-the-batches stealing with idle-count termination.  [check]
-     runs concurrently and must be thread-safe. *)
+     buys wall-clock instead of duplicated work.  {!Workers} runs the
+     frontier, the checkpoint cuts and supervision; this driver adds
+     admission fused with expansion, and with it the orphan protocol
+     below.  [check] runs concurrently and must be thread-safe. *)
   let explore_par ?(reduction = Canon.No_reduction) ?domains
       ?(max_depth = 200) ?(max_configs = 2_000_000) ?(policy = Per_sender)
       ?(on_terminal = fun _ -> ()) ?(ckpt = Checkpoint.ctl ()) ~n ~inputs
       ~pattern ~check () =
     require_explorable ~n ~pattern;
     Metrics.gauge_set g_max_configs max_configs;
-    let domains =
-      max 1 (match domains with Some d -> d | None -> default_domains ())
-    in
     let correct = Failure_pattern.correct pattern in
     let seen = Shardset.create ~name:"explore.dedup" () in
+    let rt = Workers.create ?domains ~max_configs ~seen () in
+    let ticket = Workers.ticket rt in
     (* terminal configurations and admitted bare keys, both keyed by
        the bare (sleep-free) configuration key: under sym+por one
        configuration can be admitted once per distinct sleep digest,
@@ -928,107 +1145,49 @@ module Make (A : Algorithm.S) = struct
       Mutex.unlock orphans_lock;
       keys
     in
-    let global_count = Atomic.make 0 in
     let terminals_n = Atomic.make 0 in
-    let stop = Atomic.make false in
-    let interrupted = ref false in
-    let pause = Pause.create domains in
-    let pool : (E.config * int * Canon.Action.t list) Wspool.t =
-      Wspool.create ~workers:domains
-    in
-    Wspool.seed pool [ (E.init_explore ~reduction ~n ~inputs (), 0, []) ];
-    (* the ticket clamp, now fused with the dedup check under the
-       shard lock: a ticket is only drawn for a genuinely-new key, so
-       tickets below the budget are dense and issued exactly once
-       (refunds only happen at or above the budget) — [configs_visited]
-       is exact even under domain races *)
-    let ticket () =
-      let tk = Atomic.fetch_and_add global_count 1 in
-      if tk >= max_configs then begin
-        Atomic.decr global_count;
-        None
-      end
-      else Some tk
-    in
-    let worker ~pause i () =
-      Metrics.incr m_domains;
-      let local = ref [] and local_len = ref 0 in
-      let exhausted = ref false in
-      let terminals_here = ref [] in
-      let violation = ref None in
-      let error = ref None in
-      let spilled = ref 0 in
-      let snap () = (!local, !exhausted) in
-      let safepoint () = Pause.point pause i snap in
-      let stopped () = Atomic.get stop in
-      let maybe_spill () =
-        if !local_len >= spill_at && Wspool.own_pending pool i = 0 then begin
-          let keep = !local_len / 2 in
-          let kept, handed = split_at keep !local in
-          let count = !local_len - keep in
-          local := kept;
-          local_len := keep;
-          Wspool.push_batch pool i ~count handed;
-          Metrics.incr m_spills;
-          Metrics.gauge_max g_frontier_peak (keep + Wspool.pending pool)
-        end
-      in
-      let process (config, depth, sleep) =
-        let bare = E.key ~reduction config in
-        let key = admission_key ~reduction bare sleep in
-        (* expansion of an already-admitted configuration; a
-           non-verdict exception escaping from here (a user [check]
-           raising, say) leaves the admission behind, so the key is
-           marked orphaned before the handler in [drain] re-pushes the
-           item — the re-processor must expand despite the dedup hit *)
-        let expand () =
-          try
-            Metrics.gauge_max g_depth_peak depth;
-            let decisions = E.decisions config in
-            (match check decisions with
-            | Some reason -> raise (Found (decisions, reason, depth))
-            | None -> ());
-            let done_ =
-              List.for_all (fun p -> E.decision_of config p <> None) correct
-            in
-            if done_ then begin
+    (* each worker's terminal decision sets, reported after the join *)
+    let terminals = Array.make rt.Workers.domains [] in
+    Workers.seed rt [ (E.init_explore ~reduction ~n ~inputs (), 0, []) ];
+    let make (w : _ Workers.w) =
+      let push config depth sleep = Workers.push w (config, depth, sleep) in
+      (* expansion of an already-admitted configuration; a
+         non-verdict exception escaping from here (a user [check]
+         raising, say) leaves the admission behind, so the key is
+         marked orphaned before the runtime re-pushes the item — the
+         re-processor must expand despite the dedup hit *)
+      let expand config depth sleep bare key =
+        try
+          match
+            expand_node ~reduction ~policy ~pattern ~correct ~max_depth ~check
+              ~push config depth sleep bare
+          with
+          | Terminal decisions ->
               if Shardset.add term_set bare 0 then begin
                 Atomic.incr terminals_n;
-                terminals_here := decisions :: !terminals_here;
+                terminals.(w.i) <- decisions :: terminals.(w.i);
                 Metrics.incr m_terminals
               end
-            end
-            else if depth >= max_depth then exhausted := true
-            else begin
-              (match reduction with
-              | Canon.Symmetry_por ->
-                  schedule_successors_sleep ~reduction ~policy ~pattern
-                    ~steppers:correct ~sleep ~parent_key:bare config
-                    (fun config' sleep' ->
-                      local := (config', depth + 1, sleep') :: !local;
-                      incr local_len)
-              | Canon.No_reduction | Canon.Symmetry ->
-                  schedule_successors ~reduction ~policy ~pattern
-                    ~steppers:correct config (fun config' ->
-                      local := (config', depth + 1, []) :: !local;
-                      incr local_len));
-              maybe_spill ()
-            end
-          with
-          | Found _ as e -> raise e
-          | e ->
-              orphan_add key;
-              raise e
-        in
+          | Cut -> w.exhausted <- true
+          | Expanded -> Workers.maybe_spill w
+        with
+        | Found _ as e -> raise e
+        | e ->
+            orphan_add key;
+            raise e
+      in
+      fun (config, depth, sleep) ->
+        let bare = E.key ~reduction config in
+        let key = admission_key ~reduction bare sleep in
         match Shardset.admit seen key ~ticket with
         | Shardset.Found _ ->
-            if orphan_take key then expand ()
+            if orphan_take key then expand config depth sleep bare key
             else begin
               Metrics.incr m_dedup;
               if reduction <> Canon.No_reduction then Metrics.incr m_orbit
             end
         | Shardset.Rejected ->
-            exhausted := true;
+            w.exhausted <- true;
             Metrics.incr m_truncations
         | Shardset.Admitted _ ->
             Metrics.incr m_admitted;
@@ -1037,74 +1196,19 @@ module Make (A : Algorithm.S) = struct
                 if not (Shardset.add bare_set bare 0) then
                   Metrics.incr m_sleep_readmit
             | Canon.No_reduction | Canon.Symmetry -> ());
-            expand ()
-      in
-      let rec drain () =
-        safepoint ();
-        if not (stopped ()) then
-          match !local with
-          | item :: rest ->
-              local := rest;
-              decr local_len;
-              (try process item
-               with e ->
-                 (match e with
-                 | Found _ -> ()
-                 | _ ->
-                     (* non-verdict failure: keep the in-flight item
-                        so nothing is lost when we hand off below *)
-                     local := item :: !local;
-                     incr local_len);
-                 raise e);
-              drain ()
-          | [] -> (
-              match Wspool.acquire pool i ~safepoint ~stopped with
-              | Some (count, batch) ->
-                  local := batch;
-                  local_len := count;
-                  drain ()
-              | None -> ())
-      in
-      (try Metrics.time t_worker drain with
-      | Found (decisions, reason, depth) ->
-          violation := Some (decisions, reason, depth);
-          Atomic.set stop true
-      | e ->
-          error := Some (Printexc.to_string e);
-          (* die visibly but not wastefully: everything this worker
-             still owns goes back to the shared pool, where survivors
-             (or the post-join rescue) pick it up; the in-flight item
-             whose admission already landed is marked in [orphans], so
-             its re-processor expands it instead of deduping it away *)
-          (try
-             if !local_len > 0 then begin
-               Wspool.push_batch pool i ~count:!local_len !local;
-               spilled := !local_len;
-               local := [];
-               local_len := 0
-             end
-           with _ -> ());
-          Wspool.retire pool);
-      Pause.exit pause i snap;
-      (!terminals_here, !exhausted, !violation, !spilled, !error)
+            expand config depth sleep bare key
     in
-    (* merge the pause-the-world cut into a sequential-format
-       checkpoint payload: the shared table is the seen set, and every
-       pending candidate sits either in a parked worker's published
-       stack or in a pool.  Resume continues on [explore]. *)
-    let merge slots =
-      let seen_m : (E.key, unit) Hashtbl.t =
-        Hashtbl.create (2 * Shardset.length seen + 16)
+    (* a pause-the-world cut in the sequential format: the shared
+       table is the seen set.  Resume continues on [explore]. *)
+    let merge ~pending ~exhausted =
+      let table s =
+        let h : (E.key, unit) Hashtbl.t =
+          Hashtbl.create (2 * Shardset.length s + 16)
+        in
+        Shardset.iter (fun k _ -> Hashtbl.replace h k ()) s;
+        h
       in
-      Shardset.iter (fun k _ -> Hashtbl.replace seen_m k ()) seen;
-      let term_m : (E.key, unit) Hashtbl.t =
-        Hashtbl.create (2 * Shardset.length term_set + 16)
-      in
-      Shardset.iter (fun k _ -> Hashtbl.replace term_m k ()) term_set;
-      let bare_m : (E.key, unit) Hashtbl.t =
-        Hashtbl.create (2 * Shardset.length bare_set + 16)
-      in
-      Shardset.iter (fun k _ -> Hashtbl.replace bare_m k ()) bare_set;
+      let seen_m = table seen in
       (* a pending orphan (admitted, expansion cut short by a worker
          failure, not yet re-expanded) must read as unvisited in the
          sequential format: drop its key so resume re-admits and
@@ -1112,95 +1216,39 @@ module Make (A : Algorithm.S) = struct
          exact after the re-admission *)
       let orphaned = orphan_keys () in
       List.iter (fun k -> Hashtbl.remove seen_m k) orphaned;
-      let stack = ref [] in
-      let ex = ref false in
-      Array.iter
-        (function
-          | None -> ()
-          | Some (items, exh) ->
-              stack := List.rev_append items !stack;
-              if exh then ex := true)
-        slots;
-      Wspool.iter_pending pool (fun it -> stack := it :: !stack);
       Marshal.to_string
         (( reduction,
            seen_m,
-           term_m,
-           bare_m,
-           Atomic.get global_count - List.length orphaned,
+           table term_set,
+           table bare_set,
+           Workers.count rt - List.length orphaned,
            Atomic.get terminals_n,
-           !ex,
-           !stack )
+           exhausted,
+           pending )
           : explore_snap)
         []
     in
-    let coordinator =
-      spawn_coordinator ~ckpt ~pause
-        ~items:(fun () -> Atomic.get global_count)
-        ~merge
-        ~on_interrupt:(fun () ->
-          interrupted := true;
-          Atomic.set stop true)
+    let verdict = function
+      | Found (decisions, reason, depth) -> Some (decisions, reason, depth)
+      | _ -> None
     in
-    let handles =
-      List.init domains (fun i -> Domain.spawn (worker ~pause:(Some pause) i))
-    in
-    let joined = List.map Domain.join handles in
-    stop_coordinator coordinator;
-    (* supervision: a dead worker already handed its share back to the
-       pool, so its admissions stand and no ticket is refunded.  Log
-       each failure; if dead workers' items outlived every survivor,
-       drain the leftovers with one rescue worker in this domain.  A
-       rescue that dies too is a systematic fault — surface it. *)
-    List.iteri
-      (fun i (_, _, _, spilled, err) ->
-        match err with
-        | Some error ->
-            Checkpoint.note_failure ckpt ~worker:i ~error ~requeued:spilled
-        | None -> ())
-      joined;
-    let had_errors =
-      List.exists (fun (_, _, _, _, e) -> e <> None) joined
-    in
-    let rescued =
-      if had_errors && (not (Atomic.get stop)) && Wspool.pending pool > 0
-      then begin
-        Wspool.reset_for_rescue pool;
-        let ((_, _, _, _, rerr) as r) = worker ~pause:None 0 () in
-        (match rerr with
-        | Some err2 ->
-            failwith
-              (Printf.sprintf "explorer rescue worker failed twice: %s" err2)
-        | None -> ());
-        [ r ]
-      end
-      else []
-    in
-    let results = joined @ rescued in
-    Shardset.publish_metrics seen;
-    let violation =
-      List.fold_left
-        (fun best (_, _, v, _, _) ->
-          match (best, v) with
-          | None, v -> v
-          | Some _, None -> best
-          | Some (_, _, db), Some (_, _, dv) -> if dv < db then v else best)
-        None results
-    in
-    match violation with
-    | Some (decisions, reason, depth) -> Violation { decisions; reason; depth }
-    | None ->
-        let exhausted = ref !interrupted in
-        List.iter
-          (fun (terms, ex, _, _, _) ->
-            if ex then exhausted := true;
-            List.iter on_terminal terms)
-          results;
+    match Workers.run rt ~ckpt ~verdict ~merge make with
+    | v :: vs, _ ->
+        (* the shallowest violation any worker found *)
+        let decisions, reason, depth =
+          List.fold_left
+            (fun ((_, _, db) as best) ((_, _, dv) as v) ->
+              if dv < db then v else best)
+            v vs
+        in
+        Violation { decisions; reason; depth }
+    | [], exhausted ->
+        Array.iter (List.iter on_terminal) terminals;
         let stats =
           {
-            configs_visited = Atomic.get global_count;
+            configs_visited = Workers.count rt;
             terminal_runs = Atomic.get terminals_n;
-            budget_exhausted = !exhausted;
+            budget_exhausted = exhausted;
           }
         in
         record_run_stats stats;
@@ -1210,13 +1258,9 @@ module Make (A : Algorithm.S) = struct
 
   exception Unsafe of (Pid.t * Value.t * int) list * string
 
-  (* The crashed set travels as a bitmask folded into the node key;
-     node identities and graph edges are dense ints, never strings. *)
-  let mask_mem = Mask.mem
-  let mask_add = Mask.add
-  let mask_to_list = Mask.to_list
-  let popcount = Mask.popcount
-
+  (* The crashed set travels as a bitmask ({!Mask}) folded into the
+     node key; node identities and graph edges are dense ints, never
+     strings. *)
   type node_rec = {
     succs : int list;
     complete : bool;
@@ -1279,7 +1323,7 @@ module Make (A : Algorithm.S) = struct
        when every one of them has decided *)
     let undecided = ref [] in
     for p = n - 1 downto 0 do
-      if (not (mask_mem mask p)) && Option.is_none (E.decision_of config p)
+      if (not (Mask.mem mask p)) && Option.is_none (E.decision_of config p)
       then undecided := p :: !undecided
     done;
     let undecided = !undecided in
@@ -1288,7 +1332,7 @@ module Make (A : Algorithm.S) = struct
     if not is_complete then begin
       let pattern = pattern_of mask in
       for pid = 0 to n - 1 do
-        if not (mask_mem mask pid) then
+        if not (Mask.mem mask pid) then
           List.iter
             (fun deliver ->
               match deliver with
@@ -1313,11 +1357,11 @@ module Make (A : Algorithm.S) = struct
       in
       (match model with
       | Fault_model.Crash | Fault_model.Byzantine _ ->
-          if popcount mask - popcount base_mask < budget then begin
+          if Mask.popcount mask - Mask.popcount base_mask < budget then begin
             let by_src = if drop_on_crash then by_src_of () else [||] in
             for victim = 0 to n - 1 do
-              if not (mask_mem mask victim) then begin
-                let mask' = mask_add mask victim in
+              if not (Mask.mem mask victim) then begin
+                let mask' = Mask.add mask victim in
                 succs := Next (config, mask') :: !succs;
                 if drop_on_crash && by_src.(victim) <> [] then
                   match
@@ -1341,7 +1385,7 @@ module Make (A : Algorithm.S) = struct
       | Fault_model.Byzantine _ when forge_alts > 0 ->
           List.iter
             (fun (e : A.message Envelope.t) ->
-              if mask_mem mask e.src then
+              if Mask.mem mask e.src then
                 for alt = 0 to forge_alts - 1 do
                   match
                     E.apply ~pattern config
@@ -1390,6 +1434,21 @@ module Make (A : Algorithm.S) = struct
     done;
     !stuck
 
+  (* The verdict of a finished crash campaign; [recs] builds its node
+     graph on demand.  A truncated graph cannot be classified:
+     stuck-ness is a property of {e all} continuations, and unexpanded
+     frontier nodes would read as stuck while truly-stuck nodes may
+     hide beyond the cut.  Say so instead of claiming the optimistic
+     verdict. *)
+  let graph_outcome ~n stats recs =
+    record_run_stats stats;
+    if stats.budget_exhausted then Indeterminate stats
+    else
+      match classify_graph ~count:stats.configs_visited ~recs:(recs ()) with
+      | Some (mask, undecided_correct) ->
+          Stuck { crashed = Mask.to_list ~n mask; undecided_correct; stats }
+      | None -> All_paths_decide stats
+
   let check_crash_explorable ~n ~initially_dead =
     if A.uses_fd then
       invalid_arg "Explorer: algorithms with failure detectors are unsupported";
@@ -1402,7 +1461,7 @@ module Make (A : Algorithm.S) = struct
       initially_dead
 
   let base_mask_of initially_dead =
-    List.fold_left mask_add 0 initially_dead
+    List.fold_left Mask.add 0 initially_dead
 
   (* memoised initial-dead failure patterns, one per crashed-set mask *)
   let make_pattern_of ~n =
@@ -1412,7 +1471,7 @@ module Make (A : Algorithm.S) = struct
       | Some p -> p
       | None ->
           let p =
-            Failure_pattern.initial_dead ~n ~dead:(mask_to_list ~n mask)
+            Failure_pattern.initial_dead ~n ~dead:(Mask.to_list ~n mask)
           in
           Hashtbl.add patterns mask p;
           p
@@ -1544,7 +1603,7 @@ module Make (A : Algorithm.S) = struct
     let enumerate () =
       if resume = None then
         ignore (visit (E.init_explore ~reduction ~n ~inputs ()) base_mask);
-      let rec drain () =
+      let rec loop () =
         match !worklist with
         | [] -> ()
         | _ when Checkpoint.interrupted ckpt ->
@@ -1555,72 +1614,41 @@ module Make (A : Algorithm.S) = struct
             decr wl_len;
             expand node;
             Checkpoint.tick ckpt ~items:!count snap;
-            drain ()
+            loop ()
       in
-      drain ()
+      loop ()
     in
     match enumerate () with
     | exception Unsafe (decisions, reason) ->
         Safety_violation { decisions; reason }
     | () ->
-        if !interrupted then exhausted := true;
-        let stats =
+        graph_outcome ~n
           {
             configs_visited = !count;
             terminal_runs = !terminals;
-            budget_exhausted = !exhausted;
+            budget_exhausted = !exhausted || !interrupted;
           }
-        in
-        record_run_stats stats;
-        (* A truncated graph cannot be classified: stuck-ness is a
-           property of {e all} continuations, and unexpanded frontier
-           nodes would read as stuck while truly-stuck nodes may hide
-           beyond the cut.  Say so instead of claiming the optimistic
-           verdict. *)
-        if !exhausted then Indeterminate stats
-        else
-          match classify_graph ~count:!count ~recs:!recs with
-          | Some (mask, undecided_correct) ->
-              Stuck
-                {
-                  crashed = mask_to_list ~n mask;
-                  undecided_correct;
-                  stats;
-                }
-          | None -> All_paths_decide stats
+          (fun () -> !recs)
 
   (* Parallel crash-adversarial exploration over shared state: one
      {!Shardset} key table, one ticket counter, one write-once
      {!Nodestore} of node records.  A node's global dense id {e is}
-     its admission ticket (the root, expanded inline, is id 0), so
+     its admission ticket (the root, admitted first, is id 0), so
      graph edges are globally meaningful the moment they are made and
      the merge needs no id translation at all — the classified graph
      is byte-for-byte the sequential one's modulo discovery order,
      which {!classify_graph}'s minimum-witness rule already
-     normalises.  The frontier flows through a {!Wspool} exactly as in
-     [explore_par].  Outcomes match [explore_with_crashes] whenever
-     the budget does not truncate.  [check] must be thread-safe. *)
+     normalises.  {!Workers} runs the frontier, the checkpoint cuts
+     and supervision, as for [explore_par]; every node, the root
+     included, is admitted before it is queued and expanded by a
+     worker.  Outcomes match [explore_with_crashes] whenever the
+     budget does not truncate.  [check] must be thread-safe. *)
   let explore_with_crashes_par ?(reduction = Canon.No_reduction)
       ?(model = Fault_model.Crash) ?domains ?(max_configs = 300_000)
       ?(policy = Per_sender) ?(drop_on_crash = true) ?(initially_dead = [])
       ?(ckpt = Checkpoint.ctl ()) ~n ~inputs ~crash_budget ~check () =
     check_crash_explorable ~n ~initially_dead;
     Metrics.gauge_set g_max_configs max_configs;
-    if max_configs < 1 then begin
-      (* the sequential driver's clamp admits nothing on a degenerate
-         budget — not even the root is visited or expanded; mirror it
-         exactly instead of expanding the root before accounting *)
-      Metrics.incr m_truncations;
-      let stats =
-        { configs_visited = 0; terminal_runs = 0; budget_exhausted = true }
-      in
-      record_run_stats stats;
-      Indeterminate stats
-    end
-    else
-    let domains =
-      max 1 (match domains with Some d -> d | None -> default_domains ())
-    in
     let base_mask = base_mask_of initially_dead in
     let model_tag = Fault_model.to_string model in
     let forge_alts =
@@ -1628,280 +1656,103 @@ module Make (A : Algorithm.S) = struct
       | Fault_model.Byzantine _ -> List.length (E.forge_pool ~n ~inputs)
       | Fault_model.Crash | Fault_model.Mobile _ -> 0
     in
+    let seen = Shardset.create ~name:"explore.dedup" () in
+    let rt = Workers.create ?domains ~max_configs ~seen () in
+    let ticket = Workers.ticket rt in
+    let recs : node_rec Nodestore.t = Nodestore.create ~empty:empty_rec in
+    let terminals_n = Atomic.make 0 in
+    (* the root draws ticket 0 like any node; a budget below one turns
+       it away, leaving nothing to expand *)
     let root = E.init_explore ~reduction ~n ~inputs () in
-    let pattern_of0 = make_pattern_of ~n in
-    match
-      expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
-        ~model ~forge_alts ~pattern_of:pattern_of0 ~check root base_mask
-    with
-    | exception Unsafe (decisions, reason) ->
-        Safety_violation { decisions; reason }
-    | root_complete, root_mask, root_undecided, root_succs ->
-        let seen = Shardset.create ~name:"explore.dedup" () in
-        let recs : node_rec Nodestore.t = Nodestore.create ~empty:empty_rec in
-        let global_count = Atomic.make 1 (* the root *) in
-        let terminals_n = Atomic.make (if root_complete then 1 else 0) in
-        Metrics.incr m_admitted;
-        if root_complete then Metrics.incr m_terminals;
-        ignore (Shardset.add seen (E.key ~crashed:root_mask ~reduction root) 0);
-        let stop = Atomic.make false in
-        let interrupted = ref false in
-        let exhausted0 = ref false in
-        let ticket () =
-          let tk = Atomic.fetch_and_add global_count 1 in
-          if tk >= max_configs then begin
-            Atomic.decr global_count;
+    let root_rejected =
+      match
+        Shardset.admit seen (E.key ~crashed:base_mask ~reduction root) ~ticket
+      with
+      | Shardset.Admitted id ->
+          Metrics.incr m_admitted;
+          Workers.seed rt [ (id, root, base_mask) ];
+          false
+      | Shardset.Rejected | Shardset.Found _ ->
+          Metrics.incr m_truncations;
+          true
+    in
+    let make (w : _ Workers.w) =
+      let pattern_of = make_pattern_of ~n in
+      let visit config mask =
+        let key = E.key ~crashed:mask ~reduction config in
+        match Shardset.admit seen key ~ticket with
+        | Shardset.Found id ->
+            Metrics.incr m_dedup;
+            if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
+            Some id
+        | Shardset.Rejected ->
+            w.exhausted <- true;
+            Metrics.incr m_truncations;
             None
-          end
-          else Some tk
+        | Shardset.Admitted id ->
+            Metrics.incr m_admitted;
+            Workers.push w (id, config, mask);
+            Some id
+      in
+      fun (id, config, mask) ->
+        let is_complete, mask, undecided, succ_pairs =
+          expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
+            ~model ~forge_alts ~pattern_of ~check config mask
         in
-        let pause = Pause.create domains in
-        let pool : (int * E.config * int) Wspool.t =
-          Wspool.create ~workers:domains
-        in
-        (* admit the root's successors inline and seed the pools *)
-        let seed = ref [] in
-        let root_succ_ids =
-          succ_ids ~reduction ~self:0
-            (fun c m ->
-              let key = E.key ~crashed:m ~reduction c in
-              match Shardset.admit seen key ~ticket with
-              | Shardset.Found id ->
-                  Metrics.incr m_dedup;
-                  if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
-                  Some id
-              | Shardset.Rejected ->
-                  exhausted0 := true;
-                  Metrics.incr m_truncations;
-                  None
-              | Shardset.Admitted id ->
-                  Metrics.incr m_admitted;
-                  seed := (id, c, m) :: !seed;
-                  Some id)
-            root_succs
-        in
-        Nodestore.set recs 0
+        let succs = succ_ids ~reduction ~self:id visit succ_pairs in
+        (* supervision can re-expand a node whose first expansion died
+           mid-flight (re-pushed in-flight item): count its terminal
+           only on the store's first write, so [terminal_runs] is
+           idempotent per id.  [empty_rec] is a physical sentinel no
+           expanded record ever aliases, and only one domain can hold
+           id at a time (handoff through the pool orders the
+           re-expansion after the death). *)
+        let first_write = Nodestore.get recs id == empty_rec in
+        Nodestore.set recs id { succs; complete = is_complete; mask; undecided };
+        if is_complete && first_write then begin
+          Atomic.incr terminals_n;
+          Metrics.incr m_terminals
+        end;
+        Workers.maybe_spill w
+    in
+    (* a pause-the-world cut in the sequential format: the shared
+       table gives key→id, the store gives the expanded record prefix
+       (unexpanded ids read as [empty_rec], exactly the sequential
+       driver's convention).  Resume continues on
+       [explore_with_crashes]. *)
+    let merge ~pending ~exhausted =
+      let gids : (E.key, int) Hashtbl.t =
+        Hashtbl.create (2 * Shardset.length seen + 16)
+      in
+      Shardset.iter (fun k id -> Hashtbl.replace gids k id) seen;
+      let count = Workers.count rt in
+      Marshal.to_string
+        (( reduction,
+           model_tag,
+           gids,
+           Array.init count (Nodestore.get recs),
+           count,
+           Atomic.get terminals_n,
+           exhausted || root_rejected,
+           pending )
+          : crash_snap)
+        []
+    in
+    let verdict = function
+      | Unsafe (decisions, reason) -> Some (decisions, reason)
+      | _ -> None
+    in
+    match Workers.run rt ~ckpt ~verdict ~merge make with
+    | (decisions, reason) :: _, _ -> Safety_violation { decisions; reason }
+    | [], exhausted ->
+        let count = Workers.count rt in
+        graph_outcome ~n
           {
-            succs = root_succ_ids;
-            complete = root_complete;
-            mask = root_mask;
-            undecided = root_undecided;
-          };
-        Wspool.seed pool (List.rev !seed);
-        let worker ~pause i () =
-          Metrics.incr m_domains;
-          let pattern_of = make_pattern_of ~n in
-          let local = ref [] and local_len = ref 0 in
-          let exhausted = ref false in
-          let violation = ref None in
-          let error = ref None in
-          let spilled = ref 0 in
-          let snap () = (!local, !exhausted) in
-          let safepoint () = Pause.point pause i snap in
-          let stopped () = Atomic.get stop in
-          let maybe_spill () =
-            if !local_len >= spill_at && Wspool.own_pending pool i = 0
-            then begin
-              let keep = !local_len / 2 in
-              let kept, handed = split_at keep !local in
-              let count = !local_len - keep in
-              local := kept;
-              local_len := keep;
-              Wspool.push_batch pool i ~count handed;
-              Metrics.incr m_spills;
-              Metrics.gauge_max g_frontier_peak (keep + Wspool.pending pool)
-            end
-          in
-          let visit config mask =
-            let key = E.key ~crashed:mask ~reduction config in
-            match Shardset.admit seen key ~ticket with
-            | Shardset.Found id ->
-                Metrics.incr m_dedup;
-                if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
-                Some id
-            | Shardset.Rejected ->
-                exhausted := true;
-                Metrics.incr m_truncations;
-                None
-            | Shardset.Admitted id ->
-                Metrics.incr m_admitted;
-                local := (id, config, mask) :: !local;
-                incr local_len;
-                Some id
-          in
-          let process (id, config, mask) =
-            let is_complete, mask, undecided, succ_pairs =
-              expand_crash_node ~n ~policy ~drop_on_crash ~base_mask
-                ~crash_budget ~model ~forge_alts ~pattern_of ~check config mask
-            in
-            let succs = succ_ids ~reduction ~self:id visit succ_pairs in
-            (* supervision can re-expand a node whose first expansion
-               died mid-flight (re-pushed in-flight item): count its
-               terminal only on the store's first write, so
-               [terminal_runs] is idempotent per id.  [empty_rec] is a
-               physical sentinel no expanded record ever aliases, and
-               only one domain can hold id at a time (handoff through
-               the pool orders the re-expansion after the death). *)
-            let first_write = Nodestore.get recs id == empty_rec in
-            Nodestore.set recs id
-              { succs; complete = is_complete; mask; undecided };
-            if is_complete && first_write then begin
-              Atomic.incr terminals_n;
-              Metrics.incr m_terminals
-            end;
-            maybe_spill ()
-          in
-          let rec drain () =
-            safepoint ();
-            if not (stopped ()) then
-              match !local with
-              | item :: rest ->
-                  local := rest;
-                  decr local_len;
-                  (try process item
-                   with e ->
-                     (match e with
-                     | Unsafe _ -> ()
-                     | _ ->
-                         local := item :: !local;
-                         incr local_len);
-                     raise e);
-                  drain ()
-              | [] -> (
-                  match Wspool.acquire pool i ~safepoint ~stopped with
-                  | Some (count, batch) ->
-                      local := batch;
-                      local_len := count;
-                      drain ()
-                  | None -> ())
-          in
-          (try Metrics.time t_worker drain with
-          | Unsafe (decisions, reason) ->
-              violation := Some (decisions, reason);
-              Atomic.set stop true
-          | e ->
-              error := Some (Printexc.to_string e);
-              (try
-                 if !local_len > 0 then begin
-                   Wspool.push_batch pool i ~count:!local_len !local;
-                   spilled := !local_len;
-                   local := [];
-                   local_len := 0
-                 end
-               with _ -> ());
-              Wspool.retire pool);
-          Pause.exit pause i snap;
-          (!exhausted, !violation, !spilled, !error)
-        in
-        (* pause-the-world cut to the sequential checkpoint format:
-           the shared table gives key→id, the store gives the expanded
-           record prefix (unexpanded ids read as [empty_rec], exactly
-           the sequential driver's convention), and the worklist is
-           the union of parked stacks and pools.  Resume continues on
-           [explore_with_crashes]. *)
-        let merge slots =
-          let gids : (E.key, int) Hashtbl.t =
-            Hashtbl.create (2 * Shardset.length seen + 16)
-          in
-          Shardset.iter (fun k id -> Hashtbl.replace gids k id) seen;
-          let count = Atomic.get global_count in
-          let recs_a = Array.init count (Nodestore.get recs) in
-          let wl = ref [] in
-          let ex = ref !exhausted0 in
-          Array.iter
-            (function
-              | None -> ()
-              | Some (items, exh) ->
-                  wl := List.rev_append items !wl;
-                  if exh then ex := true)
-            slots;
-          Wspool.iter_pending pool (fun it -> wl := it :: !wl);
-          Marshal.to_string
-            (( reduction,
-               model_tag,
-               gids,
-               recs_a,
-               count,
-               Atomic.get terminals_n,
-               !ex,
-               !wl )
-              : crash_snap)
-            []
-        in
-        let coordinator =
-          spawn_coordinator ~ckpt ~pause
-            ~items:(fun () -> Atomic.get global_count)
-            ~merge
-            ~on_interrupt:(fun () ->
-              interrupted := true;
-              Atomic.set stop true)
-        in
-        let handles =
-          List.init domains (fun i ->
-              Domain.spawn (worker ~pause:(Some pause) i))
-        in
-        let joined = List.map Domain.join handles in
-        stop_coordinator coordinator;
-        (* supervision: as in [explore_par] — failures are logged, the
-           dead worker's items are already back in the pool, and a
-           single rescue worker drains anything every survivor
-           missed *)
-        List.iteri
-          (fun i (_, _, spilled, err) ->
-            match err with
-            | Some error ->
-                Checkpoint.note_failure ckpt ~worker:i ~error ~requeued:spilled
-            | None -> ())
-          joined;
-        let had_errors = List.exists (fun (_, _, _, e) -> e <> None) joined in
-        let rescued =
-          if had_errors && (not (Atomic.get stop)) && Wspool.pending pool > 0
-          then begin
-            Wspool.reset_for_rescue pool;
-            let ((_, _, _, rerr) as r) = worker ~pause:None 0 () in
-            (match rerr with
-            | Some err2 ->
-                failwith
-                  (Printf.sprintf "explorer rescue worker failed twice: %s"
-                     err2)
-            | None -> ());
-            [ r ]
-          end
-          else []
-        in
-        let results = joined @ rescued in
-        Shardset.publish_metrics seen;
-        let violation = List.find_map (fun (_, v, _, _) -> v) results in
-        (match violation with
-        | Some (decisions, reason) -> Safety_violation { decisions; reason }
-        | None ->
-            let exhausted = ref (!exhausted0 || !interrupted) in
-            List.iter
-              (fun (ex, _, _, _) -> if ex then exhausted := true)
-              results;
-            let count = Atomic.get global_count in
-            let stats =
-              {
-                configs_visited = count;
-                terminal_runs = Atomic.get terminals_n;
-                budget_exhausted = !exhausted;
-              }
-            in
-            record_run_stats stats;
-            (* same honesty rule as the sequential driver: a truncated
-               graph admits no all-paths-decide claim *)
-            if !exhausted then Indeterminate stats
-            else
-              let recs_a = Array.init count (Nodestore.get recs) in
-              match classify_graph ~count ~recs:recs_a with
-              | Some (mask, undecided_correct) ->
-                  Stuck
-                    {
-                      crashed = mask_to_list ~n mask;
-                      undecided_correct;
-                      stats;
-                    }
-              | None -> All_paths_decide stats)
+            configs_visited = count;
+            terminal_runs = Atomic.get terminals_n;
+            budget_exhausted = exhausted || root_rejected;
+          }
+          (fun () -> Array.init count (Nodestore.get recs))
 
   let reachable_decision_values ?(reduction = Canon.No_reduction)
       ?(model = Fault_model.Crash) ?(max_configs = 300_000)
@@ -1915,34 +1766,6 @@ module Make (A : Algorithm.S) = struct
     (match
        explore_with_crashes ~reduction ~model ~max_configs ~policy ~n ~inputs
          ~crash_budget
-         ~check:(fun decisions ->
-           note decisions;
-           None)
-         ()
-     with
-    | All_paths_decide _ | Stuck _ | Indeterminate _ -> ()
-    | Safety_violation _ -> ());
-    List.sort compare !seen
-
-  let reachable_decision_values_par ?(reduction = Canon.No_reduction)
-      ?(model = Fault_model.Crash) ?domains ?(max_configs = 300_000)
-      ?(policy = Per_sender) ~n ~inputs ~crash_budget () =
-    (* [check] runs concurrently on several domains: the accumulator
-       is mutex-protected.  Parity with the sequential driver follows
-       from [explore_with_crashes_par] enumerating the same reachable
-       node set (asserted in test/test_explore.ml). *)
-    let lock = Mutex.create () in
-    let seen = ref [] in
-    let note decisions =
-      Mutex.lock lock;
-      List.iter
-        (fun (_, v, _) -> if not (List.mem v !seen) then seen := v :: !seen)
-        decisions;
-      Mutex.unlock lock
-    in
-    (match
-       explore_with_crashes_par ~reduction ~model ?domains ~max_configs
-         ~policy ~n ~inputs ~crash_budget
          ~check:(fun decisions ->
            note decisions;
            None)

@@ -296,9 +296,12 @@ module Make (A : Algorithm.S) : sig
       be thread-safe.
 
       [ckpt] enables pause-the-world checkpointing and worker
-      supervision exactly as in {!explore_par}; the written
-      snapshots are sequential-format and resume on
-      {!explore_with_crashes}. *)
+      supervision exactly as in {!explore_par} (both drivers share one
+      worker runtime); the written snapshots are sequential-format and
+      resume on {!explore_with_crashes}.  The root is admitted and
+      queued like any other node, so a non-verdict exception raised
+      while expanding it (a [check] failing on its first call, say) is
+      supervised, not propagated. *)
 
   val reachable_decision_values :
     ?reduction:Canon.reduction ->
@@ -314,21 +317,4 @@ module Make (A : Algorithm.S) : sig
       the crash-adversarial exploration: the {e valency} of the
       initial configuration.  Two or more values = bivalent/
       multivalent in FLP's sense. *)
-
-  val reachable_decision_values_par :
-    ?reduction:Canon.reduction ->
-    ?model:Fault_model.t ->
-    ?domains:int ->
-    ?max_configs:int ->
-    ?policy:delivery_policy ->
-    n:int ->
-    inputs:Value.t array ->
-    crash_budget:int ->
-    unit ->
-    Value.t list
-  (** Multicore {!reachable_decision_values}, routed through
-      {!explore_with_crashes_par} with a mutex-protected accumulator.
-      Returns exactly the same value set as the sequential driver
-      whenever [max_configs] does not truncate the enumeration (the
-      parallel search visits the same reachable node set). *)
 end

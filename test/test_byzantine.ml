@@ -147,8 +147,10 @@ let test_budget0_parity () =
                 true
                 (base_values
                 = List.sort Sim.Value.compare
-                    (Ex.reachable_decision_values_par ~reduction ~model
-                       ~domains:2 ~n:3 ~inputs:(distinct 3) ~crash_budget:0 ())))
+                    (Test_util.decision_values_par (fun ~check ->
+                         Ex.explore_with_crashes_par ~reduction ~model
+                           ~domains:2 ~n:3 ~inputs:(distinct 3)
+                           ~crash_budget:0 ~check ()))))
             [ FM.byzantine 0; FM.mobile 0 ])
         all_modes)
     subjects

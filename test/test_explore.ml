@@ -199,8 +199,9 @@ let test_parity_reachable_values () =
   List.iter
     (fun domains ->
       let par =
-        Ex.reachable_decision_values_par ~domains ~n:3 ~inputs:(distinct 3)
-          ~crash_budget:1 ()
+        Test_util.decision_values_par (fun ~check ->
+            Ex.explore_with_crashes_par ~domains ~n:3 ~inputs:(distinct 3)
+              ~crash_budget:1 ~check ())
       in
       Alcotest.(check (list int))
         (Printf.sprintf "reachable values domains=%d" domains)

@@ -658,8 +658,9 @@ let test_differential_decision_values () =
           in
           let par =
             sorted
-              (Ex.reachable_decision_values_par ~reduction ~domains:2 ~n:3
-                 ~inputs:(distinct 3) ~crash_budget:1 ())
+              (Test_util.decision_values_par (fun ~check ->
+                   Ex.explore_with_crashes_par ~reduction ~domains:2 ~n:3
+                     ~inputs:(distinct 3) ~crash_budget:1 ~check ()))
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s: values seq %s" name (mode_name reduction))

@@ -68,3 +68,20 @@ let check_err what = function
 
 let qsuite name props =
   (name, List.map QCheck_alcotest.to_alcotest props)
+
+(* The sorted set of values decided anywhere in a search whose [check]
+   may run on several domains at once: [run ~check] runs the search
+   (its outcome is ignored), and [check] records into a mutex-guarded
+   accumulator. *)
+let decision_values_par run =
+  let lock = Mutex.create () in
+  let seen = ref [] in
+  let check decisions =
+    Mutex.protect lock (fun () ->
+        List.iter
+          (fun (_, v, _) -> if not (List.mem v !seen) then seen := v :: !seen)
+          decisions);
+    None
+  in
+  ignore (run ~check);
+  List.sort compare !seen
