@@ -1,19 +1,26 @@
 (* ksa — command-line front end to the k-set agreement reproduction.
 
    Subcommands:
-     experiments    run the E1–E9 reproduction harness
+     experiments    run the E1–E14 reproduction harness
      border         print the solvability-border tables
      simulate       run one algorithm under one adversary, print the run
      explore        exhaustive schedule-space search (optionally multicore)
      fuzz           random schedule search with counterexample shrinking
      screen         Theorem-1 screening of an algorithm
      paste          execute the Lemma-12 pasting construction
-     independence   T-independence check of an algorithm *)
+     independence   T-independence check of an algorithm
+     ho             run a Heard-Of round-model algorithm
+     serve          the crash-tolerant campaign daemon
+     job            the daemon's HTTP client
+
+   explore and fuzz are thin clients of Ksa_svc.Task: they parse flags
+   into a spec, run it, and print the one verdict line Task.summarize
+   gives every outcome (the line the daemon stores in its job records),
+   exiting with its code. *)
 
 open Cmdliner
 module Sim = Ksa_sim
 module Core = Ksa_core
-module Algo = Ksa_algo
 module Fd = Ksa_fd
 module Rng = Ksa_prim.Rng
 module Metrics = Ksa_prim.Metrics
@@ -56,67 +63,37 @@ let resume_hint ~checkpoint =
       in
       Printf.eprintf "ksa: interrupted — resume with:\n  %s\n%!" cmd
 
-(* --checkpoint-every SPEC: "2s"/"0.5s" = seconds, a plain integer =
-   work items (configs or trials) between writes *)
-let parse_every s =
-  let s = String.trim s in
-  let n = String.length s in
-  if n > 1 && (s.[n - 1] = 's' || s.[n - 1] = 'S') then
-    match float_of_string_opt (String.sub s 0 (n - 1)) with
-    | Some sec when sec > 0. ->
-        Ok { Checkpoint.default_policy with Checkpoint.every_seconds = sec }
-    | _ -> Error (Printf.sprintf "bad --checkpoint-every %S" s)
-  else
-    match int_of_string_opt s with
-    | Some k when k > 0 ->
-        Ok { Checkpoint.every_items = k; every_seconds = infinity }
-    | _ -> Error (Printf.sprintf "bad --checkpoint-every %S" s)
-
-(* Load and validate a checkpoint for --resume (the validation itself
-   now lives in Ksa_svc.Task, shared with the campaign daemon).  By
-   default any problem — the file is corrupt, belongs to another
-   campaign kind, was written under different parameters, or its
-   interner dump conflicts — is a warning followed by a fresh
-   campaign, never a crash.  With --strict-resume a silent fresh
-   start is exactly what must not happen: the named reason goes to
-   stderr and the process exits 5. *)
-let load_resume ?(strict = false) ~path ~kind ~fingerprint () =
-  match Svc.Task.load_resume ~path ~kind ~fingerprint with
-  | Ok t -> Some t
-  | Error reason ->
-      if strict then begin
-        Printf.eprintf "ksa: cannot resume (strict): %s\n%!" reason;
-        exit 5
-      end
-      else begin
-        Printf.eprintf "ksa: %s — starting a fresh campaign\n%!" reason;
-        None
-      end
-
 (* ---------- shared argument parsing ---------- *)
 
-let algo_conv ~l ~wait_for = function
-  | "kset-flp" ->
-      let module K = Algo.Kset_flp.Make (struct
-        let l = l
-      end) in
-      Ok (module K : Sim.Algorithm.S)
-  | "naive-min" ->
-      let module N = Algo.Naive_min.Make (struct
-        let wait_for = wait_for
-      end) in
-      Ok (module N : Sim.Algorithm.S)
-  | "trivial" -> Ok (module Algo.Trivial.A : Sim.Algorithm.S)
-  | "synod" -> Ok (module Algo.Synod.A : Sim.Algorithm.S)
-  | other -> Error (Printf.sprintf "unknown algorithm %S" other)
+(* Every command returns its exit code.  [let*] runs the rest of a
+   command on [Ok]; an [Error]'s message goes to stderr and the
+   command exits 1. *)
+let ( let* ) r f =
+  match r with
+  | Ok x -> f x
+  | Error e ->
+      prerr_endline e;
+      1
+
+(* [f] over a list, stopping at the first error *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: xs ->
+      Result.bind (f x) (fun y -> Result.map (List.cons y) (map_ok f xs))
 
 let groups_of_string s =
   (* "0,1|2,3,4" -> [[0;1];[2;3;4]] *)
+  let pid x =
+    match int_of_string_opt x with
+    | Some p -> Ok p
+    | None -> Error (Printf.sprintf "bad process id %S in groups %S" x s)
+  in
   String.split_on_char '|' s
-  |> List.map (fun part ->
+  |> map_ok (fun part ->
          String.split_on_char ',' part
-         |> List.filter (fun x -> String.trim x <> "")
-         |> List.map (fun x -> int_of_string (String.trim x)))
+         |> List.map String.trim
+         |> List.filter (fun x -> x <> "")
+         |> map_ok pid)
 
 let model_conv =
   let parse s =
@@ -194,64 +171,73 @@ let synod_oracle ~pattern ~seed =
 
 (* ---------- experiments ---------- *)
 
+let experiment_table =
+  Core.Experiments.
+    [
+      ("E1", e1_theorem2 ?n_max:None);
+      ("E2", e2_theorem8 ?n_max:None ?seeds:None);
+      ("E3", e3_protocol_cost ?sizes:None ?seeds:None);
+      ("E4", e4_graph_lemmas ?samples:None ?n:None);
+      ("E5", e5_theorem10 ?n_max:None);
+      ("E6", e6_coverage ?n_max:None);
+      ("E7", e7_lemma9 ?samples:None);
+      ("E8", e8_screening);
+      ("E9", e9_independence);
+      ("E10", e10_round_models ?seeds:None);
+      ("E11", e11_fd_implementation ?seeds:None);
+      ("E12", e12_flp_gap);
+      ("E13", e13_shared_memory ?seeds:None);
+      ("E14", e14_fault_models ?max_configs:None);
+    ]
+
 let experiments only =
-  let ppf = Format.std_formatter in
-  let run1 id f = if only = [] || List.mem id only then ignore (f ppf) in
-  run1 "E1" (Core.Experiments.e1_theorem2 ?n_max:None);
-  run1 "E2" (Core.Experiments.e2_theorem8 ?n_max:None ?seeds:None);
-  run1 "E3" (Core.Experiments.e3_protocol_cost ?sizes:None ?seeds:None);
-  run1 "E4" (Core.Experiments.e4_graph_lemmas ?samples:None ?n:None);
-  run1 "E5" (Core.Experiments.e5_theorem10 ?n_max:None);
-  run1 "E6" (Core.Experiments.e6_coverage ?n_max:None);
-  run1 "E7" (Core.Experiments.e7_lemma9 ?samples:None);
-  run1 "E8" Core.Experiments.e8_screening;
-  run1 "E9" Core.Experiments.e9_independence;
-  run1 "E10" (Core.Experiments.e10_round_models ?seeds:None);
-  run1 "E11" (Core.Experiments.e11_fd_implementation ?seeds:None);
-  run1 "E12" Core.Experiments.e12_flp_gap;
-  run1 "E13" (Core.Experiments.e13_shared_memory ?seeds:None);
-  run1 "E14" (Core.Experiments.e14_fault_models ?max_configs:None);
-  0
+  match List.find_opt (fun id -> not (List.mem_assoc id experiment_table)) only with
+  | Some id ->
+      Printf.eprintf "ksa: unknown experiment id %S (valid ids: %s)\n%!" id
+        (String.concat " " (List.map fst experiment_table));
+      1
+  | None ->
+      List.iter
+        (fun (id, run) ->
+          if only = [] || List.mem id only then ignore (run Format.std_formatter))
+        experiment_table;
+      0
 
 let only_arg =
   Arg.(
     value
     & opt (list string) []
-    & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated experiment ids (E1..E9).")
+    & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated experiment ids (E1..E14).")
 
 let experiments_cmd =
   Cmd.v
-    (Cmd.info "experiments" ~doc:"Run the reproduction harness (E1-E9).")
+    (Cmd.info "experiments" ~doc:"Run the reproduction harness (E1-E14).")
     Term.(const experiments $ only_arg)
 
 (* ---------- border ---------- *)
 
 let border n =
   let ppf = Format.std_formatter in
+  (* one row per f, one column per k *)
+  let table mark holds =
+    for f = 1 to n - 1 do
+      Format.fprintf ppf "f=%-2d " f;
+      for k = 1 to n - 1 do
+        Format.fprintf ppf " %s   " (if holds ~n ~f ~k then mark else ".")
+      done;
+      Format.fprintf ppf "@."
+    done
+  in
   Format.fprintf ppf "Theorem 8 (f initial crashes): solvable iff kn > (k+1)f@.";
   Format.fprintf ppf "     ";
   for k = 1 to n - 1 do
     Format.fprintf ppf "k=%-2d " k
   done;
   Format.fprintf ppf "@.";
-  for f = 1 to n - 1 do
-    Format.fprintf ppf "f=%-2d " f;
-    for k = 1 to n - 1 do
-      Format.fprintf ppf " %s   "
-        (if Core.Border.theorem8_solvable ~n ~f ~k then "S" else ".")
-    done;
-    Format.fprintf ppf "@."
-  done;
+  table "S" Core.Border.theorem8_solvable;
   Format.fprintf ppf
     "@.Theorem 2 (one live crash): impossible iff k(n-f) < n ('X')@.";
-  for f = 1 to n - 1 do
-    Format.fprintf ppf "f=%-2d " f;
-    for k = 1 to n - 1 do
-      Format.fprintf ppf " %s   "
-        (if Core.Border.theorem2_impossible ~n ~f ~k then "X" else ".")
-    done;
-    Format.fprintf ppf "@."
-  done;
+  table "X" Core.Border.theorem2_impossible;
   Format.fprintf ppf
     "@.(Sigma_k,Omega_k) (Cor. 13): solvable iff k=1 or k=n-1@.     ";
   for k = 1 to n - 1 do
@@ -271,74 +257,53 @@ let border_cmd =
 let simulate algo_name n f l wait_for seed adversary dead save_schedule
     replay verbose check_model =
   let l = Option.value l ~default:(max 1 (n - f)) in
-  match algo_conv ~l ~wait_for algo_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok (module A) ->
-      let module E = Sim.Engine.Make (A) in
-      let pattern = Sim.Failure_pattern.initial_dead ~n ~dead in
-      let rng = Rng.create ~seed in
-      let adv =
-        match replay with
-        | Some path -> (
-            match Sim.Trace_io.load_schedule ~path () with
-            | Ok descs -> Ok (Sim.Replay.sequential [ descs ])
-            | Error e -> Error ("replay: " ^ e))
-        | None -> (
-            match adversary with
-            | "fair" -> Ok (Sim.Adversary.fair ~rng)
-            | "round-robin" -> Ok (Sim.Adversary.round_robin ())
-            | "lossy" -> Ok (Sim.Adversary.fair_lossy ~rng ~p_defer:0.5)
-            | s when String.length s > 10 && String.sub s 0 10 = "partition:" ->
-                let groups =
-                  groups_of_string (String.sub s 10 (String.length s - 10))
-                in
-                Ok (Sim.Adversary.partition ~groups ())
-            | s when String.length s > 5 && String.sub s 0 5 = "solo:" ->
-                let groups =
-                  groups_of_string (String.sub s 5 (String.length s - 5))
-                in
-                Ok (Sim.Adversary.sequential_solo ~groups)
-            | other -> Error ("unknown adversary " ^ other))
-      in
-      (match adv with
+  let* (module A : Sim.Algorithm.S) = Svc.Task.algo_conv ~l ~wait_for algo_name in
+  let module E = Sim.Engine.Make (A) in
+  let pattern = Sim.Failure_pattern.initial_dead ~n ~dead in
+  let rng = Rng.create ~seed in
+  let* adv =
+    match replay with
+    | Some path -> (
+        match Sim.Trace_io.load_schedule ~path () with
+        | Ok descs -> Ok (Sim.Replay.sequential [ descs ])
+        | Error e -> Error ("replay: " ^ e))
+    | None -> (
+        match adversary with
+        | "fair" -> Ok (Sim.Adversary.fair ~rng)
+        | "round-robin" -> Ok (Sim.Adversary.round_robin ())
+        | "lossy" -> Ok (Sim.Adversary.fair_lossy ~rng ~p_defer:0.5)
+        | s when String.length s > 10 && String.sub s 0 10 = "partition:" ->
+            groups_of_string (String.sub s 10 (String.length s - 10))
+            |> Result.map (fun groups -> Sim.Adversary.partition ~groups ())
+        | s when String.length s > 5 && String.sub s 0 5 = "solo:" ->
+            groups_of_string (String.sub s 5 (String.length s - 5))
+            |> Result.map (fun groups -> Sim.Adversary.sequential_solo ~groups)
+        | other -> Error ("unknown adversary " ^ other))
+  in
+  let fd = if A.uses_fd then Some (synod_oracle ~pattern ~seed) else None in
+  let run = E.run ?fd ~n ~inputs:(Sim.Value.distinct_inputs n) ~pattern adv in
+  Format.printf "%a@." Sim.Run.pp_summary run;
+  if verbose then Sim.Trace_io.pp_events Format.std_formatter run;
+  if check_model then begin
+    let admissible =
+      Sim.Model_check.admissible_models run ~phi:n ~delta:(2 * n)
+    in
+    Format.printf "DDS cube (Φ=%d, Δ=%d): admissible in %d/32 models@." n
+      (2 * n) (List.length admissible);
+    List.iter (fun m -> Format.printf "  %a@." Sim.Model.pp m) admissible
+  end;
+  match save_schedule with
+  | Some path -> (
+      match
+        Sim.Trace_io.save_schedule ~path (Sim.Trace_io.schedule_of_run run)
+      with
+      | Ok () ->
+          Format.printf "schedule saved to %s@." path;
+          0
       | Error e ->
-          prerr_endline e;
-          1
-      | Ok adv ->
-          let fd =
-            if A.uses_fd then Some (synod_oracle ~pattern ~seed) else None
-          in
-          let run =
-            E.run ?fd ~n ~inputs:(Sim.Value.distinct_inputs n) ~pattern adv
-          in
-          Format.printf "%a@." Sim.Run.pp_summary run;
-          if verbose then Sim.Trace_io.pp_events Format.std_formatter run;
-          if check_model then begin
-            let admissible =
-              Sim.Model_check.admissible_models run ~phi:n ~delta:(2 * n)
-            in
-            Format.printf
-              "DDS cube (Φ=%d, Δ=%d): admissible in %d/32 models@." n (2 * n)
-              (List.length admissible);
-            List.iter
-              (fun m -> Format.printf "  %a@." Sim.Model.pp m)
-              admissible
-          end;
-          (match save_schedule with
-          | Some path -> (
-              match
-                Sim.Trace_io.save_schedule ~path
-                  (Sim.Trace_io.schedule_of_run run)
-              with
-              | Ok () ->
-                  Format.printf "schedule saved to %s@." path;
-                  0
-              | Error e ->
-                  Printf.eprintf "ksa: %s\n%!" e;
-                  1)
-          | None -> 0))
+          Printf.eprintf "ksa: %s\n%!" e;
+          1)
+  | None -> 0
 
 let adversary_arg =
   Arg.(
@@ -389,7 +354,149 @@ let simulate_cmd =
       $ adversary_arg $ dead_arg $ save_schedule_arg $ replay_arg
       $ verbose_arg $ check_model_arg)
 
-(* ---------- explore ---------- *)
+(* ---------- the campaign front shared by explore and fuzz ---------- *)
+
+(* --checkpoint-every SPEC: "2s"/"0.5s" = seconds, a plain integer =
+   work items (configs or trials) between writes.  A malformed SPEC
+   exits 1 before the command runs (explore, fuzz and serve alike). *)
+let checkpoint_every_arg =
+  let policy = function
+    | None -> Checkpoint.default_policy
+    | Some spec -> (
+        let s = String.trim spec in
+        let n = String.length s in
+        let parsed =
+          if n > 1 && (s.[n - 1] = 's' || s.[n - 1] = 'S') then
+            match float_of_string_opt (String.sub s 0 (n - 1)) with
+            | Some sec when sec > 0. ->
+                Some
+                  { Checkpoint.default_policy with Checkpoint.every_seconds = sec }
+            | _ -> None
+          else
+            match int_of_string_opt s with
+            | Some k when k > 0 ->
+                Some { Checkpoint.every_items = k; every_seconds = infinity }
+            | _ -> None
+        in
+        match parsed with
+        | Some p -> p
+        | None ->
+            prerr_endline (Printf.sprintf "bad --checkpoint-every %S" s);
+            exit 1)
+  in
+  Term.(
+    const policy
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "checkpoint-every" ] ~docv:"SPEC"
+            ~doc:
+              "Checkpoint cadence: '2s' or '0.5s' for seconds, a plain \
+               integer for work items (configs or trials) between writes.  \
+               Default: 5s."))
+
+let domains_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "domains" ] ~docv:"D"
+        ~doc:
+          "Worker domains for the parallel driver (default: KSA_DOMAINS or \
+           the recommended domain count; 1 = sequential). Workers share \
+           one dedup table and steal work, so any D admits the same \
+           configurations; use up to the physical core count — beyond \
+           it extra domains only add GC synchronisation.")
+
+let stats_json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "stats-json" ] ~docv:"FILE"
+        ~doc:
+          "Write a JSON snapshot of the instrumentation counters (configs \
+           visited, terminals, memo hits, interner occupancy, ...) to FILE \
+           after the search.")
+
+let checkpoint_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "checkpoint" ] ~docv:"FILE"
+        ~doc:
+          "Periodically write a crash-safe campaign checkpoint to FILE \
+           (atomic rename, CRC-framed).  On SIGINT/SIGTERM a final \
+           checkpoint is flushed and the exit code is 130; resume with \
+           --resume FILE.")
+
+let resume_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "resume" ] ~docv:"FILE"
+        ~doc:
+          "Resume the campaign from a checkpoint written by --checkpoint.  \
+           The resumed campaign reports verdict and stats identical to an \
+           uninterrupted run.  A corrupt or mismatched checkpoint falls \
+           back to a fresh campaign with a warning.")
+
+let strict_resume_arg =
+  Arg.(
+    value & flag
+    & info [ "strict-resume" ]
+        ~doc:
+          "Refuse to run when --resume names a checkpoint that cannot be \
+           resumed (missing, corrupt, wrong kind, or written under \
+           different campaign parameters): print the reason and exit 5 \
+           instead of warning and starting a fresh campaign.  Scripted \
+           campaigns should set this — a silent fresh start hides lost \
+           progress.")
+
+type campaign = {
+  domains : int option;
+  stats_json : string option;
+  checkpoint : string option;
+  every : Checkpoint.policy;
+  resume : string option;
+  strict_resume : bool;
+}
+
+let campaign_args =
+  let make domains stats_json checkpoint every resume strict_resume =
+    { domains; stats_json; checkpoint; every; resume; strict_resume }
+  in
+  Term.(
+    const make $ domains_arg $ stats_json_arg $ checkpoint_arg
+    $ checkpoint_every_arg $ resume_arg $ strict_resume_arg)
+
+(* Print the outcome's one verdict line and return its exit code;
+   [extras] prints what follows the headline and may override the code. *)
+let report ?(extras = fun _ code -> code) result =
+  let* outcome = result in
+  let s = Svc.Task.summarize outcome in
+  Format.printf "%s@." s.Svc.Task.detail;
+  extras outcome s.Svc.Task.exit_code
+
+(* The tail of every campaign command: --stats-json (a failed write
+   exits 1), then after SIGINT/SIGTERM the resume hint and exit 130. *)
+let finish c code =
+  let stats_code =
+    match c.stats_json with
+    | None -> 0
+    | Some path -> (
+        match Metrics.write_json ~path (Metrics.snapshot ()) with
+        | Ok () ->
+            Format.eprintf "stats written to %s@." path;
+            0
+        | Error e ->
+            Printf.eprintf "ksa: %s\n%!" e;
+            1)
+  in
+  if Atomic.get shutdown then begin
+    resume_hint ~checkpoint:c.checkpoint;
+    130
+  end
+  else if stats_code <> 0 then stats_code
+  else code
 
 (* [--progress]: a sampler domain prints a throughput line on stderr
    roughly once a second until the search returns.  It only reads the
@@ -459,54 +566,32 @@ let with_progress enabled f =
       f
   end
 
-let explore algo_name n k l wait_for dead crash_budget model policy reduction
-    domains max_configs drop_on_crash stats_json progress checkpoint
-    checkpoint_every resume strict_resume =
-  (* the campaign itself is a library-level task now (shared with the
-     daemon); the CLI keeps argument parsing, printing and the exit
-     mapping *)
-  let spec =
-    Svc.Task.Explore
-      {
-        Svc.Task.e_algo = algo_name;
-        e_n = n;
-        e_k = k;
-        e_l = l;
-        e_wait = wait_for;
-        e_dead = dead;
-        e_crash_budget = crash_budget;
-        e_model = model;
-        e_policy = policy;
-        e_reduction = reduction;
-        e_max_configs = max_configs;
-        e_drop = drop_on_crash;
-      }
-  in
+(* Run [spec] as a campaign: checkpoint sink and resume (lenient, or
+   exit 5 under --strict-resume), signal handlers, the Task itself,
+   its verdict line, and [finish]. *)
+let run_campaign ?(progress = false) ?stop ?extras c spec =
   let kind = Svc.Task.kind spec in
   let fingerprint = Svc.Task.fingerprint spec in
   let domains =
-    match domains with
+    match c.domains with
     | Some d -> d
     | None -> Sim.Explorer.default_domains ()
   in
-  let ck_policy =
-    match checkpoint_every with
-    | None -> Checkpoint.default_policy
-    | Some s -> (
-        match parse_every s with
-        | Ok p -> p
-        | Error e ->
-            prerr_endline e;
-            exit 1)
-  in
   let sink =
     Option.map
-      (fun path -> { Checkpoint.path; kind; fingerprint; policy = ck_policy })
-      checkpoint
+      (fun path -> { Checkpoint.path; kind; fingerprint; policy = c.every })
+      c.checkpoint
   in
   let resumed =
-    Option.bind resume (fun path ->
-        load_resume ~strict:strict_resume ~path ~kind ~fingerprint ())
+    Option.bind c.resume (fun path ->
+        match Svc.Task.load_resume ~path ~kind ~fingerprint with
+        | Ok t -> Some t
+        | Error reason when c.strict_resume ->
+            Printf.eprintf "ksa: cannot resume (strict): %s\n%!" reason;
+            exit 5
+        | Error reason ->
+            Printf.eprintf "ksa: %s — starting a fresh campaign\n%!" reason;
+            None)
   in
   install_signal_handlers ();
   let ckpt =
@@ -515,81 +600,32 @@ let explore algo_name n k l wait_for dead crash_budget model policy reduction
       ~ledger:(match resumed with Some t -> Checkpoint.ledger t | None -> [])
       ()
   in
+  (* the full payload: a coverage campaign's corpus rides in it *)
   let resume = Option.map Checkpoint.payload resumed in
-  let pp_stats ppf (s : Sim.Explorer.stats) =
-    Format.fprintf ppf "%d configs visited, %d terminal runs%s"
-      s.Sim.Explorer.configs_visited s.Sim.Explorer.terminal_runs
-      (if s.Sim.Explorer.budget_exhausted then " (budget exhausted)" else "")
-  in
-  (* returns 1 when the stats file could not be written *)
-  let write_stats () =
-    match stats_json with
-    | None -> 0
-    | Some path -> (
-        match Metrics.write_json ~path (Metrics.snapshot ()) with
-        | Ok () ->
-            Format.eprintf "stats written to %s@." path;
-            0
-        | Error e ->
-            Printf.eprintf "ksa: %s\n%!" e;
-            1)
-  in
-  let code =
-    with_progress progress (fun () ->
-        match Svc.Task.run ~domains ~ckpt ?resume spec with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok (Svc.Task.Explored outcome) -> (
-            match outcome with
-            | Sim.Explorer.Safe stats when stats.Sim.Explorer.budget_exhausted
-              ->
-                (* no violation in the explored prefix, but the prefix
-                   is not the space: refuse the optimistic verdict *)
-                Format.printf
-                  "INDETERMINATE: no violation in the explored prefix, but \
-                   the budget truncated the search — %a@."
-                  pp_stats stats;
-                4
-            | Sim.Explorer.Safe stats ->
-                Format.printf "SAFE: %a@." pp_stats stats;
-                0
-            | Sim.Explorer.Violation { reason; depth; _ } ->
-                Format.printf "VIOLATION at depth %d: %s@." depth reason;
-                2)
-        | Ok (Svc.Task.Crash_explored outcome) -> (
-            match outcome with
-            | Sim.Explorer.All_paths_decide stats ->
-                Format.printf "ALL PATHS DECIDE: %a@." pp_stats stats;
-                0
-            | Sim.Explorer.Safety_violation { reason; _ } ->
-                Format.printf "VIOLATION: %s@." reason;
-                2
-            | Sim.Explorer.Stuck { crashed; undecided_correct; stats } ->
-                Format.printf "STUCK: crashes {%s} strand {%s} undecided — %a@."
-                  (String.concat ","
-                     (List.map (Printf.sprintf "p%d") crashed))
-                  (String.concat ","
-                     (List.map (Printf.sprintf "p%d") undecided_correct))
-                  pp_stats stats;
-                3
-            | Sim.Explorer.Indeterminate stats ->
-                Format.printf
-                  "INDETERMINATE: the budget truncated the search before the \
-                   reachable graph closed — %a@."
-                  pp_stats stats;
-                4)
-        | Ok (Svc.Task.Fuzzed _ | Svc.Task.Probed _) ->
-            (* an Explore spec cannot produce these *)
-            assert false)
-  in
-  let stats_code = write_stats () in
-  if Atomic.get shutdown then begin
-    resume_hint ~checkpoint;
-    130
-  end
-  else if stats_code <> 0 then stats_code
-  else code
+  with_progress progress (fun () ->
+      report ?extras (Svc.Task.run ~domains ?stop ~ckpt ?resume spec))
+  |> finish c
+
+(* ---------- explore ---------- *)
+
+let explore algo_name n k l wait_for dead crash_budget model policy reduction
+    max_configs drop_on_crash progress campaign =
+  run_campaign ~progress campaign
+    (Svc.Task.Explore
+       {
+         Svc.Task.e_algo = algo_name;
+         e_n = n;
+         e_k = k;
+         e_l = l;
+         e_wait = wait_for;
+         e_dead = dead;
+         e_crash_budget = crash_budget;
+         e_model = model;
+         e_policy = policy;
+         e_reduction = reduction;
+         e_max_configs = max_configs;
+         e_drop = drop_on_crash;
+       })
 
 let crash_budget_arg =
   Arg.(
@@ -626,18 +662,6 @@ let reduction_arg =
            only).  Verdicts and reachable decision values are invariant \
            across modes; visited-configuration counts are not.")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Worker domains for the parallel driver (default: KSA_DOMAINS or \
-           the recommended domain count; 1 = sequential). Workers share \
-           one dedup table and steal work, so any D admits the same \
-           configurations; use up to the physical core count — beyond \
-           it extra domains only add GC synchronisation.")
-
 let max_configs_arg =
   Arg.(
     value
@@ -653,16 +677,6 @@ let drop_on_crash_arg =
           "Also explore dropping each crashed process's pending messages \
            (last-step omission).")
 
-let stats_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "stats-json" ] ~docv:"FILE"
-        ~doc:
-          "Write a JSON snapshot of the instrumentation counters (configs \
-           visited, terminals, memo hits, interner occupancy, ...) to FILE \
-           after the search.")
-
 let progress_arg =
   Arg.(
     value & flag
@@ -670,49 +684,6 @@ let progress_arg =
         ~doc:
           "Print a configs/sec progress line to stderr about once a second \
            while the search runs.")
-
-let checkpoint_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:
-          "Periodically write a crash-safe campaign checkpoint to FILE \
-           (atomic rename, CRC-framed).  On SIGINT/SIGTERM a final \
-           checkpoint is flushed and the exit code is 130; resume with \
-           --resume FILE.")
-
-let checkpoint_every_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint-every" ] ~docv:"SPEC"
-        ~doc:
-          "Checkpoint cadence: '2s' or '0.5s' for seconds, a plain integer \
-           for work items (configs or trials) between writes.  Default: 5s.")
-
-let resume_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "resume" ] ~docv:"FILE"
-        ~doc:
-          "Resume the campaign from a checkpoint written by --checkpoint.  \
-           The resumed campaign reports verdict and stats identical to an \
-           uninterrupted run.  A corrupt or mismatched checkpoint falls \
-           back to a fresh campaign with a warning.")
-
-let strict_resume_arg =
-  Arg.(
-    value & flag
-    & info [ "strict-resume" ]
-        ~doc:
-          "Refuse to run when --resume names a checkpoint that cannot be \
-           resumed (missing, corrupt, wrong kind, or written under \
-           different campaign parameters): print the reason and exit 5 \
-           instead of warning and starting a fresh campaign.  Scripted \
-           campaigns should set this — a silent fresh start hides lost \
-           progress.")
 
 let explore_cmd =
   Cmd.v
@@ -726,210 +697,71 @@ let explore_cmd =
     Term.(
       const explore $ algo_arg $ n_arg $ k_arg $ l_arg $ wait_arg $ dead_arg
       $ crash_budget_arg $ model_arg $ policy_arg $ reduction_arg
-      $ domains_arg
-      $ max_configs_arg $ drop_on_crash_arg $ stats_json_arg $ progress_arg
-      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ strict_resume_arg)
+      $ max_configs_arg $ drop_on_crash_arg $ progress_arg $ campaign_args)
 
 (* ---------- fuzz ---------- *)
 
 let fuzz algo_name n k l wait_for seed trials max_steps max_crashes dead
-    model weights_name require_termination coverage domains stats_json
-    save_schedule replay_path max_seconds checkpoint checkpoint_every resume
-    strict_resume =
+    model weights_name require_termination coverage save_schedule replay_path
+    max_seconds campaign =
   let stop =
-    match max_seconds with
-    | None -> None
-    | Some s ->
+    Option.map
+      (fun s ->
         (* monotonic: a wall-clock step (NTP, DST) must not end or
            extend the campaign *)
         let start = Clock.now_ns () in
-        Some (fun () -> Clock.elapsed_s ~since:start > s)
+        fun () -> Clock.elapsed_s ~since:start > s)
+      max_seconds
   in
-  (* returns 1 when the stats file could not be written *)
-  let write_stats () =
-    match stats_json with
-    | None -> 0
-    | Some path -> (
-        match Metrics.write_json ~path (Metrics.snapshot ()) with
-        | Ok () ->
-            Format.eprintf "stats written to %s@." path;
-            0
-        | Error e ->
-            Printf.eprintf "ksa: %s\n%!" e;
-            1)
+  let spec =
+    {
+      Svc.Task.f_algo = algo_name;
+      f_n = n;
+      f_k = k;
+      f_l = l;
+      f_wait = wait_for;
+      f_dead = dead;
+      f_seed = seed;
+      f_trials = trials;
+      f_max_steps = max_steps;
+      f_max_crashes = max_crashes;
+      f_weights = weights_name;
+      f_termination = require_termination;
+      f_coverage = coverage;
+      f_model = model;
+    }
   in
-  let code =
-    match replay_path with
-    | Some path -> (
-        (* replay is a one-shot CLI affair, not a campaign: it keeps
-           the direct driver path *)
-        let l = Option.value l ~default:(max 1 (n - 1)) in
-        match algo_conv ~l ~wait_for algo_name with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok (module A) -> (
-            let module F = Sim.Fuzz.Make (A) in
-            let weights =
-              match weights_name with
-              | "fair" -> Sim.Fuzz.fair_weights
-              | "mixed" -> Sim.Fuzz.default_weights
-              | w ->
-                  Printf.eprintf
-                    "unknown weights %S (expected fair or mixed)\n" w;
-                  exit 1
-            in
-            let cfg =
-              {
-                (Sim.Fuzz.default_config ~k ~n ()) with
-                Sim.Fuzz.pattern = Sim.Failure_pattern.initial_dead ~n ~dead;
-                weights;
-                max_crashes;
-                max_steps;
-                properties =
-                  ([ Sim.Fuzz.K_agreement k; Sim.Fuzz.Validity ]
-                  @ if require_termination then [ Sim.Fuzz.Termination ]
-                    else []);
-                stop;
-                model;
-                coverage;
-              }
-            in
-            (* a schedule recorded under another model is refused, not
-               silently replayed under this one *)
-            match Sim.Trace_io.load_schedule ~expect:model ~path () with
+  (* after the headline: the coverage map, then the counterexample's
+     schedule (saved with --save-schedule) *)
+  let extras outcome code =
+    if coverage then
+      Format.printf "coverage: %d state ids, %d transition pairs, corpus %d@."
+        (Metrics.gauge_value (Metrics.gauge "fuzz.cov.ids"))
+        (Metrics.gauge_value (Metrics.gauge "fuzz.cov.pairs"))
+        (Metrics.gauge_value (Metrics.gauge "fuzz.cov.corpus"));
+    match Svc.Task.counterexample outcome with
+    | None -> code
+    | Some v -> (
+        Format.printf
+          "schedule: %d steps, shrunk to %d (1-minimal, %d candidate \
+           replays)@."
+          (List.length v.Sim.Fuzz.schedule)
+          (List.length v.Sim.Fuzz.shrunk)
+          v.Sim.Fuzz.shrink_candidates;
+        match save_schedule with
+        | None -> code
+        | Some path -> (
+            match Sim.Trace_io.save_schedule ~model ~path v.Sim.Fuzz.shrunk with
+            | Ok () ->
+                Format.printf "shrunk schedule written to %s@." path;
+                code
             | Error e ->
-                prerr_endline e;
-                1
-            | Ok sched -> (
-                let run = F.replay_schedule cfg sched in
-                match F.check_run cfg run with
-                | Some (prop, reason) ->
-                    Format.printf "VIOLATION (%s): %s@."
-                      (Sim.Fuzz.property_name prop)
-                      reason;
-                    2
-                | None ->
-                    Format.printf "CLEAN: replaying %d steps violates nothing@."
-                      (List.length sched);
-                    0)))
-    | None -> (
-        let spec =
-          Svc.Task.Fuzz
-            {
-              Svc.Task.f_algo = algo_name;
-              f_n = n;
-              f_k = k;
-              f_l = l;
-              f_wait = wait_for;
-              f_dead = dead;
-              f_seed = seed;
-              f_trials = trials;
-              f_max_steps = max_steps;
-              f_max_crashes = max_crashes;
-              f_weights = weights_name;
-              f_termination = require_termination;
-              f_coverage = coverage;
-              f_model = model;
-            }
-        in
-        let kind = Svc.Task.kind spec in
-        let fingerprint = Svc.Task.fingerprint spec in
-        let domains =
-          match domains with
-          | Some d -> d
-          | None -> Sim.Explorer.default_domains ()
-        in
-        let ck_policy =
-          match checkpoint_every with
-          | None -> Checkpoint.default_policy
-          | Some s -> (
-              match parse_every s with
-              | Ok p -> p
-              | Error e ->
-                  prerr_endline e;
-                  exit 1)
-        in
-        let sink =
-          Option.map
-            (fun path ->
-              { Checkpoint.path; kind; fingerprint; policy = ck_policy })
-            checkpoint
-        in
-        let resumed =
-          Option.bind resume (fun path ->
-              load_resume ~strict:strict_resume ~path ~kind ~fingerprint ())
-        in
-        install_signal_handlers ();
-        let ckpt =
-          Checkpoint.ctl ?sink
-            ~interrupt:(fun () -> Atomic.get shutdown)
-            ~ledger:
-              (match resumed with Some t -> Checkpoint.ledger t | None -> [])
-            ()
-        in
-        (* the full payload, not just the trial index: a coverage
-           campaign's corpus rides in it *)
-        let resume_payload = Option.map Checkpoint.payload resumed in
-        let report_coverage () =
-          if coverage then
-            Format.printf
-              "coverage: %d state ids, %d transition pairs, corpus %d@."
-              (Metrics.gauge_value (Metrics.gauge "fuzz.cov.ids"))
-              (Metrics.gauge_value (Metrics.gauge "fuzz.cov.pairs"))
-              (Metrics.gauge_value (Metrics.gauge "fuzz.cov.corpus"))
-        in
-        match Svc.Task.run ~domains ?stop ~ckpt ?resume:resume_payload spec with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok (Svc.Task.Fuzzed outcome) -> (
-            match outcome with
-            | Sim.Fuzz.Violation_found v -> (
-                Format.printf "VIOLATION at trial %d (%s): %s@."
-                  v.Sim.Fuzz.trial v.Sim.Fuzz.property v.Sim.Fuzz.reason;
-                report_coverage ();
-                Format.printf
-                  "schedule: %d steps, shrunk to %d (1-minimal, %d candidate \
-                   replays)@."
-                  (List.length v.Sim.Fuzz.schedule)
-                  (List.length v.Sim.Fuzz.shrunk)
-                  v.Sim.Fuzz.shrink_candidates;
-                match save_schedule with
-                | Some path -> (
-                    match
-                      Sim.Trace_io.save_schedule ~model ~path v.Sim.Fuzz.shrunk
-                    with
-                    | Ok () ->
-                        Format.printf "shrunk schedule written to %s@." path;
-                        2
-                    | Error e ->
-                        Printf.eprintf "ksa: %s\n%!" e;
-                        1)
-                | None -> 2)
-            | Sim.Fuzz.Clean { trials } ->
-                Format.printf "CLEAN: %d trials, no violation@." trials;
-                report_coverage ();
-                0
-            | Sim.Fuzz.Budget_exhausted { trials } ->
-                Format.printf
-                  "BUDGET EXHAUSTED: no violation in the %d trials that ran \
-                   before the budget@."
-                  trials;
-                report_coverage ();
-                4)
-        | Ok (Svc.Task.Explored _ | Svc.Task.Crash_explored _ | Svc.Task.Probed _)
-          ->
-            (* a Fuzz spec cannot produce these *)
-            assert false)
+                Printf.eprintf "ksa: %s\n%!" e;
+                1))
   in
-  let stats_code = write_stats () in
-  if Atomic.get shutdown then begin
-    resume_hint ~checkpoint;
-    130
-  end
-  else if stats_code <> 0 then stats_code
-  else code
+  match replay_path with
+  | Some path -> finish campaign (report (Svc.Task.replay ~path spec))
+  | None -> run_campaign ?stop ~extras campaign (Svc.Task.Fuzz spec)
 
 let trials_arg =
   Arg.(
@@ -1004,80 +836,65 @@ let fuzz_cmd =
     Term.(
       const fuzz $ algo_arg $ n_arg $ k_arg $ l_arg $ wait_arg $ seed_arg
       $ trials_arg $ max_steps_arg $ max_crashes_arg $ dead_arg $ model_arg
-      $ weights_arg $ require_termination_arg $ coverage_arg $ domains_arg
-      $ stats_json_arg $ save_schedule_arg $ replay_arg $ max_seconds_arg
-      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ strict_resume_arg)
+      $ weights_arg $ require_termination_arg $ coverage_arg
+      $ save_schedule_arg $ replay_arg $ max_seconds_arg $ campaign_args)
 
 (* ---------- screen ---------- *)
 
 let screen algo_name n f k l wait_for model exhaustive_c =
   let l = Option.value l ~default:(max 1 (n - f)) in
-  match algo_conv ~l ~wait_for algo_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok (module A) ->
-      let partition =
-        match Core.Partitioning.theorem2 ~n ~f ~k with
-        | Some p -> p
-        | None ->
-            (* outside Theorem 2's region: use k-1 singleton groups *)
-            Core.Partitioning.make ~n
-              ~groups:(List.init (k - 1) (fun i -> [ i ]))
-      in
-      Format.printf "partition: %a@." Core.Partitioning.pp partition;
-      let report =
-        Core.Theorem1.evaluate ~exhaustive_c ~subsystem_crash_budget:1
-          (module A) ~partition
-      in
-      Format.printf "%a@." Core.Theorem1.pp_report report;
-      (match report.Core.Theorem1.portfolio.Core.Theorem1.witness with
-      | Some w ->
-          Format.printf "witness (%s): %a@." w.Core.Theorem1.adversary
-            Sim.Run.pp_summary w.Core.Theorem1.run
-      | None -> ());
-      let theorem1_caught =
-        report.Core.Theorem1.verdict = `Not_a_kset_algorithm
-      in
-      (* model-aware leg: under a non-crash model, also sweep the whole
-         schedule/corruption space within the model's budget — Theorem 1
-         witnesses are crash constructions and cannot see forged or
-         omitted messages *)
-      let model_caught =
-        match model with
-        | Sim.Fault_model.Crash -> false
-        | m -> (
-            let module Ex = Sim.Explorer.Make (A) in
-            let check decisions =
-              let distinct =
-                List.sort_uniq Sim.Value.compare
-                  (List.map (fun (_, v, _) -> v) decisions)
-              in
-              if List.length distinct > k then
-                Some
-                  (Printf.sprintf "%d distinct decisions exceed k=%d"
-                     (List.length distinct) k)
-              else None
-            in
-            match
-              Ex.explore_with_crashes ~model:m ~max_configs:2_000_000 ~n
-                ~inputs:(Sim.Value.distinct_inputs n)
-                ~crash_budget:(Sim.Fault_model.budget m) ~check ()
-            with
-            | Sim.Explorer.Safety_violation { reason; _ } ->
-                Format.printf "%s sweep: VIOLATION %s@."
-                  (Sim.Fault_model.to_string m) reason;
-                true
-            | Sim.Explorer.Indeterminate _ ->
-                Format.printf "%s sweep: indeterminate (budget)@."
-                  (Sim.Fault_model.to_string m);
-                false
-            | Sim.Explorer.All_paths_decide _ | Sim.Explorer.Stuck _ ->
-                Format.printf "%s sweep: no safety violation@."
-                  (Sim.Fault_model.to_string m);
-                false)
-      in
-      if theorem1_caught || model_caught then 2 else 0
+  let* (module A : Sim.Algorithm.S) = Svc.Task.algo_conv ~l ~wait_for algo_name in
+  let partition =
+    match Core.Partitioning.theorem2 ~n ~f ~k with
+    | Some p -> p
+    | None ->
+        (* outside Theorem 2's region: use k-1 singleton groups *)
+        Core.Partitioning.make ~n ~groups:(List.init (k - 1) (fun i -> [ i ]))
+  in
+  Format.printf "partition: %a@." Core.Partitioning.pp partition;
+  let report =
+    Core.Theorem1.evaluate ~exhaustive_c ~subsystem_crash_budget:1
+      (module A) ~partition
+  in
+  Format.printf "%a@." Core.Theorem1.pp_report report;
+  (match report.Core.Theorem1.portfolio.Core.Theorem1.witness with
+  | Some w ->
+      Format.printf "witness (%s): %a@." w.Core.Theorem1.adversary
+        Sim.Run.pp_summary w.Core.Theorem1.run
+  | None -> ());
+  let theorem1_caught = report.Core.Theorem1.verdict = `Not_a_kset_algorithm in
+  (* model-aware leg: under a non-crash model, also sweep the whole
+     schedule/corruption space within the model's budget — Theorem 1
+     witnesses are crash constructions and cannot see forged or
+     omitted messages *)
+  let* model_caught =
+    match model with
+    | Sim.Fault_model.Crash -> Ok false
+    | m ->
+        Svc.Task.run
+          (Svc.Task.Explore
+             {
+               Svc.Task.e_algo = algo_name;
+               e_n = n;
+               e_k = k;
+               e_l = Some l;
+               e_wait = wait_for;
+               e_dead = [];
+               e_crash_budget = Sim.Fault_model.budget m;
+               e_model = m;
+               e_policy = "per-sender";
+               e_reduction = Sim.Canon.No_reduction;
+               e_max_configs = Some 2_000_000;
+               e_drop = true;
+             })
+        |> Result.map (fun outcome ->
+               let s = Svc.Task.summarize outcome in
+               Format.printf "%s sweep: %s@."
+                 (Sim.Fault_model.to_string m)
+                 s.Svc.Task.detail;
+               s.Svc.Task.verdict = "violation")
+  in
+  if theorem1_caught || model_caught then 2 else 0
 
 let exhaustive_c_arg =
   Arg.(
@@ -1100,38 +917,34 @@ let screen_cmd =
 (* ---------- paste ---------- *)
 
 let paste algo_name groups_str l wait_for =
-  let groups =
+  let* groups =
     match groups_str with
     | Some s -> groups_of_string s
-    | None -> [ [ 0 ]; [ 1 ]; [ 2; 3; 4 ] ]
+    | None -> Ok [ [ 0 ]; [ 1 ]; [ 2; 3; 4 ] ]
   in
   let n = List.length (List.concat groups) in
   let l = Option.value l ~default:(max 1 (n / List.length groups)) in
-  match algo_conv ~l ~wait_for algo_name with
+  let* algo = Svc.Task.algo_conv ~l ~wait_for algo_name in
+  match Core.Pasting.lemma12 algo ~groups with
   | Error e ->
-      prerr_endline e;
+      Format.printf "construction failed: %s@." e;
       1
-  | Ok (module A) -> (
-      match Core.Pasting.lemma12 (module A) ~groups with
-      | Error e ->
-          Format.printf "construction failed: %s@." e;
-          1
-      | Ok r ->
-          Format.printf "pasted run: %a@." Sim.Run.pp_summary r.Core.Pasting.pasted;
-          Format.printf "distinct decisions: %d (k = %d groups)@."
-            r.Core.Pasting.distinct_decisions (List.length groups);
-          Format.printf "per-group indistinguishability: %s@."
-            (String.concat " "
-               (List.map string_of_bool r.Core.Pasting.per_group_indistinguishable));
-          (match r.Core.Pasting.definition7 with
-          | Some (Ok ()) -> Format.printf "pasted history: Definition 7 ok@."
-          | Some (Error e) -> Format.printf "pasted history: %s@." e
-          | None -> ());
-          (match r.Core.Pasting.lemma9 with
-          | Some (Ok ()) -> Format.printf "pasted history: Lemma 9 ok@."
-          | Some (Error e) -> Format.printf "lemma 9: %s@." e
-          | None -> ());
-          0)
+  | Ok r ->
+      Format.printf "pasted run: %a@." Sim.Run.pp_summary r.Core.Pasting.pasted;
+      Format.printf "distinct decisions: %d (k = %d groups)@."
+        r.Core.Pasting.distinct_decisions (List.length groups);
+      Format.printf "per-group indistinguishability: %s@."
+        (String.concat " "
+           (List.map string_of_bool r.Core.Pasting.per_group_indistinguishable));
+      (match r.Core.Pasting.definition7 with
+      | Some (Ok ()) -> Format.printf "pasted history: Definition 7 ok@."
+      | Some (Error e) -> Format.printf "pasted history: %s@." e
+      | None -> ());
+      (match r.Core.Pasting.lemma9 with
+      | Some (Ok ()) -> Format.printf "pasted history: Lemma 9 ok@."
+      | Some (Error e) -> Format.printf "lemma 9: %s@." e
+      | None -> ());
+      0
 
 let paste_cmd =
   Cmd.v
@@ -1145,32 +958,36 @@ let paste_cmd =
 (* ---------- independence ---------- *)
 
 let independence algo_name n l wait_for family =
-  match algo_conv ~l:(Option.value l ~default:2) ~wait_for algo_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok (module A) ->
-      let fam =
-        match family with
-        | "wait-free" -> Core.Independence.wait_free_family ~n
-        | "singletons" -> Core.Independence.obstruction_free_family ~n
-        | s when String.length s > 2 && String.sub s 0 2 = "f=" ->
-            let f = int_of_string (String.sub s 2 (String.length s - 2)) in
-            Core.Independence.f_resilient_family ~n ~f
-        | _ -> Core.Independence.wait_free_family ~n
-      in
-      let verdicts =
-        Core.Independence.check_family ~max_steps:20_000 (module A) ~n ~family:fam
-      in
-      List.iter
-        (fun v ->
-          Format.printf "{%s}: %s@."
-            (String.concat " " (List.map string_of_int v.Core.Independence.set))
-            (if v.Core.Independence.independent then "independent" else "dependent"))
-        verdicts;
-      let all = List.for_all (fun v -> v.Core.Independence.independent) verdicts in
-      Format.printf "T-independence %s@." (if all then "holds" else "fails");
-      0
+  let* algo =
+    Svc.Task.algo_conv ~l:(Option.value l ~default:2) ~wait_for algo_name
+  in
+  let unknown =
+    Error
+      (Printf.sprintf
+         "unknown family %S (expected wait-free, singletons, or f=<int>)" family)
+  in
+  let* fam =
+    match family with
+    | "wait-free" -> Ok (Core.Independence.wait_free_family ~n)
+    | "singletons" -> Ok (Core.Independence.obstruction_free_family ~n)
+    | s when String.length s > 2 && String.sub s 0 2 = "f=" -> (
+        match int_of_string_opt (String.sub s 2 (String.length s - 2)) with
+        | Some f -> Ok (Core.Independence.f_resilient_family ~n ~f)
+        | None -> unknown)
+    | _ -> unknown
+  in
+  let verdicts =
+    Core.Independence.check_family ~max_steps:20_000 algo ~n ~family:fam
+  in
+  List.iter
+    (fun v ->
+      Format.printf "{%s}: %s@."
+        (String.concat " " (List.map string_of_int v.Core.Independence.set))
+        (if v.Core.Independence.independent then "independent" else "dependent"))
+    verdicts;
+  let all = List.for_all (fun v -> v.Core.Independence.independent) verdicts in
+  Format.printf "T-independence %s@." (if all then "holds" else "fails");
+  0
 
 let family_arg =
   Arg.(
@@ -1201,8 +1018,9 @@ let ho algo_name n rounds assignment_str =
     match assignment_str with
     | "complete" -> Ok (Ksa_ho.Assignment.complete ~n)
     | s when String.length s > 10 && String.sub s 0 10 = "partition:" ->
-        let groups = groups_of_string (String.sub s 10 (String.length s - 10)) in
-        Ok (Ksa_ho.Assignment.partitioned ~n ~groups ())
+        groups_of_string (String.sub s 10 (String.length s - 10))
+        |> Result.map (fun groups ->
+               Ksa_ho.Assignment.partitioned ~n ~groups ())
     | s when String.length s > 9 && String.sub s 0 9 = "majority:" -> (
         match int_of_string_opt (String.sub s 9 (String.length s - 9)) with
         | Some seed ->
@@ -1255,17 +1073,7 @@ let ho_cmd =
 (* ---------- serve: the campaign daemon ---------- *)
 
 let serve dir listen retry_base retry_cap retries seed deadline domains
-    checkpoint_every exit_when_idle verbose =
-  let ck_policy =
-    match checkpoint_every with
-    | None -> Checkpoint.default_policy
-    | Some s -> (
-        match parse_every s with
-        | Ok p -> p
-        | Error e ->
-            prerr_endline e;
-            exit 1)
-  in
+    ckpt_policy exit_when_idle verbose =
   let cfg =
     {
       (Svc.Daemon.default_cfg ~dir) with
@@ -1278,7 +1086,7 @@ let serve dir listen retry_base retry_cap retries seed deadline domains
       deadline;
       domains;
       exit_when_idle;
-      ckpt_policy = ck_policy;
+      ckpt_policy;
       verbose;
     }
   in
@@ -1401,70 +1209,64 @@ let job_call ~addr ~meth ~path ?body () =
   | Ok (status, body) -> (status, body)
 
 let job_submit addr spec_str deadline retries =
-  match Svc.Json.parse spec_str with
+  (* validate locally first: a bad spec should not need a daemon
+     round-trip to be diagnosed *)
+  match
+    Result.bind (Svc.Json.parse spec_str) (fun j ->
+        Result.map (fun _ -> j) (Svc.Task.spec_of_json j))
+  with
   | Error e ->
       Printf.eprintf "ksa: bad spec: %s\n%!" e;
       1
   | Ok spec_json -> (
-      (* validate locally first: a bad spec should not need a daemon
-         round-trip to be diagnosed *)
-      match Svc.Task.spec_of_json spec_json with
-      | Error e ->
-          Printf.eprintf "ksa: bad spec: %s\n%!" e;
-          1
-      | Ok _ -> (
-          let body =
-            Svc.Json.to_string
-              (Svc.Json.Obj
-                 ([ ("spec", spec_json) ]
-                 @ (match deadline with
-                   | None -> []
-                   | Some d -> [ ("deadline", Svc.Json.Float d) ])
-                 @
-                 match retries with
-                 | None -> []
-                 | Some r -> [ ("retries", Svc.Json.Int r) ]))
-          in
-          match job_call ~addr ~meth:"POST" ~path:"/jobs" ~body () with
-          | 201, reply -> (
-              match
-                Result.bind (Svc.Json.parse reply) (fun j ->
-                    match Option.bind (Svc.Json.mem "id" j) Svc.Json.get_int
-                    with
-                    | Some id -> Ok id
-                    | None -> Error "no id in reply")
-              with
-              | Ok id ->
-                  (* just the id: scripts capture it for wait/status *)
-                  print_endline (string_of_int id);
-                  0
-              | Error e ->
-                  Printf.eprintf "ksa: bad reply: %s\n%!" e;
-                  1)
-          | status, reply ->
-              Printf.eprintf "ksa: submit failed (%d): %s\n%!" status reply;
-              1))
+      let body =
+        Svc.Json.to_string
+          (Svc.Json.Obj
+             (("spec", spec_json)
+             :: List.filter_map Fun.id
+                  [
+                    Option.map (fun d -> ("deadline", Svc.Json.Float d)) deadline;
+                    Option.map (fun r -> ("retries", Svc.Json.Int r)) retries;
+                  ]))
+      in
+      match job_call ~addr ~meth:"POST" ~path:"/jobs" ~body () with
+      | 201, reply -> (
+          match
+            Result.bind (Svc.Json.parse reply) (fun j ->
+                match Option.bind (Svc.Json.mem "id" j) Svc.Json.get_int with
+                | Some id -> Ok id
+                | None -> Error "no id in reply")
+          with
+          | Ok id ->
+              (* just the id: scripts capture it for wait/status *)
+              print_endline (string_of_int id);
+              0
+          | Error e ->
+              Printf.eprintf "ksa: bad reply: %s\n%!" e;
+              1)
+      | status, reply ->
+          Printf.eprintf "ksa: submit failed (%d): %s\n%!" status reply;
+          1)
 
-let job_list addr =
-  match job_call ~addr ~meth:"GET" ~path:"/jobs" () with
-  | 200, body ->
+(* a one-request verb: the reply body is printed on an [ok] status;
+   a 404 about job [id] is "no such job" *)
+let job_verb ~verb ~ok ?id ~addr ~meth path =
+  match job_call ~addr ~meth ~path () with
+  | status, body when List.mem status ok ->
       print_endline body;
       0
-  | status, body ->
-      Printf.eprintf "ksa: list failed (%d): %s\n%!" status body;
+  | 404, _ when id <> None ->
+      Printf.eprintf "ksa: no such job %d\n%!" (Option.get id);
       1
+  | status, body ->
+      Printf.eprintf "ksa: %s failed (%d): %s\n%!" verb status body;
+      1
+
+let job_list addr = job_verb ~verb:"list" ~ok:[ 200 ] ~addr ~meth:"GET" "/jobs"
 
 let job_status addr id =
-  match job_call ~addr ~meth:"GET" ~path:(Printf.sprintf "/jobs/%d" id) () with
-  | 200, body ->
-      print_endline body;
-      0
-  | 404, _ ->
-      Printf.eprintf "ksa: no such job %d\n%!" id;
-      1
-  | status, body ->
-      Printf.eprintf "ksa: status failed (%d): %s\n%!" status body;
-      1
+  job_verb ~verb:"status" ~ok:[ 200 ] ~id ~addr ~meth:"GET"
+    (Printf.sprintf "/jobs/%d" id)
 
 let job_wait addr id timeout =
   let start = Clock.now_ns () in
@@ -1505,27 +1307,11 @@ let job_wait addr id timeout =
   poll ()
 
 let job_cancel addr id =
-  match
-    job_call ~addr ~meth:"DELETE" ~path:(Printf.sprintf "/jobs/%d" id) ()
-  with
-  | (200 | 202), body ->
-      print_endline body;
-      0
-  | 404, _ ->
-      Printf.eprintf "ksa: no such job %d\n%!" id;
-      1
-  | status, body ->
-      Printf.eprintf "ksa: cancel failed (%d): %s\n%!" status body;
-      1
+  job_verb ~verb:"cancel" ~ok:[ 200; 202 ] ~id ~addr ~meth:"DELETE"
+    (Printf.sprintf "/jobs/%d" id)
 
 let job_drain addr =
-  match job_call ~addr ~meth:"POST" ~path:"/drain" () with
-  | 202, body ->
-      print_endline body;
-      0
-  | status, body ->
-      Printf.eprintf "ksa: drain failed (%d): %s\n%!" status body;
-      1
+  job_verb ~verb:"drain" ~ok:[ 202 ] ~addr ~meth:"POST" "/drain"
 
 let job_cmd =
   let spec_arg =

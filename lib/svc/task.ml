@@ -4,6 +4,8 @@ module Sim = Ksa_sim
 module Algo = Ksa_algo
 module Checkpoint = Ksa_sim.Checkpoint
 
+let ( let* ) = Result.bind
+
 type explore_spec = {
   e_algo : string;
   e_n : int;
@@ -176,7 +178,6 @@ let spec_to_json spec =
         ]
 
 let spec_of_json j =
-  let ( let* ) = Result.bind in
   let str ?default k =
     match Option.map Json.get_string (Json.mem k j) with
     | Some (Some s) -> Ok s
@@ -334,6 +335,7 @@ type outcome =
   | Explored of Sim.Explorer.outcome
   | Crash_explored of Sim.Explorer.resilient_outcome
   | Fuzzed of Sim.Fuzz.outcome
+  | Replayed of { violation : (Sim.Fuzz.property * string) option; steps : int }
   | Probed of { attempt : int }
 
 let k_check ~k decisions =
@@ -364,6 +366,29 @@ let run_probe ~attempt ~ckpt ~stop p =
     slept := !slept +. slice
   done;
   Probed { attempt }
+
+(* A fuzz campaign's algorithm and config, made in this one place:
+   [run] and [replay] share it, so a replayed schedule runs under
+   exactly the config of the campaign that recorded it. *)
+let fuzz_setup ~stop f =
+  let n = f.f_n in
+  let* algo = algo_conv ~l:(resolve_l ~n f.f_l) ~wait_for:f.f_wait f.f_algo in
+  let* weights = weights_conv f.f_weights in
+  Ok
+    ( algo,
+      {
+        (Sim.Fuzz.default_config ~k:f.f_k ~n ()) with
+        Sim.Fuzz.pattern = Sim.Failure_pattern.initial_dead ~n ~dead:f.f_dead;
+        weights;
+        max_crashes = f.f_max_crashes;
+        max_steps = f.f_max_steps;
+        properties =
+          ([ Sim.Fuzz.K_agreement f.f_k; Sim.Fuzz.Validity ]
+          @ if f.f_termination then [ Sim.Fuzz.Termination ] else []);
+        stop = Some stop;
+        model = f.f_model;
+        coverage = f.f_coverage;
+      } )
 
 (* A resumed explore campaign runs on the sequential explorer: its
    checkpoints are sequential-format, and its verdict and stats do not
@@ -418,37 +443,28 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                   Ok (Crash_explored outcome)
                 end
               with Invalid_argument msg -> Error ("not explorable: " ^ msg))))
-  | Fuzz f -> (
-      let n = f.f_n in
-      let l = resolve_l ~n f.f_l in
-      match algo_conv ~l ~wait_for:f.f_wait f.f_algo with
-      | Error _ as err -> err
-      | Ok (module A) -> (
-          match weights_conv f.f_weights with
-          | Error _ as err -> err
-          | Ok weights ->
-              let module F = Sim.Fuzz.Make (A) in
-              let cfg =
-                {
-                  (Sim.Fuzz.default_config ~k:f.f_k ~n ()) with
-                  Sim.Fuzz.pattern =
-                    Sim.Failure_pattern.initial_dead ~n ~dead:f.f_dead;
-                  weights;
-                  max_crashes = f.f_max_crashes;
-                  max_steps = f.f_max_steps;
-                  properties =
-                    ([ Sim.Fuzz.K_agreement f.f_k; Sim.Fuzz.Validity ]
-                    @
-                    if f.f_termination then [ Sim.Fuzz.Termination ] else []);
-                  stop = Some stop;
-                  model = f.f_model;
-                  coverage = f.f_coverage;
-                }
-              in
-              Ok
-                (Fuzzed
-                   (F.run ~domains ~ckpt ?resume_payload:resume cfg
-                      ~seed:f.f_seed ~trials:f.f_trials))))
+  | Fuzz f ->
+      let* (module A : Sim.Algorithm.S), cfg = fuzz_setup ~stop f in
+      let module F = Sim.Fuzz.Make (A) in
+      Ok
+        (Fuzzed
+           (F.run ~domains ~ckpt ?resume_payload:resume cfg ~seed:f.f_seed
+              ~trials:f.f_trials))
+
+let replay ~path f =
+  let* (module A : Sim.Algorithm.S), cfg =
+    fuzz_setup ~stop:(fun () -> false) f
+  in
+  (* a schedule recorded under another model is refused, not silently
+     replayed under this one *)
+  let* sched = Sim.Trace_io.load_schedule ~expect:f.f_model ~path () in
+  let module F = Sim.Fuzz.Make (A) in
+  let violation = F.check_run cfg (F.replay_schedule cfg sched) in
+  Ok (Replayed { violation; steps = List.length sched })
+
+let counterexample = function
+  | Fuzzed (Sim.Fuzz.Violation_found v) -> Some v
+  | Explored _ | Crash_explored _ | Fuzzed _ | Replayed _ | Probed _ -> None
 
 (* ---------- summaries ---------- *)
 
@@ -464,88 +480,60 @@ let pp_stats (s : Sim.Explorer.stats) =
     s.Sim.Explorer.configs_visited s.Sim.Explorer.terminal_runs
     (if s.Sim.Explorer.budget_exhausted then " (budget exhausted)" else "")
 
+let summary verdict exit_code ~items fmt =
+  Printf.ksprintf (fun detail -> { verdict; exit_code; detail; items }) fmt
+
+(* exit codes: 0 nothing found, 2 a violation, 3 a stuck configuration,
+   4 a budget cut the search short (the verdict is then indeterminate) *)
 let summarize = function
-  | Explored (Sim.Explorer.Safe stats)
-    when stats.Sim.Explorer.budget_exhausted ->
-      {
-        verdict = "indeterminate";
-        exit_code = 4;
-        detail = "no violation in the explored prefix; " ^ pp_stats stats;
-        items = stats.Sim.Explorer.configs_visited;
-      }
-  | Explored (Sim.Explorer.Safe stats) ->
-      {
-        verdict = "safe";
-        exit_code = 0;
-        detail = pp_stats stats;
-        items = stats.Sim.Explorer.configs_visited;
-      }
+  | Explored (Sim.Explorer.Safe s) when s.Sim.Explorer.budget_exhausted ->
+      (* no violation in the explored prefix, but the prefix is not the
+         space: refuse the optimistic verdict *)
+      summary "indeterminate" 4 ~items:s.Sim.Explorer.configs_visited
+        "INDETERMINATE: no violation in the explored prefix, but the budget \
+         truncated the search — %s"
+        (pp_stats s)
+  | Explored (Sim.Explorer.Safe s) ->
+      summary "safe" 0 ~items:s.Sim.Explorer.configs_visited "SAFE: %s"
+        (pp_stats s)
   | Explored (Sim.Explorer.Violation { reason; depth; _ }) ->
-      {
-        verdict = "violation";
-        exit_code = 2;
-        detail = Printf.sprintf "at depth %d: %s" depth reason;
-        items = depth;
-      }
-  | Crash_explored (Sim.Explorer.All_paths_decide stats) ->
-      {
-        verdict = "all-paths-decide";
-        exit_code = 0;
-        detail = pp_stats stats;
-        items = stats.Sim.Explorer.configs_visited;
-      }
+      summary "violation" 2 ~items:depth "VIOLATION at depth %d: %s" depth
+        reason
+  | Crash_explored (Sim.Explorer.All_paths_decide s) ->
+      summary "all-paths-decide" 0 ~items:s.Sim.Explorer.configs_visited
+        "ALL PATHS DECIDE: %s" (pp_stats s)
   | Crash_explored (Sim.Explorer.Safety_violation { reason; _ }) ->
-      { verdict = "violation"; exit_code = 2; detail = reason; items = 0 }
+      summary "violation" 2 ~items:0 "VIOLATION: %s" reason
   | Crash_explored (Sim.Explorer.Stuck { crashed; undecided_correct; stats })
     ->
-      {
-        verdict = "stuck";
-        exit_code = 3;
-        detail =
-          Printf.sprintf "crashes {%s} strand {%s} undecided; %s"
-            (String.concat "," (List.map (Printf.sprintf "p%d") crashed))
-            (String.concat ","
-               (List.map (Printf.sprintf "p%d") undecided_correct))
-            (pp_stats stats);
-        items = stats.Sim.Explorer.configs_visited;
-      }
-  | Crash_explored (Sim.Explorer.Indeterminate stats) ->
-      {
-        verdict = "indeterminate";
-        exit_code = 4;
-        detail = "budget truncated before the graph closed; " ^ pp_stats stats;
-        items = stats.Sim.Explorer.configs_visited;
-      }
+      let pids l = String.concat "," (List.map (Printf.sprintf "p%d") l) in
+      summary "stuck" 3 ~items:stats.Sim.Explorer.configs_visited
+        "STUCK: crashes {%s} strand {%s} undecided — %s" (pids crashed)
+        (pids undecided_correct) (pp_stats stats)
+  | Crash_explored (Sim.Explorer.Indeterminate s) ->
+      summary "indeterminate" 4 ~items:s.Sim.Explorer.configs_visited
+        "INDETERMINATE: the budget truncated the search before the reachable \
+         graph closed — %s"
+        (pp_stats s)
   | Fuzzed (Sim.Fuzz.Violation_found v) ->
-      {
-        verdict = "violation";
-        exit_code = 2;
-        detail =
-          Printf.sprintf "at trial %d (%s): %s" v.Sim.Fuzz.trial
-            v.Sim.Fuzz.property v.Sim.Fuzz.reason;
-        items = v.Sim.Fuzz.trial;
-      }
+      summary "violation" 2 ~items:v.Sim.Fuzz.trial
+        "VIOLATION at trial %d (%s): %s" v.Sim.Fuzz.trial v.Sim.Fuzz.property
+        v.Sim.Fuzz.reason
   | Fuzzed (Sim.Fuzz.Clean { trials }) ->
-      {
-        verdict = "clean";
-        exit_code = 0;
-        detail = Printf.sprintf "%d trials, no violation" trials;
-        items = trials;
-      }
+      summary "clean" 0 ~items:trials "CLEAN: %d trials, no violation" trials
   | Fuzzed (Sim.Fuzz.Budget_exhausted { trials }) ->
-      {
-        verdict = "budget-exhausted";
-        exit_code = 4;
-        detail = Printf.sprintf "no violation in %d trials before the budget" trials;
-        items = trials;
-      }
+      summary "budget-exhausted" 4 ~items:trials
+        "BUDGET EXHAUSTED: no violation in the %d trials that ran before the \
+         budget"
+        trials
+  | Replayed { violation = Some (prop, reason); steps } ->
+      summary "violation" 2 ~items:steps "VIOLATION (%s): %s"
+        (Sim.Fuzz.property_name prop) reason
+  | Replayed { violation = None; steps } ->
+      summary "clean" 0 ~items:steps
+        "CLEAN: replaying %d steps violates nothing" steps
   | Probed { attempt } ->
-      {
-        verdict = "ok";
-        exit_code = 0;
-        detail = Printf.sprintf "probe completed on attempt %d" attempt;
-        items = 1;
-      }
+      summary "ok" 0 ~items:1 "probe completed on attempt %d" attempt
 
 let summary_to_json s =
   Json.Obj
@@ -557,7 +545,6 @@ let summary_to_json s =
     ]
 
 let summary_of_json j =
-  let ( let* ) = Result.bind in
   let field k get =
     match Option.map get (Json.mem k j) with
     | Some (Some v) -> Ok v

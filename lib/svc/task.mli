@@ -8,15 +8,18 @@
     CLI has always written ({e byte-identical} formats — existing
     checkpoint files keep resuming), [load_resume] validates a
     checkpoint against a spec with structured failures (so callers
-    choose warn-and-fresh or strict-refusal), and [run] executes the
-    campaign: spec in, checkpoint in/out, outcome out.
+    choose warn-and-fresh or strict-refusal), [run] executes the
+    campaign (spec in, checkpoint in/out, outcome out), and
+    [summarize] maps every outcome to its one verdict line and exit
+    code.
 
-    The CLI keeps its argument parsing, printing and exit-code
-    mapping; the campaign daemon gets the same engine without a
-    subprocess.  A [Probe] task rides along — a trivially cheap,
-    deterministic task that fails its first [fail] attempts — so the
-    daemon's retry, backoff and throughput paths can be exercised
-    without spinning up a real search. *)
+    The CLI is a thin client: it parses flags into a spec, calls
+    [run] (or [replay]), and prints the summary's line; the campaign
+    daemon stores the same summary in its job records, so the two
+    cannot word a verdict differently.  A [Probe] task rides along — a
+    trivially cheap, deterministic task that fails its first [fail]
+    attempts — so the daemon's retry, backoff and throughput paths can
+    be exercised without spinning up a real search. *)
 
 type explore_spec = {
   e_algo : string;
@@ -70,6 +73,11 @@ val fingerprint : spec -> string
     CLI has always written into checkpoints for the same
     parameters. *)
 
+val algo_conv :
+  l:int -> wait_for:int -> string -> ((module Ksa_sim.Algorithm.S), string) result
+(** The algorithm of a name: [kset-flp] (waiting for [l] reports),
+    [naive-min] (waiting for [wait_for]), [trivial] or [synod]. *)
+
 val spec_to_json : spec -> Json.t
 val spec_of_json : Json.t -> (spec, string) result
 (** Wire/disk codec.  [spec_of_json] applies the CLI's defaults for
@@ -94,6 +102,11 @@ type outcome =
   | Explored of Ksa_sim.Explorer.outcome
   | Crash_explored of Ksa_sim.Explorer.resilient_outcome
   | Fuzzed of Ksa_sim.Fuzz.outcome
+  | Replayed of {
+      violation : (Ksa_sim.Fuzz.property * string) option;
+          (** The first property the replayed run violates. *)
+      steps : int;  (** Length of the replayed schedule. *)
+    }
   | Probed of { attempt : int }
 
 val run :
@@ -119,15 +132,34 @@ val run :
     ["not explorable: ..."]).  Other exceptions propagate — the
     daemon supervises them as job failures. *)
 
+val replay : path:string -> fuzz_spec -> (outcome, string) result
+(** Re-run the schedule saved at [path] (by [ksa fuzz --save-schedule]
+    or [ksa simulate --save-schedule]) under the config [run] builds
+    for the same spec, and check the spec's properties on it: a
+    [Replayed] outcome.  Errors: unknown algorithm or weights names,
+    an unreadable or malformed schedule, and a schedule recorded under
+    another fault model than the spec's. *)
+
+val counterexample : outcome -> Ksa_sim.Fuzz.violation option
+(** The violating fuzz trial with its full and shrunk schedules, when
+    the outcome is a fuzz campaign that found one. *)
+
 type summary = {
   verdict : string;
       (** safe | violation | stuck | indeterminate | all-paths-decide
           | clean | budget-exhausted | ok *)
-  exit_code : int;  (** The code the CLI maps this outcome to. *)
-  detail : string;  (** One human-readable line. *)
+  exit_code : int;
+      (** 0 nothing found, 2 a violation, 3 a stuck configuration, 4 a
+          budget cut the search short. *)
+  detail : string;
+      (** The verdict line [ksa explore]/[ksa fuzz] print, e.g.
+          ["SAFE: 4930 configs visited, 601 terminal runs"]. *)
   items : int;  (** Configurations visited or trials completed. *)
 }
 
 val summarize : outcome -> summary
+(** The one outcome → (line, exit code) map, shared by the CLI and the
+    daemon's job records. *)
+
 val summary_to_json : summary -> Json.t
 val summary_of_json : Json.t -> (summary, string) result
