@@ -1155,9 +1155,9 @@ let serve_domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Worker domains per job (default 1).  A resumed explore job runs \
-           on the sequential explorer regardless; a fuzz job resumes on D \
-           domains.")
+          "Worker domains per job (default 1).  Crash explore and fuzz \
+           jobs resume on D domains; a resumed crash-free explore job runs \
+           on the sequential explorer regardless.")
 
 let exit_when_idle_arg =
   Arg.(

@@ -59,24 +59,26 @@ let create ?(shards = 64) ?(capacity = 65_536) ~name () =
 let[@inline] hash_of key = Hashtbl.hash (key : string)
 let[@inline] shard_of t h = Array.unsafe_get t.shards (h land (Array.length t.shards - 1))
 
-(* Probe [keys] from the hash's home slot.  [`Empty (slot, steps)] is
-   where an insert would land; [`Wrapped] can only happen on a stale
-   or concurrently-mutated snapshot (under the lock the load factor
-   guarantees an empty slot) and sends the caller to the locked
-   path. *)
-let probe keys key start =
-  let cap = Array.length keys in
-  let m = cap - 1 in
-  let rec go i steps =
-    if steps > cap then `Wrapped
-    else
-      let j = i land m in
-      let k = Array.unsafe_get keys j in
-      if String.length k = 0 then `Empty (j, steps)
-      else if String.equal k key then `Found j
-      else go (i + 1) (steps + 1)
-  in
-  go start 0
+(* Probe [keys] from the hash's home slot: the slot [j] holding
+   [key], or [lnot j] for the empty slot [j] where an insert would
+   land.  [wrapped] can only come back from a stale or
+   concurrently-mutated snapshot (under the lock the load factor
+   guarantees an empty slot) and sends the caller to the locked path.
+   A top-level loop over ints: the admission hot path allocates
+   nothing here. *)
+let wrapped = min_int
+
+let rec probe_from keys key m i steps =
+  if steps > m + 1 then wrapped
+  else
+    let j = i land m in
+    let k = Array.unsafe_get keys j in
+    if String.length k = 0 then lnot j
+    else if String.equal k key then j
+    else probe_from keys key m (i + 1) (steps + 1)
+
+let[@inline] probe keys key start =
+  probe_from keys key (Array.length keys - 1) start 0
 
 (* caller holds [s.lock] *)
 let resize t s start_of =
@@ -85,12 +87,12 @@ let resize t s start_of =
   let keys = Array.make cap "" and vals = Array.make cap 0 in
   Array.iteri
     (fun i k ->
-      if String.length k <> 0 then
-        match probe keys k (start_of k) with
-        | `Empty (j, _) ->
-            keys.(j) <- k;
-            vals.(j) <- old_vals.(i)
-        | `Found _ | `Wrapped -> assert false)
+      if String.length k <> 0 then begin
+        let j = probe keys k (start_of k) in
+        assert (j < 0 && j <> wrapped);
+        keys.(lnot j) <- k;
+        vals.(lnot j) <- old_vals.(i)
+      end)
     old_keys;
   s.keys <- keys;
   s.vals <- vals;
@@ -104,22 +106,27 @@ let admit t key ~ticket =
   let s = shard_of t h in
   let start = h lsr t.shard_bits in
   Mutex.lock s.lock;
+  let j = probe s.keys key start in
   let result =
-    match probe s.keys key start with
-    | `Found j -> Found s.vals.(j)
-    | `Wrapped -> assert false (* load factor < 1 under the lock *)
-    | `Empty (j, steps) -> (
-        match ticket () with
-        | None -> Rejected
-        | Some v ->
-            if steps > 0 then Metrics.add t.c_collisions steps;
-            (* value before key: a racy reader that observes the key
-               observes a fully-initialised slot *)
-            s.vals.(j) <- v;
-            s.keys.(j) <- key;
-            s.count <- s.count + 1;
-            if s.count > s.limit then resize t s (fun k -> hash_of k lsr t.shard_bits);
-            Admitted v)
+    if j >= 0 then Found s.vals.(j)
+    else begin
+      (* load factor < 1 under the lock *)
+      assert (j <> wrapped);
+      let j = lnot j in
+      match ticket () with
+      | None -> Rejected
+      | Some v ->
+          let steps = (j - start) land (Array.length s.keys - 1) in
+          if steps > 0 then Metrics.add t.c_collisions steps;
+          (* value before key: a racy reader that observes the key
+             observes a fully-initialised slot *)
+          s.vals.(j) <- v;
+          s.keys.(j) <- key;
+          s.count <- s.count + 1;
+          if s.count > s.limit then
+            resize t s (fun k -> hash_of k lsr t.shard_bits);
+          Admitted v
+    end
   in
   Mutex.unlock s.lock;
   result
@@ -136,11 +143,8 @@ let find t key =
     let h = hash_of key in
     let s = shard_of t h in
     Mutex.lock s.lock;
-    let r =
-      match probe s.keys key (h lsr t.shard_bits) with
-      | `Found j -> Some s.vals.(j)
-      | `Empty _ | `Wrapped -> None
-    in
+    let j = probe s.keys key (h lsr t.shard_bits) in
+    let r = if j >= 0 then Some s.vals.(j) else None in
     Mutex.unlock s.lock;
     r
   end
@@ -152,9 +156,7 @@ let mem t key =
     let s = shard_of t h in
     (* optimistic: one load of the published table, no lock.  A hit is
        definitive (insert-only); a miss may be stale, so confirm. *)
-    match probe s.keys key (h lsr t.shard_bits) with
-    | `Found _ -> true
-    | `Empty _ | `Wrapped -> find t key <> None
+    probe s.keys key (h lsr t.shard_bits) >= 0 || find t key <> None
   end
 
 let length t =

@@ -95,13 +95,14 @@ let record_run_stats (s : stats) =
   Metrics.gauge_set g_terminal_runs s.terminal_runs;
   Metrics.gauge_set g_exhausted (if s.budget_exhausted then 1 else 0)
 
+(* a malformed [KSA_DOMAINS] ("0", "abc") reads as unset *)
 let default_domains () =
-  match Sys.getenv_opt "KSA_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> d
-      | Some _ | None -> 1)
-  | None -> Domain.recommended_domain_count ()
+  match
+    Option.bind (Sys.getenv_opt "KSA_DOMAINS") (fun s ->
+        int_of_string_opt (String.trim s))
+  with
+  | Some d when d >= 1 -> d
+  | Some _ | None -> Domain.recommended_domain_count ()
 
 (* ---- pause-the-world coordination for the parallel drivers ----
 
@@ -222,12 +223,6 @@ let spawn_coordinator ~ckpt ~pause ~items ~merge ~on_interrupt =
     in
     Some (quit, d)
 
-let stop_coordinator = function
-  | None -> ()
-  | Some (quit, d) ->
-      Atomic.set quit true;
-      Domain.join d
-
 module Shardset = Ksa_prim.Shardset
 
 (* ---- batched work-stealing frontier for the parallel drivers ----
@@ -292,6 +287,7 @@ module Wspool = struct
               Atomic.set t.sizes.(i) (Atomic.get t.sizes.(i) - c);
               Some (c, items))
 
+  let workers t = Array.length t.queues
   let own_pending t i = Atomic.get t.sizes.(i)
   let pending t = Array.fold_left (fun acc s -> acc + Atomic.get s) 0 t.sizes
 
@@ -299,7 +295,7 @@ module Wspool = struct
      working set, the rest are re-homed into the thief's own pool
      (after the victim's lock is released — locks never nest). *)
   let steal t i =
-    let workers = Array.length t.queues in
+    let workers = workers t in
     let rec scan d =
       if d >= workers then None
       else
@@ -338,13 +334,13 @@ module Wspool = struct
       t.queues
 
   (* round-robin the initial items into small batches so even the
-     first steals move real work *)
+     first steals move real work; one worker pops them in list order *)
   let seed t items =
-    let workers = Array.length t.queues in
+    let workers = workers t in
     let batch = ref [] and blen = ref 0 and w = ref 0 in
     let flush () =
       if !blen > 0 then begin
-        push_batch t !w ~count:!blen !batch;
+        push_batch t !w ~count:!blen (List.rev !batch);
         w := (!w + 1) mod workers;
         batch := [];
         blen := 0
@@ -483,16 +479,19 @@ module Nodestore = struct
       | Some a -> a.(i land (chunk_size - 1))
 end
 
-(* ---- the work-stealing runtime of both parallel drivers ----
+(* ---- the work-stealing runtime of every explorer driver ----
 
-   Everything a parallel search needs except the search itself:
-   [domains] workers over one {!Wspool}, each draining a private LIFO
-   stack between {!Pause} safepoints; one ticket-clamped admission
-   counter; the checkpoint/interrupt coordinator; and supervision.  A
-   driver supplies the per-item step ([make] builds it and its helpers
-   once per worker, not once per item), a recogniser for its verdict
-   exception, and the merge of a pause-the-world cut into its
-   sequential checkpoint format.
+   Everything a search needs except the search itself: [domains]
+   workers over one {!Wspool}, each draining a private LIFO stack
+   between {!Pause} safepoints; one ticket-clamped admission counter;
+   the checkpoint/interrupt coordinator; and supervision.  A driver
+   supplies the per-item step ([make] builds it and its helpers once
+   per worker, not once per item), a recogniser for its verdict
+   exception, and the merge of a cut into its checkpoint format.
+
+   One domain spawns nothing: the worker runs in the calling domain,
+   never spills, and polls the interrupt before each pop and offers a
+   periodic write after each expansion — a sequential worklist loop.
 
    Supervision: a worker dying of a non-verdict exception keeps the
    in-flight item, hands its whole stack back to the pool for the
@@ -501,7 +500,8 @@ end
    refunded.  If dead workers' items outlived every survivor, one
    rescue worker drains them in the calling domain after the join —
    a rescue that dies too is a systematic fault, surfaced as
-   [Failure]. *)
+   [Failure].  A fault raised by a worker's own checkpoint write is
+   not a worker failure: it leaves the driver. *)
 module Workers = struct
   type 'a t = {
     domains : int;
@@ -520,6 +520,7 @@ module Workers = struct
     pool : 'a Wspool.t;
     mutable local : 'a list;
     mutable len : int;
+    mutable peak : int;
     mutable exhausted : bool;
   }
 
@@ -572,10 +573,16 @@ module Workers = struct
           let a, b = split_at (k - 1) tl in
           (x :: a, b)
 
-  (* hand the oldest half of a grown stack to this worker's pool once
-     the pool has run dry *)
+  (* called after each expansion: note the stack's peak, and hand the
+     oldest half of a grown stack to this worker's pool once the pool
+     has run dry and someone could steal it *)
   let maybe_spill w =
-    if w.len >= spill_at && Wspool.own_pending w.pool w.i = 0 then begin
+    if w.len > w.peak then w.peak <- w.len;
+    if
+      w.len >= spill_at
+      && Wspool.workers w.pool > 1
+      && Wspool.own_pending w.pool w.i = 0
+    then begin
       let keep = w.len / 2 in
       let kept, handed = split_at keep w.local in
       let count = w.len - keep in
@@ -588,25 +595,60 @@ module Workers = struct
 
   (* Run the search to completion, a verdict, or an interrupt.
      [verdict e] recognises the driver's verdict exception; [merge
-     ~pending ~exhausted] turns a cut (every pending item, and whether
-     any worker was exhausted) into a checkpoint payload.  Returns the
-     verdicts found (worker order, rescue last) and whether the search
-     was exhausted or interrupted. *)
+     ~pending ~exhausted] turns a cut (every pending item, in the
+     order one worker would pop them, and whether any worker was
+     exhausted) into a checkpoint payload.  Returns the verdicts found
+     (worker order, rescue last) and whether the search was exhausted
+     or interrupted. *)
   let run (t : _ t) ~ckpt ~verdict ~merge make =
     let interrupted = ref false in
-    let pause = Pause.create t.domains in
+    let on_interrupt () =
+      interrupted := true;
+      Atomic.set t.stop true
+    in
+    (* a cut: every pending item sits in a published stack or in a
+       pool, and one worker pops its stack before its pool *)
+    let cut slots =
+      let pooled = ref [] and exhausted = ref false in
+      Wspool.iter_pending t.pool (fun it -> pooled := it :: !pooled);
+      let pending =
+        Array.fold_right
+          (fun slot acc ->
+            match slot with
+            | None -> acc
+            | Some (items, ex) ->
+                if ex then exhausted := true;
+                List.rev_append (List.rev items) acc)
+          slots (List.rev !pooled)
+      in
+      merge ~pending ~exhausted:!exhausted
+    in
+    let inline = t.domains = 1 && Checkpoint.engaged ckpt in
     let worker pause i () =
-      Metrics.incr m_domains;
-      let w = { i; pool = t.pool; local = []; len = 0; exhausted = false } in
+      let w =
+        { i; pool = t.pool; local = []; len = 0; peak = 0; exhausted = false }
+      in
       let process = make w in
       let violation = ref None and failure = ref None in
       let snap () = (w.local, w.exhausted) in
       let safepoint () = Pause.point pause i snap in
       let stopped () = Atomic.get t.stop in
+      (* the inline checkpoint work; [writing] marks its faults as the
+         driver's own, to propagate rather than supervise *)
+      let writing = ref false in
+      let write () = cut [| Some (snap ()) |] in
+      let interrupt () =
+        writing := true;
+        let intr = Checkpoint.interrupted ckpt in
+        if intr then (Checkpoint.flush ckpt write; on_interrupt ());
+        writing := false;
+        intr
+      in
       let rec drain () =
         safepoint ();
         if not (stopped ()) then
           match w.local with
+          | _ :: _ when inline && interrupt () -> ()
           | item :: rest ->
               w.local <- rest;
               w.len <- w.len - 1;
@@ -616,6 +658,11 @@ module Workers = struct
                     nothing is lost when the stack is handed back *)
                  if Option.is_none (verdict e) then push w item;
                  raise e);
+              if inline then begin
+                writing := true;
+                Checkpoint.tick ckpt ~items:(count t) write;
+                writing := false
+              end;
               drain ()
           | [] -> (
               match Wspool.acquire t.pool i ~safepoint ~stopped with
@@ -625,54 +672,53 @@ module Workers = struct
                   drain ()
               | None -> ())
       in
-      (try Metrics.time t_worker drain
-       with e -> (
-         match verdict e with
-         | Some _ as v ->
-             violation := v;
-             Atomic.set t.stop true
-         | None ->
-             let error = Printexc.to_string e and requeued = ref 0 in
-             (try
-                if w.len > 0 then begin
-                  Wspool.push_batch t.pool i ~count:w.len w.local;
-                  requeued := w.len;
-                  w.local <- [];
-                  w.len <- 0
-                end
-              with _ -> ());
-             failure := Some (error, !requeued);
-             Wspool.retire t.pool));
+      (try Metrics.time t_worker drain with
+      | e when !writing -> raise e
+      | e -> (
+          match verdict e with
+          | Some _ as v ->
+              violation := v;
+              Atomic.set t.stop true
+          | None ->
+              let error = Printexc.to_string e and requeued = ref 0 in
+              (try
+                 if w.len > 0 then begin
+                   Wspool.push_batch t.pool i ~count:w.len w.local;
+                   requeued := w.len;
+                   w.local <- [];
+                   w.len <- 0
+                 end
+               with _ -> ());
+              failure := Some (error, !requeued);
+              Wspool.retire t.pool));
+      Metrics.gauge_max g_frontier_peak w.peak;
       Pause.exit pause i snap;
       (w.exhausted, !violation, !failure)
     in
-    (* a cut: every pending item sits in a parked worker's published
-       stack or in a pool *)
-    let merge slots =
-      let pending = ref [] and exhausted = ref false in
-      Array.iter
-        (function
-          | None -> ()
-          | Some (items, ex) ->
-              pending := List.rev_append items !pending;
-              if ex then exhausted := true)
-        slots;
-      Wspool.iter_pending t.pool (fun it -> pending := it :: !pending);
-      merge ~pending:!pending ~exhausted:!exhausted
-    in
-    let coordinator =
-      spawn_coordinator ~ckpt ~pause
-        ~items:(fun () -> count t)
-        ~merge
-        ~on_interrupt:(fun () ->
-          interrupted := true;
-          Atomic.set t.stop true)
-    in
     let joined =
-      List.init t.domains (fun i -> Domain.spawn (worker (Some pause) i))
-      |> List.map Domain.join
+      if t.domains = 1 then [ worker None 0 () ]
+      else begin
+        let pause = Pause.create t.domains in
+        let coordinator =
+          spawn_coordinator ~ckpt ~pause
+            ~items:(fun () -> count t)
+            ~merge:cut ~on_interrupt
+        in
+        let joined =
+          List.init t.domains (fun i ->
+              Domain.spawn (fun () ->
+                  Metrics.incr m_domains;
+                  worker (Some pause) i ()))
+          |> List.map Domain.join
+        in
+        Option.iter
+          (fun (quit, d) ->
+            Atomic.set quit true;
+            Domain.join d)
+          coordinator;
+        joined
+      end
     in
-    stop_coordinator coordinator;
     List.iteri
       (fun i (_, _, failure) ->
         match failure with
@@ -1271,23 +1317,12 @@ module Make (A : Algorithm.S) = struct
   (* A successor of a crash-graph node: a (configuration, mask) pair
      to key and admit, or the node itself — an empty delivery
      {!E.idle_step} proves idle, whose key is the node's own.  The
-     self-loop stays an edge of the graph: the drivers record the
+     self-loop stays an edge of the graph: the driver records the
      node's id in its place, exactly the id its key would have found. *)
   type succ = Self | Next of E.config * int
 
-  (* The ids of a node's successors: [visit] keys and admits a [Next],
-     a [Self] is the node's own id [self]. *)
-  let succ_ids ~reduction ~self visit succs =
-    List.filter_map
-      (function
-        | Self ->
-            idle_hit ~reduction;
-            Some self
-        | Next (c, m) -> visit c m)
-      succs
-
-  (* Per-node expansion, shared by the sequential and parallel
-     drivers: decisions check, completeness, and the successors.
+  (* Per-node expansion of the crash driver: decisions check,
+     completeness, and the successors.
 
      The fault model dispatches here and only here:
 
@@ -1403,14 +1438,15 @@ module Make (A : Algorithm.S) = struct
   (* Backwards reachability from the complete nodes over the int-id
      graph; [None] when every node can still reach completion.  The
      reported witness is the minimum over (mask, undecided) of all
-     stuck nodes, so sequential and parallel drivers — which discover
-     nodes in different orders — return the same one. *)
-  let classify_graph ~count ~(recs : node_rec array) =
+     stuck nodes, so runs that discover nodes in different orders
+     return the same one. *)
+  let classify_graph ~count ~(recs : int -> node_rec) =
     let preds = Array.make count [] in
     let completes = ref [] in
     for id = 0 to count - 1 do
-      if recs.(id).complete then completes := id :: !completes;
-      List.iter (fun s -> preds.(s) <- id :: preds.(s)) recs.(id).succs
+      let r = recs id in
+      if r.complete then completes := id :: !completes;
+      List.iter (fun s -> preds.(s) <- id :: preds.(s)) r.succs
     done;
     let can_decide = Array.make count false in
     let rec mark_all = function
@@ -1426,7 +1462,8 @@ module Make (A : Algorithm.S) = struct
     let stuck = ref None in
     for id = 0 to count - 1 do
       if not can_decide.(id) then begin
-        let w = (recs.(id).mask, recs.(id).undecided) in
+        let r = recs id in
+        let w = (r.mask, r.undecided) in
         match !stuck with
         | Some best when compare best w <= 0 -> ()
         | Some _ | None -> stuck := Some w
@@ -1434,8 +1471,8 @@ module Make (A : Algorithm.S) = struct
     done;
     !stuck
 
-  (* The verdict of a finished crash campaign; [recs] builds its node
-     graph on demand.  A truncated graph cannot be classified:
+  (* The verdict of a finished crash campaign; [recs] reads its node
+     graph by id.  A truncated graph cannot be classified:
      stuck-ness is a property of {e all} continuations, and unexpanded
      frontier nodes would read as stuck while truly-stuck nodes may
      hide beyond the cut.  Say so instead of claiming the optimistic
@@ -1444,7 +1481,7 @@ module Make (A : Algorithm.S) = struct
     record_run_stats stats;
     if stats.budget_exhausted then Indeterminate stats
     else
-      match classify_graph ~count:stats.configs_visited ~recs:(recs ()) with
+      match classify_graph ~count:stats.configs_visited ~recs with
       | Some (mask, undecided_correct) ->
           Stuck { crashed = Mask.to_list ~n mask; undecided_correct; stats }
       | None -> All_paths_decide stats
@@ -1460,9 +1497,6 @@ module Make (A : Algorithm.S) = struct
           invalid_arg "Explorer: initially_dead pid out of range")
       initially_dead
 
-  let base_mask_of initially_dead =
-    List.fold_left Mask.add 0 initially_dead
-
   (* memoised initial-dead failure patterns, one per crashed-set mask *)
   let make_pattern_of ~n =
     let patterns : (int, Failure_pattern.t) Hashtbl.t = Hashtbl.create 64 in
@@ -1477,13 +1511,11 @@ module Make (A : Algorithm.S) = struct
           p
 
   (* Checkpoint payload of a crash campaign: the reduction mode, the
-     fault-model tag, the key→id table, the expanded prefix of the
-     node-record graph, the counters, and the worklist of
-     admitted-but-unexpanded nodes.  The parallel driver merges its
-     per-worker graphs into this same format (global dense ids
-     re-assigned at merge time), and resume always continues on the
-     sequential driver.  Mode or model mismatch on resume warns and
-     starts fresh.
+     fault-model tag, the key→id table, the node-record graph up to
+     the admission count (unexpanded ids read as [empty_rec]), the
+     counters, and the worklist of admitted-but-unexpanded nodes in
+     pop order.  Mode or model mismatch on resume warns and starts
+     fresh.
 
      The crash drivers use the orbit keys of the symmetry modes but
      never sleep sets ([Symmetry_por] behaves like [Symmetry] here):
@@ -1501,155 +1533,25 @@ module Make (A : Algorithm.S) = struct
 
   let empty_rec = { succs = []; complete = false; mask = 0; undecided = [] }
 
+  (* Crash-adversarial exploration over shared state: one {!Shardset}
+     key table, one ticket counter, one write-once {!Nodestore} of node
+     records, on {!Workers} at every domain count.  A node's global
+     dense id {e is} its admission ticket (the root, admitted first, is
+     id 0), so graph edges are globally meaningful the moment they are
+     made and classification needs no id translation — the classified
+     graph is the same at every domain count modulo discovery order,
+     which {!classify_graph}'s minimum-witness rule already normalises.
+     Every node, the root included, is admitted before it is queued
+     and expanded by a worker.  A resumed campaign re-seeds the table
+     (same ids), the store, the counters and the worklist from the
+     payload, at any domain count. *)
   let explore_with_crashes ?(reduction = Canon.No_reduction)
-      ?(model = Fault_model.Crash) ?(max_configs = 300_000)
+      ?(model = Fault_model.Crash) ?(domains = 1) ?(max_configs = 300_000)
       ?(policy = Per_sender) ?(drop_on_crash = true) ?(initially_dead = [])
       ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~crash_budget ~check () =
     check_crash_explorable ~n ~initially_dead;
     Metrics.gauge_set g_max_configs max_configs;
-    let base_mask = base_mask_of initially_dead in
-    let pattern_of = make_pattern_of ~n in
-    let model_tag = Fault_model.to_string model in
-    let forge_alts =
-      match model with
-      | Fault_model.Byzantine _ -> List.length (E.forge_pool ~n ~inputs)
-      | Fault_model.Crash | Fault_model.Mobile _ -> 0
-    in
-    let fresh_crash () =
-      (Hashtbl.create 65_536, Array.make 1024 empty_rec, 0, 0, false, [])
-    in
-    let resume, (ids, recs0, count0, terminals0, exhausted0, worklist0) =
-      match resume with
-      | Some payload ->
-          let mode, mtag, ids, recs0, count0, t0, e0, wl0 =
-            (Marshal.from_string payload 0 : crash_snap)
-          in
-          if mode <> reduction then begin
-            warn_reduction_mismatch ~want:reduction ~got:mode;
-            (None, fresh_crash ())
-          end
-          else if mtag <> model_tag then begin
-            warn_model_mismatch ~want:model ~got:mtag;
-            (None, fresh_crash ())
-          end
-          else (Some payload, (ids, recs0, count0, t0, e0, wl0))
-      | None -> (None, fresh_crash ())
-    in
-    let recs =
-      ref (if Array.length recs0 = 0 then Array.make 1024 empty_rec else recs0)
-    in
-    let count = ref count0 in
-    let terminals = ref terminals0 in
-    let exhausted = ref exhausted0 in
-    let interrupted = ref false in
-    let worklist = ref worklist0 in
-    let wl_len = ref (List.length worklist0) in
-    (* discovery: assign a dense id the first time a node is seen and
-       queue it for expansion; [None] once the budget is exhausted *)
-    let visit config mask =
-      let key = E.key ~crashed:mask ~reduction config in
-      match Hashtbl.find_opt ids key with
-      | Some id ->
-          Metrics.incr m_dedup;
-          if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
-          Some id
-      | None ->
-          if !count >= max_configs then begin
-            exhausted := true;
-            Metrics.incr m_truncations;
-            None
-          end
-          else begin
-            let id = !count in
-            incr count;
-            Metrics.incr m_admitted;
-            Hashtbl.add ids key id;
-            if id >= Array.length !recs then begin
-              let bigger = Array.make (2 * Array.length !recs) empty_rec in
-              Array.blit !recs 0 bigger 0 (Array.length !recs);
-              recs := bigger
-            end;
-            worklist := (id, config, mask) :: !worklist;
-            incr wl_len;
-            Metrics.gauge_max g_frontier_peak !wl_len;
-            Some id
-          end
-    in
-    let expand (id, config, mask) =
-      let is_complete, mask, undecided, succ_pairs =
-        expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
-          ~model ~forge_alts ~pattern_of ~check config mask
-      in
-      if is_complete then begin
-        incr terminals;
-        Metrics.incr m_terminals
-      end;
-      let succs = succ_ids ~reduction ~self:id visit succ_pairs in
-      !recs.(id) <- { succs; complete = is_complete; mask; undecided }
-    in
-    let snap () =
-      Marshal.to_string
-        (( reduction,
-           model_tag,
-           ids,
-           Array.sub !recs 0 !count,
-           !count,
-           !terminals,
-           !exhausted,
-           !worklist )
-          : crash_snap)
-        []
-    in
-    let enumerate () =
-      if resume = None then
-        ignore (visit (E.init_explore ~reduction ~n ~inputs ()) base_mask);
-      let rec loop () =
-        match !worklist with
-        | [] -> ()
-        | _ when Checkpoint.interrupted ckpt ->
-            Checkpoint.flush ckpt snap;
-            interrupted := true
-        | node :: rest ->
-            worklist := rest;
-            decr wl_len;
-            expand node;
-            Checkpoint.tick ckpt ~items:!count snap;
-            loop ()
-      in
-      loop ()
-    in
-    match enumerate () with
-    | exception Unsafe (decisions, reason) ->
-        Safety_violation { decisions; reason }
-    | () ->
-        graph_outcome ~n
-          {
-            configs_visited = !count;
-            terminal_runs = !terminals;
-            budget_exhausted = !exhausted || !interrupted;
-          }
-          (fun () -> !recs)
-
-  (* Parallel crash-adversarial exploration over shared state: one
-     {!Shardset} key table, one ticket counter, one write-once
-     {!Nodestore} of node records.  A node's global dense id {e is}
-     its admission ticket (the root, admitted first, is id 0), so
-     graph edges are globally meaningful the moment they are made and
-     the merge needs no id translation at all — the classified graph
-     is byte-for-byte the sequential one's modulo discovery order,
-     which {!classify_graph}'s minimum-witness rule already
-     normalises.  {!Workers} runs the frontier, the checkpoint cuts
-     and supervision, as for [explore_par]; every node, the root
-     included, is admitted before it is queued and expanded by a
-     worker.  Outcomes match [explore_with_crashes] whenever the
-     budget does not truncate.  [check] must be thread-safe. *)
-  let explore_with_crashes_par ?(reduction = Canon.No_reduction)
-      ?(model = Fault_model.Crash) ?domains ?(max_configs = 300_000)
-      ?(policy = Per_sender) ?(drop_on_crash = true) ?(initially_dead = [])
-      ?(ckpt = Checkpoint.ctl ()) ~n ~inputs ~crash_budget ~check () =
-    check_crash_explorable ~n ~initially_dead;
-    Metrics.gauge_set g_max_configs max_configs;
-    let base_mask = base_mask_of initially_dead in
+    let base_mask = List.fold_left Mask.add 0 initially_dead in
     let model_tag = Fault_model.to_string model in
     let forge_alts =
       match model with
@@ -1657,14 +1559,14 @@ module Make (A : Algorithm.S) = struct
       | Fault_model.Crash | Fault_model.Mobile _ -> 0
     in
     let seen = Shardset.create ~name:"explore.dedup" () in
-    let rt = Workers.create ?domains ~max_configs ~seen () in
+    let rt = Workers.create ~domains ~max_configs ~seen () in
     let ticket = Workers.ticket rt in
     let recs : node_rec Nodestore.t = Nodestore.create ~empty:empty_rec in
     let terminals_n = Atomic.make 0 in
     (* the root draws ticket 0 like any node; a budget below one turns
        it away, leaving nothing to expand *)
-    let root = E.init_explore ~reduction ~n ~inputs () in
-    let root_rejected =
+    let admit_root () =
+      let root = E.init_explore ~reduction ~n ~inputs () in
       match
         Shardset.admit seen (E.key ~crashed:base_mask ~reduction root) ~ticket
       with
@@ -1675,6 +1577,31 @@ module Make (A : Algorithm.S) = struct
       | Shardset.Rejected | Shardset.Found _ ->
           Metrics.incr m_truncations;
           true
+    in
+    (* set when budget was turned away before this run: by the resumed
+       campaign, or at the root *)
+    let exhausted0 =
+      match
+        Option.map (fun p -> (Marshal.from_string p 0 : crash_snap)) resume
+      with
+      | None -> admit_root ()
+      | Some (mode, _, _, _, _, _, _, _) when mode <> reduction ->
+          warn_reduction_mismatch ~want:reduction ~got:mode;
+          admit_root ()
+      | Some (_, mtag, _, _, _, _, _, _) when mtag <> model_tag ->
+          warn_model_mismatch ~want:model ~got:mtag;
+          admit_root ()
+      | Some (_, _, ids, recs0, count0, terminals0, exhausted0, worklist) ->
+          Hashtbl.iter (fun key id -> ignore (Shardset.add seen key id)) ids;
+          (* an unexpanded slot stays unwritten: [first_write] below
+             tests the physical sentinel *)
+          Array.iteri
+            (fun id r -> if r <> empty_rec then Nodestore.set recs id r)
+            recs0;
+          Atomic.set rt.Workers.count count0;
+          Atomic.set terminals_n terminals0;
+          Workers.seed rt worklist;
+          exhausted0
     in
     let make (w : _ Workers.w) =
       let pattern_of = make_pattern_of ~n in
@@ -1699,7 +1626,15 @@ module Make (A : Algorithm.S) = struct
           expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
             ~model ~forge_alts ~pattern_of ~check config mask
         in
-        let succs = succ_ids ~reduction ~self:id visit succ_pairs in
+        let succs =
+          List.filter_map
+            (function
+              | Self ->
+                  idle_hit ~reduction;
+                  Some id
+              | Next (c, m) -> visit c m)
+            succ_pairs
+        in
         (* supervision can re-expand a node whose first expansion died
            mid-flight (re-pushed in-flight item): count its terminal
            only on the store's first write, so [terminal_runs] is
@@ -1715,11 +1650,8 @@ module Make (A : Algorithm.S) = struct
         end;
         Workers.maybe_spill w
     in
-    (* a pause-the-world cut in the sequential format: the shared
-       table gives key→id, the store gives the expanded record prefix
-       (unexpanded ids read as [empty_rec], exactly the sequential
-       driver's convention).  Resume continues on
-       [explore_with_crashes]. *)
+    (* a cut: the shared table gives key→id, the store the record
+       graph *)
     let merge ~pending ~exhausted =
       let gids : (E.key, int) Hashtbl.t =
         Hashtbl.create (2 * Shardset.length seen + 16)
@@ -1733,7 +1665,7 @@ module Make (A : Algorithm.S) = struct
            Array.init count (Nodestore.get recs),
            count,
            Atomic.get terminals_n,
-           exhausted || root_rejected,
+           exhausted || exhausted0,
            pending )
           : crash_snap)
         []
@@ -1745,14 +1677,17 @@ module Make (A : Algorithm.S) = struct
     match Workers.run rt ~ckpt ~verdict ~merge make with
     | (decisions, reason) :: _, _ -> Safety_violation { decisions; reason }
     | [], exhausted ->
-        let count = Workers.count rt in
         graph_outcome ~n
           {
-            configs_visited = count;
+            configs_visited = Workers.count rt;
             terminal_runs = Atomic.get terminals_n;
-            budget_exhausted = exhausted || root_rejected;
+            budget_exhausted = exhausted || exhausted0;
           }
-          (fun () -> Array.init count (Nodestore.get recs))
+          (Nodestore.get recs)
+
+  let explore_with_crashes_par ?domains =
+    explore_with_crashes
+      ~domains:(Option.value domains ~default:(default_domains ()))
 
   let reachable_decision_values ?(reduction = Canon.No_reduction)
       ?(model = Fault_model.Crash) ?(max_configs = 300_000)
@@ -1763,15 +1698,13 @@ module Make (A : Algorithm.S) = struct
         (fun (_, v, _) -> if not (List.mem v !seen) then seen := v :: !seen)
         decisions
     in
-    (match
-       explore_with_crashes ~reduction ~model ~max_configs ~policy ~n ~inputs
+    ignore
+      (explore_with_crashes ~reduction ~model ~max_configs ~policy ~n ~inputs
          ~crash_budget
          ~check:(fun decisions ->
            note decisions;
            None)
          ()
-     with
-    | All_paths_decide _ | Stuck _ | Indeterminate _ -> ()
-    | Safety_violation _ -> ());
+        : resilient_outcome);
     List.sort compare !seen
 end

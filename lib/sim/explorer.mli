@@ -84,7 +84,8 @@ end
 val default_domains : unit -> int
 (** Domain count used by the parallel drivers when [?domains] is not
     given: the [KSA_DOMAINS] environment variable if set to a positive
-    integer, otherwise [Domain.recommended_domain_count ()]. *)
+    integer, otherwise (unset or malformed, ["0"] and ["abc"]
+    included) [Domain.recommended_domain_count ()]. *)
 
 type resilient_outcome =
   | All_paths_decide of stats
@@ -203,6 +204,7 @@ module Make (A : Algorithm.S) : sig
   val explore_with_crashes :
     ?reduction:Canon.reduction ->
     ?model:Fault_model.t ->
+    ?domains:int ->
     ?max_configs:int ->
     ?policy:delivery_policy ->
     ?drop_on_crash:bool ->
@@ -235,14 +237,28 @@ module Make (A : Algorithm.S) : sig
       the Theorem-1 condition (C) validation; the [crashed] list of a
       {!Stuck} verdict includes them.
 
+      [domains] (default 1) worker domains enumerate the node graph
+      against one shared {!Ksa_prim.Shardset} table and one
+      write-once record store, stealing frontier batches as in
+      {!explore_par}; a node's dense id {e is} its admission ticket.
+      Verdict and stats are the same at every domain count whenever
+      [max_configs] does not truncate; one domain spawns no domain and
+      walks one fixed depth-first order, so its truncated stats are
+      deterministic too.  [check] must be thread-safe when [domains]
+      exceeds 1.  Worker failures are supervised as in {!explore_par},
+      the root's expansion included.
+
       [ckpt]/[resume] behave as in {!explore}: periodic snapshots of
       the node graph and worklist, a final flush plus an
-      [Indeterminate] verdict on interruption, and bit-identical
-      verdict/stats when resumed (checkpoints written by
-      {!explore_with_crashes_par} resume here too, after
-      {!Checkpoint.restore_interners}); a reduction-mode or
-      fault-model mismatch warns and starts fresh (the payload carries
-      the model tag).
+      [Indeterminate] verdict on interruption, and verdict/stats
+      identical to an uninterrupted run when resumed, after
+      {!Checkpoint.restore_interners} — at any domain count, whatever
+      count wrote the checkpoint (at one domain, truncated stats
+      included).  One domain checkpoints between expansions in the
+      calling domain, more through a coordinator that parks every
+      worker; a fault raised by a checkpoint write leaves the driver.
+      A reduction-mode or fault-model mismatch warns and starts fresh
+      (the payload carries the model tag).
 
       [model] selects the fault model ({!Fault_model.t}).  Under
       [Crash] (the default) the budget is [crash_budget].  Under
@@ -270,38 +286,23 @@ module Make (A : Algorithm.S) : sig
       decision-completeness, flipping can-decide nodes to stuck. *)
 
   val explore_with_crashes_par :
+    ?domains:int ->
     ?reduction:Canon.reduction ->
     ?model:Fault_model.t ->
-    ?domains:int ->
     ?max_configs:int ->
     ?policy:delivery_policy ->
     ?drop_on_crash:bool ->
     ?initially_dead:Pid.t list ->
     ?ckpt:Checkpoint.ctl ->
+    ?resume:string ->
     n:int ->
     inputs:Value.t array ->
     crash_budget:int ->
     check:((Pid.t * Value.t * int) list -> string option) ->
     unit ->
     resilient_outcome
-  (** Multicore {!explore_with_crashes}: [domains] domains enumerate
-      the node graph against one shared {!Ksa_prim.Shardset} table and
-      one write-once record store, stealing frontier batches from each
-      other as in {!explore_par}.  A node's global dense id {e is} its
-      admission ticket, so graph edges are globally meaningful the
-      moment they are made and classification runs on the shared graph
-      directly — no merge or id translation.  Outcomes (verdict and
-      stats) are identical to {!explore_with_crashes} whenever
-      [max_configs] does not truncate the enumeration.  [check] must
-      be thread-safe.
-
-      [ckpt] enables pause-the-world checkpointing and worker
-      supervision exactly as in {!explore_par} (both drivers share one
-      worker runtime); the written snapshots are sequential-format and
-      resume on {!explore_with_crashes}.  The root is admitted and
-      queued like any other node, so a non-verdict exception raised
-      while expanding it (a [check] failing on its first call, say) is
-      supervised, not propagated. *)
+  (** {!explore_with_crashes} with [domains] defaulting to
+      {!default_domains}. *)
 
   val reachable_decision_values :
     ?reduction:Canon.reduction ->

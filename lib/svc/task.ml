@@ -390,12 +390,12 @@ let fuzz_setup ~stop f =
         coverage = f.f_coverage;
       } )
 
-(* A resumed explore campaign runs on the sequential explorer: its
+(* Crash and fuzz campaigns resume at any domain count.  A resumed
+   crash-free explore campaign runs on the sequential explorer: its
    checkpoints are sequential-format, and its verdict and stats do not
-   depend on the driver.  A fuzz campaign resumes at any domain count. *)
+   depend on the driver. *)
 let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
     ?(ckpt = Checkpoint.ctl ()) ?resume spec =
-  let par = domains > 1 && resume = None in
   match spec with
   | Probe p -> Ok (run_probe ~attempt ~ckpt ~stop p)
   | Explore e -> (
@@ -418,7 +418,7 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                     Sim.Failure_pattern.initial_dead ~n ~dead:e.e_dead
                   in
                   let outcome =
-                    if par then
+                    if domains > 1 && resume = None then
                       Ex.explore_par ~reduction ~domains ?max_configs ~policy
                         ~ckpt ~n ~inputs ~pattern ~check ()
                     else
@@ -427,21 +427,14 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                   in
                   Ok (Explored outcome)
                 end
-                else begin
-                  let outcome =
-                    if par then
-                      Ex.explore_with_crashes_par ~reduction ~model:e.e_model
-                        ~domains ?max_configs ~policy ~drop_on_crash:e.e_drop
-                        ~initially_dead:e.e_dead ~ckpt ~n ~inputs
-                        ~crash_budget:e.e_crash_budget ~check ()
-                    else
-                      Ex.explore_with_crashes ~reduction ~model:e.e_model
-                        ?max_configs ~policy ~drop_on_crash:e.e_drop
-                        ~initially_dead:e.e_dead ~ckpt ?resume ~n ~inputs
-                        ~crash_budget:e.e_crash_budget ~check ()
-                  in
-                  Ok (Crash_explored outcome)
-                end
+                else
+                  Ok
+                    (Crash_explored
+                       (Ex.explore_with_crashes ~reduction ~model:e.e_model
+                          ~domains ?max_configs ~policy
+                          ~drop_on_crash:e.e_drop ~initially_dead:e.e_dead
+                          ~ckpt ?resume ~n ~inputs
+                          ~crash_budget:e.e_crash_budget ~check ()))
               with Invalid_argument msg -> Error ("not explorable: " ^ msg))))
   | Fuzz f ->
       let* (module A : Sim.Algorithm.S), cfg = fuzz_setup ~stop f in

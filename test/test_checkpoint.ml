@@ -310,6 +310,76 @@ let test_explore_crash_par_resume () =
                ~inputs:(distinct 3) ~crash_budget:1 ~check:no_check ())))
     [ 2; 4; 8 ]
 
+(* ---------- the crash driver: order and resume at d=1 and d=2 ---------- *)
+
+let crash_run ?ckpt ?resume ?max_configs ~domains () =
+  let module Ex = Sim.Explorer.Make (K2) in
+  Ex.explore_with_crashes ~domains ?ckpt ?resume ?max_configs ~n:3
+    ~inputs:(distinct 3) ~crash_budget:1 ~check:no_check ()
+
+let indeterminate name = function
+  | Sim.Explorer.Indeterminate s -> s
+  | _ -> Alcotest.fail (name ^ ": expected Indeterminate")
+
+let test_crash_one_domain_order () =
+  (* one domain walks one fixed depth-first order, so even truncated
+     stats are deterministic: these are the figures of the sequential
+     worklist loop the one-domain run replaced.  No domain is spawned
+     for it *)
+  let spawned () = Metrics.value (Metrics.counter "explore.domains.spawned") in
+  let before = spawned () in
+  List.iter
+    (fun (max_configs, terminals) ->
+      let name = Printf.sprintf "d=1 max_configs=%d" max_configs in
+      let s = indeterminate name (crash_run ~max_configs ~domains:1 ()) in
+      Alcotest.(check int)
+        (name ^ ": configs_visited")
+        max_configs s.Sim.Explorer.configs_visited;
+      Alcotest.(check int)
+        (name ^ ": terminal_runs")
+        terminals s.Sim.Explorer.terminal_runs)
+    [ (50, 1); (500, 187); (5_000, 1_040); (15_000, 2_815) ];
+  Alcotest.(check int) "no domain spawned at d=1" before (spawned ())
+
+let test_crash_one_domain_truncated_resume () =
+  (* a truncated one-domain campaign killed mid-run and resumed on one
+     domain pops its worklist in the order the uninterrupted run would
+     have, so even the order-dependent truncated stats match *)
+  let max_configs = 15_000 in
+  let baseline =
+    indeterminate "baseline" (crash_run ~max_configs ~domains:1 ())
+  in
+  with_tmp ".ckpt" (fun path ->
+      let ckpt =
+        Checkpoint.ctl ~sink:(sink ~path ~kind:"explore-crash")
+          ~interrupt:(poll_interrupt 2000) ()
+      in
+      let cut =
+        indeterminate "interrupted" (crash_run ~ckpt ~max_configs ~domains:1 ())
+      in
+      Alcotest.(check bool) "cut before the budget" true
+        (cut.Sim.Explorer.configs_visited < max_configs);
+      let t = load_restored path in
+      check_stats "d=1 truncated resume" baseline
+        (indeterminate "resumed"
+           (crash_run ~resume:(Checkpoint.payload t) ~max_configs ~domains:1
+              ())))
+
+let test_crash_two_domain_resume () =
+  (* a two-domain cut resumed on two domains: the resumed run spawns
+     its workers and reports the uninterrupted verdict and stats *)
+  let baseline = crash_baseline () in
+  with_tmp ".ckpt" (fun path ->
+      let ckpt =
+        Checkpoint.ctl ~sink:(sink ~path ~kind:"explore-crash")
+          ~interrupt:(fun () -> true)
+          ()
+      in
+      ignore (indeterminate "interrupted d=2" (crash_run ~ckpt ~domains:2 ()));
+      let t = load_restored path in
+      check_stuck "d=2 cut resumed at d=2" baseline
+        (crash_run ~resume:(Checkpoint.payload t) ~domains:2 ()))
+
 let test_explore_par_resume () =
   let module Ex = Sim.Explorer.Make (K2) in
   let baseline =
@@ -1034,82 +1104,130 @@ let test_faultsim_durable_sweep () =
           ok_or_fail (write new_payload);
           try Sys.remove (path ^ ".tmp") with Sys_error _ -> ()))
 
+(* A campaign the checkpoint sweep can crash: its sink kind and its
+   run, reduced to a verdict label and stats *)
+type sweep_engine = {
+  kind : string;
+  go :
+    ckpt:Checkpoint.ctl option ->
+    resume:string option ->
+    string * Sim.Explorer.stats;
+}
+
+let sweep_engines =
+  let module Ex = Sim.Explorer.Make (K2) in
+  [
+    {
+      kind = "explore";
+      go =
+        (fun ~ckpt ~resume ->
+          match
+            Ex.explore ?ckpt ?resume ~n:3 ~inputs:(distinct 3)
+              ~pattern:(FP.none ~n:3) ~check:no_check ()
+          with
+          | Sim.Explorer.Safe s -> ("safe", s)
+          | Sim.Explorer.Violation _ ->
+              Alcotest.fail "explore: unexpected violation");
+    };
+    {
+      kind = "explore-crash";
+      go =
+        (fun ~ckpt ~resume ->
+          match
+            Ex.explore_with_crashes ~domains:1 ?ckpt ?resume
+              ~policy:Sim.Explorer.Empty_or_all ~n:3 ~inputs:(distinct 3)
+              ~crash_budget:1 ~check:no_check ()
+          with
+          | Sim.Explorer.Stuck { crashed; undecided_correct; stats } ->
+              let pids l = String.concat "," (List.map string_of_int l) in
+              (Printf.sprintf "stuck {%s}/{%s}" (pids crashed)
+                 (pids undecided_correct), stats)
+          | Sim.Explorer.All_paths_decide s -> ("all-paths-decide", s)
+          | Sim.Explorer.Indeterminate s -> ("indeterminate", s)
+          | Sim.Explorer.Safety_violation _ ->
+              Alcotest.fail "explore-crash: unexpected violation");
+    };
+  ]
+
 let test_faultsim_checkpoint_sweep () =
   (* the same sweep one layer up: crash a campaign at every instant of
-     its periodic checkpoint flush.  Whatever survives on disk must
-     load as a valid checkpoint and resume to the bit-identical
-     verdict — and an errno-failed flush must not abort the campaign *)
-  let module Ex = Sim.Explorer.Make (K2) in
-  let go ?ckpt ?resume () =
-    Ex.explore ?ckpt ?resume ~n:3 ~inputs:(distinct 3) ~pattern:(FP.none ~n:3)
-      ~check:no_check ()
-  in
-  let baseline =
-    match go () with
-    | Sim.Explorer.Safe s -> s
-    | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation"
-  in
-  let run_campaign ~path () =
-    let ckpt =
-      Checkpoint.ctl
-        ~sink:
-          {
-            Checkpoint.path;
-            kind = "explore";
-            fingerprint = "test";
-            policy = { Checkpoint.every_items = 50; every_seconds = infinity };
-          }
-        ()
-    in
-    go ~ckpt ()
-  in
-  with_tmp ".ckpt" (fun path ->
-      Fun.protect ~finally:Faultsim.reset (fun () ->
-          (* seed the old-complete state and learn the flush trace *)
-          (match run_campaign ~path () with
-          | Sim.Explorer.Safe _ -> ()
-          | _ -> Alcotest.fail "expected Safe");
-          Faultsim.record ();
-          ok_or_fail (Durable.write_atomic ~path:(path ^ ".probe") "x");
-          let write_trace = Faultsim.trace () in
-          Faultsim.reset ();
-          (try Sys.remove (path ^ ".probe") with Sys_error _ -> ());
-          List.iter
-            (fun (point, nth) ->
+     its periodic checkpoint flush, for the crash-free explorer and for
+     the crash explorer on one domain, whose worker writes its own
+     checkpoints (the coarse policy keeps its stuck space small).
+     Whatever survives on disk must load as a valid checkpoint and
+     resume to the bit-identical verdict — and an errno-failed flush
+     must not abort the campaign *)
+  List.iter
+    (fun { kind; go } ->
+      let baseline_verdict, baseline = go ~ckpt:None ~resume:None in
+      let run_campaign ~path () =
+        let ckpt =
+          Checkpoint.ctl
+            ~sink:
+              {
+                Checkpoint.path;
+                kind;
+                fingerprint = "test";
+                policy =
+                  { Checkpoint.every_items = 50; every_seconds = infinity };
+              }
+            ()
+        in
+        go ~ckpt:(Some ckpt) ~resume:None
+      in
+      with_tmp ".ckpt" (fun path ->
+          Fun.protect ~finally:Faultsim.reset (fun () ->
+              (* seed the old-complete state and learn the flush trace *)
+              ignore (run_campaign ~path ());
+              Faultsim.record ();
+              ok_or_fail (Durable.write_atomic ~path:(path ^ ".probe") "x");
+              let write_trace = Faultsim.trace () in
+              Faultsim.reset ();
+              (try Sys.remove (path ^ ".probe") with Sys_error _ -> ());
               List.iter
-                (fun outcome ->
-                  let name =
-                    Printf.sprintf "flush %s#%d %s" point nth
-                      (outcome_name outcome)
-                  in
-                  Faultsim.arm ~point ~nth outcome;
-                  let crashed =
-                    match run_campaign ~path () with
-                    | Sim.Explorer.Safe _ -> false
-                    | _ -> Alcotest.fail (name ^ ": verdict changed")
-                    | exception Faultsim.Crashed _ -> true
-                  in
-                  Faultsim.reset ();
-                  (* ENOSPC on a flush is survivable by design: the
-                     campaign warns and finishes *)
-                  (match outcome with
-                  | Faultsim.Errno _ ->
-                      Alcotest.(check bool)
-                        (name ^ ": campaign survives errno")
-                        false crashed
-                  | Faultsim.Crash | Faultsim.Torn _ ->
-                      Alcotest.(check bool) (name ^ ": campaign died") true
-                        crashed);
-                  (* whatever the crash left behind resumes to the
-                     same verdict and stats *)
-                  let t = load_restored path in
-                  match go ~resume:(Checkpoint.payload t) () with
-                  | Sim.Explorer.Safe s ->
-                      check_stats (name ^ ": resume parity") baseline s
-                  | Sim.Explorer.Violation _ ->
-                      Alcotest.fail (name ^ ": resume lost the verdict"))
-                [ Faultsim.Crash; Faultsim.Errno Unix.ENOSPC; Faultsim.Torn 3 ])
-            (trace_positions write_trace)))
+                (fun (point, nth) ->
+                  List.iter
+                    (fun outcome ->
+                      let name =
+                        Printf.sprintf "%s flush %s#%d %s" kind point nth
+                          (outcome_name outcome)
+                      in
+                      Faultsim.arm ~point ~nth outcome;
+                      let crashed =
+                        match run_campaign ~path () with
+                        | verdict, _ ->
+                            Alcotest.(check string)
+                              (name ^ ": verdict") baseline_verdict verdict;
+                            false
+                        | exception Faultsim.Crashed _ -> true
+                      in
+                      Faultsim.reset ();
+                      (* ENOSPC on a flush is survivable by design: the
+                         campaign warns and finishes *)
+                      (match outcome with
+                      | Faultsim.Errno _ ->
+                          Alcotest.(check bool)
+                            (name ^ ": campaign survives errno")
+                            false crashed
+                      | Faultsim.Crash | Faultsim.Torn _ ->
+                          Alcotest.(check bool) (name ^ ": campaign died")
+                            true crashed);
+                      (* whatever the crash left behind resumes to the
+                         same verdict and stats *)
+                      let t = load_restored path in
+                      let verdict, stats =
+                        go ~ckpt:None ~resume:(Some (Checkpoint.payload t))
+                      in
+                      Alcotest.(check string)
+                        (name ^ ": resume verdict") baseline_verdict verdict;
+                      check_stats (name ^ ": resume parity") baseline stats)
+                    [
+                      Faultsim.Crash;
+                      Faultsim.Errno Unix.ENOSPC;
+                      Faultsim.Torn 3;
+                    ])
+                (trace_positions write_trace))))
+    sweep_engines
 
 let suites =
   [
@@ -1142,6 +1260,12 @@ let suites =
           test_explore_crash_seq_resume;
         Alcotest.test_case "explore-crash: kill/resume parity (par)" `Quick
           test_explore_crash_par_resume;
+        Alcotest.test_case "explore-crash: one-domain order is pinned" `Quick
+          test_crash_one_domain_order;
+        Alcotest.test_case "explore-crash: truncated kill/resume at d=1"
+          `Quick test_crash_one_domain_truncated_resume;
+        Alcotest.test_case "explore-crash: d=2 cut resumed at d=2" `Quick
+          test_crash_two_domain_resume;
         Alcotest.test_case "explore: kill/resume parity (par)" `Quick
           test_explore_par_resume;
         Alcotest.test_case "explore: kill/resume parity under sym+por" `Quick

@@ -610,6 +610,26 @@ let test_idle_explore () =
         (run ?domains Sim.Canon.Symmetry_por))
     [ None; Some 2 ]
 
+(* ---------- the domain-count default ---------- *)
+
+let test_default_domains () =
+  (* a malformed KSA_DOMAINS reads as unset, as documented *)
+  let saved = Sys.getenv_opt "KSA_DOMAINS" in
+  let recommended = Domain.recommended_domain_count () in
+  Fun.protect
+    ~finally:(fun () ->
+      (* an empty value reads as unset too *)
+      Unix.putenv "KSA_DOMAINS" (Option.value saved ~default:""))
+    (fun () ->
+      List.iter
+        (fun (value, want) ->
+          Unix.putenv "KSA_DOMAINS" value;
+          Alcotest.(check int)
+            (Printf.sprintf "KSA_DOMAINS=%S" value)
+            want
+            (Sim.Explorer.default_domains ()))
+        [ ("0", recommended); ("abc", recommended); ("3", 3); (" 3 ", 3) ])
+
 let suites =
   [
     ( "explore.idle",
@@ -649,6 +669,11 @@ let suites =
       ] );
     ( "explore.mask",
       [ Alcotest.test_case "edge cases" `Quick test_mask_edges ] );
+    ( "explore.domains",
+      [
+        Alcotest.test_case "malformed KSA_DOMAINS reads as unset" `Quick
+          test_default_domains;
+      ] );
     Test_util.qsuite "explore.mask.properties"
       [
         prop_popcount_matches_naive;
