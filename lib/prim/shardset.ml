@@ -9,6 +9,7 @@ type shard = {
   mutable keys : string array;
   mutable vals : int array;
   mutable count : int;
+  mutable bytes : int;  (* total length of the keys held *)
   mutable limit : int;  (* resize watermark: 7/10 of capacity *)
 }
 
@@ -19,6 +20,7 @@ type t = {
   c_resizes : Metrics.counter;
   g_occupancy : Metrics.gauge;
   g_capacity : Metrics.gauge;
+  g_key_bytes : Metrics.gauge;
   g_shard_max : Metrics.gauge;
   g_shard_min : Metrics.gauge;
 }
@@ -36,6 +38,7 @@ let create ?(shards = 64) ?(capacity = 65_536) ~name () =
       keys = Array.make per_shard "";
       vals = Array.make per_shard 0;
       count = 0;
+      bytes = 0;
       limit = per_shard * 7 / 10;
     }
   in
@@ -47,6 +50,7 @@ let create ?(shards = 64) ?(capacity = 65_536) ~name () =
     c_resizes = Metrics.counter (Printf.sprintf "shardset.%s.resizes" name);
     g_occupancy = Metrics.gauge (Printf.sprintf "shardset.%s.occupancy" name);
     g_capacity = Metrics.gauge (Printf.sprintf "shardset.%s.capacity" name);
+    g_key_bytes = Metrics.gauge (Printf.sprintf "shardset.%s.key_bytes" name);
     g_shard_max =
       Metrics.gauge (Printf.sprintf "shardset.%s.shard.occupancy.max" name);
     g_shard_min =
@@ -123,6 +127,7 @@ let admit t key ~ticket =
           s.vals.(j) <- v;
           s.keys.(j) <- key;
           s.count <- s.count + 1;
+          s.bytes <- s.bytes + String.length key;
           if s.count > s.limit then
             resize t s (fun k -> hash_of k lsr t.shard_bits);
           Admitted v
@@ -175,16 +180,18 @@ let iter f t =
     t.shards
 
 let publish_metrics t =
-  let occ = ref 0 and cap = ref 0 in
+  let occ = ref 0 and cap = ref 0 and bytes = ref 0 in
   let mx = ref 0 and mn = ref max_int in
   Array.iter
     (fun s ->
       occ := !occ + s.count;
       cap := !cap + Array.length s.keys;
+      bytes := !bytes + s.bytes;
       if s.count > !mx then mx := s.count;
       if s.count < !mn then mn := s.count)
     t.shards;
   Metrics.gauge_set t.g_occupancy !occ;
   Metrics.gauge_set t.g_capacity !cap;
+  Metrics.gauge_set t.g_key_bytes !bytes;
   Metrics.gauge_set t.g_shard_max !mx;
   Metrics.gauge_set t.g_shard_min (if !mn = max_int then 0 else !mn)

@@ -86,7 +86,9 @@ val iter : (string -> int -> unit) -> t -> unit
 
 val publish_metrics : t -> unit
 (** Publish occupancy gauges: [shardset.<name>.occupancy] (total
-    keys), [.capacity] (total slots), and the per-shard balance
+    keys), [.capacity] (total slots), [.key_bytes] (the summed length
+    of the keys held — their string payloads, not the headers or the
+    slot arrays), and the per-shard balance
     watermarks [.shard.occupancy.max] / [.shard.occupancy.min].
     Call at quiescent points (end of a run, inside a
     pause-the-world). *)

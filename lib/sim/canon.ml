@@ -5,7 +5,7 @@
    per-pid rows of a configuration (state id, decided value, crashed
    bit) plus the packed pending triples, and {!key} writes the
    configuration's dedup key — exact, or the orbit representative's —
-   straight into one exactly-sized buffer.  {!canonicalize} and
+   as a string of varints.  {!canonicalize} and
    {!serialize} spell the orbit representative out as a value,
    together with the witnessing permutation; they are the reference
    {!key} is tested against, not a production path.  The explorer uses
@@ -51,11 +51,76 @@ let triple_payload t = t land payload_mask
    is already named by the stepping pid *)
 let triple_content t = ((t lsr 51) lsl 40) lor (t land payload_mask)
 
-(* ---- little-endian int serialization ---- *)
+(* ---- zigzag LEB128 varints ----
 
-let put b pos i =
-  Bytes.set_int64_le b !pos (Int64.of_int i);
-  pos := !pos + 8
+   Keys and sleep digests are int sequences written as zigzag LEB128
+   varints.  [zigzag] folds the sign into bit 0 (0, -1, 1, -2, ... map
+   to 0, 1, 2, 3, ...) and each byte carries seven bits of the result,
+   low group first, with the high bit set on every byte but the last.
+   The ids, masks and counts in a key are small, so most ints take one
+   or two bytes.  Negative results of [zigzag] stand for 63-bit
+   unsigned values ([lsr] reads them so) and take nine bytes. *)
+
+let[@inline] zigzag i = (i lsl 1) lxor (i asr (Sys.int_size - 1))
+
+(* writes zigzag value [z] at [pos]; the position after it *)
+let rec put_varint b pos z =
+  if z lsr 7 = 0 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr z);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr ((z land 0x7f) lor 0x80));
+    put_varint b (pos + 1) (z lsr 7)
+  end
+
+(* Writes [i] at [pos] of a scratch buffer with room for nine bytes
+   and one more; the position after it.  An int whose zigzag is below
+   2^14 — nearly every int of a key — takes one or two bytes without a
+   branch on which: the second byte is written either way, and the
+   next int overwrites it when the first byte ends the varint. *)
+let[@inline] put b pos i =
+  let z = zigzag i in
+  if z lsr 14 = 0 then begin
+    let hi = z lsr 7 in
+    let more = (hi + 0x7f) lsr 7 in
+    Bytes.unsafe_set b pos (Char.unsafe_chr ((z land 0x7f) lor (more lsl 7)));
+    Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr hi);
+    pos + 1 + more
+  end
+  else put_varint b pos z
+
+(* A key or digest is written into a domain-local scratch buffer (its
+   slices to sort go through a scratch int array first), and copied
+   out once: the copy is the only allocation.  Both grow on demand
+   and never shrink. *)
+type scratch = { mutable ints : int array; mutable buf : Bytes.t }
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { ints = Array.make 64 0; buf = Bytes.create 1024 })
+
+(* room for [len] ints, [ints] of them in the int array *)
+let scratch_for ~len ~ints =
+  let s = Domain.DLS.get scratch in
+  if Array.length s.ints < ints then
+    s.ints <- Array.make (max ints (2 * Array.length s.ints)) 0;
+  if Bytes.length s.buf <= 9 * len then
+    s.buf <- Bytes.create (max ((9 * len) + 1) (2 * Bytes.length s.buf));
+  s
+
+(* insertion sort of [a.(lo) .. a.(hi - 1)]: the slices sorted here
+   (pending triples, decided values) are a handful of ints *)
+let sort_slots (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 (* ---- delivery actions for the DPOR sleep sets ----
 
@@ -115,20 +180,19 @@ module Action = struct
      configuration once per distinct sleep set. *)
   let digest actions =
     let actions = List.sort_uniq compare actions in
-    let size =
+    let len =
       List.fold_left (fun acc a -> acc + 3 + List.length a.deliveries) 1 actions
     in
-    let b = Bytes.create (8 * size) in
-    let pos = ref 0 in
-    put b pos (List.length actions);
+    let b = (scratch_for ~len ~ints:0).buf in
+    let pos = ref (put b 0 (List.length actions)) in
     List.iter
       (fun a ->
-        put b pos a.pid;
-        put b pos a.sends;
-        put b pos (List.length a.deliveries);
-        List.iter (put b pos) a.deliveries)
+        pos := put b !pos a.pid;
+        pos := put b !pos a.sends;
+        pos := put b !pos (List.length a.deliveries);
+        List.iter (fun d -> pos := put b !pos d) a.deliveries)
       actions;
-    Bytes.unsafe_to_string b
+    Bytes.sub_string b 0 !pos
 end
 
 (* ---- process-permutation symmetry ----
@@ -268,153 +332,159 @@ let canonical_equal a b =
   && a.movable_decided = b.movable_decided
   && a.movable_pids = b.movable_pids
 
-(* serialize the canonical core (the reduced key body, minus whatever
-   the caller prepends).  Exact little-endian int sequence, same
-   discipline as the unreduced key: equality iff the canonical cores
-   are structurally equal. *)
+(* The reference writer of the canonical core (the reduced key body).
+   It shares nothing with {!key}'s writer — a Buffer, its own zigzag
+   and varint arithmetic, a library sort — so the test suite's
+   equality of the two compares independent encoders of one
+   layout. *)
+let add_int buf i =
+  let rec varint z =
+    if z lsr 7 = 0 then Buffer.add_char buf (Char.chr z)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (z land 0x7f)));
+      varint (z lsr 7)
+    end
+  in
+  varint (if i >= 0 then 2 * i else (-2 * i) - 1)
+
 let serialize ~crashed c =
   let n = Array.length c.row_ids in
-  let nf = List.length c.fixed_decided in
-  let nm = List.length c.movable_decided in
-  let nt = Array.length c.retained in
   (* tag; crashed; row ids; |fixed|; (pid, value) pairs; |movable
-     values|; values; |retained|; retained triples.  The -1 tag keeps
+     values|; values; |retained|; retained triples, each re-packed as
+     (payload * n + src) * n + dst and sorted.  The -1 tag keeps
      reduced keys disjoint from unreduced ones, whose first int is a
      non-negative crashed mask. *)
-  let b = Bytes.create (8 * (5 + n + (2 * nf) + nm + nt)) in
-  let pos = ref 0 in
-  put b pos (-1);
-  put b pos crashed;
-  Array.iter (put b pos) c.row_ids;
-  put b pos nf;
+  let small =
+    Array.map
+      (fun t -> (((triple_payload t * n) + triple_src t) * n) + triple_dst t)
+      c.retained
+  in
+  Array.sort compare small;
+  let buf = Buffer.create 32 in
+  let add = add_int buf in
+  add (-1);
+  add crashed;
+  Array.iter add c.row_ids;
+  add (List.length c.fixed_decided);
   List.iter
     (fun (p, v) ->
-      put b pos p;
-      put b pos v)
+      add p;
+      add v)
     c.fixed_decided;
-  put b pos nm;
-  List.iter (put b pos) c.movable_decided;
-  put b pos nt;
-  Array.iter (put b pos) c.retained;
-  Bytes.unsafe_to_string b
+  add (List.length c.movable_decided);
+  List.iter add c.movable_decided;
+  add (Array.length small);
+  Array.iter add small;
+  Buffer.contents buf
 
 (* ---- dedup keys ----
 
-   [key] is the only production key builder.  It counts first, then
-   writes the little-endian int sequence into an exactly-sized buffer
-   and sorts the slices that need sorting in place, so a key costs
-   one allocation: the key itself.  The orbit layout is
-   [serialize ~crashed (canonicalize rows)] byte for byte (the
-   qcheck suite compares the two), and the exact layout is the
-   pre-reduction key's; checkpoints store both, so neither may
-   drift. *)
+   [key] is the only production key builder.  It writes the varints
+   into the domain's scratch buffer, routing the two slices that need
+   sorting (movable values, pending triples) through the scratch int
+   array, and copies the key out once: a key costs one allocation,
+   the key itself.  Pending triples enter the sequence re-packed as
+   the small int [(payload * n + src) * n + dst] (the engine's wide
+   packing would take eight bytes or more each), so the triple slice
+   sorts by payload first.
 
-let get b i = Int64.to_int (Bytes.get_int64_le b (8 * i))
-let set b i v = Bytes.set_int64_le b (8 * i) (Int64.of_int v)
+   Both layouts are prefix-free for a fixed [n]: every variable-length
+   slice follows its count.  The exact key's first int, a crashed mask,
+   zigzags to an even value, so its first byte is even; the orbit
+   key's tag -1 zigzags to 1, so the two layouts never share a first
+   byte.  The sym+por admission key [bare ^ digest] relies on that.
+   The orbit layout is [serialize ~crashed (canonicalize rows)] byte
+   for byte (the qcheck suite compares the two); checkpoints store
+   both, so neither may drift without a checkpoint version bump. *)
 
-(* insertion sort of the int slots [lo, hi) of [b]: the slices sorted
-   here (pending triples, decided values) are a handful of ints *)
-let sort_slots b lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = get b i in
-    let j = ref (i - 1) in
-    while !j >= lo && get b !j > x do
-      set b (!j + 1) (get b !j);
-      decr j
-    done;
-    set b (!j + 1) x
-  done
+let[@inline] small_triple n t =
+  (((triple_payload t * n) + triple_src t) * n) + triple_dst t
 
 (* crashed mask; per-pid state ids; |decided|; (pid, value) pairs;
    |pending|; sorted triples *)
 let exact_key ~value r =
   let n = r.n and m = Array.length r.triples in
+  let s = scratch_for ~len:(3 + (3 * n) + m) ~ints:m in
+  let b = s.buf and a = s.ints in
+  let pos = ref (put b 0 r.crashed) in
   let d = ref 0 in
   for p = 0 to n - 1 do
+    pos := put b !pos r.state_ids.(p);
     match r.decided.(p) with Some _ -> incr d | None -> ()
   done;
-  let b = Bytes.create (8 * (3 + n + (2 * !d) + m)) in
-  set b 0 r.crashed;
-  for p = 0 to n - 1 do
-    set b (1 + p) r.state_ids.(p)
-  done;
-  set b (1 + n) !d;
-  let i = ref (2 + n) in
+  pos := put b !pos !d;
   for p = 0 to n - 1 do
     match r.decided.(p) with
     | Some x ->
-        set b !i p;
-        set b (!i + 1) (value x);
-        i := !i + 2
+        pos := put b !pos p;
+        pos := put b !pos (value x)
     | None -> ()
   done;
-  set b !i m;
-  let lo = !i + 1 in
+  pos := put b !pos m;
   for j = 0 to m - 1 do
-    set b (lo + j) r.triples.(j)
+    a.(j) <- small_triple n r.triples.(j)
   done;
-  sort_slots b lo (lo + m);
-  Bytes.unsafe_to_string b
+  sort_slots a 0 m;
+  for j = 0 to m - 1 do
+    pos := put b !pos a.(j)
+  done;
+  Bytes.sub_string b 0 !pos
 
 (* the layout {!serialize} gives {!canonicalize}'s core *)
 let orbit_key ~value r =
-  let n = r.n and crashed = r.crashed in
-  let nt = ref 0 and src_mask = ref 0 in
-  for j = 0 to Array.length r.triples - 1 do
+  let n = r.n and crashed = r.crashed and m = Array.length r.triples in
+  let src_mask = ref 0 in
+  for j = 0 to m - 1 do
     let t = r.triples.(j) in
-    if crashed land (1 lsl triple_dst t) = 0 then begin
-      incr nt;
+    if crashed land (1 lsl triple_dst t) = 0 then
       src_mask := !src_mask lor (1 lsl triple_src t)
-    end
   done;
   (* the {!movable} pids, as a mask *)
   let movable = crashed land lnot !src_mask in
-  let nf = ref 0 and nm = ref 0 in
+  let s = scratch_for ~len:(5 + (3 * n) + m) ~ints:(n + m) in
+  let b = s.buf and a = s.ints in
+  let pos = ref (put b 0 (-1)) in
+  pos := put b !pos crashed;
+  let nf = ref 0 in
   for p = 0 to n - 1 do
+    pos :=
+      put b !pos (if crashed land (1 lsl p) <> 0 then -1 else r.state_ids.(p));
     match r.decided.(p) with
-    | Some _ -> if movable land (1 lsl p) <> 0 then incr nm else incr nf
-    | None -> ()
+    | Some _ when movable land (1 lsl p) = 0 -> incr nf
+    | Some _ | None -> ()
   done;
-  let b = Bytes.create (8 * (5 + n + (2 * !nf) + !nm + !nt)) in
-  set b 0 (-1);
-  set b 1 crashed;
-  for p = 0 to n - 1 do
-    set b (2 + p)
-      (if crashed land (1 lsl p) <> 0 then -1 else r.state_ids.(p))
-  done;
-  set b (2 + n) !nf;
-  let i = ref (3 + n) in
+  pos := put b !pos !nf;
+  (* the movable values go to [a] to be sorted *)
+  let nm = ref 0 in
   for p = 0 to n - 1 do
     match r.decided.(p) with
     | Some x when movable land (1 lsl p) = 0 ->
-        set b !i p;
-        set b (!i + 1) (value x);
-        i := !i + 2
-    | Some _ | None -> ()
+        pos := put b !pos p;
+        pos := put b !pos (value x)
+    | Some x ->
+        a.(!nm) <- value x;
+        incr nm
+    | None -> ()
   done;
-  set b !i !nm;
-  incr i;
-  let lo = !i in
-  for p = 0 to n - 1 do
-    match r.decided.(p) with
-    | Some x when movable land (1 lsl p) <> 0 ->
-        set b !i (value x);
-        incr i
-    | Some _ | None -> ()
+  pos := put b !pos !nm;
+  sort_slots a 0 !nm;
+  for j = 0 to !nm - 1 do
+    pos := put b !pos a.(j)
   done;
-  sort_slots b lo !i;
-  set b !i !nt;
-  incr i;
-  let lo = !i in
-  for j = 0 to Array.length r.triples - 1 do
+  let nt = ref 0 in
+  for j = 0 to m - 1 do
     let t = r.triples.(j) in
     if crashed land (1 lsl triple_dst t) = 0 then begin
-      set b !i t;
-      incr i
+      a.(!nt) <- small_triple n t;
+      incr nt
     end
   done;
-  sort_slots b lo !i;
-  Bytes.unsafe_to_string b
+  pos := put b !pos !nt;
+  sort_slots a 0 !nt;
+  for j = 0 to !nt - 1 do
+    pos := put b !pos a.(j)
+  done;
+  Bytes.sub_string b 0 !pos
 
 let key ~reduction ~value rows =
   match reduction with

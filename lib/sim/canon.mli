@@ -10,7 +10,7 @@
 
     - [No_reduction]: exact keys — every distinct interned
       configuration is admitted separately (the pre-reduction
-      behaviour, byte-identical keys included).
+      behaviour).
     - [Symmetry]: orbit keys — configurations equal up to relabelling
       of {e movable} processes (crashed, no observable pending
       message) share one key, crashed processes' inert local states
@@ -81,9 +81,9 @@ module Action : sig
       target the other's stepper. *)
 
   val digest : t list -> string
-  (** Exact (collision-free) serialization of a sleep set, appended to
-      dedup keys so a configuration re-reached under a different sleep
-      set is re-explored ("sleep-in-key"). *)
+  (** Exact (collision-free) serialization of a sleep set, in {!key}'s
+      varints, appended to dedup keys so a configuration re-reached
+      under a different sleep set is re-explored ("sleep-in-key"). *)
 end
 
 (** {1 Process-permutation symmetry} *)
@@ -101,21 +101,27 @@ type 'd rows = {
 }
 
 val key : reduction:reduction -> value:('d -> int) -> 'd rows -> string
-(** The dedup key of a configuration, written into one exactly-sized
-    buffer (the key is the only allocation).  [value] projects a
-    decided output to its value.
+(** The dedup key of a configuration: an int sequence written as
+    zigzag LEB128 varints into one exactly-sized string (the key is
+    the only allocation).  [value] projects a decided output to its
+    value; it runs while the calling domain's scratch space holds the
+    partial key, so it must not build keys itself.  A pending triple enters the sequence re-packed as the
+    small int [(payload * n + src) * n + dst].
 
-    - [No_reduction]: the exact key — little-endian ints: crashed
-      mask; state id per pid; number of decided pids; a (pid, value)
-      pair per decided pid, pid-ascending; number of pending triples;
-      the triples, sorted.  Equal iff the rows are equal up to the
-      order of the triples.
+    - [No_reduction]: the exact key — crashed mask; state id per pid;
+      number of decided pids; a (pid, value) pair per decided pid,
+      pid-ascending; number of pending triples; the triples, sorted.
+      Equal iff the rows are equal up to the order of the triples.
     - [Symmetry], [Symmetry_por]: the orbit key, byte-identical to
       [serialize ~crashed (canonicalize rows)] with the values
       projected.
 
-    Checkpoints store keys, so both layouts are fixed: the test suite
-    pins them with golden bytes. *)
+    Keys of one [n] are prefix-free: every slice follows its count,
+    and the exact key's leading crashed mask encodes to an even first
+    byte while the orbit key's leading tag [-1] encodes to [0x01].  A
+    key may therefore be extended ({!Action.digest}) without
+    ambiguity.  Checkpoints store keys, so both layouts are fixed: the
+    test suite pins them with golden bytes. *)
 
 (** {2 Reference orbit representative}
 
@@ -159,6 +165,6 @@ val canonical_equal : canonical -> canonical -> bool
     compared — orbit-equal inputs produce different witnesses). *)
 
 val serialize : crashed:int -> canonical -> string
-(** Exact byte serialization of the core; equal iff
-    {!canonical_equal}.  The leading tag keeps reduced keys disjoint
-    from unreduced ones. *)
+(** Exact serialization of the core in {!key}'s orbit layout, by a
+    writer of its own; equal iff {!canonical_equal}.  The leading tag
+    keeps reduced keys disjoint from unreduced ones. *)

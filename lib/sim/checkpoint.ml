@@ -34,10 +34,14 @@ let magic = "KSACKPT1"
    updates).  v5: engine configurations (inside [explore] and
    [explore-crash] snapshots) lost their pending-message map; the
    per-destination inboxes, now holding (envelope, triple) pairs, are
-   the only pending index.  Older files unmarshal into the wrong
-   shapes, so they are rejected by the version check and the CLI
-   falls back to a fresh campaign. *)
-let version = 5
+   the only pending index.  v6: dedup keys (in both payloads) are
+   zigzag varint sequences instead of 8-byte ints; [explore-crash]
+   snapshots store the keys as an id-indexed array instead of a
+   key→id table, and their node records hold an int array of
+   successors and an undecided-pid mask instead of lists.  Older
+   files unmarshal into the wrong shapes, so they are rejected by the
+   version check and the CLI falls back to a fresh campaign. *)
+let version = 6
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

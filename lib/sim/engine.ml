@@ -655,12 +655,10 @@ module Make (A : Algorithm.S) = struct
 
   (* ---- canonical configuration keys ----
 
-     {!Canon.key} writes both layouts.  [No_reduction] emits the exact
-     byte layout the pre-reduction key produced (with the crashed mask
-     in the old leading [extra] slot), so unreduced campaigns — and
-     their checkpoints — are bit-compatible across the refactor.  The
-     engine hands over its own arrays: the decided rows keep their
-     decision times, which [fst] projects away. *)
+     {!Canon.key} writes both layouts: the exact key under
+     [No_reduction], the orbit key otherwise.  The engine hands over
+     its own arrays: the decided rows keep their decision times, which
+     [fst] projects away. *)
 
   type key = string
 

@@ -39,6 +39,20 @@ module Mask = struct
   let popcount mask =
     let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
     go mask 0
+
+  (* The ascending pid lists of two masks first part at their lowest
+     differing bit.  The mask holding that bit has the smaller list,
+     unless the other has no bit above it: then the other's list is a
+     proper prefix. *)
+  let compare_lists a b =
+    let x = a lxor b in
+    if x = 0 then 0
+    else
+      let low = x land -x in
+      let above m = m land lnot (low lor (low - 1)) <> 0 in
+      if a land low <> 0 then if above b then -1 else 1
+      else if above a then 1
+      else -1
 end
 
 (* ---- instrumentation (process-global, shared by all drivers) ----
@@ -1306,13 +1320,10 @@ module Make (A : Algorithm.S) = struct
 
   (* The crashed set travels as a bitmask ({!Mask}) folded into the
      node key; node identities and graph edges are dense ints, never
-     strings. *)
-  type node_rec = {
-    succs : int list;
-    complete : bool;
-    mask : int;
-    undecided : Pid.t list;
-  }
+     strings.  A node's record holds its successor ids in one int
+     array and its undecided live pids as a mask: the node is complete
+     iff [undecided = 0]. *)
+  type node_rec = { succs : int array; mask : int; undecided : int }
 
   (* A successor of a crash-graph node: a (configuration, mask) pair
      to key and admit, or the node itself — an empty delivery
@@ -1356,15 +1367,14 @@ module Make (A : Algorithm.S) = struct
     let budget = Fault_model.budget_or ~crash_budget model in
     (* the live pids are the ones outside [mask]; the node is complete
        when every one of them has decided *)
-    let undecided = ref [] in
-    for p = n - 1 downto 0 do
+    let undecided = ref 0 in
+    for p = 0 to n - 1 do
       if (not (Mask.mem mask p)) && Option.is_none (E.decision_of config p)
-      then undecided := p :: !undecided
+      then undecided := Mask.add !undecided p
     done;
     let undecided = !undecided in
-    let is_complete = match undecided with [] -> true | _ :: _ -> false in
     let succs = ref [] in
-    if not is_complete then begin
+    if undecided <> 0 then begin
       let pattern = pattern_of mask in
       for pid = 0 to n - 1 do
         if not (Mask.mem mask pid) then
@@ -1433,40 +1443,84 @@ module Make (A : Algorithm.S) = struct
       | Fault_model.Byzantine _ | Fault_model.Crash | Fault_model.Mobile _ ->
           ())
     end;
-    (is_complete, mask, undecided, !succs)
+    (undecided, !succs)
+
+  (* Writes the ids of node [id]'s successors into [succs] from [i];
+     the count written.  [visit] keys and admits a successor, returning
+     its id, or -1 when the budget turned it away (no edge). *)
+  let rec fill_succs ~reduction ~visit id succs i = function
+    | [] -> i
+    | succ :: rest ->
+        let s =
+          match succ with
+          | Self ->
+              idle_hit ~reduction;
+              id
+          | Next (c, m) -> visit c m
+        in
+        if s >= 0 then begin
+          succs.(i) <- s;
+          fill_succs ~reduction ~visit id succs (i + 1) rest
+        end
+        else fill_succs ~reduction ~visit id succs i rest
 
   (* Backwards reachability from the complete nodes over the int-id
      graph; [None] when every node can still reach completion.  The
-     reported witness is the minimum over (mask, undecided) of all
-     stuck nodes, so runs that discover nodes in different orders
-     return the same one. *)
+     predecessors are built in CSR form — the preds of [id] are
+     [pred.(off.(id)) .. pred.(off.(id + 1) - 1)] — and marking runs
+     on an explicit stack that holds each node at most once.  The
+     reported witness is the minimum over (mask, ascending undecided
+     pid list) of all stuck nodes, so runs that discover nodes in
+     different orders return the same one.  The pid lists are ordered
+     on their masks by {!Mask.compare_lists}, not by the masks' value
+     (which would rank [p1] below [p0; p2]). *)
   let classify_graph ~count ~(recs : int -> node_rec) =
-    let preds = Array.make count [] in
-    let completes = ref [] in
+    let off = Array.make (count + 1) 0 in
     for id = 0 to count - 1 do
-      let r = recs id in
-      if r.complete then completes := id :: !completes;
-      List.iter (fun s -> preds.(s) <- id :: preds.(s)) r.succs
+      Array.iter (fun s -> off.(s) <- off.(s) + 1) (recs id).succs
+    done;
+    (* prefix sums: [off.(s)] is the end of [s]'s slice; the fill
+       below walks each one back to its start *)
+    for id = 1 to count do
+      off.(id) <- off.(id) + off.(id - 1)
+    done;
+    let pred = Array.make off.(count) 0 in
+    for id = 0 to count - 1 do
+      Array.iter
+        (fun s ->
+          off.(s) <- off.(s) - 1;
+          pred.(off.(s)) <- id)
+        (recs id).succs
     done;
     let can_decide = Array.make count false in
-    let rec mark_all = function
-      | [] -> ()
-      | id :: rest ->
-          if can_decide.(id) then mark_all rest
-          else begin
-            can_decide.(id) <- true;
-            mark_all (List.rev_append preds.(id) rest)
-          end
+    let stack = Array.make count 0 and top = ref 0 in
+    let mark id =
+      if not can_decide.(id) then begin
+        can_decide.(id) <- true;
+        stack.(!top) <- id;
+        incr top
+      end
     in
-    mark_all !completes;
+    for id = 0 to count - 1 do
+      if (recs id).undecided = 0 then mark id
+    done;
+    while !top > 0 do
+      decr top;
+      let id = stack.(!top) in
+      for j = off.(id) to off.(id + 1) - 1 do
+        mark pred.(j)
+      done
+    done;
     let stuck = ref None in
     for id = 0 to count - 1 do
       if not can_decide.(id) then begin
         let r = recs id in
-        let w = (r.mask, r.undecided) in
         match !stuck with
-        | Some best when compare best w <= 0 -> ()
-        | Some _ | None -> stuck := Some w
+        | Some (mask, und)
+          when mask < r.mask
+               || (mask = r.mask && Mask.compare_lists und r.undecided <= 0) ->
+            ()
+        | Some _ | None -> stuck := Some (r.mask, r.undecided)
       end
     done;
     !stuck
@@ -1482,8 +1536,13 @@ module Make (A : Algorithm.S) = struct
     if stats.budget_exhausted then Indeterminate stats
     else
       match classify_graph ~count:stats.configs_visited ~recs with
-      | Some (mask, undecided_correct) ->
-          Stuck { crashed = Mask.to_list ~n mask; undecided_correct; stats }
+      | Some (mask, undecided) ->
+          Stuck
+            {
+              crashed = Mask.to_list ~n mask;
+              undecided_correct = Mask.to_list ~n undecided;
+              stats;
+            }
       | None -> All_paths_decide stats
 
   let check_crash_explorable ~n ~initially_dead =
@@ -1511,11 +1570,11 @@ module Make (A : Algorithm.S) = struct
           p
 
   (* Checkpoint payload of a crash campaign: the reduction mode, the
-     fault-model tag, the key→id table, the node-record graph up to
-     the admission count (unexpanded ids read as [empty_rec]), the
-     counters, and the worklist of admitted-but-unexpanded nodes in
-     pop order.  Mode or model mismatch on resume warns and starts
-     fresh.
+     fault-model tag, the admitted keys indexed by id (ids are dense
+     tickets), the node-record graph up to the admission count
+     (unexpanded ids read as [empty_rec]), the counters, and the
+     worklist of admitted-but-unexpanded nodes in pop order.  Mode or
+     model mismatch on resume warns and starts fresh.
 
      The crash drivers use the orbit keys of the symmetry modes but
      never sleep sets ([Symmetry_por] behaves like [Symmetry] here):
@@ -1524,14 +1583,17 @@ module Make (A : Algorithm.S) = struct
   type crash_snap =
     Canon.reduction
     * string (* Fault_model.to_string of the campaign's model *)
-    * (E.key, int) Hashtbl.t
+    * E.key array
     * node_rec array
     * int
     * int
     * bool
     * (int * E.config * int) list
 
-  let empty_rec = { succs = []; complete = false; mask = 0; undecided = [] }
+  (* the unexpanded slot: no expanded record has a negative
+     [undecided] mask, so the sentinel survives a marshal round trip
+     as a recognisable value *)
+  let empty_rec = { succs = [||]; mask = 0; undecided = -1 }
 
   (* Crash-adversarial exploration over shared state: one {!Shardset}
      key table, one ticket counter, one write-once {!Nodestore} of node
@@ -1591,8 +1653,8 @@ module Make (A : Algorithm.S) = struct
       | Some (_, mtag, _, _, _, _, _, _) when mtag <> model_tag ->
           warn_model_mismatch ~want:model ~got:mtag;
           admit_root ()
-      | Some (_, _, ids, recs0, count0, terminals0, exhausted0, worklist) ->
-          Hashtbl.iter (fun key id -> ignore (Shardset.add seen key id)) ids;
+      | Some (_, _, keys, recs0, count0, terminals0, exhausted0, worklist) ->
+          Array.iteri (fun id key -> ignore (Shardset.add seen key id)) keys;
           (* an unexpanded slot stays unwritten: [first_write] below
              tests the physical sentinel *)
           Array.iteri
@@ -1605,35 +1667,32 @@ module Make (A : Algorithm.S) = struct
     in
     let make (w : _ Workers.w) =
       let pattern_of = make_pattern_of ~n in
+      (* the successor's id, or -1 when the budget turned it away *)
       let visit config mask =
         let key = E.key ~crashed:mask ~reduction config in
         match Shardset.admit seen key ~ticket with
         | Shardset.Found id ->
             Metrics.incr m_dedup;
             if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
-            Some id
+            id
         | Shardset.Rejected ->
             w.exhausted <- true;
             Metrics.incr m_truncations;
-            None
+            -1
         | Shardset.Admitted id ->
             Metrics.incr m_admitted;
             Workers.push w (id, config, mask);
-            Some id
+            id
       in
       fun (id, config, mask) ->
-        let is_complete, mask, undecided, succ_pairs =
+        let undecided, succ_pairs =
           expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
             ~model ~forge_alts ~pattern_of ~check config mask
         in
+        let succs = Array.make (List.length succ_pairs) 0 in
+        let len = fill_succs ~reduction ~visit id succs 0 succ_pairs in
         let succs =
-          List.filter_map
-            (function
-              | Self ->
-                  idle_hit ~reduction;
-                  Some id
-              | Next (c, m) -> visit c m)
-            succ_pairs
+          if len = Array.length succs then succs else Array.sub succs 0 len
         in
         (* supervision can re-expand a node whose first expansion died
            mid-flight (re-pushed in-flight item): count its terminal
@@ -1643,25 +1702,23 @@ module Make (A : Algorithm.S) = struct
            id at a time (handoff through the pool orders the
            re-expansion after the death). *)
         let first_write = Nodestore.get recs id == empty_rec in
-        Nodestore.set recs id { succs; complete = is_complete; mask; undecided };
-        if is_complete && first_write then begin
+        Nodestore.set recs id { succs; mask; undecided };
+        if undecided = 0 && first_write then begin
           Atomic.incr terminals_n;
           Metrics.incr m_terminals
         end;
         Workers.maybe_spill w
     in
-    (* a cut: the shared table gives key→id, the store the record
-       graph *)
+    (* a cut: the shared table gives each id's key, the store the
+       record graph *)
     let merge ~pending ~exhausted =
-      let gids : (E.key, int) Hashtbl.t =
-        Hashtbl.create (2 * Shardset.length seen + 16)
-      in
-      Shardset.iter (fun k id -> Hashtbl.replace gids k id) seen;
       let count = Workers.count rt in
+      let keys = Array.make count "" in
+      Shardset.iter (fun k id -> keys.(id) <- k) seen;
       Marshal.to_string
         (( reduction,
            model_tag,
-           gids,
+           keys,
            Array.init count (Nodestore.get recs),
            count,
            Atomic.get terminals_n,

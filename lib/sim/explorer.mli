@@ -79,6 +79,12 @@ module Mask : sig
   val popcount : int -> int
   (** Number of set bits (Kernighan's loop — one iteration per set
       bit; correct for any [int], including negative masks). *)
+
+  val compare_lists : int -> int -> int
+  (** [compare_lists a b] orders non-negative masks as their ascending
+      pid lists ([compare (to_list ~n a) (to_list ~n b)] for any [n]
+      above both), without building the lists: the order of the Stuck
+      witness's undecided set. *)
 end
 
 val default_domains : unit -> int

@@ -355,6 +355,15 @@ let prop_mask_add_mem =
          = Mask.popcount m + (if Mask.mem m p then 0 else 1)
       && Mask.add m' p = m')
 
+let prop_mask_compare_lists =
+  QCheck.Test.make ~name:"compare_lists = compare of the pid lists"
+    ~count:1000
+    QCheck.(pair (int_range 0 255) (int_range 0 255))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Mask.compare_lists a b)
+      = sign (compare (Mask.to_list ~n:8 a) (Mask.to_list ~n:8 b)))
+
 let prop_mask_to_list_sound =
   QCheck.Test.make ~name:"to_list = members below n" ~count:200
     QCheck.(pair (int_range 0 255) (int_range 0 8))
@@ -566,6 +575,80 @@ let test_idle_crash_cells () =
           Sim.Canon.Symmetry );
     ]
 
+(* The n=4 empty-or-all sym border cells, pinned at one and two
+   domains: verdict, Stuck witness and stats.  On these cells ranking
+   the undecided sets by mask value would pick the same witness;
+   {!Ranked} below is the cell where it would not. *)
+let test_border_witnesses_n4 () =
+  List.iter
+    (fun (t, want) ->
+      List.iter
+        (fun domains ->
+          Alcotest.(check string)
+            (Printf.sprintf "n4 t%d k1 empty-or-all sym, %d domain(s)" t
+               domains)
+            want
+            (crash_cell ~domains ~n:4 ~t ~k:1
+               ~policy:Sim.Explorer.Empty_or_all Sim.Canon.Symmetry ()))
+        [ 1; 2 ])
+    [
+      (1, "stuck {0}/{1,2,3} visited=50586 terminals=414 exhausted=false");
+      (2, "stuck {0}/{1,2} visited=134186 terminals=5702 exhausted=false");
+    ]
+
+(* A three-process protocol whose only stuck undecided sets, under
+   the one crashed set {} (budget 0), are {p1} and {p0,p2}.  p1's
+   first step either hears p0's [Here] (then p1 decides and nobody
+   ever releases p0 and p2) or releases them with [Go]; p0 and p2
+   decide on [Go] and report [Done]; p1 is stranded iff both reports
+   arrive in one step, and decides on any other.  The witness must be
+   [p0; p2], the smaller pid list, though {p1} is the smaller mask. *)
+module Ranked = struct
+  type phase = Start | Waiting | Released | Decided | Stranded
+  type state = { me : int; phase : phase }
+  type message = Here | Go | Done
+
+  let name = "ranked"
+  let uses_fd = false
+  let init ~n:_ ~me ~input:_ = { me; phase = Start }
+  let count m received = List.length (List.filter (fun (_, m') -> m' = m) received)
+
+  let step st ~received ~fd:_ =
+    let next phase sends decision = ({ st with phase }, sends, decision) in
+    match (st.me, st.phase) with
+    | _, (Decided | Stranded) -> next st.phase [] None
+    | 1, Start when count Here received > 0 -> next Decided [] (Some 0)
+    | 1, Start -> next Released [ (0, Go); (2, Go) ] None
+    | 1, Released when count Done received = 2 -> next Stranded [] None
+    | 1, Released -> next Decided [] (Some 0)
+    | _, (Start | Waiting) when count Go received > 0 ->
+        next Decided [ (1, Done) ] (Some 0)
+    | 0, Start -> next Waiting [ (1, Here) ] None
+    | _ -> next st.phase [] None
+
+  let canon st = st
+  let canon_message m = m
+  let forge_pool ~n:_ ~values:_ = []
+  let pp_state ppf _ = Format.pp_print_string ppf "ranked"
+  let pp_message ppf _ = Format.pp_print_string ppf "ranked"
+end
+
+let test_witness_ranks_pid_lists () =
+  let module Ex = Sim.Explorer.Make (Ranked) in
+  List.iter
+    (fun domains ->
+      match
+        Ex.explore_with_crashes ~domains ~n:3 ~inputs:(distinct 3)
+          ~crash_budget:0 ~check:no_check ()
+      with
+      | Sim.Explorer.Stuck { crashed; undecided_correct; _ } ->
+          Alcotest.(check (pair (list int) (list int)))
+            (Printf.sprintf "witness, %d domain(s)" domains)
+            ([], [ 0; 2 ])
+            (crashed, undecided_correct)
+      | _ -> Alcotest.fail "expected a Stuck verdict")
+    [ 1; 2 ]
+
 let test_idle_explore () =
   let run ?domains reduction () =
     let module K = Ksa_algo.Kset_flp.Make (struct
@@ -635,6 +718,10 @@ let suites =
     ( "explore.idle",
       [
         Alcotest.test_case "crash cells unchanged" `Quick test_idle_crash_cells;
+        Alcotest.test_case "n4 sym border witnesses" `Quick
+          test_border_witnesses_n4;
+        Alcotest.test_case "witness ranks undecided pid lists" `Quick
+          test_witness_ranks_pid_lists;
         Alcotest.test_case "crash-free explore unchanged" `Quick
           test_idle_explore;
       ] );
@@ -679,6 +766,7 @@ let suites =
         prop_popcount_matches_naive;
         prop_mask_add_mem;
         prop_mask_to_list_sound;
+        prop_mask_compare_lists;
       ];
     ( "explore.keys",
       [

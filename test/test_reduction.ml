@@ -41,9 +41,8 @@ let mode_name = Canon.reduction_to_string
    fake state/payload ids, negative and repeated decided values, and
    up to 24 pending triples over valid pids.  The canonicalization is
    pure integer arithmetic, so nothing here needs a real engine. *)
-let rows_gen =
+let rows_of_n n =
   QCheck.Gen.(
-    int_range 2 8 >>= fun n ->
     let all = (1 lsl n) - 1 in
     frequency [ (6, int_range 0 all); (1, return all); (1, return 0) ]
     >>= fun crashed ->
@@ -58,6 +57,8 @@ let rows_gen =
        return (Canon.pack_triple src dst payload))
     >>= fun triples ->
     return { Canon.n; crashed; state_ids; decided; triples = Array.of_list triples })
+
+let rows_gen = QCheck.Gen.(int_range 2 8 >>= rows_of_n)
 
 let pp_rows (r : int Canon.rows) =
   Printf.sprintf "n=%d crashed=%#x states=[%s] decided=[%s] triples=[%s]" r.n
@@ -98,6 +99,127 @@ let prop_exact_key_order_free =
       key Canon.No_reduction rows
       = key Canon.No_reduction { rows with Canon.triples = rev })
 
+(* ---------- the varint layout, decoded ---------- *)
+
+(* A decoder written against the layout's definition (zigzag, then
+   LEB128, low seven-bit group first), independent of both writers. *)
+let decode s =
+  let rec int_at i shift acc =
+    let b = Char.code s.[i] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (i + 1, acc) else int_at (i + 1) (shift + 7) acc
+  in
+  let rec go i out =
+    if i = String.length s then List.rev out
+    else
+      let i, z = int_at i 0 0 in
+      go i (((z lsr 1) lxor -(z land 1)) :: out)
+  in
+  go 0 []
+
+(* The int sequence each layout denotes, spelled out over the rows:
+   triples re-packed as (payload * n + src) * n + dst *)
+let reference_ints reduction (r : int Canon.rows) =
+  let small t =
+    (((Canon.triple_payload t * r.n) + Canon.triple_src t) * r.n)
+    + Canon.triple_dst t
+  in
+  let sorted l = List.sort compare l in
+  let with_count l = List.length l :: l in
+  let pids = List.init r.n Fun.id in
+  let dead p = r.crashed land (1 lsl p) <> 0 in
+  match reduction with
+  | Canon.No_reduction ->
+      let decided =
+        List.filter_map
+          (fun p -> Option.map (fun v -> (p, v)) r.decided.(p))
+          pids
+      in
+      (r.crashed :: Array.to_list r.state_ids)
+      @ (List.length decided :: List.concat_map (fun (p, v) -> [ p; v ]) decided)
+      @ with_count (sorted (List.map small (Array.to_list r.triples)))
+  | Canon.Symmetry | Canon.Symmetry_por ->
+      let c = Canon.canonicalize r in
+      [ -1; r.crashed ]
+      @ List.map (fun p -> if dead p then -1 else r.state_ids.(p)) pids
+      @ (List.length c.fixed_decided
+        :: List.concat_map (fun (p, v) -> [ p; v ]) c.fixed_decided)
+      @ with_count c.movable_decided
+      @ with_count (sorted (List.map small (Array.to_list c.retained)))
+
+let prop_key_decodes =
+  QCheck.Test.make ~name:"canon: keys decode to the layout's int sequence"
+    ~count:1000 arb_rows (fun rows ->
+      List.for_all
+        (fun m -> decode (key m rows) = reference_ints m rows)
+        (Canon.No_reduction :: reduced_modes))
+
+(* Rows far larger than the writer's scratch space starts with (300
+   triples, payload ids into the thousands), so the scratch array and
+   buffer both grow, and the triples take three-byte varints. *)
+let test_key_large_rows () =
+  let n = 8 in
+  let rows =
+    {
+      Canon.n;
+      crashed = 0b1010_0000;
+      state_ids = Array.init n (fun p -> 1000 * p);
+      decided = Array.init n (fun p -> if p mod 3 = 0 then Some (p - 4) else None);
+      triples =
+        Array.init 300 (fun j ->
+            Canon.pack_triple (j mod n) (j * 7 mod n) (j * 13));
+    }
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check (list int))
+        ("decodes, " ^ mode_name m)
+        (reference_ints m rows)
+        (decode (key m rows)))
+    (Canon.No_reduction :: reduced_modes);
+  Alcotest.(check string) "orbit key = reference" (orbit_key rows)
+    (key Canon.Symmetry rows)
+
+(* Two rows of one n, the second often a near miss of the first (a
+   triple or a decision dropped), where a layout without its counts
+   would make one key a prefix of the other. *)
+let rows_pair_gen =
+  QCheck.Gen.(
+    int_range 2 8 >>= fun n ->
+    rows_of_n n >>= fun a ->
+    frequency
+      [
+        (2, rows_of_n n);
+        ( 1,
+          int_bound (Array.length a.Canon.triples) >>= fun m ->
+          return { a with Canon.triples = Array.sub a.Canon.triples 0 m } );
+        ( 1,
+          int_bound (n - 1) >>= fun p ->
+          let decided = Array.copy a.Canon.decided in
+          decided.(p) <- None;
+          return { a with Canon.decided } );
+      ]
+    >>= fun b -> return (a, b))
+
+let is_proper_prefix p s =
+  String.length p < String.length s
+  && String.sub s 0 (String.length p) = p
+
+let prop_keys_prefix_free =
+  QCheck.Test.make ~name:"canon: no key is a proper prefix of another (same n)"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> pp_rows a ^ " / " ^ pp_rows b)
+       rows_pair_gen)
+    (fun (a, b) ->
+      let keys r = List.map (fun m -> key m r) [ Canon.No_reduction; Canon.Symmetry ] in
+      List.for_all
+        (fun ka ->
+          List.for_all
+            (fun kb -> not (is_proper_prefix ka kb || is_proper_prefix kb ka))
+            (keys b))
+        (keys a))
+
 let hex s =
   String.concat ""
     (List.map
@@ -106,8 +228,10 @@ let hex s =
 
 (* Golden bytes.  Checkpoints store dedup keys, so the layouts must
    not drift — not even in step with the reference, which the
-   property above would miss.  Each literal is a little-endian int64
-   sequence, one int per 16 hex digits. *)
+   properties above would miss.  Each literal is a zigzag LEB128
+   varint sequence: one byte per int below 64 in magnitude, more for
+   larger ones (low seven-bit group first, high bit set on every byte
+   but the last). *)
 let test_exact_key_golden () =
   let rows =
     {
@@ -119,16 +243,13 @@ let test_exact_key_golden () =
     }
   in
   (* crashed 4; states 5 7 9; 2 decided: (0, 2) (2, -1); 2 triples,
-     sorted: 0>2:1, 1>0:3 *)
+     re-packed as (payload * 3 + src) * 3 + dst and sorted: 0>2:1 is
+     11, 1>0:3 is 30.  Zigzag doubles each non-negative int and maps
+     -1 to 1. *)
   Alcotest.(check string)
     "exact key bytes"
     (String.concat ""
-       [
-         "0400000000000000"; "0500000000000000"; "0700000000000000";
-         "0900000000000000"; "0200000000000000"; "0000000000000000";
-         "0200000000000000"; "0200000000000000"; "ffffffffffffffff";
-         "0200000000000000"; "0100000000020000"; "0300000000000800";
-       ])
+       [ "08"; "0a"; "0e"; "12"; "04"; "00"; "04"; "04"; "01"; "04"; "16"; "3c" ])
     (hex (key Canon.No_reduction rows))
 
 let test_orbit_key_golden () =
@@ -149,17 +270,15 @@ let test_orbit_key_golden () =
   in
   (* tag -1; crashed 7; row ids -1 -1 -1 13 14; 2 fixed outputs (p0
      names a live-destination message, p4 is live): (0, 3) (4, 1); 2
-     movable values (p1, p2), sorted: -2 1; 2 retained triples,
-     sorted: 0>3:5, 4>3:2 (the two to crashed pids are elided) *)
+     movable values (p1, p2), sorted: -2 1; 2 retained triples
+     re-packed as (payload * 5 + src) * 5 + dst and sorted: 4>3:2 is
+     73, 0>3:5 is 128 (the two to crashed pids are elided).  73 and
+     128 zigzag to 146 and 256, two bytes each. *)
   let expected =
     String.concat ""
       [
-        "ffffffffffffffff"; "0700000000000000"; "ffffffffffffffff";
-        "ffffffffffffffff"; "ffffffffffffffff"; "0d00000000000000";
-        "0e00000000000000"; "0200000000000000"; "0000000000000000";
-        "0300000000000000"; "0400000000000000"; "0100000000000000";
-        "0200000000000000"; "feffffffffffffff"; "0100000000000000";
-        "0200000000000000"; "0500000000030000"; "0200000000032000";
+        "01"; "0e"; "01"; "01"; "01"; "1a"; "1c"; "04"; "00"; "06"; "08";
+        "02"; "04"; "03"; "02"; "04"; "9201"; "8002";
       ]
   in
   List.iter
@@ -820,6 +939,10 @@ let suites =
           test_sends_recorded_and_dependent;
         qcheck prop_key_is_reference;
         qcheck prop_exact_key_order_free;
+        qcheck prop_key_decodes;
+        qcheck prop_keys_prefix_free;
+        Alcotest.test_case "large rows grow the scratch" `Quick
+          test_key_large_rows;
         Alcotest.test_case "exact key golden bytes" `Quick
           test_exact_key_golden;
         Alcotest.test_case "orbit key golden bytes" `Quick

@@ -74,6 +74,21 @@ let prop_iter_is_the_model =
              (fun k v acc -> acc && Hashtbl.find_opt seen k = Some v)
              model true))
 
+(* the published [key_bytes] gauge is the summed length of the
+   distinct keys held, whatever the duplicates and resizes *)
+let prop_key_bytes_gauge =
+  QCheck.Test.make ~name:"key_bytes gauge sums the held keys' lengths"
+    ~count:50 keys_arb (fun keys ->
+      let t = mk () in
+      List.iteri (fun i k -> ignore (Shardset.add t k i)) keys;
+      Shardset.publish_metrics t;
+      let module M = Ksa_prim.Metrics in
+      M.gauge_value (M.gauge "shardset.test.key_bytes")
+      = List.fold_left
+          (fun acc k -> acc + String.length k)
+          0
+          (List.sort_uniq compare keys))
+
 (* ---------- ticketed admission ---------- *)
 
 let prop_budgeted_admission =
@@ -181,6 +196,7 @@ let suites =
       [
         prop_matches_model;
         prop_iter_is_the_model;
+        prop_key_bytes_gauge;
         prop_budgeted_admission;
         prop_no_lost_inserts_concurrent;
         prop_dense_tickets_concurrent;
