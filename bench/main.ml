@@ -299,7 +299,7 @@ let bench_ablation_explorer_par_n4 () =
   (* the same n=4 space fanned over 4 domains *)
   let module Ex = Sim.Explorer.Make (K2) in
   ignore
-    (Ex.explore_par ~domains:4 ~policy:Sim.Explorer.Empty_or_all ~n:4
+    (Ex.explore ~domains:4 ~policy:Sim.Explorer.Empty_or_all ~n:4
        ~inputs:(Sim.Value.distinct_inputs 4)
        ~pattern:(Sim.Failure_pattern.none ~n:4)
        ~check:(fun _ -> None)

@@ -1155,9 +1155,8 @@ let serve_domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Worker domains per job (default 1).  Crash explore and fuzz \
-           jobs resume on D domains; a resumed crash-free explore job runs \
-           on the sequential explorer regardless.")
+          "Worker domains per job (default 1).  Explore and fuzz jobs \
+           resume on D domains, whatever count wrote their checkpoint.")
 
 let exit_when_idle_arg =
   Arg.(

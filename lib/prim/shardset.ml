@@ -103,9 +103,25 @@ let resize t s start_of =
   s.limit <- cap * 7 / 10;
   Metrics.incr t.c_resizes
 
-let admit t key ~ticket =
+(* Insert [key -> v] at the empty slot [j] that [probe] returned
+   from [start]; caller holds [s.lock] *)
+let insert t s key ~start j v =
+  let steps = (j - start) land (Array.length s.keys - 1) in
+  if steps > 0 then Metrics.add t.c_collisions steps;
+  (* value before key: a racy reader that observes the key observes a
+     fully-initialised slot *)
+  s.vals.(j) <- v;
+  s.keys.(j) <- key;
+  s.count <- s.count + 1;
+  s.bytes <- s.bytes + String.length key;
+  if s.count > s.limit then resize t s (fun k -> hash_of k lsr t.shard_bits)
+
+let check_key what key =
   if String.length key = 0 then
-    invalid_arg "Shardset.admit: the empty key is reserved";
+    invalid_arg ("Shardset." ^ what ^ ": the empty key is reserved")
+
+let admit t key ~ticket =
+  check_key "admit" key;
   let h = hash_of key in
   let s = shard_of t h in
   let start = h lsr t.shard_bits in
@@ -116,31 +132,29 @@ let admit t key ~ticket =
     else begin
       (* load factor < 1 under the lock *)
       assert (j <> wrapped);
-      let j = lnot j in
       match ticket () with
       | None -> Rejected
       | Some v ->
-          let steps = (j - start) land (Array.length s.keys - 1) in
-          if steps > 0 then Metrics.add t.c_collisions steps;
-          (* value before key: a racy reader that observes the key
-             observes a fully-initialised slot *)
-          s.vals.(j) <- v;
-          s.keys.(j) <- key;
-          s.count <- s.count + 1;
-          s.bytes <- s.bytes + String.length key;
-          if s.count > s.limit then
-            resize t s (fun k -> hash_of k lsr t.shard_bits);
+          insert t s key ~start (lnot j) v;
           Admitted v
     end
   in
   Mutex.unlock s.lock;
   result
 
+(* [admit] with an always-granting ticket, without its allocations:
+   resumed campaigns restore whole tables through it *)
 let add t key v =
-  match admit t key ~ticket:(fun () -> Some v) with
-  | Admitted _ -> true
-  | Found _ -> false
-  | Rejected -> assert false
+  check_key "add" key;
+  let h = hash_of key in
+  let s = shard_of t h in
+  let start = h lsr t.shard_bits in
+  Mutex.lock s.lock;
+  let j = probe s.keys key start in
+  assert (j <> wrapped);
+  if j < 0 then insert t s key ~start (lnot j) v;
+  Mutex.unlock s.lock;
+  j < 0
 
 let find t key =
   if String.length key = 0 then None

@@ -38,10 +38,14 @@ let magic = "KSACKPT1"
    zigzag varint sequences instead of 8-byte ints; [explore-crash]
    snapshots store the keys as an id-indexed array instead of a
    key→id table, and their node records hold an int array of
-   successors and an undecided-pid mask instead of lists.  Older
-   files unmarshal into the wrong shapes, so they are rejected by the
+   successors and an undecided-pid mask instead of lists.  v7:
+   [explore] snapshots take [explore-crash]'s shape: the admitted
+   keys as an id-indexed array, the terminal and bare-key sets as key
+   arrays instead of three hash tables, and the keys of pending
+   orphans; ids stay dense, since no ticket is refunded.  Older files
+   unmarshal into the wrong shapes, so they are rejected by the
    version check and the CLI falls back to a fresh campaign. *)
-let version = 6
+let version = 7
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

@@ -199,7 +199,7 @@ end
 
 (* The checkpoint/interrupt coordinator of a parallel driver: a small
    ticker domain.  When a periodic write is due it stops the world,
-   merges the worker slots into a sequential-format payload and
+   merges the worker slots into the driver's payload and
    writes it; when the campaign is interrupted it writes a final
    checkpoint the same way, then raises the driver's stop flag (via
    [on_interrupt]) and retires. *)
@@ -540,12 +540,9 @@ module Workers = struct
 
   (* [seen] is the driver's dedup table, whose metrics are published
      at the end of the run *)
-  let create ?domains ~max_configs ~seen () =
-    let domains =
-      max 1 (match domains with Some d -> d | None -> default_domains ())
-    in
+  let create ~domains ~max_configs ~seen () =
     {
-      domains;
+      domains = max 1 domains;
       max_configs;
       count = Atomic.make 0;
       stop = Atomic.make false;
@@ -649,7 +646,7 @@ module Workers = struct
       let stopped () = Atomic.get t.stop in
       (* the inline checkpoint work; [writing] marks its faults as the
          driver's own, to propagate rather than supervise *)
-      let writing = ref false in
+      let writing = ref false and ticked = ref (count t) in
       let write () = cut [| Some (snap ()) |] in
       let interrupt () =
         writing := true;
@@ -672,9 +669,12 @@ module Workers = struct
                     nothing is lost when the stack is handed back *)
                  if Option.is_none (verdict e) then push w item;
                  raise e);
-              if inline then begin
+              (* a periodic write is only offered once an admission
+                 moved the count *)
+              if inline && count t <> !ticked then begin
+                ticked := count t;
                 writing := true;
-                Checkpoint.tick ckpt ~items:(count t) write;
+                Checkpoint.tick ckpt ~items:!ticked write;
                 writing := false
               end;
               drain ()
@@ -938,29 +938,27 @@ module Make (A : Algorithm.S) = struct
     | Symmetry_por -> bare ^ Canon.Action.digest sleep
     | No_reduction | Symmetry -> bare
 
-  (* ---- sequential exhaustive exploration ---- *)
+  (* ---- crash-free exploration ---- *)
 
   (* Checkpoint payload of an [explore] campaign: the reduction mode,
-     the dedup table, the counted-terminal and admitted bare-key
-     tables (so resumed runs keep terminal counting and the
-     fragmentation metric exactly-once per configuration), the
-     counters, and the stack of {e candidate} (configuration, depth,
-     sleep set) items — popped but not yet admitted, so resume
-     re-applies dedup and the budget exactly as the uninterrupted run
-     would have.  The parallel driver merges its worker states into
-     this same format, and every resume continues on the sequential
-     driver.  A payload written under a different reduction mode
-     describes a different search — warn and start fresh, like a
-     corrupt checkpoint. *)
+     the admitted keys indexed by id (ids are dense tickets), the
+     counted-terminal and admitted bare keys (terminal counting and
+     the fragmentation metric stay exactly-once per configuration),
+     the counters, the {e candidate} (configuration, depth, sleep set)
+     items in pop order — not yet admitted, so resume re-applies dedup
+     and the budget as the uninterrupted run would have — and the
+     pending orphans' keys.  A reduction-mode mismatch on resume warns
+     and starts fresh, like a corrupt checkpoint. *)
   type explore_snap =
     Canon.reduction
-    * (E.key, unit) Hashtbl.t
-    * (E.key, unit) Hashtbl.t
-    * (E.key, unit) Hashtbl.t
+    * E.key array
+    * E.key array
+    * E.key array
     * int
     * int
     * bool
     * (E.config * int * Canon.Action.t list) list
+    * E.key list
 
   let warn_reduction_mismatch ~want ~got =
     Printf.eprintf
@@ -980,208 +978,87 @@ module Make (A : Algorithm.S) = struct
       got
       (Fault_model.to_string want)
 
-  (* What expanding one admitted crash-free configuration found. *)
-  type expansion = Terminal of (Pid.t * Value.t * int) list | Cut | Expanded
-
-  (* Per-node expansion, shared by [explore] and [explore_par]: the
-     decisions check, completeness over the [correct] processes, the
-     [max_depth] cut, and the successors — handed to [push] with their
-     depth and sleep set, under the scheduler [reduction] selects. *)
-  let expand_node ~reduction ~policy ~pattern ~correct ~max_depth ~check ~push
-      config depth sleep bare =
-    Metrics.gauge_max g_depth_peak depth;
-    let decisions = E.decisions config in
-    (match check decisions with
-    | Some reason -> raise (Found (decisions, reason, depth))
-    | None -> ());
-    if List.for_all (fun p -> E.decision_of config p <> None) correct then
-      Terminal decisions
-    else if depth >= max_depth then Cut
-    else begin
-      (match reduction with
-      | Canon.Symmetry_por ->
-          schedule_successors_sleep ~reduction ~policy ~pattern
-            ~steppers:correct ~depth:(depth + 1) ~sleep ~parent_key:bare config
-            push
-      | Canon.No_reduction | Canon.Symmetry ->
-          schedule_successors ~reduction ~policy ~pattern ~steppers:correct
-            ~depth:(depth + 1) config push);
-      Expanded
-    end
-
-  let explore ?(reduction = Canon.No_reduction) ?(max_depth = 200)
-      ?(max_configs = 2_000_000) ?(policy = Per_sender)
-      ?(on_terminal = fun _ -> ()) ?(ckpt = Checkpoint.ctl ()) ?resume ~n
-      ~inputs ~pattern ~check () =
-    require_explorable ~n ~pattern;
-    Metrics.gauge_set g_max_configs max_configs;
-    let fresh () =
-      ( Hashtbl.create 65_536,
-        Hashtbl.create 1_024,
-        Hashtbl.create 4_096,
-        0,
-        0,
-        false,
-        [ (E.init_explore ~reduction ~n ~inputs (), 0, []) ] )
+  (* A table holding [keys], each bound to its index when [ids] and to
+     0 otherwise, sized so that restoring them never resizes it. *)
+  let restore_set ~name ~capacity ~ids keys =
+    let s =
+      Shardset.create ~name ~capacity:(max capacity (2 * Array.length keys)) ()
     in
-    let seen, term_seen, bare_seen, visited0, terminals0, exhausted0, stack0 =
-      match resume with
-      | Some payload ->
-          let mode, seen, tm, br, v, t, e, st =
-            (Marshal.from_string payload 0 : explore_snap)
-          in
-          if mode <> reduction then begin
-            warn_reduction_mismatch ~want:reduction ~got:mode;
-            fresh ()
-          end
-          else (seen, tm, br, v, t, e, st)
-      | None -> fresh ()
-    in
-    let visited = ref visited0 in
-    let terminals = ref terminals0 in
-    let exhausted = ref exhausted0 in
-    let interrupted = ref false in
-    let stack = ref stack0 in
-    let snap () =
-      Marshal.to_string
-        (( reduction,
-           seen,
-           term_seen,
-           bare_seen,
-           !visited,
-           !terminals,
-           !exhausted,
-           !stack )
-          : explore_snap)
-        []
-    in
-    let correct = Failure_pattern.correct pattern in
-    let succs = ref [] in
-    let push config depth sleep = succs := (config, depth, sleep) :: !succs in
-    (* Admission is clamped at the budget {e before} a configuration
-       is counted (matching the dense-id [visit] of the crash
-       drivers): [configs_visited] never overshoots [max_configs],
-       and [budget_exhausted] is set only when an unseen reachable
-       configuration was actually turned away.  The stack pops
-       candidates in exactly the order the recursive formulation
-       visited them (successors are pushed in reverse generation
-       order), so verdicts, depths and stats are unchanged. *)
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | _ when Checkpoint.interrupted ckpt ->
-          Checkpoint.flush ckpt snap;
-          interrupted := true
-      | (config, depth, sleep) :: rest ->
-          stack := rest;
-          let bare = E.key ~reduction config in
-          let key = admission_key ~reduction bare sleep in
-          if Hashtbl.mem seen key then begin
-            Metrics.incr m_dedup;
-            if reduction <> Canon.No_reduction then Metrics.incr m_orbit
-          end
-          else if !visited >= max_configs then begin
-            exhausted := true;
-            Metrics.incr m_truncations
-          end
-          else begin
-            Hashtbl.add seen key ();
-            (match reduction with
-            | Canon.Symmetry_por ->
-                if Hashtbl.mem bare_seen bare then Metrics.incr m_sleep_readmit
-                else Hashtbl.add bare_seen bare ()
-            | Canon.No_reduction | Canon.Symmetry -> ());
-            incr visited;
-            Metrics.incr m_admitted;
-            (match
-               expand_node ~reduction ~policy ~pattern ~correct ~max_depth
-                 ~check ~push config depth sleep bare
-             with
-            | Terminal decisions ->
-                (* terminals are keyed by the bare configuration key:
-                   under sym+por the same terminal configuration can be
-                   admitted once per distinct sleep digest, but it is
-                   one terminal state, counted (and reported) once *)
-                if not (Hashtbl.mem term_seen bare) then begin
-                  Hashtbl.add term_seen bare ();
-                  incr terminals;
-                  Metrics.incr m_terminals;
-                  on_terminal decisions
-                end
-            | Cut -> exhausted := true
-            | Expanded ->
-                stack := List.rev_append !succs !stack;
-                succs := []);
-            Checkpoint.tick ckpt ~items:!visited snap
-          end;
-          loop ()
-    in
-    match loop () with
-    | () ->
-        if !interrupted then exhausted := true;
-        let stats =
-          {
-            configs_visited = !visited;
-            terminal_runs = !terminals;
-            budget_exhausted = !exhausted;
-          }
-        in
-        record_run_stats stats;
-        Safe stats
-    | exception Found (decisions, reason, depth) ->
-        Violation { decisions; reason; depth }
+    Array.iteri
+      (fun i k -> ignore (Shardset.add s k (if ids then i else 0)))
+      keys;
+    s
 
-  (* ---- parallel exhaustive exploration ----
+  (* the answer of a lock-free {!Shardset.mem} hit, in place of the
+     boxed [Found] that {!Shardset.admit} would allocate for it (the
+     id is never read: crash-free admission needs none) *)
+  let known = Shardset.Found (-1)
 
-     Every domain admits configurations against one shared {!Shardset}
-     table with one ticket-clamped admission counter, so each
-     reachable configuration is admitted and expanded exactly once:
-     the visited set — and with it verdict and stats — equals the
-     sequential driver's whenever no budget truncates, and parallelism
-     buys wall-clock instead of duplicated work.  {!Workers} runs the
-     frontier, the checkpoint cuts and supervision; this driver adds
-     admission fused with expansion, and with it the orphan protocol
-     below.  [check] runs concurrently and must be thread-safe. *)
-  let explore_par ?(reduction = Canon.No_reduction) ?domains
+  (* Crash-free exploration on {!Workers} at every domain count, with
+     one shared {!Shardset} table and ticket counter, so each reachable
+     configuration is admitted and expanded exactly once.  Items are
+     {e candidates}, admitted when popped: a dedup hit drops one, a
+     ticket refused at the budget turns it away.  Each expansion's
+     successors pop in generation order, so one domain walks exactly
+     the depth-first order of the recursive search.  A resume re-seeds
+     the tables (same ids), counters, orphans and worklist, at any
+     domain count. *)
+  let explore ?(reduction = Canon.No_reduction) ?(domains = 1)
       ?(max_depth = 200) ?(max_configs = 2_000_000) ?(policy = Per_sender)
-      ?(on_terminal = fun _ -> ()) ?(ckpt = Checkpoint.ctl ()) ~n ~inputs
-      ~pattern ~check () =
+      ?on_terminal ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~pattern
+      ~check () =
     require_explorable ~n ~pattern;
     Metrics.gauge_set g_max_configs max_configs;
     let correct = Failure_pattern.correct pattern in
-    let seen = Shardset.create ~name:"explore.dedup" () in
-    let rt = Workers.create ?domains ~max_configs ~seen () in
-    let ticket = Workers.ticket rt in
+    let snap =
+      match
+        Option.map (fun p -> (Marshal.from_string p 0 : explore_snap)) resume
+      with
+      | Some (mode, _, _, _, _, _, _, _, _) when mode <> reduction ->
+          warn_reduction_mismatch ~want:reduction ~got:mode;
+          None
+      | snap -> snap
+    in
+    let keys0, terms0, bares0 =
+      match snap with
+      | Some (_, keys, terms, bares, _, _, _, _, _) -> (keys, terms, bares)
+      | None -> ([||], [||], [||])
+    in
+    let seen =
+      restore_set ~name:"explore.dedup" ~capacity:65_536 ~ids:true keys0
+    in
     (* terminal configurations and admitted bare keys, both keyed by
        the bare (sleep-free) configuration key: under sym+por one
        configuration can be admitted once per distinct sleep digest,
        but it is one terminal state / one distinct configuration.
        [term_set] makes terminal counting and [on_terminal] fire once
-       per configuration (this also absorbs orphan re-expansions);
+       per configuration (absorbing orphan re-expansions too);
        [bare_set] feeds the sleep-readmission counter. *)
-    let term_set = Shardset.create ~name:"explore.terminal" () in
-    let bare_set = Shardset.create ~name:"explore.bare" () in
-    (* Keys admitted to the shared table whose expansion a dying
-       worker cut short: the ticket stands and the in-flight item goes
-       back to the pool, but its successors were never generated.
-       Whoever re-processes the item hits [Found] in the table;
-       membership here tells them to expand it anyway instead of
-       dropping it as a duplicate — without this the dead worker's
-       whole subtree would be silently lost while the run still
-       reported [Safe].  Touched only on the failure path, so a
-       mutex-guarded table is plenty. *)
-    let orphans : (E.key, unit) Hashtbl.t = Hashtbl.create 8 in
-    let orphans_lock = Mutex.create () in
-    (* [orphan_take] sits on the dedup-hit hot path, so the common
-       all-workers-healthy case must stay lock-free: [orphans_n] is a
-       conservative size mirror, and a re-processor of an orphaned
-       item always observes its increment (the handoff through the
-       pool mutex orders [orphan_add] before the re-process). *)
+    let term_set =
+      restore_set ~name:"explore.terminal" ~capacity:1_024 ~ids:false terms0
+    in
+    let bare_set =
+      restore_set ~name:"explore.bare" ~capacity:1_024 ~ids:false bares0
+    in
+    let rt = Workers.create ~domains ~max_configs ~seen () in
+    let ticket = Workers.ticket rt in
+    let terminals_n = Atomic.make 0 in
+    (* Orphans: admitted keys whose expansion a dying worker cut
+       short.  The ticket stands and the in-flight item goes back to
+       the pool; whoever re-processes it hits the key in the table, and
+       membership here tells them to expand it anyway — else the dead
+       worker's subtree would be silently lost while the run still
+       reported [Safe].  A cut carries the pending orphans' keys and
+       resume re-registers them, so their ids stay taken and ids stay
+       dense.  [orphans_n] keeps the dedup-hit path lock-free; a
+       re-processor always observes its increment, since the handoff
+       through the pool mutex orders [orphan_add] first. *)
+    let orphans = ref [] and orphans_lock = Mutex.create () in
     let orphans_n = Atomic.make 0 in
     let orphan_add key =
       Mutex.lock orphans_lock;
-      if not (Hashtbl.mem orphans key) then begin
-        Hashtbl.replace orphans key ();
+      if not (List.exists (String.equal key) !orphans) then begin
+        orphans := key :: !orphans;
         Atomic.incr orphans_n
       end;
       Mutex.unlock orphans_lock
@@ -1190,46 +1067,74 @@ module Make (A : Algorithm.S) = struct
       Atomic.get orphans_n > 0
       && begin
            Mutex.lock orphans_lock;
-           let hit = Hashtbl.mem orphans key in
+           let hit = List.exists (String.equal key) !orphans in
            if hit then begin
-             Hashtbl.remove orphans key;
+             orphans :=
+               List.filter (fun k -> not (String.equal k key)) !orphans;
              Atomic.decr orphans_n
            end;
            Mutex.unlock orphans_lock;
            hit
          end
     in
-    let orphan_keys () =
-      Mutex.lock orphans_lock;
-      let keys = Hashtbl.fold (fun k () acc -> k :: acc) orphans [] in
-      Mutex.unlock orphans_lock;
-      keys
+    (* set when budget was turned away before this run *)
+    let exhausted0 =
+      match snap with
+      | Some (_, _, _, _, count, terminals, exhausted, pending, orphaned) ->
+          Atomic.set rt.Workers.count count;
+          Atomic.set terminals_n terminals;
+          List.iter orphan_add orphaned;
+          Workers.seed rt pending;
+          exhausted
+      | None ->
+          Workers.seed rt [ (E.init_explore ~reduction ~n ~inputs (), 0, []) ];
+          false
     in
-    let terminals_n = Atomic.make 0 in
-    (* each worker's terminal decision sets, reported after the join *)
+    (* each worker's terminal decision sets, newest first, reported
+       after the join *)
     let terminals = Array.make rt.Workers.domains [] in
-    Workers.seed rt [ (E.init_explore ~reduction ~n ~inputs (), 0, []) ];
     let make (w : _ Workers.w) =
-      let push config depth sleep = Workers.push w (config, depth, sleep) in
-      (* expansion of an already-admitted configuration; a
-         non-verdict exception escaping from here (a user [check]
-         raising, say) leaves the admission behind, so the key is
-         marked orphaned before the runtime re-pushes the item — the
-         re-processor must expand despite the dedup hit *)
+      (* the successors of the expansion in progress, newest first:
+         pushed in that order, they pop in generation order *)
+      let succs = ref [] and push_item = Workers.push w in
+      let push config depth sleep = succs := (config, depth, sleep) :: !succs in
+      (* Expansion of an admitted configuration: the decisions check,
+         completeness over the [correct] processes, the [max_depth]
+         cut, and the successors under the scheduler [reduction]
+         selects.  A non-verdict exception escaping from here (a user
+         [check] raising, say) leaves the admission behind, so the key
+         is marked orphaned before the runtime re-pushes the item — the
+         re-processor must expand despite the dedup hit. *)
       let expand config depth sleep bare key =
         try
-          match
-            expand_node ~reduction ~policy ~pattern ~correct ~max_depth ~check
-              ~push config depth sleep bare
-          with
-          | Terminal decisions ->
-              if Shardset.add term_set bare 0 then begin
-                Atomic.incr terminals_n;
-                terminals.(w.i) <- decisions :: terminals.(w.i);
-                Metrics.incr m_terminals
-              end
-          | Cut -> w.exhausted <- true
-          | Expanded -> Workers.maybe_spill w
+          Metrics.gauge_max g_depth_peak depth;
+          let decisions = E.decisions config in
+          (match check decisions with
+          | Some reason -> raise (Found (decisions, reason, depth))
+          | None -> ());
+          if List.for_all (fun p -> E.decision_of config p <> None) correct
+          then begin
+            if Shardset.add term_set bare 0 then begin
+              Atomic.incr terminals_n;
+              Metrics.incr m_terminals;
+              if Option.is_some on_terminal then
+                terminals.(w.i) <- decisions :: terminals.(w.i)
+            end
+          end
+          else if depth >= max_depth then w.exhausted <- true
+          else begin
+            succs := [];
+            (match reduction with
+            | Canon.Symmetry_por ->
+                schedule_successors_sleep ~reduction ~policy ~pattern
+                  ~steppers:correct ~depth:(depth + 1) ~sleep ~parent_key:bare
+                  config push
+            | Canon.No_reduction | Canon.Symmetry ->
+                schedule_successors ~reduction ~policy ~pattern
+                  ~steppers:correct ~depth:(depth + 1) config push);
+            List.iter push_item !succs;
+            Workers.maybe_spill w
+          end
         with
         | Found _ as e -> raise e
         | e ->
@@ -1239,7 +1144,10 @@ module Make (A : Algorithm.S) = struct
       fun (config, depth, sleep) ->
         let bare = E.key ~reduction config in
         let key = admission_key ~reduction bare sleep in
-        match Shardset.admit seen key ~ticket with
+        match
+          if Shardset.mem seen key then known
+          else Shardset.admit seen key ~ticket
+        with
         | Shardset.Found _ ->
             if orphan_take key then expand config depth sleep bare key
             else begin
@@ -1258,33 +1166,33 @@ module Make (A : Algorithm.S) = struct
             | Canon.No_reduction | Canon.Symmetry -> ());
             expand config depth sleep bare key
     in
-    (* a pause-the-world cut in the sequential format: the shared
-       table is the seen set.  Resume continues on [explore]. *)
+    (* a cut: the shared table gives each id's key *)
     let merge ~pending ~exhausted =
-      let table s =
-        let h : (E.key, unit) Hashtbl.t =
-          Hashtbl.create (2 * Shardset.length s + 16)
-        in
-        Shardset.iter (fun k _ -> Hashtbl.replace h k ()) s;
-        h
+      let count = Workers.count rt in
+      let keys = Array.make count "" in
+      Shardset.iter (fun k id -> keys.(id) <- k) seen;
+      let members s =
+        let a = Array.make (Shardset.length s) "" and i = ref 0 in
+        Shardset.iter
+          (fun k _ ->
+            a.(!i) <- k;
+            incr i)
+          s;
+        a
       in
-      let seen_m = table seen in
-      (* a pending orphan (admitted, expansion cut short by a worker
-         failure, not yet re-expanded) must read as unvisited in the
-         sequential format: drop its key so resume re-admits and
-         expands it, and return its ticket so [configs_visited] stays
-         exact after the re-admission *)
-      let orphaned = orphan_keys () in
-      List.iter (fun k -> Hashtbl.remove seen_m k) orphaned;
+      Mutex.lock orphans_lock;
+      let orphaned = !orphans in
+      Mutex.unlock orphans_lock;
       Marshal.to_string
         (( reduction,
-           seen_m,
-           table term_set,
-           table bare_set,
-           Workers.count rt - List.length orphaned,
+           keys,
+           members term_set,
+           members bare_set,
+           count,
            Atomic.get terminals_n,
-           exhausted,
-           pending )
+           exhausted || exhausted0,
+           pending,
+           orphaned )
           : explore_snap)
         []
     in
@@ -1303,12 +1211,14 @@ module Make (A : Algorithm.S) = struct
         in
         Violation { decisions; reason; depth }
     | [], exhausted ->
-        Array.iter (List.iter on_terminal) terminals;
+        Option.iter
+          (fun f -> Array.iter (fun l -> List.iter f (List.rev l)) terminals)
+          on_terminal;
         let stats =
           {
             configs_visited = Workers.count rt;
             terminal_runs = Atomic.get terminals_n;
-            budget_exhausted = exhausted;
+            budget_exhausted = exhausted || exhausted0;
           }
         in
         record_run_stats stats;

@@ -17,8 +17,8 @@
     additionally folds each delivered batch in canonical
     (sender, payload) order — see {!Engine.Make.init_explore} — which
     makes the set of reachable configuration keys independent of the
-    traversal order.  The sequential and parallel drivers therefore
-    report identical statistics and verdicts whenever no budget
+    traversal order.  Each driver therefore reports identical
+    statistics and verdicts at every domain count whenever no budget
     truncates the search.
 
     Every driver takes a {!Canon.reduction}: [Symmetry] switches
@@ -28,8 +28,8 @@
     interleavings with DPOR sleep sets in the crash-free drivers.
     Both preserve verdicts and the decision-value oracle (soundness
     argument in DESIGN.md); the configuration counts shrink — that is
-    the point — so cross-{e mode} stats differ while seq/par parity
-    within a mode still holds exactly. *)
+    the point — so cross-{e mode} stats differ while domain-count
+    parity within a mode still holds exactly. *)
 
 type delivery_policy =
   | Empty_or_all
@@ -126,6 +126,7 @@ type resilient_outcome =
 module Make (A : Algorithm.S) : sig
   val explore :
     ?reduction:Canon.reduction ->
+    ?domains:int ->
     ?max_depth:int ->
     ?max_configs:int ->
     ?policy:delivery_policy ->
@@ -138,74 +139,51 @@ module Make (A : Algorithm.S) : sig
     check:((Pid.t * Value.t * int) list -> string option) ->
     unit ->
     outcome
-  (** DFS over all schedules.  [check decisions] returns
-      [Some reason] to report a safety violation of the current
-      decision set ((process, value, time) triples).  [on_terminal]
-      fires once per decision-complete configuration {e key} — under
-      [Symmetry_por] sleep-digest re-admissions of the same terminal
-      configuration do not re-fire it, so terminal counts and
-      callbacks agree with [Symmetry].
-      Defaults: [max_depth] 200, [max_configs] 2_000_000, [policy]
+  (** Depth-first search over all schedules.  [check decisions]
+      returns [Some reason] to report a safety violation of the
+      current decision set ((process, value, time) triples); the
+      shallowest violation found is reported.  [on_terminal] fires
+      once per decision-complete configuration {e key}, from the
+      calling domain after the search, and not at all when a
+      violation is found; under [Symmetry_por] sleep-digest
+      re-admissions of a terminal configuration do not re-fire it, so
+      terminal counts and callbacks agree with [Symmetry].  Defaults:
+      [domains] 1, [max_depth] 200, [max_configs] 2_000_000, [policy]
       [Per_sender].
 
-      [ckpt] attaches a {!Checkpoint} controller: the driver writes
-      periodic snapshots per its sink policy, and polls the
-      controller's interrupt — on interruption it flushes a final
-      checkpoint and returns its [Safe] outcome with
-      [budget_exhausted] set (the explored portion only).  [resume]
-      is the payload of a checkpoint written by this driver (or
-      merged by {!explore_par}); the campaign continues exactly where
-      it stopped and reports verdict and stats bit-identical to an
-      uninterrupted run.  The interner dumps must be restored first
-      ({!Checkpoint.restore_interners}).  [on_terminal] calls already
-      delivered before the checkpoint are not replayed.  Checkpoint
-      payloads carry the reduction mode (and, under [Symmetry_por],
-      each pending item's sleep set); a payload written under a
-      different [reduction] describes a different search — the driver
-      warns on stderr and starts fresh, like a corrupt checkpoint. *)
-
-  val explore_par :
-    ?reduction:Canon.reduction ->
-    ?domains:int ->
-    ?max_depth:int ->
-    ?max_configs:int ->
-    ?policy:delivery_policy ->
-    ?on_terminal:((Pid.t * Value.t * int) list -> unit) ->
-    ?ckpt:Checkpoint.ctl ->
-    n:int ->
-    inputs:Value.t array ->
-    pattern:Failure_pattern.t ->
-    check:((Pid.t * Value.t * int) list -> string option) ->
-    unit ->
-    outcome
-  (** Multicore {!explore}: [domains] OCaml domains (default
-      {!default_domains}) admit configurations against one shared
+      [domains] worker domains admit configurations against one shared
       {!Ksa_prim.Shardset} table whose ticket-clamped admission is
       atomic per key, so every reachable configuration is admitted and
-      expanded exactly once across all workers.  The frontier moves
-      through work-stealing deques — private LIFO stacks, batched
-      spills to per-worker pools, half-the-batches steals, and an
-      idle-count termination protocol.  Whenever neither [max_depth]
-      nor [max_configs] truncates the search, the visited set equals
-      the reachable set and the outcome — verdict, [configs_visited],
-      [terminal_runs] — is identical to the sequential one.  [check]
-      and [on_terminal] caveats: [check] runs concurrently on several
-      domains and must be thread-safe; [on_terminal] is invoked from
-      the calling domain after the workers join (and not at all when a
-      violation is found).
+      expanded exactly once, and move the frontier through
+      work-stealing deques.  Whenever neither [max_depth] nor
+      [max_configs] truncates, verdict, [configs_visited] and
+      [terminal_runs] are the same at every domain count.  One domain
+      spawns no domain and walks one fixed depth-first order, so its
+      truncated stats are deterministic too.  [check] must be
+      thread-safe when [domains] exceeds 1.
 
-      With [ckpt], a coordinator domain periodically parks every
-      worker at a safepoint and cuts the shared table, the pools and
-      the parked stacks into a {e sequential-format} snapshot: resume
-      such a checkpoint with {!explore}, whose verdicts and stats are
-      identical by the parity invariant above.  A worker that dies of
-      a non-verdict exception is supervised: its admissions stand (no
-      ticket is refunded), its frontier is spilled back to the shared
-      pool for survivors — or a post-join rescue worker — to drain,
-      and the failure is recorded in the ledger
-      ([campaign.worker.failures] / [campaign.requeues] metrics), so
-      one poisoned worker degrades the campaign instead of aborting
-      it. *)
+      [ckpt] attaches a {!Checkpoint} controller: the driver writes
+      periodic snapshots per its sink policy and polls the interrupt;
+      on interruption it flushes a final checkpoint and returns [Safe]
+      with [budget_exhausted] set.  One domain checkpoints between
+      expansions in the calling domain, more through a coordinator
+      that parks every worker; a fault raised by a checkpoint write
+      leaves the driver.  [resume] is a payload this driver wrote at
+      any domain count: the campaign continues at [domains] and
+      reports the verdict and stats of an uninterrupted run (at one
+      domain on both sides, truncated stats included), once the
+      interner dumps are restored ({!Checkpoint.restore_interners}).
+      [on_terminal] calls delivered before the checkpoint are not
+      replayed.  A payload written under another [reduction] describes
+      a different search: the driver warns on stderr and starts fresh.
+
+      A worker that dies of a non-verdict exception is supervised: its
+      admissions stand (no ticket is refunded), its frontier goes back
+      to the shared pool for survivors — or a post-join rescue worker
+      — to drain, the configuration it was expanding is expanded by
+      whoever re-processes it (after a resume too), and the failure is
+      recorded in the ledger ([campaign.worker.failures] /
+      [campaign.requeues]). *)
 
   val explore_with_crashes :
     ?reduction:Canon.reduction ->
@@ -246,12 +224,12 @@ module Make (A : Algorithm.S) : sig
       [domains] (default 1) worker domains enumerate the node graph
       against one shared {!Ksa_prim.Shardset} table and one
       write-once record store, stealing frontier batches as in
-      {!explore_par}; a node's dense id {e is} its admission ticket.
+      {!explore}; a node's dense id {e is} its admission ticket.
       Verdict and stats are the same at every domain count whenever
       [max_configs] does not truncate; one domain spawns no domain and
       walks one fixed depth-first order, so its truncated stats are
       deterministic too.  [check] must be thread-safe when [domains]
-      exceeds 1.  Worker failures are supervised as in {!explore_par},
+      exceeds 1.  Worker failures are supervised as in {!explore},
       the root's expansion included.
 
       [ckpt]/[resume] behave as in {!explore}: periodic snapshots of

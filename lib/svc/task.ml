@@ -390,10 +390,8 @@ let fuzz_setup ~stop f =
         coverage = f.f_coverage;
       } )
 
-(* Crash and fuzz campaigns resume at any domain count.  A resumed
-   crash-free explore campaign runs on the sequential explorer: its
-   checkpoints are sequential-format, and its verdict and stats do not
-   depend on the driver. *)
+(* Every campaign resumes at any domain count, whatever count wrote
+   its checkpoint. *)
 let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
     ?(ckpt = Checkpoint.ctl ()) ?resume spec =
   match spec with
@@ -417,15 +415,10 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                   let pattern =
                     Sim.Failure_pattern.initial_dead ~n ~dead:e.e_dead
                   in
-                  let outcome =
-                    if domains > 1 && resume = None then
-                      Ex.explore_par ~reduction ~domains ?max_configs ~policy
-                        ~ckpt ~n ~inputs ~pattern ~check ()
-                    else
-                      Ex.explore ~reduction ?max_configs ~policy ~ckpt ?resume
-                        ~n ~inputs ~pattern ~check ()
-                  in
-                  Ok (Explored outcome)
+                  Ok
+                    (Explored
+                       (Ex.explore ~reduction ~domains ?max_configs ~policy
+                          ~ckpt ?resume ~n ~inputs ~pattern ~check ()))
                 end
                 else
                   Ok

@@ -120,13 +120,9 @@ val run :
 (** Execute the campaign.  [ckpt] is the caller's checkpoint
     controller (sink, interrupt, seeded ledger); [resume] is the
     payload of a checkpoint already validated by {!load_resume}.
-    [domains] defaults to 1; the CLI passes its [--domains].  Crash
-    and fuzz campaigns resume at [domains], whatever domain count
-    wrote the checkpoint.  A resumed crash-free explore campaign runs
-    on the sequential explorer whatever [domains] says (its
-    checkpoints are sequential-format, and its verdict and stats are
-    driver-independent).  [stop] is a wall-clock (or any
-    other) budget hook, polled by the fuzz driver between trials.
+    [domains] defaults to 1; the CLI passes its [--domains].  Every
+    campaign resumes at [domains], whatever domain count wrote the
+    checkpoint.  [stop] is a wall-clock (or any other) budget hook, polled by the fuzz driver between trials.
     [attempt] (default 0) is the retry ordinal, consumed by [Probe].
     Errors: unknown algorithm names and unexplorable parameter
     combinations ([Invalid_argument] from the engine, reported as

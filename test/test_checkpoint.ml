@@ -175,8 +175,8 @@ let test_load_garbage_body () =
 (* ---------- interrupted campaigns resume to identical verdicts ----------
 
    The interrupt closures below fire after a fixed number of polls, so
-   each test cuts its campaign mid-run deterministically (sequential
-   drivers poll once per loop iteration).  The assertions do not
+   each test cuts its campaign mid-run deterministically (one-domain
+   runs poll once per popped item).  The assertions do not
    depend on where the cut lands: any cut must resume to the
    uninterrupted verdict. *)
 
@@ -209,35 +209,6 @@ let check_stats name (a : Sim.Explorer.stats) (b : Sim.Explorer.stats) =
   Alcotest.(check bool)
     (name ^ ": budget_exhausted")
     a.Sim.Explorer.budget_exhausted b.Sim.Explorer.budget_exhausted
-
-let test_explore_seq_resume () =
-  let module Ex = Sim.Explorer.Make (K2) in
-  let go ?ckpt ?resume () =
-    Ex.explore ?ckpt ?resume ~n:3 ~inputs:(distinct 3) ~pattern:(FP.none ~n:3)
-      ~check:no_check ()
-  in
-  let baseline =
-    match go () with
-    | Sim.Explorer.Safe s -> s
-    | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation"
-  in
-  Alcotest.(check bool) "baseline untruncated" false
-    baseline.Sim.Explorer.budget_exhausted;
-  with_tmp ".ckpt" (fun path ->
-      let ckpt =
-        Checkpoint.ctl ~sink:(sink ~path ~kind:"explore")
-          ~interrupt:(poll_interrupt 40) ()
-      in
-      (match go ~ckpt () with
-      | Sim.Explorer.Safe s ->
-          Alcotest.(check bool) "interrupted run is truncated" true
-            s.Sim.Explorer.budget_exhausted
-      | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation");
-      let t = load_restored path in
-      Alcotest.(check string) "kind" "explore" (Checkpoint.kind t);
-      match go ~resume:(Checkpoint.payload t) () with
-      | Sim.Explorer.Safe s -> check_stats "explore resume" baseline s
-      | Sim.Explorer.Violation _ -> Alcotest.fail "resume lost the verdict")
 
 let crash_baseline () =
   let module Ex = Sim.Explorer.Make (K2) in
@@ -380,104 +351,114 @@ let test_crash_two_domain_resume () =
       check_stuck "d=2 cut resumed at d=2" baseline
         (crash_run ~resume:(Checkpoint.payload t) ~domains:2 ()))
 
-let test_explore_par_resume () =
+(* ---------- the crash-free driver: resume across domain counts ---------- *)
+
+let explore_run ?(reduction = Sim.Canon.No_reduction) ?ckpt ?resume
+    ?max_configs ?(check = no_check) ~domains () =
   let module Ex = Sim.Explorer.Make (K2) in
-  let baseline =
-    match
-      Ex.explore ~n:3 ~inputs:(distinct 3) ~pattern:(FP.none ~n:3)
-        ~check:no_check ()
-    with
-    | Sim.Explorer.Safe s -> s
-    | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation"
-  in
+  match
+    Ex.explore ~reduction ~domains ?ckpt ?resume ?max_configs ~n:3
+      ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check ()
+  with
+  | Sim.Explorer.Safe s -> s
+  | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation"
+
+let test_explore_resume_domains () =
+  (* a crash-free campaign cut at one domain (mid-run, after a fixed
+     number of interrupt polls) or at two and four (the coordinator's
+     first tick parks the workers wherever they are) resumes at one
+     domain and at two to the uninterrupted stats — unreduced, and
+     under both reductions, whose sleep sets ride inside the
+     checkpointed work items *)
   List.iter
-    (fun domains ->
-      with_tmp ".ckpt" (fun path ->
-          let ckpt =
-            Checkpoint.ctl ~sink:(sink ~path ~kind:"explore")
-              ~interrupt:(fun () -> true)
-              ()
-          in
-          (match
-             Ex.explore_par ~domains ~ckpt ~n:3 ~inputs:(distinct 3)
-               ~pattern:(FP.none ~n:3) ~check:no_check ()
-           with
-          | Sim.Explorer.Safe s ->
-              Alcotest.(check bool) "interrupted par run is truncated" true
-                s.Sim.Explorer.budget_exhausted
-          | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation");
-          let t = load_restored path in
-          match
-            Ex.explore ~resume:(Checkpoint.payload t) ~n:3
-              ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ()
-          with
-          | Sim.Explorer.Safe s ->
-              check_stats
-                (Printf.sprintf "explore par resume d=%d" domains)
-                baseline s
-          | Sim.Explorer.Violation _ -> Alcotest.fail "resume lost the verdict"))
-    [ 2; 4; 8 ]
+    (fun reduction ->
+      let mode = Sim.Canon.reduction_to_string reduction in
+      let baseline = explore_run ~reduction ~domains:1 () in
+      Alcotest.(check bool)
+        (mode ^ ": baseline untruncated")
+        false baseline.Sim.Explorer.budget_exhausted;
+      List.iter
+        (fun cut_at ->
+          with_tmp ".ckpt" (fun path ->
+              let interrupt =
+                if cut_at = 1 then poll_interrupt 40 else fun () -> true
+              in
+              let ckpt =
+                Checkpoint.ctl ~sink:(sink ~path ~kind:"explore") ~interrupt ()
+              in
+              let cut = explore_run ~reduction ~ckpt ~domains:cut_at () in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: run cut at d=%d is truncated" mode cut_at)
+                true cut.Sim.Explorer.budget_exhausted;
+              let t = load_restored path in
+              Alcotest.(check string) "kind" "explore" (Checkpoint.kind t);
+              List.iter
+                (fun domains ->
+                  check_stats
+                    (Printf.sprintf "%s: cut at d=%d, resumed at d=%d" mode
+                       cut_at domains)
+                    baseline
+                    (explore_run ~reduction ~resume:(Checkpoint.payload t)
+                       ~domains ()))
+                [ 1; 2 ]))
+        [ 1; 2; 4 ])
+    [ Sim.Canon.No_reduction; Sim.Canon.Symmetry; Sim.Canon.Symmetry_por ]
 
-(* ---------- resume under reduction ---------- *)
-
-let test_explore_resume_reduced () =
-  (* kill/resume parity under sym+por: the sleep sets ride inside the
-     checkpointed work items (and survive the parallel merge), so a
-     cut-and-resumed reduced campaign must report stats bit-identical
-     to an uninterrupted reduced run — at every domain count *)
-  let module Ex = Sim.Explorer.Make (K2) in
-  let reduction = Sim.Canon.Symmetry_por in
-  let go ?ckpt ?resume () =
-    Ex.explore ~reduction ?ckpt ?resume ~n:3 ~inputs:(distinct 3)
-      ~pattern:(FP.none ~n:3) ~check:no_check ()
-  in
-  let baseline =
-    match go () with
-    | Sim.Explorer.Safe s -> s
-    | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation"
-  in
-  Alcotest.(check bool) "reduced baseline untruncated" false
+let test_explore_one_domain_truncated_resume () =
+  (* one domain pops its candidates in the order of the recursive
+     depth-first search, so a truncated campaign killed mid-run and
+     resumed on one domain spends its budget exactly as the
+     uninterrupted run did: even the order-dependent terminal count
+     matches *)
+  let max_configs = 2_000 in
+  let baseline = explore_run ~max_configs ~domains:1 () in
+  Alcotest.(check bool) "baseline truncated" true
     baseline.Sim.Explorer.budget_exhausted;
-  (* sequential cut *)
   with_tmp ".ckpt" (fun path ->
       let ckpt =
         Checkpoint.ctl ~sink:(sink ~path ~kind:"explore")
-          ~interrupt:(poll_interrupt 40) ()
+          ~interrupt:(poll_interrupt 4_000) ()
       in
-      (match go ~ckpt () with
-      | Sim.Explorer.Safe s ->
-          Alcotest.(check bool) "interrupted reduced run is truncated" true
-            s.Sim.Explorer.budget_exhausted
-      | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation");
+      let cut = explore_run ~ckpt ~max_configs ~domains:1 () in
+      Alcotest.(check bool) "cut before the budget" true
+        (cut.Sim.Explorer.configs_visited < max_configs);
       let t = load_restored path in
-      match go ~resume:(Checkpoint.payload t) () with
-      | Sim.Explorer.Safe s -> check_stats "reduced seq resume" baseline s
-      | Sim.Explorer.Violation _ -> Alcotest.fail "resume lost the verdict");
-  (* pause-the-world cuts of the parallel driver *)
-  List.iter
-    (fun domains ->
-      with_tmp ".ckpt" (fun path ->
-          let ckpt =
-            Checkpoint.ctl ~sink:(sink ~path ~kind:"explore")
-              ~interrupt:(fun () -> true)
-              ()
-          in
-          (match
-             Ex.explore_par ~reduction ~domains ~ckpt ~n:3
-               ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ()
-           with
-          | Sim.Explorer.Safe s ->
-              Alcotest.(check bool) "interrupted par run is truncated" true
-                s.Sim.Explorer.budget_exhausted
-          | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation");
-          let t = load_restored path in
-          match go ~resume:(Checkpoint.payload t) () with
-          | Sim.Explorer.Safe s ->
-              check_stats
-                (Printf.sprintf "reduced par resume d=%d" domains)
-                baseline s
-          | Sim.Explorer.Violation _ -> Alcotest.fail "resume lost the verdict"))
-    [ 2; 4; 8 ]
+      check_stats "d=1 truncated resume" baseline
+        (explore_run ~resume:(Checkpoint.payload t) ~max_configs ~domains:1 ()))
+
+let test_explore_orphan_cut () =
+  (* a cut holding a pending orphan: the bomb fires on the root's
+     expansion, whose admission stands while the dying worker hands
+     the root back, and the interrupt then stops the one-domain
+     rescue before it re-expands it.  The payload keeps the root's id
+     and marks its key orphaned, so a resume at one domain or at two
+     expands the root despite the dedup hit and reaches the
+     uninterrupted stats *)
+  let baseline = explore_run ~domains:1 () in
+  let calls = Atomic.make 0 in
+  let bomb _ =
+    if Atomic.fetch_and_add calls 1 = 0 then failwith "injected fault";
+    None
+  in
+  with_tmp ".ckpt" (fun path ->
+      let ckpt =
+        Checkpoint.ctl ~sink:(sink ~path ~kind:"explore")
+          ~interrupt:(fun () -> Atomic.get calls > 0)
+          ()
+      in
+      let cut = explore_run ~ckpt ~check:bomb ~domains:1 () in
+      Alcotest.(check int) "the cut holds the admitted root only" 1
+        cut.Sim.Explorer.configs_visited;
+      Alcotest.(check int) "the root's failure is in the ledger" 1
+        (List.length (Checkpoint.ledger_of ckpt));
+      let t = load_restored path in
+      List.iter
+        (fun domains ->
+          check_stats
+            (Printf.sprintf "orphan cut resumed at d=%d" domains)
+            baseline
+            (explore_run ~resume:(Checkpoint.payload t) ~domains ()))
+        [ 1; 2 ])
 
 let test_explore_crash_resume_reduced () =
   (* the crash drivers under reduction: orbit-keyed node graph through
@@ -587,8 +568,8 @@ let test_explore_par_supervision () =
     > failures_before)
 
 let test_explore_par_plain_supervision () =
-  (* fault injection against [explore_par], where admission and
-     expansion are fused: the dying worker's in-flight configuration
+  (* fault injection against the crash-free driver, where admission
+     and expansion are fused: the dying worker's in-flight configuration
      is already in the shared dedup table when it goes back to the
      pool, so without the orphan protocol its re-processor drops it
      as a duplicate and the whole subtree below it is silently lost
@@ -598,17 +579,9 @@ let test_explore_par_plain_supervision () =
      the run to configs_visited = 1.  The second bomb fires mid-run
      in the surviving worker, killing it too: the post-join rescue
      worker must then drain the pool and re-expand that second
-     orphan.  Full stats parity with the sequential baseline is
+     orphan.  Full stats parity with the one-domain baseline is
      required throughout. *)
-  let module Ex = Sim.Explorer.Make (K2) in
-  let baseline =
-    match
-      Ex.explore ~n:3 ~inputs:(distinct 3) ~pattern:(FP.none ~n:3)
-        ~check:no_check ()
-    with
-    | Sim.Explorer.Safe s -> s
-    | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation"
-  in
+  let baseline = explore_run ~domains:1 () in
   Alcotest.(check bool) "baseline large enough to arm both bombs" true
     (baseline.Sim.Explorer.configs_visited > 1000);
   let calls = Atomic.make 0 in
@@ -618,12 +591,8 @@ let test_explore_par_plain_supervision () =
     None
   in
   let ckpt = Checkpoint.ctl () in
-  (match
-     Ex.explore_par ~domains:2 ~ckpt ~n:3 ~inputs:(distinct 3)
-       ~pattern:(FP.none ~n:3) ~check:bomb ()
-   with
-  | Sim.Explorer.Safe s -> check_stats "supervised explore par" baseline s
-  | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation");
+  check_stats "supervised explore at d=2" baseline
+    (explore_run ~ckpt ~check:bomb ~domains:2 ());
   Alcotest.(check bool) "both faults were actually injected" true
     (Atomic.get calls > 1000);
   Alcotest.(check bool) "ledger records the failures" true
@@ -1254,8 +1223,6 @@ let suites =
           test_load_wrong_version;
         Alcotest.test_case "load: garbage body is Error" `Quick
           test_load_garbage_body;
-        Alcotest.test_case "explore: kill/resume parity (seq)" `Quick
-          test_explore_seq_resume;
         Alcotest.test_case "explore-crash: kill/resume parity (seq)" `Quick
           test_explore_crash_seq_resume;
         Alcotest.test_case "explore-crash: kill/resume parity (par)" `Quick
@@ -1266,10 +1233,12 @@ let suites =
           `Quick test_crash_one_domain_truncated_resume;
         Alcotest.test_case "explore-crash: d=2 cut resumed at d=2" `Quick
           test_crash_two_domain_resume;
-        Alcotest.test_case "explore: kill/resume parity (par)" `Quick
-          test_explore_par_resume;
-        Alcotest.test_case "explore: kill/resume parity under sym+por" `Quick
-          test_explore_resume_reduced;
+        Alcotest.test_case "explore: kill/resume parity across domain counts"
+          `Quick test_explore_resume_domains;
+        Alcotest.test_case "explore: truncated kill/resume at d=1" `Quick
+          test_explore_one_domain_truncated_resume;
+        Alcotest.test_case "explore: cut with a pending orphan resumes" `Quick
+          test_explore_orphan_cut;
         Alcotest.test_case "explore-crash: kill/resume parity under sym+por"
           `Quick test_explore_crash_resume_reduced;
         Alcotest.test_case "resume: reduction-mode mismatch starts fresh"

@@ -1,15 +1,15 @@
-(* Parity between the sequential and multicore explorers, and
-   soundness of the packed configuration keys.
+(* Parity of each explorer across domain counts, and soundness of the
+   packed configuration keys.
 
-   The parallel drivers admit every configuration against one shared
-   sharded key table (Ksa_prim.Shardset) with a ticket-clamped
-   admission counter, and move the frontier through work-stealing
-   deques; because exploration folds delivered batches in canonical
-   (sender, payload) order, the reachable key-set is a function of the
-   initial configuration alone, and every search order — sequential
-   DFS, or stealing workers at any domain count — must report exactly
-   the same [configs_visited], [terminal_runs], and verdict whenever
-   no budget truncates the search. *)
+   The drivers admit every configuration against one shared sharded
+   key table (Ksa_prim.Shardset) with a ticket-clamped admission
+   counter, and move the frontier through work-stealing deques;
+   because exploration folds delivered batches in canonical (sender,
+   payload) order, the reachable key-set is a function of the initial
+   configuration alone, and every search order — one domain's fixed
+   depth-first walk, or stealing workers at any domain count — must
+   report exactly the same [configs_visited], [terminal_runs], and
+   verdict whenever no budget truncates the search. *)
 
 module Sim = Ksa_sim
 module FP = Sim.Failure_pattern
@@ -20,7 +20,7 @@ end)
 let distinct = Sim.Value.distinct_inputs
 let no_check _ = None
 
-(* ---------- explore vs explore_par ---------- *)
+(* ---------- explore: one domain vs several ---------- *)
 
 let stats_of name = function
   | Sim.Explorer.Safe s -> s
@@ -49,11 +49,11 @@ let test_parity_explore_n3 () =
     (fun domains ->
       let par =
         stats_of "par"
-          (Ex.explore_par ~domains ~max_depth:100_000 ~n:3
-             ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ())
+          (Ex.explore ~domains ~max_depth:100_000 ~n:3 ~inputs:(distinct 3)
+             ~pattern:(FP.none ~n:3) ~check:no_check ())
       in
       check_stats_equal (Printf.sprintf "n3 domains=%d" domains) seq par)
-    [ 1; 2; 4; 8 ]
+    [ 2; 4; 8 ]
 
 let test_parity_explore_n4 () =
   (* Per-sender delivery on n=4 is a multi-minute search; the
@@ -68,7 +68,7 @@ let test_parity_explore_n4 () =
   Alcotest.(check bool) "untruncated" false seq.Sim.Explorer.budget_exhausted;
   let par =
     stats_of "par"
-      (Ex.explore_par ~domains:3 ~max_depth:100_000 ~policy ~n:4
+      (Ex.explore ~domains:3 ~max_depth:100_000 ~policy ~n:4
          ~inputs:(distinct 4) ~pattern:(FP.none ~n:4) ~check:no_check ())
   in
   check_stats_equal "n4 empty-or-all" seq par
@@ -94,7 +94,7 @@ let test_parity_terminal_sets () =
   in
   let par =
     collect (fun on_terminal ->
-        Ex.explore_par ~domains:2 ~on_terminal ~max_depth:100_000 ~n:3
+        Ex.explore ~domains:2 ~on_terminal ~max_depth:100_000 ~n:3
           ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ())
   in
   Alcotest.(check bool) "same terminal decision sets" true (seq = par)
@@ -117,8 +117,8 @@ let test_parity_violation () =
       Alcotest.(check string) "seq reason" "two values decided" v.reason
   | Sim.Explorer.Safe _ -> Alcotest.fail "sequential driver lost the violation");
   match
-    Ex.explore_par ~domains:2 ~n:2 ~inputs:(distinct 2)
-      ~pattern:(FP.none ~n:2) ~check:consensus_check ()
+    Ex.explore ~domains:2 ~n:2 ~inputs:(distinct 2) ~pattern:(FP.none ~n:2)
+      ~check:consensus_check ()
   with
   | Sim.Explorer.Violation v ->
       Alcotest.(check string) "par reason" "two values decided" v.reason
@@ -288,7 +288,7 @@ let test_truncated_explore_parity () =
     seq.Sim.Explorer.configs_visited;
   let par =
     stats_of "par"
-      (Ex.explore_par ~domains:2 ~max_configs ~n:3 ~inputs:(distinct 3)
+      (Ex.explore ~domains:2 ~max_configs ~n:3 ~inputs:(distinct 3)
          ~pattern:(FP.none ~n:3) ~check:no_check ())
   in
   Alcotest.(check bool)
@@ -658,11 +658,8 @@ let test_idle_explore () =
     let pattern = FP.none ~n:3 and check = k_check ~k:1 in
     stats_token
       (stats_of "explore"
-         (match domains with
-         | None -> Ex.explore ~reduction ~n:3 ~inputs:(distinct 3) ~pattern ~check ()
-         | Some d ->
-             Ex.explore_par ~domains:d ~reduction ~n:3 ~inputs:(distinct 3)
-               ~pattern ~check ()))
+         (Ex.explore ?domains ~reduction ~n:3 ~inputs:(distinct 3) ~pattern
+            ~check ()))
   in
   let unreduced =
     {

@@ -816,15 +816,9 @@ let test_differential_terminal_sets () =
               acc := List.map (fun (p, v, _) -> (p, v)) ds :: !acc
             in
             (match
-               match domains with
-               | None ->
-                   Ex.explore ?reduction ~policy ~on_terminal ~n:3
-                     ~inputs:(distinct 3) ~pattern:(FP.none ~n:3)
-                     ~check:no_check ()
-               | Some d ->
-                   Ex.explore_par ?reduction ~domains:d ~policy ~on_terminal
-                     ~n:3 ~inputs:(distinct 3) ~pattern:(FP.none ~n:3)
-                     ~check:no_check ()
+               Ex.explore ?reduction ?domains ~policy ~on_terminal ~n:3
+                 ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check
+                 ()
              with
             | Sim.Explorer.Safe s ->
                 Alcotest.(check bool)
@@ -862,13 +856,8 @@ let test_terminal_count_parity () =
         let fired = ref 0 in
         let on_terminal _ = incr fired in
         match
-          match domains with
-          | None ->
-              Ex.explore ~reduction ~policy ~on_terminal ~n:3
-                ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ()
-          | Some d ->
-              Ex.explore_par ~reduction ~domains:d ~policy ~on_terminal ~n:3
-                ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ()
+          Ex.explore ~reduction ?domains ~policy ~on_terminal ~n:3
+            ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ()
         with
         | Sim.Explorer.Safe s -> (s.Sim.Explorer.terminal_runs, !fired)
         | Sim.Explorer.Violation _ -> Alcotest.fail (pname ^ ": violation")

@@ -303,32 +303,32 @@ let cut_payload ~dir ?interrupt ?stop spec =
 
 let admitted () = Metrics.value (Metrics.counter "explore.admitted")
 
+let spawned () = Metrics.value (Metrics.counter "explore.domains.spawned")
+
 let test_task_resume_explore_domains () =
-  (* a resumed explore job takes the sequential explorer even when
-     handed two domains: the baseline verdict and stats, from less
-     work than a fresh run *)
-  let spec =
-    match small_explore with
-    | Task.Explore e -> Task.Explore { e with Task.e_crash_budget = 1 }
-    | _ -> assert false
-  in
+  (* a crash-free explore payload cut at one domain resumes on the two
+     domains the caller hands it: the baseline verdict and stats, from
+     less work than a fresh run *)
   let count, polls = poll_after max_int in
   let a0 = admitted () in
   let baseline =
     Task.summarize
-      (ok_or_fail (Task.run ~ckpt:(Checkpoint.ctl ~interrupt:count ()) spec))
+      (ok_or_fail
+         (Task.run ~ckpt:(Checkpoint.ctl ~interrupt:count ()) small_explore))
   in
   let fresh = admitted () - a0 in
   with_tmp_dir (fun dir ->
       let cut, _ = poll_after (Atomic.get polls / 2) in
-      let payload = cut_payload ~dir ~interrupt:cut spec in
-      let a1 = admitted () in
+      let payload = cut_payload ~dir ~interrupt:cut small_explore in
+      let a1 = admitted () and s1 = spawned () in
       let resumed =
-        Task.summarize (ok_or_fail (Task.run ~domains:2 ~resume:payload spec))
+        Task.summarize
+          (ok_or_fail (Task.run ~domains:2 ~resume:payload small_explore))
       in
       Alcotest.(check string)
         "verdict" baseline.Task.verdict resumed.Task.verdict;
       Alcotest.(check string) "stats" baseline.Task.detail resumed.Task.detail;
+      Alcotest.(check int) "resumed on two domains" 2 (spawned () - s1);
       let delta = admitted () - a1 in
       Alcotest.(check bool)
         (Printf.sprintf "resume admitted %d < fresh %d" delta fresh)
@@ -675,7 +675,7 @@ let suites =
         Alcotest.test_case "probe fails then succeeds" `Quick test_task_probe;
         Alcotest.test_case "load_resume names its refusal" `Quick
           test_task_load_resume_errors;
-        Alcotest.test_case "resumed explore runs sequentially at d=2" `Quick
+        Alcotest.test_case "resumed crash-free explore runs at d=2" `Quick
           test_task_resume_explore_domains;
         Alcotest.test_case "coverage fuzz resumes at d=2" `Quick
           test_task_resume_fuzz_domains;
