@@ -57,42 +57,94 @@ let create ?(shards = 64) ?(capacity = 65_536) ~name () =
       Metrics.gauge (Printf.sprintf "shardset.%s.shard.occupancy.min" name);
   }
 
-(* [Hashtbl.hash] mixes the whole string (the traversal limit only
-   bounds structured values), which the packed configuration keys
-   need: two configs can differ only deep into the key. *)
-let[@inline] hash_of key = Hashtbl.hash (key : string)
+(* The one hash of the table, a function of a key's bytes: the probe
+   from a scratch buffer, the string entry points and the resize all
+   go through it.  Multiply-xorshift over the native 8-byte words (the
+   last word overlapping its predecessor when the length is not a
+   multiple of eight), seeded with the length; a word's top bit, which
+   [Int64.to_int] drops, is folded back in through its upper half.  It
+   mixes the whole key, which the packed configuration keys need: two
+   configurations can differ only deep into the key.  The hash lives
+   only in memory, so the byte order does not matter. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let mult = 0x2545F4914F6CDD1D
+
+let[@inline] word b i =
+  let w = get64u b i in
+  Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 32)
+
+let[@inline] mix h w =
+  let h = (h lxor w) * mult in
+  h lxor (h lsr 29)
+
+let rec words b last i h =
+  if i >= last then mix h (word b last)
+  else words b last (i + 8) (mix h (word b i))
+
+let rec bytes b len i h =
+  if i = len then h
+  else bytes b len (i + 1) ((h lsl 8) lor Char.code (Bytes.unsafe_get b i))
+
+let hash b len =
+  let h =
+    if len >= 8 then words b (len - 8) 0 len
+    else mix len (bytes b len 0 0)
+  in
+  let h = h * mult in
+  h lxor (h lsr 32)
+
 let[@inline] shard_of t h = Array.unsafe_get t.shards (h land (Array.length t.shards - 1))
 
-(* Probe [keys] from the hash's home slot: the slot [j] holding
-   [key], or [lnot j] for the empty slot [j] where an insert would
-   land.  [wrapped] can only come back from a stale or
-   concurrently-mutated snapshot (under the lock the load factor
-   guarantees an empty slot) and sends the caller to the locked path.
-   A top-level loop over ints: the admission hot path allocates
-   nothing here. *)
+(* [k] is the [len] bytes at the start of [b]: word by word, the last
+   word overlapping its predecessor as in {!hash}, or byte by byte
+   below eight bytes *)
+let rec equal_words k b last i =
+  if i >= last then get64u k last = get64u b last
+  else get64u k i = get64u b i && equal_words k b last (i + 8)
+
+let rec equal_bytes k b len i =
+  i = len
+  || Char.equal (Bytes.unsafe_get k i) (Bytes.unsafe_get b i)
+     && equal_bytes k b len (i + 1)
+
+let equal_prefix k b len =
+  String.length k = len
+  &&
+  let k = Bytes.unsafe_of_string k in
+  if len >= 8 then equal_words k b (len - 8) 0 else equal_bytes k b len 0
+
+(* Probe [keys] for the [len] bytes at the start of [b], from the
+   hash's home slot: the slot [j] holding them, or [lnot j] for the
+   empty slot [j] where an insert would land.  [wrapped] can only come
+   back from a stale or concurrently-mutated snapshot (under the lock
+   the load factor guarantees an empty slot) and sends the caller to
+   the locked path.  A top-level loop over ints: the admission hot
+   path allocates nothing here. *)
 let wrapped = min_int
 
-let rec probe_from keys key m i steps =
+let rec probe_from keys b len m i steps =
   if steps > m + 1 then wrapped
   else
     let j = i land m in
     let k = Array.unsafe_get keys j in
     if String.length k = 0 then lnot j
-    else if String.equal k key then j
-    else probe_from keys key m (i + 1) (steps + 1)
+    else if equal_prefix k b len then j
+    else probe_from keys b len m (i + 1) (steps + 1)
 
-let[@inline] probe keys key start =
-  probe_from keys key (Array.length keys - 1) start 0
+let[@inline] probe keys b len start =
+  probe_from keys b len (Array.length keys - 1) start 0
 
 (* caller holds [s.lock] *)
-let resize t s start_of =
+let resize t s =
   let old_keys = s.keys and old_vals = s.vals in
   let cap = 2 * Array.length old_keys in
   let keys = Array.make cap "" and vals = Array.make cap 0 in
   Array.iteri
     (fun i k ->
       if String.length k <> 0 then begin
-        let j = probe keys k (start_of k) in
+        let b = Bytes.unsafe_of_string k and len = String.length k in
+        let j = probe keys b len (hash b len lsr t.shard_bits) in
         assert (j < 0 && j <> wrapped);
         keys.(lnot j) <- k;
         vals.(lnot j) <- old_vals.(i)
@@ -114,43 +166,70 @@ let insert t s key ~start j v =
   s.keys.(j) <- key;
   s.count <- s.count + 1;
   s.bytes <- s.bytes + String.length key;
-  if s.count > s.limit then resize t s (fun k -> hash_of k lsr t.shard_bits)
+  if s.count > s.limit then resize t s
 
-let check_key what key =
-  if String.length key = 0 then
+let check_len what len =
+  if len = 0 then
     invalid_arg ("Shardset." ^ what ^ ": the empty key is reserved")
 
-let admit t key ~ticket =
-  check_key "admit" key;
-  let h = hash_of key in
+let refused = min_int
+
+(* The check-then-admit step over the [len] bytes at the start of [b].
+   [key] is those bytes as a string when the caller has one, and ""
+   when an insert must copy them out. *)
+let admit_in t b len key ~ticket =
+  let h = hash b len in
   let s = shard_of t h in
   let start = h lsr t.shard_bits in
   Mutex.lock s.lock;
-  let j = probe s.keys key start in
-  let result =
-    if j >= 0 then Found s.vals.(j)
+  let j = probe s.keys b len start in
+  let r =
+    if j >= 0 then s.vals.(j)
     else begin
       (* load factor < 1 under the lock *)
       assert (j <> wrapped);
-      match ticket () with
-      | None -> Rejected
-      | Some v ->
-          insert t s key ~start (lnot j) v;
-          Admitted v
+      let v = ticket () in
+      if v < 0 then refused
+      else begin
+        let key =
+          if String.length key = 0 then Bytes.sub_string b 0 len else key
+        in
+        insert t s key ~start (lnot j) v;
+        lnot v
+      end
     end
   in
   Mutex.unlock s.lock;
-  result
+  r
+
+let admit_bytes t b len ~ticket =
+  check_len "admit_bytes" len;
+  admit_in t b len "" ~ticket
+
+let admit_key t key ~ticket =
+  check_len "admit_key" (String.length key);
+  admit_in t (Bytes.unsafe_of_string key) (String.length key) key ~ticket
+
+let admit t key ~ticket =
+  match
+    admit_key t key ~ticket:(fun () ->
+        match ticket () with Some v -> v | None -> -1)
+  with
+  | r when r >= 0 -> Found r
+  | r when r = refused -> Rejected
+  | r -> Admitted (lnot r)
 
 (* [admit] with an always-granting ticket, without its allocations:
    resumed campaigns restore whole tables through it *)
 let add t key v =
-  check_key "add" key;
-  let h = hash_of key in
+  let len = String.length key in
+  check_len "add" len;
+  let b = Bytes.unsafe_of_string key in
+  let h = hash b len in
   let s = shard_of t h in
   let start = h lsr t.shard_bits in
   Mutex.lock s.lock;
-  let j = probe s.keys key start in
+  let j = probe s.keys b len start in
   assert (j <> wrapped);
   if j < 0 then insert t s key ~start (lnot j) v;
   Mutex.unlock s.lock;
@@ -159,24 +238,33 @@ let add t key v =
 let find t key =
   if String.length key = 0 then None
   else begin
-    let h = hash_of key in
+    let b = Bytes.unsafe_of_string key and len = String.length key in
+    let h = hash b len in
     let s = shard_of t h in
     Mutex.lock s.lock;
-    let j = probe s.keys key (h lsr t.shard_bits) in
+    let j = probe s.keys b len (h lsr t.shard_bits) in
     let r = if j >= 0 then Some s.vals.(j) else None in
     Mutex.unlock s.lock;
     r
   end
 
-let mem t key =
-  if String.length key = 0 then false
-  else begin
-    let h = hash_of key in
-    let s = shard_of t h in
-    (* optimistic: one load of the published table, no lock.  A hit is
-       definitive (insert-only); a miss may be stale, so confirm. *)
-    probe s.keys key (h lsr t.shard_bits) >= 0 || find t key <> None
-  end
+let mem_bytes t b len =
+  len > 0
+  &&
+  let h = hash b len in
+  let s = shard_of t h in
+  let start = h lsr t.shard_bits in
+  (* optimistic: one load of the published table, no lock.  A hit is
+     definitive (insert-only); a miss may be stale, so confirm. *)
+  probe s.keys b len start >= 0
+  || begin
+       Mutex.lock s.lock;
+       let j = probe s.keys b len start in
+       Mutex.unlock s.lock;
+       j >= 0
+     end
+
+let mem t key = mem_bytes t (Bytes.unsafe_of_string key) (String.length key)
 
 let length t =
   Array.fold_left (fun acc s -> acc + s.count) 0 t.shards

@@ -13,6 +13,17 @@
     dense either way — but consumers must not assume one key maps to
     one concrete configuration.
 
+    The table owns its hash, a multiply-xorshift over a key's 8-byte
+    words: every entry point hashes the same bytes the same way,
+    whether they come as a string or as the start of a scratch buffer
+    ({!admit_bytes}, {!mem_bytes}), and a resize rehashes the stored
+    strings with it.  So a caller can probe with a key it has not
+    copied out yet: a hit through {!admit_bytes} or {!mem_bytes}
+    allocates nothing, and an insert copies the key out once.  The
+    string entry points allocate only their answers ({!admit}'s boxed
+    [admission], {!find}'s option) and, in {!admit}, the adapter of
+    the optional ticket.
+
     Layout: a power-of-two number of shards selected by the low bits
     of the key hash; each shard is an open-addressed (linear-probe)
     table guarded by its own mutex, kept under a fixed load factor and
@@ -24,9 +35,9 @@
     is what makes the concurrent membership answers stable: a key seen
     present stays present.
 
-    {!mem} additionally has an optimistic lock-free fast path: it
-    probes a published table snapshot without taking the shard lock
-    and only falls back to the locked (authoritative) probe on a miss.
+    {!mem} and {!mem_bytes} have an optimistic lock-free fast path: they
+    probe a published table snapshot without taking the shard lock
+    and only fall back to the locked (authoritative) probe on a miss.
     This is sound precisely because the structure is insert-only and a
     slot's value is written before its key is published — a racy read
     that finds the key found a completed insert.
@@ -47,22 +58,35 @@ val create : ?shards:int -> ?capacity:int -> name:string -> unit -> t
     the metrics series; instruments are shared across instances of the
     same name. *)
 
+val refused : int
+(** The answer of {!admit_bytes} and {!admit_key} when the ticket
+    source declined. *)
+
+val admit_bytes : t -> Bytes.t -> int -> ticket:(unit -> int) -> int
+(** [admit_bytes t b len ~ticket] is the explorers' check-then-admit
+    step for the key held by the first [len] bytes of [b], atomic under
+    the key's shard lock: if the key is present, its value [v] (the
+    stored values must be non-negative) without consuming a ticket;
+    otherwise call [ticket ()] and either insert the key under the
+    returned value [v >= 0] and answer [lnot v] (negative), or, on a
+    negative ticket, leave the map unchanged and answer {!refused}.
+    Atomicity is what makes budget accounting exact — two domains
+    racing on the same key cannot both consume a ticket for it.
+    [ticket] runs under the shard lock: it must be quick and must not
+    touch this map.  Only an insert allocates: it copies the key out of
+    [b].  Raises [Invalid_argument] on the empty key (reserved as the
+    empty-slot sentinel). *)
+
+val admit_key : t -> string -> ticket:(unit -> int) -> int
+(** {!admit_bytes} over a string, which an insert stores as is. *)
+
 type admission =
   | Found of int  (** Key already present, with its value. *)
   | Admitted of int  (** Key inserted; the value is the granted ticket. *)
   | Rejected  (** The ticket source declined — key not inserted. *)
 
 val admit : t -> string -> ticket:(unit -> int option) -> admission
-(** [admit t key ~ticket] is the explorers' check-then-admit step,
-    atomic under the key's shard lock: if [key] is present, [Found]
-    its value without consuming a ticket; otherwise call [ticket ()]
-    and either insert the returned value ([Admitted]) or leave the map
-    unchanged ([Rejected] on [None]).  Atomicity is what makes budget
-    accounting exact — two domains racing on the same key cannot both
-    consume a ticket for it.  [ticket] runs under the shard lock: it
-    must be quick and must not touch this map.  Raises
-    [Invalid_argument] on the empty key (reserved as the empty-slot
-    sentinel). *)
+(** {!admit_key} with an optional ticket and a boxed answer. *)
 
 val add : t -> string -> int -> bool
 (** [add t key v] inserts [key -> v] if absent; [true] iff this call
@@ -71,6 +95,10 @@ val add : t -> string -> int -> bool
 val mem : t -> string -> bool
 (** Membership.  Lock-free when the answer is [true]; a miss confirms
     under the shard lock before answering [false]. *)
+
+val mem_bytes : t -> Bytes.t -> int -> bool
+(** {!mem} for the key held by the first [len] bytes of the buffer.
+    Allocates nothing. *)
 
 val find : t -> string -> int option
 (** The value bound to the key, if present.  Takes the shard lock. *)

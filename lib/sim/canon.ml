@@ -1,17 +1,19 @@
 (* Reduction layer: symmetry orbit keys and DPOR delivery actions.
 
    This module is pure integer/array arithmetic — it knows nothing
-   about any particular algorithm.  The engine feeds it the interned
-   per-pid rows of a configuration (state id, decided value, crashed
-   bit) plus the packed pending triples, and {!key} writes the
-   configuration's dedup key — exact, or the orbit representative's —
-   as a string of varints.  {!canonicalize} and
-   {!serialize} spell the orbit representative out as a value,
-   together with the witnessing permutation; they are the reference
-   {!key} is tested against, not a production path.  The explorer uses
-   {!Action} to name delivery transitions by content so sleep sets
-   survive message-id renumbering, work-stealing handoff and
-   checkpoint resume. *)
+   about any particular algorithm.  The engine writes the packed
+   pending triples of a configuration into this domain's scratch int
+   array and hands over its per-pid rows (state id, decided value)
+   with a crashed mask; {!write_key} writes the configuration's dedup
+   key — exact, or the orbit representative's — as varints into the
+   domain's scratch buffer, where the explorers probe their tables
+   with it.  {!key} does the same from a [rows] record and copies the
+   key out.  {!canonicalize} and {!serialize} spell the orbit
+   representative out as a value, together with the witnessing
+   permutation; they are the reference {!key} is tested against, not a
+   production path.  The explorer uses {!Action} to name delivery
+   transitions by content so sleep sets survive message-id
+   renumbering, work-stealing handoff and checkpoint resume. *)
 
 type reduction = No_reduction | Symmetry | Symmetry_por
 
@@ -91,23 +93,28 @@ let[@inline] put b pos i =
   else put_varint b pos z
 
 (* A key or digest is written into a domain-local scratch buffer (its
-   slices to sort go through a scratch int array first), and copied
-   out once: the copy is the only allocation.  Both grow on demand
-   and never shrink. *)
+   slices to sort go through a scratch int array first) and read from
+   there: a caller that only probes a table with it allocates nothing,
+   and one that keeps it copies it out.  Both grow on demand and never
+   shrink. *)
 type scratch = { mutable ints : int array; mutable buf : Bytes.t }
 
 let scratch =
   Domain.DLS.new_key (fun () ->
       { ints = Array.make 64 0; buf = Bytes.create 1024 })
 
-(* room for [len] ints, [ints] of them in the int array *)
-let scratch_for ~len ~ints =
-  let s = Domain.DLS.get scratch in
-  if Array.length s.ints < ints then
-    s.ints <- Array.make (max ints (2 * Array.length s.ints)) 0;
-  if Bytes.length s.buf <= 9 * len then
-    s.buf <- Bytes.create (max ((9 * len) + 1) (2 * Bytes.length s.buf));
-  s
+(* room for [len] more ints written from byte [at], the bytes before
+   [at] kept *)
+let buf_for s ~at ~len =
+  let need = at + (9 * len) + 1 in
+  if Bytes.length s.buf < need then begin
+    let b = Bytes.create (max need (2 * Bytes.length s.buf)) in
+    Bytes.blit s.buf 0 b 0 at;
+    s.buf <- b
+  end;
+  s.buf
+
+let key_buffer () = (Domain.DLS.get scratch).buf
 
 (* insertion sort of [a.(lo) .. a.(hi - 1)]: the slices sorted here
    (pending triples, decided values) are a handful of ints *)
@@ -178,13 +185,13 @@ module Action = struct
      folding the (canonically sorted) sleep set into the key is the
      conservative way to get that, at the price of admitting one
      configuration once per distinct sleep set. *)
-  let digest actions =
+  let write_digest actions ~at =
     let actions = List.sort_uniq compare actions in
     let len =
       List.fold_left (fun acc a -> acc + 3 + List.length a.deliveries) 1 actions
     in
-    let b = (scratch_for ~len ~ints:0).buf in
-    let pos = ref (put b 0 (List.length actions)) in
+    let b = buf_for (Domain.DLS.get scratch) ~at ~len in
+    let pos = ref (put b at (List.length actions)) in
     List.iter
       (fun a ->
         pos := put b !pos a.pid;
@@ -192,7 +199,11 @@ module Action = struct
         pos := put b !pos (List.length a.deliveries);
         List.iter (fun d -> pos := put b !pos d) a.deliveries)
       actions;
-    Bytes.sub_string b 0 !pos
+    !pos
+
+  let digest actions =
+    let len = write_digest actions ~at:0 in
+    Bytes.sub_string (key_buffer ()) 0 len
 end
 
 (* ---- process-permutation symmetry ----
@@ -379,11 +390,14 @@ let serialize ~crashed c =
 
 (* ---- dedup keys ----
 
-   [key] is the only production key builder.  It writes the varints
-   into the domain's scratch buffer, routing the two slices that need
-   sorting (movable values, pending triples) through the scratch int
-   array, and copies the key out once: a key costs one allocation,
-   the key itself.  Pending triples enter the sequence re-packed as
+   [write_key] is the only production key builder.  It reads the
+   pending triples from the domain's scratch int array, where the
+   engine (or {!key}, from a [rows]) put them in the slots
+   [n, n + m), and writes the varints into the domain's scratch buffer,
+   sorting the two slices that need it (movable values in the slots
+   [0, n), pending triples in place) on the way.  It allocates
+   nothing: the key stays in the buffer, to be probed there and copied
+   out only when kept.  Pending triples enter the sequence re-packed as
    the small int [(payload * n + src) * n + dst] (the engine's wide
    packing would take eight bytes or more each), so the triple slice
    sorts by payload first.
@@ -392,72 +406,82 @@ let serialize ~crashed c =
    slice follows its count.  The exact key's first int, a crashed mask,
    zigzags to an even value, so its first byte is even; the orbit
    key's tag -1 zigzags to 1, so the two layouts never share a first
-   byte.  The sym+por admission key [bare ^ digest] relies on that.
-   The orbit layout is [serialize ~crashed (canonicalize rows)] byte
-   for byte (the qcheck suite compares the two); checkpoints store
-   both, so neither may drift without a checkpoint version bump. *)
+   byte.  The sym+por admission key, the bare key followed by the
+   sleep digest, relies on that.  The orbit layout is
+   [serialize ~crashed (canonicalize rows)] byte for byte (the qcheck
+   suite compares the two); checkpoints store both, so neither may
+   drift without a checkpoint version bump. *)
+
+let triple_slots ~n ~m =
+  let s = Domain.DLS.get scratch in
+  if Array.length s.ints < n + m then
+    s.ints <- Array.make (max (n + m) (2 * Array.length s.ints)) 0;
+  s.ints
 
 let[@inline] small_triple n t =
   (((triple_payload t * n) + triple_src t) * n) + triple_dst t
 
+(* the sorted slice [a.(lo) .. a.(hi - 1)], from [pos] *)
+let put_sorted b pos a lo hi =
+  sort_slots a lo hi;
+  let pos = ref pos in
+  for j = lo to hi - 1 do
+    pos := put b !pos a.(j)
+  done;
+  !pos
+
 (* crashed mask; per-pid state ids; |decided|; (pid, value) pairs;
    |pending|; sorted triples *)
-let exact_key ~value r =
-  let n = r.n and m = Array.length r.triples in
-  let s = scratch_for ~len:(3 + (3 * n) + m) ~ints:m in
-  let b = s.buf and a = s.ints in
-  let pos = ref (put b 0 r.crashed) in
+let exact_key ~value ~n ~crashed ~state_ids ~decided ~m =
+  let s = Domain.DLS.get scratch in
+  let b = buf_for s ~at:0 ~len:(3 + (3 * n) + m) and a = s.ints in
+  let pos = ref (put b 0 crashed) in
   let d = ref 0 in
   for p = 0 to n - 1 do
-    pos := put b !pos r.state_ids.(p);
-    match r.decided.(p) with Some _ -> incr d | None -> ()
+    pos := put b !pos state_ids.(p);
+    match decided.(p) with Some _ -> incr d | None -> ()
   done;
   pos := put b !pos !d;
   for p = 0 to n - 1 do
-    match r.decided.(p) with
+    match decided.(p) with
     | Some x ->
         pos := put b !pos p;
         pos := put b !pos (value x)
     | None -> ()
   done;
   pos := put b !pos m;
-  for j = 0 to m - 1 do
-    a.(j) <- small_triple n r.triples.(j)
+  for j = n to n + m - 1 do
+    a.(j) <- small_triple n a.(j)
   done;
-  sort_slots a 0 m;
-  for j = 0 to m - 1 do
-    pos := put b !pos a.(j)
-  done;
-  Bytes.sub_string b 0 !pos
+  put_sorted b !pos a n (n + m)
 
 (* the layout {!serialize} gives {!canonicalize}'s core *)
-let orbit_key ~value r =
-  let n = r.n and crashed = r.crashed and m = Array.length r.triples in
+let orbit_key ~value ~n ~crashed ~state_ids ~decided ~m =
+  let s = Domain.DLS.get scratch in
+  let b = buf_for s ~at:0 ~len:(5 + (3 * n) + m) and a = s.ints in
   let src_mask = ref 0 in
-  for j = 0 to m - 1 do
-    let t = r.triples.(j) in
+  for j = n to n + m - 1 do
+    let t = a.(j) in
     if crashed land (1 lsl triple_dst t) = 0 then
       src_mask := !src_mask lor (1 lsl triple_src t)
   done;
   (* the {!movable} pids, as a mask *)
   let movable = crashed land lnot !src_mask in
-  let s = scratch_for ~len:(5 + (3 * n) + m) ~ints:(n + m) in
-  let b = s.buf and a = s.ints in
   let pos = ref (put b 0 (-1)) in
   pos := put b !pos crashed;
   let nf = ref 0 in
   for p = 0 to n - 1 do
     pos :=
-      put b !pos (if crashed land (1 lsl p) <> 0 then -1 else r.state_ids.(p));
-    match r.decided.(p) with
+      put b !pos (if crashed land (1 lsl p) <> 0 then -1 else state_ids.(p));
+    match decided.(p) with
     | Some _ when movable land (1 lsl p) = 0 -> incr nf
     | Some _ | None -> ()
   done;
   pos := put b !pos !nf;
-  (* the movable values go to [a] to be sorted *)
+  (* the movable values go to [a.(0 .. n - 1)] to be sorted *)
   let nm = ref 0 in
   for p = 0 to n - 1 do
-    match r.decided.(p) with
+    match decided.(p) with
     | Some x when movable land (1 lsl p) = 0 ->
         pos := put b !pos p;
         pos := put b !pos (value x)
@@ -467,26 +491,30 @@ let orbit_key ~value r =
     | None -> ()
   done;
   pos := put b !pos !nm;
-  sort_slots a 0 !nm;
-  for j = 0 to !nm - 1 do
-    pos := put b !pos a.(j)
-  done;
-  let nt = ref 0 in
-  for j = 0 to m - 1 do
-    let t = r.triples.(j) in
+  pos := put_sorted b !pos a 0 !nm;
+  (* the retained triples, compacted in place *)
+  let nt = ref n in
+  for j = n to n + m - 1 do
+    let t = a.(j) in
     if crashed land (1 lsl triple_dst t) = 0 then begin
       a.(!nt) <- small_triple n t;
       incr nt
     end
   done;
-  pos := put b !pos !nt;
-  sort_slots a 0 !nt;
-  for j = 0 to !nt - 1 do
-    pos := put b !pos a.(j)
-  done;
-  Bytes.sub_string b 0 !pos
+  pos := put b !pos (!nt - n);
+  put_sorted b !pos a n !nt
 
-let key ~reduction ~value rows =
+let write_key ~reduction ~value ~n ~crashed ~state_ids ~decided ~m =
   match reduction with
-  | No_reduction -> exact_key ~value rows
-  | Symmetry | Symmetry_por -> orbit_key ~value rows
+  | No_reduction -> exact_key ~value ~n ~crashed ~state_ids ~decided ~m
+  | Symmetry | Symmetry_por ->
+      orbit_key ~value ~n ~crashed ~state_ids ~decided ~m
+
+let key ~reduction ~value r =
+  let n = r.n and m = Array.length r.triples in
+  Array.blit r.triples 0 (triple_slots ~n ~m) n m;
+  let len =
+    write_key ~reduction ~value ~n ~crashed:r.crashed ~state_ids:r.state_ids
+      ~decided:r.decided ~m
+  in
+  Bytes.sub_string (key_buffer ()) 0 len

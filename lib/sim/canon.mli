@@ -1,10 +1,13 @@
 (** Reduction layer: symmetry orbit keys and DPOR delivery actions.
 
     Pure integer/array arithmetic over the interned rows of a
-    configuration — no dependency on any algorithm.  {!Engine.key}
-    calls {!key}, which writes exact and orbit keys directly;
-    {!canonicalize} + {!serialize} are the reference it is tested
-    against.  The explorer's sleep sets are lists of {!Action.t}. *)
+    configuration — no dependency on any algorithm.  The engine writes
+    a configuration's pending triples into {!triple_slots} and calls
+    {!write_key}, which writes exact and orbit keys into the calling
+    domain's {!key_buffer}; {!key} does the same from a {!rows} record,
+    and {!canonicalize} + {!serialize} are the reference both are
+    tested against.  The explorer's sleep sets are lists of
+    {!Action.t}. *)
 
 (** How aggressively the explorers collapse the state space.
 
@@ -84,14 +87,20 @@ module Action : sig
   (** Exact (collision-free) serialization of a sleep set, in {!key}'s
       varints, appended to dedup keys so a configuration re-reached
       under a different sleep set is re-explored ("sleep-in-key"). *)
+
+  val write_digest : t list -> at:int -> int
+  (** Writes {!digest} into {!key_buffer} from byte [at], keeping the
+      bytes before it (a key just written by {!write_key}); the
+      position after it.  Allocates only to sort the set. *)
 end
 
 (** {1 Process-permutation symmetry} *)
 
 (** The interned rows of a configuration under a crashed-set mask.
     ['d] is the caller's shape of a decided output ({!key} takes the
-    projection to its value), so the engine hands over its own arrays
-    without a copy. *)
+    projection to its value).  The input of {!key} and of the
+    reference orbit representative below; the engine writes its keys
+    through {!write_key} without building one. *)
 type 'd rows = {
   n : int;
   crashed : int;  (** bitmask of crashed pids *)
@@ -100,13 +109,11 @@ type 'd rows = {
   triples : int array;  (** packed (src, dst, payload) triples, any order *)
 }
 
-val key : reduction:reduction -> value:('d -> int) -> 'd rows -> string
-(** The dedup key of a configuration: an int sequence written as
-    zigzag LEB128 varints into one exactly-sized string (the key is
-    the only allocation).  [value] projects a decided output to its
-    value; it runs while the calling domain's scratch space holds the
-    partial key, so it must not build keys itself.  A pending triple enters the sequence re-packed as the
-    small int [(payload * n + src) * n + dst].
+(** {2 Dedup keys}
+
+    The dedup key of a configuration is an int sequence written as
+    zigzag LEB128 varints.  A pending triple enters the sequence
+    re-packed as the small int [(payload * n + src) * n + dst].
 
     - [No_reduction]: the exact key — crashed mask; state id per pid;
       number of decided pids; a (pid, value) pair per decided pid,
@@ -119,9 +126,38 @@ val key : reduction:reduction -> value:('d -> int) -> 'd rows -> string
     Keys of one [n] are prefix-free: every slice follows its count,
     and the exact key's leading crashed mask encodes to an even first
     byte while the orbit key's leading tag [-1] encodes to [0x01].  A
-    key may therefore be extended ({!Action.digest}) without
+    key may therefore be extended ({!Action.write_digest}) without
     ambiguity.  Checkpoints store keys, so both layouts are fixed: the
     test suite pins them with golden bytes. *)
+
+val triple_slots : n:int -> m:int -> int array
+(** The calling domain's scratch int array, grown to at least [n + m]
+    ints.  {!write_key} reads the [m] packed pending triples of an
+    [n]-process configuration from its slots [n .. n + m - 1], in any
+    order, and overwrites the whole array. *)
+
+val write_key :
+  reduction:reduction ->
+  value:('d -> int) ->
+  n:int ->
+  crashed:int ->
+  state_ids:int array ->
+  decided:'d option array ->
+  m:int ->
+  int
+(** Writes the key of the configuration with these rows and the [m]
+    triples in {!triple_slots} at the start of {!key_buffer}, and
+    returns its length.  Allocates nothing (the buffer grows, once, for
+    a configuration larger than any before it).  [value] projects a
+    decided output to its value; it runs while the key is half
+    written, so it must not write keys itself. *)
+
+val key_buffer : unit -> Bytes.t
+(** The calling domain's scratch buffer, holding the key (and digest)
+    written last.  Fetch it after writing: growing replaces it. *)
+
+val key : reduction:reduction -> value:('d -> int) -> 'd rows -> string
+(** {!write_key} over the rows, copied out of the buffer. *)
 
 (** {2 Reference orbit representative}
 

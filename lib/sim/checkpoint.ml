@@ -147,13 +147,24 @@ let with_lock c f =
   Mutex.lock c.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
 
+(* [interrupted] and [tick] run once per popped item or admission of
+   a one-domain explore, so they lock by hand rather than through
+   [with_lock]'s closure; a raising hook or write still unlocks. *)
 let interrupted c =
   match c.interrupt with
   | None -> false
   | Some f ->
-      with_lock c (fun () ->
-          if not c.latched then c.latched <- f ();
-          c.latched)
+      Mutex.lock c.lock;
+      match
+        if not c.latched then c.latched <- f ();
+        c.latched
+      with
+      | latched ->
+          Mutex.unlock c.lock;
+          latched
+      | exception e ->
+          Mutex.unlock c.lock;
+          raise e
 
 let engaged c = c.sink <> None || c.interrupt <> None
 
@@ -198,16 +209,22 @@ let due c ~items =
 let tick c ~items snap =
   match c.sink with
   | None -> ()
-  | Some sink ->
-      with_lock c (fun () ->
-          if
-            items - c.last_items >= sink.policy.every_items
-            || Clock.elapsed_s ~since:c.last_ns >= sink.policy.every_seconds
-          then begin
-            write_now c sink snap;
-            c.last_ns <- Clock.now_ns ();
-            c.last_items <- items
-          end)
+  | Some sink -> (
+      Mutex.lock c.lock;
+      match
+        if
+          items - c.last_items >= sink.policy.every_items
+          || Clock.elapsed_s ~since:c.last_ns >= sink.policy.every_seconds
+        then begin
+          write_now c sink snap;
+          c.last_ns <- Clock.now_ns ();
+          c.last_items <- items
+        end
+      with
+      | () -> Mutex.unlock c.lock
+      | exception e ->
+          Mutex.unlock c.lock;
+          raise e)
 
 let flush c snap =
   match c.sink with

@@ -655,43 +655,42 @@ module Make (A : Algorithm.S) = struct
 
   (* ---- canonical configuration keys ----
 
-     {!Canon.key} writes both layouts: the exact key under
-     [No_reduction], the orbit key otherwise.  The engine hands over
-     its own arrays: the decided rows keep their decision times, which
-     [fst] projects away. *)
+     {!Canon.write_key} writes both layouts: the exact key under
+     [No_reduction], the orbit key otherwise.  The engine copies its
+     pending triples into Canon's scratch int array and hands over its
+     own rows: the decided rows keep their decision times, which [fst]
+     projects away.  Nothing is allocated until a caller copies the key
+     out of {!Canon.key_buffer}. *)
 
   type key = string
 
-  (* Writes each id-descending inbox backwards, ending at [i]: the
-     array holds the triples by destination, ascending ids within
-     each.  {!Canon.key} sorts them. *)
-  let rec fill_triples triples i : entry list -> int = function
+  (* Writes the triples of one inbox at [a.(i) ..]; the next free
+     slot.  {!Canon.write_key} sorts them. *)
+  let rec fill_triples a i : entry list -> int = function
     | [] -> i
     | (_, t) :: rest ->
-        triples.(i - 1) <- t;
-        fill_triples triples (i - 1) rest
+        Array.unsafe_set a i t;
+        fill_triples a (i + 1) rest
 
-  let triples_of c =
-    let m = Array.fold_left (fun m l -> m + List.length l) 0 c.inbox in
-    let triples = Array.make m 0 in
-    let i = ref m in
-    for p = c.n - 1 downto 0 do
-      i := fill_triples triples !i c.inbox.(p)
+  let rec pending_count inbox p m =
+    if p < 0 then m else pending_count inbox (p - 1) (m + List.length inbox.(p))
+
+  let write_key ~crashed ~reduction c =
+    let n = c.n in
+    let m = pending_count c.inbox (n - 1) 0 in
+    let a = Canon.triple_slots ~n ~m in
+    let i = ref n in
+    for p = 0 to n - 1 do
+      i := fill_triples a !i c.inbox.(p)
     done;
-    triples
+    Canon.write_key ~reduction ~value:fst ~n ~crashed ~state_ids:c.state_ids
+      ~decided:c.decided ~m
 
   let key ?(crashed = 0) ?(reduction = Canon.No_reduction) c =
-    Canon.key ~reduction ~value:fst
-      {
-        Canon.n = c.n;
-        crashed;
-        state_ids = c.state_ids;
-        decided = c.decided;
-        triples = triples_of c;
-      }
+    let len = write_key ~crashed ~reduction c in
+    Bytes.sub_string (Canon.key_buffer ()) 0 len
 
   let key_equal = String.equal
-  let key_hash = Hashtbl.hash
 
   (* Destination-pid bitmask of the messages sent by the step that
      produced [c'] from [c].  Message ids are allocated monotonically

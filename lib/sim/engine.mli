@@ -176,8 +176,12 @@ module Make (A : Algorithm.S) : sig
       failure detector and no crash times later than 0.  The
       {!Explorer} checks these conditions. *)
 
+  val write_key : crashed:int -> reduction:Canon.reduction -> config -> int
+  (** {!key}, left in {!Canon.key_buffer} instead of copied out: its
+      length.  Allocates nothing; the explorers probe their tables from
+      the buffer and copy a key out only to keep it. *)
+
   val key_equal : key -> key -> bool
-  val key_hash : key -> int
 
   val sends_between : config -> config -> int
   (** Destination-pid bitmask of the messages sent by the step that

@@ -553,17 +553,18 @@ module Workers = struct
   let count t = Atomic.get t.count
 
   (* The ticket clamp, fused with the dedup check under the shard lock
-     by {!Shardset.admit}: a ticket is only drawn for a genuinely-new
-     key, so tickets below the budget are dense and issued exactly
-     once (refunds only happen at or above the budget) — the admitted
-     count is exact even under domain races. *)
+     by {!Shardset.admit_bytes}: a ticket is only drawn for a
+     genuinely-new key, so tickets below the budget are dense and
+     issued exactly once (refunds only happen at or above the budget) —
+     the admitted count is exact even under domain races.  [-1] at the
+     budget. *)
   let ticket t () =
     let tk = Atomic.fetch_and_add t.count 1 in
     if tk >= t.max_configs then begin
       Atomic.decr t.count;
-      None
+      -1
     end
-    else Some tk
+    else tk
 
   let seed (t : _ t) items = Wspool.seed t.pool items
 
@@ -928,16 +929,6 @@ module Make (A : Algorithm.S) = struct
           (choices policy mine))
       steppers
 
-  (* the dedup key of an [explore] work item: the (possibly orbit)
-     configuration key [bare], plus — when sleep sets are active — the
-     exact serialized sleep set, so a configuration re-reached under a
-     different sleep set is re-expanded rather than wrongly deduped
-     against a run that pruned differently *)
-  let admission_key ~reduction bare sleep =
-    match (reduction : Canon.reduction) with
-    | Symmetry_por -> bare ^ Canon.Action.digest sleep
-    | No_reduction | Symmetry -> bare
-
   (* ---- crash-free exploration ---- *)
 
   (* Checkpoint payload of an [explore] campaign: the reduction mode,
@@ -988,11 +979,6 @@ module Make (A : Algorithm.S) = struct
       (fun i k -> ignore (Shardset.add s k (if ids then i else 0)))
       keys;
     s
-
-  (* the answer of a lock-free {!Shardset.mem} hit, in place of the
-     boxed [Found] that {!Shardset.admit} would allocate for it (the
-     id is never read: crash-free admission needs none) *)
-  let known = Shardset.Found (-1)
 
   (* Crash-free exploration on {!Workers} at every domain count, with
      one shared {!Shardset} table and ticket counter, so each reachable
@@ -1141,23 +1127,43 @@ module Make (A : Algorithm.S) = struct
             orphan_add key;
             raise e
       in
+      (* a dedup hit: no orphan to re-expand *)
+      let dropped () =
+        Metrics.incr m_dedup;
+        if reduction <> Canon.No_reduction then Metrics.incr m_orbit
+      in
       fun (config, depth, sleep) ->
-        let bare = E.key ~reduction config in
-        let key = admission_key ~reduction bare sleep in
-        match
-          if Shardset.mem seen key then known
-          else Shardset.admit seen key ~ticket
-        with
-        | Shardset.Found _ ->
+        (* The dedup key of the item is the (possibly orbit)
+           configuration key [bare], plus — when sleep sets are active
+           — the exact serialized sleep set, so a configuration
+           re-reached under a different sleep set is re-expanded rather
+           than wrongly deduped against a run that pruned differently.
+           Both are written into the scratch buffer, one after the
+           other, and probed there lock-free while nothing is orphaned:
+           a dedup hit allocates nothing. *)
+        let bare_len = E.write_key ~crashed:0 ~reduction config in
+        let len =
+          match reduction with
+          | Canon.Symmetry_por -> Canon.Action.write_digest sleep ~at:bare_len
+          | Canon.No_reduction | Canon.Symmetry -> bare_len
+        in
+        if
+          Atomic.get orphans_n = 0
+          && Shardset.mem_bytes seen (Canon.key_buffer ()) len
+        then dropped ()
+        else begin
+          let b = Canon.key_buffer () in
+          let bare = Bytes.sub_string b 0 bare_len in
+          let key = if len = bare_len then bare else Bytes.sub_string b 0 len in
+          let r = Shardset.admit_key seen key ~ticket in
+          if r >= 0 then
             if orphan_take key then expand config depth sleep bare key
-            else begin
-              Metrics.incr m_dedup;
-              if reduction <> Canon.No_reduction then Metrics.incr m_orbit
-            end
-        | Shardset.Rejected ->
+            else dropped ()
+          else if r = Shardset.refused then begin
             w.exhausted <- true;
             Metrics.incr m_truncations
-        | Shardset.Admitted _ ->
+          end
+          else begin
             Metrics.incr m_admitted;
             (match reduction with
             | Canon.Symmetry_por ->
@@ -1165,6 +1171,8 @@ module Make (A : Algorithm.S) = struct
                   Metrics.incr m_sleep_readmit
             | Canon.No_reduction | Canon.Symmetry -> ());
             expand config depth sleep bare key
+          end
+        end
     in
     (* a cut: the shared table gives each id's key *)
     let merge ~pending ~exhausted =
@@ -1539,16 +1547,17 @@ module Make (A : Algorithm.S) = struct
        it away, leaving nothing to expand *)
     let admit_root () =
       let root = E.init_explore ~reduction ~n ~inputs () in
-      match
-        Shardset.admit seen (E.key ~crashed:base_mask ~reduction root) ~ticket
-      with
-      | Shardset.Admitted id ->
-          Metrics.incr m_admitted;
-          Workers.seed rt [ (id, root, base_mask) ];
-          false
-      | Shardset.Rejected | Shardset.Found _ ->
-          Metrics.incr m_truncations;
-          true
+      let len = E.write_key ~crashed:base_mask ~reduction root in
+      let r = Shardset.admit_bytes seen (Canon.key_buffer ()) len ~ticket in
+      if r < 0 && r <> Shardset.refused then begin
+        Metrics.incr m_admitted;
+        Workers.seed rt [ (lnot r, root, base_mask) ];
+        false
+      end
+      else begin
+        Metrics.incr m_truncations;
+        true
+      end
     in
     (* set when budget was turned away before this run: by the resumed
        campaign, or at the root *)
@@ -1577,22 +1586,28 @@ module Make (A : Algorithm.S) = struct
     in
     let make (w : _ Workers.w) =
       let pattern_of = make_pattern_of ~n in
-      (* the successor's id, or -1 when the budget turned it away *)
+      (* The successor's id, or -1 when the budget turned it away.
+         The key is probed from the scratch buffer it is written to,
+         and copied out only when admitted. *)
       let visit config mask =
-        let key = E.key ~crashed:mask ~reduction config in
-        match Shardset.admit seen key ~ticket with
-        | Shardset.Found id ->
-            Metrics.incr m_dedup;
-            if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
-            id
-        | Shardset.Rejected ->
-            w.exhausted <- true;
-            Metrics.incr m_truncations;
-            -1
-        | Shardset.Admitted id ->
-            Metrics.incr m_admitted;
-            Workers.push w (id, config, mask);
-            id
+        let len = E.write_key ~crashed:mask ~reduction config in
+        let r = Shardset.admit_bytes seen (Canon.key_buffer ()) len ~ticket in
+        if r >= 0 then begin
+          Metrics.incr m_dedup;
+          if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
+          r
+        end
+        else if r = Shardset.refused then begin
+          w.exhausted <- true;
+          Metrics.incr m_truncations;
+          -1
+        end
+        else begin
+          let id = lnot r in
+          Metrics.incr m_admitted;
+          Workers.push w (id, config, mask);
+          id
+        end
       in
       fun (id, config, mask) ->
         let undecided, succ_pairs =

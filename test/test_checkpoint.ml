@@ -194,6 +194,31 @@ let sink ~path ~kind =
     policy = Checkpoint.default_policy;
   }
 
+(* A raising interrupt hook or snapshot must release the
+   controller's lock: the next poll raises again instead of failing to
+   lock, and a following flush writes. *)
+let test_raising_hook_unlocks () =
+  with_tmp ".ckpt" (fun path ->
+      let ckpt =
+        Checkpoint.ctl ~sink:(sink ~path ~kind:"explore")
+          ~interrupt:(fun () -> failwith "hook")
+          ()
+      in
+      let raises f = match f () with _ -> false | exception Failure _ -> true in
+      Alcotest.(check bool)
+        "poll raises" true
+        (raises (fun () -> Checkpoint.interrupted ckpt));
+      Alcotest.(check bool)
+        "poll raises again" true
+        (raises (fun () -> Checkpoint.interrupted ckpt));
+      Alcotest.(check bool)
+        "tick raises" true
+        (raises (fun () ->
+             Checkpoint.tick ckpt ~items:max_int (fun () -> failwith "snap")));
+      Checkpoint.flush ckpt (fun () -> "payload");
+      let t = ok_or_fail (Checkpoint.load ~path) in
+      Alcotest.(check string) "flushed" "payload" (Checkpoint.payload t))
+
 let load_restored path =
   let t = ok_or_fail (Checkpoint.load ~path) in
   ok_or_fail (Checkpoint.restore_interners t);
@@ -1223,6 +1248,8 @@ let suites =
           test_load_wrong_version;
         Alcotest.test_case "load: garbage body is Error" `Quick
           test_load_garbage_body;
+        Alcotest.test_case "ctl: a raising hook releases the lock" `Quick
+          test_raising_hook_unlocks;
         Alcotest.test_case "explore-crash: kill/resume parity (seq)" `Quick
           test_explore_crash_seq_resume;
         Alcotest.test_case "explore-crash: kill/resume parity (par)" `Quick

@@ -178,7 +178,19 @@ let test_key_large_rows () =
         (decode (key m rows)))
     (Canon.No_reduction :: reduced_modes);
   Alcotest.(check string) "orbit key = reference" (orbit_key rows)
-    (key Canon.Symmetry rows)
+    (key Canon.Symmetry rows);
+  (* a sleep digest far larger than the buffer, appended after the key
+     just written: the buffer grows and keeps the key in front *)
+  let sleep =
+    List.init 1000 (fun i ->
+        Canon.Action.make ~pid:(i mod n) ~deliveries:[ i; 7 * i; 1 lsl 40 ]
+          ~sends:i)
+  in
+  let k = key Canon.Symmetry rows in
+  let len = Canon.Action.write_digest sleep ~at:(String.length k) in
+  let written = Bytes.sub_string (Canon.key_buffer ()) 0 len in
+  Alcotest.(check string) "key then digest" (k ^ Canon.Action.digest sleep)
+    written
 
 (* Two rows of one n, the second often a near miss of the first (a
    triple or a decision dropped), where a layout without its counts
@@ -287,6 +299,149 @@ let test_orbit_key_golden () =
         ("orbit key bytes, " ^ mode_name m)
         expected (hex (key m rows)))
     reduced_modes
+
+(* ---------- the engine's one-pass key ---------- *)
+
+(* Random walks over reachable configurations of n = 3 and n = 4: each
+   move crashes one more live process (keeping one alive) or steps a
+   live one on a random subset of its buffer.  At every configuration
+   on the way, the key the engine writes straight from its inboxes into
+   the scratch buffer — followed by a random sleep digest, as the
+   sym+por admission key is — must equal, byte for byte, {!Canon.key}
+   over rows rebuilt from the configuration's public view and
+   re-interned, under the walk's crashed mask plus random extra
+   bits. *)
+module Key_walk (A : Sim.Algorithm.S) = struct
+  module E = Sim.Engine.Make (A)
+  module Intern = Ksa_prim.Intern
+
+  let rows c ~crashed =
+    let n = E.n c in
+    {
+      Canon.n;
+      crashed;
+      state_ids =
+        Array.init n (fun p -> Intern.id Intern.states (E.state_of c p));
+      decided = Array.init n (E.decision_of c);
+      triples =
+        Array.of_list
+          (List.map
+             (fun (e : A.message Sim.Envelope.t) ->
+               Canon.pack_triple e.src e.dst
+                 (Intern.id Intern.payloads e.payload))
+             (E.pending c));
+    }
+
+  let random_sleep rng n =
+    List.init (Random.State.int rng 4) (fun _ ->
+        Canon.Action.make ~pid:(Random.State.int rng n)
+          ~deliveries:
+            (List.init (Random.State.int rng 3) (fun _ ->
+                 Random.State.int rng 500))
+          ~sends:(Random.State.int rng (1 lsl n)))
+
+  let agrees ~reduction ~crashed ~sleep c =
+    let reference = Canon.key ~reduction ~value:Fun.id (rows c ~crashed) in
+    let expected =
+      match reduction with
+      | Canon.Symmetry_por -> reference ^ Canon.Action.digest sleep
+      | Canon.No_reduction | Canon.Symmetry -> reference
+    in
+    let bare_len = E.write_key ~crashed ~reduction c in
+    let len =
+      match reduction with
+      | Canon.Symmetry_por -> Canon.Action.write_digest sleep ~at:bare_len
+      | Canon.No_reduction | Canon.Symmetry -> bare_len
+    in
+    let written = Bytes.sub_string (Canon.key_buffer ()) 0 len in
+    written = expected
+    && bare_len = String.length reference
+    && E.key ~crashed ~reduction c = reference
+    && decode reference = reference_ints reduction (rows c ~crashed)
+
+  let holds ~n ~reduction (seed, len) =
+    let rng = Random.State.make [| seed |] in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let pattern_of mask =
+      FP.initial_dead ~n
+        ~dead:
+          (List.filter
+             (fun p -> mask land (1 lsl p) <> 0)
+             (List.init n Fun.id))
+    in
+    let rec go c mask len =
+      let crashed = mask lor Random.State.int rng (1 lsl n) in
+      agrees ~reduction ~crashed ~sleep:(random_sleep rng n) c
+      && (len = 0
+         ||
+         let live =
+           List.filter (fun p -> mask land (1 lsl p) = 0) (List.init n Fun.id)
+         in
+         if List.length live > 1 && Random.State.int rng 6 = 0 then
+           go c (mask lor (1 lsl pick live)) (len - 1)
+         else
+           let pid = pick live in
+           let deliver =
+             List.filter
+               (fun _ -> Random.State.bool rng)
+               (List.map fst (E.inbox c pid))
+           in
+           match
+             E.apply ~pattern:(pattern_of mask) c
+               (Sim.Adversary.Step { pid; deliver })
+           with
+           | Some c' -> go c' mask (len - 1)
+           | None | (exception E.Double_decision _) -> true)
+    in
+    go (E.init_explore ~reduction ~n ~inputs:(distinct n) ()) 0 len
+end
+
+module Key_walk_k2 = Key_walk (K2)
+module Key_walk_n2 = Key_walk (N2)
+
+let prop_engine_key_is_canon_key =
+  QCheck.Test.make
+    ~name:"engine: one-pass key (+ digest) = Canon.key over rebuilt rows"
+    ~count:150
+    QCheck.(pair (int_bound 0x3fffffff) (int_range 0 30))
+    (fun walk ->
+      List.for_all
+        (fun n ->
+          List.for_all
+            (fun reduction ->
+              Key_walk_k2.holds ~n ~reduction walk
+              && Key_walk_n2.holds ~n ~reduction walk)
+            Canon.all_reductions)
+        [ 3; 4 ])
+
+(* The key written into the scratch buffer allocates nothing, in every
+   mode, once the buffer has grown to the configuration's size. *)
+let test_engine_key_allocates_nothing () =
+  let module E = Key_walk_k2.E in
+  let n = 3 in
+  List.iter
+    (fun reduction ->
+      let c0 = E.init_explore ~reduction ~n ~inputs:(distinct n) () in
+      (* a configuration with pending messages, keyed below with pid 2
+         crashed *)
+      let c =
+        List.fold_left
+          (fun c pid ->
+            match
+              E.apply ~pattern:(FP.none ~n) c
+                (Sim.Adversary.Step { pid; deliver = [] })
+            with
+            | Some c' -> c'
+            | None -> c)
+          c0 [ 0; 1; 2 ]
+      in
+      Alcotest.(check bool) "messages pending" true (E.pending c <> []);
+      Alcotest.(check (float 0.))
+        ("write_key words, " ^ mode_name reduction)
+        0.
+        (Test_util.words_per_loop 1000 (fun () ->
+             ignore (E.write_key ~crashed:0b100 ~reduction c : int))))
+    Canon.all_reductions
 
 (* ---------- canonicalization properties ---------- *)
 
@@ -936,6 +1091,9 @@ let suites =
           test_exact_key_golden;
         Alcotest.test_case "orbit key golden bytes" `Quick
           test_orbit_key_golden;
+        qcheck prop_engine_key_is_canon_key;
+        Alcotest.test_case "engine key into scratch allocates nothing" `Quick
+          test_engine_key_allocates_nothing;
         qcheck prop_idle_step_keeps_key;
         Alcotest.test_case "idle_step refusals" `Quick test_idle_step_cases;
         Alcotest.test_case "idle_step refuses a double decision" `Quick

@@ -123,6 +123,128 @@ let prop_budgeted_admission =
       && !next = !admitted (* no ticket burned on a duplicate *)
       && !admitted + !found + !rejected = List.length keys)
 
+(* ---------- probing from a buffer ---------- *)
+
+(* Keys that share prefixes but differ in length, up to 40 bytes
+   (several 8-byte words, and tails of every length), with bytes
+   across the whole range: prefixes of a few random stems, some with
+   one byte changed, so equal lengths differ in a single word. *)
+let prefix_keys_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 4)
+      (string_size ~gen:(map Char.chr (int_bound 255)) (int_range 1 40))
+    >>= fun stems ->
+    list_size (int_bound 300)
+      (oneofl stems >>= fun stem ->
+       int_range 1 (String.length stem) >>= fun len ->
+       let key = String.sub stem 0 len in
+       frequency
+         [
+           (3, return key);
+           ( 1,
+             int_bound (len - 1) >>= fun i ->
+             int_bound 255 >>= fun c ->
+             return
+               (String.mapi (fun j x -> if j = i then Char.chr c else x) key)
+           );
+         ]))
+
+let prefix_keys_arb =
+  QCheck.make ~print:(fun l -> String.concat "," (List.map String.escaped l))
+    prefix_keys_gen
+
+(* the same budgeted ticket source for two tables: [budget] tickets,
+   then refusals *)
+let int_tickets budget =
+  let next = ref 0 in
+  fun () ->
+    if !next >= budget then -1
+    else begin
+      let v = !next in
+      incr next;
+      v
+    end
+
+let prop_bytes_probe_is_string_admit =
+  QCheck.Test.make
+    ~name:"admit_bytes from a buffer = admit on the string, through resizes"
+    ~count:200
+    QCheck.(pair prefix_keys_arb (int_range 0 300))
+    (fun (keys, budget) ->
+      let by_bytes = mk ~shards:2 ~capacity:16 ()
+      and by_string = mk ~shards:2 ~capacity:16 () in
+      let ticket_b = int_tickets budget and ticket_s = int_tickets budget in
+      (* the admitted keys and their tickets *)
+      let model : (string, int) Hashtbl.t = Hashtbl.create 64 in
+      (* the key at the start of a buffer whose tail is garbage *)
+      let buf = Bytes.make 64 '\xff' in
+      List.iter
+        (fun k ->
+          let len = String.length k in
+          let present = Shardset.mem by_string k in
+          if present <> Hashtbl.mem model k then
+            QCheck.Test.fail_reportf "mem %S disagrees with the model" k;
+          Bytes.blit_string k 0 buf 0 len;
+          if Shardset.mem_bytes by_bytes buf len <> present then
+            QCheck.Test.fail_reportf "mem_bytes %S" k;
+          let rb = Shardset.admit_bytes by_bytes buf len ~ticket:ticket_b in
+          let ticket () =
+            let v = ticket_s () in
+            if v < 0 then None else Some v
+          in
+          let rs =
+            match Shardset.admit by_string k ~ticket with
+            | Shardset.Found v -> v
+            | Shardset.Admitted v -> lnot v
+            | Shardset.Rejected -> Shardset.refused
+          in
+          if rb <> rs then
+            QCheck.Test.fail_reportf "%S: bytes %d, string %d" k rb rs;
+          if present <> (rb >= 0) then
+            QCheck.Test.fail_reportf "%S: found %d but mem %b" k rb present;
+          (match Hashtbl.find_opt model k with
+          | Some v ->
+              if v <> rb then
+                QCheck.Test.fail_reportf "%S: found %d, not %d" k rb v
+          | None ->
+              if rb < 0 && rb <> Shardset.refused then
+                Hashtbl.add model k (lnot rb));
+          (* once admitted, the string probe finds the same id *)
+          let id = if rb < 0 && rb <> Shardset.refused then lnot rb else rb in
+          if Shardset.admit_key by_string k ~ticket:(fun () -> -1) <> id then
+            QCheck.Test.fail_reportf "%S: admit_key disagrees" k)
+        keys;
+      Shardset.length by_bytes = Hashtbl.length model
+      && Shardset.length by_string = Hashtbl.length model)
+
+let test_hit_allocates_nothing () =
+  let t = mk ~shards:4 ~capacity:16 () in
+  let keys =
+    List.init 200 (fun i ->
+        Printf.sprintf "key-%d-%s" i (String.make (i mod 30) 'x'))
+  in
+  List.iteri (fun i k -> ignore (Shardset.add t k i)) keys;
+  let buf = Bytes.make 64 '\000' in
+  let ticket () = Alcotest.fail "a hit drew a ticket" in
+  List.iter
+    (fun i ->
+      let k = List.nth keys i in
+      let len = String.length k in
+      Bytes.blit_string k 0 buf 0 len;
+      Alcotest.(check int) ("found " ^ k) i
+        (Shardset.admit_bytes t buf len ~ticket);
+      Alcotest.(check (float 0.))
+        ("admit_bytes hit words, " ^ k)
+        0.
+        (Test_util.words_per_loop 1000 (fun () ->
+             ignore (Shardset.admit_bytes t buf len ~ticket : int)));
+      Alcotest.(check (float 0.))
+        ("mem_bytes hit words, " ^ k)
+        0.
+        (Test_util.words_per_loop 1000 (fun () ->
+             ignore (Shardset.mem_bytes t buf len : bool))))
+    [ 0; 17; 199 ]
+
 (* ---------- concurrent domains ---------- *)
 
 let prop_no_lost_inserts_concurrent =
@@ -191,14 +313,23 @@ let prop_dense_tickets_concurrent =
       !ok && Array.for_all Fun.id seen_tickets)
 
 let suites =
-  [
+  let name, cases =
     Test_util.qsuite "prim.shardset"
       [
         prop_matches_model;
         prop_iter_is_the_model;
         prop_key_bytes_gauge;
         prop_budgeted_admission;
+        prop_bytes_probe_is_string_admit;
         prop_no_lost_inserts_concurrent;
         prop_dense_tickets_concurrent;
-      ];
+      ]
+  in
+  [
+    ( name,
+      cases
+      @ [
+          Alcotest.test_case "a hit from a buffer allocates nothing" `Quick
+            test_hit_allocates_nothing;
+        ] );
   ]

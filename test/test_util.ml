@@ -69,6 +69,21 @@ let check_err what = function
 let qsuite name props =
   (name, List.map QCheck_alcotest.to_alcotest props)
 
+(* Words the calling domain's minor heap gains over [reps] calls of
+   [f], less the words of an empty loop measured the same way: 0 when
+   [f] allocates nothing.  [f] runs once first, so a buffer it grows
+   on first use does not count. *)
+let words_per_loop reps f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  f ();
+  measure f -. measure ignore
+
 (* The sorted set of values decided anywhere in a search whose [check]
    may run on several domains at once: [run ~check] runs the search
    (its outcome is ignored), and [check] records into a mutex-guarded
