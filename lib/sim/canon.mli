@@ -159,6 +159,11 @@ val key_buffer : unit -> Bytes.t
 val key : reduction:reduction -> value:('d -> int) -> 'd rows -> string
 (** {!write_key} over the rows, copied out of the buffer. *)
 
+val sort_slots : int array -> int -> int -> unit
+(** [sort_slots a lo hi] sorts [a.(lo) .. a.(hi - 1)] ascending in
+    place: an insertion sort for the handful of ints of one key slice
+    or one delivered batch.  Allocates nothing. *)
+
 (** {2 Reference orbit representative}
 
     The orbit representative spelled out as a value.  Not used to

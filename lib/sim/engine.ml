@@ -7,6 +7,30 @@ let m_steps = Metrics.counter "sim.steps"
 let m_memo_hits = Metrics.counter "sim.memo.hits"
 let m_memo_misses = Metrics.counter "sim.memo.misses"
 
+type delivery_policy = Empty_or_all | Per_sender | All_subsets
+
+(* Transition-memo keys are int sequences held in int arrays, the
+   sequence's length in slot 0 and the sequence in the slots behind it.
+   Hashing and equality read only those slots, so a longer scratch
+   array probes the table as it stands; only an insert copies the key
+   out.  Top-level recursions: a probe allocates nothing. *)
+module Memo = Hashtbl.Make (struct
+  type t = int array
+
+  let rec equal_from (a : t) (b : t) i last =
+    i > last || (a.(i) = b.(i) && equal_from a b (i + 1) last)
+
+  let equal a b = a.(0) = b.(0) && equal_from a b 1 a.(0)
+
+  let rec hash_from (a : t) i last h =
+    if i > last then h
+    else
+      let h = (h lxor a.(i)) * 0x2127599bf4325c37 in
+      hash_from a (i + 1) last (h lxor (h lsr 29))
+
+  let hash a = hash_from a 0 a.(0) 0 land max_int
+end)
+
 module Make (A : Algorithm.S) = struct
   (* Per-pid data lives in plain arrays under a copy-on-write
      discipline: every step copies the (tiny) array before writing, so
@@ -197,22 +221,49 @@ module Make (A : Algorithm.S) = struct
      re-execute the same local transition under thousands of different
      global configurations.  Keyed by interned ids, so hits skip
      [A.step] and every intern call.  One table per domain
-     (domain-local storage): no synchronisation. *)
-  type memo_entry = {
+     (domain-local storage): no synchronisation.  An entry is also a
+     step's outcome: {!step} returns it, and {!write_step_key} and
+     {!commit} read the successor off it. *)
+  type outcome = {
     m_state : A.state;
     m_state_id : int;
     m_sends : (Pid.t * A.message * int) list; (* dst, payload, payload id *)
     m_dec : Value.t option;
+    m_row : (Value.t * int) option;
+        (* [m_dec] as a decided row with time 0, built once: what a key
+           reads of a first decision *)
   }
 
-  (* Keyed by (reduction flag, state id, {!Canon.triple_content} of
-     each received message in fold order).  The leading bool is the
-     reduction flag: reduced and unreduced explorations intern
-     different (canonicalized vs raw) states under the same ids, so
-     their memo entries must not be conflated. *)
-  let memo_dls
-      : (bool * int * int list, memo_entry) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+  (* The memo is keyed by the int sequence [mode; state id; contents],
+     the contents being the {!Canon.triple_content} of each delivered
+     message.  Bit 0 of [mode] is the reduction flag: reduced and
+     unreduced explorations intern different (canonicalized vs raw)
+     states under the same ids, so their entries must not be
+     conflated.  Bit 1 marks an exploration-mode batch of two messages
+     or more, whose contents are sorted as ints: the canonical fold
+     order is a function of the batch's multiset, so the multiset
+     names the received sequence.  A recorded run's contents stay in
+     id order, its fold order.  A batch of at most one message folds
+     the same way in both modes and shares their entry.
+
+     The domain's scratch holds the key being probed and the successor
+     rows {!write_step_key} hands to {!Canon.write_key}; each grows on
+     demand and never shrinks. *)
+  type scratch = {
+    memo : outcome Memo.t;
+    mutable mkey : int array;
+    mutable sids : int array;
+    mutable rows : (Value.t * int) option array;
+  }
+
+  let scratch_dls =
+    Domain.DLS.new_key (fun () ->
+        {
+          memo = Memo.create 4096;
+          mkey = Array.make 16 0;
+          sids = [||];
+          rows = [||];
+        })
 
   let make_init ~explore ~reduce ~n ~inputs =
     if Array.length inputs <> n then invalid_arg "Engine.init: inputs length";
@@ -266,6 +317,66 @@ module Make (A : Algorithm.S) = struct
   let inbox c p =
     List.rev_map (fun ((e : A.message Envelope.t), _) -> (e.id, e.src)) c.inbox.(p)
 
+  (* ---- delivery batches ----
+
+     The batches a policy offers, written straight off one inbox as id
+     lists, newest first: the order the step entries take them in.
+     Only the batches themselves are allocated. *)
+
+  let rec batch_all : entry list -> int list = function
+    | [] -> []
+    | (e, _) :: rest -> e.Envelope.id :: batch_all rest
+
+  let rec batch_of src : entry list -> int list = function
+    | [] -> []
+    | (e, _) :: rest ->
+        if e.Envelope.src = src then e.id :: batch_of src rest
+        else batch_of src rest
+
+  let rec sent_by src : entry list -> bool = function
+    | [] -> false
+    | (e, _) :: rest -> e.Envelope.src = src || sent_by src rest
+
+  (* Offers the bucket of each sender of [box] in order of first
+     appearance: the oldest entries are looked at first, on the way
+     back up the recursion.  The number of senders. *)
+  let rec buckets box f : entry list -> int = function
+    | [] -> 0
+    | (e, _) :: older ->
+        let k = buckets box f older in
+        if sent_by e.Envelope.src older then k
+        else begin
+          f (batch_of e.src box);
+          k + 1
+        end
+
+  (* The entries whose bit is set in [bits], the oldest on bit 0; [i]
+     is the bit of the list's head *)
+  let rec subset bits i : entry list -> int list = function
+    | [] -> []
+    | (e, _) :: rest ->
+        if bits land (1 lsl i) <> 0 then
+          e.Envelope.id :: subset bits (i - 1) rest
+        else subset bits (i - 1) rest
+
+  let iter_batches policy c pid f =
+    let box = c.inbox.(pid) in
+    match policy with
+    | Empty_or_all -> (
+        f [];
+        match box with [] -> () | _ :: _ -> f (batch_all box))
+    | Per_sender ->
+        f [];
+        if buckets box f box >= 2 then f (batch_all box)
+    | All_subsets ->
+        let m = List.length box in
+        if m > Sys.int_size - 2 then
+          invalid_arg "Engine.iter_batches: inbox too large for All_subsets";
+        (* counting down: the whole inbox first, the empty batch last *)
+        for bits = (1 lsl m) - 1 downto 0 do
+          f (subset bits (m - 1) box)
+        done
+
   (* One pass each over the inboxes and the decided row, with no
      intermediate envelope or decision list. *)
   let observe ~pattern c =
@@ -289,134 +400,237 @@ module Make (A : Algorithm.S) = struct
       steps_taken = (fun p -> c.steps.(p));
     }
 
-  (* The entries of [ids_desc] (distinct, descending) in [pid]'s
-     inbox, in ascending id order.  A refusal names the smallest id
-     that is not there. *)
-  let check_deliverable c pid ids_desc =
+  (* Writes the triples of one inbox at [a.(i) ..]; the next free
+     slot.  {!Canon.write_key} sorts them. *)
+  let rec fill_triples a i : entry list -> int = function
+    | [] -> i
+    | (_, t) :: rest ->
+        Array.unsafe_set a i t;
+        fill_triples a (i + 1) rest
+
+  let rec pending_count inbox p m =
+    if p < 0 then m else pending_count inbox (p - 1) (m + List.length inbox.(p))
+
+  (* A refusal of the batch [ids_desc] (distinct, descending) at
+     [pid]: it names the smallest id that is not in [pid]'s inbox. *)
+  let refuse c pid ids_desc =
+    let id =
+      List.fold_left
+        (fun m id ->
+          match find_entry id c.inbox.(pid) with
+          | _ -> m
+          | exception Not_found -> id)
+        max_int ids_desc
+    in
+    raise
+      (Invalid_action
+         (match find_pending c.inbox id (c.n - 1) with
+         | _ -> Printf.sprintf "message #%d not addressed to p%d" id pid
+         | exception Not_found -> Printf.sprintf "message #%d not pending" id))
+
+  (* The entries of [ids_desc] in [pid]'s inbox, in ascending id
+     order. *)
+  let deliverable c pid ids_desc =
     match take_desc ids_desc c.inbox.(pid) [] with
     | pairs -> pairs
-    | exception Not_found ->
-        let id =
-          List.fold_left
-            (fun m id ->
-              match find_entry id c.inbox.(pid) with
-              | _ -> m
-              | exception Not_found -> id)
-            max_int ids_desc
-        in
-        raise
-          (Invalid_action
-             (match find_pending c.inbox id (c.n - 1) with
-             | _ -> Printf.sprintf "message #%d not addressed to p%d" id pid
-             | exception Not_found ->
-                 Printf.sprintf "message #%d not pending" id))
+    | exception Not_found -> refuse c pid ids_desc
 
-  let exec_step ?fd ~pattern c pid ids =
-    let next_time = c.time + 1 in
+  let rec strictly_desc = function
+    | a :: (b :: _ as tl) -> a > b && strictly_desc tl
+    | [] | [ _ ] -> true
+
+  (* A batch as the step entries take it: distinct ids, descending
+     like the inboxes.  A batch already so is returned as is. *)
+  let desc ids =
+    if strictly_desc ids then ids
+    else List.sort_uniq (fun a b -> Int.compare b a) ids
+
+  (* Writes the contents of the entries of [l] named by [ids] (both
+     descending) at [a.(pos)], [a.(pos - 1)], ..., so they end up in
+     ascending id order.  [false] when [l] lacks one of them. *)
+  let rec fill_batch a pos ids (l : entry list) =
+    match ids with
+    | [] -> true
+    | id :: ids' -> (
+        match l with
+        | [] -> false
+        | (e, t) :: rest ->
+            if e.Envelope.id = id then begin
+              a.(pos) <- Canon.triple_content t;
+              fill_batch a (pos - 1) ids' rest
+            end
+            else if e.id > id then fill_batch a pos ids rest
+            else false)
+
+  (* Exploration mode folds a delivered batch in canonical
+     (sender, payload) order rather than message-id order.  Ids
+     encode one particular send interleaving; two configurations
+     that agree on the content key can carry the same pending
+     multiset under different id orders, and an id-order fold would
+     give them diverging successors — the visited set would then
+     depend on which representative the search expands first, and
+     sequential and parallel drivers would disagree.  With a
+     canonical fold the successor keys are a function of the
+     configuration key alone, so every search order computes the
+     same closure.  Recorded (non-exploration) runs keep the
+     id-order fold. *)
+  let canonical_fold pairs =
+    List.sort
+      (fun ((a : A.message Envelope.t), _) ((b : A.message Envelope.t), _) ->
+        match Int.compare a.src b.src with
+        | 0 -> compare a.payload b.payload
+        | o -> o)
+      pairs
+
+  (* The transition on the batch [ids] (all of them in [pid]'s inbox),
+     the failure detector queried at the step's [time]. *)
+  let transition ?fd c pid ids ~time =
+    let pairs = deliverable c pid ids in
+    let fd_view =
+      if not A.uses_fd then None
+      else
+        match fd with
+        | None ->
+            raise
+              (Invalid_action
+                 (A.name ^ " queries a failure detector but none was supplied"))
+        | Some oracle -> Some (oracle ~time ~me:pid)
+    in
+    let pairs =
+      if c.explore && not A.uses_fd then canonical_fold pairs else pairs
+    in
+    let received =
+      List.map (fun ((e : A.message Envelope.t), _) -> (e.src, e.payload)) pairs
+    in
+    let state', sends, dec = A.step c.states.(pid) ~received ~fd:fd_view in
+    (* Reduction: normalize the produced state and payloads {e before}
+       interning, and keep the canonical payload as the envelope
+       content — the receiver must later step on exactly the message
+       its interned id names, or two configurations with equal keys
+       could diverge. *)
+    let state' = if c.reduce then A.canon state' else state' in
+    let m_sends =
+      List.map
+        (fun (dst, payload) ->
+          let payload = if c.reduce then A.canon_message payload else payload in
+          (dst, payload, intern_payload payload))
+        sends
+    in
+    {
+      m_state = state';
+      m_state_id = intern_state state';
+      m_sends;
+      m_dec = dec;
+      m_row = (match dec with None -> None | Some v -> Some (v, 0));
+    }
+
+  (* Validation and the transition: the memo key is written into the
+     scratch straight off [pid]'s inbox and probed there, so a hit
+     returns the stored entry having allocated nothing.  The batch is
+     checked against the inbox on the way; the polymorphic canonical
+     sort runs on a miss only. *)
+  let step ?fd ~pattern c pid ids =
+    let time = c.time + 1 in
     if not (Pid.valid ~n:c.n pid) then
       raise (Invalid_action (Printf.sprintf "invalid pid p%d" pid));
     (match Failure_pattern.crash_time pattern pid with
-    | Some ct when next_time > ct ->
+    | Some ct when time > ct ->
         raise
           (Invalid_action
-             (Printf.sprintf "p%d crashed at %d, cannot step at %d" pid ct
-                next_time))
+             (Printf.sprintf "p%d crashed at %d, cannot step at %d" pid ct time))
     | Some _ | None -> ());
     Metrics.incr m_steps;
-    let ids = List.sort_uniq (fun a b -> Int.compare b a) ids in
-    let env_pairs = check_deliverable c pid ids in
-    (* Exploration mode folds a delivered batch in canonical
-       (sender, payload) order rather than message-id order.  Ids
-       encode one particular send interleaving; two configurations
-       that agree on the content key can carry the same pending
-       multiset under different id orders, and an id-order fold would
-       give them diverging successors — the visited set would then
-       depend on which representative the search expands first, and
-       sequential and parallel drivers would disagree.  With a
-       canonical fold the successor keys are a function of the
-       configuration key alone, so every search order computes the
-       same closure.  Recorded (non-exploration) runs keep the
-       id-order fold. *)
-    let env_pairs =
-      if c.explore && not A.uses_fd then
-        List.sort
-          (fun ((a : A.message Envelope.t), _)
-               ((b : A.message Envelope.t), _) ->
-            match Int.compare a.src b.src with
-            | 0 -> compare a.payload b.payload
-            | o -> o)
-          env_pairs
-      else env_pairs
+    let ids = desc ids in
+    if A.uses_fd then transition ?fd c pid ids ~time
+    else begin
+      let s = Domain.DLS.get scratch_dls in
+      let nids = List.length ids in
+      let last = 2 + nids in
+      if Array.length s.mkey <= last then
+        s.mkey <- Array.make (max (last + 1) (2 * Array.length s.mkey)) 0;
+      let a = s.mkey in
+      a.(0) <- last;
+      a.(1) <-
+        ((if c.reduce then 1 else 0) lor if c.explore && nids >= 2 then 2 else 0);
+      a.(2) <- c.state_ids.(pid);
+      if not (fill_batch a last ids c.inbox.(pid)) then refuse c pid ids;
+      if c.explore && nids >= 2 then Canon.sort_slots a 3 (last + 1);
+      match Memo.find s.memo a with
+      | o ->
+          Metrics.incr m_memo_hits;
+          o
+      | exception Not_found ->
+          Metrics.incr m_memo_misses;
+          let key = Array.sub a 0 (last + 1) in
+          let o = transition c pid ids ~time in
+          Memo.add s.memo key o;
+          o
+    end
+
+  (* Writes the triples of [l] but those named by [ids] (both
+     descending) at [a.(i) ..]; the next free slot. *)
+  let rec fill_except a i ids (l : entry list) =
+    match l with
+    | [] -> i
+    | (e, t) :: rest -> (
+        match ids with
+        | id :: ids' when e.Envelope.id = id -> fill_except a i ids' rest
+        | _ ->
+            a.(i) <- t;
+            fill_except a (i + 1) ids rest)
+
+  let invalid_send dst =
+    raise (Invalid_action (Printf.sprintf "send to invalid pid p%d" dst))
+
+  (* Writes the triples of [pid]'s sends at [a.(i) ..] *)
+  let rec fill_sends a i ~n pid = function
+    | [] -> ()
+    | (dst, _, plid) :: rest ->
+        if not (Pid.valid ~n dst) then invalid_send dst;
+        a.(i) <- pack_triple pid dst plid;
+        fill_sends a (i + 1) ~n pid rest
+
+  (* A step may repeat its process's decision, never change it *)
+  let check_decision c pid o =
+    match (o.m_dec, c.decided.(pid)) with
+    | Some v, Some (v0, _) when not (Value.equal v v0) ->
+        raise (Double_decision pid)
+    | _ -> ()
+
+  (* The successor's key from the parent's rows and the outcome: the
+     stepping pid's state id and decided row, and the pending triples
+     less the delivered ones plus the sends.  The rows are copied into
+     the scratch, never written in place: the parent is shared. *)
+  let write_step_key ~crashed ~reduction c pid ids o =
+    let ids = desc ids in
+    let n = c.n in
+    let m =
+      pending_count c.inbox (n - 1) 0 - List.length ids + List.length o.m_sends
     in
-    let fd_view =
-      if A.uses_fd then
-        match fd with
-        | None ->
-            raise (Invalid_action (A.name ^ " queries a failure detector but none was supplied"))
-        | Some oracle -> Some (oracle ~time:next_time ~me:pid)
-      else None
-    in
-    let state = c.states.(pid) in
-    (* [sends3] carries the interned payload id per send (from the
-       memo or a fresh intern); -1 when not yet known (the
-       failure-detector path interns at send time instead). *)
-    let state', sends3, dec, state_id' =
-      if not A.uses_fd then (
-        let mkey =
-          ( c.reduce,
-            c.state_ids.(pid),
-            List.map (fun (_, t) -> Canon.triple_content t) env_pairs )
-        in
-        let memo = Domain.DLS.get memo_dls in
-        match Hashtbl.find memo mkey with
-        | m ->
-            Metrics.incr m_memo_hits;
-            (m.m_state, m.m_sends, m.m_dec, m.m_state_id)
-        | exception Not_found ->
-            Metrics.incr m_memo_misses;
-            let received =
-              List.map
-                (fun ((e : A.message Envelope.t), _) -> (e.src, e.payload))
-                env_pairs
-            in
-            let state', sends, dec = A.step state ~received ~fd:None in
-            (* Reduction: normalize the produced state and payloads
-               {e before} interning, and keep the canonical payload as
-               the envelope content — the receiver must later step on
-               exactly the message its interned id names, or two
-               configurations with equal keys could diverge. *)
-            let state' = if c.reduce then A.canon state' else state' in
-            let sends3 =
-              List.map
-                (fun (dst, payload) ->
-                  let payload =
-                    if c.reduce then A.canon_message payload else payload
-                  in
-                  (dst, payload, intern_payload payload))
-                sends
-            in
-            let sid = intern_state state' in
-            Hashtbl.add memo mkey
-              { m_state = state'; m_state_id = sid; m_sends = sends3;
-                m_dec = dec };
-            (state', sends3, dec, sid))
-      else
-        let received =
-          List.map
-            (fun ((e : A.message Envelope.t), _) -> (e.src, e.payload))
-            env_pairs
-        in
-        let state', sends, dec = A.step state ~received ~fd:fd_view in
-        let state' = if c.reduce then A.canon state' else state' in
-        ( state',
-          List.map
-            (fun (dst, p) ->
-              ((dst, (if c.reduce then A.canon_message p else p), -1)
-                : Pid.t * A.message * int))
-            sends,
-          dec,
-          intern_state state' )
-    in
+    let a = Canon.triple_slots ~n ~m in
+    let i = ref n in
+    for p = 0 to n - 1 do
+      i :=
+        if p = pid then fill_except a !i ids c.inbox.(p)
+        else fill_triples a !i c.inbox.(p)
+    done;
+    fill_sends a !i ~n pid o.m_sends;
+    check_decision c pid o;
+    let s = Domain.DLS.get scratch_dls in
+    if Array.length s.sids < n then begin
+      s.sids <- Array.make n 0;
+      s.rows <- Array.make n None
+    end;
+    Array.blit c.state_ids 0 s.sids 0 n;
+    Array.blit c.decided 0 s.rows 0 n;
+    s.sids.(pid) <- o.m_state_id;
+    (match c.decided.(pid) with None -> s.rows.(pid) <- o.m_row | Some _ -> ());
+    Canon.write_key ~reduction ~value:fst ~n ~crashed ~state_ids:s.sids
+      ~decided:s.rows ~m
+
+  let commit c pid ids o =
+    let ids = desc ids in
+    let time = c.time + 1 in
     let inbox = Array.copy c.inbox in
     (* delivered messages were all addressed to [pid]: one pass over
        its buffer removes them *)
@@ -428,64 +642,51 @@ module Make (A : Algorithm.S) = struct
     let rec send id refs = function
       | [] -> (id, refs)
       | (dst, payload, plid) :: rest ->
-          if not (Pid.valid ~n:c.n dst) then
-            raise (Invalid_action (Printf.sprintf "send to invalid pid p%d" dst));
-          let e =
-            { Envelope.id; src = pid; dst; sent_at = next_time; payload }
-          in
-          let triple =
-            pack_triple pid dst
-              (if plid >= 0 then plid else intern_payload payload)
-          in
-          inbox.(dst) <- (e, triple) :: inbox.(dst);
+          if not (Pid.valid ~n:c.n dst) then invalid_send dst;
+          let e = { Envelope.id; src = pid; dst; sent_at = time; payload } in
+          inbox.(dst) <- (e, pack_triple pid dst plid) :: inbox.(dst);
           send (id + 1) (if c.explore then refs else (id, dst) :: refs) rest
     in
-    let next_id, sent_refs = send c.next_id [] sends3 in
+    let next_id, sent_refs = send c.next_id [] o.m_sends in
+    check_decision c pid o;
     let decided =
-      match dec with
-      | None -> c.decided
-      | Some v -> (
-          match c.decided.(pid) with
-          | None ->
-              let d = Array.copy c.decided in
-              d.(pid) <- Some (v, next_time);
-              d
-          | Some (v0, _) ->
-              if Value.equal v v0 then c.decided else raise (Double_decision pid))
+      match (o.m_dec, c.decided.(pid)) with
+      | Some v, None ->
+          let d = Array.copy c.decided in
+          d.(pid) <- Some (v, time);
+          d
+      | Some _, Some _ | None, _ -> c.decided
     in
     let events =
       if c.explore then []
       else
         {
-          Event.time = next_time;
+          Event.time;
           pid;
           delivered =
             List.map
               (fun ((e : A.message Envelope.t), _) -> (e.id, e.src))
-              env_pairs;
+              (deliverable c pid ids);
           sent = List.rev sent_refs;
           decision =
-            (match dec with
-            | Some v when c.decided.(pid) = None -> Some v
-            | Some _ | None -> None);
-          state_id = state_id';
+            (match (o.m_dec, c.decided.(pid)) with
+            | Some v, None -> Some v
+            | Some _, Some _ | None, _ -> None);
+          state_id = o.m_state_id;
         }
         :: c.events
     in
-    let state_ids =
-      (* only [pid]'s state changed: one intern per step (memo hits
-         skip even that), not one per process per key *)
-      let sids = Array.copy c.state_ids in
-      sids.(pid) <- state_id';
-      sids
-    in
+    (* only [pid]'s state changed: one intern per step (memo hits skip
+       even that), not one per process per key *)
+    let state_ids = Array.copy c.state_ids in
+    state_ids.(pid) <- o.m_state_id;
     let states = Array.copy c.states in
-    states.(pid) <- state';
+    states.(pid) <- o.m_state;
     let steps = Array.copy c.steps in
     steps.(pid) <- steps.(pid) + 1;
     {
       c with
-      time = next_time;
+      time;
       states;
       decided;
       inbox;
@@ -500,8 +701,10 @@ module Make (A : Algorithm.S) = struct
      it already exists and shows the same state id, no sends and no new
      decision, the step's successor agrees with [c] on every row {!key}
      reads — only time and the step count move.  Anything else (memo
-     miss, a pid [exec_step] would refuse, a decision it would reject)
-     answers [false] and leaves the caller to take the real step. *)
+     miss, a pid {!step} would refuse, a decision it would reject)
+     answers [false] and leaves the caller to take the real step.  The
+     probe is the key [[mode; state id]] of an empty batch, written
+     into the scratch. *)
   let idle_step ~pattern c pid =
     (not A.uses_fd)
     && Pid.valid ~n:c.n pid
@@ -509,8 +712,12 @@ module Make (A : Algorithm.S) = struct
        | Some ct -> c.time + 1 <= ct
        | None -> true)
     &&
+    let s = Domain.DLS.get scratch_dls in
     let sid = c.state_ids.(pid) in
-    match Hashtbl.find (Domain.DLS.get memo_dls) (c.reduce, sid, []) with
+    s.mkey.(0) <- 2;
+    s.mkey.(1) <- (if c.reduce then 1 else 0);
+    s.mkey.(2) <- sid;
+    match Memo.find s.memo s.mkey with
     | exception Not_found -> false
     | { m_state_id; m_sends = []; m_dec; _ } -> (
         m_state_id = sid
@@ -583,7 +790,8 @@ module Make (A : Algorithm.S) = struct
      test/test_byzantine.ml. *)
   let apply ?fd ~pattern c = function
     | Adversary.Halt -> None
-    | Adversary.Step { pid; deliver } -> Some (exec_step ?fd ~pattern c pid deliver)
+    | Adversary.Step { pid; deliver } ->
+        Some (commit c pid deliver (step ?fd ~pattern c pid deliver))
     | Adversary.Drop ids -> Some (exec_drop ~pattern c ids)
     | Adversary.Forge { id; alt } -> Some (exec_forge c ~id ~alt)
 
@@ -663,17 +871,6 @@ module Make (A : Algorithm.S) = struct
      out of {!Canon.key_buffer}. *)
 
   type key = string
-
-  (* Writes the triples of one inbox at [a.(i) ..]; the next free
-     slot.  {!Canon.write_key} sorts them. *)
-  let rec fill_triples a i : entry list -> int = function
-    | [] -> i
-    | (_, t) :: rest ->
-        Array.unsafe_set a i t;
-        fill_triples a (i + 1) rest
-
-  let rec pending_count inbox p m =
-    if p < 0 then m else pending_count inbox (p - 1) (m + List.length inbox.(p))
 
   let write_key ~crashed ~reduction c =
     let n = c.n in

@@ -17,6 +17,11 @@
     which is how the exhaustive {!Explorer} and the Lemma 11/12 run
     surgery work. *)
 
+(** How the explorers choose the batch a step delivers from the
+    stepping process's buffer ({!Explorer.delivery_policy} re-exports
+    it with the meaning of each case). *)
+type delivery_policy = Empty_or_all | Per_sender | All_subsets
+
 module Make (A : Algorithm.S) : sig
   type config
 
@@ -83,6 +88,19 @@ module Make (A : Algorithm.S) : sig
       sending order — read from that process's own list,
       O(|buffer(p)|) rather than O(|pending|). *)
 
+  val iter_batches :
+    delivery_policy -> config -> Pid.t -> (int list -> unit) -> unit
+  (** [iter_batches policy c p f] calls [f] on each batch [policy]
+      offers [p] in [c], as message ids newest first, written straight
+      off [p]'s buffer.  [Empty_or_all]: [[]], then the whole buffer
+      when it is not empty.  [Per_sender]: [[]], one batch per sender
+      in order of the senders' first message, then the whole buffer
+      when it names two senders or more.  [All_subsets]: every subset,
+      counting down from the whole buffer to [[]], the oldest message
+      on the lowest bit.  Allocates only the batches.
+      @raise Invalid_argument for [All_subsets] on a buffer too large
+      to count its subsets in an int. *)
+
   val observe : pattern:Failure_pattern.t -> config -> Adversary.obs
   (** The adversary's view, built in one pass: [pending] in the same
       sending order as {!pending}, [decided] sorted by pid. *)
@@ -104,6 +122,60 @@ module Make (A : Algorithm.S) : sig
       @raise Invalid_action if the action violates the model,
       @raise Double_decision on a write-once violation. *)
 
+  (** {2 Key-first steps}
+
+      A delivery step in three parts, so that the explorers can key a
+      successor before they build it: {!step} validates the step and
+      runs the transition through the calling domain's memo,
+      {!write_step_key} writes the successor's {!key} from the parent
+      and the outcome, and {!commit} builds the successor only when it
+      is kept.  [apply ~pattern c (Step {pid; deliver})] is [commit c
+      pid deliver (step ~pattern c pid deliver)].  Every entry takes
+      the batch in any order and with repeats, and is cheapest on
+      distinct ids newest first, as {!iter_batches} writes them.
+
+      The memo is keyed by the int sequence [[mode; state id;
+      contents]]: [mode] packs the reduction flag (bit 0) and, for a
+      batch of two messages or more in exploration mode, the
+      exploration flag (bit 1); [contents] are the delivered
+      messages' (sender, payload id) pairs, sorted as ints in
+      exploration mode (the canonical fold order is a function of
+      their multiset) and in id order in recorded runs (the fold
+      order).  {!idle_step} probes [[mode; state id]]. *)
+
+  type outcome
+  (** The result of one validated step: the stepping process's new
+      local state and its id, its sends and its decision.  A memo hit
+      returns the stored entry itself. *)
+
+  val step :
+    ?fd:Fd_view.oracle -> pattern:Failure_pattern.t -> config -> Pid.t ->
+    int list -> outcome
+  (** Validation and transition of [apply]'s [Step].  Counts one
+      [sim.steps] and one memo hit or miss.  A memo hit allocates
+      nothing when the batch is distinct and descending; the canonical
+      fold sort and the deliverability check that builds the
+      delivered entries run on a miss only.  A failure-detector
+      algorithm's step is not memoised.
+      @raise Invalid_action exactly as [apply] would, with the same
+      text. *)
+
+  val write_step_key :
+    crashed:int -> reduction:Canon.reduction -> config -> Pid.t ->
+    int list -> outcome -> int
+  (** [write_step_key ~crashed ~reduction c pid deliver o], with [o]
+      the {!step} of the same [c pid deliver], writes into
+      {!Canon.key_buffer} what {!write_key} would write for [commit c
+      pid deliver o], and returns its length.  Allocates nothing on
+      a batch of distinct ids newest first.
+      @raise Invalid_action on a send to an invalid pid,
+      @raise Double_decision on a changed decision, as [apply]. *)
+
+  val commit : config -> Pid.t -> int list -> outcome -> config
+  (** The successor of a {!step}: the same configuration [apply]
+      builds, with no second memo probe and no second [sim.steps].
+      @raise Invalid_action and Double_decision as {!write_step_key}. *)
+
   val idle_step : pattern:Failure_pattern.t -> config -> Pid.t -> bool
   (** [true] only when the calling domain's transition memo already
       holds the entry for an empty delivery to [pid] in this
@@ -112,7 +184,9 @@ module Make (A : Algorithm.S) : sig
       [apply ~pattern c (Step {pid; deliver = []})] then returns a
       configuration whose {!key} equals [c]'s under every [crashed]
       mask and every reduction — keys exclude time and step counts.
-      Costs one memo probe and never steps, interns or counts a step.
+      Costs one memo probe, of the key [[mode; state id]] written
+      into the domain's scratch, and never steps, interns, allocates
+      or counts a step.
       [false] on a memo miss, for an invalid or crashed [pid], for
       failure-detector algorithms, and whenever the step would raise;
       the caller then takes the real step. *)

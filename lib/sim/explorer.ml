@@ -1,7 +1,10 @@
 module Metrics = Ksa_prim.Metrics
 module Backoff = Ksa_prim.Backoff
 
-type delivery_policy = Empty_or_all | Per_sender | All_subsets
+type delivery_policy = Engine.delivery_policy =
+  | Empty_or_all
+  | Per_sender
+  | All_subsets
 
 type stats = {
   configs_visited : int;
@@ -765,42 +768,6 @@ module Make (A : Algorithm.S) = struct
 
   exception Found of (Pid.t * Value.t * int) list * string * int
 
-  (* All 2^|xs| sublists, built with rev_append/rev_map only: linear
-     in the size of the output, no quadratic [acc @ ...] rebuilding. *)
-  let subsets xs =
-    List.fold_left
-      (fun acc x -> List.rev_append (List.rev_map (fun s -> x :: s) acc) acc)
-      [ [] ] xs
-
-  (* Delivery choices for a process whose buffer holds [mine]
-     ((id, src) pairs in sending order): lists of message ids.
-     [Per_sender] offers one bucket per sender, senders in order of
-     first appearance, each bucket in sending order.  A buffer names
-     at most n senders, so the buckets are list scans, not a table. *)
-  let choices policy mine =
-    match policy with
-    | Empty_or_all -> (
-        match mine with [] -> [ [] ] | _ -> [ []; List.map fst mine ])
-    | Per_sender ->
-        let rec senders seen = function
-          | [] -> List.rev seen
-          | (_, s) :: tl ->
-              senders (if List.mem s seen then seen else s :: seen) tl
-        in
-        let rec bucket s = function
-          | [] -> []
-          | (id, src) :: tl -> if src = s then id :: bucket s tl else bucket s tl
-        in
-        let senders = senders [] mine in
-        let per_sender = List.map (fun s -> bucket s mine) senders in
-        let all =
-          match senders with
-          | _ :: _ :: _ -> [ List.map fst mine ]
-          | _ -> []
-        in
-        ([] :: per_sender) @ all
-    | All_subsets -> subsets (List.map fst mine)
-
   let require_explorable ~n ~pattern =
     if A.uses_fd then
       invalid_arg "Explorer: algorithms with failure detectors are unsupported";
@@ -832,9 +799,7 @@ module Make (A : Algorithm.S) = struct
       k =
     List.iter
       (fun pid ->
-        let mine = E.inbox config pid in
-        List.iter
-          (fun deliver ->
+        E.iter_batches policy config pid (fun deliver ->
             match deliver with
             | [] when E.idle_step ~pattern config pid -> idle_hit ~reduction
             | _ -> (
@@ -842,8 +807,7 @@ module Make (A : Algorithm.S) = struct
                   E.apply ~pattern config (Adversary.Step { pid; deliver })
                 with
                 | Some config' -> k config' depth []
-                | None -> assert false))
-          (choices policy mine))
+                | None -> assert false)))
       steppers
 
   let action_of config pid deliver =
@@ -893,9 +857,7 @@ module Make (A : Algorithm.S) = struct
     let executed = ref [] in
     List.iter
       (fun pid ->
-        let mine = E.inbox config pid in
-        List.iter
-          (fun deliver ->
+        E.iter_batches policy config pid (fun deliver ->
             let act = action_of config pid deliver in
             if List.exists (Canon.Action.equal act) sleep then
               Metrics.incr m_sleep_pruned
@@ -925,8 +887,7 @@ module Make (A : Algorithm.S) = struct
                     in
                     k config' depth child_sleep;
                     executed := act :: !executed
-                  end)
-          (choices policy mine))
+                  end))
       steppers
 
   (* ---- crash-free exploration ---- *)
@@ -1243,12 +1204,13 @@ module Make (A : Algorithm.S) = struct
      iff [undecided = 0]. *)
   type node_rec = { succs : int array; mask : int; undecided : int }
 
-  (* A successor of a crash-graph node: a (configuration, mask) pair
-     to key and admit, or the node itself — an empty delivery
+  (* A successor of a crash-graph node: a delivery step of the node's
+     configuration, keyed before it is built; a (configuration, mask)
+     pair to key and admit; or the node itself — an empty delivery
      {!E.idle_step} proves idle, whose key is the node's own.  The
      self-loop stays an edge of the graph: the driver records the
      node's id in its place, exactly the id its key would have found. *)
-  type succ = Self | Next of E.config * int
+  type succ = Self | Step of Pid.t * int list | Next of E.config * int
 
   (* Per-node expansion of the crash driver: decisions check,
      completeness, and the successors.
@@ -1296,18 +1258,11 @@ module Make (A : Algorithm.S) = struct
       let pattern = pattern_of mask in
       for pid = 0 to n - 1 do
         if not (Mask.mem mask pid) then
-          List.iter
-            (fun deliver ->
+          E.iter_batches policy config pid (fun deliver ->
               match deliver with
               | [] when E.idle_step ~pattern config pid ->
                   succs := Self :: !succs
-              | _ -> (
-                  match
-                    E.apply ~pattern config (Adversary.Step { pid; deliver })
-                  with
-                  | Some config' -> succs := Next (config', mask) :: !succs
-                  | None -> assert false))
-            (choices policy (E.inbox config pid))
+              | _ -> succs := Step (pid, deliver) :: !succs)
       done;
       (* one pass over the pending multiset buckets messages by sender
          for the drop-on-crash / omission successors *)
@@ -1364,9 +1319,10 @@ module Make (A : Algorithm.S) = struct
     (undecided, !succs)
 
   (* Writes the ids of node [id]'s successors into [succs] from [i];
-     the count written.  [visit] keys and admits a successor, returning
-     its id, or -1 when the budget turned it away (no edge). *)
-  let rec fill_succs ~reduction ~visit id succs i = function
+     the count written.  [step] and [visit] key and admit a successor,
+     returning its id, or -1 when the budget turned it away (no
+     edge). *)
+  let rec fill_succs ~reduction ~step ~visit id succs i = function
     | [] -> i
     | succ :: rest ->
         let s =
@@ -1374,13 +1330,14 @@ module Make (A : Algorithm.S) = struct
           | Self ->
               idle_hit ~reduction;
               id
+          | Step (pid, deliver) -> step pid deliver
           | Next (c, m) -> visit c m
         in
         if s >= 0 then begin
           succs.(i) <- s;
-          fill_succs ~reduction ~visit id succs (i + 1) rest
+          fill_succs ~reduction ~step ~visit id succs (i + 1) rest
         end
-        else fill_succs ~reduction ~visit id succs i rest
+        else fill_succs ~reduction ~step ~visit id succs i rest
 
   (* Backwards reachability from the complete nodes over the int-id
      graph; [None] when every node can still reach completion.  The
@@ -1478,9 +1435,9 @@ module Make (A : Algorithm.S) = struct
   let make_pattern_of ~n =
     let patterns : (int, Failure_pattern.t) Hashtbl.t = Hashtbl.create 64 in
     fun mask ->
-      match Hashtbl.find_opt patterns mask with
-      | Some p -> p
-      | None ->
+      match Hashtbl.find patterns mask with
+      | p -> p
+      | exception Not_found ->
           let p =
             Failure_pattern.initial_dead ~n ~dead:(Mask.to_list ~n mask)
           in
@@ -1538,7 +1495,22 @@ module Make (A : Algorithm.S) = struct
       | Fault_model.Byzantine _ -> List.length (E.forge_pool ~n ~inputs)
       | Fault_model.Crash | Fault_model.Mobile _ -> 0
     in
-    let seen = Shardset.create ~name:"explore.dedup" () in
+    let snap =
+      match
+        Option.map (fun p -> (Marshal.from_string p 0 : crash_snap)) resume
+      with
+      | Some (mode, _, _, _, _, _, _, _) when mode <> reduction ->
+          warn_reduction_mismatch ~want:reduction ~got:mode;
+          None
+      | Some (_, mtag, _, _, _, _, _, _) when mtag <> model_tag ->
+          warn_model_mismatch ~want:model ~got:mtag;
+          None
+      | snap -> snap
+    in
+    let seen =
+      restore_set ~name:"explore.dedup" ~capacity:65_536 ~ids:true
+        (match snap with Some (_, _, keys, _, _, _, _, _) -> keys | None -> [||])
+    in
     let rt = Workers.create ~domains ~max_configs ~seen () in
     let ticket = Workers.ticket rt in
     let recs : node_rec Nodestore.t = Nodestore.create ~empty:empty_rec in
@@ -1562,18 +1534,9 @@ module Make (A : Algorithm.S) = struct
     (* set when budget was turned away before this run: by the resumed
        campaign, or at the root *)
     let exhausted0 =
-      match
-        Option.map (fun p -> (Marshal.from_string p 0 : crash_snap)) resume
-      with
+      match snap with
       | None -> admit_root ()
-      | Some (mode, _, _, _, _, _, _, _) when mode <> reduction ->
-          warn_reduction_mismatch ~want:reduction ~got:mode;
-          admit_root ()
-      | Some (_, mtag, _, _, _, _, _, _) when mtag <> model_tag ->
-          warn_model_mismatch ~want:model ~got:mtag;
-          admit_root ()
-      | Some (_, _, keys, recs0, count0, terminals0, exhausted0, worklist) ->
-          Array.iteri (fun id key -> ignore (Shardset.add seen key id)) keys;
+      | Some (_, _, _, recs0, count0, terminals0, exhausted0, worklist) ->
           (* an unexpanded slot stays unwritten: [first_write] below
              tests the physical sentinel *)
           Array.iteri
@@ -1586,36 +1549,61 @@ module Make (A : Algorithm.S) = struct
     in
     let make (w : _ Workers.w) =
       let pattern_of = make_pattern_of ~n in
-      (* The successor's id, or -1 when the budget turned it away.
-         The key is probed from the scratch buffer it is written to,
-         and copied out only when admitted. *)
-      let visit config mask =
-        let len = E.write_key ~crashed:mask ~reduction config in
+      (* The admission of the key in the scratch buffer's first [len]
+         bytes, probed there and copied out only when admitted:
+         {!Shardset.admit_bytes}'s answer, counted. *)
+      let admit len =
         let r = Shardset.admit_bytes seen (Canon.key_buffer ()) len ~ticket in
         if r >= 0 then begin
           Metrics.incr m_dedup;
-          if reduction <> Canon.No_reduction then Metrics.incr m_orbit;
-          r
+          if reduction <> Canon.No_reduction then Metrics.incr m_orbit
         end
         else if r = Shardset.refused then begin
           w.exhausted <- true;
-          Metrics.incr m_truncations;
-          -1
+          Metrics.incr m_truncations
         end
+        else Metrics.incr m_admitted;
+        r
+      in
+      (* The successor's id, or -1 when the budget turned it away; a
+         new one is queued. *)
+      let visit config mask =
+        let r = admit (E.write_key ~crashed:mask ~reduction config) in
+        if r >= 0 then r
+        else if r = Shardset.refused then -1
         else begin
-          let id = lnot r in
-          Metrics.incr m_admitted;
-          Workers.push w (id, config, mask);
-          id
+          Workers.push w (lnot r, config, mask);
+          lnot r
+        end
+      in
+      (* The same for a delivery step of [config], keyed before it is
+         built: a dedup hit costs a memo probe, a key write and a table
+         probe, and allocates nothing. *)
+      let visit_step config mask pattern pid deliver =
+        let o = E.step ~pattern config pid deliver in
+        let r =
+          admit
+            (E.write_step_key ~crashed:mask ~reduction config pid deliver o)
+        in
+        if r >= 0 then r
+        else if r = Shardset.refused then -1
+        else begin
+          Workers.push w (lnot r, E.commit config pid deliver o, mask);
+          lnot r
         end
       in
       fun (id, config, mask) ->
-        let undecided, succ_pairs =
+        let undecided, succ_list =
           expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
             ~model ~forge_alts ~pattern_of ~check config mask
         in
-        let succs = Array.make (List.length succ_pairs) 0 in
-        let len = fill_succs ~reduction ~visit id succs 0 succ_pairs in
+        let pattern = pattern_of mask in
+        let succs = Array.make (List.length succ_list) 0 in
+        let len =
+          fill_succs ~reduction
+            ~step:(visit_step config mask pattern)
+            ~visit id succs 0 succ_list
+        in
         let succs =
           if len = Array.length succs then succs else Array.sub succs 0 len
         in

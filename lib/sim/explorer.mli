@@ -31,7 +31,7 @@
     the point — so cross-{e mode} stats differ while domain-count
     parity within a mode still holds exactly. *)
 
-type delivery_policy =
+type delivery_policy = Engine.delivery_policy =
   | Empty_or_all
       (** At each step a process receives nothing or its whole
           buffer.  Coarsest; misses reorderings within a buffer. *)

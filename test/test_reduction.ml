@@ -443,6 +443,300 @@ let test_engine_key_allocates_nothing () =
              ignore (E.write_key ~crashed:0b100 ~reduction c : int))))
     Canon.all_reductions
 
+(* ---------- key-first steps ---------- *)
+
+(* The delivery choices as the explorers offered them before the
+   engine wrote them off the inboxes, from [mine], a buffer's (id, src)
+   pairs in sending order. *)
+let reference_batches policy mine =
+  let subsets xs =
+    List.fold_left
+      (fun acc x -> List.rev_append (List.rev_map (fun s -> x :: s) acc) acc)
+      [ [] ] xs
+  in
+  match (policy : Sim.Engine.delivery_policy) with
+  | Empty_or_all -> (
+      match mine with [] -> [ [] ] | _ -> [ []; List.map fst mine ])
+  | Per_sender ->
+      let senders =
+        List.fold_left
+          (fun seen (_, s) -> if List.mem s seen then seen else seen @ [ s ])
+          [] mine
+      in
+      let bucket s =
+        List.filter_map (fun (id, src) -> if src = s then Some id else None) mine
+      in
+      ([] :: List.map bucket senders)
+      @ if List.length senders >= 2 then [ List.map fst mine ] else []
+  | All_subsets -> subsets (List.map fst mine)
+
+(* Random walks over reachable configurations of n = 3 and n = 4, as
+   in [Key_walk].  At every configuration, for every pid and every
+   batch each delivery policy offers, the successor key written
+   before the successor is built must equal, byte for byte, the key
+   of [apply]'s successor and the key of the committed configuration,
+   under the walk's crashed mask plus random extra bits.  Crashed and
+   invalid pids and batches naming a message that is not pending, or
+   not addressed to the stepper, must raise the same text through
+   both paths.  The batches themselves must be the reference choices,
+   in the reference order, each written newest first. *)
+module Key_first (A : Sim.Algorithm.S) = struct
+  module E = Sim.Engine.Make (A)
+
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception E.Invalid_action s -> Error ("invalid: " ^ s)
+    | exception E.Double_decision p -> Error (Printf.sprintf "double p%d" p)
+
+  let agrees ~reduction ~pattern ~crashed c pid deliver =
+    let built =
+      outcome (fun () ->
+          match E.apply ~pattern c (Sim.Adversary.Step { pid; deliver }) with
+          | Some c' -> E.key ~crashed ~reduction c'
+          | None -> "halt")
+    in
+    let first =
+      outcome (fun () ->
+          let o = E.step ~pattern c pid deliver in
+          let len = E.write_step_key ~crashed ~reduction c pid deliver o in
+          let k = Bytes.sub_string (Canon.key_buffer ()) 0 len in
+          let committed = E.key ~crashed ~reduction (E.commit c pid deliver o) in
+          if committed = k then k else "commit differs")
+    in
+    built = first
+
+  let batches policy c pid =
+    let acc = ref [] in
+    E.iter_batches policy c pid (fun b -> acc := b :: !acc);
+    List.rev !acc
+
+  let rec strictly_desc = function
+    | a :: (b :: _ as tl) -> a > b && strictly_desc tl
+    | [] | [ _ ] -> true
+
+  let policies c pid =
+    Sim.Engine.[ Per_sender; Empty_or_all ]
+    @ if List.length (E.inbox c pid) <= 4 then [ Sim.Engine.All_subsets ] else []
+
+  let holds ~n ~reduction (seed, len) =
+    let rng = Random.State.make [| seed |] in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let pattern_of mask =
+      FP.initial_dead ~n
+        ~dead:
+          (List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init n Fun.id))
+    in
+    let check c mask =
+      let pattern = pattern_of mask in
+      let crashed = mask lor Random.State.int rng (1 lsl n) in
+      List.for_all
+        (fun pid ->
+          List.for_all
+            (fun policy ->
+              let bs = batches policy c pid in
+              let sorted = List.map (List.sort compare) in
+              sorted bs = sorted (reference_batches policy (E.inbox c pid))
+              && List.for_all strictly_desc bs
+              && List.for_all (agrees ~reduction ~pattern ~crashed c pid) bs)
+            (policies c pid)
+          (* refusals: a message of another inbox, one never sent *)
+          && List.for_all
+               (fun (e : A.message Sim.Envelope.t) ->
+                 e.dst = pid
+                 || agrees ~reduction ~pattern ~crashed c pid [ e.id ])
+               (E.pending c)
+          && agrees ~reduction ~pattern ~crashed c pid [ 10_000 ])
+        (List.init n Fun.id)
+      && List.for_all
+           (fun pid -> agrees ~reduction ~pattern ~crashed c pid [])
+           [ -1; n ]
+    in
+    let rec go c mask len =
+      check c mask
+      && (len = 0
+         ||
+         let live =
+           List.filter (fun p -> mask land (1 lsl p) = 0) (List.init n Fun.id)
+         in
+         if List.length live > 1 && Random.State.int rng 6 = 0 then
+           go c (mask lor (1 lsl pick live)) (len - 1)
+         else
+           let pid = pick live in
+           let deliver = pick (batches Sim.Engine.Per_sender c pid) in
+           match
+             E.apply ~pattern:(pattern_of mask) c
+               (Sim.Adversary.Step { pid; deliver })
+           with
+           | Some c' -> go c' mask (len - 1)
+           | None | (exception E.Double_decision _) -> true)
+    in
+    go (E.init_explore ~reduction ~n ~inputs:(distinct n) ()) 0 len
+end
+
+module Key_first_k2 = Key_first (K2)
+module Key_first_n2 = Key_first (N2)
+
+let prop_key_first_is_build_then_key =
+  QCheck.Test.make
+    ~name:"engine: key-first step key = key of the applied step" ~count:40
+    QCheck.(pair (int_bound 0x3fffffff) (int_range 0 25))
+    (fun walk ->
+      List.for_all
+        (fun n ->
+          List.for_all
+            (fun reduction ->
+              Key_first_k2.holds ~n ~reduction walk
+              && Key_first_n2.holds ~n ~reduction walk)
+            Canon.all_reductions)
+        [ 3; 4 ])
+
+(* A recorded run and a crash exploration give the same results in a
+   freshly spawned domain, whose memo is empty, as in this one after
+   they have filled its memo. *)
+let test_memo_cold_warm () =
+  let module E = Key_first_k2.E in
+  let module Ex = Sim.Explorer.Make (K2) in
+  let n = 3 in
+  let recorded () =
+    E.run ~n ~inputs:(distinct n) ~pattern:(FP.none ~n)
+      (Sim.Adversary.fair ~rng:(Ksa_prim.Rng.create ~seed:7))
+  in
+  let explored () =
+    match
+      Ex.explore_with_crashes ~domains:1 ~n ~inputs:(distinct n)
+        ~crash_budget:1 ~check:no_check ()
+    with
+    | Sim.Explorer.Stuck { crashed; undecided_correct; stats } ->
+        (crashed, undecided_correct, stats)
+    | _ -> Alcotest.fail "expected a Stuck verdict"
+  in
+  let cold_run = Domain.join (Domain.spawn recorded) in
+  let cold_explore = Domain.join (Domain.spawn explored) in
+  ignore (recorded ());
+  ignore (explored ());
+  Alcotest.(check bool)
+    "recorded run: cold = warm" true
+    (cold_run = recorded ());
+  Alcotest.(check bool)
+    "crash exploration: cold = warm" true
+    (cold_explore = explored ())
+
+(* One sender's two messages, of payloads whose intern ids and
+   structural order disagree, delivered together: exploration folds
+   them in payload order, a recorded run in id order.  Their memo
+   contents are the same ints, so only the mode tells the entries
+   apart — whichever mode steps first, the other must not hit its
+   entry. *)
+module Order = struct
+  type state = { me : int; sent : bool; heard : string list }
+  type message = string
+
+  let name = "order"
+  let uses_fd = false
+  let hi = "zz-order-test"
+  let lo = "aa-order-test"
+  let init ~n:_ ~me ~input:_ = { me; sent = false; heard = [] }
+
+  let step s ~received ~fd:_ =
+    let sends = if s.sent || s.me <> 1 then [] else [ (0, hi); (0, lo) ] in
+    ( { s with sent = true; heard = s.heard @ List.map snd received },
+      sends,
+      None )
+
+  let canon s = s
+  let canon_message m = m
+  let forge_pool ~n:_ ~values:_ = []
+  let pp_state ppf s = Format.pp_print_string ppf (String.concat "," s.heard)
+  let pp_message = Format.pp_print_string
+end
+
+let test_memo_mode_separates () =
+  let module Intern = Ksa_prim.Intern in
+  ignore (Intern.id Intern.payloads Order.hi : int);
+  ignore (Intern.id Intern.payloads Order.lo : int);
+  Alcotest.(check bool)
+    "intern order disagrees with structural order" true
+    (Intern.id Intern.payloads Order.hi < Intern.id Intern.payloads Order.lo
+    && compare Order.hi Order.lo > 0);
+  let none = FP.none ~n:2 in
+  let heard ~explore_first =
+    (* a functor instance of its own: a cold memo *)
+    let module E = Sim.Engine.Make (Order) in
+    let step c pid deliver =
+      Option.get (E.apply ~pattern:none c (Sim.Adversary.Step { pid; deliver }))
+    in
+    let heard c0 = (E.state_of (step (step c0 1 []) 0 [ 1; 0 ]) 0).Order.heard in
+    let explore () = heard (E.init_explore ~n:2 ~inputs:[| 0; 0 |] ()) in
+    let recorded () = heard (E.init ~n:2 ~inputs:[| 0; 0 |]) in
+    if explore_first then
+      let e = explore () in
+      (e, recorded ())
+    else
+      let r = recorded () in
+      (explore (), r)
+  in
+  List.iter
+    (fun explore_first ->
+      let what =
+        if explore_first then "exploration first" else "recorded first"
+      in
+      let e, r = heard ~explore_first in
+      Alcotest.(check (list string))
+        (what ^ ": payload order") [ Order.lo; Order.hi ] e;
+      Alcotest.(check (list string))
+        (what ^ ": id order") [ Order.hi; Order.lo ] r)
+    [ true; false ]
+
+(* At one domain with a warm memo, a key-first step whose successor is
+   a dedup hit, and an idle-step probe, allocate nothing. *)
+let test_key_first_allocates_nothing () =
+  let module E = Key_first_k2.E in
+  let n = 3 and none = FP.none ~n:3 in
+  List.iter
+    (fun reduction ->
+      let c =
+        List.fold_left
+          (fun c pid ->
+            Option.get
+              (E.apply ~pattern:none c
+                 (Sim.Adversary.Step { pid; deliver = [] })))
+          (E.init_explore ~reduction ~n ~inputs:(distinct n) ())
+          [ 0; 1; 2 ]
+      in
+      let batch =
+        List.nth (Key_first_k2.batches Sim.Engine.Empty_or_all c 0) 1
+      in
+      Alcotest.(check bool)
+        "a batch of two or more" true
+        (List.length batch >= 2);
+      let seen = Ksa_prim.Shardset.create ~name:"test.key_first" () in
+      let ticket () = 0 in
+      let probe () =
+        let o = E.step ~pattern:none c 0 batch in
+        let len = E.write_step_key ~crashed:0b100 ~reduction c 0 batch o in
+        Ksa_prim.Shardset.admit_bytes seen (Canon.key_buffer ()) len ~ticket
+      in
+      Alcotest.(check int) "the first probe admits" (lnot 0) (probe ());
+      Alcotest.(check int) "then it is a dedup hit" 0 (probe ());
+      Alcotest.(check (float 0.))
+        ("key-first dedup hit words, " ^ mode_name reduction)
+        0.
+        (Test_util.words_per_loop 1000 (fun () -> ignore (probe () : int))))
+    Canon.all_reductions;
+  let module T = Sim.Engine.Make (Ksa_algo.Trivial.A) in
+  let step c =
+    Option.get
+      (T.apply ~pattern:none c (Sim.Adversary.Step { pid = 0; deliver = [] }))
+  in
+  let c1 = step (T.init_explore ~n ~inputs:(distinct n) ()) in
+  ignore (step c1);
+  Alcotest.(check bool) "settled" true (T.idle_step ~pattern:none c1 0);
+  Alcotest.(check (float 0.))
+    "idle_step words" 0.
+    (Test_util.words_per_loop 1000 (fun () ->
+         ignore (T.idle_step ~pattern:none c1 0 : bool)))
+
 (* ---------- canonicalization properties ---------- *)
 
 let prop_witness_idempotent =
@@ -1094,6 +1388,13 @@ let suites =
         qcheck prop_engine_key_is_canon_key;
         Alcotest.test_case "engine key into scratch allocates nothing" `Quick
           test_engine_key_allocates_nothing;
+        qcheck prop_key_first_is_build_then_key;
+        Alcotest.test_case "memo: cold and warm domains agree" `Quick
+          test_memo_cold_warm;
+        Alcotest.test_case "memo: exploration and recorded batches kept apart"
+          `Quick test_memo_mode_separates;
+        Alcotest.test_case "key-first dedup hit and idle_step allocate nothing"
+          `Quick test_key_first_allocates_nothing;
         qcheck prop_idle_step_keeps_key;
         Alcotest.test_case "idle_step refusals" `Quick test_idle_step_cases;
         Alcotest.test_case "idle_step refuses a double decision" `Quick
