@@ -395,17 +395,28 @@ let checkpoint_every_arg =
                integer for work items (configs or trials) between writes.  \
                Default: 5s."))
 
+(* --domains D below 1 exits 1 before the command runs (explore, fuzz
+   and serve alike) *)
+let at_least_one_domain d =
+  if d < 1 then begin
+    prerr_endline (Printf.sprintf "bad --domains %d (at least 1)" d);
+    exit 1
+  end;
+  d
+
 let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Worker domains for the parallel driver (default: KSA_DOMAINS or \
-           the recommended domain count; 1 = sequential). Workers share \
-           one dedup table and steal work, so any D admits the same \
-           configurations; use up to the physical core count — beyond \
-           it extra domains only add GC synchronisation.")
+  Term.(
+    const (Option.map at_least_one_domain)
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "domains" ] ~docv:"D"
+            ~doc:
+              "Worker domains for the parallel driver (default: KSA_DOMAINS \
+               or the recommended domain count; 1 = sequential). Workers \
+               share one dedup table and steal work, so any D admits the \
+               same configurations; use up to the physical core count — \
+               beyond it extra domains only add GC synchronisation."))
 
 let stats_json_arg =
   Arg.(
@@ -1151,12 +1162,14 @@ let deadline_arg =
            and requeues it resumable instead of discarding its progress.")
 
 let serve_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Worker domains per job (default 1).  Explore and fuzz jobs \
-           resume on D domains, whatever count wrote their checkpoint.")
+  Term.(
+    const at_least_one_domain
+    $ Arg.(
+        value & opt int 1
+        & info [ "domains" ] ~docv:"D"
+            ~doc:
+              "Worker domains per job (default 1).  Explore and fuzz jobs \
+               resume on D domains, whatever count wrote their checkpoint."))
 
 let exit_when_idle_arg =
   Arg.(

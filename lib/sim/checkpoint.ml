@@ -42,10 +42,13 @@ let magic = "KSACKPT1"
    [explore] snapshots take [explore-crash]'s shape: the admitted
    keys as an id-indexed array, the terminal and bare-key sets as key
    arrays instead of three hash tables, and the keys of pending
-   orphans; ids stay dense, since no ticket is refunded.  Older files
+   orphans; ids stay dense, since no ticket is refunded.  v8: both
+   explorer engines write one payload record, led by the engine that
+   wrote it; a crash-free configuration whose expansion failed is a
+   pending admitted item instead of an orphan key.  Older files
    unmarshal into the wrong shapes, so they are rejected by the
    version check and the CLI falls back to a fresh campaign. *)
-let version = 7
+let version = 8
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"
@@ -110,6 +113,13 @@ let load ~path =
               ck_payload = payload;
             }
       | exception _ -> Error (path ^ ": undecodable checkpoint body"))
+
+let warn_mismatch ~flag ~want ~got =
+  Printf.eprintf
+    "ksa: checkpoint was written under %s %s, not %s — starting a fresh \
+     campaign\n\
+     %!"
+    flag got want
 
 let restore_interners t =
   match Intern.restore Intern.states t.ck_states with

@@ -60,6 +60,12 @@ val fingerprint : t -> string
 val ledger : t -> ledger_entry list
 val payload : t -> string
 
+val warn_mismatch : flag:string -> want:string -> got:string -> unit
+(** Say on stderr that a payload written under [flag got] (a
+    [--reduction], [--model] or engine other than this campaign's
+    [want]) describes a different search, so the driver starts a fresh
+    campaign instead of resuming it. *)
+
 val restore_interners : t -> (unit, string) result
 (** Re-establish the dumped interner id assignment in this process —
     call before unmarshalling the payload.  Succeeds in a fresh

@@ -58,10 +58,10 @@ module Mask = struct
       else -1
 end
 
-(* ---- instrumentation (process-global, shared by all drivers) ----
+(* ---- instrumentation (process-global, shared by both engines) ----
 
    Live counters tick during the search and feed progress reporting;
-   in the parallel drivers admission is exactly-once (dedup check and
+   at every domain count admission is exactly-once (dedup check and
    ticket draw are fused under the shard lock of the shared table),
    so [explore.admitted] counts each configuration once.  Counters
    are process-global and accumulate across runs; the authoritative
@@ -121,7 +121,7 @@ let default_domains () =
   | Some d when d >= 1 -> d
   | Some _ | None -> Domain.recommended_domain_count ()
 
-(* ---- pause-the-world coordination for the parallel drivers ----
+(* ---- pause-the-world coordination for a multi-domain run ----
 
    A checkpoint must capture a consistent cut of every worker's
    private state.  Workers poll a request flag at their drain-loop
@@ -200,7 +200,7 @@ module Pause = struct
       (fun () -> f p.slots)
 end
 
-(* The checkpoint/interrupt coordinator of a parallel driver: a small
+(* The checkpoint/interrupt coordinator of a multi-domain run: a small
    ticker domain.  When a periodic write is due it stops the world,
    merges the worker slots into the driver's payload and
    writes it; when the campaign is interrupted it writes a final
@@ -242,7 +242,7 @@ let spawn_coordinator ~ckpt ~pause ~items ~merge ~on_interrupt =
 
 module Shardset = Ksa_prim.Shardset
 
-(* ---- batched work-stealing frontier for the parallel drivers ----
+(* ---- batched work-stealing frontier of the workers ----
 
    One pool per worker: a mutex-guarded queue of item {e batches} with
    an atomic item-count mirror, so dry workers can scan every pool
@@ -496,23 +496,29 @@ module Nodestore = struct
       | Some a -> a.(i land (chunk_size - 1))
 end
 
-(* ---- the work-stealing runtime of every explorer driver ----
+(* A safety verdict: the violating decisions, the reason, and the
+   depth of the configuration (0 where depth is not tracked).  Raised
+   by a driver's step, it stops the search. *)
+exception Verdict of (Pid.t * Value.t * int) list * string * int
+
+(* ---- the work-stealing runtime of the explorer driver ----
 
    Everything a search needs except the search itself: [domains]
    workers over one {!Wspool}, each draining a private LIFO stack
    between {!Pause} safepoints; one ticket-clamped admission counter;
-   the checkpoint/interrupt coordinator; and supervision.  A driver
+   the checkpoint/interrupt coordinator; and supervision.  The driver
    supplies the per-item step ([make] builds it and its helpers once
-   per worker, not once per item), a recogniser for its verdict
-   exception, and the merge of a cut into its checkpoint format.
+   per worker, not once per item) and the merge of a cut into its
+   checkpoint payload.
 
    One domain spawns nothing: the worker runs in the calling domain,
    never spills, and polls the interrupt before each pop and offers a
-   periodic write after each expansion — a sequential worklist loop.
+   periodic write after each step — a sequential worklist loop.
 
-   Supervision: a worker dying of a non-verdict exception keeps the
-   in-flight item, hands its whole stack back to the pool for the
-   survivors, leaves the live set, and is logged through
+   Supervision: a step that fails with a non-verdict exception puts
+   its in-flight item back on the stack in its admitted form
+   ({!requeue}); the dying worker hands its whole stack back to the
+   pool for the survivors, leaves the live set, and is logged through
    {!Checkpoint.note_failure}; its admissions stand and no ticket is
    refunded.  If dead workers' items outlived every survivor, one
    rescue worker drains them in the calling domain after the join —
@@ -544,8 +550,9 @@ module Workers = struct
   (* [seen] is the driver's dedup table, whose metrics are published
      at the end of the run *)
   let create ~domains ~max_configs ~seen () =
+    let domains = max 1 domains in
     {
-      domains = max 1 domains;
+      domains;
       max_configs;
       count = Atomic.make 0;
       stop = Atomic.make false;
@@ -574,6 +581,14 @@ module Workers = struct
   let push w item =
     w.local <- item :: w.local;
     w.len <- w.len + 1
+
+  (* A step's failure [e], re-raised: unless it is a verdict, [item] —
+     the in-flight item in its admitted form — goes back on the stack
+     first, so nothing is lost when the stack is handed back and
+     whoever pops it next expands it without admitting it again. *)
+  let requeue w item e =
+    (match e with Verdict _ -> () | _ -> push w item);
+    raise e
 
   (* spill once the private stack holds this many items *)
   let spill_at = 64
@@ -609,13 +624,12 @@ module Workers = struct
     end
 
   (* Run the search to completion, a verdict, or an interrupt.
-     [verdict e] recognises the driver's verdict exception; [merge
-     ~pending ~exhausted] turns a cut (every pending item, in the
-     order one worker would pop them, and whether any worker was
+     [merge ~pending ~exhausted] turns a cut (every pending item, in
+     the order one worker would pop them, and whether any worker was
      exhausted) into a checkpoint payload.  Returns the verdicts found
      (worker order, rescue last) and whether the search was exhausted
      or interrupted. *)
-  let run (t : _ t) ~ckpt ~verdict ~merge make =
+  let run (t : _ t) ~ckpt ~merge make =
     let interrupted = ref false in
     let on_interrupt () =
       interrupted := true;
@@ -667,12 +681,7 @@ module Workers = struct
           | item :: rest ->
               w.local <- rest;
               w.len <- w.len - 1;
-              (try process item
-               with e ->
-                 (* a non-verdict failure keeps the in-flight item, so
-                    nothing is lost when the stack is handed back *)
-                 if Option.is_none (verdict e) then push w item;
-                 raise e);
+              process item;
               (* a periodic write is only offered once an admission
                  moved the count *)
               if inline && count t <> !ticked then begin
@@ -692,23 +701,21 @@ module Workers = struct
       in
       (try Metrics.time t_worker drain with
       | e when !writing -> raise e
-      | e -> (
-          match verdict e with
-          | Some _ as v ->
-              violation := v;
-              Atomic.set t.stop true
-          | None ->
-              let error = Printexc.to_string e and requeued = ref 0 in
-              (try
-                 if w.len > 0 then begin
-                   Wspool.push_batch t.pool i ~count:w.len w.local;
-                   requeued := w.len;
-                   w.local <- [];
-                   w.len <- 0
-                 end
-               with _ -> ());
-              failure := Some (error, !requeued);
-              Wspool.retire t.pool));
+      | Verdict (decisions, reason, depth) ->
+          violation := Some (decisions, reason, depth);
+          Atomic.set t.stop true
+      | e ->
+          let error = Printexc.to_string e and requeued = ref 0 in
+          (try
+             if w.len > 0 then begin
+               Wspool.push_batch t.pool i ~count:w.len w.local;
+               requeued := w.len;
+               w.local <- [];
+               w.len <- 0
+             end
+           with _ -> ());
+          failure := Some (error, !requeued);
+          Wspool.retire t.pool);
       Metrics.gauge_max g_frontier_peak w.peak;
       Pause.exit pause i snap;
       (w.exhausted, !violation, !failure)
@@ -766,27 +773,39 @@ end
 module Make (A : Algorithm.S) = struct
   module E = Engine.Make (A)
 
-  exception Found of (Pid.t * Value.t * int) list * string * int
-
-  let require_explorable ~n ~pattern =
+  (* Both engines explore an FD-free algorithm whose crashes all happen
+     at time 0 — the crash-free engine's [pattern], the crash engine's
+     [initially_dead] — among few enough pids for crashed-set
+     bitmasks. *)
+  let require_explorable ~n ?pattern ?(initially_dead = []) () =
     if A.uses_fd then
       invalid_arg "Explorer: algorithms with failure detectors are unsupported";
-    if
-      List.exists
-        (fun p ->
-          match Failure_pattern.crash_time pattern p with
-          | Some t when t > 0 -> true
-          | Some _ | None -> false)
-        (Pid.universe n)
-    then invalid_arg "Explorer: only initial crashes are supported"
+    if n > Sys.int_size - 2 then
+      invalid_arg "Explorer: system too large for crash-set bitmasks";
+    if not (List.for_all (Pid.valid ~n) initially_dead) then
+      invalid_arg "Explorer: initially_dead pid out of range";
+    Option.iter
+      (fun pattern ->
+        if
+          List.exists
+            (fun p ->
+              match Failure_pattern.crash_time pattern p with
+              | Some t when t > 0 -> true
+              | Some _ | None -> false)
+            (Pid.universe n)
+        then invalid_arg "Explorer: only initial crashes are supported")
+      pattern
+
+  let dedup_hit ~reduction =
+    Metrics.incr m_dedup;
+    if reduction <> Canon.No_reduction then Metrics.incr m_orbit
 
   (* An elided idle step's successor has its parent's key, and the
      parent is admitted before it is expanded: count the dedup (and
      orbit) hit that successor always was. *)
   let idle_hit ~reduction =
     Metrics.incr m_idle;
-    Metrics.incr m_dedup;
-    if reduction <> Canon.No_reduction then Metrics.incr m_orbit
+    dedup_hit ~reduction
 
   (* Successors of a non-terminal configuration under [policy]: every
      (stepper, delivery-choice) pair.  [steppers] is constant over the
@@ -849,8 +868,8 @@ module Make (A : Algorithm.S) = struct
      Sleep sets prune {e transitions}, never states: every reachable
      configuration is still reached (along the representative
      interleaving), so the decision-value oracle, terminal detection
-     and violation checks are untouched.  The crash drivers do not use
-     this — their Stuck classification is a property of the full
+     and violation checks are untouched.  The crash engine does not use
+     this — its Stuck classification is a property of the full
      transition graph, which edge-pruning would distort. *)
   let schedule_successors_sleep ~reduction ~policy ~pattern ~steppers ~depth
       ~sleep ~parent_key config k =
@@ -890,312 +909,7 @@ module Make (A : Algorithm.S) = struct
                   end))
       steppers
 
-  (* ---- crash-free exploration ---- *)
-
-  (* Checkpoint payload of an [explore] campaign: the reduction mode,
-     the admitted keys indexed by id (ids are dense tickets), the
-     counted-terminal and admitted bare keys (terminal counting and
-     the fragmentation metric stay exactly-once per configuration),
-     the counters, the {e candidate} (configuration, depth, sleep set)
-     items in pop order — not yet admitted, so resume re-applies dedup
-     and the budget as the uninterrupted run would have — and the
-     pending orphans' keys.  A reduction-mode mismatch on resume warns
-     and starts fresh, like a corrupt checkpoint. *)
-  type explore_snap =
-    Canon.reduction
-    * E.key array
-    * E.key array
-    * E.key array
-    * int
-    * int
-    * bool
-    * (E.config * int * Canon.Action.t list) list
-    * E.key list
-
-  let warn_reduction_mismatch ~want ~got =
-    Printf.eprintf
-      "ksa: checkpoint was written under --reduction %s, not %s — starting a \
-       fresh campaign\n\
-       %!"
-      (Canon.reduction_to_string got)
-      (Canon.reduction_to_string want)
-
-  (* Same policy for the fault model: a payload written under a
-     different --model describes a different search. *)
-  let warn_model_mismatch ~want ~got =
-    Printf.eprintf
-      "ksa: checkpoint was written under --model %s, not %s — starting a \
-       fresh campaign\n\
-       %!"
-      got
-      (Fault_model.to_string want)
-
-  (* A table holding [keys], each bound to its index when [ids] and to
-     0 otherwise, sized so that restoring them never resizes it. *)
-  let restore_set ~name ~capacity ~ids keys =
-    let s =
-      Shardset.create ~name ~capacity:(max capacity (2 * Array.length keys)) ()
-    in
-    Array.iteri
-      (fun i k -> ignore (Shardset.add s k (if ids then i else 0)))
-      keys;
-    s
-
-  (* Crash-free exploration on {!Workers} at every domain count, with
-     one shared {!Shardset} table and ticket counter, so each reachable
-     configuration is admitted and expanded exactly once.  Items are
-     {e candidates}, admitted when popped: a dedup hit drops one, a
-     ticket refused at the budget turns it away.  Each expansion's
-     successors pop in generation order, so one domain walks exactly
-     the depth-first order of the recursive search.  A resume re-seeds
-     the tables (same ids), counters, orphans and worklist, at any
-     domain count. *)
-  let explore ?(reduction = Canon.No_reduction) ?(domains = 1)
-      ?(max_depth = 200) ?(max_configs = 2_000_000) ?(policy = Per_sender)
-      ?on_terminal ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~pattern
-      ~check () =
-    require_explorable ~n ~pattern;
-    Metrics.gauge_set g_max_configs max_configs;
-    let correct = Failure_pattern.correct pattern in
-    let snap =
-      match
-        Option.map (fun p -> (Marshal.from_string p 0 : explore_snap)) resume
-      with
-      | Some (mode, _, _, _, _, _, _, _, _) when mode <> reduction ->
-          warn_reduction_mismatch ~want:reduction ~got:mode;
-          None
-      | snap -> snap
-    in
-    let keys0, terms0, bares0 =
-      match snap with
-      | Some (_, keys, terms, bares, _, _, _, _, _) -> (keys, terms, bares)
-      | None -> ([||], [||], [||])
-    in
-    let seen =
-      restore_set ~name:"explore.dedup" ~capacity:65_536 ~ids:true keys0
-    in
-    (* terminal configurations and admitted bare keys, both keyed by
-       the bare (sleep-free) configuration key: under sym+por one
-       configuration can be admitted once per distinct sleep digest,
-       but it is one terminal state / one distinct configuration.
-       [term_set] makes terminal counting and [on_terminal] fire once
-       per configuration (absorbing orphan re-expansions too);
-       [bare_set] feeds the sleep-readmission counter. *)
-    let term_set =
-      restore_set ~name:"explore.terminal" ~capacity:1_024 ~ids:false terms0
-    in
-    let bare_set =
-      restore_set ~name:"explore.bare" ~capacity:1_024 ~ids:false bares0
-    in
-    let rt = Workers.create ~domains ~max_configs ~seen () in
-    let ticket = Workers.ticket rt in
-    let terminals_n = Atomic.make 0 in
-    (* Orphans: admitted keys whose expansion a dying worker cut
-       short.  The ticket stands and the in-flight item goes back to
-       the pool; whoever re-processes it hits the key in the table, and
-       membership here tells them to expand it anyway — else the dead
-       worker's subtree would be silently lost while the run still
-       reported [Safe].  A cut carries the pending orphans' keys and
-       resume re-registers them, so their ids stay taken and ids stay
-       dense.  [orphans_n] keeps the dedup-hit path lock-free; a
-       re-processor always observes its increment, since the handoff
-       through the pool mutex orders [orphan_add] first. *)
-    let orphans = ref [] and orphans_lock = Mutex.create () in
-    let orphans_n = Atomic.make 0 in
-    let orphan_add key =
-      Mutex.lock orphans_lock;
-      if not (List.exists (String.equal key) !orphans) then begin
-        orphans := key :: !orphans;
-        Atomic.incr orphans_n
-      end;
-      Mutex.unlock orphans_lock
-    in
-    let orphan_take key =
-      Atomic.get orphans_n > 0
-      && begin
-           Mutex.lock orphans_lock;
-           let hit = List.exists (String.equal key) !orphans in
-           if hit then begin
-             orphans :=
-               List.filter (fun k -> not (String.equal k key)) !orphans;
-             Atomic.decr orphans_n
-           end;
-           Mutex.unlock orphans_lock;
-           hit
-         end
-    in
-    (* set when budget was turned away before this run *)
-    let exhausted0 =
-      match snap with
-      | Some (_, _, _, _, count, terminals, exhausted, pending, orphaned) ->
-          Atomic.set rt.Workers.count count;
-          Atomic.set terminals_n terminals;
-          List.iter orphan_add orphaned;
-          Workers.seed rt pending;
-          exhausted
-      | None ->
-          Workers.seed rt [ (E.init_explore ~reduction ~n ~inputs (), 0, []) ];
-          false
-    in
-    (* each worker's terminal decision sets, newest first, reported
-       after the join *)
-    let terminals = Array.make rt.Workers.domains [] in
-    let make (w : _ Workers.w) =
-      (* the successors of the expansion in progress, newest first:
-         pushed in that order, they pop in generation order *)
-      let succs = ref [] and push_item = Workers.push w in
-      let push config depth sleep = succs := (config, depth, sleep) :: !succs in
-      (* Expansion of an admitted configuration: the decisions check,
-         completeness over the [correct] processes, the [max_depth]
-         cut, and the successors under the scheduler [reduction]
-         selects.  A non-verdict exception escaping from here (a user
-         [check] raising, say) leaves the admission behind, so the key
-         is marked orphaned before the runtime re-pushes the item — the
-         re-processor must expand despite the dedup hit. *)
-      let expand config depth sleep bare key =
-        try
-          Metrics.gauge_max g_depth_peak depth;
-          let decisions = E.decisions config in
-          (match check decisions with
-          | Some reason -> raise (Found (decisions, reason, depth))
-          | None -> ());
-          if List.for_all (fun p -> E.decision_of config p <> None) correct
-          then begin
-            if Shardset.add term_set bare 0 then begin
-              Atomic.incr terminals_n;
-              Metrics.incr m_terminals;
-              if Option.is_some on_terminal then
-                terminals.(w.i) <- decisions :: terminals.(w.i)
-            end
-          end
-          else if depth >= max_depth then w.exhausted <- true
-          else begin
-            succs := [];
-            (match reduction with
-            | Canon.Symmetry_por ->
-                schedule_successors_sleep ~reduction ~policy ~pattern
-                  ~steppers:correct ~depth:(depth + 1) ~sleep ~parent_key:bare
-                  config push
-            | Canon.No_reduction | Canon.Symmetry ->
-                schedule_successors ~reduction ~policy ~pattern
-                  ~steppers:correct ~depth:(depth + 1) config push);
-            List.iter push_item !succs;
-            Workers.maybe_spill w
-          end
-        with
-        | Found _ as e -> raise e
-        | e ->
-            orphan_add key;
-            raise e
-      in
-      (* a dedup hit: no orphan to re-expand *)
-      let dropped () =
-        Metrics.incr m_dedup;
-        if reduction <> Canon.No_reduction then Metrics.incr m_orbit
-      in
-      fun (config, depth, sleep) ->
-        (* The dedup key of the item is the (possibly orbit)
-           configuration key [bare], plus — when sleep sets are active
-           — the exact serialized sleep set, so a configuration
-           re-reached under a different sleep set is re-expanded rather
-           than wrongly deduped against a run that pruned differently.
-           Both are written into the scratch buffer, one after the
-           other, and probed there lock-free while nothing is orphaned:
-           a dedup hit allocates nothing. *)
-        let bare_len = E.write_key ~crashed:0 ~reduction config in
-        let len =
-          match reduction with
-          | Canon.Symmetry_por -> Canon.Action.write_digest sleep ~at:bare_len
-          | Canon.No_reduction | Canon.Symmetry -> bare_len
-        in
-        if
-          Atomic.get orphans_n = 0
-          && Shardset.mem_bytes seen (Canon.key_buffer ()) len
-        then dropped ()
-        else begin
-          let b = Canon.key_buffer () in
-          let bare = Bytes.sub_string b 0 bare_len in
-          let key = if len = bare_len then bare else Bytes.sub_string b 0 len in
-          let r = Shardset.admit_key seen key ~ticket in
-          if r >= 0 then
-            if orphan_take key then expand config depth sleep bare key
-            else dropped ()
-          else if r = Shardset.refused then begin
-            w.exhausted <- true;
-            Metrics.incr m_truncations
-          end
-          else begin
-            Metrics.incr m_admitted;
-            (match reduction with
-            | Canon.Symmetry_por ->
-                if not (Shardset.add bare_set bare 0) then
-                  Metrics.incr m_sleep_readmit
-            | Canon.No_reduction | Canon.Symmetry -> ());
-            expand config depth sleep bare key
-          end
-        end
-    in
-    (* a cut: the shared table gives each id's key *)
-    let merge ~pending ~exhausted =
-      let count = Workers.count rt in
-      let keys = Array.make count "" in
-      Shardset.iter (fun k id -> keys.(id) <- k) seen;
-      let members s =
-        let a = Array.make (Shardset.length s) "" and i = ref 0 in
-        Shardset.iter
-          (fun k _ ->
-            a.(!i) <- k;
-            incr i)
-          s;
-        a
-      in
-      Mutex.lock orphans_lock;
-      let orphaned = !orphans in
-      Mutex.unlock orphans_lock;
-      Marshal.to_string
-        (( reduction,
-           keys,
-           members term_set,
-           members bare_set,
-           count,
-           Atomic.get terminals_n,
-           exhausted || exhausted0,
-           pending,
-           orphaned )
-          : explore_snap)
-        []
-    in
-    let verdict = function
-      | Found (decisions, reason, depth) -> Some (decisions, reason, depth)
-      | _ -> None
-    in
-    match Workers.run rt ~ckpt ~verdict ~merge make with
-    | v :: vs, _ ->
-        (* the shallowest violation any worker found *)
-        let decisions, reason, depth =
-          List.fold_left
-            (fun ((_, _, db) as best) ((_, _, dv) as v) ->
-              if dv < db then v else best)
-            v vs
-        in
-        Violation { decisions; reason; depth }
-    | [], exhausted ->
-        Option.iter
-          (fun f -> Array.iter (fun l -> List.iter f (List.rev l)) terminals)
-          on_terminal;
-        let stats =
-          {
-            configs_visited = Workers.count rt;
-            terminal_runs = Atomic.get terminals_n;
-            budget_exhausted = exhausted || exhausted0;
-          }
-        in
-        record_run_stats stats;
-        Safe stats
-
-  (* ---- crash-adversarial exploration ---- *)
-
-  exception Unsafe of (Pid.t * Value.t * int) list * string
+  (* ---- the crash graph ---- *)
 
   (* The crashed set travels as a bitmask ({!Mask}) folded into the
      node key; node identities and graph edges are dense ints, never
@@ -1212,7 +926,7 @@ module Make (A : Algorithm.S) = struct
      node's id in its place, exactly the id its key would have found. *)
   type succ = Self | Step of Pid.t * int list | Next of E.config * int
 
-  (* Per-node expansion of the crash driver: decisions check,
+  (* Per-node expansion of the crash engine: decisions check,
      completeness, and the successors.
 
      The fault model dispatches here and only here:
@@ -1242,7 +956,7 @@ module Make (A : Algorithm.S) = struct
       ~model ~forge_alts ~pattern_of ~check config mask =
     let decisions = E.decisions config in
     (match check decisions with
-    | Some reason -> raise (Unsafe (decisions, reason))
+    | Some reason -> raise (Verdict (decisions, reason, 0))
     | None -> ());
     let budget = Fault_model.budget_or ~crash_budget model in
     (* the live pids are the ones outside [mask]; the node is complete
@@ -1407,7 +1121,6 @@ module Make (A : Algorithm.S) = struct
      hide beyond the cut.  Say so instead of claiming the optimistic
      verdict. *)
   let graph_outcome ~n stats recs =
-    record_run_stats stats;
     if stats.budget_exhausted then Indeterminate stats
     else
       match classify_graph ~count:stats.configs_visited ~recs with
@@ -1419,17 +1132,6 @@ module Make (A : Algorithm.S) = struct
               stats;
             }
       | None -> All_paths_decide stats
-
-  let check_crash_explorable ~n ~initially_dead =
-    if A.uses_fd then
-      invalid_arg "Explorer: algorithms with failure detectors are unsupported";
-    if n > Sys.int_size - 2 then
-      invalid_arg "Explorer: system too large for crash-set bitmasks";
-    List.iter
-      (fun p ->
-        if not (Pid.valid ~n p) then
-          invalid_arg "Explorer: initially_dead pid out of range")
-      initially_dead
 
   (* memoised initial-dead failure patterns, one per crashed-set mask *)
   let make_pattern_of ~n =
@@ -1444,216 +1146,482 @@ module Make (A : Algorithm.S) = struct
           Hashtbl.add patterns mask p;
           p
 
-  (* Checkpoint payload of a crash campaign: the reduction mode, the
-     fault-model tag, the admitted keys indexed by id (ids are dense
-     tickets), the node-record graph up to the admission count
-     (unexpanded ids read as [empty_rec]), the counters, and the
-     worklist of admitted-but-unexpanded nodes in pop order.  Mode or
-     model mismatch on resume warns and starts fresh.
-
-     The crash drivers use the orbit keys of the symmetry modes but
-     never sleep sets ([Symmetry_por] behaves like [Symmetry] here):
-     the Stuck classification is backward reachability over the full
-     transition graph, and sleep sets prune edges. *)
-  type crash_snap =
-    Canon.reduction
-    * string (* Fault_model.to_string of the campaign's model *)
-    * E.key array
-    * node_rec array
-    * int
-    * int
-    * bool
-    * (int * E.config * int) list
-
   (* the unexpanded slot: no expanded record has a negative
      [undecided] mask, so the sentinel survives a marshal round trip
      as a recognisable value *)
   let empty_rec = { succs = [||]; mask = 0; undecided = -1 }
 
-  (* Crash-adversarial exploration over shared state: one {!Shardset}
-     key table, one ticket counter, one write-once {!Nodestore} of node
-     records, on {!Workers} at every domain count.  A node's global
-     dense id {e is} its admission ticket (the root, admitted first, is
-     id 0), so graph edges are globally meaningful the moment they are
-     made and classification needs no id translation — the classified
-     graph is the same at every domain count modulo discovery order,
-     which {!classify_graph}'s minimum-witness rule already normalises.
-     Every node, the root included, is admitted before it is queued
-     and expanded by a worker.  A resumed campaign re-seeds the table
-     (same ids), the store, the counters and the worklist from the
-     payload, at any domain count. *)
-  let explore_with_crashes ?(reduction = Canon.No_reduction)
-      ?(model = Fault_model.Crash) ?(domains = 1) ?(max_configs = 300_000)
-      ?(policy = Per_sender) ?(drop_on_crash = true) ?(initially_dead = [])
-      ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~crash_budget ~check () =
-    check_crash_explorable ~n ~initially_dead;
+  (* ---- the driver ----
+
+     One body runs both engines: {!drive}.  An engine passes in its
+     root, its per-worker step and the extra tables it keeps, and
+     makes its own outcome of the verdict or stats returned. *)
+
+  (* A crash-free work item: a {e candidate} (configuration, depth,
+     sleep set), admitted when popped, or a configuration already
+     admitted, with its bare key, whose expansion failed and was put
+     back ({!Workers.requeue}). *)
+  type free_item =
+    | Cand of E.config * int * Canon.Action.t list
+    | Held of E.config * int * Canon.Action.t list * E.key
+
+  (* A crash-graph work item: a node admitted before it was queued —
+     its id, configuration and crashed mask. *)
+  type crash_item = int * E.config * int
+
+  (* The checkpoint payload of either engine.  [engine] is checked
+     first, then the reduction mode and the fault-model tag: [pending]
+     holds items of the writing engine's type, so a payload is used
+     only once all three match, and otherwise the driver warns and
+     starts fresh.  [keys] are the admitted keys indexed by id (ids are
+     dense tickets; none is refunded).  The crash-free engine adds its
+     counted-terminal and admitted bare keys, the crash engine its
+     node-record graph up to [count] (unexpanded ids read as
+     [empty_rec]).  [pending] lists the items in pop order; crash-free
+     candidates among them are not yet admitted, so resume re-applies
+     dedup and the budget as the uninterrupted run would have. *)
+  type 'i payload = {
+    engine : string;
+    reduction : Canon.reduction;
+    model : string; (* Fault_model.to_string of the campaign's model *)
+    keys : E.key array;
+    terminal : E.key array;
+    bare : E.key array;
+    recs : node_rec array;
+    count : int;
+    terminals : int;
+    exhausted : bool;
+    pending : 'i list;
+  }
+
+  (* What a run's workers share. *)
+  type run = {
+    seen : Shardset.t;
+    ticket : unit -> int;
+    reduction : Canon.reduction;
+    terminals : int Atomic.t;
+  }
+
+  (* What an engine passes the driver: a fresh campaign's worklist
+     ([[]] when the budget turned its root away), the step [make]s each
+     worker's item processor, and the engine's tables added to a
+     payload. *)
+  type 'i engine = {
+    root : unit -> 'i list;
+    make : 'i Workers.w -> 'i -> unit;
+    save : 'i payload -> 'i payload;
+  }
+
+  (* A table holding [keys], each bound to its index when [ids] and to
+     0 otherwise, sized so that restoring them never resizes it. *)
+  let restore_set ~name ~capacity ~ids keys =
+    let s =
+      Shardset.create ~name ~capacity:(max capacity (2 * Array.length keys)) ()
+    in
+    Array.iteri
+      (fun i k -> ignore (Shardset.add s k (if ids then i else 0)))
+      keys;
+    s
+
+  (* The counted admission of [key] into the run's table — of the
+     scratch buffer's first [len] bytes when [key] is [""], probed there
+     and copied out only when new: {!Shardset.admit_bytes}'s answer.
+     The caller marks its worker exhausted on {!Shardset.refused}. *)
+  let admit run key len =
+    let r =
+      if String.length key = 0 then
+        Shardset.admit_bytes run.seen (Canon.key_buffer ()) len
+          ~ticket:run.ticket
+      else Shardset.admit_key run.seen key ~ticket:run.ticket
+    in
+    if r >= 0 then dedup_hit ~reduction:run.reduction
+    else if r = Shardset.refused then Metrics.incr m_truncations
+    else Metrics.incr m_admitted;
+    r
+
+  (* The one driver body, on {!Workers} at every domain count.  It
+     decodes a resumed payload, restores the table (same ids), the
+     counters and the worklist, or seeds [start]'s fresh root; runs the
+     workers; merges each cut into a payload; and returns the
+     shallowest verdict, or the stats, published as gauges.  [start]
+     sees the run and the payload (an empty one when fresh), restores
+     the engine's own tables from it, and returns the engine. *)
+  let drive ~engine ~model ~reduction ~domains ~max_configs ~ckpt ~resume
+      start =
     Metrics.gauge_set g_max_configs max_configs;
-    let base_mask = List.fold_left Mask.add 0 initially_dead in
-    let model_tag = Fault_model.to_string model in
-    let forge_alts =
-      match model with
-      | Fault_model.Byzantine _ -> List.length (E.forge_pool ~n ~inputs)
-      | Fault_model.Crash | Fault_model.Mobile _ -> 0
+    let model = Fault_model.to_string model in
+    let resumed =
+      Option.bind resume (fun s ->
+          let p = (Marshal.from_string s 0 : _ payload) in
+          match
+            List.find_opt
+              (fun (_, want, got) -> want <> got)
+              [
+                ("engine", engine, p.engine);
+                ( "--reduction",
+                  Canon.reduction_to_string reduction,
+                  Canon.reduction_to_string p.reduction );
+                ("--model", model, p.model);
+              ]
+          with
+          | Some (flag, want, got) ->
+              Checkpoint.warn_mismatch ~flag ~want ~got;
+              None
+          | None -> Some p)
     in
-    let snap =
-      match
-        Option.map (fun p -> (Marshal.from_string p 0 : crash_snap)) resume
-      with
-      | Some (mode, _, _, _, _, _, _, _) when mode <> reduction ->
-          warn_reduction_mismatch ~want:reduction ~got:mode;
-          None
-      | Some (_, mtag, _, _, _, _, _, _) when mtag <> model_tag ->
-          warn_model_mismatch ~want:model ~got:mtag;
-          None
-      | snap -> snap
+    let empty =
+      {
+        engine;
+        reduction;
+        model;
+        keys = [||];
+        terminal = [||];
+        bare = [||];
+        recs = [||];
+        count = 0;
+        terminals = 0;
+        exhausted = false;
+        pending = [];
+      }
     in
+    let p = Option.value resumed ~default:empty in
     let seen =
-      restore_set ~name:"explore.dedup" ~capacity:65_536 ~ids:true
-        (match snap with Some (_, _, keys, _, _, _, _, _) -> keys | None -> [||])
+      restore_set ~name:"explore.dedup" ~capacity:65_536 ~ids:true p.keys
     in
     let rt = Workers.create ~domains ~max_configs ~seen () in
-    let ticket = Workers.ticket rt in
-    let recs : node_rec Nodestore.t = Nodestore.create ~empty:empty_rec in
-    let terminals_n = Atomic.make 0 in
-    (* the root draws ticket 0 like any node; a budget below one turns
-       it away, leaving nothing to expand *)
-    let admit_root () =
-      let root = E.init_explore ~reduction ~n ~inputs () in
-      let len = E.write_key ~crashed:base_mask ~reduction root in
-      let r = Shardset.admit_bytes seen (Canon.key_buffer ()) len ~ticket in
-      if r < 0 && r <> Shardset.refused then begin
-        Metrics.incr m_admitted;
-        Workers.seed rt [ (lnot r, root, base_mask) ];
-        false
-      end
-      else begin
-        Metrics.incr m_truncations;
-        true
-      end
+    Atomic.set rt.Workers.count p.count;
+    let run =
+      {
+        seen;
+        ticket = Workers.ticket rt;
+        reduction;
+        terminals = Atomic.make p.terminals;
+      }
     in
+    let e = start run p in
     (* set when budget was turned away before this run: by the resumed
        campaign, or at the root *)
     let exhausted0 =
-      match snap with
-      | None -> admit_root ()
-      | Some (_, _, _, recs0, count0, terminals0, exhausted0, worklist) ->
-          (* an unexpanded slot stays unwritten: [first_write] below
-             tests the physical sentinel *)
-          Array.iteri
-            (fun id r -> if r <> empty_rec then Nodestore.set recs id r)
-            recs0;
-          Atomic.set rt.Workers.count count0;
-          Atomic.set terminals_n terminals0;
-          Workers.seed rt worklist;
-          exhausted0
+      match resumed with
+      | Some p ->
+          Workers.seed rt p.pending;
+          p.exhausted
+      | None -> (
+          match e.root () with
+          | [] -> true
+          | root ->
+              Workers.seed rt root;
+              false)
     in
-    let make (w : _ Workers.w) =
-      let pattern_of = make_pattern_of ~n in
-      (* The admission of the key in the scratch buffer's first [len]
-         bytes, probed there and copied out only when admitted:
-         {!Shardset.admit_bytes}'s answer, counted. *)
-      let admit len =
-        let r = Shardset.admit_bytes seen (Canon.key_buffer ()) len ~ticket in
-        if r >= 0 then begin
-          Metrics.incr m_dedup;
-          if reduction <> Canon.No_reduction then Metrics.incr m_orbit
-        end
-        else if r = Shardset.refused then begin
-          w.exhausted <- true;
-          Metrics.incr m_truncations
-        end
-        else Metrics.incr m_admitted;
-        r
-      in
-      (* The successor's id, or -1 when the budget turned it away; a
-         new one is queued. *)
-      let visit config mask =
-        let r = admit (E.write_key ~crashed:mask ~reduction config) in
-        if r >= 0 then r
-        else if r = Shardset.refused then -1
-        else begin
-          Workers.push w (lnot r, config, mask);
-          lnot r
-        end
-      in
-      (* The same for a delivery step of [config], keyed before it is
-         built: a dedup hit costs a memo probe, a key write and a table
-         probe, and allocates nothing. *)
-      let visit_step config mask pattern pid deliver =
-        let o = E.step ~pattern config pid deliver in
-        let r =
-          admit
-            (E.write_step_key ~crashed:mask ~reduction config pid deliver o)
-        in
-        if r >= 0 then r
-        else if r = Shardset.refused then -1
-        else begin
-          Workers.push w (lnot r, E.commit config pid deliver o, mask);
-          lnot r
-        end
-      in
-      fun (id, config, mask) ->
-        let undecided, succ_list =
-          expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
-            ~model ~forge_alts ~pattern_of ~check config mask
-        in
-        let pattern = pattern_of mask in
-        let succs = Array.make (List.length succ_list) 0 in
-        let len =
-          fill_succs ~reduction
-            ~step:(visit_step config mask pattern)
-            ~visit id succs 0 succ_list
-        in
-        let succs =
-          if len = Array.length succs then succs else Array.sub succs 0 len
-        in
-        (* supervision can re-expand a node whose first expansion died
-           mid-flight (re-pushed in-flight item): count its terminal
-           only on the store's first write, so [terminal_runs] is
-           idempotent per id.  [empty_rec] is a physical sentinel no
-           expanded record ever aliases, and only one domain can hold
-           id at a time (handoff through the pool orders the
-           re-expansion after the death). *)
-        let first_write = Nodestore.get recs id == empty_rec in
-        Nodestore.set recs id { succs; mask; undecided };
-        if undecided = 0 && first_write then begin
-          Atomic.incr terminals_n;
-          Metrics.incr m_terminals
-        end;
-        Workers.maybe_spill w
-    in
-    (* a cut: the shared table gives each id's key, the store the
-       record graph *)
+    (* a cut: the shared table gives each id's key *)
     let merge ~pending ~exhausted =
       let count = Workers.count rt in
       let keys = Array.make count "" in
       Shardset.iter (fun k id -> keys.(id) <- k) seen;
       Marshal.to_string
-        (( reduction,
-           model_tag,
-           keys,
-           Array.init count (Nodestore.get recs),
-           count,
-           Atomic.get terminals_n,
-           exhausted || exhausted0,
-           pending )
-          : crash_snap)
+        (e.save
+           {
+             empty with
+             keys;
+             count;
+             terminals = Atomic.get run.terminals;
+             exhausted = exhausted || exhausted0;
+             pending;
+           })
         []
     in
-    let verdict = function
-      | Unsafe (decisions, reason) -> Some (decisions, reason)
-      | _ -> None
-    in
-    match Workers.run rt ~ckpt ~verdict ~merge make with
-    | (decisions, reason) :: _, _ -> Safety_violation { decisions; reason }
+    match Workers.run rt ~ckpt ~merge e.make with
+    | v :: vs, _ ->
+        (* the shallowest violation any worker found, the first on ties *)
+        Error
+          (List.fold_left
+             (fun ((_, _, db) as best) ((_, _, dv) as v) ->
+               if dv < db then v else best)
+             v vs)
     | [], exhausted ->
-        graph_outcome ~n
+        let stats =
           {
             configs_visited = Workers.count rt;
-            terminal_runs = Atomic.get terminals_n;
+            terminal_runs = Atomic.get run.terminals;
             budget_exhausted = exhausted || exhausted0;
           }
-          (Nodestore.get recs)
+        in
+        record_run_stats stats;
+        Ok stats
+
+  (* ---- crash-free exploration ---- *)
+
+  (* The crash-free step.  A candidate's dedup key is its (possibly
+     orbit) configuration key [bare], plus — when sleep sets are active
+     — the exact serialized sleep set, so a configuration re-reached
+     under a different sleep set is re-expanded rather than wrongly
+     deduped against a run that pruned differently.  Both are written
+     into the scratch buffer, one after the other, and probed there
+     lock-free: a dedup hit allocates nothing.
+
+     An admitted configuration is expanded: the decisions check,
+     completeness over the [correct] processes, the [max_depth] cut,
+     and the successors under the scheduler [reduction] selects, pushed
+     newest first so that they pop in generation order — one domain
+     walks exactly the depth-first order of the recursive search.
+     [term_set] and [bare_set] hold bare (sleep-free) keys: under
+     sym+por one configuration can be admitted once per distinct sleep
+     digest, but it is one terminal state and one distinct
+     configuration.  [term_set] makes terminal counting and [found]
+     fire once per configuration, absorbing the re-expansion of a
+     requeued [Held] item too; [bare_set] feeds the sleep-readmission
+     counter.  [found.(w.i)] collects worker [w]'s terminal decision
+     sets, newest first, unless [found] is empty. *)
+  let free_step run ~term_set ~bare_set ~found ~policy ~pattern ~max_depth
+      ~check (w : _ Workers.w) =
+    let reduction = run.reduction in
+    let correct = Failure_pattern.correct pattern in
+    let succs = ref [] and push_item = Workers.push w in
+    let push config depth sleep =
+      succs := Cand (config, depth, sleep) :: !succs
+    in
+    let expand config depth sleep bare =
+      Metrics.gauge_max g_depth_peak depth;
+      let decisions = E.decisions config in
+      (match check decisions with
+      | Some reason -> raise (Verdict (decisions, reason, depth))
+      | None -> ());
+      if List.for_all (fun p -> E.decision_of config p <> None) correct
+      then begin
+        if Shardset.add term_set bare 0 then begin
+          Atomic.incr run.terminals;
+          Metrics.incr m_terminals;
+          if Array.length found > 0 then
+            found.(w.i) <- decisions :: found.(w.i)
+        end
+      end
+      else if depth >= max_depth then w.exhausted <- true
+      else begin
+        succs := [];
+        (match reduction with
+        | Canon.Symmetry_por ->
+            schedule_successors_sleep ~reduction ~policy ~pattern
+              ~steppers:correct ~depth:(depth + 1) ~sleep ~parent_key:bare
+              config push
+        | Canon.No_reduction | Canon.Symmetry ->
+            schedule_successors ~reduction ~policy ~pattern ~steppers:correct
+              ~depth:(depth + 1) config push);
+        List.iter push_item !succs;
+        Workers.maybe_spill w
+      end
+    in
+    (* the bare key of a newly admitted candidate, or [""] *)
+    let admit_candidate config sleep =
+      let bare_len = E.write_key ~crashed:0 ~reduction config in
+      let len =
+        match reduction with
+        | Canon.Symmetry_por -> Canon.Action.write_digest sleep ~at:bare_len
+        | Canon.No_reduction | Canon.Symmetry -> bare_len
+      in
+      let b = Canon.key_buffer () in
+      if Shardset.mem_bytes run.seen b len then begin
+        dedup_hit ~reduction;
+        ""
+      end
+      else
+        let bare = Bytes.sub_string b 0 bare_len in
+        let key = if len = bare_len then bare else Bytes.sub_string b 0 len in
+        let r = admit run key len in
+        if r >= 0 then ""
+        else if r = Shardset.refused then begin
+          w.exhausted <- true;
+          ""
+        end
+        else begin
+          (match reduction with
+          | Canon.Symmetry_por ->
+              if not (Shardset.add bare_set bare 0) then
+                Metrics.incr m_sleep_readmit
+          | Canon.No_reduction | Canon.Symmetry -> ());
+          bare
+        end
+    in
+    function
+    | Cand (config, depth, sleep) as item -> (
+        match admit_candidate config sleep with
+        | exception e -> Workers.requeue w item e
+        | "" -> ()
+        | bare -> (
+            try expand config depth sleep bare
+            with e -> Workers.requeue w (Held (config, depth, sleep, bare)) e))
+    | Held (config, depth, sleep, bare) as item -> (
+        try expand config depth sleep bare with e -> Workers.requeue w item e)
+
+  let members s =
+    let a = Array.make (Shardset.length s) "" and i = ref 0 in
+    Shardset.iter
+      (fun k _ ->
+        a.(!i) <- k;
+        incr i)
+      s;
+    a
+
+  let explore ?(reduction = Canon.No_reduction) ?(domains = 1)
+      ?(max_depth = 200) ?(max_configs = 2_000_000) ?(policy = Per_sender)
+      ?on_terminal ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~pattern
+      ~check () =
+    require_explorable ~n ~pattern ();
+    let found =
+      if Option.is_some on_terminal then Array.make (max 1 domains) [] else [||]
+    in
+    match
+      drive ~engine:"explore" ~model:Fault_model.Crash ~reduction ~domains
+        ~max_configs ~ckpt ~resume (fun run p ->
+          let term_set =
+            restore_set ~name:"explore.terminal" ~capacity:1_024 ~ids:false
+              p.terminal
+          in
+          let bare_set =
+            restore_set ~name:"explore.bare" ~capacity:1_024 ~ids:false p.bare
+          in
+          {
+            root =
+              (fun () ->
+                [ Cand (E.init_explore ~reduction ~n ~inputs (), 0, []) ]);
+            make =
+              free_step run ~term_set ~bare_set ~found ~policy ~pattern
+                ~max_depth ~check;
+            save =
+              (fun p ->
+                {
+                  p with
+                  terminal = members term_set;
+                  bare = members bare_set;
+                });
+          })
+    with
+    | Error (decisions, reason, depth) -> Violation { decisions; reason; depth }
+    | Ok stats ->
+        Option.iter
+          (fun f -> Array.iter (fun l -> List.iter f (List.rev l)) found)
+          on_terminal;
+        Safe stats
+
+  (* ---- crash-adversarial exploration ---- *)
+
+  (* The crash step.  A node's global dense id {e is} its admission
+     ticket (the root, admitted first, is id 0), so graph edges are
+     globally meaningful the moment they are made and classification
+     needs no id translation — the classified graph is the same at every
+     domain count modulo discovery order, which {!classify_graph}'s
+     minimum-witness rule already normalises.  Every successor is
+     admitted before it is queued; its node record is written to [recs]
+     when it is expanded. *)
+  let crash_step run ~recs ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
+      ~model ~forge_alts ~check (w : _ Workers.w) =
+    let reduction = run.reduction in
+    let pattern_of = make_pattern_of ~n in
+    (* The successor's id, or -1 when the budget turned it away; a
+       new one is queued. *)
+    let visit config mask =
+      let r = admit run "" (E.write_key ~crashed:mask ~reduction config) in
+      if r >= 0 then r
+      else if r = Shardset.refused then begin
+        w.exhausted <- true;
+        -1
+      end
+      else begin
+        Workers.push w (lnot r, config, mask);
+        lnot r
+      end
+    in
+    (* The same for a delivery step of [config], keyed before it is
+       built: a dedup hit costs a memo probe, a key write and a table
+       probe, and allocates nothing. *)
+    let visit_step config mask pattern pid deliver =
+      let o = E.step ~pattern config pid deliver in
+      let r =
+        admit run ""
+          (E.write_step_key ~crashed:mask ~reduction config pid deliver o)
+      in
+      if r >= 0 then r
+      else if r = Shardset.refused then begin
+        w.exhausted <- true;
+        -1
+      end
+      else begin
+        Workers.push w (lnot r, E.commit config pid deliver o, mask);
+        lnot r
+      end
+    in
+    let expand id config mask =
+      let undecided, succ_list =
+        expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
+          ~model ~forge_alts ~pattern_of ~check config mask
+      in
+      let pattern = pattern_of mask in
+      let succs = Array.make (List.length succ_list) 0 in
+      let len =
+        fill_succs ~reduction
+          ~step:(visit_step config mask pattern)
+          ~visit id succs 0 succ_list
+      in
+      let succs =
+        if len = Array.length succs then succs else Array.sub succs 0 len
+      in
+      (* a requeued node is expanded again: count its terminal only on
+         the store's first write, so [terminal_runs] is idempotent per
+         id.  [empty_rec] is a physical sentinel no expanded record ever
+         aliases, and only one domain can hold id at a time (handoff
+         through the pool orders the re-expansion after the death). *)
+      let first_write = Nodestore.get recs id == empty_rec in
+      Nodestore.set recs id { succs; mask; undecided };
+      if undecided = 0 && first_write then begin
+        Atomic.incr run.terminals;
+        Metrics.incr m_terminals
+      end;
+      Workers.maybe_spill w
+    in
+    fun ((id, config, mask) as item : crash_item) ->
+      try expand id config mask with e -> Workers.requeue w item e
+
+  let explore_with_crashes ?(reduction = Canon.No_reduction)
+      ?(model = Fault_model.Crash) ?(domains = 1) ?(max_configs = 300_000)
+      ?(policy = Per_sender) ?(drop_on_crash = true) ?(initially_dead = [])
+      ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~crash_budget ~check () =
+    require_explorable ~n ~initially_dead ();
+    let base_mask = List.fold_left Mask.add 0 initially_dead in
+    let forge_alts =
+      match model with
+      | Fault_model.Byzantine _ -> List.length (E.forge_pool ~n ~inputs)
+      | Fault_model.Crash | Fault_model.Mobile _ -> 0
+    in
+    let recs : node_rec Nodestore.t = Nodestore.create ~empty:empty_rec in
+    match
+      drive ~engine:"explore-crash" ~model ~reduction ~domains ~max_configs
+        ~ckpt ~resume (fun run p ->
+          (* an unexpanded slot stays unwritten: the step's
+             [first_write] tests the physical sentinel *)
+          Array.iteri
+            (fun id r -> if r <> empty_rec then Nodestore.set recs id r)
+            p.recs;
+          {
+            root =
+              (fun () ->
+                (* the root draws ticket 0 like any node; a budget below
+                   one turns it away, leaving nothing to expand *)
+                let root = E.init_explore ~reduction ~n ~inputs () in
+                let r =
+                  admit run "" (E.write_key ~crashed:base_mask ~reduction root)
+                in
+                if r < 0 && r <> Shardset.refused then
+                  [ (lnot r, root, base_mask) ]
+                else []);
+            make =
+              crash_step run ~recs ~n ~policy ~drop_on_crash ~base_mask
+                ~crash_budget ~model ~forge_alts ~check;
+            save =
+              (fun p ->
+                { p with recs = Array.init p.count (Nodestore.get recs) });
+          })
+    with
+    | Error (decisions, reason, _) -> Safety_violation { decisions; reason }
+    | Ok stats -> graph_outcome ~n stats (Nodestore.get recs)
 
   let explore_with_crashes_par ?domains =
     explore_with_crashes

@@ -25,11 +25,41 @@
     admission to orbit keys (plus the algorithm's canon hooks, applied
     by the engine as states and messages are produced), and
     [Symmetry_por] additionally prunes commuting delivery
-    interleavings with DPOR sleep sets in the crash-free drivers.
+    interleavings with DPOR sleep sets in the crash-free engine.
     Both preserve verdicts and the decision-value oracle (soundness
     argument in DESIGN.md); the configuration counts shrink — that is
     the point — so cross-{e mode} stats differ while domain-count
-    parity within a mode still holds exactly. *)
+    parity within a mode still holds exactly.
+
+    {b Domains, checkpoints and supervision.}  Both engines run on one
+    driver.  [domains] (default 1) worker domains admit configurations
+    against one shared {!Ksa_prim.Shardset} table whose ticket-clamped
+    admission is atomic per key, so every reachable configuration is
+    admitted and expanded exactly once, and move the frontier through
+    work-stealing pools.  Whenever no budget truncates, verdict and
+    stats are the same at every domain count; one domain spawns no
+    domain and walks one fixed depth-first order, so its truncated
+    stats are deterministic too.  [check] must be thread-safe when
+    [domains] exceeds 1.  [ckpt] attaches a {!Checkpoint} controller:
+    the driver writes periodic snapshots per its sink policy — between
+    steps in the calling domain at one domain, through a coordinator
+    that parks every worker at more — and polls the interrupt; on
+    interruption it flushes a final checkpoint and returns a truncated
+    verdict.  A fault raised by a checkpoint write leaves the driver.
+    [resume] is a payload the same driver wrote at any domain count:
+    once the interner dumps are restored
+    ({!Checkpoint.restore_interners}) the campaign continues at
+    [domains] and reports the verdict and stats of an uninterrupted run
+    (at one domain on both sides, truncated stats included).  A payload
+    written by the other driver, under another [reduction] or under
+    another [model] describes a different search: the driver warns on
+    stderr and starts fresh.  A worker that dies of a non-verdict
+    exception is supervised: its admissions stand (no ticket is
+    refunded), the item it was processing goes back in admitted form,
+    and its stack goes to the shared pool for survivors — or a
+    post-join rescue worker — to drain, so the item is expanded by
+    whoever pops it next (after a resume too); the failure is recorded
+    in the ledger ([campaign.worker.failures] / [campaign.requeues]). *)
 
 type delivery_policy = Engine.delivery_policy =
   | Empty_or_all
@@ -88,10 +118,10 @@ module Mask : sig
 end
 
 val default_domains : unit -> int
-(** Domain count used by the parallel drivers when [?domains] is not
-    given: the [KSA_DOMAINS] environment variable if set to a positive
-    integer, otherwise (unset or malformed, ["0"] and ["abc"]
-    included) [Domain.recommended_domain_count ()]. *)
+(** Worker domain count used when none is given: the [KSA_DOMAINS]
+    environment variable if set to a positive integer, otherwise
+    (unset or malformed, ["0"] and ["abc"] included)
+    [Domain.recommended_domain_count ()]. *)
 
 type resilient_outcome =
   | All_paths_decide of stats
@@ -149,41 +179,10 @@ module Make (A : Algorithm.S) : sig
       re-admissions of a terminal configuration do not re-fire it, so
       terminal counts and callbacks agree with [Symmetry].  Defaults:
       [domains] 1, [max_depth] 200, [max_configs] 2_000_000, [policy]
-      [Per_sender].
-
-      [domains] worker domains admit configurations against one shared
-      {!Ksa_prim.Shardset} table whose ticket-clamped admission is
-      atomic per key, so every reachable configuration is admitted and
-      expanded exactly once, and move the frontier through
-      work-stealing deques.  Whenever neither [max_depth] nor
-      [max_configs] truncates, verdict, [configs_visited] and
-      [terminal_runs] are the same at every domain count.  One domain
-      spawns no domain and walks one fixed depth-first order, so its
-      truncated stats are deterministic too.  [check] must be
-      thread-safe when [domains] exceeds 1.
-
-      [ckpt] attaches a {!Checkpoint} controller: the driver writes
-      periodic snapshots per its sink policy and polls the interrupt;
-      on interruption it flushes a final checkpoint and returns [Safe]
-      with [budget_exhausted] set.  One domain checkpoints between
-      expansions in the calling domain, more through a coordinator
-      that parks every worker; a fault raised by a checkpoint write
-      leaves the driver.  [resume] is a payload this driver wrote at
-      any domain count: the campaign continues at [domains] and
-      reports the verdict and stats of an uninterrupted run (at one
-      domain on both sides, truncated stats included), once the
-      interner dumps are restored ({!Checkpoint.restore_interners}).
-      [on_terminal] calls delivered before the checkpoint are not
-      replayed.  A payload written under another [reduction] describes
-      a different search: the driver warns on stderr and starts fresh.
-
-      A worker that dies of a non-verdict exception is supervised: its
-      admissions stand (no ticket is refunded), its frontier goes back
-      to the shared pool for survivors — or a post-join rescue worker
-      — to drain, the configuration it was expanding is expanded by
-      whoever re-processes it (after a resume too), and the failure is
-      recorded in the ledger ([campaign.worker.failures] /
-      [campaign.requeues]). *)
+      [Per_sender].  Domains, [ckpt], [resume] and supervision are as
+      described above; on interruption the verdict is [Safe] with
+      [budget_exhausted] set, and [on_terminal] calls delivered before
+      a checkpoint are not replayed. *)
 
   val explore_with_crashes :
     ?reduction:Canon.reduction ->
@@ -221,28 +220,9 @@ module Make (A : Algorithm.S) : sig
       the Theorem-1 condition (C) validation; the [crashed] list of a
       {!Stuck} verdict includes them.
 
-      [domains] (default 1) worker domains enumerate the node graph
-      against one shared {!Ksa_prim.Shardset} table and one
-      write-once record store, stealing frontier batches as in
-      {!explore}; a node's dense id {e is} its admission ticket.
-      Verdict and stats are the same at every domain count whenever
-      [max_configs] does not truncate; one domain spawns no domain and
-      walks one fixed depth-first order, so its truncated stats are
-      deterministic too.  [check] must be thread-safe when [domains]
-      exceeds 1.  Worker failures are supervised as in {!explore},
-      the root's expansion included.
-
-      [ckpt]/[resume] behave as in {!explore}: periodic snapshots of
-      the node graph and worklist, a final flush plus an
-      [Indeterminate] verdict on interruption, and verdict/stats
-      identical to an uninterrupted run when resumed, after
-      {!Checkpoint.restore_interners} — at any domain count, whatever
-      count wrote the checkpoint (at one domain, truncated stats
-      included).  One domain checkpoints between expansions in the
-      calling domain, more through a coordinator that parks every
-      worker; a fault raised by a checkpoint write leaves the driver.
-      A reduction-mode or fault-model mismatch warns and starts fresh
-      (the payload carries the model tag).
+      Domains, [ckpt], [resume] and supervision are as described
+      above; a node's dense id {e is} its admission ticket, and on
+      interruption the verdict is [Indeterminate].
 
       [model] selects the fault model ({!Fault_model.t}).  Under
       [Crash] (the default) the budget is [crash_budget].  Under
@@ -261,7 +241,7 @@ module Make (A : Algorithm.S) : sig
       the budget-0 crash graph.  Parity and separation are pinned by
       test/test_byzantine.ml.
 
-      The crash drivers use the orbit keys of the symmetry modes but
+      The crash engine uses the orbit keys of the symmetry modes but
       never DPOR sleep sets — [Symmetry_por] behaves like [Symmetry]
       here.  The {!Stuck} classification is backward reachability over
       the {e full} transition graph; sleep sets prune edges, which

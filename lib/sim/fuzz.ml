@@ -444,18 +444,6 @@ type payload = {
 
 let decode_payload s = (Marshal.from_string s 0 : payload)
 
-(* the trial stream is a pure function of (config, seed, i), and the
-   model is part of the config: a payload written under a different
-   --model (budget included) describes a different stream — warn and
-   start fresh, exactly the explorer's --reduction policy *)
-let warn_model_mismatch ~want ~got =
-  Printf.eprintf
-    "ksa: checkpoint was written under --model %s, not %s — starting a \
-     fresh campaign\n\
-     %!"
-    got
-    (Fault_model.to_string want)
-
 (* canonical coverage payload at watermark [wm]; caller holds the
    campaign's watermark mutex *)
 let cov_payload ~model wm (b : Cov.box) =
@@ -841,7 +829,9 @@ module Make (A : Algorithm.S) = struct
     | Some s ->
         let p = decode_payload s in
         if p.pl_model <> Fault_model.to_string cfg.model then begin
-          warn_model_mismatch ~want:cfg.model ~got:p.pl_model;
+          Checkpoint.warn_mismatch ~flag:"--model"
+            ~want:(Fault_model.to_string cfg.model)
+            ~got:p.pl_model;
           (0, None)
         end
         else (p.pl_trial, p.pl_cov)

@@ -558,6 +558,72 @@ let test_resume_reduction_mismatch () =
       | Sim.Explorer.Safe s -> check_stats "mismatch restarts" reduced_baseline s
       | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation")
 
+(* ---------- a payload of the other engine starts fresh ---------- *)
+
+(* what [f] writes to stderr, with its result *)
+let with_stderr f =
+  let path = tmp_path ".err" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let err = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, err)
+
+(* the payload of a one-domain campaign cut after [polls] interrupt
+   polls *)
+let cut_payload ~kind ~polls run =
+  with_tmp ".ckpt" (fun path ->
+      let ckpt =
+        Checkpoint.ctl ~sink:(sink ~path ~kind)
+          ~interrupt:(poll_interrupt polls) ()
+      in
+      run ckpt;
+      Checkpoint.payload (load_restored path))
+
+let test_crash_payload_in_explore () =
+  (* the crash-free driver handed an explore_with_crashes payload names
+     the engine that wrote it and reaches the fresh baseline *)
+  let payload =
+    cut_payload ~kind:"explore-crash" ~polls:2000 (fun ckpt ->
+        ignore (indeterminate "cut" (crash_run ~ckpt ~domains:1 ())))
+  in
+  let stats, err =
+    with_stderr (fun () -> explore_run ~resume:payload ~domains:1 ())
+  in
+  check_stats "crash payload resumed by explore" (explore_run ~domains:1 ())
+    stats;
+  check_contains "warning" err
+    ~sub:
+      "ksa: checkpoint was written under engine explore-crash, not explore — \
+       starting a fresh campaign\n"
+
+let test_explore_payload_in_crash () =
+  (* and the other way round *)
+  let payload =
+    cut_payload ~kind:"explore" ~polls:40 (fun ckpt ->
+        ignore (explore_run ~ckpt ~domains:1 ()))
+  in
+  let outcome, err =
+    with_stderr (fun () -> crash_run ~resume:payload ~domains:1 ())
+  in
+  check_stuck "explore payload resumed by explore_with_crashes"
+    (crash_baseline ()) outcome;
+  check_contains "warning" err
+    ~sub:
+      "ksa: checkpoint was written under engine explore, not explore-crash — \
+       starting a fresh campaign\n"
+
 (* ---------- worker supervision ---------- *)
 
 let test_explore_par_supervision () =
@@ -1270,6 +1336,11 @@ let suites =
           `Quick test_explore_crash_resume_reduced;
         Alcotest.test_case "resume: reduction-mode mismatch starts fresh"
           `Quick test_resume_reduction_mismatch;
+        Alcotest.test_case "resume: crash payload in explore starts fresh"
+          `Quick test_crash_payload_in_explore;
+        Alcotest.test_case "resume: explore payload in explore-crash starts \
+                            fresh"
+          `Quick test_explore_payload_in_crash;
         Alcotest.test_case "explore: worker fault supervised" `Quick
           test_explore_par_supervision;
         Alcotest.test_case "explore: worker fault supervised (plain par)"

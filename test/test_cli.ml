@@ -66,16 +66,37 @@ let flp = [ "explore"; "--algo"; "kset-flp"; "-n"; "3"; "-l"; "2"; "-k"; "1" ]
 let test_explore_safe () =
   expect flp ~code:0 ~lines:[ "SAFE: 4930 configs visited, 601 terminal runs" ]
 
+(* A truncated run's stats depend on the order configurations are
+   visited in: besides the default domain count, one domain at several
+   budgets and reductions pins the crash-free engine's order. *)
 let test_explore_truncated () =
+  let truncated ~configs ~terminals =
+    Printf.sprintf
+      "INDETERMINATE: no violation in the explored prefix, but the budget \
+       truncated the search — %d configs visited, %d terminal runs (budget \
+       exhausted)"
+      configs terminals
+  in
   expect
     (flp @ [ "--max-configs"; "50" ])
     ~code:4
-    ~lines:
-      [
-        "INDETERMINATE: no violation in the explored prefix, but the budget \
-         truncated the search — 50 configs visited, 22 terminal runs (budget \
-         exhausted)";
-      ]
+    ~lines:[ truncated ~configs:50 ~terminals:22 ];
+  List.iter
+    (fun (reduction, configs, terminals) ->
+      expect
+        (flp
+        @ [ "--domains"; "1"; "--reduction"; reduction ]
+        @ [ "--max-configs"; string_of_int configs ])
+        ~code:4
+        ~lines:[ truncated ~configs ~terminals ])
+    [
+      ("none", 500, 94);
+      ("none", 2000, 268);
+      ("sym", 500, 29);
+      ("sym", 2000, 74);
+      ("sym+por", 500, 29);
+      ("sym+por", 2000, 57);
+    ]
 
 let test_explore_stuck () =
   expect
@@ -87,16 +108,39 @@ let test_explore_stuck () =
          visited, 4283 terminal runs";
       ]
 
+(* the same for the crash engine, under each fault model (Byzantine at
+   k=3: at k=1 it reports a violation) *)
 let test_explore_crash_truncated () =
+  let truncated ~configs ~terminals =
+    Printf.sprintf
+      "INDETERMINATE: the budget truncated the search before the reachable \
+       graph closed — %d configs visited, %d terminal runs (budget \
+       exhausted)"
+      configs terminals
+  in
   expect
     (flp @ [ "--crash-budget"; "1"; "--max-configs"; "50" ])
     ~code:4
-    ~lines:
-      [
-        "INDETERMINATE: the budget truncated the search before the reachable \
-         graph closed — 50 configs visited, 3 terminal runs (budget \
-         exhausted)";
-      ]
+    ~lines:[ truncated ~configs:50 ~terminals:3 ];
+  let k3 =
+    [ "explore"; "--algo"; "kset-flp"; "-n"; "3"; "-l"; "2"; "-k"; "3" ]
+  in
+  List.iter
+    (fun (base, model, configs, terminals) ->
+      expect
+        (base
+        @ [ "--domains"; "1"; "--crash-budget"; "1"; "--model"; model ]
+        @ [ "--max-configs"; string_of_int configs ])
+        ~code:4
+        ~lines:[ truncated ~configs ~terminals ])
+    [
+      (flp, "crash", 500, 192);
+      (flp, "crash", 5000, 1248);
+      (flp, "mobile:1", 500, 97);
+      (flp, "mobile:1", 5000, 460);
+      (k3, "byzantine", 500, 162);
+      (k3, "byzantine", 5000, 1794);
+    ]
 
 let test_explore_byzantine () =
   expect
@@ -169,6 +213,25 @@ let test_bad_checkpoint_every () =
     [ flp; trivial_fuzz; [ "serve"; "--dir"; dir ] ];
   Alcotest.(check bool) "serve made no directory" false (Sys.file_exists dir)
 
+let test_bad_domains () =
+  let dir = Filename.temp_file "ksa_cli" ".dir" in
+  Sys.remove dir;
+  List.iter
+    (fun d ->
+      List.iter
+        (fun args ->
+          expect_error
+            (args @ [ "--domains=" ^ d ])
+            ~names:(Printf.sprintf "bad --domains %s" d))
+        [
+          flp;
+          flp @ [ "--crash-budget"; "1" ];
+          trivial_fuzz;
+          [ "serve"; "--dir"; dir ];
+        ])
+    [ "0"; "-2" ];
+  Alcotest.(check bool) "serve made no directory" false (Sys.file_exists dir)
+
 let test_resume_missing () =
   let missing = Filename.concat (Filename.get_temp_dir_name ()) "ksa-cli-none" in
   let c, out, err = ksa (flp @ [ "--resume"; missing ]) in
@@ -225,6 +288,7 @@ let suites =
         Alcotest.test_case "fuzz: wall-clock budget" `Quick test_fuzz_budget;
         Alcotest.test_case "bad --checkpoint-every exits 1" `Quick
           test_bad_checkpoint_every;
+        Alcotest.test_case "--domains below 1 exits 1" `Quick test_bad_domains;
         Alcotest.test_case "resume: lenient and strict" `Quick
           test_resume_missing;
         Alcotest.test_case "malformed group lists exit 1" `Quick
