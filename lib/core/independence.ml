@@ -24,8 +24,9 @@ let confining ~set =
     let s_done =
       List.for_all
         (fun p ->
-          List.mem_assoc p obs.decided
-          || Failure_pattern.is_crashed obs.pattern p ~time:obs.time)
+          Adversary.has_decided obs p
+          || Failure_pattern.is_crashed (Adversary.pattern obs) p
+               ~time:(Adversary.time obs))
         set
     in
     if s_done && Adversary.all_correct_decided obs then Adversary.Halt
@@ -65,13 +66,14 @@ let confining_after ~set ~prefix =
     let s_done =
       List.for_all
         (fun p ->
-          List.mem_assoc p obs.decided
-          || Failure_pattern.is_crashed obs.pattern p ~time:obs.time)
+          Adversary.has_decided obs p
+          || Failure_pattern.is_crashed (Adversary.pattern obs) p
+               ~time:(Adversary.time obs))
         set
     in
     if s_done && Adversary.all_correct_decided obs then Adversary.Halt
     else
-      let in_prefix = obs.time < prefix in
+      let in_prefix = Adversary.time obs < prefix in
       let allow src dst =
         in_prefix || s_done || (not (List.mem dst set)) || List.mem src set
       in

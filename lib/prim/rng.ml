@@ -1,28 +1,40 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte [Bytes], read and
+   written with the native-endian primitives: a draw keeps every
+   intermediate [int64] in registers and allocates nothing, where a
+   [mutable int64] field boxed a fresh state on every draw.  The byte
+   order never escapes, so the stream is the same on any host. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy t = Bytes.copy t
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next64 t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
 
-let split t =
-  let s = next64 t in
-  { state = mix s }
+let split t = of_state (mix (next64 t))
 
 let split_at t i =
   if i < 0 then invalid_arg "Rng.split_at: negative index";
-  let s = Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (i + 1))) in
-  { state = mix (mix s) }
+  let s = Int64.add (get64 t 0) (Int64.mul golden_gamma (Int64.of_int (i + 1))) in
+  of_state (mix (mix s))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: nonpositive bound";

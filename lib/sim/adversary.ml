@@ -2,14 +2,20 @@ module Rng = Ksa_prim.Rng
 
 type pending = { id : int; src : Pid.t; dst : Pid.t; sent_at : int }
 
-type obs = {
-  time : int;
-  n : int;
-  pending : pending list;
-  decided : (Pid.t * Value.t) list;
-  pattern : Failure_pattern.t;
-  steps_taken : Pid.t -> int;
-}
+(* The configuration's own copy-on-write rows, shared, not copied: the
+   per-destination inboxes (id-descending, each envelope paired with
+   the engine's packed triple, which nothing here reads) and the
+   decided row.  The payload type is existential, so no accessor can
+   reach a payload. *)
+type obs =
+  | View : {
+      time : int;
+      n : int;
+      inbox : ('m Envelope.t * int) list array;
+      decided : (Value.t * int) option array;
+      pattern : Failure_pattern.t;
+    }
+      -> obs
 
 type action =
   | Step of { pid : Pid.t; deliver : int list }
@@ -19,66 +25,194 @@ type action =
 
 type t = { describe : string; next : obs -> action }
 
-(* The helpers below run on every step of a recorded run: each is a
-   pid loop or one recursion over [obs.pending], with no throwaway
-   pid lists or per-call closures. *)
+let view ~time ~n ~inbox ~decided ~pattern =
+  View { time; n; inbox; decided; pattern }
 
-(* p may take the next step (at time obs.time + 1) iff its crash time,
-   if any, is not exceeded: a process with crash time ct takes no step
-   with index > ct. *)
-let can_step obs p =
-  match Failure_pattern.crash_time obs.pattern p with
+(* The accessors below run on every step of a recorded run: each is a
+   pid loop or one walk of an inbox, with no throwaway lists or
+   per-call closures; only the id lists they return are allocated. *)
+
+let time (View v) = v.time
+let n (View v) = v.n
+let pattern (View v) = v.pattern
+
+let decision (View v) p =
+  match v.decided.(p) with Some (x, _) -> Some x | None -> None
+
+let has_decided (View v) p =
+  match v.decided.(p) with Some _ -> true | None -> false
+
+(* p may take the next step (at time [time obs + 1]) iff its crash
+   time, if any, is not exceeded: a process with crash time ct takes
+   no step with index > ct. *)
+let can_step (View v) p =
+  match Failure_pattern.crash_time v.pattern p with
   | None -> true
-  | Some ct -> obs.time + 1 <= ct
+  | Some ct -> v.time + 1 <= ct
 
-let has_decided obs p = List.mem_assoc p obs.decided
+let is_alive obs p = p >= 0 && p < n obs && can_step obs p
 
-let alive obs =
+let eligible undecided obs p =
+  can_step obs p && not (undecided && has_decided obs p)
+
+let count_alive ?(undecided = false) obs =
+  let c = ref 0 in
+  for p = 0 to n obs - 1 do
+    if eligible undecided obs p then incr c
+  done;
+  !c
+
+let rec nth_from undecided obs r p =
+  if p >= n obs then invalid_arg "Adversary.nth_alive: rank out of range"
+  else if eligible undecided obs p then
+    if r = 0 then p else nth_from undecided obs (r - 1) (p + 1)
+  else nth_from undecided obs r (p + 1)
+
+let nth_alive ?(undecided = false) obs r =
+  if r < 0 then invalid_arg "Adversary.nth_alive: rank out of range";
+  nth_from undecided obs r 0
+
+let alive_where undecided obs =
   let acc = ref [] in
-  for p = obs.n - 1 downto 0 do
-    if can_step obs p then acc := p :: !acc
+  for p = n obs - 1 downto 0 do
+    if eligible undecided obs p then acc := p :: !acc
   done;
   !acc
 
-let undecided_alive obs =
-  let acc = ref [] in
-  for p = obs.n - 1 downto 0 do
-    if can_step obs p && not (has_decided obs p) then acc := p :: !acc
-  done;
-  !acc
+let alive obs = alive_where false obs
+let undecided_alive obs = alive_where true obs
 
 let rec correct_decided_from obs p =
-  p >= Failure_pattern.n obs.pattern
-  || (Failure_pattern.is_faulty obs.pattern p || has_decided obs p)
+  p >= Failure_pattern.n (pattern obs)
+  || (Failure_pattern.is_faulty (pattern obs) p || has_decided obs p)
      && correct_decided_from obs (p + 1)
 
 let all_correct_decided obs = correct_decided_from obs 0
 
-let[@tail_mod_cons] rec ids_for allow p = function
-  | [] -> []
-  | m :: rest ->
-      if m.dst = p && (match allow with None -> true | Some f -> f m.src m.dst)
-      then m.id :: ids_for allow p rest
-      else ids_for allow p rest
+(* ---- walks of one inbox, newest first: consing comes out ascending ---- *)
 
-let pending_for ?allow obs p = ids_for allow p obs.pending
+let rec ids_for allow acc = function
+  | [] -> acc
+  | ((e : _ Envelope.t), _) :: rest ->
+      let keep = match allow with None -> true | Some f -> f e.src e.dst in
+      ids_for allow (if keep then e.id :: acc else acc) rest
 
-let[@tail_mod_cons] rec crashed_sends victims obs = function
-  | [] -> []
-  | m :: rest ->
-      if
-        (match victims with None -> true | Some f -> f m.src)
-        && Failure_pattern.is_crashed obs.pattern m.src ~time:obs.time
-      then m.id :: crashed_sends victims obs rest
-      else crashed_sends victims obs rest
+let pending_for ?allow (View v) p = ids_for allow [] v.inbox.(p)
 
-let droppable ?victims obs = crashed_sends victims obs obs.pending
+let rec ids_sent keep acc = function
+  | [] -> acc
+  | ((e : _ Envelope.t), _) :: rest ->
+      ids_sent keep (if keep e.src e.sent_at then e.id :: acc else acc) rest
+
+let pending_for_sent ~keep (View v) p = ids_sent keep [] v.inbox.(p)
+
+(* [i] is the rank of the list's head, the oldest message ranking 0 *)
+let rec ids_ranked bits i acc = function
+  | [] -> acc
+  | ((e : _ Envelope.t), _) :: rest ->
+      let acc = if bits land (1 lsl i) <> 0 then e.id :: acc else acc in
+      ids_ranked bits (i - 1) acc rest
+
+(* [keep] is called oldest first; its answers go into a rank mask, so
+   only the kept ids are consed *)
+let pending_for_sampled (View v) p keep =
+  let box = v.inbox.(p) in
+  let m = List.length box in
+  if m < Sys.int_size - 1 then begin
+    let bits = ref 0 in
+    for i = 0 to m - 1 do
+      if keep () then bits := !bits lor (1 lsl i)
+    done;
+    ids_ranked !bits (m - 1) [] box
+  end
+  else List.filter (fun _ -> keep ()) (ids_for None [] box)
+
+(* the walk stops at the first smaller id *)
+let rec holds id = function
+  | [] -> false
+  | ((e : _ Envelope.t), _) :: rest -> e.id = id || (e.id > id && holds id rest)
+
+let is_pending_for (View v) p id = p >= 0 && p < v.n && holds id v.inbox.(p)
+
+(* ---- the sends of crashed processes, across the inboxes ---- *)
+
+let droppable_send victims (View v) (e : _ Envelope.t) =
+  (match victims with None -> true | Some f -> f e.src)
+  && Failure_pattern.is_crashed v.pattern e.src ~time:v.time
+
+let rec crashed_ids victims obs acc = function
+  | [] -> acc
+  | ((e : _ Envelope.t), _) :: rest ->
+      crashed_ids victims obs
+        (if droppable_send victims obs e then e.id :: acc else acc)
+        rest
+
+let rec any_crashed victims obs = function
+  | [] -> false
+  | ((e : _ Envelope.t), _) :: rest ->
+      droppable_send victims obs e || any_crashed victims obs rest
+
+let droppable ?victims (View v as obs) =
+  let acc = ref [] in
+  for p = 0 to v.n - 1 do
+    acc := crashed_ids victims obs !acc v.inbox.(p)
+  done;
+  List.sort Int.compare !acc
+
+let rec any_from victims (View v as obs) p =
+  p < v.n && (any_crashed victims obs v.inbox.(p) || any_from victims obs (p + 1))
+
+let has_droppable ?victims obs = any_from victims obs 0
 
 (* Under the Byzantine model the corrupted set rides the failure
    pattern (corruption subsumes crashing), so the forgeable messages
    are exactly the droppable ones: pending sends of already-corrupted
    processes. *)
 let forgeable = droppable
+
+(* ---- every pending message ---- *)
+
+(* one inbox oldest first: the recursion visits the tail before the
+   head *)
+let rec fold_box f acc = function
+  | [] -> acc
+  | ((e : _ Envelope.t), _) :: rest ->
+      let acc = fold_box f acc rest in
+      f acc ~id:e.id ~src:e.src ~dst:e.dst ~sent_at:e.sent_at
+
+let fold_pending f (View v) acc =
+  let acc = ref acc in
+  for p = 0 to v.n - 1 do
+    acc := fold_box f !acc v.inbox.(p)
+  done;
+  !acc
+
+let pending obs =
+  fold_pending
+    (fun acc ~id ~src ~dst ~sent_at -> { id; src; dst; sent_at } :: acc)
+    obs []
+  |> List.sort (fun (a : pending) b -> Int.compare a.id b.id)
+
+let obs_of_pending ~time ~n ~pattern ~decided pending =
+  let inbox = Array.make n [] in
+  let rec add last = function
+    | [] -> ()
+    | (m : pending) :: rest ->
+        if m.id = last then invalid_arg "Adversary.obs_of_pending: duplicate id";
+        if m.dst < 0 || m.dst >= n then
+          invalid_arg "Adversary.obs_of_pending: destination out of range";
+        let e =
+          { Envelope.id = m.id; src = m.src; dst = m.dst; sent_at = m.sent_at;
+            payload = () }
+        in
+        inbox.(m.dst) <- (e, 0) :: inbox.(m.dst);
+        add m.id rest
+  in
+  (* ascending ids, consed: every inbox comes out newest first *)
+  add min_int (List.sort (fun (a : pending) b -> Int.compare a.id b.id) pending);
+  let rows = Array.make n None in
+  List.iter (fun (p, x) -> rows.(p) <- Some (x, 0)) decided;
+  view ~time ~n ~inbox ~decided:rows ~pattern
 
 (* Prefer scheduling processes that still have work (pending messages
    or no decision yet); halt when every correct process has decided. *)
@@ -165,7 +299,7 @@ let partition ~groups ?release () =
   let released = ref false in
   let tbl = ref [||] in
   let next obs =
-    if Array.length !tbl = 0 then tbl := group_table ~n:obs.n groups;
+    if Array.length !tbl = 0 then tbl := group_table ~n:(n obs) groups;
     if (not !released) && release obs then released := true;
     if all_correct_decided obs && !released then Halt
     else
@@ -181,11 +315,11 @@ let sequential_solo ~groups =
   let n_stages = List.length groups in
   let groups_arr = Array.of_list groups in
   let next obs =
-    if Array.length !tbl = 0 then tbl := group_table ~n:obs.n groups;
+    if Array.length !tbl = 0 then tbl := group_table ~n:(n obs) groups;
     (* advance past stages whose alive members have all decided *)
     let stage_done gi =
       List.for_all
-        (fun p -> has_decided obs p || not (List.mem p (alive obs)))
+        (fun p -> has_decided obs p || not (is_alive obs p))
         groups_arr.(gi)
     in
     while !stage < n_stages && stage_done !stage do
@@ -198,7 +332,7 @@ let sequential_solo ~groups =
         round_robin_next cursor obs ~allow:(fun _ _ -> true)
     else
       let gi = !stage in
-      let members = List.filter (fun p -> List.mem p (alive obs)) groups_arr.(gi) in
+      let members = List.filter (is_alive obs) groups_arr.(gi) in
       match members with
       | [] -> Halt (* unreachable: stage_done would have advanced *)
       | _ :: _ ->
@@ -216,7 +350,7 @@ let eventually_lockstep ~rng ~gst ~p_defer =
   let cursor = ref (-1) in
   let next obs =
     if all_correct_decided obs then Halt
-    else if obs.time + 1 < gst then
+    else if time obs + 1 < gst then
       match alive obs with
       | [] -> Halt
       | candidates ->

@@ -16,16 +16,25 @@
     Lemma 12. *)
 
 type pending = { id : int; src : Pid.t; dst : Pid.t; sent_at : int }
-(** Metadata of an undelivered message (payload hidden). *)
+(** Metadata of an undelivered message (payload hidden), as
+    {!pending} lists it. *)
 
-type obs = {
-  time : int;  (** Time of the last executed step (0 initially). *)
-  n : int;
-  pending : pending list;  (** Undelivered messages, in sending order. *)
-  decided : (Pid.t * Value.t) list;  (** Decisions so far, sorted by pid. *)
-  pattern : Failure_pattern.t;
-  steps_taken : Pid.t -> int;
-}
+type obs
+(** An observation: a read-only view of one configuration.
+
+    {!Engine} builds it in O(1) by wrapping the configuration's own
+    copy-on-write rows (the per-destination inboxes and the decided
+    row) with the time, the system size and the failure pattern; no
+    pending message is copied.  The type is abstract, so an adversary
+    can only {e read} through the accessors below and can never write
+    into rows it shares with the engine; the payload type is hidden,
+    so no accessor can reach a payload.  A view stays valid after
+    [next] returns: a configuration is never mutated once published
+    (every step copies a row before writing it), so a kept view keeps
+    describing the configuration it was taken of.
+
+    Every accessor that returns message ids returns them ascending,
+    which is sending order. *)
 
 type action =
   | Step of { pid : Pid.t; deliver : int list }
@@ -56,28 +65,105 @@ type t = { describe : string; next : obs -> action }
     returns [Halt], the engine's step budget runs out, or no process
     can be scheduled. *)
 
+val view :
+  time:int ->
+  n:int ->
+  inbox:('m Envelope.t * int) list array ->
+  decided:(Value.t * int) option array ->
+  pattern:Failure_pattern.t ->
+  obs
+(** The engine's constructor: one small block that shares [inbox]
+    (one list per destination, newest first, each envelope paired with
+    an int the view ignores) and [decided] (value and decision time
+    per pid).  The caller must never mutate either array afterwards. *)
+
+val obs_of_pending :
+  time:int ->
+  n:int ->
+  pattern:Failure_pattern.t ->
+  decided:(Pid.t * Value.t) list ->
+  pending list ->
+  obs
+(** A view of a synthetic configuration, for tests: the given pending
+    messages (any order) and decisions.
+    @raise Invalid_argument on a repeated id or a destination out of
+    range. *)
+
+(** {1 Reading a view} *)
+
+val time : obs -> int
+(** Time of the last executed step (0 initially). *)
+
+val n : obs -> int
+
+val pattern : obs -> Failure_pattern.t
+
+val decision : obs -> Pid.t -> Value.t option
+
+val has_decided : obs -> Pid.t -> bool
+
+val is_alive : obs -> Pid.t -> bool
+(** [p] is a pid of the system allowed to take the next step (not yet
+    crashed at time [time obs + 1]). *)
+
 val alive : obs -> Pid.t list
-(** Processes allowed to take the next step (not yet crashed at time
-    [obs.time + 1]). *)
+(** The processes {!is_alive} holds of, ascending. *)
 
 val undecided_alive : obs -> Pid.t list
+
+val count_alive : ?undecided:bool -> obs -> int
+(** [List.length (alive obs)], or of [undecided_alive obs] when
+    [undecided] (default false); allocates nothing. *)
+
+val nth_alive : ?undecided:bool -> obs -> int -> Pid.t
+(** [nth_alive obs r] is [List.nth (alive obs) r] (of
+    [undecided_alive] when [undecided]), without the list:
+    [nth_alive obs (Rng.int rng (count_alive obs))] draws exactly what
+    [Rng.pick rng (alive obs)] draws.
+    @raise Invalid_argument if [r] is out of range. *)
 
 val all_correct_decided : obs -> bool
 
 val pending_for : ?allow:(Pid.t -> Pid.t -> bool) -> obs -> Pid.t -> int list
 (** Ids of pending messages addressed to a process, optionally
-    filtered by an [allow src dst] predicate. *)
+    filtered by an [allow src dst] predicate; one walk of its inbox. *)
+
+val pending_for_sent : keep:(Pid.t -> int -> bool) -> obs -> Pid.t -> int list
+(** Like {!pending_for}, filtered by [keep src sent_at]. *)
+
+val pending_for_sampled : obs -> Pid.t -> (unit -> bool) -> int list
+(** [pending_for_sampled obs p keep] is
+    [List.filter (fun _ -> keep ()) (pending_for obs p)]: [keep] is
+    called once per message, oldest first (a random subset draws what
+    the filter drew), but only the kept ids are allocated. *)
+
+val is_pending_for : obs -> Pid.t -> int -> bool
+(** Message [id] is pending and addressed to [p]; allocates nothing. *)
 
 val droppable : ?victims:(Pid.t -> bool) -> obs -> int list
 (** Ids of pending messages the engine would accept in a {!Drop}:
-    those whose sender is already crashed at [obs.time], optionally
+    those whose sender is already crashed at [time obs], optionally
     restricted to senders satisfying [victims]. *)
+
+val has_droppable : ?victims:(Pid.t -> bool) -> obs -> bool
+(** [droppable ?victims obs <> []], without building the list. *)
 
 val forgeable : ?victims:(Pid.t -> bool) -> obs -> int list
 (** Ids of pending messages a Byzantine adversary may {!Forge}.
     Corruption rides the failure pattern (a corrupted process subsumes
     a crashed one), so this is exactly {!droppable}: pending sends of
     already-corrupted processes. *)
+
+val fold_pending :
+  ('a -> id:int -> src:Pid.t -> dst:Pid.t -> sent_at:int -> 'a) ->
+  obs -> 'a -> 'a
+(** Folds over every pending message, inbox by inbox in pid order and
+    each inbox oldest first: on any one channel (sender, destination)
+    the messages come in sending order. *)
+
+val pending : obs -> pending list
+(** Every pending message in sending order.  Materialises the list:
+    for tests and cold callers. *)
 
 (** {1 Fair strategies (possibility side)} *)
 

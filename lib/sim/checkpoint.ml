@@ -45,10 +45,13 @@ let magic = "KSACKPT1"
    orphans; ids stay dense, since no ticket is refunded.  v8: both
    explorer engines write one payload record, led by the engine that
    wrote it; a crash-free configuration whose expansion failed is a
-   pending admitted item instead of an orphan key.  Older files
+   pending admitted item instead of an orphan key.  v9: [fuzz]
+   payloads lead with the engine that wrote them (["fuzz"]), as the
+   explorer's do, so each driver recognises the other's payload and
+   starts fresh instead of reading its fields as its own.  Older files
    unmarshal into the wrong shapes, so they are rejected by the
    version check and the CLI falls back to a fresh campaign. *)
-let version = 8
+let version = 9
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

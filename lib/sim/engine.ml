@@ -50,8 +50,9 @@ module Make (A : Algorithm.S) = struct
            the pending set: a send or a delivery touches one list, and
            the explorer's per-process delivery choices are
            O(|buffer(p)|).  Ids are allocated in send order, so every
-           list is strictly id-descending; {!pending} and {!observe}
-           merge the lists back into ascending id order. *)
+           list is strictly id-descending; {!pending} merges the lists
+           back into ascending id order, and {!observe} hands them to
+           the adversary as they are. *)
     steps : int array; (* per-pid step counts; copy-on-write *)
     next_id : int;
     init_ids : int array; (* interned initial states; never mutated *)
@@ -377,28 +378,11 @@ module Make (A : Algorithm.S) = struct
           f (subset bits (m - 1) box)
         done
 
-  (* One pass each over the inboxes and the decided row, with no
-     intermediate envelope or decision list. *)
+  (* O(1): the view shares the configuration's copy-on-write inboxes
+     and decided row, which are never written once published. *)
   let observe ~pattern c =
-    let decided = ref [] in
-    for p = c.n - 1 downto 0 do
-      match c.decided.(p) with
-      | Some (v, _) -> decided := (p, v) :: !decided
-      | None -> ()
-    done;
-    {
-      Adversary.time = c.time;
-      n = c.n;
-      pending =
-        merge_pending c
-          (fun (e : A.message Envelope.t) acc ->
-            { Adversary.id = e.id; src = e.src; dst = e.dst; sent_at = e.sent_at }
-            :: acc)
-          [];
-      decided = !decided;
-      pattern;
-      steps_taken = (fun p -> c.steps.(p));
-    }
+    Adversary.view ~time:c.time ~n:c.n ~inbox:c.inbox ~decided:c.decided
+      ~pattern
 
   (* Writes the triples of one inbox at [a.(i) ..]; the next free
      slot.  {!Canon.write_key} sorts them. *)

@@ -102,8 +102,8 @@ module Make (A : Algorithm.S) : sig
       to count its subsets in an int. *)
 
   val observe : pattern:Failure_pattern.t -> config -> Adversary.obs
-  (** The adversary's view, built in one pass: [pending] in the same
-      sending order as {!pending}, [decided] sorted by pid. *)
+  (** The adversary's view of [c], in O(1): one small block sharing
+      [c]'s inboxes and decided row (see {!Adversary.obs}). *)
 
   val forge_pool : n:int -> inputs:Value.t array -> A.message list
   (** The Byzantine forge pool of this system:

@@ -1,6 +1,8 @@
 module Metrics = Ksa_prim.Metrics
 module Backoff = Ksa_prim.Backoff
 
+exception Not_explorable of string
+
 type delivery_policy = Engine.delivery_policy =
   | Empty_or_all
   | Per_sender
@@ -778,12 +780,12 @@ module Make (A : Algorithm.S) = struct
      [initially_dead] — among few enough pids for crashed-set
      bitmasks. *)
   let require_explorable ~n ?pattern ?(initially_dead = []) () =
-    if A.uses_fd then
-      invalid_arg "Explorer: algorithms with failure detectors are unsupported";
+    let refuse msg = raise (Not_explorable ("Explorer: " ^ msg)) in
+    if A.uses_fd then refuse "algorithms with failure detectors are unsupported";
     if n > Sys.int_size - 2 then
-      invalid_arg "Explorer: system too large for crash-set bitmasks";
+      refuse "system too large for crash-set bitmasks";
     if not (List.for_all (Pid.valid ~n) initially_dead) then
-      invalid_arg "Explorer: initially_dead pid out of range";
+      refuse "initially_dead pid out of range";
     Option.iter
       (fun pattern ->
         if
@@ -793,7 +795,7 @@ module Make (A : Algorithm.S) = struct
               | Some t when t > 0 -> true
               | Some _ | None -> false)
             (Pid.universe n)
-        then invalid_arg "Explorer: only initial crashes are supported")
+        then refuse "only initial crashes are supported")
       pattern
 
   let dedup_hit ~reduction =
@@ -1253,17 +1255,21 @@ module Make (A : Algorithm.S) = struct
     let resumed =
       Option.bind resume (fun s ->
           let p = (Marshal.from_string s 0 : _ payload) in
-          match
-            List.find_opt
-              (fun (_, want, got) -> want <> got)
-              [
-                ("engine", engine, p.engine);
-                ( "--reduction",
-                  Canon.reduction_to_string reduction,
-                  Canon.reduction_to_string p.reduction );
-                ("--model", model, p.model);
-              ]
-          with
+          let mismatch =
+            (* the engine alone first: only this engine's payload has
+               the fields behind it (a fuzz payload has an int there) *)
+            if p.engine <> engine then Some ("engine", engine, p.engine)
+            else
+              List.find_opt
+                (fun (_, want, got) -> want <> got)
+                [
+                  ( "--reduction",
+                    Canon.reduction_to_string reduction,
+                    Canon.reduction_to_string p.reduction );
+                  ("--model", model, p.model);
+                ]
+          in
+          match mismatch with
           | Some (flag, want, got) ->
               Checkpoint.warn_mismatch ~flag ~want ~got;
               None

@@ -12,8 +12,8 @@
     Soundness of the state-space deduplication requires future
     behaviour to be determined by the semantic configuration alone, so
     exploration is restricted to failure-detector-free algorithms and
-    failure patterns whose crashes are all initial ([explore] raises
-    [Invalid_argument] otherwise); in exploration mode the engine
+    failure patterns whose crashes are all initial (both engines raise
+    {!Not_explorable} otherwise); in exploration mode the engine
     additionally folds each delivered batch in canonical
     (sender, payload) order — see {!Engine.Make.init_explore} — which
     makes the set of reachable configuration keys independent of the
@@ -60,6 +60,13 @@
     post-join rescue worker — to drain, so the item is expanded by
     whoever pops it next (after a resume too); the failure is recorded
     in the ledger ([campaign.worker.failures] / [campaign.requeues]). *)
+
+exception Not_explorable of string
+(** A campaign the explorer cannot run, raised before the search
+    starts: an algorithm with a failure detector, a system too large
+    for crashed-set bitmasks, an initially-dead pid out of range, or a
+    crash after time 0 in the crash-free engine's pattern.  The
+    explorer raises no other exception for its arguments. *)
 
 type delivery_policy = Engine.delivery_policy =
   | Empty_or_all

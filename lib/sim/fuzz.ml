@@ -437,12 +437,21 @@ type cov_state = {
 }
 
 type payload = {
+  engine : string; (* always [fuzz_engine] *)
   pl_trial : int;
   pl_cov : cov_state option;
   pl_model : string; (* Fault_model.to_string of the campaign's model *)
 }
 
-let decode_payload s = (Marshal.from_string s 0 : payload)
+(* Every checkpoint payload, the explorer's included, leads with the
+   name of the engine that wrote it, so field 0 reads as a string
+   whoever wrote the payload; the rest is read only when it names this
+   engine.  [Error] carries the name it does give. *)
+let fuzz_engine = "fuzz"
+
+let decode_payload s =
+  let p = (Marshal.from_string s 0 : payload) in
+  if p.engine = fuzz_engine then Ok p else Error p.engine
 
 (* canonical coverage payload at watermark [wm]; caller holds the
    campaign's watermark mutex *)
@@ -456,6 +465,7 @@ let cov_payload ~model wm (b : Cov.box) =
          b.Cov.pending [])
   in
   {
+    engine = fuzz_engine;
     pl_trial = wm;
     pl_cov =
       Some { cs_base = b.Cov.base; cs_master = b.Cov.master; cs_pending = pend };
@@ -497,10 +507,9 @@ type coverage_summary = {
 }
 
 let coverage_of_payload s =
-  let p = decode_payload s in
-  match p.pl_cov with
-  | None -> None
-  | Some cs ->
+  match decode_payload s with
+  | Error _ | Ok { pl_cov = None; _ } -> None
+  | Ok ({ pl_cov = Some cs; _ } as p) ->
       (* fold the pending partial epoch into the freshly unmarshaled
          master (a private copy) so the summary reflects the exact
          watermark state *)
@@ -582,7 +591,7 @@ module Make (A : Algorithm.S) = struct
      message sent while its sender was faulty is {e omitted} — this
      adversary never delivers it (keyed on [sent_at], so the omission
      is permanent: mobile faults are not message delays). *)
-  let fuzz_adversary (cfg : config) rng =
+  let adversary (cfg : config) rng =
     let w = cfg.weights in
     let forge_alts = forge_alts_of cfg in
     let mobile =
@@ -592,57 +601,62 @@ module Make (A : Algorithm.S) = struct
       | Fault_model.Mobile _ | Fault_model.Crash | Fault_model.Byzantine _ ->
           None
     in
-    let omitted (m : Adversary.pending) =
+    let buffer obs pid =
       match mobile with
-      | None -> false
+      | None -> Adversary.pending_for obs pid
       | Some (t, seed) ->
-          let round = m.sent_at / max 1 cfg.n in
-          List.mem m.src
-            (Fault_model.mobile_faulty ~seed ~n:cfg.n ~t ~round)
+          Adversary.pending_for_sent obs pid ~keep:(fun src sent_at ->
+              let round = sent_at / max 1 cfg.n in
+              not
+                (List.mem src
+                   (Fault_model.mobile_faulty ~seed ~n:cfg.n ~t ~round)))
     in
+    (* each message of the buffer is kept on one [Rng.bool], drawn
+       oldest first *)
+    let draw () = Rng.bool rng in
+    let some_of obs pid =
+      match mobile with
+      | None -> Adversary.pending_for_sampled obs pid draw
+      | Some _ -> List.filter (fun _ -> draw ()) (buffer obs pid)
+    in
+    (* The droppable and forgeable lists are built only in the arm
+       that uses them; a pid is picked by rank, drawing exactly what
+       [Rng.pick] draws on the list. *)
     let next obs =
       if Adversary.all_correct_decided obs then Adversary.Halt
       else
-        match Adversary.alive obs with
-        | [] -> Adversary.Halt
-        | candidates ->
-            let droppable = Adversary.droppable obs in
-            let forgeable =
-              if forge_alts = 0 then [] else Adversary.forgeable obs
-            in
+        match Adversary.count_alive obs with
+        | 0 -> Adversary.Halt
+        | alive ->
+            let can_drop = Adversary.has_droppable obs in
             let w_step = w.deliver_all + w.deliver_some + w.deliver_none in
-            let w_drop = if droppable = [] then 0 else w.drop in
-            let w_forge = if forgeable = [] then 0 else w.drop in
+            let w_drop = if can_drop then w.drop else 0 in
+            (* forgeable = droppable *)
+            let w_forge = if forge_alts > 0 && can_drop then w.drop else 0 in
             let roll = Rng.int rng (w_step + w_drop + w_forge) in
-            if roll < w_drop then Adversary.Drop (nonempty_subset rng droppable)
+            if roll < w_drop then
+              Adversary.Drop (nonempty_subset rng (Adversary.droppable obs))
             else if roll < w_drop + w_forge then
+              let forgeable = Adversary.forgeable obs in
               let id = List.nth forgeable (Rng.int rng (List.length forgeable)) in
               Adversary.Forge { id; alt = Rng.int rng forge_alts }
             else
               let pid =
-                match Adversary.undecided_alive obs with
-                | [] -> Rng.pick rng candidates
+                match Adversary.count_alive ~undecided:true obs with
+                | 0 -> Adversary.nth_alive obs (Rng.int rng alive)
                 | undecided ->
                     if
                       w.undecided_bias > 0
                       && Rng.int rng (w.undecided_bias + 1) <> 0
-                    then Rng.pick rng undecided
-                    else Rng.pick rng candidates
-              in
-              let buffer =
-                if mobile = None then Adversary.pending_for obs pid
-                else
-                  List.filter_map
-                    (fun (m : Adversary.pending) ->
-                      if m.dst = pid && not (omitted m) then Some m.id
-                      else None)
-                    obs.pending
+                    then
+                      Adversary.nth_alive ~undecided:true obs
+                        (Rng.int rng undecided)
+                    else Adversary.nth_alive obs (Rng.int rng alive)
               in
               let roll = roll - w_drop - w_forge in
               let deliver =
-                if roll < w.deliver_all then buffer
-                else if roll < w.deliver_all + w.deliver_some then
-                  List.filter (fun _ -> Rng.bool rng) buffer
+                if roll < w.deliver_all then buffer obs pid
+                else if roll < w.deliver_all + w.deliver_some then some_of obs pid
                 else []
               in
               Adversary.Step { pid; deliver }
@@ -653,7 +667,7 @@ module Make (A : Algorithm.S) = struct
     check_weights cfg.weights;
     let rng = Rng.split_at (Rng.create ~seed) i in
     let pattern = trial_pattern cfg rng in
-    let adv = fuzz_adversary cfg rng in
+    let adv = adversary cfg rng in
     let run =
       Metrics.time t_trial (fun () ->
           E.run ~max_steps:cfg.max_steps ~n:cfg.n ~inputs:cfg.inputs ~pattern adv)
@@ -725,7 +739,8 @@ module Make (A : Algorithm.S) = struct
       shrink_candidates;
     }
 
-  let resume_trial payload = (decode_payload payload).pl_trial
+  let resume_trial payload =
+    match decode_payload payload with Ok p -> p.pl_trial | Error _ -> 0
 
   (* ---------- greybox trial generation ---------- *)
 
@@ -797,7 +812,7 @@ module Make (A : Algorithm.S) = struct
       if view.Cov.total = 0 || roll = 0 then begin
         Metrics.incr m_cov_fresh;
         let pattern = trial_pattern cfg rng in
-        (pattern, fuzz_adversary cfg rng)
+        (pattern, adversary cfg rng)
       end
       else begin
         Metrics.incr m_cov_mutants;
@@ -808,7 +823,7 @@ module Make (A : Algorithm.S) = struct
           sched := mutate_once cfg rng view !sched
         done;
         ( parent.Cov.en_pattern,
-          Replay.lenient ~rest:(fuzz_adversary cfg rng) !sched )
+          Replay.lenient ~rest:(adversary cfg rng) !sched )
       end
     in
     let run =
@@ -821,20 +836,22 @@ module Make (A : Algorithm.S) = struct
 
   (* ---------- the campaign driver ---------- *)
 
-  (* a payload written under a different --model (budget included)
-     describes a different trial stream: warn and start fresh, exactly
-     the explorer's --reduction policy *)
+  (* a payload of another engine, or written under a different
+     --model (budget included), describes a different trial stream:
+     warn and start fresh, exactly the explorer's --reduction policy *)
   let resume_state (cfg : config) = function
     | None -> (0, None)
-    | Some s ->
-        let p = decode_payload s in
-        if p.pl_model <> Fault_model.to_string cfg.model then begin
-          Checkpoint.warn_mismatch ~flag:"--model"
-            ~want:(Fault_model.to_string cfg.model)
-            ~got:p.pl_model;
-          (0, None)
-        end
-        else (p.pl_trial, p.pl_cov)
+    | Some s -> (
+        match decode_payload s with
+        | Error got ->
+            Checkpoint.warn_mismatch ~flag:"engine" ~want:fuzz_engine ~got;
+            (0, None)
+        | Ok p when p.pl_model <> Fault_model.to_string cfg.model ->
+            Checkpoint.warn_mismatch ~flag:"--model"
+              ~want:(Fault_model.to_string cfg.model)
+              ~got:p.pl_model;
+            (0, None)
+        | Ok p -> (p.pl_trial, p.pl_cov))
 
   (* One ticket/watermark loop runs every campaign, blind or coverage,
      on any number of domains; at [domains = 1] its single worker runs
@@ -883,7 +900,13 @@ module Make (A : Algorithm.S) = struct
           let nothing () = () in
           ( (fun _ -> blind),
             (fun _ _ _ -> nothing),
-            fun wm -> { pl_trial = wm; pl_cov = None; pl_model = model } )
+            fun wm ->
+              {
+                engine = fuzz_engine;
+                pl_trial = wm;
+                pl_cov = None;
+                pl_model = model;
+              } )
       | Some b ->
           ( (fun i ->
               let target = Cov.epoch_floor i in

@@ -152,13 +152,22 @@ val coverage_of_payload : string -> coverage_summary option
 (** Decode a ["fuzz"]-kind checkpoint payload's coverage state
     ([None] for blind campaigns), folding the payload's pending
     partial epoch so the summary reflects the exact watermark state.
-    Raises on garbage — gate with {!Checkpoint.kind} first. *)
+    [None] too for a payload another engine wrote (every payload leads
+    with its engine's name).  Raises on garbage — gate with
+    {!Checkpoint.kind} first. *)
 
 module Make (A : Algorithm.S) : sig
   val trial : config -> seed:int -> int -> Failure_pattern.t * Run.t
   (** The [i]-th trial of campaign [seed], as a pure function of
       [(config, seed, i)] — the unit of parity across domain counts:
       every campaign executes exactly this run for trial [i]. *)
+
+  val adversary : config -> Ksa_prim.Rng.t -> Adversary.t
+  (** The weighted adversary a fresh trial runs under, drawing from
+      [rng] (in a trial, after the trial pattern's draws).  It reads
+      its observation through the {!Adversary} accessors: with no
+      crashed sender a decision allocates only its [Step] and the
+      delivery list. *)
 
   val check_run : config -> Run.t -> (property * string) option
   (** First violated property of [config.properties], with reason. *)
@@ -189,8 +198,9 @@ module Make (A : Algorithm.S) : sig
 
   val resume_trial : string -> int
   (** Decode the payload of a ["fuzz"]-kind checkpoint into its trial
-      watermark: every trial below it completed clean.  Raises on
-      garbage — gate with {!Checkpoint.kind} first.  To resume, pass
+      watermark: every trial below it completed clean; 0 for a payload
+      another engine wrote.  Raises on garbage — gate with
+      {!Checkpoint.kind} first.  To resume, pass
       the whole payload as [resume_payload]. *)
 
   val run :
@@ -235,7 +245,9 @@ module Make (A : Algorithm.S) : sig
       count) restarts the campaign at the recorded watermark with the
       recorded corpus; the resumed verdict — violation trial, shrunk
       schedule, corpus evolution, everything — is bit-identical to an
-      uninterrupted run's.
+      uninterrupted run's.  A payload another engine wrote, or one
+      written under another [--model], is reported by
+      {!Checkpoint.warn_mismatch} and the campaign starts fresh.
 
       A trial that raises is supervised: the failure lands in the
       checkpoint ledger with [requeued = 1] ([campaign.worker.failures]

@@ -41,34 +41,34 @@ module Channel_log = struct
 
   let create () : t = { n = 0; chans = [||] }
 
-  (* [obs.pending] is in id order and every message is observed
-     pending before it leaves (a replay adversary notes each
+  (* {!Adversary.fold_pending} walks each inbox oldest first, so each
+     channel's messages come in id order, and every message is
+     observed pending before it leaves (a replay adversary notes each
      observation before it picks a delivery, and [Drop]s come from
-     the same observation), so an id not yet logged on its channel
-     is larger than every id that is: appending exactly the ids
+     the same observation): an id not yet logged on its channel is
+     larger than every id that is, and appending exactly the ids
      beyond the channel's last one logs each message once, in send
-     order. *)
-  let rec note_all (t : t) = function
-    | [] -> ()
-    | (m : Adversary.pending) :: rest ->
-        let ch = t.chans.((m.src * t.n) + m.dst) in
-        if ch.len = 0 || m.id > ch.ids.(ch.len - 1) then begin
-          if ch.len = Array.length ch.ids then begin
-            let ids = Array.make (max 4 (2 * ch.len)) 0 in
-            Array.blit ch.ids 0 ids 0 ch.len;
-            ch.ids <- ids
-          end;
-          ch.ids.(ch.len) <- m.id;
-          ch.len <- ch.len + 1
-        end;
-        note_all t rest
-
-  let note (t : t) (obs : Adversary.obs) =
-    if t.n = 0 then begin
-      t.n <- obs.n;
-      t.chans <- Array.init (obs.n * obs.n) (fun _ -> { ids = [||]; len = 0 })
+     order.  Nothing is allocated unless a channel grows. *)
+  let note_one (t : t) ~id ~src ~dst ~sent_at:_ =
+    let ch = t.chans.((src * t.n) + dst) in
+    if ch.len = 0 || id > ch.ids.(ch.len - 1) then begin
+      if ch.len = Array.length ch.ids then begin
+        let ids = Array.make (max 4 (2 * ch.len)) 0 in
+        Array.blit ch.ids 0 ids 0 ch.len;
+        ch.ids <- ids
+      end;
+      ch.ids.(ch.len) <- id;
+      ch.len <- ch.len + 1
     end;
-    note_all t obs.pending
+    t
+
+  let note (t : t) obs =
+    if t.n = 0 then begin
+      let n = Adversary.n obs in
+      t.n <- n;
+      t.chans <- Array.init (n * n) (fun _ -> { ids = [||]; len = 0 })
+    end;
+    ignore (Adversary.fold_pending note_one obs t)
 
   let nth_id (t : t) ~src ~dst ~seq =
     if src < 0 || src >= t.n || dst < 0 || dst >= t.n then None
@@ -77,15 +77,10 @@ module Channel_log = struct
       if seq >= 1 && seq <= ch.len then Some ch.ids.(seq - 1) else None
 end
 
-(* [id] is among the pending messages of [obs] *)
-let rec is_pending id = function
-  | [] -> false
-  | (m : Adversary.pending) :: rest -> m.id = id || is_pending id rest
-
-let executable log (obs : Adversary.obs) desc =
+let executable log obs desc =
   let resolve { src; seq; forged } =
     match Channel_log.nth_id log ~src ~dst:desc.pid ~seq with
-    | Some id when is_pending id obs.pending -> Some (id, forged)
+    | Some id when Adversary.is_pending_for obs desc.pid id -> Some (id, forged)
     | Some _ | None -> None
   in
   let ids = List.map resolve desc.deliver in
@@ -148,11 +143,11 @@ let interleave streams =
    delivered.  Stepping a process with a subset of its recorded
    receives is always engine-valid, so a mutant keeps as much of its
    parent's structure as the current run admits. *)
-let resolve_subset log (obs : Adversary.obs) desc =
+let resolve_subset log obs desc =
   List.filter_map
     (fun { src; seq; forged } ->
       match Channel_log.nth_id log ~src ~dst:desc.pid ~seq with
-      | Some id when is_pending id obs.pending -> Some (id, forged)
+      | Some id when Adversary.is_pending_for obs desc.pid id -> Some (id, forged)
       | Some _ | None -> None)
     desc.deliver
   |> List.sort_uniq compare
@@ -160,7 +155,6 @@ let resolve_subset log (obs : Adversary.obs) desc =
 let lenient ?rest descs =
   let queue = ref descs in
   let pick log obs =
-    let alive = Adversary.alive obs in
     let rec advance () =
       match !queue with
       | [] -> (
@@ -169,7 +163,7 @@ let lenient ?rest descs =
           | Some (a : Adversary.t) -> [ a.next obs ])
       | desc :: tl ->
           queue := tl;
-          if List.mem desc.pid alive then
+          if Adversary.is_alive obs desc.pid then
             actions_of_step desc.pid (resolve_subset log obs desc)
           else advance ()
     in

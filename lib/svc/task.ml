@@ -410,16 +410,16 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
               let check = k_check ~k:e.e_k in
               let reduction = e.e_reduction in
               let max_configs = e.e_max_configs in
+              let not_explorable msg = Error ("not explorable: " ^ msg) in
               try
-                if explore_crashless e then begin
-                  let pattern =
-                    Sim.Failure_pattern.initial_dead ~n ~dead:e.e_dead
-                  in
-                  Ok
-                    (Explored
-                       (Ex.explore ~reduction ~domains ?max_configs ~policy
-                          ~ckpt ?resume ~n ~inputs ~pattern ~check ()))
-                end
+                if explore_crashless e then
+                  match Sim.Failure_pattern.initial_dead ~n ~dead:e.e_dead with
+                  | exception Invalid_argument msg -> not_explorable msg
+                  | pattern ->
+                      Ok
+                        (Explored
+                           (Ex.explore ~reduction ~domains ?max_configs ~policy
+                              ~ckpt ?resume ~n ~inputs ~pattern ~check ()))
                 else
                   Ok
                     (Crash_explored
@@ -428,7 +428,7 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
                           ~drop_on_crash:e.e_drop ~initially_dead:e.e_dead
                           ~ckpt ?resume ~n ~inputs
                           ~crash_budget:e.e_crash_budget ~check ()))
-              with Invalid_argument msg -> Error ("not explorable: " ^ msg))))
+              with Sim.Explorer.Not_explorable msg -> not_explorable msg)))
   | Fuzz f ->
       let* (module A : Sim.Algorithm.S), cfg = fuzz_setup ~stop f in
       let module F = Sim.Fuzz.Make (A) in

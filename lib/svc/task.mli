@@ -125,9 +125,11 @@ val run :
     checkpoint.  [stop] is a wall-clock (or any other) budget hook, polled by the fuzz driver between trials.
     [attempt] (default 0) is the retry ordinal, consumed by [Probe].
     Errors: unknown algorithm names and unexplorable parameter
-    combinations ([Invalid_argument] from the engine, reported as
-    ["not explorable: ..."]).  Other exceptions propagate — the
-    daemon supervises them as job failures. *)
+    combinations ({!Sim.Explorer.Not_explorable}, or an initially-dead
+    pid the failure pattern refuses, reported as
+    ["not explorable: ..."]).  Other exceptions, an internal
+    [Invalid_argument] included, propagate — the daemon supervises
+    them as job failures. *)
 
 val replay : path:string -> fuzz_spec -> (outcome, string) result
 (** Re-run the schedule saved at [path] (by [ksa fuzz --save-schedule]

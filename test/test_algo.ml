@@ -217,7 +217,7 @@ let test_stacked_safe_under_asynchrony () =
      be: quorum outputs are majorities or Π, which always intersect *)
   let n = 4 in
   let pattern = FP.none ~n in
-  let release (obs : Adv.obs) = obs.Adv.time > 2_000 in
+  let release (obs : Adv.obs) = Adv.time obs > 2_000 in
   let adv = Adv.partition ~groups:[ [ 0; 1 ]; [ 2; 3 ] ] ~release () in
   let run =
     ES.run ~max_steps:3_000 ~n ~inputs:(distinct n) ~pattern adv
@@ -396,7 +396,7 @@ let test_synod_safe_while_partitioned () =
   let pattern = FP.none ~n:4 in
   let rng = Rng.create ~seed:5 in
   let fd = synod_fd ~pattern ~leader:0 ~rng ~tgst:4 ~horizon:60 in
-  let release obs = obs.Adv.time > 120 in
+  let release obs = Adv.time obs > 120 in
   let adv = Adv.partition ~groups:[ [ 0; 1 ]; [ 2; 3 ] ] ~release () in
   let run =
     E.run ~max_steps:4_000 ~fd ~n:4 ~inputs:(distinct 4) ~pattern adv

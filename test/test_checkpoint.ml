@@ -1289,6 +1289,77 @@ let test_faultsim_checkpoint_sweep () =
                 (trace_positions write_trace))))
     sweep_engines
 
+(* ---------- a payload of the other driver starts fresh ---------- *)
+
+let cut_fuzz_payload () =
+  cut_payload ~kind:"fuzz" ~polls:150 (fun ckpt ->
+      match FK2.run ~ckpt fuzz_cfg_cov ~seed:7 ~trials:600 with
+      | Sim.Fuzz.Budget_exhausted _ -> ()
+      | _ -> Alcotest.fail "the fuzz campaign should have been cut")
+
+let test_explore_payload_in_fuzz () =
+  (* a fuzz campaign handed an explorer payload (of either engine)
+     names the engine that wrote it and runs every trial from 0; the
+     decoders read nothing from it *)
+  let trials = 200 in
+  List.iter
+    (fun (engine, payload) ->
+      Alcotest.(check int)
+        (engine ^ ": resume_trial")
+        0 (FK2.resume_trial payload);
+      Alcotest.(check bool)
+        (engine ^ ": coverage_of_payload")
+        true
+        (Sim.Fuzz.coverage_of_payload payload = None);
+      let ran = Atomic.make 0 in
+      let on_trial _ _ = Atomic.incr ran in
+      let outcome, err =
+        with_stderr (fun () ->
+            FK2.run ~on_trial ~resume_payload:payload fuzz_cfg_cov ~seed:7
+              ~trials)
+      in
+      check_fuzz_equal (engine ^ " payload resumed by fuzz")
+        (FK2.run fuzz_cfg_cov ~seed:7 ~trials)
+        outcome;
+      Alcotest.(check int) (engine ^ ": every trial ran") trials (Atomic.get ran);
+      check_contains (engine ^ ": warning") err
+        ~sub:
+          (Printf.sprintf
+             "ksa: checkpoint was written under engine %s, not fuzz — \
+              starting a fresh campaign\n"
+             engine))
+    [
+      ( "explore",
+        cut_payload ~kind:"explore" ~polls:40 (fun ckpt ->
+            ignore (explore_run ~ckpt ~domains:1 ())) );
+      ( "explore-crash",
+        cut_payload ~kind:"explore-crash" ~polls:2000 (fun ckpt ->
+            ignore (indeterminate "cut" (crash_run ~ckpt ~domains:1 ()))) );
+    ]
+
+let test_fuzz_payload_in_explore () =
+  (* and the other way round: both explorer engines reach their fresh
+     baselines *)
+  let payload = cut_fuzz_payload () in
+  let stats, err =
+    with_stderr (fun () -> explore_run ~resume:payload ~domains:1 ())
+  in
+  check_stats "fuzz payload resumed by explore" (explore_run ~domains:1 ())
+    stats;
+  check_contains "explore warning" err
+    ~sub:
+      "ksa: checkpoint was written under engine fuzz, not explore — starting \
+       a fresh campaign\n";
+  let outcome, err =
+    with_stderr (fun () -> crash_run ~resume:payload ~domains:1 ())
+  in
+  check_stuck "fuzz payload resumed by explore_with_crashes"
+    (crash_baseline ()) outcome;
+  check_contains "explore-crash warning" err
+    ~sub:
+      "ksa: checkpoint was written under engine fuzz, not explore-crash — \
+       starting a fresh campaign\n"
+
 let suites =
   [
     ( "checkpoint",
@@ -1369,5 +1440,9 @@ let suites =
           test_faultsim_durable_sweep;
         Alcotest.test_case "faultsim: checkpoint flush crash-point sweep"
           `Quick test_faultsim_checkpoint_sweep;
+        Alcotest.test_case "resume: explore payload in fuzz starts fresh"
+          `Quick test_explore_payload_in_fuzz;
+        Alcotest.test_case "resume: fuzz payload in explore starts fresh"
+          `Quick test_fuzz_payload_in_explore;
       ] );
   ]

@@ -154,6 +154,35 @@ let test_explore_violation () =
     ~code:2
     ~lines:[ "VIOLATION at depth 2: 2 distinct decisions exceed k=1" ]
 
+(* each explorability error the binary can reach: nothing on stdout,
+   the error word for word on stderr, exit 1.  The explorer's three
+   checks (a crash after time 0 needs a pattern the command line cannot
+   build: "sim.explorer rejects late crashes" pins it) and the failure
+   pattern's refusal of a crash-free campaign's dead pid. *)
+let test_not_explorable () =
+  List.iter
+    (fun (args, line) ->
+      let args = [ "explore"; "-k"; "1" ] @ args in
+      let c, out, err = ksa args in
+      let name = String.concat " " args in
+      Alcotest.(check string) (name ^ ": stdout") "" out;
+      Alcotest.(check string) (name ^ ": stderr") (line ^ "\n") err;
+      Alcotest.(check int) (name ^ ": exit") 1 c)
+    [
+      ( [ "--algo"; "synod"; "-n"; "3" ],
+        "not explorable: Explorer: algorithms with failure detectors are \
+         unsupported" );
+      ( [ "--algo"; "synod"; "-n"; "3"; "--crash-budget"; "1" ],
+        "not explorable: Explorer: algorithms with failure detectors are \
+         unsupported" );
+      ( [ "--algo"; "kset-flp"; "-n"; "62" ],
+        "not explorable: Explorer: system too large for crash-set bitmasks" );
+      ( [ "--algo"; "kset-flp"; "-n"; "3"; "--dead"; "7"; "--crash-budget"; "1" ],
+        "not explorable: Explorer: initially_dead pid out of range" );
+      ( [ "--algo"; "kset-flp"; "-n"; "3"; "--dead"; "7" ],
+        "not explorable: Failure_pattern: invalid pid" );
+    ]
+
 let trivial_fuzz = [ "fuzz"; "--algo"; "trivial"; "-n"; "3"; "-k"; "1" ]
 
 let with_schedule f =
@@ -296,5 +325,7 @@ let suites =
         Alcotest.test_case "malformed families exit 1" `Quick test_bad_family;
         Alcotest.test_case "unknown experiment ids exit 1" `Quick
           test_bad_experiment_ids;
+        Alcotest.test_case "explore: not explorable exits 1" `Quick
+          test_not_explorable;
       ] );
   ]

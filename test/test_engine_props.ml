@@ -150,8 +150,8 @@ let chaos_monkey rng =
     else
       match Rng.int rng 10 with
       | 0 -> Adv.Drop [ Rng.int rng 50 ]
-      | 1 -> Adv.Step { pid = Rng.int rng (obs.n + 2); deliver = [] }
-      | 2 -> Adv.Step { pid = Rng.int rng obs.n; deliver = [ Rng.int rng 100 ] }
+      | 1 -> Adv.Step { pid = Rng.int rng (Adv.n obs + 2); deliver = [] }
+      | 2 -> Adv.Step { pid = Rng.int rng (Adv.n obs); deliver = [ Rng.int rng 100 ] }
       | _ -> (
           match Adv.alive obs with
           | [] -> Adv.Halt

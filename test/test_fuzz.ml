@@ -366,6 +366,40 @@ let test_weights_validated () =
     (Invalid_argument "Fuzz: at least one step weight must be positive")
     (fun () -> ignore (FT.run cfg ~seed:1 ~trials:1))
 
+(* The adversary reads its observation in place: with no crashed
+   sender, a decision allocates its [Step] record (3 words) and the
+   delivery list (3 words an id), nothing else, on every arm. *)
+let test_decision_allocation () =
+  let module E = Sim.Engine.Make (K2) in
+  let n = 4 in
+  let pattern = Sim.Failure_pattern.none ~n in
+  let c =
+    List.fold_left
+      (fun c pid ->
+        Option.get
+          (E.apply ~pattern c (Sim.Adversary.Step { pid; deliver = [] })))
+      (E.init ~n ~inputs:(distinct n))
+      [ 0; 1; 2; 3; 0 ]
+  in
+  Alcotest.(check bool) "messages pending" true (List.length (E.pending c) > 4);
+  let obs = E.observe ~pattern c in
+  let adv = FK2.adversary (Fuzz.default_config ~k:2 ~n ()) (Ksa_prim.Rng.create ~seed:5) in
+  ignore (adv.Sim.Adversary.next obs);
+  let used = ref 0. and allowed = ref 0 and delivered = ref 0 in
+  for _ = 1 to 2000 do
+    let w0 = Gc.minor_words () in
+    let a = adv.Sim.Adversary.next obs in
+    used := !used +. (Gc.minor_words () -. w0);
+    match a with
+    | Sim.Adversary.Step { deliver; _ } ->
+        let k = List.length deliver in
+        delivered := !delivered + k;
+        allowed := !allowed + 3 + (3 * k)
+    | _ -> Alcotest.fail "a fuzz decision here is a step"
+  done;
+  Alcotest.(check bool) "some deliveries drawn" true (!delivered > 0);
+  Alcotest.(check (float 0.)) "words per decision" (float !allowed) !used
+
 let suites =
   [
     ( "sim.fuzz",
@@ -400,5 +434,7 @@ let suites =
           test_coverage_clean_seq_par_parity;
         Alcotest.test_case "coverage finds violation sooner" `Slow
           test_coverage_finds_violation_sooner;
+        Alcotest.test_case "a decision allocates its step only" `Quick
+          test_decision_allocation;
       ] );
   ]

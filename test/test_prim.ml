@@ -50,6 +50,281 @@ let test_rng_split_at_pure () =
   Alcotest.(check bool) "distinct indices, distinct streams" false
     (Rng.next64 (Rng.split_at t 7) = Rng.next64 c)
 
+(* The first 32 draws of each stream for three seeds, recorded from
+   the generator before its state was unboxed.  Every trial of every
+   campaign is a pure function of its seed, so these values are part
+   of the contract: checkpoints, corpora and shrunk schedules written
+   earlier stay valid only while they hold. *)
+let stream_seeds = [ 0; 1; (1 lsl 40) + 7 ]
+
+let pinned_int =
+  [|
+    [|
+      3535418189901915864; 3980143261097177850; 243808509735772839;
+      4343119669962883319; 980875101213047373; 3019047300631581045;
+      1603648013000153456; 2504574914372785567; 2266080580496311649;
+      4169247238562142292; 3656771639923220100; 2407617585096814460;
+      220905217336405438; 508830525647836312; 1920512059685349005;
+      170468058552254550; 4509441531201521962; 2443074739468484548;
+      1887981106604058546; 3174270921034842839; 3278814135248605036;
+      1477679070280087687; 3961752516984903606; 3036751520959377830;
+      3368130578399377717; 697848454904686526; 3808945078568851840;
+      2335485132937423496; 1258842776245514636; 3974724351171140666;
+      4086077091462357672; 1999205637303697682
+    |];
+    [|
+      613922171173023329; 2266936587105826356; 4344233626714057392;
+      4098490376910890117; 4097618618563484380; 2424772783004877121;
+      3480427325644545619; 212757181606642363; 2633352815946178260;
+      2711640071595930572; 3727553580931688368; 972331283321964032;
+      4196061574266695392; 277429784452780358; 4021071077779581908;
+      1540625848015299869; 1340475456586941874; 2908595752443172217;
+      1675932570435962104; 3544768432429314693; 608375401004450723;
+      750917643125727822; 4573685279124768742; 1135479065272746838;
+      2646290167137393871; 441810430377843579; 143145778576439451;
+      1971687645240556502; 403506622492436115; 4590913993425861574;
+      902526996614146115; 798699213189006558
+    |];
+    [|
+      2062721012830866728; 1944072858514397990; 1991444296092610307;
+      2745553569739506402; 2693929029671275767; 202215525352229214;
+      3775409760953455194; 4086187936492338809; 3984711736779010974;
+      3372388478965383752; 2935823009531179624; 3243992557354899427;
+      2773982449092407550; 606986330937410064; 2300019744436253266;
+      1119816773287932872; 2416835569130343474; 1018236009902254469;
+      3256126144686527470; 3517772750866379089; 467314195744345536;
+      1321255465334555502; 2854291049657550499; 496088773946149346;
+      1625535729336231015; 531039758103193845; 1315323008960602569;
+      1012262190214688039; 4543535899785582638; 1828602984849235360;
+      189856105299358478; 393379086802297547
+    |];
+  |]
+
+let pinned_bool =
+  [| "10101010101011111000110011000011"; "11011011001000011100001011111000"; "01010100111100010001100111000011" |]
+
+let pinned_float =
+  [|
+    [|
+      0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+      0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+      0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1; 0x1.f72bc4820e4c4p-3;
+      0x1.e77091186d196p-1; 0x1.95fbb374f2c4ep-2; 0x1.85a64dc00ab7bp-1;
+      0x1.0c43407fc177bp-1; 0x1.1c3eeaab30755p-1; 0x1.6a9c1e2c01989p-1;
+      0x1.09767f2f2e3bp-1; 0x1.f4a60971d5484p-2; 0x1.879e2e2056fefp-1;
+      0x1.a3374d041c8a4p-3; 0x1.b0351a56b489p-1; 0x1.b602c05620173p-1;
+      0x1.52071524304bep-1; 0x1.dbebe3b21b945p-1; 0x1.5125ab59ef498p-2;
+      0x1.baf803a9ea80ep-1; 0x1.26bd05e3b6989p-1; 0x1.a6e0baf2488ccp-2;
+      0x1.034a7ad5f7874p-2; 0x1.45e13b5768b8cp-1; 0x1.dca43af41e9a7p-1;
+      0x1.e2d2a5dce5e68p-1; 0x1.bbe9aef5472p-3
+    |];
+    [|
+      0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+      0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2; 0x1.869a17ff202ap-1;
+      0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1; 0x1.245c6378d5f8ep-2;
+      0x1.9686b91ce8c2cp-1; 0x1.9dd771dc05592p-2; 0x1.35f9a89a299f1p-1;
+      0x1.d1db3e292ea96p-2; 0x1.0f6683ad21af4p-1; 0x1.be6db6b9bd314p-2;
+      0x1.561670bd2bca4p-3; 0x1.4a694d4d6ffa1p-1; 0x1.a175a1b4ae575p-1;
+      0x1.5d086f2c615f1p-1; 0x1.c4c6306ee7decp-1; 0x1.0e2c46865e98p-4;
+      0x1.4d7973c5c2a4p-4; 0x1.fbc7f43b45522p-2; 0x1.f8410633ef3p-4;
+      0x1.25cc171746aaep-2; 0x1.88680fb82ef6p-5; 0x1.07f2394f0c94ep-1;
+      0x1.6d735dde1a5bep-1; 0x1.6662c8a88b79p-5; 0x1.fed8cfd03212ep-1;
+      0x1.3219ae16258bap-1; 0x1.2c5632cf920f1p-1
+    |];
+    [|
+      0x1.7281075462123p-1; 0x1.6beaefdbd4ea6p-1; 0x1.6e8c20250a4fbp-1;
+      0x1.30d15366a108p-2; 0x1.2b16116f7d5a6p-2; 0x1.6734f9765824p-6;
+      0x1.d193ccb2ccb14p-1; 0x1.c5a8723ac0e5ep-2; 0x1.dd3228d9cc2bcp-1;
+      0x1.bb3485d0d568p-1; 0x1.45f11bc7b4318p-2; 0x1.b413e82c8c995p-1;
+      0x1.99fca95c6d48cp-1; 0x1.21b1cb687c2bp-1; 0x1.feb4fc58381fp-3;
+      0x1.3e298db06567cp-1; 0x1.0c52992954586p-2; 0x1.c43008327785p-4;
+      0x1.b4c055e8579c4p-1; 0x1.c3468eb73fc1cp-1; 0x1.19f0ef23ef5b3p-1;
+      0x1.49582b61b33dp-1; 0x1.9e71ea5911a91p-1; 0x1.b89d872307a2p-5;
+      0x1.68f102224caa4p-3; 0x1.1d7a8762bd66ap-1; 0x1.4903dd3b27fa8p-1;
+      0x1.38311c652d38bp-1; 0x1.f86f0ea017a2cp-2; 0x1.658202e7cca17p-1;
+      0x1.51408f996758p-6; 0x1.15d640c7ebac8p-1
+    |];
+  |]
+
+let pinned_split =
+  [|
+    [|
+      6235967106033911276L; (-8675236160134566309L); (-7770742335484233187L);
+      1273976351773621849L; (-838572860184133693L); 7774296426002430249L;
+      (-9008784446962880368L); (-8120927537572176641L);
+      (-719732798981248245L); 136402110108020141L; (-6358231432226012994L);
+      (-5521986618557127476L); 5789658409938918846L; (-7025806381570311318L);
+      (-7081509218407002299L); 6263376026295458474L; 7266113453845220302L;
+      (-1999062528086733577L); (-7713861123312252067L);
+      (-6763917040891868047L); 8331011655315868388L; (-2490130877929991357L);
+      2161565619933434897L; 2416182325292917121L; (-7757908171732023308L);
+      (-7385287541527351777L); (-3502376385122510993L);
+      (-2141416384331736177L); 3569697548438403029L; (-1396169357132590478L);
+      2536221787013185105L; 2359219928386799999L
+    |];
+    [|
+      7982734928498899980L; 4968291016108700782L; (-533890896212550845L);
+      1077443342560040426L; (-4187567158031241052L); 3781009645926030059L;
+      2720366857134435820L; (-3965434286479211216L); 1634462012653964458L;
+      (-8044073249167901787L); 5823211471517198197L; 5958086589480964065L;
+      (-5808938860258193379L); 8013216127053309736L; (-1503530108168802373L);
+      6365294745935413400L; 5829401151385018418L; 8337583141413181607L;
+      7497439436641613298L; (-231580101341809150L); (-5172371914035866785L);
+      (-5924006332532671504L); 1031527683116008938L; 5110715385462788286L;
+      (-4057141728816032324L); 875069650394270921L; 6691928165833371116L;
+      8634597362149318089L; 5885974080209900052L; (-2447849325811334685L);
+      5894688914597193402L; (-6282333260036507671L)
+    |];
+    [|
+      (-2485119757443755025L); 5134690693075905417L; (-6715980131197994303L);
+      7937663153571392983L; 1801474189443502667L; (-6256350701813904865L);
+      (-3016982008928722525L); (-5595335786874040512L); 7575609499059413438L;
+      (-5971857017443245965L); (-4915574940749063751L); 4785351652787999888L;
+      513455938792877107L; 4172962561429331432L; 6463194675841404251L;
+      288501776364166361L; 2381771170361734914L; 8186546247678844200L;
+      2479670607907900685L; 649598064464515497L; 1990378774599930623L;
+      7798761123313117011L; (-8844457737505323336L); 7085551546370171404L;
+      (-7320552767803853533L); 5478163951025890250L; 8542638631247277052L;
+      (-3231375975771691282L); (-7898197758108016362L); 6634922879392163076L;
+      (-8348592593654307551L); (-7742470901462749870L)
+    |];
+  |]
+
+let pinned_split_at =
+  [|
+    [|
+      6235967106033911276L; (-8675236160134566309L); (-7770742335484233187L);
+      1273976351773621849L; (-838572860184133693L); 7774296426002430249L;
+      (-9008784446962880368L); (-8120927537572176641L);
+      (-719732798981248245L); 136402110108020141L; (-6358231432226012994L);
+      (-5521986618557127476L); 5789658409938918846L; (-7025806381570311318L);
+      (-7081509218407002299L); 6263376026295458474L; 7266113453845220302L;
+      (-1999062528086733577L); (-7713861123312252067L);
+      (-6763917040891868047L); 8331011655315868388L; (-2490130877929991357L);
+      2161565619933434897L; 2416182325292917121L; (-7757908171732023308L);
+      (-7385287541527351777L); (-3502376385122510993L);
+      (-2141416384331736177L); 3569697548438403029L; (-1396169357132590478L);
+      2536221787013185105L; 2359219928386799999L
+    |];
+    [|
+      7982734928498899980L; 4968291016108700782L; (-533890896212550845L);
+      1077443342560040426L; (-4187567158031241052L); 3781009645926030059L;
+      2720366857134435820L; (-3965434286479211216L); 1634462012653964458L;
+      (-8044073249167901787L); 5823211471517198197L; 5958086589480964065L;
+      (-5808938860258193379L); 8013216127053309736L; (-1503530108168802373L);
+      6365294745935413400L; 5829401151385018418L; 8337583141413181607L;
+      7497439436641613298L; (-231580101341809150L); (-5172371914035866785L);
+      (-5924006332532671504L); 1031527683116008938L; 5110715385462788286L;
+      (-4057141728816032324L); 875069650394270921L; 6691928165833371116L;
+      8634597362149318089L; 5885974080209900052L; (-2447849325811334685L);
+      5894688914597193402L; (-6282333260036507671L)
+    |];
+    [|
+      (-2485119757443755025L); 5134690693075905417L; (-6715980131197994303L);
+      7937663153571392983L; 1801474189443502667L; (-6256350701813904865L);
+      (-3016982008928722525L); (-5595335786874040512L); 7575609499059413438L;
+      (-5971857017443245965L); (-4915574940749063751L); 4785351652787999888L;
+      513455938792877107L; 4172962561429331432L; 6463194675841404251L;
+      288501776364166361L; 2381771170361734914L; 8186546247678844200L;
+      2479670607907900685L; 649598064464515497L; 1990378774599930623L;
+      7798761123313117011L; (-8844457737505323336L); 7085551546370171404L;
+      (-7320552767803853533L); 5478163951025890250L; 8542638631247277052L;
+      (-3231375975771691282L); (-7898197758108016362L); 6634922879392163076L;
+      (-8348592593654307551L); (-7742470901462749870L)
+    |];
+  |]
+
+let pinned_copy =
+  [|
+    [|
+      7960286522194355700L; 487617019471545679L; (-537132696929009172L);
+      1961750202426094747L; 6038094601263162090L; 3207296026000306913L;
+      (-4214222208109204676L); 4532161160992623299L; (-884877559730491226L);
+      7313543279846440201L; (-4408136866661146890L); (-8781561602181964933L);
+      (-8205710985559103185L); (-5382347917484077799L);
+      (-8882435919750266709L); 9018883062403043925L; (-4337222557917806714L);
+      3775962213208117092L; (-2874830194785090132L); (-2665743766357565737L);
+      (-6268013896294600435L); (-1299867002884968598L); 6073503041918755660L;
+      (-2487110880056020375L); (-7827675127045402757L); 7617890157137703680L;
+      4670970265874846992L; (-6705686484363746538L); (-1273923334512494478L);
+      (-1051217853930060465L); 3998411274607395365L; 900130614242687664L
+    |];
+    [|
+      (-4689498862643123097L); (-534904783426661026L); 8196980753821780235L;
+      8195237237126968761L; (-4373826470845021568L); (-2262517385565684571L);
+      (-8797857673641491083L); 5266705631892356520L; (-3800091893662914666L);
+      7455107161863376737L; (-7278709470210847746L); 8392123148533390784L;
+      (-8668512467949215094L); 8042142155559163816L; 3081251696030599739L;
+      (-6542421123680892061L); (-3406180531968431375L);
+      (-5871506895982851602L); (-2133835171996146424L); 1216750802008901446L;
+      1501835286251455644L; 9147370558249537485L; 2270958130545493676L;
+      5292580334274787743L; 883620860755687159L; (-8937080479701896907L);
+      (-5279996746373662805L); 807013244984872231L; (-41544050003052662L);
+      (-7418318043626483580L); (-7625973610476762694L); 7326479631639850093L
+    |];
+    [|
+      (-5335226319825979829L); (-5240483444669555196L); 5491107139479012805L;
+      5387858059342551534L; 404431050704458429L; (-1672552514947865422L);
+      8172375872984677618L; (-1253948563296753861L); (-2478595078924008305L);
+      5871646019062359249L; (-2735386922144976955L); (-3675407138669960710L);
+      (-8009399374979955682L); 4600039488872506532L; (-6983738490278910065L);
+      4833671138260686948L; 2036472019804508938L; (-2711119747481720870L);
+      (-2187826535122017631L); (-8288743645366084737L);
+      (-6580861106185664806L); (-3514789937539674812L); 992177547892298693L;
+      3251071458672462031L; (-8161292520648388119L); (-6592726018933570672L);
+      (-7198847656425399732L); 9087071799571165276L; (-5566166067156305090L);
+      379712210598716957L; (-8436613863250180715L); (-7264342452407164819L)
+    |];
+  |]
+
+let test_rng_pinned_streams () =
+  List.iteri
+    (fun s seed ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let fresh () = Rng.create ~seed in
+      let t = fresh () in
+      Alcotest.(check (array int))
+        (name "int") pinned_int.(s)
+        (Array.init 32 (fun _ -> Rng.int t max_int));
+      let t = fresh () in
+      Alcotest.(check string)
+        (name "bool") pinned_bool.(s)
+        (String.init 32 (fun _ -> if Rng.bool t then '1' else '0'));
+      let t = fresh () in
+      Alcotest.(check (array (float 0.)))
+        (name "float") pinned_float.(s)
+        (Array.init 32 (fun _ -> Rng.float t));
+      let t = fresh () in
+      Alcotest.(check (array int64))
+        (name "split") pinned_split.(s)
+        (Array.init 32 (fun _ -> Rng.next64 (Rng.split t)));
+      let t = fresh () in
+      Alcotest.(check (array int64))
+        (name "split_at") pinned_split_at.(s)
+        (Array.init 32 (fun i -> Rng.next64 (Rng.split_at t i)));
+      let t = fresh () in
+      ignore (Rng.int t 5);
+      let c = Rng.copy t in
+      Alcotest.(check (array int64))
+        (name "copy") pinned_copy.(s)
+        (Array.init 32 (fun _ -> Rng.next64 c)))
+    stream_seeds
+
+(* A draw reads and writes the unboxed state in place.  [Rng.float]
+   returns a float, which a call from another module receives boxed
+   when cross-module inlining is off (dune's dev profile compiles with
+   -opaque): that two-word box is all it allocates. *)
+let test_rng_draws_allocate_nothing () =
+  let t = Rng.create ~seed:3 in
+  let sink = ref 0 in
+  let words f = Test_util.words_per_loop 1000 f /. 1000. in
+  Alcotest.(check (float 0.)) "int words" 0.
+    (words (fun () -> sink := !sink + Rng.int t 1000));
+  Alcotest.(check (float 0.)) "bool words" 0.
+    (words (fun () -> if Rng.bool t then incr sink));
+  let w = words (fun () -> if Rng.float t < 0.5 then incr sink) in
+  Alcotest.(check bool) (Printf.sprintf "float words %g <= 2" w) true (w <= 2.)
+
 let test_rng_int_bounds () =
   let rng = Rng.create ~seed:99 in
   for _ = 1 to 1000 do
@@ -459,6 +734,9 @@ let suites =
         Alcotest.test_case "float range" `Quick test_rng_float_unit_interval;
         Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
         Alcotest.test_case "pick member" `Quick test_rng_pick_member;
+        Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+        Alcotest.test_case "draws allocate nothing" `Quick
+          test_rng_draws_allocate_nothing;
       ] );
     ( "prim.listx",
       [

@@ -298,25 +298,31 @@ let test_explorer_finds_violation () =
 
 let test_explorer_rejects_fd_algorithms () =
   let module Ex = Sim.Explorer.Make (Ksa_algo.Synod.A) in
-  Alcotest.(check bool) "invalid_arg" true
+  Alcotest.(check bool) "not explorable" true
     (match
        Ex.explore ~n:2 ~inputs:(distinct 2) ~pattern:(FP.none ~n:2)
          ~check:(fun _ -> None)
          ()
      with
-    | exception Invalid_argument _ -> true
+    | exception
+        Sim.Explorer.Not_explorable
+          "Explorer: algorithms with failure detectors are unsupported" ->
+        true
     | _ -> false)
 
 let test_explorer_rejects_late_crashes () =
   let module Ex = Sim.Explorer.Make (Ksa_algo.Trivial.A) in
-  Alcotest.(check bool) "invalid_arg" true
+  Alcotest.(check bool) "not explorable" true
     (match
        Ex.explore ~n:2 ~inputs:(distinct 2)
          ~pattern:(FP.of_crash_times ~n:2 [ (0, 3) ])
          ~check:(fun _ -> None)
          ()
      with
-    | exception Invalid_argument _ -> true
+    | exception
+        Sim.Explorer.Not_explorable "Explorer: only initial crashes are supported"
+      ->
+        true
     | _ -> false)
 
 (* ---------- crash-adversarial exploration ---------- *)
@@ -431,7 +437,7 @@ let check_pending_index ~pattern c =
          pend
   then failwith "pending differs from the union of the inboxes";
   if
-    (EK.observe ~pattern c).Adv.pending
+    Adv.pending (EK.observe ~pattern c)
     <> List.map
          (fun (e : K2.message Sim.Envelope.t) ->
            { Adv.id = e.id; src = e.src; dst = e.dst; sent_at = e.sent_at })
@@ -476,7 +482,7 @@ let index_action mode rng ~pool ~pattern ~fair c =
             (Adv.Forge { id = Rng.pick rng ids; alt = Rng.int rng pool })
       | _ -> step ())
   | Omits -> (
-      match obs.pending with
+      match Adv.pending obs with
       | _ :: _ as ms when Rng.int rng 4 = 0 ->
           let ids = List.map (fun (m : Adv.pending) -> m.id) ms in
           Some (EK.omit c (some_of rng ids))
@@ -514,6 +520,43 @@ let prop_pending_index =
             | None -> true)
       in
       go (EK.init ~n ~inputs) 0)
+
+(* An observation is one small block sharing the configuration's
+   rows; the accessors allocate only the id lists they return. *)
+let test_observe_allocation () =
+  let n = 4 in
+  let pattern = FP.none ~n in
+  let c =
+    List.fold_left
+      (fun c pid ->
+        Option.get (EK.apply ~pattern c (Adv.Step { pid; deliver = [] })))
+      (EK.init ~n ~inputs:(distinct n))
+      [ 0; 1; 2; 3 ]
+  in
+  let words f = Test_util.words_per_loop 1000 f /. 1000. in
+  let w = words (fun () -> ignore (Sys.opaque_identity (EK.observe ~pattern c))) in
+  Alcotest.(check bool) (Printf.sprintf "observe: %g words <= 8" w) true
+    (w > 0. && w <= 8.);
+  let obs = EK.observe ~pattern c in
+  for p = 0 to n - 1 do
+    let ids = Adv.pending_for obs p in
+    Alcotest.(check bool) "an inbox to read" true (ids <> []);
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "pending_for p%d" p)
+      (float (3 * List.length ids))
+      (words (fun () -> ignore (Sys.opaque_identity (Adv.pending_for obs p))));
+    Alcotest.(check (float 0.)) "is_pending_for" 0.
+      (words (fun () -> ignore (Adv.is_pending_for obs p (List.hd ids) : bool)))
+  done;
+  List.iter
+    (fun (what, f) -> Alcotest.(check (float 0.)) what 0. (words f))
+    [
+      ("count_alive", fun () -> ignore (Adv.count_alive obs : int));
+      ( "nth_alive ~undecided",
+        fun () -> ignore (Adv.nth_alive ~undecided:true obs 2 : int) );
+      ("has_droppable", fun () -> ignore (Adv.has_droppable obs : bool));
+      ("all_correct_decided", fun () -> ignore (Adv.all_correct_decided obs : bool));
+    ]
 
 (* [Step]'s two refusals of a delivery, word for word *)
 let test_step_delivery_messages () =
@@ -558,34 +601,35 @@ let random_obs rng =
           sent_at = Rng.int rng (time + 1);
         })
   in
-  { Adv.time; n; pending; decided; pattern; steps_taken = (fun _ -> 0) }
+  ( Adv.obs_of_pending ~time ~n ~pattern ~decided pending,
+    (time, n, pattern, pending, decided) )
 
 let prop_adversary_helpers =
   QCheck.Test.make ~name:"adversary helpers match their list definitions"
     ~count:500 QCheck.int (fun seed ->
       let rng = Rng.create ~seed in
-      let obs = random_obs rng in
-      let pids = List.init obs.n Fun.id in
-      let decided p = List.mem_assoc p obs.decided in
+      let obs, (time, n, pattern, pending, decided_l) = random_obs rng in
+      let pids = List.init n Fun.id in
+      let decided p = List.mem_assoc p decided_l in
       let ids_where f =
         List.filter_map
           (fun (m : Adv.pending) -> if f m then Some m.id else None)
-          obs.pending
+          pending
       in
       let allow_bits = Rng.int rng (1 lsl 30) in
       let allow src dst =
-        allow_bits land (1 lsl (((src * obs.n) + dst) mod 30)) <> 0
+        allow_bits land (1 lsl (((src * n) + dst) mod 30)) <> 0
       in
       let victims src = allow_bits land (1 lsl src) <> 0 in
       let crashed_sender (m : Adv.pending) =
-        FP.is_crashed obs.pattern m.src ~time:obs.time
+        FP.is_crashed pattern m.src ~time
       in
       let alive =
         List.filter
           (fun p ->
-            match FP.crash_time obs.pattern p with
+            match FP.crash_time pattern p with
             | None -> true
-            | Some ct -> obs.time + 1 <= ct)
+            | Some ct -> time + 1 <= ct)
           pids
       in
       let check name show got want =
@@ -599,7 +643,7 @@ let prop_adversary_helpers =
         (List.filter (fun p -> not (decided p)) alive);
       check "all_correct_decided" string_of_bool
         (Adv.all_correct_decided obs)
-        (List.for_all decided (FP.correct obs.pattern));
+        (List.for_all decided (FP.correct pattern));
       List.iter
         (fun p ->
           check "pending_for" ints (Adv.pending_for obs p)
@@ -615,6 +659,82 @@ let prop_adversary_helpers =
       check "forgeable ~victims" ints
         (Adv.forgeable ~victims obs)
         (ids_where (fun m -> victims m.src && crashed_sender m));
+      (* the view's own accessors *)
+      check "time" string_of_int (Adv.time obs) time;
+      check "n" string_of_int (Adv.n obs) n;
+      let ms l =
+        String.concat ","
+          (List.map
+             (fun (m : Adv.pending) ->
+               Printf.sprintf "%d:%d>%d@%d" m.id m.src m.dst m.sent_at)
+             l)
+      in
+      check "pending" ms (Adv.pending obs) pending;
+      let per_channel =
+        Adv.fold_pending
+          (fun acc ~id ~src ~dst ~sent_at -> { Adv.id; src; dst; sent_at } :: acc)
+          obs []
+        |> List.rev
+      in
+      let channel (m : Adv.pending) = (m.src, m.dst) in
+      check "fold_pending: every message once" ms
+        (List.sort (fun (a : Adv.pending) b -> compare a.id b.id) per_channel)
+        pending;
+      List.iter
+        (fun (m : Adv.pending) ->
+          check "fold_pending: sending order per channel" ints
+            (List.filter_map
+               (fun (x : Adv.pending) ->
+                 if channel x = channel m then Some x.id else None)
+               per_channel)
+            (ids_where (fun x -> channel x = channel m)))
+        pending;
+      let opt = function None -> "-" | Some v -> string_of_int v in
+      List.iter
+        (fun p ->
+          check "decision" opt (Adv.decision obs p) (List.assoc_opt p decided_l);
+          check "has_decided" string_of_bool (Adv.has_decided obs p) (decided p))
+        pids;
+      List.iter
+        (fun p ->
+          check "is_alive" string_of_bool (Adv.is_alive obs p) (List.mem p alive))
+        (-1 :: n :: pids);
+      List.iter
+        (fun (undecided, want) ->
+          check "count_alive" string_of_int
+            (Adv.count_alive ~undecided obs)
+            (List.length want);
+          List.iteri
+            (fun r p ->
+              check "nth_alive" string_of_int (Adv.nth_alive ~undecided obs r) p)
+            want)
+        [ (false, alive); (true, List.filter (fun p -> not (decided p)) alive) ];
+      let bits = Rng.int rng (1 lsl 30) in
+      List.iter
+        (fun p ->
+          let mine = ids_where (fun m -> m.dst = p) in
+          let rank = ref (-1) in
+          check "pending_for_sampled" ints
+            (Adv.pending_for_sampled obs p (fun () ->
+                 incr rank;
+                 bits land (1 lsl !rank) <> 0))
+            (List.filteri (fun r _ -> bits land (1 lsl r) <> 0) mine);
+          check "pending_for_sent" ints
+            (Adv.pending_for_sent obs p ~keep:(fun src sent_at ->
+                 allow src sent_at))
+            (ids_where (fun m -> m.dst = p && allow m.src m.sent_at));
+          List.iter
+            (fun id ->
+              check "is_pending_for" string_of_bool
+                (Adv.is_pending_for obs p id)
+                (List.mem id mine))
+            (List.init (time + 40) Fun.id))
+        pids;
+      check "has_droppable" string_of_bool (Adv.has_droppable obs)
+        (ids_where crashed_sender <> []);
+      check "has_droppable ~victims" string_of_bool
+        (Adv.has_droppable ~victims obs)
+        (ids_where (fun m -> victims m.src && crashed_sender m) <> []);
       true)
 
 let suites =
@@ -641,6 +761,8 @@ let suites =
         Alcotest.test_case "delivery refusal messages" `Quick
           test_step_delivery_messages;
         QCheck_alcotest.to_alcotest prop_pending_index;
+        Alcotest.test_case "observe and its accessors allocate" `Quick
+          test_observe_allocation;
       ] );
     ( "sim.run",
       [

@@ -165,16 +165,14 @@ let lockstep ~n ~rounds =
     Sim.Adversary.describe = "lockstep round-synchronous";
     next =
       (fun obs ->
-        if obs.Sim.Adversary.time >= n * rounds then Sim.Adversary.Halt
+        let time = Sim.Adversary.time obs in
+        if time >= n * rounds then Sim.Adversary.Halt
         else
-          let pid = obs.time mod n in
-          let block_start = obs.time / n * n in
+          let pid = time mod n in
+          let block_start = time / n * n in
           let deliver =
-            List.filter_map
-              (fun (m : Sim.Adversary.pending) ->
-                if m.dst = pid && m.sent_at <= block_start then Some m.id
-                else None)
-              obs.pending
+            Sim.Adversary.pending_for_sent obs pid ~keep:(fun _ sent_at ->
+                sent_at <= block_start)
           in
           Sim.Adversary.Step { pid; deliver });
   }
