@@ -261,27 +261,36 @@ let simulate algo_name n f l wait_for seed adversary dead save_schedule
   let module E = Sim.Engine.Make (A) in
   let pattern = Sim.Failure_pattern.initial_dead ~n ~dead in
   let rng = Rng.create ~seed in
-  let* adv =
+  (* a replay must take every step of its schedule: [check] refuses a
+     run that stopped short *)
+  let* adv, check =
     match replay with
     | Some path -> (
         match Sim.Trace_io.load_schedule ~path () with
-        | Ok descs -> Ok (Sim.Replay.sequential [ descs ])
+        | Ok descs -> Ok (Sim.Replay.strict descs)
         | Error e -> Error ("replay: " ^ e))
-    | None -> (
-        match adversary with
-        | "fair" -> Ok (Sim.Adversary.fair ~rng)
-        | "round-robin" -> Ok (Sim.Adversary.round_robin ())
-        | "lossy" -> Ok (Sim.Adversary.fair_lossy ~rng ~p_defer:0.5)
-        | s when String.length s > 10 && String.sub s 0 10 = "partition:" ->
-            groups_of_string (String.sub s 10 (String.length s - 10))
-            |> Result.map (fun groups -> Sim.Adversary.partition ~groups ())
-        | s when String.length s > 5 && String.sub s 0 5 = "solo:" ->
-            groups_of_string (String.sub s 5 (String.length s - 5))
-            |> Result.map (fun groups -> Sim.Adversary.sequential_solo ~groups)
-        | other -> Error ("unknown adversary " ^ other))
+    | None ->
+        Result.map
+          (fun adv -> (adv, Result.ok))
+          (match adversary with
+          | "fair" -> Ok (Sim.Adversary.fair ~rng)
+          | "round-robin" -> Ok (Sim.Adversary.round_robin ())
+          | "lossy" -> Ok (Sim.Adversary.fair_lossy ~rng ~p_defer:0.5)
+          | s when String.length s > 10 && String.sub s 0 10 = "partition:" ->
+              groups_of_string (String.sub s 10 (String.length s - 10))
+              |> Result.map (fun groups -> Sim.Adversary.partition ~groups ())
+          | s when String.length s > 5 && String.sub s 0 5 = "solo:" ->
+              groups_of_string (String.sub s 5 (String.length s - 5))
+              |> Result.map (fun groups ->
+                     Sim.Adversary.sequential_solo ~groups)
+          | other -> Error ("unknown adversary " ^ other))
   in
   let fd = if A.uses_fd then Some (synod_oracle ~pattern ~seed) else None in
-  let run = E.run ?fd ~n ~inputs:(Sim.Value.distinct_inputs n) ~pattern adv in
+  let* run =
+    match E.run ?fd ~n ~inputs:(Sim.Value.distinct_inputs n) ~pattern adv with
+    | run -> Result.map_error (fun e -> "replay: " ^ e) (check run)
+    | exception E.Invalid_action e when replay <> None -> Error ("replay: " ^ e)
+  in
   Format.printf "%a@." Sim.Run.pp_summary run;
   if verbose then Sim.Trace_io.pp_events Format.std_formatter run;
   if check_model then begin
@@ -333,7 +342,8 @@ let replay_arg =
     & opt (some string) None
     & info [ "replay" ] ~docv:"FILE"
         ~doc:"Replay a schedule saved with --save-schedule instead of using \
-              an adversary.")
+              an adversary.  A schedule the replay cannot take to its end \
+              exits 1, naming the first step it could not take.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Dump the full event log.")
@@ -753,12 +763,19 @@ let fuzz algo_name n k l wait_for seed trials max_steps max_crashes dead
     match Svc.Task.counterexample outcome with
     | None -> code
     | Some v -> (
-        Format.printf
-          "schedule: %d steps, shrunk to %d (1-minimal, %d candidate \
-           replays)@."
-          (List.length v.Sim.Fuzz.schedule)
-          (List.length v.Sim.Fuzz.shrunk)
-          v.Sim.Fuzz.shrink_candidates;
+        if v.Sim.Fuzz.replays then
+          Format.printf
+            "schedule: %d steps, shrunk to %d (1-minimal, %d candidate \
+             replays)@."
+            (List.length v.Sim.Fuzz.schedule)
+            (List.length v.Sim.Fuzz.shrunk)
+            v.Sim.Fuzz.shrink_candidates
+        else
+          Format.printf
+            "schedule: %d steps, not shrunk (its replay does not violate, \
+             %d candidate replays)@."
+            (List.length v.Sim.Fuzz.schedule)
+            v.Sim.Fuzz.shrink_candidates;
         match save_schedule with
         | None -> code
         | Some path -> (
@@ -843,7 +860,8 @@ let fuzz_cmd =
           a 1-minimal replayable counterexample.  Exits 2 on a violation, 0 \
           when all trials are clean, and 4 when --max-seconds cut the \
           campaign short.  With --replay FILE, re-runs a saved schedule and \
-          reports its verdict instead of fuzzing.")
+          reports its verdict instead of fuzzing (exit 1 when the replay \
+          cannot take every step of the schedule).")
     Term.(
       const fuzz $ algo_arg $ n_arg $ k_arg $ l_arg $ wait_arg $ seed_arg
       $ trials_arg $ max_steps_arg $ max_crashes_arg $ dead_arg $ model_arg

@@ -36,7 +36,11 @@ module type S = sig
     fd:Fd_view.t option ->
     state * (Pid.t * message) list * Value.t option
   (** One atomic step.  [received] are the messages delivered in this
-      step (sender, payload), in sending order.  [fd] is the failure
+      step (sender, payload) — in the paper a step receives a set —
+      listed in canonical order: by sender, then by payload under
+      [compare], the order every engine run folds a batch in,
+      recorded or explored, whatever order the messages were sent
+      in.  [fd] is the failure
       detector's answer for this step, present iff the model provides
       one.  Returns the new state, messages to send (recipient,
       payload) — a broadcast is simply [n] sends — and [Some v] to

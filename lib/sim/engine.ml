@@ -60,18 +60,17 @@ module Make (A : Algorithm.S) = struct
         (* per-pid interned state ids (copy-on-write), maintained
            incrementally — only the stepping pid's state is
            re-interned *)
-    explore : bool;
-        (* exploration mode: no event log, canonical delivery fold *)
+    record : bool;
+        (* keep the event and forge logs; the only thing it changes *)
     reduce : bool;
         (* reduction mode: [A.canon] is applied to every produced
            state and [A.canon_message] to every sent payload before
            interning, so representation-equal states/messages share
-           one id.  Set by [init_explore ~reduction] — never in
-           recorded runs, whose traces must reflect the raw states. *)
-    events : Event.t list; (* reversed; empty in exploration mode *)
+           one id *)
+    events : Event.t list; (* reversed; empty unless [record] *)
     forges : (int * int) list;
         (* (message id, forge-pool index) of every Forge applied, in
-           reverse order; empty in exploration mode.  Replay projection
+           reverse order; empty unless [record].  Replay projection
            needs it to re-emit the forgeries a recorded run saw. *)
   }
 
@@ -235,17 +234,14 @@ module Make (A : Algorithm.S) = struct
            reads of a first decision *)
   }
 
-  (* The memo is keyed by the int sequence [mode; state id; contents],
-     the contents being the {!Canon.triple_content} of each delivered
-     message.  Bit 0 of [mode] is the reduction flag: reduced and
-     unreduced explorations intern different (canonicalized vs raw)
-     states under the same ids, so their entries must not be
-     conflated.  Bit 1 marks an exploration-mode batch of two messages
-     or more, whose contents are sorted as ints: the canonical fold
-     order is a function of the batch's multiset, so the multiset
-     names the received sequence.  A recorded run's contents stay in
-     id order, its fold order.  A batch of at most one message folds
-     the same way in both modes and shares their entry.
+  (* The memo is keyed by the int sequence [reduce; state id;
+     contents], the contents being the {!Canon.triple_content} of each
+     delivered message, sorted as ints.  [reduce] is 1 or 0: reduced
+     and unreduced runs intern different (canonicalized vs raw) states
+     under the same ids, so their entries must not be conflated.  The
+     fold order is a function of the batch's multiset (see
+     [canonical_fold]), so the sorted multiset names the received
+     sequence.
 
      The domain's scratch holds the key being probed and the successor
      rows {!write_step_key} hands to {!Canon.write_key}; each grows on
@@ -266,8 +262,9 @@ module Make (A : Algorithm.S) = struct
           rows = [||];
         })
 
-  let make_init ~explore ~reduce ~n ~inputs =
+  let init ?(reduction = Canon.No_reduction) ?(record = true) ~n ~inputs () =
     if Array.length inputs <> n then invalid_arg "Engine.init: inputs length";
+    let reduce = reduction <> Canon.No_reduction in
     let states = Array.init n (fun p -> A.init ~n ~me:p ~input:inputs.(p)) in
     let states = if reduce then Array.map A.canon states else states in
     let init_ids = Array.map intern_state states in
@@ -282,20 +279,14 @@ module Make (A : Algorithm.S) = struct
       next_id = 0;
       init_ids;
       state_ids = init_ids;
-      explore;
+      record;
       reduce;
       events = [];
       forges = [];
     }
 
-  let init ~n ~inputs = make_init ~explore:false ~reduce:false ~n ~inputs
-
-  let init_explore ?(reduction = Canon.No_reduction) ~n ~inputs () =
-    make_init ~explore:true
-      ~reduce:(reduction <> Canon.No_reduction)
-      ~n ~inputs
-  (* Exploration mode: skip the event log — configurations stay small
-     and forkable by the million. *)
+  let init_explore ?reduction ~n ~inputs () =
+    init ?reduction ~record:false ~n ~inputs ()
 
   let time c = c.time
   let n c = c.n
@@ -446,18 +437,16 @@ module Make (A : Algorithm.S) = struct
             else if e.id > id then fill_batch a pos ids rest
             else false)
 
-  (* Exploration mode folds a delivered batch in canonical
-     (sender, payload) order rather than message-id order.  Ids
-     encode one particular send interleaving; two configurations
-     that agree on the content key can carry the same pending
-     multiset under different id orders, and an id-order fold would
-     give them diverging successors — the visited set would then
-     depend on which representative the search expands first, and
-     sequential and parallel drivers would disagree.  With a
-     canonical fold the successor keys are a function of the
-     configuration key alone, so every search order computes the
-     same closure.  Recorded (non-exploration) runs keep the
-     id-order fold. *)
+  (* Every step folds its delivered batch in canonical (sender,
+     payload) order, not message-id order.  Ids encode one particular
+     send interleaving; two configurations that agree on the content
+     key can carry the same pending multiset under different id
+     orders, and an id-order fold would give them diverging successors
+     — the visited set of a keyed search would then depend on which
+     representative it expands first.  With a canonical fold the
+     successor keys are a function of the configuration key alone, and
+     a recorded run steps exactly as the explorer does on the same
+     path. *)
   let canonical_fold pairs =
     List.sort
       (fun ((a : A.message Envelope.t), _) ((b : A.message Envelope.t), _) ->
@@ -480,11 +469,10 @@ module Make (A : Algorithm.S) = struct
                  (A.name ^ " queries a failure detector but none was supplied"))
         | Some oracle -> Some (oracle ~time ~me:pid)
     in
-    let pairs =
-      if c.explore && not A.uses_fd then canonical_fold pairs else pairs
-    in
     let received =
-      List.map (fun ((e : A.message Envelope.t), _) -> (e.src, e.payload)) pairs
+      List.map
+        (fun ((e : A.message Envelope.t), _) -> (e.src, e.payload))
+        (canonical_fold pairs)
     in
     let state', sends, dec = A.step c.states.(pid) ~received ~fd:fd_view in
     (* Reduction: normalize the produced state and payloads {e before}
@@ -534,11 +522,10 @@ module Make (A : Algorithm.S) = struct
         s.mkey <- Array.make (max (last + 1) (2 * Array.length s.mkey)) 0;
       let a = s.mkey in
       a.(0) <- last;
-      a.(1) <-
-        ((if c.reduce then 1 else 0) lor if c.explore && nids >= 2 then 2 else 0);
+      a.(1) <- Bool.to_int c.reduce;
       a.(2) <- c.state_ids.(pid);
       if not (fill_batch a last ids c.inbox.(pid)) then refuse c pid ids;
-      if c.explore && nids >= 2 then Canon.sort_slots a 3 (last + 1);
+      if nids >= 2 then Canon.sort_slots a 3 (last + 1);
       match Memo.find s.memo a with
       | o ->
           Metrics.incr m_memo_hits;
@@ -622,14 +609,14 @@ module Make (A : Algorithm.S) = struct
     | [] -> ()
     | _ -> inbox.(pid) <- remove_desc ids inbox.(pid));
     (* [refs] collects the (id, dst) of every send for the event log
-       only; exploration mode keeps no log *)
+       only *)
     let rec send id refs = function
       | [] -> (id, refs)
       | (dst, payload, plid) :: rest ->
           if not (Pid.valid ~n:c.n dst) then invalid_send dst;
           let e = { Envelope.id; src = pid; dst; sent_at = time; payload } in
           inbox.(dst) <- (e, pack_triple pid dst plid) :: inbox.(dst);
-          send (id + 1) (if c.explore then refs else (id, dst) :: refs) rest
+          send (id + 1) (if c.record then (id, dst) :: refs else refs) rest
     in
     let next_id, sent_refs = send c.next_id [] o.m_sends in
     check_decision c pid o;
@@ -642,7 +629,7 @@ module Make (A : Algorithm.S) = struct
       | Some _, Some _ | None, _ -> c.decided
     in
     let events =
-      if c.explore then []
+      if not c.record then []
       else
         {
           Event.time;
@@ -699,7 +686,7 @@ module Make (A : Algorithm.S) = struct
     let s = Domain.DLS.get scratch_dls in
     let sid = c.state_ids.(pid) in
     s.mkey.(0) <- 2;
-    s.mkey.(1) <- (if c.reduce then 1 else 0);
+    s.mkey.(1) <- Bool.to_int c.reduce;
     s.mkey.(2) <- sid;
     match Memo.find s.memo s.mkey with
     | exception Not_found -> false
@@ -763,7 +750,7 @@ module Make (A : Algorithm.S) = struct
         let triple = pack_triple e.src e.dst plid in
         let inbox = Array.copy c.inbox in
         inbox.(e.dst) <- replace_id id (e', triple) inbox.(e.dst);
-        let forges = if c.explore then c.forges else (id, alt) :: c.forges in
+        let forges = if c.record then (id, alt) :: c.forges else c.forges in
         { c with inbox; forges }
 
   (* Note: [Forge] is deliberately not gated on the failure pattern —
@@ -840,7 +827,7 @@ module Make (A : Algorithm.S) = struct
                 in
                 loop c' (steps_left - consumed))
     in
-    loop (init ~n ~inputs) max_steps
+    loop (init ~n ~inputs ()) max_steps
 
   let run ?max_steps ?fd ~n ~inputs ~pattern adv =
     fst (run_full ?max_steps ?fd ~n ~inputs ~pattern adv)

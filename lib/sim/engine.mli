@@ -32,38 +32,37 @@ module Make (A : Algorithm.S) : sig
   (** The algorithm tried to overwrite a decided output with a
       different value — an algorithm bug, not a model condition. *)
 
-  val init : n:int -> inputs:Value.t array -> config
+  val init :
+    ?reduction:Canon.reduction -> ?record:bool -> n:int ->
+    inputs:Value.t array -> unit -> config
   (** Initial configuration C{_0}: every process in its initial state,
-      all buffers empty.  @raise Invalid_argument if the input vector
-      length differs from [n]. *)
+      all buffers empty.  Every configuration steps the same way: a
+      batch delivered in one step is folded into [A.step] in canonical
+      (sender, payload) order, never in message-id order.  Ids encode
+      one send interleaving, so under an id-order fold two
+      configurations equal under {!key} could step to configurations
+      that are not; with the canonical fold successor keys are a
+      function of the configuration key alone, which makes
+      {!Explorer}'s deduplication sound, and a recorded run of an
+      explorer path reaches the explorer's keys.
+
+      [record] (default [true]) keeps the event and forge logs that
+      {!events} and {!finish} read; the {!Explorer} forks its
+      configurations by the million with [~record:false], and {!events}
+      then returns [[]].  Nothing else depends on it.
+
+      When [reduction] is a symmetry mode, the configuration applies
+      [A.canon] to every produced local state and [A.canon_message] to
+      every sent payload before interning (and stores the canonical
+      payload), so representation-equal states and messages share one
+      interned id; pass the same [reduction] to {!key}.
+      @raise Invalid_argument if the input vector length differs from
+      [n]. *)
 
   val init_explore :
     ?reduction:Canon.reduction -> n:int -> inputs:Value.t array -> unit ->
     config
-  (** Like {!init} but in exploration mode: the configuration does not
-      accumulate an event log ({!finish} then produces a run whose
-      {!Trace.t} has empty step rows), so forked configurations stay
-      small.  {!events} returns [[]] and
-      {!finish} produces a run with an empty event list; everything
-      else behaves identically except for one semantic choice: a batch
-      of deliveries in a single step is folded into [A.step] in
-      canonical (sender, payload) order rather than message-id order.
-      Message ids encode one particular send interleaving, so under
-      an id-order fold two configurations equal under {!key} could
-      step to configurations that are not — the visited set of a
-      keyed search would then depend on traversal order.  With the
-      canonical fold, successor keys are a function of the
-      configuration key alone, which is what makes {!Explorer}'s
-      deduplication sound and its sequential and parallel drivers
-      agree exactly.  This is what the {!Explorer} forks by the
-      million.
-
-      When [reduction] is a symmetry mode, the configuration
-      additionally applies [A.canon] to every produced local state and
-      [A.canon_message] to every sent payload before interning (and
-      stores the canonical payload), so representation-equal states
-      and messages share one interned id; pass the same [reduction] to
-      {!key}. *)
+  (** [init ?reduction ~record:false ~n ~inputs ()]. *)
 
   val time : config -> int
   val n : config -> int
@@ -77,7 +76,7 @@ module Make (A : Algorithm.S) : sig
 
   val events : config -> Event.t list
   (** Chronological event log of the prefix executed so far
-      (empty in exploration mode). *)
+      (empty unless the configuration records). *)
 
   val steps_taken : config -> Pid.t -> int
   (** Number of steps the process has executed, maintained
@@ -134,14 +133,11 @@ module Make (A : Algorithm.S) : sig
       the batch in any order and with repeats, and is cheapest on
       distinct ids newest first, as {!iter_batches} writes them.
 
-      The memo is keyed by the int sequence [[mode; state id;
-      contents]]: [mode] packs the reduction flag (bit 0) and, for a
-      batch of two messages or more in exploration mode, the
-      exploration flag (bit 1); [contents] are the delivered
-      messages' (sender, payload id) pairs, sorted as ints in
-      exploration mode (the canonical fold order is a function of
-      their multiset) and in id order in recorded runs (the fold
-      order).  {!idle_step} probes [[mode; state id]]. *)
+      The memo is keyed by the int sequence [[reduce; state id;
+      contents]]: [reduce] is the reduction flag (1 or 0), [contents]
+      the delivered messages' (sender, payload id) pairs sorted as
+      ints, since the canonical fold order is a function of their
+      multiset.  {!idle_step} probes [[reduce; state id]]. *)
 
   type outcome
   (** The result of one validated step: the stepping process's new
@@ -184,7 +180,7 @@ module Make (A : Algorithm.S) : sig
       [apply ~pattern c (Step {pid; deliver = []})] then returns a
       configuration whose {!key} equals [c]'s under every [crashed]
       mask and every reduction — keys exclude time and step counts.
-      Costs one memo probe, of the key [[mode; state id]] written
+      Costs one memo probe, of the key [[reduce; state id]] written
       into the domain's scratch, and never steps, interns, allocates
       or counts a step.
       [false] on a memo miss, for an invalid or crashed [pid], for
@@ -245,7 +241,7 @@ module Make (A : Algorithm.S) : sig
       undeliverable inbound messages are elided, and fully-unobservable
       ("movable") crashed processes are identified up to relabelling.
       Only meaningful on configurations built with the same
-      [reduction] via {!init_explore}.  Sound for state-space
+      [reduction] via {!init}.  Sound for state-space
       deduplication only when future behaviour is time-independent: no
       failure detector and no crash times later than 0.  The
       {!Explorer} checks these conditions. *)

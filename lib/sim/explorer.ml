@@ -1488,7 +1488,9 @@ module Make (A : Algorithm.S) = struct
           {
             root =
               (fun () ->
-                [ Cand (E.init_explore ~reduction ~n ~inputs (), 0, []) ]);
+                [
+                  Cand (E.init ~record:false ~reduction ~n ~inputs (), 0, []);
+                ]);
             make =
               free_step run ~term_set ~bare_set ~found ~policy ~pattern
                 ~max_depth ~check;
@@ -1611,7 +1613,7 @@ module Make (A : Algorithm.S) = struct
               (fun () ->
                 (* the root draws ticket 0 like any node; a budget below
                    one turns it away, leaving nothing to expand *)
-                let root = E.init_explore ~reduction ~n ~inputs () in
+                let root = E.init ~record:false ~reduction ~n ~inputs () in
                 let r =
                   admit run "" (E.write_key ~crashed:base_mask ~reduction root)
                 in

@@ -13,13 +13,12 @@
     behaviour to be determined by the semantic configuration alone, so
     exploration is restricted to failure-detector-free algorithms and
     failure patterns whose crashes are all initial (both engines raise
-    {!Not_explorable} otherwise); in exploration mode the engine
-    additionally folds each delivered batch in canonical
-    (sender, payload) order — see {!Engine.Make.init_explore} — which
-    makes the set of reachable configuration keys independent of the
-    traversal order.  Each driver therefore reports identical
-    statistics and verdicts at every domain count whenever no budget
-    truncates the search.
+    {!Not_explorable} otherwise); the engine folds each delivered
+    batch in canonical (sender, payload) order — see
+    {!Engine.Make.init} — which makes the set of reachable
+    configuration keys independent of the traversal order.  Each
+    driver therefore reports identical statistics and verdicts at
+    every domain count whenever no budget truncates the search.
 
     Every driver takes a {!Canon.reduction}: [Symmetry] switches
     admission to orbit keys (plus the algorithm's canon hooks, applied

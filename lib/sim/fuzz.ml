@@ -72,6 +72,7 @@ type violation = {
   schedule : Replay.step_desc list;
   shrunk : Replay.step_desc list;
   shrink_candidates : int;
+  replays : bool;
 }
 
 type outcome =
@@ -402,12 +403,17 @@ module Cov = struct
       publish_gauges b.master
     done
 
-  (* fold whatever clean updates remain (the trailing partial epoch),
-     in trial order — campaign-end finalization so the coverage
-     gauges report the whole campaign, never for generation *)
-  let fold_tail b =
+  (* fold the clean updates of the trials below [below] that remain
+     (the trailing partial epoch), in trial order — campaign-end
+     finalization so the coverage gauges report the whole campaign,
+     never for generation.  Trials at or above [below] may or may not
+     have run, depending on the domains' timing, and are left out. *)
+  let fold_tail ~below b =
     let idxs =
-      List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) b.pending [])
+      List.sort compare
+        (Hashtbl.fold
+           (fun i _ acc -> if i < below then i :: acc else acc)
+           b.pending [])
     in
     List.iter
       (fun i ->
@@ -514,7 +520,7 @@ let coverage_of_payload s =
          master (a private copy) so the summary reflects the exact
          watermark state *)
       let b = box_of_state ~start:p.pl_trial (Some cs) in
-      Cov.fold_tail b;
+      Cov.fold_tail ~below:p.pl_trial b;
       let m = b.Cov.master in
       Some
         {
@@ -708,23 +714,38 @@ module Make (A : Algorithm.S) = struct
     E.run ~max_steps:cfg.max_steps ~n:cfg.n ~inputs:cfg.inputs ~pattern
       (Replay.sequential [ sched ])
 
+  let replay_strict ?pattern (cfg : config) sched =
+    let pattern = Option.value pattern ~default:cfg.pattern in
+    let adv, check = Replay.strict sched in
+    match
+      E.run ~max_steps:cfg.max_steps ~n:cfg.n ~inputs:cfg.inputs ~pattern adv
+    with
+    | run -> check run
+    | exception E.Invalid_action why -> Error why
+
+  (* A candidate counts only if it replays to its end and violates:
+     the shrunk schedule is then one that [replay_strict] re-violates *)
   let shrink (cfg : config) ~pattern prop sched =
     let candidates = ref 0 in
     let test s =
       incr candidates;
       Metrics.incr m_shrink_candidates;
-      Option.is_some (check_property cfg (replay_schedule ~pattern cfg s) prop)
+      match replay_strict ~pattern cfg s with
+      | Ok run -> Option.is_some (check_property cfg run prop)
+      | Error _ -> false
     in
-    let shrunk =
+    let shrunk, replays =
       Metrics.time t_shrink (fun () ->
-          if not (test sched) then sched else ddmin ~test sched)
+          if test sched then (ddmin ~test sched, true) else (sched, false))
     in
-    (shrunk, !candidates)
+    (shrunk, !candidates, replays)
 
   let violation_of (cfg : config) i pattern run prop reason =
     Metrics.incr m_violations;
     let schedule = Trace_io.schedule_of_run run in
-    let shrunk, shrink_candidates = shrink cfg ~pattern prop schedule in
+    let shrunk, shrink_candidates, replays =
+      shrink cfg ~pattern prop schedule
+    in
     Metrics.gauge_set g_first i;
     Metrics.gauge_set g_schedule_len (List.length schedule);
     Metrics.gauge_set g_shrunk_len (List.length shrunk);
@@ -737,6 +758,7 @@ module Make (A : Algorithm.S) = struct
       schedule;
       shrunk;
       shrink_candidates;
+      replays;
     }
 
   let resume_trial payload =
@@ -1046,8 +1068,9 @@ module Make (A : Algorithm.S) = struct
           if cut then Budget_exhausted { trials = !watermark }
           else Clean { trials }
     in
-    (* campaign-end coverage gauges report the whole campaign *)
-    Option.iter Cov.fold_tail box;
+    (* campaign-end coverage gauges report the campaign up to its clean
+       watermark: every trial below a violation, and nothing above it *)
+    Option.iter (Cov.fold_tail ~below:!watermark) box;
     outcome
 
   let run_par ?on_trial ?domains ?ckpt ?resume_payload cfg ~seed ~trials =

@@ -122,9 +122,13 @@ type violation = {
   run : Run.t;
   schedule : Replay.step_desc list;  (** Full offending schedule. *)
   shrunk : Replay.step_desc list;
-      (** 1-minimal: replaying it still violates [property], and
-          removing any single step no longer does. *)
+      (** When [replays]: 1-minimal — it replays to its end and still
+          violates [property], and removing any single step loses one
+          or the other.  Otherwise [schedule], unshrunk. *)
   shrink_candidates : int;  (** Candidate schedules replayed by ddmin. *)
+  replays : bool;
+      (** [schedule] replays to its end ({!Make.replay_strict}) and
+          violates [property] again, so [shrunk] is 1-minimal. *)
 }
 
 type outcome =
@@ -184,17 +188,28 @@ module Make (A : Algorithm.S) : sig
       delivered, so replay feeds every process the same receive
       sequence. *)
 
+  val replay_strict :
+    ?pattern:Failure_pattern.t ->
+    config ->
+    Replay.step_desc list ->
+    (Run.t, string) result
+  (** {!replay_schedule} under {!Replay.strict}: [Ok run] only when the
+      replay took every step of the schedule, else the named reason
+      ("step i: ...") it stopped short, an action the engine refused
+      included. *)
+
   val shrink :
     config ->
     pattern:Failure_pattern.t ->
     property ->
     Replay.step_desc list ->
-    Replay.step_desc list * int
+    Replay.step_desc list * int * bool
   (** [shrink config ~pattern prop schedule] delta-debugs (ddmin) the
-      schedule to a 1-minimal one whose replay still violates [prop];
-      also returns the number of candidate replays.  If the input
-      schedule itself does not re-violate under replay (which a
-      campaign never produces), it is returned unshrunk. *)
+      schedule to a 1-minimal one that {!replay_strict} replays to its
+      end and that still violates [prop]; also returns the number of
+      candidate replays and whether the input schedule itself did
+      (the [replays] of {!violation}).  If it did not, the schedule is
+      returned unshrunk. *)
 
   val resume_trial : string -> int
   (** Decode the payload of a ["fuzz"]-kind checkpoint into its trial

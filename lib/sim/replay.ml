@@ -1,32 +1,41 @@
 type delivery = { src : Pid.t; seq : int; forged : int option }
 type step_desc = { pid : Pid.t; deliver : delivery list }
 
+(* A delivery is named by its message's send rank on its channel:
+   the k-th message [src] sent to [dst] has [seq = k], in whatever
+   order the run delivered the channel.  One pass over the sends ranks
+   every message.  A message forged twice carries its last forgery. *)
 let project ~keep run =
-  (* per-channel delivered counters, keyed by (src, dst) *)
-  let counts = Hashtbl.create 64 in
-  let bump src dst =
-    let key = (src, dst) in
-    let c = Option.value ~default:0 (Hashtbl.find_opt counts key) + 1 in
-    Hashtbl.replace counts key c;
-    c
-  in
+  let ranks = Hashtbl.create 64 and sent = Hashtbl.create 16 in
+  let forged = Hashtbl.create 8 in
+  List.iter (fun (id, alt) -> Hashtbl.replace forged id alt) run.Run.forges;
+  List.iter
+    (fun (ev : Event.t) ->
+      List.iter
+        (fun (id, dst) ->
+          let ch = (ev.pid, dst) in
+          let rank = 1 + Option.value ~default:0 (Hashtbl.find_opt sent ch) in
+          Hashtbl.replace sent ch rank;
+          Hashtbl.replace ranks id rank)
+        ev.sent)
+    run.Run.events;
   List.filter_map
     (fun (ev : Event.t) ->
-      let deliveries =
-        List.map
-          (fun (id, src) ->
-            (src, bump src ev.pid, List.assoc_opt id run.Run.forges))
-          ev.delivered
-      in
-      if keep ev.pid then
+      if not (keep ev.pid) then None
+      else
         Some
           {
             pid = ev.pid;
             deliver =
-              List.map (fun (src, seq, forged) -> { src; seq; forged })
-                deliveries;
-          }
-      else None)
+              List.map
+                (fun (id, src) ->
+                  {
+                    src;
+                    seq = Hashtbl.find ranks id;
+                    forged = Hashtbl.find_opt forged id;
+                  })
+                ev.delivered;
+          })
     run.Run.events
 
 (* Tracks, per channel, the ids of all messages ever seen pending, in
@@ -77,15 +86,28 @@ module Channel_log = struct
       if seq >= 1 && seq <= ch.len then Some ch.ids.(seq - 1) else None
 end
 
+(* The pending message a delivery names, paired with its forgery *)
+let resolve log obs pid { src; seq; forged } =
+  match Channel_log.nth_id log ~src ~dst:pid ~seq with
+  | Some id when Adversary.is_pending_for obs pid id -> Some (id, forged)
+  | Some _ | None -> None
+
+(* Every delivery of [desc] resolved, or why the step cannot be taken *)
 let executable log obs desc =
-  let resolve { src; seq; forged } =
-    match Channel_log.nth_id log ~src ~dst:desc.pid ~seq with
-    | Some id when Adversary.is_pending_for obs desc.pid id -> Some (id, forged)
-    | Some _ | None -> None
-  in
-  let ids = List.map resolve desc.deliver in
-  if List.for_all Option.is_some ids then Some (List.map Option.get ids)
-  else None
+  if not (Adversary.is_alive obs desc.pid) then
+    Error (Printf.sprintf "p%d cannot take a step" desc.pid)
+  else
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | d :: rest -> (
+          match resolve log obs desc.pid d with
+          | Some r -> go (r :: acc) rest
+          | None ->
+              Error
+                (Printf.sprintf "p%d has no pending message from p%d #%d"
+                   desc.pid d.src d.seq))
+    in
+    go [] desc.deliver
 
 (* A resolved step is one engine [Step] preceded by one [Forge] per
    delivery that recorded a forged payload: the adversary re-corrupts
@@ -119,37 +141,13 @@ let make_adversary ~describe pick =
   in
   { Adversary.describe; next }
 
-let interleave streams =
-  let queues = Array.of_list (List.map ref streams) in
-  let pick log obs =
-    let rec try_from i =
-      if i >= Array.length queues then []
-      else
-        match !(queues.(i)) with
-        | [] -> try_from (i + 1)
-        | desc :: rest -> (
-            match executable log obs desc with
-            | Some resolved ->
-                queues.(i) := rest;
-                actions_of_step desc.pid resolved
-            | None -> try_from (i + 1))
-    in
-    try_from 0
-  in
-  make_adversary ~describe:"replay-interleave" pick
-
 (* Best-effort resolution for mutated schedules: each delivery is
    resolved independently, and the unresolvable ones are simply not
    delivered.  Stepping a process with a subset of its recorded
    receives is always engine-valid, so a mutant keeps as much of its
    parent's structure as the current run admits. *)
 let resolve_subset log obs desc =
-  List.filter_map
-    (fun { src; seq; forged } ->
-      match Channel_log.nth_id log ~src ~dst:desc.pid ~seq with
-      | Some id when Adversary.is_pending_for obs desc.pid id -> Some (id, forged)
-      | Some _ | None -> None)
-    desc.deliver
+  List.filter_map (resolve log obs desc.pid) desc.deliver
   |> List.sort_uniq compare
 
 let lenient ?rest descs =
@@ -171,8 +169,10 @@ let lenient ?rest descs =
   in
   make_adversary ~describe:"replay-lenient" pick
 
-let sequential streams =
-  let queues = ref streams in
+(* [on_stuck] hears why the replay stopped short, once, before it
+   halts; [i] counts the descriptors taken so far *)
+let replay_in_order ~on_stuck streams =
+  let queues = ref streams and i = ref 0 in
   let pick log obs =
     let rec advance () =
       match !queues with
@@ -182,11 +182,34 @@ let sequential streams =
           advance ()
       | (desc :: rest_stream) :: rest -> (
           match executable log obs desc with
-          | Some resolved ->
+          | Ok resolved ->
               queues := rest_stream :: rest;
+              incr i;
               actions_of_step desc.pid resolved
-          | None -> [])
+          | Error why ->
+              on_stuck (Printf.sprintf "step %d: %s" (!i + 1) why);
+              [])
     in
     advance ()
   in
   make_adversary ~describe:"replay-sequential" pick
+
+let sequential streams = replay_in_order ~on_stuck:ignore streams
+
+let strict sched =
+  let stuck = ref None in
+  let adv =
+    replay_in_order ~on_stuck:(fun why -> stuck := Some why) [ sched ]
+  in
+  let check run =
+    match !stuck with
+    | Some why -> Error why
+    | None ->
+        let steps = Run.step_count run in
+        if steps >= List.length sched then Ok run
+        else
+          Error
+            (Printf.sprintf "step %d: not reached within the step budget"
+               (steps + 1))
+  in
+  (adv, check)

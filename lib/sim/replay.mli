@@ -8,16 +8,16 @@
     each process's recorded step sequence.
 
     Message identity across runs: recorded deliveries are stored as
-    (sender, per-channel sequence number) rather than message ids.
-    All adversaries in this library deliver each channel (src → dst)
-    in send order, so the seq-th delivered message of a channel is the
-    seq-th sent, and the descriptor transfers between runs as long as
-    the sender goes through the same states — which is exactly the
-    induction the lemmas perform. *)
+    (sender, send rank) rather than message ids — [seq] is the rank of
+    the message among those its sender sent on the channel (src → dst),
+    whatever order the run delivered the channel in (the fuzz
+    adversaries reorder channels freely).  The descriptor transfers
+    between runs as long as the sender goes through the same states —
+    which is exactly the induction the lemmas perform. *)
 
 type delivery = { src : Pid.t; seq : int; forged : int option }
-(** The [seq]-th (1-based, in send order) message from [src] to the
-    stepping process.  [forged] is [Some alt] when the recorded run
+(** The [seq]-th message (1-based, in send order) that [src] sent to
+    the stepping process.  [forged] is [Some alt] when the recorded run
     delivered the message with its payload replaced by entry [alt] of
     the algorithm's forge pool (Byzantine model): the replay
     adversaries then emit an [Adversary.Forge] for the resolved
@@ -27,26 +27,31 @@ type delivery = { src : Pid.t; seq : int; forged : int option }
 type step_desc = { pid : Pid.t; deliver : delivery list }
 
 val project : keep:(Pid.t -> bool) -> Run.t -> step_desc list
-(** The step descriptors of the kept processes, in run order. *)
-
-val interleave : step_desc list list -> Adversary.t
-(** An adversary that replays several descriptor streams
-    concurrently: at each point it executes the head of the first
-    stream whose required messages are all available.  Halts when all
-    streams are exhausted, or when no head is executable (splice
-    mismatch — the resulting run will then not be decision-complete,
-    which callers should treat as surgery failure). *)
+(** The step descriptors of the kept processes, in run order, each
+    delivery numbered by its send rank.  [strict] of the whole
+    projection, run from the same inputs under the same failure
+    pattern, reproduces the run's {!Trace.t}. *)
 
 val sequential : step_desc list list -> Adversary.t
 (** Replays the streams one after the other (stream 2 starts when
-    stream 1 is exhausted): the Lemma 12 pasting order. *)
+    stream 1 is exhausted): the Lemma 12 pasting order.  Halts when
+    every stream is exhausted, or at the first descriptor it cannot
+    take: its process cannot step, or one of its deliveries names no
+    pending message. *)
+
+val strict : step_desc list -> Adversary.t * (Run.t -> (Run.t, string) result)
+(** [sequential [s]], and the check of the run it drove: [Ok run] when
+    the run took every step of [s], else [Error "step i: ..."] naming
+    the first step (1-based) it did not take and why — a process that
+    cannot step, a delivery that names no pending message ("p2 has no
+    pending message from p1 #3"), or a step budget that ran out. *)
 
 val lenient : ?rest:Adversary.t -> step_desc list -> Adversary.t
 (** Best-effort replay of a possibly ill-formed descriptor stream —
     the workhorse of greybox schedule mutation ({!Fuzz}), where
     spliced or perturbed schedules routinely reference messages the
     current run never sends.  Unlike {!sequential}, which halts at the
-    first non-executable descriptor, [lenient] degrades per step: a
+    first descriptor it cannot take, [lenient] degrades per step: a
     descriptor for a crashed process is skipped, and each delivery is
     resolved independently with unresolvable ones silently omitted
     (stepping a process with a subset of its recorded receives is

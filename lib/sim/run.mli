@@ -26,7 +26,8 @@ type t = {
       (** The per-process interned state-id sequences of the run —
           the substrate-neutral object Definitions 2 and 3 evaluate
           over (see {!Ksa_core.Indist}).  Step rows are empty for
-          runs produced in exploration mode, which skips the log. *)
+          runs of a configuration that does not record (the
+          explorer's), which keeps no log. *)
   decisions : (Pid.t * Value.t * int) list;
       (** (process, value, decision time), sorted by pid; includes
           decisions of processes that later crashed — k-agreement is

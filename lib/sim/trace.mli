@@ -32,7 +32,7 @@ type t = {
       (** [steps.(p)]: chronological steps of process p.  Rows may
           have different lengths (processes step at different
           rates); a row may be empty (a process that never stepped,
-          or a trace recorded in exploration mode). *)
+          or a trace of a configuration that does not record). *)
 }
 
 val n : t -> int

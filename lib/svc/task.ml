@@ -64,6 +64,16 @@ let algo_conv ~l ~wait_for = function
   | "synod" -> Ok (module Algo.Synod.A : Sim.Algorithm.S)
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)
 
+(* Fuzz trials run with no failure-detector history to query *)
+let fuzzable (module A : Sim.Algorithm.S) =
+  if A.uses_fd then
+    Error
+      (Printf.sprintf
+         "cannot fuzz %s: it queries a failure detector, and fuzz trials \
+          supply none"
+         A.name)
+  else Ok (module A : Sim.Algorithm.S)
+
 let policy_conv = function
   | "per-sender" -> Ok Sim.Explorer.Per_sender
   | "empty-or-all" -> Ok Sim.Explorer.Empty_or_all
@@ -233,11 +243,11 @@ let spec_of_json j =
     let* s = str ~default:"crash" "model" in
     Sim.Fault_model.of_string s
   in
-  let algo () =
+  let algo ?(runs = Result.ok) () =
     let* a = str ~default:"kset-flp" "algo" in
-    (* validate eagerly with harmless parameters; the name is what is
-       being checked *)
-    let* _ = algo_conv ~l:1 ~wait_for:1 a in
+    (* validate eagerly with harmless parameters; the name, and
+       whether the task can run the algorithm, is what is checked *)
+    let* _ = Result.bind (algo_conv ~l:1 ~wait_for:1 a) runs in
     Ok a
   in
   let* task = str "task" in
@@ -274,7 +284,7 @@ let spec_of_json j =
              e_drop;
            })
   | "fuzz" ->
-      let* f_algo = algo () in
+      let* f_algo = algo ~runs:fuzzable () in
       let* f_n = int ~default:6 "n" in
       let* f_k = int ~default:2 "k" in
       let* f_l = int_opt "l" in
@@ -372,7 +382,11 @@ let run_probe ~attempt ~ckpt ~stop p =
    exactly the config of the campaign that recorded it. *)
 let fuzz_setup ~stop f =
   let n = f.f_n in
-  let* algo = algo_conv ~l:(resolve_l ~n f.f_l) ~wait_for:f.f_wait f.f_algo in
+  let* algo =
+    Result.bind
+      (algo_conv ~l:(resolve_l ~n f.f_l) ~wait_for:f.f_wait f.f_algo)
+      fuzzable
+  in
   let* weights = weights_conv f.f_weights in
   Ok
     ( algo,
@@ -445,8 +459,12 @@ let replay ~path f =
      replayed under this one *)
   let* sched = Sim.Trace_io.load_schedule ~expect:f.f_model ~path () in
   let module F = Sim.Fuzz.Make (A) in
-  let violation = F.check_run cfg (F.replay_schedule cfg sched) in
-  Ok (Replayed { violation; steps = List.length sched })
+  (* a schedule that cannot be replayed to its end is refused, never
+     judged on the prefix that did run *)
+  let* run =
+    Result.map_error (fun e -> "replay: " ^ e) (F.replay_strict cfg sched)
+  in
+  Ok (Replayed { violation = F.check_run cfg run; steps = List.length sched })
 
 let counterexample = function
   | Fuzzed (Sim.Fuzz.Violation_found v) -> Some v

@@ -82,7 +82,8 @@ val spec_to_json : spec -> Json.t
 val spec_of_json : Json.t -> (spec, string) result
 (** Wire/disk codec.  [spec_of_json] applies the CLI's defaults for
     absent optional fields and validates algorithm, policy, reduction
-    and model names eagerly — a submitted job fails at submission,
+    and model names eagerly, and refuses a fuzz spec whose algorithm
+    queries a failure detector — a submitted job fails at submission,
     not at execution. *)
 
 val load_resume :
@@ -124,7 +125,9 @@ val run :
     campaign resumes at [domains], whatever domain count wrote the
     checkpoint.  [stop] is a wall-clock (or any other) budget hook, polled by the fuzz driver between trials.
     [attempt] (default 0) is the retry ordinal, consumed by [Probe].
-    Errors: unknown algorithm names and unexplorable parameter
+    Errors: unknown algorithm names, a fuzz campaign of an algorithm
+    that queries a failure detector (fuzz trials supply none),
+    unexplorable parameter
     combinations ({!Sim.Explorer.Not_explorable}, or an initially-dead
     pid the failure pattern refuses, reported as
     ["not explorable: ..."]).  Other exceptions, an internal
@@ -136,8 +139,10 @@ val replay : path:string -> fuzz_spec -> (outcome, string) result
     or [ksa simulate --save-schedule]) under the config [run] builds
     for the same spec, and check the spec's properties on it: a
     [Replayed] outcome.  Errors: unknown algorithm or weights names,
-    an unreadable or malformed schedule, and a schedule recorded under
-    another fault model than the spec's. *)
+    an unreadable or malformed schedule, a schedule recorded under
+    another fault model than the spec's, and a schedule the replay
+    cannot take to its end (["replay: step i: ..."], see
+    {!Ksa_sim.Replay.strict}): a short run is never judged. *)
 
 val counterexample : outcome -> Ksa_sim.Fuzz.violation option
 (** The violating fuzz trial with its full and shrunk schedules, when

@@ -250,7 +250,7 @@ let test_flp_consensus_instance () =
   let module E = Sim.Engine.Make (C5) in
   (* wrong system size rejected *)
   Alcotest.(check bool) "size mismatch" true
-    (match E.init ~n:4 ~inputs:(distinct 4) with
+    (match E.init ~n:4 ~inputs:(distinct 4) () with
     | exception Invalid_argument _ -> true
     | _ -> false);
   for seed = 1 to 10 do
@@ -449,6 +449,126 @@ let test_synod_validity () =
       Alcotest.(check bool) "decided value was proposed" true (v >= 0 && v < 5))
     (Sim.Run.decided_values run)
 
+(* ---------- the order of a delivered batch ---------- *)
+
+(* The engine folds every delivered batch in canonical (sender,
+   payload) order.  For each shipped algorithm without a failure
+   detector the order makes no difference beyond representation:
+   [step] on any permutation of a batch gives the same decision,
+   [canon_message]-equal sends up to order, and a state that is
+   [canon]-equal — or, where [canon] keeps a [Pid.Set]/[Pid.Map] in
+   the tree shape its insertion order built (kset-flp's [need] and
+   [reports], naive-min's [seen]), one that no continuation tells
+   apart: random further batches drawn from the pending messages
+   give both states equal sends and decisions.  Batches are drawn
+   from the inboxes of random recorded prefixes.  The stacked synod
+   is the exception, by design: a Paxos acceptor that receives two
+   prepares in one batch promises both in ascending order but nacks
+   the lower one after the higher, so only the canonical fold pins
+   its recorded runs. *)
+module Order_free (A : Sim.Algorithm.S) = struct
+  module E = Sim.Engine.Make (A)
+
+  let outcome s received =
+    let s', sends, dec = A.step s ~received ~fd:None in
+    ( s',
+      List.sort compare (List.map (fun (d, m) -> (d, A.canon_message m)) sends),
+      dec )
+
+  let holds ~n (seed, len) =
+    let rng = Random.State.make [| seed |] in
+    let some l = List.filter (fun _ -> Random.State.int rng 3 > 0) l in
+    let shuffle l =
+      List.map snd
+        (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+    in
+    let pattern = FP.none ~n in
+    (* [s1] and [s2] agree on [depth] further random batches of [pool] *)
+    let rec alike pool depth s1 s2 =
+      A.canon s1 = A.canon s2 || depth = 0
+      ||
+      let batch = some pool in
+      let s1, m1, d1 = outcome s1 batch and s2, m2, d2 = outcome s2 batch in
+      m1 = m2 && d1 = d2 && alike pool (depth - 1) s1 s2
+    in
+    let order_free c pid =
+      let pool =
+        List.map
+          (fun (e : A.message Sim.Envelope.t) -> (e.src, e.payload))
+          (E.pending c)
+      in
+      let inbox =
+        List.filter_map
+          (fun (e : A.message Sim.Envelope.t) ->
+            if e.dst = pid then Some (e.src, e.payload) else None)
+          (E.pending c)
+      in
+      let s = E.state_of c pid in
+      List.for_all
+        (fun batch ->
+          let s1, m1, d1 = outcome s batch in
+          List.for_all
+            (fun _ ->
+              let s2, m2, d2 = outcome s (shuffle batch) in
+              m1 = m2 && d1 = d2
+              && List.for_all (fun _ -> alike pool 4 s1 s2) [ 1; 2; 3 ])
+            [ 1; 2; 3 ])
+        [ inbox; some inbox ]
+    in
+    let rec go c len =
+      List.for_all (order_free c) (List.init n Fun.id)
+      && (len = 0
+         ||
+         let pid = Random.State.int rng n in
+         let deliver = some (List.map fst (E.inbox c pid)) in
+         match E.apply ~pattern c (Adv.Step { pid; deliver }) with
+         | Some c' -> go c' (len - 1)
+         | None | (exception E.Double_decision _) -> true)
+    in
+    go (E.init ~n ~inputs:(distinct n) ()) len
+end
+
+module K2 = Algo.Kset_flp.Make (struct
+  let l = 2
+end)
+
+module N2 = Algo.Naive_min.Make (struct
+  let wait_for = 2
+end)
+
+module C3 = Algo.Flp_consensus.For (struct
+  let n = 3
+end)
+
+module C4 = Algo.Flp_consensus.For (struct
+  let n = 4
+end)
+
+let order_free_algos :
+    (string * (module Sim.Algorithm.S) * int list) list =
+  [
+    ("kset-flp L=2", (module K2), [ 3; 4 ]);
+    ("naive-min", (module N2), [ 3; 4 ]);
+    ("trivial", (module Algo.Trivial.A), [ 3; 4 ]);
+    ("flp-consensus n=3", (module C3), [ 3 ]);
+    ("flp-consensus n=4", (module C4), [ 4 ]);
+  ]
+
+let prop_batch_order_free =
+  QCheck.Test.make
+    ~name:"step on a permuted batch: canon-equal state, sends and decision"
+    ~count:60
+    QCheck.(pair (int_bound 0x3fffffff) (int_range 0 40))
+    (fun walk ->
+      List.for_all
+        (fun (name, (module A : Sim.Algorithm.S), ns) ->
+          let module O = Order_free (A) in
+          List.for_all
+            (fun n ->
+              O.holds ~n walk || QCheck.Test.fail_reportf "%s, n=%d" name n)
+            ns)
+        order_free_algos)
+
 let suites =
   [
     ( "algo.kset_flp",
@@ -476,6 +596,8 @@ let suites =
         Alcotest.test_case "instance" `Quick test_flp_consensus_instance;
         Alcotest.test_case "exhaustive n=4" `Slow test_flp_consensus_exhaustive_n4;
       ] );
+    ( "algo.batch_order",
+      [ QCheck_alcotest.to_alcotest prop_batch_order_free ] );
     ( "algo.trivial",
       [ Alcotest.test_case "decides own" `Quick test_trivial_decides_own ] );
     ( "algo.naive_min",

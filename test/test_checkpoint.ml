@@ -957,7 +957,7 @@ let fuzz_cfg_cov = { fuzz_cfg_clean with Sim.Fuzz.coverage = true }
 
 (* kset-flp with L=2 at n=4 violates 1-agreement only on rare
    near-partition schedules; under coverage guidance seed 3 reaches
-   one within a few thousand trials *)
+   one within a few hundred trials *)
 let fuzz_cfg_cov_violating =
   { (Sim.Fuzz.default_config ~k:1 ~n:4 ()) with Sim.Fuzz.coverage = true }
 
@@ -969,12 +969,15 @@ let test_fuzz_cov_resume () =
     | Sim.Fuzz.Violation_found v -> v.Sim.Fuzz.trial
     | _ -> Alcotest.fail "expected a violating coverage baseline"
   in
+  (* the campaign is cut half way to its violation, which must leave
+     at least one folded corpus epoch (16 trials) behind the cut *)
+  let cut = vtrial / 2 in
   Alcotest.(check bool) "violation late enough to cut before it" true
-    (vtrial > 500);
+    (cut > 16);
   with_tmp ".ckpt" (fun path ->
       let ckpt =
         Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz")
-          ~interrupt:(poll_interrupt 500) ()
+          ~interrupt:(poll_interrupt cut) ()
       in
       (match FK2.run ~ckpt fuzz_cfg_cov_violating ~seed:3 ~trials with
       | Sim.Fuzz.Budget_exhausted { trials = t } ->

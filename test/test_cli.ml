@@ -218,8 +218,41 @@ let test_fuzz_coverage_clean () =
     ~lines:
       [
         "CLEAN: 200 trials, no violation";
-        "coverage: 362 state ids, 571 transition pairs, corpus 128";
+        "coverage: 286 state ids, 482 transition pairs, corpus 127";
       ]
+
+(* A schedule the replay cannot take to its end is refused with the
+   first step it could not take, by both replaying commands; it is
+   never judged on the prefix that ran. *)
+let test_replay_unfinished () =
+  with_schedule (fun path ->
+      let write text =
+        Out_channel.with_open_bin path (fun oc -> output_string oc text)
+      in
+      let replays =
+        [
+          trivial_fuzz @ [ "--replay"; path ];
+          [ "simulate"; "--algo"; "trivial"; "-n"; "3"; "--replay"; path ];
+        ]
+      in
+      List.iter
+        (fun (text, names) ->
+          write text;
+          List.iter (fun args -> expect_error args ~names) replays)
+        [
+          ( "# ksa schedule v1\n0:\n1: 0.3\n",
+            "step 2: p1 has no pending message from p0 #3" );
+          ("# ksa schedule v1\n7:\n", "step 1: p7 cannot take a step");
+        ])
+
+(* Fuzz trials supply no failure-detector history: an algorithm that
+   queries one is refused by name, never run into an uncaught
+   exception. *)
+let test_fuzz_refuses_fd () =
+  expect_error
+    [ "fuzz"; "--algo"; "synod"; "-n"; "3"; "-k"; "1"; "--max-crashes"; "1";
+      "--trials"; "300"; "--seed"; "4" ]
+    ~names:"cannot fuzz synod: it queries a failure detector"
 
 let test_fuzz_budget () =
   let c, out, _ =
@@ -315,6 +348,10 @@ let suites =
         Alcotest.test_case "fuzz: coverage clean" `Quick
           test_fuzz_coverage_clean;
         Alcotest.test_case "fuzz: wall-clock budget" `Quick test_fuzz_budget;
+        Alcotest.test_case "replay: an unfinished replay exits 1" `Quick
+          test_replay_unfinished;
+        Alcotest.test_case "fuzz: failure-detector algorithms exit 1" `Quick
+          test_fuzz_refuses_fd;
         Alcotest.test_case "bad --checkpoint-every exits 1" `Quick
           test_bad_checkpoint_every;
         Alcotest.test_case "--domains below 1 exits 1" `Quick test_bad_domains;

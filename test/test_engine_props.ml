@@ -172,7 +172,7 @@ let prop_chaos_monkey_cannot_corrupt =
       let module E = Test_util.Echo_engine in
       let pattern = FP.of_crash_times ~n ((0, 3) :: []) in
       let adv = chaos_monkey rng in
-      let config = ref (E.init ~n ~inputs:(distinct n)) in
+      let config = ref (E.init ~n ~inputs:(distinct n) ()) in
       let rejected = ref 0 in
       (try
          for _ = 1 to 200 do

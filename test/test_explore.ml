@@ -385,7 +385,7 @@ let step c pid deliver =
 let test_key_ignores_send_interleaving () =
   (* the same pending multiset assembled under two different send
      interleavings (hence different message ids) must collide *)
-  let init () = E2.init_explore ~n:3 ~inputs:(distinct 3) () in
+  let init () = E2.init ~record:false ~n:3 ~inputs:(distinct 3) () in
   let c01 = step (step (init ()) 0 []) 1 [] in
   let c10 = step (step (init ()) 1 []) 0 [] in
   Alcotest.(check bool) "keys collide" true
@@ -396,7 +396,7 @@ let test_key_ignores_send_interleaving () =
        (E2.key ~reduction:Sim.Canon.Symmetry c10))
 
 let test_key_separates_distinct_configs () =
-  let init = E2.init_explore ~n:3 ~inputs:(distinct 3) () in
+  let init = E2.init ~record:false ~n:3 ~inputs:(distinct 3) () in
   let c0 = step init 0 [] in
   let c1 = step init 1 [] in
   Alcotest.(check bool) "initial vs stepped" false
@@ -414,7 +414,7 @@ let test_key_separates_distinct_configs () =
 
 let test_key_extra_discriminates () =
   (* the crash explorers fold the crashed-set mask into the key *)
-  let c = E2.init_explore ~n:3 ~inputs:(distinct 3) () in
+  let c = E2.init ~record:false ~n:3 ~inputs:(distinct 3) () in
   Alcotest.(check bool) "masks separate" false
     (E2.key_equal (E2.key ~crashed:0 c) (E2.key ~crashed:1 c));
   Alcotest.(check bool) "same mask collides" true
@@ -423,8 +423,8 @@ let test_key_extra_discriminates () =
 let test_key_exploration_agnostic () =
   (* the interning fallback for recorded configurations produces the
      same key as the incremental exploration path *)
-  let ce = E2.init_explore ~n:3 ~inputs:(distinct 3) () in
-  let cr = E2.init ~n:3 ~inputs:(distinct 3) in
+  let ce = E2.init ~record:false ~n:3 ~inputs:(distinct 3) () in
+  let cr = E2.init ~n:3 ~inputs:(distinct 3) () in
   Alcotest.(check bool) "init keys agree" true
     (E2.key_equal (E2.key ce) (E2.key cr));
   let ce' = step ce 0 [] in

@@ -320,6 +320,33 @@ let test_coverage_seq_par_violation_parity () =
   in
   check_violation_equal "coverage seq vs par" seq par
 
+(* The campaign-end coverage gauges fold exactly the clean trials
+   below the first violation.  At two domains the violating trial is
+   held up on purpose, so the other domain finishes clean trials above
+   it first; they must not count. *)
+let test_coverage_summary_domains () =
+  let module Metrics = Ksa_prim.Metrics in
+  let summary () =
+    List.map
+      (fun g -> Metrics.gauge_value (Metrics.gauge g))
+      [ "fuzz.cov.ids"; "fuzz.cov.pairs"; "fuzz.cov.corpus" ]
+  in
+  let seq = expect_violation (FK2.run cov_violating ~seed:3 ~trials:5000) in
+  let one = summary () in
+  let above = Atomic.make 0 in
+  let on_trial i _ =
+    if i = seq.Fuzz.trial then Unix.sleepf 0.2
+    else if i > seq.Fuzz.trial then Atomic.incr above
+  in
+  let par =
+    expect_violation
+      (FK2.run ~on_trial ~domains:2 cov_violating ~seed:3 ~trials:5000)
+  in
+  check_violation_equal "coverage seq vs par" seq par;
+  Alcotest.(check bool) "trials above the violation ran" true
+    (Atomic.get above > 0);
+  Alcotest.(check (list int)) "ids, pairs, corpus" one (summary ())
+
 let test_coverage_finds_violation_sooner () =
   (* the pinned time-to-violation claim: same algorithm, same seed,
      same per-trial budget — greybox needs far fewer trials *)
@@ -378,7 +405,7 @@ let test_decision_allocation () =
       (fun c pid ->
         Option.get
           (E.apply ~pattern c (Sim.Adversary.Step { pid; deliver = [] })))
-      (E.init ~n ~inputs:(distinct n))
+      (E.init ~n ~inputs:(distinct n) ())
       [ 0; 1; 2; 3; 0 ]
   in
   Alcotest.(check bool) "messages pending" true (List.length (E.pending c) > 4);
@@ -399,6 +426,50 @@ let test_decision_allocation () =
   done;
   Alcotest.(check bool) "some deliveries drawn" true (!delivered > 0);
   Alcotest.(check (float 0.)) "words per decision" (float !allowed) !used
+
+(* Every recorded fuzz run — blind, coverage-guided (whose mutants
+   replay corpus schedules leniently, channels out of send order),
+   Byzantine (forged payloads) and mobile — projects to a schedule
+   that strictly replays, under the run's own pattern, to the
+   identical trace. *)
+let prop_projection_replays =
+  QCheck.Test.make ~name:"project then strict replay reproduces the trace"
+    ~count:20
+    QCheck.(pair (int_bound 0x3fffffff) (int_range 3 4))
+    (fun (seed, n) ->
+      List.for_all
+        (fun (model, coverage) ->
+          let cfg =
+            {
+              (Fuzz.default_config ~k:2 ~n ()) with
+              Fuzz.model;
+              coverage;
+              max_crashes = 1;
+            }
+          in
+          let runs = ref [] in
+          ignore
+            (FK2.run ~on_trial:(fun _ r -> runs := r :: !runs) cfg ~seed
+               ~trials:48);
+          List.for_all
+            (fun (r : Sim.Run.t) ->
+              match
+                FK2.replay_strict ~pattern:r.Sim.Run.pattern cfg
+                  (Sim.Trace_io.schedule_of_run r)
+              with
+              | Ok r' ->
+                  Sim.Trace.equal r.Sim.Run.trace r'.Sim.Run.trace
+                  && r.Sim.Run.decisions = r'.Sim.Run.decisions
+              | Error e -> QCheck.Test.fail_reportf "seed %d n=%d: %s" seed n e)
+            !runs)
+        Sim.Fault_model.
+          [
+            (Crash, false);
+            (Crash, true);
+            (Byzantine 1, false);
+            (Byzantine 1, true);
+            (Mobile 1, true);
+          ])
 
 let suites =
   [
@@ -432,9 +503,12 @@ let suites =
           test_coverage_seq_par_violation_parity;
         Alcotest.test_case "coverage clean seq/par parity" `Quick
           test_coverage_clean_seq_par_parity;
+        Alcotest.test_case "coverage summary equal at d=1 and d=2" `Quick
+          test_coverage_summary_domains;
         Alcotest.test_case "coverage finds violation sooner" `Slow
           test_coverage_finds_violation_sooner;
         Alcotest.test_case "a decision allocates its step only" `Quick
           test_decision_allocation;
+        QCheck_alcotest.to_alcotest prop_projection_replays;
       ] );
   ]

@@ -107,7 +107,7 @@ let test_last_decision_time_none () =
 let test_finish_preserves_inputs () =
   let module E = Test_util.Echo_engine in
   let inputs = [| 5; 6; 7 |] in
-  let c = E.init ~n:3 ~inputs in
+  let c = E.init ~n:3 ~inputs () in
   let run = E.finish c ~pattern:(FP.none ~n:3) Sim.Run.Halted_by_adversary in
   Alcotest.(check (array int)) "inputs" inputs run.Sim.Run.inputs;
   Alcotest.(check int) "no events" 0 (List.length run.Sim.Run.events)

@@ -393,7 +393,7 @@ module Key_walk (A : Sim.Algorithm.S) = struct
            | Some c' -> go c' mask (len - 1)
            | None | (exception E.Double_decision _) -> true)
     in
-    go (E.init_explore ~reduction ~n ~inputs:(distinct n) ()) 0 len
+    go (E.init ~record:false ~reduction ~n ~inputs:(distinct n) ()) 0 len
 end
 
 module Key_walk_k2 = Key_walk (K2)
@@ -421,7 +421,7 @@ let test_engine_key_allocates_nothing () =
   let n = 3 in
   List.iter
     (fun reduction ->
-      let c0 = E.init_explore ~reduction ~n ~inputs:(distinct n) () in
+      let c0 = E.init ~record:false ~reduction ~n ~inputs:(distinct n) () in
       (* a configuration with pending messages, keyed below with pid 2
          crashed *)
       let c =
@@ -571,7 +571,7 @@ module Key_first (A : Sim.Algorithm.S) = struct
            | Some c' -> go c' mask (len - 1)
            | None | (exception E.Double_decision _) -> true)
     in
-    go (E.init_explore ~reduction ~n ~inputs:(distinct n) ()) 0 len
+    go (E.init ~record:false ~reduction ~n ~inputs:(distinct n) ()) 0 len
 end
 
 module Key_first_k2 = Key_first (K2)
@@ -588,6 +588,134 @@ let prop_key_first_is_build_then_key =
             (fun reduction ->
               Key_first_k2.holds ~n ~reduction walk
               && Key_first_n2.holds ~n ~reduction walk)
+            Canon.all_reductions)
+        [ 3; 4 ])
+
+(* An explorer path replayed in a recording configuration of the same
+   reduction.  The explorer side steps key-first with recording off;
+   the replay [apply]s the same actions to a recording configuration:
+   deliveries of the policies' batches (handed over oldest first, as
+   a recorded run lists them), crashes with the crashed sender's
+   pending messages dropped, and, under Byzantine, forgeries of one
+   corrupted sender's messages.  After every action the replay's key
+   equals the explorer's. *)
+module Explorer_path (A : Sim.Algorithm.S) = struct
+  module E = Sim.Engine.Make (A)
+
+  let batches policy c pid =
+    let acc = ref [] in
+    E.iter_batches policy c pid (fun b -> acc := b :: !acc);
+    !acc
+
+  let holds ~n ~reduction ~byzantine (seed, len) =
+    let rng = Random.State.make [| seed |] in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let pool = List.length (E.forge_pool ~n ~inputs:(distinct n)) in
+    let corrupt = Random.State.int rng n in
+    let same ~crashed x r =
+      E.key ~crashed ~reduction x = E.key ~crashed ~reduction r
+    in
+    let rec go x r crashes len =
+      let pattern = FP.of_crash_times ~n crashes in
+      let crashed =
+        List.fold_left (fun m (p, _) -> m lor (1 lsl p)) 0 crashes
+      in
+      let live =
+        List.filter
+          (fun p -> not (List.mem_assoc p crashes))
+          (List.init n Fun.id)
+      in
+      let both action =
+        let act c = Option.get (E.apply ~pattern c action) in
+        (act x, act r)
+      in
+      len = 0 || live = []
+      ||
+      match Random.State.int rng 8 with
+      | 0 when (not byzantine) && List.length live > 1 ->
+          let p = pick live in
+          let crashes = (p, E.time x) :: crashes in
+          let pattern = FP.of_crash_times ~n crashes in
+          let ids =
+            List.filter_map
+              (fun (e : A.message Sim.Envelope.t) ->
+                if e.src = p then Some e.id else None)
+              (E.pending x)
+          in
+          let x, r =
+            if ids = [] then (x, r)
+            else
+              let drop c =
+                Option.get (E.apply ~pattern c (Sim.Adversary.Drop ids))
+              in
+              (drop x, drop r)
+          in
+          same ~crashed:(crashed lor (1 lsl p)) x r && go x r crashes (len - 1)
+      | 1 when byzantine && pool > 0 -> (
+          match
+            List.filter
+              (fun (e : A.message Sim.Envelope.t) -> e.src = corrupt)
+              (E.pending x)
+          with
+          | [] -> go x r crashes (len - 1)
+          | l ->
+              let id = (pick l).Sim.Envelope.id in
+              let x, r =
+                both
+                  (Sim.Adversary.Forge { id; alt = Random.State.int rng pool })
+              in
+              same ~crashed x r && go x r crashes (len - 1))
+      | _ -> (
+          let pid = pick live in
+          let policies =
+            [ Sim.Engine.Empty_or_all; Sim.Engine.Per_sender ]
+            @
+            if List.length (E.inbox x pid) <= 4 then [ Sim.Engine.All_subsets ]
+            else []
+          in
+          let deliver = pick (batches (pick policies) x pid) in
+          match
+            let o = E.step ~pattern x pid deliver in
+            let k = E.write_step_key ~crashed ~reduction x pid deliver o in
+            ( Bytes.sub_string (Canon.key_buffer ()) 0 k,
+              E.commit x pid deliver o )
+          with
+          | exception E.Double_decision _ -> true
+          | key, x ->
+              let r =
+                Option.get
+                  (E.apply ~pattern r
+                     (Sim.Adversary.Step { pid; deliver = List.rev deliver }))
+              in
+              key = E.key ~crashed ~reduction r
+              && key = E.key ~crashed ~reduction x
+              && E.events x = []
+              && List.length (E.events r) = E.time r
+              && go x r crashes (len - 1))
+    in
+    let x = E.init ~record:false ~reduction ~n ~inputs:(distinct n) () in
+    let r = E.init ~reduction ~n ~inputs:(distinct n) () in
+    same ~crashed:0 x r && go x r [] len
+end
+
+module Explorer_path_k2 = Explorer_path (K2)
+module Explorer_path_n2 = Explorer_path (N2)
+
+let prop_explorer_path_replays =
+  QCheck.Test.make
+    ~name:"engine: an explorer path replayed while recording reaches its keys"
+    ~count:40
+    QCheck.(pair (int_bound 0x3fffffff) (int_range 0 30))
+    (fun walk ->
+      List.for_all
+        (fun n ->
+          List.for_all
+            (fun reduction ->
+              List.for_all
+                (fun byzantine ->
+                  Explorer_path_k2.holds ~n ~reduction ~byzantine walk
+                  && Explorer_path_n2.holds ~n ~reduction ~byzantine walk)
+                [ false; true ])
             Canon.all_reductions)
         [ 3; 4 ])
 
@@ -623,11 +751,11 @@ let test_memo_cold_warm () =
     (cold_explore = explored ())
 
 (* One sender's two messages, of payloads whose intern ids and
-   structural order disagree, delivered together: exploration folds
-   them in payload order, a recorded run in id order.  Their memo
-   contents are the same ints, so only the mode tells the entries
-   apart — whichever mode steps first, the other must not hit its
-   entry. *)
+   structural order disagree, delivered together: an exploring and a
+   recording configuration both fold them in payload order, never in
+   id order.  Their memo keys are the same ints, so whichever steps
+   first, the other hits its entry and must receive the same
+   sequence. *)
 module Order = struct
   type state = { me : int; sent : bool; heard : string list }
   type message = string
@@ -651,7 +779,7 @@ module Order = struct
   let pp_message = Format.pp_print_string
 end
 
-let test_memo_mode_separates () =
+let test_memo_one_fold () =
   let module Intern = Ksa_prim.Intern in
   ignore (Intern.id Intern.payloads Order.hi : int);
   ignore (Intern.id Intern.payloads Order.lo : int);
@@ -667,8 +795,8 @@ let test_memo_mode_separates () =
       Option.get (E.apply ~pattern:none c (Sim.Adversary.Step { pid; deliver }))
     in
     let heard c0 = (E.state_of (step (step c0 1 []) 0 [ 1; 0 ]) 0).Order.heard in
-    let explore () = heard (E.init_explore ~n:2 ~inputs:[| 0; 0 |] ()) in
-    let recorded () = heard (E.init ~n:2 ~inputs:[| 0; 0 |]) in
+    let explore () = heard (E.init ~record:false ~n:2 ~inputs:[| 0; 0 |] ()) in
+    let recorded () = heard (E.init ~n:2 ~inputs:[| 0; 0 |] ()) in
     if explore_first then
       let e = explore () in
       (e, recorded ())
@@ -683,9 +811,9 @@ let test_memo_mode_separates () =
       in
       let e, r = heard ~explore_first in
       Alcotest.(check (list string))
-        (what ^ ": payload order") [ Order.lo; Order.hi ] e;
+        (what ^ ": exploration, payload order") [ Order.lo; Order.hi ] e;
       Alcotest.(check (list string))
-        (what ^ ": id order") [ Order.hi; Order.lo ] r)
+        (what ^ ": recorded, payload order") [ Order.lo; Order.hi ] r)
     [ true; false ]
 
 (* At one domain with a warm memo, a key-first step whose successor is
@@ -701,7 +829,7 @@ let test_key_first_allocates_nothing () =
             Option.get
               (E.apply ~pattern:none c
                  (Sim.Adversary.Step { pid; deliver = [] })))
-          (E.init_explore ~reduction ~n ~inputs:(distinct n) ())
+          (E.init ~record:false ~reduction ~n ~inputs:(distinct n) ())
           [ 0; 1; 2 ]
       in
       let batch =
@@ -729,7 +857,7 @@ let test_key_first_allocates_nothing () =
     Option.get
       (T.apply ~pattern:none c (Sim.Adversary.Step { pid = 0; deliver = [] }))
   in
-  let c1 = step (T.init_explore ~n ~inputs:(distinct n) ()) in
+  let c1 = step (T.init ~record:false ~n ~inputs:(distinct n) ()) in
   ignore (step c1);
   Alcotest.(check bool) "settled" true (T.idle_step ~pattern:none c1 0);
   Alcotest.(check (float 0.))
@@ -911,7 +1039,9 @@ let test_independent_steps_commute () =
      delivery actions of distinct steppers reach the same
      configuration key in either order — including when one of them
      delivers a batch *)
-  let init () = E2.init_explore ~reduction:Canon.Symmetry ~n:3 ~inputs:(distinct 3) () in
+  let init () =
+    E2.init ~record:false ~reduction:Canon.Symmetry ~n:3 ~inputs:(distinct 3) ()
+  in
   let c = estep (estep (init ()) 0 []) 1 [] in
   let inbox2 = List.map fst (E2.inbox c 2) in
   Alcotest.(check bool) "inbox non-empty" true (inbox2 <> []);
@@ -938,7 +1068,8 @@ let test_sends_recorded_and_dependent () =
      action must be dependent on every other pid's actions — this is
      the exact shape for which pid-distinctness alone was unsound *)
   let c0 =
-    E2.init_explore ~reduction:Canon.Symmetry_por ~n:3 ~inputs:(distinct 3) ()
+    E2.init ~record:false ~reduction:Canon.Symmetry_por ~n:3
+      ~inputs:(distinct 3) ()
   in
   let c1 = estep c0 0 [] in
   let hello = E2.sends_between c0 c1 in
@@ -1031,7 +1162,7 @@ module Idle_walk (A : Sim.Algorithm.S) = struct
            | Some c' -> go c' mask (len - 1)
            | None | (exception E.Double_decision _) -> true)
     in
-    go (E.init_explore ~reduction ~n ~inputs:(distinct n) ()) 0 len
+    go (E.init ~record:false ~reduction ~n ~inputs:(distinct n) ()) 0 len
 end
 
 (* The real algorithms never change state on an empty delivery
@@ -1096,7 +1227,7 @@ let test_idle_step_cases () =
     | Some c' -> c'
     | None -> Alcotest.fail "step refused"
   in
-  let c0 = E_idle.init_explore ~n:3 ~inputs:(distinct 3) () in
+  let c0 = E_idle.init ~record:false ~n:3 ~inputs:(distinct 3) () in
   (* trivial decides on its first step and is settled afterwards *)
   let c1 = step c0 0 in
   Alcotest.(check bool)
@@ -1144,7 +1275,7 @@ let test_idle_step_double_decision () =
   let step c =
     E_redecide.apply ~pattern:none c (Sim.Adversary.Step { pid = 0; deliver = [] })
   in
-  let c0 = E_redecide.init_explore ~n:1 ~inputs:[| 0 |] () in
+  let c0 = E_redecide.init ~record:false ~n:1 ~inputs:[| 0 |] () in
   let c1 = Option.get (step c0) in
   (* the failing step still leaves its memo entry: same state, no
      sends, a conflicting decision *)
@@ -1389,10 +1520,11 @@ let suites =
         Alcotest.test_case "engine key into scratch allocates nothing" `Quick
           test_engine_key_allocates_nothing;
         qcheck prop_key_first_is_build_then_key;
+        qcheck prop_explorer_path_replays;
         Alcotest.test_case "memo: cold and warm domains agree" `Quick
           test_memo_cold_warm;
-        Alcotest.test_case "memo: exploration and recorded batches kept apart"
-          `Quick test_memo_mode_separates;
+        Alcotest.test_case "memo: exploration and recorded batches fold alike"
+          `Quick test_memo_one_fold;
         Alcotest.test_case "key-first dedup hit and idle_step allocate nothing"
           `Quick test_key_first_allocates_nothing;
         qcheck prop_idle_step_keeps_key;

@@ -55,7 +55,7 @@ let test_initial_dead_never_step () =
 
 let test_invalid_step_of_crashed () =
   let pattern = FP.initial_dead ~n:2 ~dead:[ 0 ] in
-  let c = E.init ~n:2 ~inputs:(distinct 2) in
+  let c = E.init ~n:2 ~inputs:(distinct 2) () in
   Alcotest.(check bool) "raises" true
     (match E.apply ~pattern c (Adv.Step { pid = 0; deliver = [] }) with
     | exception E.Invalid_action _ -> true
@@ -63,7 +63,7 @@ let test_invalid_step_of_crashed () =
 
 let test_invalid_delivery () =
   let pattern = FP.none ~n:2 in
-  let c = E.init ~n:2 ~inputs:(distinct 2) in
+  let c = E.init ~n:2 ~inputs:(distinct 2) () in
   Alcotest.(check bool) "unknown message id" true
     (match E.apply ~pattern c (Adv.Step { pid = 0; deliver = [ 42 ] }) with
     | exception E.Invalid_action _ -> true
@@ -71,7 +71,7 @@ let test_invalid_delivery () =
 
 let test_wrong_addressee () =
   let pattern = FP.none ~n:3 in
-  let c = E.init ~n:3 ~inputs:(distinct 3) in
+  let c = E.init ~n:3 ~inputs:(distinct 3) () in
   (* p0 steps and broadcasts pings: ids 0 (to p1), 1 (to p2) *)
   let c =
     Option.get (E.apply ~pattern c (Adv.Step { pid = 0; deliver = [] }))
@@ -83,7 +83,7 @@ let test_wrong_addressee () =
 
 let test_drop_requires_crashed_sender () =
   let pattern = FP.none ~n:2 in
-  let c = E.init ~n:2 ~inputs:(distinct 2) in
+  let c = E.init ~n:2 ~inputs:(distinct 2) () in
   let c = Option.get (E.apply ~pattern c (Adv.Step { pid = 0; deliver = [] })) in
   Alcotest.(check bool) "drop from live sender fails" true
     (match E.apply ~pattern c (Adv.Drop [ 0 ]) with
@@ -92,7 +92,7 @@ let test_drop_requires_crashed_sender () =
 
 let test_drop_from_crashed_sender () =
   let pattern = FP.of_crash_times ~n:2 [ (0, 1) ] in
-  let c = E.init ~n:2 ~inputs:(distinct 2) in
+  let c = E.init ~n:2 ~inputs:(distinct 2) () in
   (* p0's single allowed step at time 1 broadcasts its ping *)
   let c = Option.get (E.apply ~pattern c (Adv.Step { pid = 0; deliver = [] })) in
   Alcotest.(check int) "one pending" 1 (List.length (E.pending c));
@@ -120,7 +120,7 @@ let test_write_once_decision () =
   end in
   let module Eb = Sim.Engine.Make (Bad) in
   let pattern = FP.none ~n:1 in
-  let c = Eb.init ~n:1 ~inputs:[| 0 |] in
+  let c = Eb.init ~n:1 ~inputs:[| 0 |] () in
   let c = Option.get (Eb.apply ~pattern c (Adv.Step { pid = 0; deliver = [] })) in
   Alcotest.(check bool) "second different decision raises" true
     (match Eb.apply ~pattern c (Adv.Step { pid = 0; deliver = [] }) with
@@ -150,7 +150,7 @@ let test_fd_required () =
   end in
   let module En = Sim.Engine.Make (NeedsFd) in
   let pattern = FP.none ~n:1 in
-  let c = En.init ~n:1 ~inputs:[| 0 |] in
+  let c = En.init ~n:1 ~inputs:[| 0 |] () in
   Alcotest.(check bool) "missing oracle raises" true
     (match En.apply ~pattern c (Adv.Step { pid = 0; deliver = [] }) with
     | exception En.Invalid_action _ -> true
@@ -519,7 +519,7 @@ let prop_pending_index =
             | Some c' -> go c' (k + 1)
             | None -> true)
       in
-      go (EK.init ~n ~inputs) 0)
+      go (EK.init ~n ~inputs ()) 0)
 
 (* An observation is one small block sharing the configuration's
    rows; the accessors allocate only the id lists they return. *)
@@ -530,7 +530,7 @@ let test_observe_allocation () =
     List.fold_left
       (fun c pid ->
         Option.get (EK.apply ~pattern c (Adv.Step { pid; deliver = [] })))
-      (EK.init ~n ~inputs:(distinct n))
+      (EK.init ~n ~inputs:(distinct n) ())
       [ 0; 1; 2; 3 ]
   in
   let words f = Test_util.words_per_loop 1000 f /. 1000. in
@@ -561,7 +561,7 @@ let test_observe_allocation () =
 (* [Step]'s two refusals of a delivery, word for word *)
 let test_step_delivery_messages () =
   let pattern = FP.none ~n:3 in
-  let c = E.init ~n:3 ~inputs:(distinct 3) in
+  let c = E.init ~n:3 ~inputs:(distinct 3) () in
   (* p0 broadcasts pings: ids 0 (to p1) and 1 (to p2) *)
   let c =
     Option.get (E.apply ~pattern c (Adv.Step { pid = 0; deliver = [] }))

@@ -643,6 +643,57 @@ let test_daemon_http_session () =
             (j.Jobstore.state = Jobstore.Queued && j.Jobstore.requeues = 1)
       | None -> Alcotest.fail "drained job lost")
 
+(* A fuzz spec of an algorithm that queries a failure detector cannot
+   run: the codec and [Task.run] name the reason, and the daemon
+   answers 400 at submit instead of retrying a failing job. *)
+let test_daemon_refuses_fd_fuzz () =
+  let spec =
+    Json.Obj
+      [
+        ("task", Json.Str "fuzz");
+        ("algo", Json.Str "synod");
+        ("n", Json.Int 3);
+        ("k", Json.Int 1);
+        ("max-crashes", Json.Int 1);
+        ("trials", Json.Int 300);
+        ("seed", Json.Int 4);
+      ]
+  in
+  let reason = "cannot fuzz synod: it queries a failure detector" in
+  check_contains "codec" ~sub:reason
+    (expect_error "spec" (Task.spec_of_json spec));
+  (match Task.spec_of_json (Json.Obj [ ("task", Json.Str "fuzz") ]) with
+  | Ok (Task.Fuzz f) ->
+      check_contains "run" ~sub:reason
+        (expect_error "run"
+           (Task.run (Task.Fuzz { f with Task.f_algo = "synod" })))
+  | _ -> Alcotest.fail "default fuzz spec");
+  with_tmp_dir (fun dir ->
+      let addr = "unix:" ^ Filename.concat dir "sock" in
+      let cfg = { (Daemon.default_cfg ~dir) with Daemon.addr = Some addr } in
+      let daemon = Domain.spawn (fun () -> Daemon.serve cfg) in
+      let rec req ?body ?(tries = 40) meth path =
+        match Http.request ~addr ~meth ~path ?body () with
+        | Ok r -> r
+        | Error e ->
+            if tries = 0 then Alcotest.fail ("http: " ^ e)
+            else begin
+              (* the listener may not be up yet *)
+              Unix.sleepf 0.05;
+              req ?body ~tries:(tries - 1) meth path
+            end
+      in
+      let body = Json.to_string (Json.Obj [ ("spec", spec) ]) in
+      (match req ~body "POST" "/jobs" with
+      | 400, reply -> check_contains "reply" ~sub:reason reply
+      | st, reply -> Alcotest.fail (Printf.sprintf "submit: %d %s" st reply));
+      (match req "POST" "/drain" with
+      | 202, _ -> ()
+      | st, _ -> Alcotest.fail (Printf.sprintf "drain: %d" st));
+      Alcotest.(check int) "drained daemon exits 0" 0 (Domain.join daemon);
+      let t = ok_or_fail (Jobstore.open_dir ~dir) in
+      Alcotest.(check bool) "no job stored" true (Jobstore.get t 1 = None))
+
 let suites =
   [
     ( "svc json",
@@ -703,5 +754,7 @@ let suites =
           test_daemon_strict_resume_rejection;
         Alcotest.test_case "http session: deadline, cancel, drain" `Quick
           test_daemon_http_session;
+        Alcotest.test_case "fd-algorithm fuzz spec refused with 400" `Quick
+          test_daemon_refuses_fd_fuzz;
       ] );
   ]
