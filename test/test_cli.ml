@@ -348,10 +348,6 @@ let suites =
         Alcotest.test_case "fuzz: coverage clean" `Quick
           test_fuzz_coverage_clean;
         Alcotest.test_case "fuzz: wall-clock budget" `Quick test_fuzz_budget;
-        Alcotest.test_case "replay: an unfinished replay exits 1" `Quick
-          test_replay_unfinished;
-        Alcotest.test_case "fuzz: failure-detector algorithms exit 1" `Quick
-          test_fuzz_refuses_fd;
         Alcotest.test_case "bad --checkpoint-every exits 1" `Quick
           test_bad_checkpoint_every;
         Alcotest.test_case "--domains below 1 exits 1" `Quick test_bad_domains;
@@ -364,5 +360,9 @@ let suites =
           test_bad_experiment_ids;
         Alcotest.test_case "explore: not explorable exits 1" `Quick
           test_not_explorable;
+        Alcotest.test_case "replay: an unfinished replay exits 1" `Quick
+          test_replay_unfinished;
+        Alcotest.test_case "fuzz: failure-detector algorithms exit 1" `Quick
+          test_fuzz_refuses_fd;
       ] );
   ]
