@@ -13,10 +13,11 @@
      serve          the crash-tolerant campaign daemon
      job            the daemon's HTTP client
 
-   explore and fuzz are thin clients of Ksa_svc.Task: they parse flags
-   into a spec, run it, and print the one verdict line Task.summarize
-   gives every outcome (the line the daemon stores in its job records),
-   exiting with its code. *)
+   explore and fuzz are thin clients of Ksa_svc.Task: their flags are
+   Task's spec table, read into the JSON object of a job spec and built
+   by Task.spec_of_json as a submitted job is; they run the spec, and
+   print the one verdict line Task.summarize gives every outcome (the
+   line the daemon stores in its job records), exiting with its code. *)
 
 open Cmdliner
 module Sim = Ksa_sim
@@ -95,57 +96,68 @@ let groups_of_string s =
          |> List.filter (fun x -> x <> "")
          |> map_ok pid)
 
-let model_conv =
-  let parse s =
-    match Sim.Fault_model.of_string s with
-    | Ok m -> Ok m
-    | Error e -> Error (`Msg e)
+(* One field of Task's spec table as a flag: [Some (key, value)] when
+   it is given on the command line, [None] when it is absent (the
+   table default then applies, and --help shows it). *)
+let field_term (f : Svc.Task.field) =
+  let absent =
+    match f.default with
+    | Some (Svc.Json.Int i) -> Some (string_of_int i)
+    | Some (Svc.Json.Str s) -> Some s
+    | _ -> None
   in
-  Arg.conv (parse, Sim.Fault_model.pp)
+  let names = Arg.info f.flags ~docv:f.docv ~doc:f.doc ?absent in
+  let given parse to_json =
+    Term.(
+      const (Option.map (fun v -> (f.key, to_json v)))
+      $ Arg.(value & opt (some parse) None & names))
+  in
+  match f.shape with
+  | Svc.Task.Int -> given Arg.int (fun i -> Svc.Json.Int i)
+  | String -> given Arg.string (fun s -> Svc.Json.Str s)
+  | Float -> given Arg.float (fun x -> Svc.Json.Float x)
+  | Ints ->
+      given Arg.(list int) (fun l ->
+          Svc.Json.List (List.map (fun i -> Svc.Json.Int i) l))
+  | Bool ->
+      Term.(
+        const (fun b -> if b then Some (f.key, Svc.Json.Bool true) else None)
+        $ Arg.(value & flag names))
 
-let model_arg =
-  Arg.(
-    value
-    & opt model_conv Sim.Fault_model.Crash
-    & info [ "model" ] ~docv:"MODEL"
-        ~doc:
-          "Fault model: $(b,crash) (the default; failures come from \
-           --crash-budget / --max-crashes / --dead), $(b,byzantine[:T]) (up \
-           to T corrupted processes whose pending messages may be forged \
-           per-receiver — equivocation allowed; T defaults to 1 and \
-           overrides the crash budget), or $(b,mobile[:T]) (no permanent \
-           faults; each round a fresh set of at most T processes has its \
-           outgoing messages omitted).")
+(* A task's table as one term: the JSON object of the flags given,
+   for Task.spec_of_json to read with the table defaults *)
+let spec_term ~task fields =
+  List.fold_right
+    (fun f rest ->
+      Term.(const (fun kv kvs -> Option.to_list kv @ kvs) $ field_term f $ rest))
+    fields
+    (Term.const [ ("task", Svc.Json.Str task) ])
+  |> Term.map (fun kvs -> Svc.Json.Obj kvs)
 
-let n_arg =
-  Arg.(value & opt int 6 & info [ "n"; "size" ] ~docv:"N" ~doc:"System size.")
+(* A table field as a plain typed flag with the table's default, for
+   the commands that take it but build no spec *)
+let field_arg read f =
+  Term.(const (fun kv -> read (Svc.Json.Obj (Option.to_list kv)) f) $ field_term f)
+
+let n_arg = field_arg Svc.Task.read_int Svc.Task.Fields.n
+let k_arg = field_arg Svc.Task.read_int Svc.Task.Fields.k
+let seed_arg = field_arg Svc.Task.read_int Svc.Task.Fields.seed
+let algo_arg = field_arg Svc.Task.read_string Svc.Task.Fields.algo
+let wait_arg = field_arg Svc.Task.read_int Svc.Task.Fields.wait
+let dead_arg = field_arg Svc.Task.read_ints Svc.Task.Fields.dead
+let model_arg = field_arg Svc.Task.read_string Svc.Task.Fields.model
 
 let f_arg =
   Arg.(value & opt int 2 & info [ "f"; "faults" ] ~docv:"F" ~doc:"Failure budget.")
 
-let k_arg =
-  Arg.(value & opt int 2 & info [ "k"; "kset" ] ~docv:"K" ~doc:"Agreement parameter k.")
-
-let l_arg =
+(* -l for the commands that default it otherwise than the campaigns *)
+let l_arg ~default =
+  let f = Svc.Task.Fields.l in
   Arg.(
     value
     & opt (some int) None
-    & info [ "l"; "wait-quorum" ] ~docv:"L" ~doc:"Protocol parameter L (default n-f).")
-
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-
-let algo_arg =
-  Arg.(
-    value
-    & opt string "kset-flp"
-    & info [ "algo" ] ~docv:"ALGO"
-        ~doc:"Algorithm: kset-flp, naive-min, trivial, or synod.")
-
-let wait_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "wait-for" ] ~docv:"W" ~doc:"naive-min wait-for parameter.")
+    & info f.flags ~docv:f.docv
+        ~doc:(Printf.sprintf "Protocol parameter L (default %s)." default))
 
 let groups_arg ~doc =
   Arg.(value & opt (some string) None & info [ "groups" ] ~docv:"GROUPS" ~doc)
@@ -257,7 +269,9 @@ let border_cmd =
 let simulate algo_name n f l wait_for seed adversary dead save_schedule
     replay verbose check_model =
   let l = Option.value l ~default:(max 1 (n - f)) in
-  let* (module A : Sim.Algorithm.S) = Svc.Task.algo_conv ~l ~wait_for algo_name in
+  let* (module A : Sim.Algorithm.S) =
+    Svc.Task.algo_conv ~n ~l ~wait_for algo_name
+  in
   let module E = Sim.Engine.Make (A) in
   let pattern = Sim.Failure_pattern.initial_dead ~n ~dead in
   let rng = Rng.create ~seed in
@@ -323,12 +337,6 @@ let adversary_arg =
           "Adversary: fair, round-robin, lossy, partition:0,1|2,3 or \
            solo:0|1|2,3.")
 
-let dead_arg =
-  Arg.(
-    value
-    & opt (list int) []
-    & info [ "dead" ] ~docv:"PIDS" ~doc:"Initially dead processes.")
-
 let save_schedule_arg =
   Arg.(
     value
@@ -360,7 +368,8 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one algorithm under one adversary.")
     Term.(
-      const simulate $ algo_arg $ n_arg $ f_arg $ l_arg $ wait_arg $ seed_arg
+      const simulate $ algo_arg $ n_arg $ f_arg $ l_arg ~default:"n-f"
+      $ wait_arg $ seed_arg
       $ adversary_arg $ dead_arg $ save_schedule_arg $ replay_arg
       $ verbose_arg $ check_model_arg)
 
@@ -629,74 +638,12 @@ let run_campaign ?(progress = false) ?stop ?extras c spec =
 
 (* ---------- explore ---------- *)
 
-let explore algo_name n k l wait_for dead crash_budget model policy reduction
-    max_configs drop_on_crash progress campaign =
-  run_campaign ~progress campaign
-    (Svc.Task.Explore
-       {
-         Svc.Task.e_algo = algo_name;
-         e_n = n;
-         e_k = k;
-         e_l = l;
-         e_wait = wait_for;
-         e_dead = dead;
-         e_crash_budget = crash_budget;
-         e_model = model;
-         e_policy = policy;
-         e_reduction = reduction;
-         e_max_configs = max_configs;
-         e_drop = drop_on_crash;
-       })
-
-let crash_budget_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "crash-budget" ] ~docv:"B"
-        ~doc:
-          "Adversarial crashes at any point (0 = schedule/delivery \
-           nondeterminism only).")
-
-let policy_arg =
-  Arg.(
-    value
-    & opt string "per-sender"
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:"Delivery policy: per-sender, empty-or-all, or all-subsets.")
-
-let reduction_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("none", Sim.Canon.No_reduction);
-             ("sym", Sim.Canon.Symmetry);
-             ("sym+por", Sim.Canon.Symmetry_por);
-           ])
-        Sim.Canon.No_reduction
-    & info [ "reduction" ] ~docv:"MODE"
-        ~doc:
-          "State-space reduction: $(b,none) (exact interned keys), $(b,sym) \
-           (dedup on canonical orbit keys under permutations of crashed \
-           processes), or $(b,sym+por) (orbit keys plus DPOR sleep sets over \
-           delivery actions; sleep sets apply to the crash-free explorer \
-           only).  Verdicts and reachable decision values are invariant \
-           across modes; visited-configuration counts are not.")
-
-let max_configs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-configs" ] ~docv:"M"
-        ~doc:"Stop after exploring M configurations.")
-
-let drop_on_crash_arg =
-  Arg.(
-    value & flag
-    & info [ "drop-on-crash" ]
-        ~doc:
-          "Also explore dropping each crashed process's pending messages \
-           (last-step omission).")
+(* Read the flags given through Task.spec_of_json, the constructor
+   every spec goes through: a spec it refuses exits 1 before any
+   checkpoint, resume or signal setup. *)
+let explore spec progress campaign =
+  let* spec = Svc.Task.spec_of_json spec in
+  run_campaign ~progress campaign spec
 
 let progress_arg =
   Arg.(
@@ -716,15 +663,19 @@ let explore_cmd =
           budget truncated the search (the verdict is then indeterminate: \
           nothing is claimed about unexplored configurations).")
     Term.(
-      const explore $ algo_arg $ n_arg $ k_arg $ l_arg $ wait_arg $ dead_arg
-      $ crash_budget_arg $ model_arg $ policy_arg $ reduction_arg
-      $ max_configs_arg $ drop_on_crash_arg $ progress_arg $ campaign_args)
+      const explore
+      $ spec_term ~task:"explore" Svc.Task.explore_fields
+      $ progress_arg $ campaign_args)
 
 (* ---------- fuzz ---------- *)
 
-let fuzz algo_name n k l wait_for seed trials max_steps max_crashes dead
-    model weights_name require_termination coverage save_schedule replay_path
-    max_seconds campaign =
+let fuzz spec save_schedule replay_path max_seconds campaign =
+  let* spec =
+    match Svc.Task.spec_of_json spec with
+    | Ok (Svc.Task.Fuzz f) -> Ok f
+    | Ok (Svc.Task.Explore _ | Svc.Task.Probe _) -> Error "not a fuzz spec"
+    | Error _ as e -> e
+  in
   let stop =
     Option.map
       (fun s ->
@@ -734,28 +685,10 @@ let fuzz algo_name n k l wait_for seed trials max_steps max_crashes dead
         fun () -> Clock.elapsed_s ~since:start > s)
       max_seconds
   in
-  let spec =
-    {
-      Svc.Task.f_algo = algo_name;
-      f_n = n;
-      f_k = k;
-      f_l = l;
-      f_wait = wait_for;
-      f_dead = dead;
-      f_seed = seed;
-      f_trials = trials;
-      f_max_steps = max_steps;
-      f_max_crashes = max_crashes;
-      f_weights = weights_name;
-      f_termination = require_termination;
-      f_coverage = coverage;
-      f_model = model;
-    }
-  in
   (* after the headline: the coverage map, then the counterexample's
      schedule (saved with --save-schedule) *)
   let extras outcome code =
-    if coverage then
+    if spec.Svc.Task.f_coverage then
       Format.printf "coverage: %d state ids, %d transition pairs, corpus %d@."
         (Metrics.gauge_value (Metrics.gauge "fuzz.cov.ids"))
         (Metrics.gauge_value (Metrics.gauge "fuzz.cov.pairs"))
@@ -779,7 +712,10 @@ let fuzz algo_name n k l wait_for seed trials max_steps max_crashes dead
         match save_schedule with
         | None -> code
         | Some path -> (
-            match Sim.Trace_io.save_schedule ~model ~path v.Sim.Fuzz.shrunk with
+            match
+              Sim.Trace_io.save_schedule ~model:spec.Svc.Task.f_model ~path
+                v.Sim.Fuzz.shrunk
+            with
             | Ok () ->
                 Format.printf "shrunk schedule written to %s@." path;
                 code
@@ -790,53 +726,6 @@ let fuzz algo_name n k l wait_for seed trials max_steps max_crashes dead
   match replay_path with
   | Some path -> finish campaign (report (Svc.Task.replay ~path spec))
   | None -> run_campaign ?stop ~extras campaign (Svc.Task.Fuzz spec)
-
-let trials_arg =
-  Arg.(
-    value & opt int 1000
-    & info [ "trials" ] ~docv:"T" ~doc:"Number of random schedules to try.")
-
-let max_steps_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "max-steps" ] ~docv:"S" ~doc:"Per-trial step budget.")
-
-let max_crashes_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "max-crashes" ] ~docv:"C"
-        ~doc:
-          "Per trial, draw up to C random crash times on top of the base \
-           failure pattern.")
-
-let weights_arg =
-  Arg.(
-    value
-    & opt string "mixed"
-    & info [ "weights" ] ~docv:"W"
-        ~doc:
-          "Action weighting: 'mixed' (partial/empty deliveries and \
-           crash-drops) or 'fair' (deliver-all steps only).")
-
-let require_termination_arg =
-  Arg.(
-    value & flag
-    & info [ "require-termination" ]
-        ~doc:
-          "Also flag runs that exhaust the step budget with a correct \
-           process undecided (use with fair weights).")
-
-let coverage_arg =
-  Arg.(
-    value & flag
-    & info [ "coverage" ]
-        ~doc:
-          "Coverage-guided (greybox) generation: track which interned state \
-           ids and state transitions each trial reaches, keep a corpus of \
-           schedules that lit new coverage, and mutate corpus entries \
-           instead of always sampling fresh schedules.  Deterministic for a \
-           fixed seed, like blind mode; the corpus rides the checkpoint, so \
-           kill/resume campaigns keep their learned coverage.")
 
 let max_seconds_arg =
   Arg.(
@@ -863,16 +752,18 @@ let fuzz_cmd =
           reports its verdict instead of fuzzing (exit 1 when the replay \
           cannot take every step of the schedule).")
     Term.(
-      const fuzz $ algo_arg $ n_arg $ k_arg $ l_arg $ wait_arg $ seed_arg
-      $ trials_arg $ max_steps_arg $ max_crashes_arg $ dead_arg $ model_arg
-      $ weights_arg $ require_termination_arg $ coverage_arg
+      const fuzz
+      $ spec_term ~task:"fuzz" Svc.Task.fuzz_fields
       $ save_schedule_arg $ replay_arg $ max_seconds_arg $ campaign_args)
 
 (* ---------- screen ---------- *)
 
 let screen algo_name n f k l wait_for model exhaustive_c =
   let l = Option.value l ~default:(max 1 (n - f)) in
-  let* (module A : Sim.Algorithm.S) = Svc.Task.algo_conv ~l ~wait_for algo_name in
+  let* (module A : Sim.Algorithm.S) =
+    Svc.Task.algo_conv ~n ~l ~wait_for algo_name
+  in
+  let* model = Sim.Fault_model.of_string model in
   let partition =
     match Core.Partitioning.theorem2 ~n ~f ~k with
     | Some p -> p
@@ -940,8 +831,8 @@ let screen_cmd =
          "Theorem-1 screening: search for (dec-D) witnesses.  Exits 2 when \
           the algorithm is caught.")
     Term.(
-      const screen $ algo_arg $ n_arg $ f_arg $ k_arg $ l_arg $ wait_arg
-      $ model_arg $ exhaustive_c_arg)
+      const screen $ algo_arg $ n_arg $ f_arg $ k_arg $ l_arg ~default:"n-f"
+      $ wait_arg $ model_arg $ exhaustive_c_arg)
 
 (* ---------- paste ---------- *)
 
@@ -953,7 +844,7 @@ let paste algo_name groups_str l wait_for =
   in
   let n = List.length (List.concat groups) in
   let l = Option.value l ~default:(max 1 (n / List.length groups)) in
-  let* algo = Svc.Task.algo_conv ~l ~wait_for algo_name in
+  let* algo = Svc.Task.algo_conv ~n ~l ~wait_for algo_name in
   match Core.Pasting.lemma12 algo ~groups with
   | Error e ->
       Format.printf "construction failed: %s@." e;
@@ -982,13 +873,14 @@ let paste_cmd =
     Term.(
       const paste $ algo_arg
       $ groups_arg ~doc:"Partition, e.g. '0|1|2,3,4'."
-      $ l_arg $ wait_arg)
+      $ l_arg ~default:"n / the number of groups"
+      $ wait_arg)
 
 (* ---------- independence ---------- *)
 
 let independence algo_name n l wait_for family =
   let* algo =
-    Svc.Task.algo_conv ~l:(Option.value l ~default:2) ~wait_for algo_name
+    Svc.Task.algo_conv ~n ~l:(Option.value l ~default:2) ~wait_for algo_name
   in
   let unknown =
     Error
@@ -1028,7 +920,9 @@ let family_arg =
 let independence_cmd =
   Cmd.v
     (Cmd.info "independence" ~doc:"Check T-independence of an algorithm.")
-    Term.(const independence $ algo_arg $ n_arg $ l_arg $ wait_arg $ family_arg)
+    Term.(
+      const independence $ algo_arg $ n_arg $ l_arg ~default:"2" $ wait_arg
+      $ family_arg)
 
 (* ---------- ho ---------- *)
 
@@ -1353,7 +1247,8 @@ let job_cmd =
             "The job spec as JSON, e.g. \
              '{\"task\":\"explore\",\"algo\":\"kset-flp\",\"n\":4,\"k\":2}' \
              or '{\"task\":\"fuzz\",\"n\":5,\"k\":2,\"trials\":500}'.  \
-             Absent fields take the CLI defaults.")
+             Absent keys take the CLI defaults; an unknown key or a value \
+             out of range exits 1 before the daemon is dialled.")
   in
   let submit_deadline_arg =
     Arg.(

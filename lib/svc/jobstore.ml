@@ -177,8 +177,12 @@ let open_dir ~dir =
             match read_job ~path:(Filename.concat dir name) with
             | Error e ->
                 (* a corrupt record must not block its siblings; .tmp
-                   siblings of crashed writes are not even scanned *)
-                Printf.eprintf "ksa: skipping unreadable job record: %s\n%!" e
+                   siblings of crashed writes are not even scanned.
+                   Its id stays taken, so no new job overwrites it. *)
+                Printf.eprintf "ksa: skipping unreadable job record: %s\n%!" e;
+                Scanf.sscanf_opt name "job-%06d.ksaj" Fun.id
+                |> Option.iter (fun id ->
+                       if id >= t.next_id then t.next_id <- id + 1)
             | Ok j ->
                 let j =
                   if j.state = Running then begin

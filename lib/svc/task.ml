@@ -45,17 +45,175 @@ type spec =
   | Fuzz of fuzz_spec
   | Probe of probe_spec
 
-(* ---------- shared pieces lifted from the CLI ---------- *)
+(* ---------- the spec table ---------- *)
+
+type shape = Int | String | Bool | Ints | Float
+
+type field = {
+  key : string;
+  flags : string list;
+  docv : string;
+  doc : string;
+  shape : shape;
+  default : Json.t option;
+}
+
+let field ?flags ?default ?(docv = "") key shape doc =
+  { key; flags = Option.value flags ~default:[ key ]; docv; doc; shape; default }
+
+module Fields = struct
+  let algo = field "algo" String ~docv:"ALGO" ~default:(Json.Str "kset-flp")
+      "Algorithm: kset-flp, naive-min, trivial, or synod."
+  let n = field "n" Int ~flags:[ "n"; "size" ] ~docv:"N" ~default:(Json.Int 6)
+      "System size."
+  let k = field "k" Int ~flags:[ "k"; "kset" ] ~docv:"K" ~default:(Json.Int 2)
+      "Agreement parameter k."
+  let l = field "l" Int ~flags:[ "l"; "wait-quorum" ] ~docv:"L"
+      "Protocol parameter L, the reports kset-flp waits for (default n-1, \
+       at least 1)."
+  let wait = field "wait" Int ~flags:[ "wait-for" ] ~docv:"W" ~default:(Json.Int 2)
+      "naive-min wait-for parameter."
+  let dead = field "dead" Ints ~docv:"PIDS" ~default:(Json.List [])
+      "Initially dead processes."
+  let model = field "model" String ~docv:"MODEL" ~default:(Json.Str "crash")
+      "Fault model: $(b,crash) (the default; failures come from \
+       --crash-budget / --max-crashes / --dead), $(b,byzantine[:T]) (up to \
+       T corrupted processes whose pending messages may be forged \
+       per-receiver — equivocation allowed; T defaults to 1 and overrides \
+       the crash budget), or $(b,mobile[:T]) (no permanent faults; each \
+       round a fresh set of at most T processes has its outgoing messages \
+       omitted)."
+  let crash_budget = field "crash-budget" Int ~docv:"B" ~default:(Json.Int 0)
+      "Adversarial crashes at any point (0 = schedule/delivery \
+       nondeterminism only)."
+  let policy = field "policy" String ~docv:"POLICY" ~default:(Json.Str "per-sender")
+      "Delivery policy: per-sender, empty-or-all, or all-subsets."
+  let reduction = field "reduction" String ~docv:"MODE" ~default:(Json.Str "none")
+      "State-space reduction: $(b,none) (exact interned keys), $(b,sym) \
+       (dedup on canonical orbit keys under permutations of crashed \
+       processes), or $(b,sym+por) (orbit keys plus DPOR sleep sets over \
+       delivery actions; sleep sets apply to the crash-free explorer \
+       only).  Verdicts and reachable decision values are invariant across \
+       modes; visited-configuration counts are not."
+  let max_configs = field "max-configs" Int ~docv:"M"
+      "Stop after exploring M configurations."
+  let drop = field "drop-on-crash" Bool ~default:(Json.Bool false)
+      "Also explore dropping each crashed process's pending messages \
+       (last-step omission)."
+  let seed = field "seed" Int ~docv:"SEED" ~default:(Json.Int 1) "PRNG seed."
+  let trials = field "trials" Int ~docv:"T" ~default:(Json.Int 1000)
+      "Number of random schedules to try."
+  let max_steps = field "max-steps" Int ~docv:"S" ~default:(Json.Int 200)
+      "Per-trial step budget."
+  let max_crashes = field "max-crashes" Int ~docv:"C" ~default:(Json.Int 0)
+      "Per trial, draw up to C random crash times on top of the base \
+       failure pattern."
+  let weights = field "weights" String ~docv:"W" ~default:(Json.Str "mixed")
+      "Action weighting: 'mixed' (partial/empty deliveries and crash-drops) \
+       or 'fair' (deliver-all steps only)."
+  let termination =
+    field "termination" Bool ~flags:[ "require-termination" ]
+      ~default:(Json.Bool false)
+      "Also flag runs that exhaust the step budget with a correct process \
+       undecided (use with fair weights)."
+  let coverage = field "coverage" Bool ~default:(Json.Bool false)
+      "Coverage-guided (greybox) generation: track which interned state ids \
+       and state transitions each trial reaches, keep a corpus of schedules \
+       that lit new coverage, and mutate corpus entries instead of always \
+       sampling fresh schedules.  Deterministic for a fixed seed, like blind \
+       mode; the corpus rides the checkpoint, so kill/resume campaigns keep \
+       their learned coverage."
+  let fail = field "fail" Int ~flags:[] ~docv:"F" ~default:(Json.Int 0)
+      "Raise on attempts 0 .. F-1."
+  let spin = field "spin" Float ~flags:[] ~docv:"SEC" ~default:(Json.Float 0.)
+      "Interruptible busy-sleep, seconds."
+end
+
+let explore_fields =
+  Fields.[ algo; n; k; l; wait; dead; crash_budget; model; policy; reduction;
+           max_configs; drop ]
+
+let fuzz_fields =
+  Fields.[ algo; n; k; l; wait; dead; seed; trials; max_steps; max_crashes;
+           weights; termination; coverage; model ]
+
+let probe_fields = Fields.[ fail; spin ]
+
+(* [f]'s value in the object [j], or its default: total on an object
+   whose keys passed [check_keys], for a field with a default *)
+let read conv j f =
+  let v = match Json.mem f.key j with None -> f.default | v -> v in
+  match Option.bind v conv with
+  | Some x -> x
+  | None -> invalid_arg ("Task: no value for field " ^ f.key)
+
+let read_int = read Json.get_int
+let read_string = read Json.get_string
+let read_ints =
+  read (fun v -> Option.map (List.filter_map Json.get_int) (Json.get_list v))
+
+(* [l] and [max-configs], which have no default *)
+let read_int_opt j f = Option.bind (Json.mem f.key j) Json.get_int
+
+(* a field as refusals name it: the JSON key, and the long flag when
+   that is spelled differently *)
+let describe f =
+  match List.filter (fun fl -> String.length fl > 1 && fl <> f.key) f.flags with
+  | long :: _ -> Printf.sprintf "%S (--%s)" f.key long
+  | [] -> Printf.sprintf "%S" f.key
+
+(* every key of the spec object [j] but "task" names a field of
+   [table], and its value has that field's shape *)
+let check_keys ~task table j =
+  let check (key, v) =
+    match (List.find_opt (fun f -> f.key = key) table, v) with
+    | _ when key = "task" -> Ok ()
+    | None, _ -> Error (Printf.sprintf "unknown field %S for task %s" key task)
+    | Some { shape = Int; _ }, Json.Int _
+    | Some { shape = String; _ }, Json.Str _
+    | Some { shape = Bool; _ }, Json.Bool _
+    | Some { shape = Float; _ }, (Json.Float _ | Json.Int _) -> Ok ()
+    | Some { shape = Ints; _ }, Json.List l
+      when List.for_all (function Json.Int _ -> true | _ -> false) l -> Ok ()
+    | Some f, _ ->
+        let names = [ (Int, "an integer"); (String, "a string");
+                      (Bool, "a boolean"); (Ints, "a list of integers");
+                      (Float, "a number") ] in
+        Error (Printf.sprintf "field %S must be %s" key (List.assoc f.shape names))
+  in
+  match j with
+  | Json.Obj kvs ->
+      List.fold_left (fun acc kv -> Result.bind acc (fun () -> check kv))
+        (Ok ()) kvs
+  | _ -> Error "a spec must be a JSON object"
+
+(* ---------- names to values, and ranges ---------- *)
+
+let at_least lo f v =
+  if v >= lo then Ok ()
+  else
+    Error
+      (Printf.sprintf "field %s must be at least %d, got %d" (describe f) lo v)
 
 let resolve_l ~n = function Some l -> l | None -> max 1 (n - 1)
 
-let algo_conv ~l ~wait_for = function
+let algo_conv ~n ~l ~wait_for name =
+  let in_range f v =
+    if 1 <= v && v <= n then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s: field %s must be in 1..%d, got %d" name
+           (describe f) n v)
+  in
+  match name with
   | "kset-flp" ->
+      let* () = in_range Fields.l l in
       let module K = Algo.Kset_flp.Make (struct
         let l = l
       end) in
       Ok (module K : Sim.Algorithm.S)
   | "naive-min" ->
+      let* () = in_range Fields.wait wait_for in
       let module N = Algo.Naive_min.Make (struct
         let wait_for = wait_for
       end) in
@@ -134,194 +292,150 @@ let fingerprint = function
 (* ---------- JSON codec ---------- *)
 
 let spec_to_json spec =
-  let ints l = Json.List (List.map (fun i -> Json.Int i) l) in
+  let obj task kvs =
+    Json.Obj
+      (("task", Json.Str task)
+      :: List.filter_map (fun (f, v) -> Option.map (fun v -> (f.key, v)) v) kvs)
+  in
+  let int i = Some (Json.Int i) and str s = Some (Json.Str s) in
+  let bool b = Some (Json.Bool b) and opt = Option.map (fun i -> Json.Int i) in
+  let ints l = Some (Json.List (List.map (fun i -> Json.Int i) l)) in
+  let fault_model m = str (Sim.Fault_model.to_string m) in
   match spec with
   | Explore e ->
-      Json.Obj
-        ([
-           ("task", Json.Str "explore");
-           ("algo", Json.Str e.e_algo);
-           ("n", Json.Int e.e_n);
-           ("k", Json.Int e.e_k);
-         ]
-        @ (match e.e_l with None -> [] | Some l -> [ ("l", Json.Int l) ])
-        @ [
-            ("wait", Json.Int e.e_wait);
-            ("dead", ints e.e_dead);
-            ("crash-budget", Json.Int e.e_crash_budget);
-            ("model", Json.Str (Sim.Fault_model.to_string e.e_model));
-            ("policy", Json.Str e.e_policy);
-            ( "reduction",
-              Json.Str (Sim.Canon.reduction_to_string e.e_reduction) );
+      obj "explore"
+        Fields.
+          [
+            (algo, str e.e_algo); (n, int e.e_n); (k, int e.e_k);
+            (l, opt e.e_l); (wait, int e.e_wait); (dead, ints e.e_dead);
+            (crash_budget, int e.e_crash_budget); (model, fault_model e.e_model);
+            (policy, str e.e_policy);
+            (reduction, str (Sim.Canon.reduction_to_string e.e_reduction));
+            (max_configs, opt e.e_max_configs); (drop, bool e.e_drop);
           ]
-        @ (match e.e_max_configs with
-          | None -> []
-          | Some m -> [ ("max-configs", Json.Int m) ])
-        @ [ ("drop-on-crash", Json.Bool e.e_drop) ])
   | Fuzz f ->
-      Json.Obj
-        ([
-           ("task", Json.Str "fuzz");
-           ("algo", Json.Str f.f_algo);
-           ("n", Json.Int f.f_n);
-           ("k", Json.Int f.f_k);
-         ]
-        @ (match f.f_l with None -> [] | Some l -> [ ("l", Json.Int l) ])
-        @ [
-            ("wait", Json.Int f.f_wait);
-            ("dead", ints f.f_dead);
-            ("seed", Json.Int f.f_seed);
-            ("trials", Json.Int f.f_trials);
-            ("max-steps", Json.Int f.f_max_steps);
-            ("max-crashes", Json.Int f.f_max_crashes);
-            ("weights", Json.Str f.f_weights);
-            ("termination", Json.Bool f.f_termination);
-            ("coverage", Json.Bool f.f_coverage);
-            ("model", Json.Str (Sim.Fault_model.to_string f.f_model));
-          ])
+      obj "fuzz"
+        Fields.
+          [
+            (algo, str f.f_algo); (n, int f.f_n); (k, int f.f_k);
+            (l, opt f.f_l); (wait, int f.f_wait); (dead, ints f.f_dead);
+            (seed, int f.f_seed); (trials, int f.f_trials);
+            (max_steps, int f.f_max_steps); (max_crashes, int f.f_max_crashes);
+            (weights, str f.f_weights); (termination, bool f.f_termination);
+            (coverage, bool f.f_coverage); (model, fault_model f.f_model);
+          ]
   | Probe p ->
-      Json.Obj
-        [
-          ("task", Json.Str "probe");
-          ("fail", Json.Int p.p_fail);
-          ("spin", Json.Float p.p_spin);
-        ]
+      obj "probe"
+        Fields.[ (fail, int p.p_fail); (spin, Some (Json.Float p.p_spin)) ]
+
+let check_dead ~n dead =
+  let rec go seen = function
+    | [] -> Ok ()
+    | p :: _ when p < 0 || p >= n ->
+        Error
+          (Printf.sprintf "field %s: pid %d is out of range 0..%d"
+             (describe Fields.dead) p (n - 1))
+    | p :: _ when List.mem p seen ->
+        Error
+          (Printf.sprintf "field %s lists pid %d twice" (describe Fields.dead) p)
+    | p :: rest -> go (p :: seen) rest
+  in
+  go [] dead
+
+(* The ranges a spec must lie in to run, each refusal naming its
+   field.  The algorithm is built with the spec's own (n, L, wait), so
+   every range its functor would raise on is refused here instead.  An
+   explore spec's dead pids are left to the explorer and the failure
+   pattern, which refuse them by name before any work. *)
+let check spec =
+  let point ~n ~k ~l ~wait algo =
+    let* () = at_least 1 Fields.n n in
+    let* () = at_least 1 Fields.k k in
+    algo_conv ~n ~l:(resolve_l ~n l) ~wait_for:wait algo
+  in
+  let* () =
+    match spec with
+    | Explore e ->
+        let* _ = point ~n:e.e_n ~k:e.e_k ~l:e.e_l ~wait:e.e_wait e.e_algo in
+        let* _ = policy_conv e.e_policy in
+        let* () = at_least 0 Fields.crash_budget e.e_crash_budget in
+        Option.fold ~none:(Ok ()) ~some:(at_least 0 Fields.max_configs)
+          e.e_max_configs
+    | Fuzz f ->
+        let* a = point ~n:f.f_n ~k:f.f_k ~l:f.f_l ~wait:f.f_wait f.f_algo in
+        let* _ = fuzzable a in
+        let* _ = weights_conv f.f_weights in
+        let* () = check_dead ~n:f.f_n f.f_dead in
+        let* () = at_least 0 Fields.trials f.f_trials in
+        let* () = at_least 0 Fields.max_steps f.f_max_steps in
+        at_least 0 Fields.max_crashes f.f_max_crashes
+    | Probe _ -> Ok ()
+  in
+  Ok spec
+
+let explore_of_json j =
+  let int = read_int j and str = read_string j in
+  let* e_model = Sim.Fault_model.of_string (str Fields.model) in
+  let* e_reduction = Sim.Canon.reduction_of_string (str Fields.reduction) in
+  check
+    (Explore
+       {
+         e_algo = str Fields.algo;
+         e_n = int Fields.n;
+         e_k = int Fields.k;
+         e_l = read_int_opt j Fields.l;
+         e_wait = int Fields.wait;
+         e_dead = read_ints j Fields.dead;
+         e_crash_budget = int Fields.crash_budget;
+         e_model;
+         e_policy = str Fields.policy;
+         e_reduction;
+         e_max_configs = read_int_opt j Fields.max_configs;
+         e_drop = read Json.get_bool j Fields.drop;
+       })
+
+let fuzz_of_json j =
+  let int = read_int j and str = read_string j and bool = read Json.get_bool j in
+  let* f_model = Sim.Fault_model.of_string (str Fields.model) in
+  check
+    (Fuzz
+       {
+         f_algo = str Fields.algo;
+         f_n = int Fields.n;
+         f_k = int Fields.k;
+         f_l = read_int_opt j Fields.l;
+         f_wait = int Fields.wait;
+         f_dead = read_ints j Fields.dead;
+         f_seed = int Fields.seed;
+         f_trials = int Fields.trials;
+         f_max_steps = int Fields.max_steps;
+         f_max_crashes = int Fields.max_crashes;
+         f_weights = str Fields.weights;
+         f_termination = bool Fields.termination;
+         f_coverage = bool Fields.coverage;
+         f_model;
+       })
+
+let probe_of_json j =
+  let spin = read Json.get_float j Fields.spin in
+  Ok (Probe { p_fail = read_int j Fields.fail; p_spin = spin })
 
 let spec_of_json j =
-  let str ?default k =
-    match Option.map Json.get_string (Json.mem k j) with
-    | Some (Some s) -> Ok s
-    | Some None -> Error (Printf.sprintf "field %S must be a string" k)
-    | None -> (
-        match default with
-        | Some d -> Ok d
-        | None -> Error (Printf.sprintf "missing field %S" k))
-  in
-  let int ?default k =
-    match Option.map Json.get_int (Json.mem k j) with
-    | Some (Some i) -> Ok i
-    | Some None -> Error (Printf.sprintf "field %S must be an integer" k)
-    | None -> (
-        match default with
-        | Some d -> Ok d
-        | None -> Error (Printf.sprintf "missing field %S" k))
-  in
-  let int_opt k =
-    match Option.map Json.get_int (Json.mem k j) with
-    | Some (Some i) -> Ok (Some i)
-    | Some None -> Error (Printf.sprintf "field %S must be an integer" k)
-    | None -> Ok None
-  in
-  let flt ~default k =
-    match Option.map Json.get_float (Json.mem k j) with
-    | Some (Some f) -> Ok f
-    | Some None -> Error (Printf.sprintf "field %S must be a number" k)
-    | None -> Ok default
-  in
-  let boolean ~default k =
-    match Option.map Json.get_bool (Json.mem k j) with
-    | Some (Some b) -> Ok b
-    | Some None -> Error (Printf.sprintf "field %S must be a boolean" k)
-    | None -> Ok default
-  in
-  let dead () =
-    match Json.mem "dead" j with
-    | None -> Ok []
-    | Some v -> (
-        match Json.get_list v with
-        | None -> Error "field \"dead\" must be a list of integers"
-        | Some l ->
-            List.fold_right
-              (fun x acc ->
-                let* acc = acc in
-                match Json.get_int x with
-                | Some i -> Ok (i :: acc)
-                | None -> Error "field \"dead\" must be a list of integers")
-              l (Ok []))
-  in
-  let model () =
-    let* s = str ~default:"crash" "model" in
-    Sim.Fault_model.of_string s
-  in
-  let algo ?(runs = Result.ok) () =
-    let* a = str ~default:"kset-flp" "algo" in
-    (* validate eagerly with harmless parameters; the name, and
-       whether the task can run the algorithm, is what is checked *)
-    let* _ = Result.bind (algo_conv ~l:1 ~wait_for:1 a) runs in
-    Ok a
-  in
-  let* task = str "task" in
-  match task with
-  | "explore" ->
-      let* e_algo = algo () in
-      let* e_n = int ~default:6 "n" in
-      let* e_k = int ~default:2 "k" in
-      let* e_l = int_opt "l" in
-      let* e_wait = int ~default:2 "wait" in
-      let* e_dead = dead () in
-      let* e_crash_budget = int ~default:0 "crash-budget" in
-      let* e_model = model () in
-      let* e_policy = str ~default:"per-sender" "policy" in
-      let* _ = policy_conv e_policy in
-      let* red = str ~default:"none" "reduction" in
-      let* e_reduction = Sim.Canon.reduction_of_string red in
-      let* e_max_configs = int_opt "max-configs" in
-      let* e_drop = boolean ~default:false "drop-on-crash" in
-      Ok
-        (Explore
-           {
-             e_algo;
-             e_n;
-             e_k;
-             e_l;
-             e_wait;
-             e_dead;
-             e_crash_budget;
-             e_model;
-             e_policy;
-             e_reduction;
-             e_max_configs;
-             e_drop;
-           })
-  | "fuzz" ->
-      let* f_algo = algo ~runs:fuzzable () in
-      let* f_n = int ~default:6 "n" in
-      let* f_k = int ~default:2 "k" in
-      let* f_l = int_opt "l" in
-      let* f_wait = int ~default:2 "wait" in
-      let* f_dead = dead () in
-      let* f_seed = int ~default:1 "seed" in
-      let* f_trials = int ~default:1000 "trials" in
-      let* f_max_steps = int ~default:200 "max-steps" in
-      let* f_max_crashes = int ~default:0 "max-crashes" in
-      let* f_weights = str ~default:"mixed" "weights" in
-      let* _ = weights_conv f_weights in
-      let* f_termination = boolean ~default:false "termination" in
-      let* f_coverage = boolean ~default:false "coverage" in
-      let* f_model = model () in
-      Ok
-        (Fuzz
-           {
-             f_algo;
-             f_n;
-             f_k;
-             f_l;
-             f_wait;
-             f_dead;
-             f_seed;
-             f_trials;
-             f_max_steps;
-             f_max_crashes;
-             f_weights;
-             f_termination;
-             f_coverage;
-             f_model;
-           })
-  | "probe" ->
-      let* p_fail = int ~default:0 "fail" in
-      let* p_spin = flt ~default:0. "spin" in
-      Ok (Probe { p_fail; p_spin })
-  | other -> Error (Printf.sprintf "unknown task %S" other)
+  match Option.bind (Json.mem "task" j) Json.get_string with
+  | None -> Error "missing field \"task\" (a string)"
+  | Some task -> (
+      match
+        List.assoc_opt task
+          [
+            ("explore", (explore_fields, explore_of_json));
+            ("fuzz", (fuzz_fields, fuzz_of_json));
+            ("probe", (probe_fields, probe_of_json));
+          ]
+      with
+      | None -> Error (Printf.sprintf "unknown task %S" task)
+      | Some (table, of_json) ->
+          let* () = check_keys ~task table j in
+          of_json j)
 
 (* ---------- resume validation ---------- *)
 
@@ -384,7 +498,7 @@ let fuzz_setup ~stop f =
   let n = f.f_n in
   let* algo =
     Result.bind
-      (algo_conv ~l:(resolve_l ~n f.f_l) ~wait_for:f.f_wait f.f_algo)
+      (algo_conv ~n ~l:(resolve_l ~n f.f_l) ~wait_for:f.f_wait f.f_algo)
       fuzzable
   in
   let* weights = weights_conv f.f_weights in
@@ -413,7 +527,7 @@ let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
   | Explore e -> (
       let n = e.e_n in
       let l = resolve_l ~n e.e_l in
-      match algo_conv ~l ~wait_for:e.e_wait e.e_algo with
+      match algo_conv ~n ~l ~wait_for:e.e_wait e.e_algo with
       | Error _ as err -> err
       | Ok (module A) -> (
           match policy_conv e.e_policy with

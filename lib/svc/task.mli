@@ -13,10 +13,15 @@
     [summarize] maps every outcome to its one verdict line and exit
     code.
 
-    The CLI is a thin client: it parses flags into a spec, calls
-    [run] (or [replay]), and prints the summary's line; the campaign
-    daemon stores the same summary in its job records, so the two
-    cannot word a verdict differently.  A [Probe] task rides along — a
+    Every spec field is declared once, in one table ({!field}):
+    [spec_of_json] reads specs through it and is their one
+    constructor and validator, and the CLI builds its explore and fuzz
+    flags from it — so a flag and its job-spec key cannot drift apart.
+
+    The CLI is a thin client: it reads flags into a spec, calls [run]
+    (or [replay]), and prints the summary's line; the campaign daemon
+    stores the same summary in its job records, so the two cannot
+    word a verdict differently.  A [Probe] task rides along — a
     trivially cheap, deterministic task that fails its first [fail]
     attempts — so the daemon's retry, backoff and throughput paths can
     be exercised without spinning up a real search. *)
@@ -73,18 +78,62 @@ val fingerprint : spec -> string
     CLI has always written into checkpoints for the same
     parameters. *)
 
+(** {1 The spec table} *)
+
+type shape = Int | String | Bool | Ints | Float
+
+type field = {
+  key : string;  (** The JSON key. *)
+  flags : string list;  (** Command-line names, aliases included. *)
+  docv : string;
+  doc : string;  (** The [--help] text. *)
+  shape : shape;
+  default : Json.t option;
+      (** [None] for [l] (then [max 1 (n-1)]) and [max-configs]. *)
+}
+
+(** The entries the non-campaign commands share. *)
+module Fields : sig
+  val algo : field
+  val n : field
+  val k : field
+  val l : field
+  val wait : field
+  val dead : field
+  val model : field
+  val seed : field
+end
+
+val explore_fields : field list
+val fuzz_fields : field list
+
+val read_int : Json.t -> field -> int
+val read_string : Json.t -> field -> string
+val read_ints : Json.t -> field -> int list
+(** A field's value in a JSON object, or its default; raises
+    [Invalid_argument] for a field with neither. *)
+
 val algo_conv :
-  l:int -> wait_for:int -> string -> ((module Ksa_sim.Algorithm.S), string) result
-(** The algorithm of a name: [kset-flp] (waiting for [l] reports),
-    [naive-min] (waiting for [wait_for]), [trivial] or [synod]. *)
+  n:int ->
+  l:int ->
+  wait_for:int ->
+  string ->
+  ((module Ksa_sim.Algorithm.S), string) result
+(** The algorithm of a name at [n] processes: [kset-flp] (waiting for
+    [l] reports), [naive-min] (waiting for [wait_for]), [trivial] or
+    [synod].  [kset-flp] with [l], and [naive-min] with [wait_for],
+    outside [1..n] are [Error]s naming the field. *)
 
 val spec_to_json : spec -> Json.t
 val spec_of_json : Json.t -> (spec, string) result
-(** Wire/disk codec.  [spec_of_json] applies the CLI's defaults for
-    absent optional fields and validates algorithm, policy, reduction
-    and model names eagerly, and refuses a fuzz spec whose algorithm
-    queries a failure detector — a submitted job fails at submission,
-    not at execution. *)
+(** Wire/disk codec.  [spec_of_json] is the one constructor and
+    validator of specs: absent keys take the table defaults, and an
+    unknown key (["unknown field \"trails\" for task fuzz"]), an
+    unknown name, a fuzz spec of a failure-detector algorithm, and a
+    value out of range ([n] or [k] below 1, [l] or [wait] outside
+    [1..n] for the algorithm that reads it, fuzz dead pids out of
+    range or repeated, a negative budget) are [Error]s naming the
+    field — a submitted job fails at submission, not at execution. *)
 
 val load_resume :
   path:string ->
@@ -125,7 +174,8 @@ val run :
     campaign resumes at [domains], whatever domain count wrote the
     checkpoint.  [stop] is a wall-clock (or any other) budget hook, polled by the fuzz driver between trials.
     [attempt] (default 0) is the retry ordinal, consumed by [Probe].
-    Errors: unknown algorithm names, a fuzz campaign of an algorithm
+    Errors: unknown algorithm names, an [l] or [wait] outside [1..n]
+    for the algorithm that reads it, a fuzz campaign of an algorithm
     that queries a failure detector (fuzz trials supply none),
     unexplorable parameter
     combinations ({!Sim.Explorer.Not_explorable}, or an initially-dead

@@ -328,6 +328,157 @@ let test_bad_experiment_ids () =
   expect_error [ "experiments"; "--only"; "E99" ] ~names:"E14";
   expect_error [ "experiments"; "--only"; "e1" ] ~names:"\"e1\""
 
+(* Every spec the CLI builds goes through Task.spec_of_json: a value
+   the campaign cannot run with, a bad --model or --reduction, and a
+   job spec with a misspelt key are refused by name, exit 1, never an
+   uncaught exception.  [ksa job submit] checks its spec before it
+   dials the daemon, so no daemon is needed here. *)
+let test_spec_refusals () =
+  let submit spec =
+    [ "job"; "submit"; "--addr"; "unix:" ^ Filename.concat
+        (Filename.get_temp_dir_name ()) "ksa-cli-no-daemon.sock"; spec ]
+  in
+  let size = "field \"n\" (--size) must be at least 1, got -3" in
+  let quorum v =
+    Printf.sprintf
+      "kset-flp: field \"l\" (--wait-quorum) must be in 1..3, got %d" v
+  in
+  let wait = "naive-min: field \"wait\" (--wait-for) must be in 1..3, got 0" in
+  List.iter
+    (fun (args, names) -> expect_error args ~names)
+    [
+      ([ "explore"; "--size=-3" ], size);
+      ([ "fuzz"; "--size=-3" ], size);
+      ([ "explore"; "-n"; "3"; "--wait-quorum"; "0" ], quorum 0);
+      ([ "explore"; "-n"; "3"; "--wait-quorum"; "9" ], quorum 9);
+      ([ "fuzz"; "-n"; "3"; "--wait-quorum"; "0" ], quorum 0);
+      ([ "explore"; "--algo"; "naive-min"; "-n"; "3"; "--wait-for"; "0" ], wait);
+      ([ "fuzz"; "-n"; "3"; "--dead=7" ], "field \"dead\": pid 7 is out of range 0..2");
+      ( [ "simulate"; "--wait-quorum"; "0" ],
+        "kset-flp: field \"l\" (--wait-quorum) must be in 1..6, got 0" );
+      ([ "explore"; "-n"; "3"; "--model"; "bogus" ], "unknown fault model \"bogus\"");
+      ([ "fuzz"; "-n"; "3"; "--model"; "bogus" ], "unknown fault model \"bogus\"");
+      ([ "explore"; "-n"; "3"; "--reduction"; "bogus" ], "unknown reduction \"bogus\"");
+      (submit {|{"task":"explore","algo":"naive-min","n":3,"wait":0}|}, wait);
+      (submit {|{"task":"fuzz","trails":5}|}, "unknown field \"trails\" for task fuzz");
+    ]
+
+(* Spawn [ksa args] and SIGINT it once the checkpoint at [path]
+   exists: the campaign flushes a final checkpoint and exits 130 (0
+   when it finished first). *)
+let ksa_interrupted args ~path =
+  if Sys.file_exists path then Sys.remove path;
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) null null null in
+  Unix.close null;
+  let rec await tries =
+    if tries > 0 && not (Sys.file_exists path) then begin
+      Unix.sleepf 0.02;
+      await (tries - 1)
+    end
+  in
+  await 1500;
+  Unix.kill pid Sys.sigint;
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED c -> c
+  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+      Alcotest.failf "ksa %s: killed by signal %d" (String.concat " " args) s
+
+(* The flags and the job-spec keys are one table: for every explore and
+   fuzz field, the checkpoint identity the CLI writes with the flag set
+   to a value other than its default equals the one Task computes for
+   the job spec carrying that key; and no flags at all is the spec
+   with no keys. *)
+let test_flag_json_parity () =
+  let module Json = Ksa_svc.Json in
+  let module Task = Ksa_svc.Task in
+  let identity_of_checkpoint path =
+    match Ksa_sim.Checkpoint.load ~path with
+    | Ok t -> (Ksa_sim.Checkpoint.kind t, Ksa_sim.Checkpoint.fingerprint t)
+    | Error e -> Alcotest.failf "checkpoint %s: %s" path e
+  in
+  let identity_of_json task kvs =
+    match Task.spec_of_json (Json.Obj (("task", Json.Str task) :: kvs)) with
+    | Ok spec -> (Task.kind spec, Task.fingerprint spec)
+    | Error e -> Alcotest.fail e
+  in
+  let identity = Alcotest.(pair string string) in
+  let campaign args =
+    with_schedule (fun path ->
+        let c, _, err =
+          ksa (args @ [ "--checkpoint-every"; "1"; "--checkpoint"; path ])
+        in
+        if not (List.mem c [ 0; 4 ]) then
+          Alcotest.failf "%s: exit %d (%s)" (String.concat " " args) c err;
+        identity_of_checkpoint path)
+  in
+  let n3 = ("n", [ "-n"; "3" ], Json.Int 3) and k3 = ("k", [ "-k"; "3" ], Json.Int 3) in
+  List.iter
+    (fun (task, fields, base, rows) ->
+      Alcotest.(check (list string))
+        (task ^ ": every table field has a row")
+        (List.sort compare (List.map (fun (f : Task.field) -> f.key) fields))
+        (List.sort compare (List.map (fun (key, _, _) -> key) rows));
+      List.iter
+        (fun (key, flag_args, value) ->
+          let base = List.filter (fun (k, _, _) -> k <> key) base in
+          let args =
+            (task :: List.concat_map (fun (_, a, _) -> a) base) @ flag_args
+          in
+          Alcotest.check identity (String.concat " " args)
+            (identity_of_json task
+               (List.map (fun (k, _, v) -> (k, v)) base @ [ (key, value) ]))
+            (campaign args))
+        rows;
+      with_schedule (fun path ->
+          let code =
+            ksa_interrupted
+              [ task; "--checkpoint-every"; "1"; "--checkpoint"; path ]
+              ~path
+          in
+          Alcotest.(check bool) (task ^ ": interrupted") true (List.mem code [ 0; 130 ]);
+          Alcotest.check identity (task ^ ": no flags")
+            (identity_of_json task [])
+            (identity_of_checkpoint path)))
+    [
+      ( "explore",
+        Task.explore_fields,
+        [ n3; k3; ("max-configs", [ "--max-configs"; "50" ], Json.Int 50) ],
+        [
+          ("algo", [ "--algo"; "trivial" ], Json.Str "trivial");
+          ("n", [ "--size"; "4" ], Json.Int 4);
+          ("k", [ "--kset"; "1" ], Json.Int 1);
+          ("l", [ "--wait-quorum"; "2" ], Json.Int 2);
+          ("wait", [ "--wait-for"; "3" ], Json.Int 3);
+          ("dead", [ "--dead"; "0" ], Json.List [ Json.Int 0 ]);
+          ("crash-budget", [ "--crash-budget"; "1" ], Json.Int 1);
+          ("model", [ "--model"; "mobile:1" ], Json.Str "mobile:1");
+          ("policy", [ "--policy"; "empty-or-all" ], Json.Str "empty-or-all");
+          ("reduction", [ "--reduction"; "sym" ], Json.Str "sym");
+          ("max-configs", [ "--max-configs"; "40" ], Json.Int 40);
+          ("drop-on-crash", [ "--drop-on-crash" ], Json.Bool true);
+        ] );
+      ( "fuzz",
+        Task.fuzz_fields,
+        [ n3; k3; ("trials", [ "--trials"; "5" ], Json.Int 5) ],
+        [
+          ("algo", [ "--algo"; "trivial" ], Json.Str "trivial");
+          ("n", [ "--size"; "4" ], Json.Int 4);
+          ("k", [ "--kset"; "1" ], Json.Int 1);
+          ("l", [ "--wait-quorum"; "2" ], Json.Int 2);
+          ("wait", [ "--wait-for"; "3" ], Json.Int 3);
+          ("dead", [ "--dead"; "0" ], Json.List [ Json.Int 0 ]);
+          ("seed", [ "--seed"; "5" ], Json.Int 5);
+          ("trials", [ "--trials"; "7" ], Json.Int 7);
+          ("max-steps", [ "--max-steps"; "50" ], Json.Int 50);
+          ("max-crashes", [ "--max-crashes"; "1" ], Json.Int 1);
+          ("weights", [ "--weights"; "fair" ], Json.Str "fair");
+          ("termination", [ "--require-termination" ], Json.Bool true);
+          ("coverage", [ "--coverage" ], Json.Bool true);
+          ("model", [ "--model"; "byzantine" ], Json.Str "byzantine");
+        ] );
+    ]
+
 let suites =
   [
     ( "cli",
@@ -364,5 +515,9 @@ let suites =
           test_replay_unfinished;
         Alcotest.test_case "fuzz: failure-detector algorithms exit 1" `Quick
           test_fuzz_refuses_fd;
+        Alcotest.test_case "specs refused by field name exit 1" `Quick
+          test_spec_refusals;
+        Alcotest.test_case "every table field: flag and JSON key agree" `Quick
+          test_flag_json_parity;
       ] );
   ]

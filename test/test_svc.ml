@@ -643,6 +643,34 @@ let test_daemon_http_session () =
             (j.Jobstore.state = Jobstore.Queued && j.Jobstore.requeues = 1)
       | None -> Alcotest.fail "drained job lost")
 
+(* A daemon on a fresh directory: [f] submits specs to it over HTTP
+   ([submit spec] is the reply's (status, body)), then the daemon is
+   drained and must have stored no job. *)
+let with_refusing_daemon f =
+  with_tmp_dir (fun dir ->
+      let addr = "unix:" ^ Filename.concat dir "sock" in
+      let cfg = { (Daemon.default_cfg ~dir) with Daemon.addr = Some addr } in
+      let daemon = Domain.spawn (fun () -> Daemon.serve cfg) in
+      let rec req ?body ?(tries = 40) meth path =
+        match Http.request ~addr ~meth ~path ?body () with
+        | Ok r -> r
+        | Error e ->
+            if tries = 0 then Alcotest.fail ("http: " ^ e)
+            else begin
+              (* the listener may not be up yet *)
+              Unix.sleepf 0.05;
+              req ?body ~tries:(tries - 1) meth path
+            end
+      in
+      f (fun spec ->
+          req ~body:(Json.to_string (Json.Obj [ ("spec", spec) ])) "POST" "/jobs");
+      (match req "POST" "/drain" with
+      | 202, _ -> ()
+      | st, _ -> Alcotest.fail (Printf.sprintf "drain: %d" st));
+      Alcotest.(check int) "drained daemon exits 0" 0 (Domain.join daemon);
+      let t = ok_or_fail (Jobstore.open_dir ~dir) in
+      Alcotest.(check bool) "no job stored" true (Jobstore.get t 1 = None))
+
 (* A fuzz spec of an algorithm that queries a failure detector cannot
    run: the codec and [Task.run] name the reason, and the daemon
    answers 400 at submit instead of retrying a failing job. *)
@@ -668,31 +696,142 @@ let test_daemon_refuses_fd_fuzz () =
         (expect_error "run"
            (Task.run (Task.Fuzz { f with Task.f_algo = "synod" })))
   | _ -> Alcotest.fail "default fuzz spec");
-  with_tmp_dir (fun dir ->
-      let addr = "unix:" ^ Filename.concat dir "sock" in
-      let cfg = { (Daemon.default_cfg ~dir) with Daemon.addr = Some addr } in
-      let daemon = Domain.spawn (fun () -> Daemon.serve cfg) in
-      let rec req ?body ?(tries = 40) meth path =
-        match Http.request ~addr ~meth ~path ?body () with
-        | Ok r -> r
-        | Error e ->
-            if tries = 0 then Alcotest.fail ("http: " ^ e)
-            else begin
-              (* the listener may not be up yet *)
-              Unix.sleepf 0.05;
-              req ?body ~tries:(tries - 1) meth path
-            end
-      in
-      let body = Json.to_string (Json.Obj [ ("spec", spec) ]) in
-      (match req ~body "POST" "/jobs" with
+  with_refusing_daemon (fun submit ->
+      match submit spec with
       | 400, reply -> check_contains "reply" ~sub:reason reply
-      | st, reply -> Alcotest.fail (Printf.sprintf "submit: %d %s" st reply));
-      (match req "POST" "/drain" with
-      | 202, _ -> ()
-      | st, _ -> Alcotest.fail (Printf.sprintf "drain: %d" st));
-      Alcotest.(check int) "drained daemon exits 0" 0 (Domain.join daemon);
+      | st, reply -> Alcotest.fail (Printf.sprintf "submit: %d %s" st reply))
+
+(* Specs [Task.run] could not run without raising — a size below 1,
+   L or wait-for outside 1..n, a fuzz dead pid out of range — and a
+   misspelt key: each is refused by field name. *)
+let crash_specs =
+  let obj task kvs = Json.Obj (("task", Json.Str task) :: kvs) in
+  [
+    ( obj "explore" [ ("n", Json.Int (-3)) ],
+      "field \"n\" (--size) must be at least 1, got -3" );
+    ( obj "explore" [ ("n", Json.Int 3); ("l", Json.Int 0) ],
+      "kset-flp: field \"l\" (--wait-quorum) must be in 1..3, got 0" );
+    ( obj "explore" [ ("n", Json.Int 3); ("l", Json.Int 9) ],
+      "kset-flp: field \"l\" (--wait-quorum) must be in 1..3, got 9" );
+    ( obj "explore"
+        [ ("algo", Json.Str "naive-min"); ("n", Json.Int 3); ("wait", Json.Int 0) ],
+      "naive-min: field \"wait\" (--wait-for) must be in 1..3, got 0" );
+    ( obj "fuzz" [ ("n", Json.Int 3); ("dead", Json.List [ Json.Int 7 ]) ],
+      "field \"dead\": pid 7 is out of range 0..2" );
+    ( obj "fuzz" [ ("trails", Json.Int 5) ],
+      "unknown field \"trails\" for task fuzz" );
+  ]
+
+let test_task_spec_ranges () =
+  let obj task kvs = Json.Obj (("task", Json.Str task) :: kvs) in
+  List.iter
+    (fun (spec, reason) ->
+      check_contains reason ~sub:reason
+        (expect_error "spec" (Task.spec_of_json spec)))
+    (crash_specs
+    @ [
+        ( obj "fuzz" [ ("k", Json.Int 0) ],
+          "field \"k\" (--kset) must be at least 1, got 0" );
+        ( obj "fuzz" [ ("n", Json.Int 3); ("dead", Json.List [ Json.Int 1; Json.Int 1 ]) ],
+          "field \"dead\" lists pid 1 twice" );
+        ( obj "fuzz" [ ("dead", Json.List [ Json.Int (-1) ]) ],
+          "field \"dead\": pid -1 is out of range 0..5" );
+        (obj "fuzz" [ ("trials", Json.Int (-1)) ], "field \"trials\" must be at least 0");
+        (obj "fuzz" [ ("max-steps", Json.Int (-1)) ], "field \"max-steps\" must be at least 0");
+        ( obj "fuzz" [ ("max-crashes", Json.Int (-1)) ],
+          "field \"max-crashes\" must be at least 0" );
+        ( obj "explore" [ ("crash-budget", Json.Int (-1)) ],
+          "field \"crash-budget\" must be at least 0" );
+        ( obj "explore" [ ("max-configs", Json.Int (-1)) ],
+          "field \"max-configs\" must be at least 0" );
+        ( obj "explore" [ ("termination", Json.Bool true) ],
+          "unknown field \"termination\" for task explore" );
+        (obj "probe" [ ("n", Json.Int 3) ], "unknown field \"n\" for task probe");
+        (obj "explore" [ ("dead", Json.Int 1) ], "field \"dead\" must be a list of integers");
+      ]);
+  (* the functors' own range checks are reached through [algo_conv] by
+     [Task.run] too, on a spec built without the codec *)
+  match small_explore with
+  | Task.Explore e ->
+      check_contains "run" ~sub:"must be in 1..3, got 0"
+        (expect_error "run" (Task.run (Task.Explore { e with Task.e_l = Some 0 })))
+  | _ -> assert false
+
+let test_daemon_refuses_crash_specs () =
+  with_refusing_daemon (fun submit ->
+      List.iter
+        (fun (spec, reason) ->
+          match submit spec with
+          | 400, reply ->
+              (* the reason, unescaped from the reply's JSON *)
+              let error =
+                Option.bind
+                  (Result.to_option (Json.parse reply))
+                  (fun j -> Option.bind (Json.mem "error" j) Json.get_string)
+              in
+              Alcotest.(check (option string)) "reply" (Some reason) error
+          | st, reply ->
+              Alcotest.fail (Printf.sprintf "submit: %d %s" st reply))
+        crash_specs)
+
+(* Job records written before the spec table keep loading, to the same
+   checkpoint identity: the parent's [spec_to_json] output, byte for
+   byte, with its kind and fingerprint. *)
+let test_task_old_specs_load () =
+  List.iter
+    (fun (text, kind, fingerprint) ->
+      let spec = ok_or_fail (Result.bind (Json.parse text) Task.spec_of_json) in
+      Alcotest.(check string) "kind" kind (Task.kind spec);
+      Alcotest.(check string) "fingerprint" fingerprint (Task.fingerprint spec);
+      Alcotest.(check string) "spec_to_json bytes" text
+        (Json.to_string (Task.spec_to_json spec)))
+    [
+      ( {|{"task":"explore","algo":"kset-flp","n":4,"k":2,"wait":2,"dead":[],"crash-budget":0,"model":"crash","policy":"per-sender","reduction":"none","drop-on-crash":false}|},
+        "explore",
+        "algo=kset-flp n=4 k=2 l=3 wait=2 dead= crash-budget=0 \
+         policy=per-sender max-configs=- drop=false reduction=none" );
+      ( {|{"task":"explore","algo":"naive-min","n":3,"k":1,"l":2,"wait":3,"dead":[1],"crash-budget":1,"model":"byzantine:1","policy":"empty-or-all","reduction":"sym+por","max-configs":4000,"drop-on-crash":true}|},
+        "explore-crash",
+        "algo=naive-min n=3 k=1 l=2 wait=3 dead=1 crash-budget=1 \
+         policy=empty-or-all max-configs=4000 drop=true reduction=sym+por \
+         model=byzantine:1" );
+      ( {|{"task":"fuzz","algo":"kset-flp","n":5,"k":2,"wait":2,"dead":[0],"seed":9,"trials":50,"max-steps":120,"max-crashes":1,"weights":"mixed","termination":false,"coverage":false,"model":"crash"}|},
+        "fuzz",
+        "algo=kset-flp n=5 k=2 l=4 wait=2 dead=0 seed=9 trials=50 \
+         max-steps=120 max-crashes=1 weights=mixed termination=false \
+         coverage=false" );
+      ( {|{"task":"fuzz","algo":"trivial","n":5,"k":2,"l":3,"wait":4,"dead":[0,2],"seed":9,"trials":50,"max-steps":120,"max-crashes":1,"weights":"fair","termination":true,"coverage":true,"model":"mobile:2"}|},
+        "fuzz",
+        "algo=trivial n=5 k=2 l=3 wait=4 dead=0,2 seed=9 trials=50 \
+         max-steps=120 max-crashes=1 weights=fair termination=true \
+         coverage=true model=mobile:2" );
+      ({|{"task":"probe","fail":2,"spin":0.5}|}, "probe", "probe fail=2 spin=0.5");
+    ]
+
+(* A record the store cannot read back — corrupt, or holding a spec
+   an older daemon accepted and the codec now refuses — is skipped on
+   open, and its id stays taken: the next job does not overwrite it. *)
+let test_jobstore_skipped_id_kept () =
+  with_tmp_dir (fun dir ->
       let t = ok_or_fail (Jobstore.open_dir ~dir) in
-      Alcotest.(check bool) "no job stored" true (Jobstore.get t 1 = None))
+      let refused =
+        match fuzz_spec with
+        | Task.Fuzz f -> Task.Fuzz { f with Task.f_dead = [ 7 ] }
+        | _ -> assert false
+      in
+      ignore (ok_or_fail (Jobstore.submit t refused));
+      let path =
+        Sys.readdir dir |> Array.to_list
+        |> List.find (fun f -> Filename.check_suffix f ".ksaj")
+        |> Filename.concat dir
+      in
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let t' = ok_or_fail (Jobstore.open_dir ~dir) in
+      Alcotest.(check bool) "skipped" true (Jobstore.get t' 1 = None);
+      let j2 = ok_or_fail (Jobstore.submit t' explore_spec) in
+      Alcotest.(check int) "next id" 2 j2.Jobstore.id;
+      Alcotest.(check string) "record untouched" bytes
+        (In_channel.with_open_bin path In_channel.input_all))
 
 let suites =
   [
@@ -732,6 +871,10 @@ let suites =
           test_task_resume_fuzz_domains;
         Alcotest.test_case "explore spec runs to a summary" `Quick
           test_task_explore_runs;
+        Alcotest.test_case "spec ranges refused by field name" `Quick
+          test_task_spec_ranges;
+        Alcotest.test_case "parent spec_to_json output still loads" `Quick
+          test_task_old_specs_load;
       ] );
     ( "svc jobstore",
       [
@@ -741,6 +884,8 @@ let suites =
           test_jobstore_adopts_orphans;
         Alcotest.test_case "crash at every transition instant" `Quick
           test_jobstore_crash_sweep;
+        Alcotest.test_case "an unreadable record keeps its id" `Quick
+          test_jobstore_skipped_id_kept;
       ] );
     ( "svc daemon",
       [
@@ -756,5 +901,7 @@ let suites =
           test_daemon_http_session;
         Alcotest.test_case "fd-algorithm fuzz spec refused with 400" `Quick
           test_daemon_refuses_fd_fuzz;
+        Alcotest.test_case "crashing and misspelt specs refused with 400"
+          `Quick test_daemon_refuses_crash_specs;
       ] );
   ]
