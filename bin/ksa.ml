@@ -15,9 +15,10 @@
 
    explore and fuzz are thin clients of Ksa_svc.Task: their flags are
    Task's spec table, read into the JSON object of a job spec and built
-   by Task.spec_of_json as a submitted job is; they run the spec, and
-   print the one verdict line Task.summarize gives every outcome (the
-   line the daemon stores in its job records), exiting with its code. *)
+   by Task.spec_of_json as a submitted job is; Task.open_campaign opens
+   it as the daemon opens a job, and they print the lines
+   Task.summarize gives every outcome (the lines the daemon stores in
+   its job records), exiting with its code. *)
 
 open Cmdliner
 module Sim = Ksa_sim
@@ -498,12 +499,12 @@ let campaign_args =
     const make $ domains_arg $ stats_json_arg $ checkpoint_arg
     $ checkpoint_every_arg $ resume_arg $ strict_resume_arg)
 
-(* Print the outcome's one verdict line and return its exit code;
-   [extras] prints what follows the headline and may override the code. *)
+(* Print the outcome's lines and return its exit code; [extras] prints
+   what follows them and may override the code. *)
 let report ?(extras = fun _ code -> code) result =
   let* outcome = result in
   let s = Svc.Task.summarize outcome in
-  Format.printf "%s@." s.Svc.Task.detail;
+  List.iter (Format.printf "%s@.") s.Svc.Task.lines;
   extras outcome s.Svc.Task.exit_code
 
 (* The tail of every campaign command: --stats-json (a failed write
@@ -596,44 +597,33 @@ let with_progress enabled f =
       f
   end
 
-(* Run [spec] as a campaign: checkpoint sink and resume (lenient, or
-   exit 5 under --strict-resume), signal handlers, the Task itself,
-   its verdict line, and [finish]. *)
-let run_campaign ?(progress = false) ?stop ?extras c spec =
-  let kind = Svc.Task.kind spec in
-  let fingerprint = Svc.Task.fingerprint spec in
+(* Run [spec] as a campaign: Task opens it (a rejected resume warns, or
+   exits 5 under --strict-resume), then signal handlers, the run, its
+   lines, and [finish].  [expired] (a wall-clock budget) is polled with
+   the signal flag as the campaign's one interrupt. *)
+let run_campaign ?(progress = false) ?(expired = fun () -> false) ?extras c
+    spec =
   let domains =
     match c.domains with
     | Some d -> d
     | None -> Sim.Explorer.default_domains ()
   in
-  let sink =
-    Option.map
-      (fun path -> { Checkpoint.path; kind; fingerprint; policy = c.every })
-      c.checkpoint
+  let { Svc.Task.ckpt; payload; rejected } =
+    Svc.Task.open_campaign ?checkpoint:c.checkpoint ~policy:c.every
+      ?resume:c.resume
+      ~interrupt:(fun () -> Atomic.get shutdown || expired ())
+      spec
   in
-  let resumed =
-    Option.bind c.resume (fun path ->
-        match Svc.Task.load_resume ~path ~kind ~fingerprint with
-        | Ok t -> Some t
-        | Error reason when c.strict_resume ->
-            Printf.eprintf "ksa: cannot resume (strict): %s\n%!" reason;
-            exit 5
-        | Error reason ->
-            Printf.eprintf "ksa: %s — starting a fresh campaign\n%!" reason;
-            None)
-  in
+  (match rejected with
+  | Some reason when c.strict_resume ->
+      Printf.eprintf "ksa: cannot resume (strict): %s\n%!" reason;
+      exit 5
+  | Some reason ->
+      Printf.eprintf "ksa: %s — starting a fresh campaign\n%!" reason
+  | None -> ());
   install_signal_handlers ();
-  let ckpt =
-    Checkpoint.ctl ?sink
-      ~interrupt:(fun () -> Atomic.get shutdown)
-      ~ledger:(match resumed with Some t -> Checkpoint.ledger t | None -> [])
-      ()
-  in
-  (* the full payload: a coverage campaign's corpus rides in it *)
-  let resume = Option.map Checkpoint.payload resumed in
   with_progress progress (fun () ->
-      report ?extras (Svc.Task.run ~domains ?stop ~ckpt ?resume spec))
+      report ?extras (Svc.Task.run ~domains ~ckpt ?resume:payload spec))
   |> finish c
 
 (* ---------- explore ---------- *)
@@ -676,7 +666,7 @@ let fuzz spec save_schedule replay_path max_seconds campaign =
     | Ok (Svc.Task.Explore _ | Svc.Task.Probe _) -> Error "not a fuzz spec"
     | Error _ as e -> e
   in
-  let stop =
+  let expired =
     Option.map
       (fun s ->
         (* monotonic: a wall-clock step (NTP, DST) must not end or
@@ -685,47 +675,26 @@ let fuzz spec save_schedule replay_path max_seconds campaign =
         fun () -> Clock.elapsed_s ~since:start > s)
       max_seconds
   in
-  (* after the headline: the coverage map, then the counterexample's
-     schedule (saved with --save-schedule) *)
+  (* after the lines Task.summarize gives: the counterexample's shrunk
+     schedule, saved with --save-schedule *)
   let extras outcome code =
-    if spec.Svc.Task.f_coverage then
-      Format.printf "coverage: %d state ids, %d transition pairs, corpus %d@."
-        (Metrics.gauge_value (Metrics.gauge "fuzz.cov.ids"))
-        (Metrics.gauge_value (Metrics.gauge "fuzz.cov.pairs"))
-        (Metrics.gauge_value (Metrics.gauge "fuzz.cov.corpus"));
-    match Svc.Task.counterexample outcome with
-    | None -> code
-    | Some v -> (
-        if v.Sim.Fuzz.replays then
-          Format.printf
-            "schedule: %d steps, shrunk to %d (1-minimal, %d candidate \
-             replays)@."
-            (List.length v.Sim.Fuzz.schedule)
-            (List.length v.Sim.Fuzz.shrunk)
-            v.Sim.Fuzz.shrink_candidates
-        else
-          Format.printf
-            "schedule: %d steps, not shrunk (its replay does not violate, \
-             %d candidate replays)@."
-            (List.length v.Sim.Fuzz.schedule)
-            v.Sim.Fuzz.shrink_candidates;
-        match save_schedule with
-        | None -> code
-        | Some path -> (
-            match
-              Sim.Trace_io.save_schedule ~model:spec.Svc.Task.f_model ~path
-                v.Sim.Fuzz.shrunk
-            with
-            | Ok () ->
-                Format.printf "shrunk schedule written to %s@." path;
-                code
-            | Error e ->
-                Printf.eprintf "ksa: %s\n%!" e;
-                1))
+    match (outcome, save_schedule) with
+    | Svc.Task.Fuzzed (Sim.Fuzz.Violation_found v, _), Some path -> (
+        match
+          Sim.Trace_io.save_schedule ~model:spec.Svc.Task.f_model ~path
+            v.Sim.Fuzz.shrunk
+        with
+        | Ok () ->
+            Format.printf "shrunk schedule written to %s@." path;
+            code
+        | Error e ->
+            Printf.eprintf "ksa: %s\n%!" e;
+            1)
+    | _ -> code
   in
   match replay_path with
   | Some path -> finish campaign (report (Svc.Task.replay ~path spec))
-  | None -> run_campaign ?stop ~extras campaign (Svc.Task.Fuzz spec)
+  | None -> run_campaign ?expired ~extras campaign (Svc.Task.Fuzz spec)
 
 let max_seconds_arg =
   Arg.(

@@ -44,7 +44,6 @@ type config = {
   max_crashes : int;
   max_steps : int;
   properties : property list;
-  stop : (unit -> bool) option;
   model : Fault_model.t;
   coverage : bool;
 }
@@ -58,7 +57,6 @@ let default_config ?(k = 1) ~n () =
     max_crashes = 0;
     max_steps = 200;
     properties = [ K_agreement k; Validity ];
-    stop = None;
     coverage = false;
     model = Fault_model.Crash;
   }
@@ -512,27 +510,6 @@ type coverage_summary = {
   cov_corpus : (Failure_pattern.t * Replay.step_desc list) list;
 }
 
-let coverage_of_payload s =
-  match decode_payload s with
-  | Error _ | Ok { pl_cov = None; _ } -> None
-  | Ok ({ pl_cov = Some cs; _ } as p) ->
-      (* fold the pending partial epoch into the freshly unmarshaled
-         master (a private copy) so the summary reflects the exact
-         watermark state *)
-      let b = box_of_state ~start:p.pl_trial (Some cs) in
-      Cov.fold_tail ~below:p.pl_trial b;
-      let m = b.Cov.master in
-      Some
-        {
-          cov_trials = p.pl_trial;
-          cov_ids = m.Cov.ids;
-          cov_pairs = Hashtbl.length m.Cov.pairs;
-          cov_corpus =
-            List.rev_map
-              (fun (e : Cov.entry) -> (e.Cov.en_pattern, e.Cov.en_sched))
-              m.Cov.corpus;
-        }
-
 module Make (A : Algorithm.S) = struct
   module E = Engine.Make (A)
 
@@ -906,8 +883,8 @@ module Make (A : Algorithm.S) = struct
      requeued: a requeue would stall the wait.  A second failure
      poisons the campaign, which flushes its checkpoint and re-raises
      after the join. *)
-  let run ?on_trial ?(domains = 1) ?(ckpt = Checkpoint.ctl ()) ?resume_payload
-      (cfg : config) ~seed ~trials =
+  let campaign ?on_trial ?(domains = 1) ?(ckpt = Checkpoint.ctl ())
+      ?resume_payload (cfg : config) ~seed ~trials =
     check_weights cfg.weights;
     let start, cov0 = resume_state cfg resume_payload in
     let model = Fault_model.to_string cfg.model in
@@ -965,7 +942,6 @@ module Make (A : Algorithm.S) = struct
       in
       Checkpoint.tick ckpt ~items:wm snap
     in
-    let stop = Option.value cfg.stop ~default:(fun () -> false) in
     let cut = Atomic.make false in
     let poison = Atomic.make None in
     let next_ticket = Atomic.make start in
@@ -975,11 +951,10 @@ module Make (A : Algorithm.S) = struct
       if i < b && not (Atomic.compare_and_set best b i) then lower i
     in
     let abandoned i = i > Atomic.get best || Atomic.get poison <> None in
-    (* one poll of the interrupt, then of the stop hook: a stop-hook
-       expiry (e.g. --max-seconds) preserves the watermark exactly like
-       an interrupt *)
+    (* one poll of the interrupt: a wall-clock expiry folded into it
+       (--max-seconds) preserves the watermark exactly like a signal *)
     let halted () =
-      if Checkpoint.interrupted ckpt || stop () then begin
+      if Checkpoint.interrupted ckpt then begin
         Atomic.set cut true;
         true
       end
@@ -1068,10 +1043,26 @@ module Make (A : Algorithm.S) = struct
           if cut then Budget_exhausted { trials = !watermark }
           else Clean { trials }
     in
-    (* campaign-end coverage gauges report the campaign up to its clean
+    (* campaign-end coverage reports the campaign up to its clean
        watermark: every trial below a violation, and nothing above it *)
-    Option.iter (Cov.fold_tail ~below:!watermark) box;
-    outcome
+    ( outcome,
+      Option.map
+        (fun b ->
+          Cov.fold_tail ~below:!watermark b;
+          let m = b.Cov.master in
+          {
+            cov_trials = !watermark;
+            cov_ids = m.Cov.ids;
+            cov_pairs = Hashtbl.length m.Cov.pairs;
+            cov_corpus =
+              List.rev_map
+                (fun (e : Cov.entry) -> (e.Cov.en_pattern, e.Cov.en_sched))
+                m.Cov.corpus;
+          })
+        box )
+
+  let run ?on_trial ?domains ?ckpt ?resume_payload cfg ~seed ~trials =
+    fst (campaign ?on_trial ?domains ?ckpt ?resume_payload cfg ~seed ~trials)
 
   let run_par ?on_trial ?domains ?ckpt ?resume_payload cfg ~seed ~trials =
     let domains =

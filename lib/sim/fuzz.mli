@@ -70,14 +70,6 @@ type config = {
           the base pattern leaves correct. *)
   max_steps : int;  (** Per-trial step budget. *)
   properties : property list;  (** Checked in order after each trial. *)
-  stop : (unit -> bool) option;
-      (** Polled between trials; when it returns [true] the campaign
-          ends with {!Budget_exhausted} {e after flushing a final
-          checkpoint}, exactly like an interrupt — a wall-clock expiry
-          never discards watermark progress.  Wall-clock budgets live
-          here (the library itself never reads a clock), and only here
-          can determinism be lost: with [stop = None] a campaign is a
-          pure function of its seed. *)
   model : Fault_model.t;
       (** Fault model of the campaign.  [Crash] (the default) draws
           crash times exactly as before — the trial stream is
@@ -111,7 +103,7 @@ type config = {
 val default_config : ?k:int -> n:int -> unit -> config
 (** Distinct inputs, failure-free base pattern, {!default_weights},
     no extra crashes, 200-step budget, properties
-    [[K_agreement k; Validity]] (default [k = 1]), no stop, blind
+    [[K_agreement k; Validity]] (default [k = 1]), blind
     (non-coverage) generation. *)
 
 type violation = {
@@ -135,30 +127,23 @@ type outcome =
   | Violation_found of violation
   | Clean of { trials : int }  (** All trials ran; none violated. *)
   | Budget_exhausted of { trials : int }
-      (** [config.stop] ended the campaign after [trials] trials with
-          no violation found: the contiguous clean-trial watermark, the
-          figure the final checkpoint flush records, at every domain
-          count. *)
+      (** The checkpoint interrupt ended the campaign after [trials]
+          trials with no violation found: the contiguous clean-trial
+          watermark, the figure the final checkpoint flush records, at
+          every domain count. *)
 
 type coverage_summary = {
-  cov_trials : int;  (** The payload's clean-trial watermark. *)
+  cov_trials : int;  (** The clean-trial watermark it is folded to. *)
   cov_ids : int;  (** Distinct interned state ids covered. *)
   cov_pairs : int;  (** Distinct (state-id, state-id) transition pairs. *)
   cov_corpus : (Failure_pattern.t * Replay.step_desc list) list;
       (** Corpus entries in admission order: each admitted run's
           failure pattern and executed schedule. *)
 }
-(** Structural digest of a coverage checkpoint payload, for
-    inspection and for pinning that a killed-and-resumed campaign
-    carries the exact corpus an uninterrupted one holds. *)
-
-val coverage_of_payload : string -> coverage_summary option
-(** Decode a ["fuzz"]-kind checkpoint payload's coverage state
-    ([None] for blind campaigns), folding the payload's pending
-    partial epoch so the summary reflects the exact watermark state.
-    [None] too for a payload another engine wrote (every payload leads
-    with its engine's name).  Raises on garbage — gate with
-    {!Checkpoint.kind} first. *)
+(** Structural digest of a coverage campaign's state at its end
+    ({!Make.campaign}): the coverage line of its summary, and what
+    pins that a killed-and-resumed campaign carries the exact corpus
+    an uninterrupted one holds. *)
 
 module Make (A : Algorithm.S) : sig
   val trial : config -> seed:int -> int -> Failure_pattern.t * Run.t
@@ -236,10 +221,11 @@ module Make (A : Algorithm.S) : sig
       more are spawned.  Workers stop claiming tickets above the
       lowest violating index found so far, but every ticket below it
       still runs, so for a fixed seed the outcome is bit-identical at
-      every domain count.  Only with [config.stop] set does which
-      trials ran depend on timing.  [on_trial] is invoked from the
-      domain that ran the trial: with [domains > 1] it runs
-      concurrently on several domains and must be thread-safe.
+      every domain count.  Only an interrupt makes which trials ran
+      depend on timing: with none, a campaign is a pure function of
+      its seed.  [on_trial] is invoked from the domain that ran the
+      trial: with [domains > 1] it runs concurrently on several
+      domains and must be thread-safe.
 
       In coverage mode the corpus is shared under the watermark
       mutex: clean-trial updates are buffered and folded in strict
@@ -252,15 +238,16 @@ module Make (A : Algorithm.S) : sig
       watermark (every trial below it completed clean, advanced in
       ticket order) plus, in coverage mode, the canonical corpus
       state at that watermark.  Each executed trial polls the
-      interrupt {e and} the [stop] hook once; either way of ending
-      early flushes a final checkpoint before returning
-      [Budget_exhausted], so a [--max-seconds] expiry preserves
-      exactly what a SIGINT would.  [resume_payload] (the
-      {!Checkpoint.payload} of a ["fuzz"] checkpoint, at any domain
-      count) restarts the campaign at the recorded watermark with the
-      recorded corpus; the resumed verdict — violation trial, shrunk
-      schedule, corpus evolution, everything — is bit-identical to an
-      uninterrupted run's.  A payload another engine wrote, or one
+      interrupt once, the one way to end a campaign early: it flushes
+      a final checkpoint before returning [Budget_exhausted].  A
+      wall-clock budget is an interrupt the caller folds into its
+      poll (the library itself never reads a clock), so a
+      [--max-seconds] expiry preserves exactly what a SIGINT would.
+      [resume_payload] (the {!Checkpoint.payload} of a ["fuzz"]
+      checkpoint, at any domain count) restarts the campaign at the
+      recorded watermark with the recorded corpus; the resumed
+      verdict — violation trial, shrunk schedule, corpus evolution,
+      everything — is bit-identical to an uninterrupted run's.  A payload another engine wrote, or one
       written under another [--model], is reported by
       {!Checkpoint.warn_mismatch} and the campaign starts fresh.
 
@@ -272,6 +259,18 @@ module Make (A : Algorithm.S) : sig
       checkpoint (ledger and clean watermark included) is flushed,
       and the exception re-raises after the join — the campaign dies
       loudly but resumably. *)
+
+  val campaign :
+    ?on_trial:(int -> Run.t -> unit) ->
+    ?domains:int ->
+    ?ckpt:Checkpoint.ctl ->
+    ?resume_payload:string ->
+    config ->
+    seed:int ->
+    trials:int ->
+    outcome * coverage_summary option
+  (** {!run}, and in coverage mode the coverage folded through the
+      final clean watermark (what the [fuzz.cov.*] gauges last read). *)
 
   val run_par :
     ?on_trial:(int -> Run.t -> unit) ->

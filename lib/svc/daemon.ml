@@ -74,32 +74,6 @@ let upd st j =
 (* ---------- execution ---------- *)
 
 let start_job st (j : Jobstore.job) =
-  let spec = j.Jobstore.spec in
-  let kind = Task.kind spec in
-  let fingerprint = Task.fingerprint spec in
-  let cpath = Jobstore.ckpt_path ~dir:st.cfg.dir j.Jobstore.id in
-  (* the daemon is always strict: a rejected checkpoint is counted and
-     recorded on the job, and the attempt reruns from scratch — never
-     a silent divergence *)
-  let resume, resume_note =
-    if j.Jobstore.resumable && Sys.file_exists cpath then
-      match Task.load_resume ~path:cpath ~kind ~fingerprint with
-      | Ok t -> (Some t, None)
-      | Error e ->
-          Metrics.incr m_rejected;
-          (None, Some (Printf.sprintf "resume rejected: %s" e))
-    else (None, None)
-  in
-  let j =
-    {
-      j with
-      Jobstore.state = Jobstore.Running;
-      error = (match resume_note with Some _ -> resume_note | None -> j.error);
-    }
-  in
-  upd st j;
-  log st "job %d: running (attempt %d%s)" j.Jobstore.id j.Jobstore.attempts
-    (if resume <> None then ", resumed" else "");
   let cancel = Atomic.make false in
   let deadline_hit = Atomic.make false in
   let interrupt_seen = Atomic.make false in
@@ -122,20 +96,35 @@ let start_job st (j : Jobstore.job) =
     if v then Atomic.set interrupt_seen true;
     v
   in
-  let ledger =
-    match resume with Some t -> Checkpoint.ledger t | None -> []
+  let cpath = Jobstore.ckpt_path ~dir:st.cfg.dir j.Jobstore.id in
+  let c =
+    Task.open_campaign ~checkpoint:cpath ~policy:st.cfg.ckpt_policy
+      ?resume:
+        (if j.Jobstore.resumable && Sys.file_exists cpath then Some cpath
+         else None)
+      ~interrupt j.Jobstore.spec
   in
-  let sink =
-    { Checkpoint.path = cpath; kind; fingerprint; policy = st.cfg.ckpt_policy }
+  (* the daemon is always strict: a rejected checkpoint is counted and
+     recorded on the job, and the attempt reruns from scratch — never
+     a silent divergence *)
+  let error =
+    match c.Task.rejected with
+    | Some e ->
+        Metrics.incr m_rejected;
+        Some ("resume rejected: " ^ e)
+    | None -> j.Jobstore.error
   in
-  let payload = Option.map Checkpoint.payload resume in
+  let j = { j with Jobstore.state = Jobstore.Running; error } in
+  upd st j;
+  log st "job %d: running (attempt %d%s)" j.Jobstore.id j.Jobstore.attempts
+    (if c.Task.payload <> None then ", resumed" else "");
   let attempt = j.Jobstore.attempts in
   let dom =
     Domain.spawn (fun () ->
         let res =
           try
-            let ckpt = Checkpoint.ctl ~sink ~interrupt ~ledger () in
-            Task.run ~attempt ~domains:st.cfg.domains ?resume:payload ~ckpt spec
+            Task.run ~attempt ~domains:st.cfg.domains ~ckpt:c.Task.ckpt
+              ?resume:c.Task.payload j.Jobstore.spec
           with e -> Error ("uncaught: " ^ Printexc.to_string e)
         in
         Atomic.set r_done true;
@@ -168,23 +157,15 @@ let finalize st r =
       end
       else
         match res with
-        | Ok _ when Atomic.get r.r_deadline_hit ->
-            (* the driver flushed a final checkpoint on the way out:
-               requeue with the progress, don't discard it *)
-            Metrics.incr m_requeued;
-            log st "job %d: deadline expired, requeued resumable"
-              j.Jobstore.id;
-            upd st
-              {
-                j with
-                Jobstore.state = Jobstore.Queued;
-                requeues = j.Jobstore.requeues + 1;
-                resumable = has_ckpt;
-              }
         | Ok _ when Atomic.get r.r_interrupt_seen ->
-            (* drain: same checkpoint-and-requeue, picked up on restart *)
+            (* a deadline or a drain: the driver flushed a final
+               checkpoint on the way out, so requeue with the progress
+               (a drained job is picked up on restart), don't discard
+               it *)
             Metrics.incr m_requeued;
-            log st "job %d: drained, requeued resumable" j.Jobstore.id;
+            log st "job %d: %s, requeued resumable" j.Jobstore.id
+              (if Atomic.get r.r_deadline_hit then "deadline expired"
+               else "drained");
             upd st
               {
                 j with
@@ -347,32 +328,21 @@ let cancel st id =
   match Jobstore.get st.store id with
   | None -> err_response 404 (Printf.sprintf "no job %d" id)
   | Some j -> (
-      match j.Jobstore.state with
-      | Jobstore.Done | Jobstore.Dead -> job_response 200 j
-      | Jobstore.Running -> (
-          match st.running with
-          | Some r when r.r_id = id ->
-              (* flip the interrupt; the state transition lands when
-                 the driver returns *)
-              Atomic.set r.r_cancel true;
-              job_response 202 j
-          | _ ->
-              (* a Running record with no runner is a store/daemon
-                 disagreement; resolve it the safe way *)
-              let j' =
-                {
-                  j with
-                  Jobstore.state = Jobstore.Dead;
-                  error = Some "cancelled";
-                }
-              in
-              upd st j';
-              job_response 200 j')
-      | Jobstore.Queued | Jobstore.Failed _ ->
+      match (j.Jobstore.state, st.running) with
+      | (Jobstore.Done | Jobstore.Dead), _ -> job_response 200 j
+      | Jobstore.Running, Some r when r.r_id = id ->
+          (* flip the interrupt; the state transition lands when the
+             driver returns *)
+          Atomic.set r.r_cancel true;
+          job_response 202 j
+      | (Jobstore.Running | Jobstore.Queued | Jobstore.Failed _), _ ->
+          (* a Running record with no runner is a store/daemon
+             disagreement, resolved the safe way: it dies now, and
+             [svc.jobs.dead] counts only the queued and failed jobs *)
           let j' =
             { j with Jobstore.state = Jobstore.Dead; error = Some "cancelled" }
           in
-          Metrics.incr m_dead;
+          if j.Jobstore.state <> Jobstore.Running then Metrics.incr m_dead;
           upd st j';
           job_response 200 j')
 

@@ -36,7 +36,7 @@ type job = {
   deadline : float option;  (** Per-attempt wall-clock budget, seconds. *)
   retry_max : int;  (** Failed attempts allowed before [Dead]. *)
   resumable : bool;  (** Next attempt should resume the checkpoint. *)
-  result : Task.summary option;  (** Set iff [Done]. *)
+  result : Task.summary option;  (** Set iff [Done]: every result line. *)
   error : string option;  (** Last failure / cancellation reason. *)
 }
 

@@ -328,13 +328,15 @@ let spec_to_json spec =
       obj "probe"
         Fields.[ (fail, int p.p_fail); (spin, Some (Json.Float p.p_spin)) ]
 
-let check_dead ~n dead =
+(* a dead pid listed twice is refused; so is one outside [0..n-1]
+   when [n] is given *)
+let check_dead ?n dead =
   let rec go seen = function
     | [] -> Ok ()
-    | p :: _ when p < 0 || p >= n ->
+    | p :: _ when Option.fold ~none:false ~some:(fun n -> p < 0 || p >= n) n ->
         Error
           (Printf.sprintf "field %s: pid %d is out of range 0..%d"
-             (describe Fields.dead) p (n - 1))
+             (describe Fields.dead) p (Option.get n - 1))
     | p :: _ when List.mem p seen ->
         Error
           (Printf.sprintf "field %s lists pid %d twice" (describe Fields.dead) p)
@@ -345,8 +347,9 @@ let check_dead ~n dead =
 (* The ranges a spec must lie in to run, each refusal naming its
    field.  The algorithm is built with the spec's own (n, L, wait), so
    every range its functor would raise on is refused here instead.  An
-   explore spec's dead pids are left to the explorer and the failure
-   pattern, which refuse them by name before any work. *)
+   explore spec's dead pids out of range are left to the explorer and
+   the failure pattern, which refuse them by name before any work; a
+   repeated one is refused here, for both engines. *)
 let check spec =
   let point ~n ~k ~l ~wait algo =
     let* () = at_least 1 Fields.n n in
@@ -358,6 +361,7 @@ let check spec =
     | Explore e ->
         let* _ = point ~n:e.e_n ~k:e.e_k ~l:e.e_l ~wait:e.e_wait e.e_algo in
         let* _ = policy_conv e.e_policy in
+        let* () = check_dead e.e_dead in
         let* () = at_least 0 Fields.crash_budget e.e_crash_budget in
         Option.fold ~none:(Ok ()) ~some:(at_least 0 Fields.max_configs)
           e.e_max_configs
@@ -437,28 +441,55 @@ let spec_of_json j =
           let* () = check_keys ~task table j in
           of_json j)
 
-(* ---------- resume validation ---------- *)
+(* ---------- opening a campaign ---------- *)
 
-let load_resume ~path ~kind ~fingerprint =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match Checkpoint.load ~path with
-  | Error e -> fail "cannot resume: %s" e
-  | Ok t ->
-      if Checkpoint.kind t <> kind then
+type campaign = {
+  ckpt : Checkpoint.ctl;
+  payload : string option;
+  rejected : string option;
+}
+
+let open_campaign ?checkpoint ?(policy = Checkpoint.default_policy) ?resume
+    ~interrupt spec =
+  let kind = kind spec and fingerprint = fingerprint spec in
+  let load path =
+    let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+    match Checkpoint.load ~path with
+    | Error e -> fail "cannot resume: %s" e
+    | Ok t when Checkpoint.kind t <> kind ->
         fail "%s is a %S checkpoint, not %S" path (Checkpoint.kind t) kind
-      else if Checkpoint.fingerprint t <> fingerprint then
+    | Ok t when Checkpoint.fingerprint t <> fingerprint ->
         fail "%s was written under different campaign parameters" path
-      else (
+    | Ok t -> (
         match Checkpoint.restore_interners t with
         | Error e -> fail "cannot resume: %s" e
         | Ok () -> Ok t)
+  in
+  let resumed, rejected =
+    match Option.map load resume with
+    | Some (Ok t) -> (Some t, None)
+    | Some (Error reason) -> (None, Some reason)
+    | None -> (None, None)
+  in
+  let sink =
+    Option.map
+      (fun path -> { Checkpoint.path; kind; fingerprint; policy })
+      checkpoint
+  in
+  let ledger = Option.fold ~none:[] ~some:Checkpoint.ledger resumed in
+  {
+    ckpt = Checkpoint.ctl ?sink ~interrupt ~ledger ();
+    (* the full payload: a coverage campaign's corpus rides in it *)
+    payload = Option.map Checkpoint.payload resumed;
+    rejected;
+  }
 
 (* ---------- execution ---------- *)
 
 type outcome =
   | Explored of Sim.Explorer.outcome
   | Crash_explored of Sim.Explorer.resilient_outcome
-  | Fuzzed of Sim.Fuzz.outcome
+  | Fuzzed of (Sim.Fuzz.outcome * Sim.Fuzz.coverage_summary option)
   | Replayed of { violation : (Sim.Fuzz.property * string) option; steps : int }
   | Probed of { attempt : int }
 
@@ -473,18 +504,14 @@ let k_check ~k decisions =
          (List.length distinct) k)
   else None
 
-let run_probe ~attempt ~ckpt ~stop p =
+let run_probe ~attempt ~ckpt p =
   if attempt < p.p_fail then
     failwith
       (Printf.sprintf "probe: injected failure (attempt %d of %d)" attempt
          p.p_fail);
   let deadline = p.p_spin in
   let slept = ref 0. in
-  while
-    !slept < deadline
-    && (not (Checkpoint.interrupted ckpt))
-    && not (stop ())
-  do
+  while !slept < deadline && not (Checkpoint.interrupted ckpt) do
     let slice = Float.min 0.01 (deadline -. !slept) in
     Unix.sleepf slice;
     slept := !slept +. slice
@@ -494,7 +521,7 @@ let run_probe ~attempt ~ckpt ~stop p =
 (* A fuzz campaign's algorithm and config, made in this one place:
    [run] and [replay] share it, so a replayed schedule runs under
    exactly the config of the campaign that recorded it. *)
-let fuzz_setup ~stop f =
+let fuzz_setup f =
   let n = f.f_n in
   let* algo =
     Result.bind
@@ -513,62 +540,56 @@ let fuzz_setup ~stop f =
         properties =
           ([ Sim.Fuzz.K_agreement f.f_k; Sim.Fuzz.Validity ]
           @ if f.f_termination then [ Sim.Fuzz.Termination ] else []);
-        stop = Some stop;
         model = f.f_model;
         coverage = f.f_coverage;
       } )
 
 (* Every campaign resumes at any domain count, whatever count wrote
    its checkpoint. *)
-let run ?(attempt = 0) ?(domains = 1) ?(stop = fun () -> false)
-    ?(ckpt = Checkpoint.ctl ()) ?resume spec =
+let run ?(attempt = 0) ?(domains = 1) ?(ckpt = Checkpoint.ctl ()) ?resume spec
+    =
   match spec with
-  | Probe p -> Ok (run_probe ~attempt ~ckpt ~stop p)
+  | Probe p -> Ok (run_probe ~attempt ~ckpt p)
   | Explore e -> (
       let n = e.e_n in
       let l = resolve_l ~n e.e_l in
-      match algo_conv ~n ~l ~wait_for:e.e_wait e.e_algo with
-      | Error _ as err -> err
-      | Ok (module A) -> (
-          match policy_conv e.e_policy with
-          | Error _ as err -> err
-          | Ok policy -> (
-              let module Ex = Sim.Explorer.Make (A) in
-              let inputs = Sim.Value.distinct_inputs n in
-              let check = k_check ~k:e.e_k in
-              let reduction = e.e_reduction in
-              let max_configs = e.e_max_configs in
-              let not_explorable msg = Error ("not explorable: " ^ msg) in
-              try
-                if explore_crashless e then
-                  match Sim.Failure_pattern.initial_dead ~n ~dead:e.e_dead with
-                  | exception Invalid_argument msg -> not_explorable msg
-                  | pattern ->
-                      Ok
-                        (Explored
-                           (Ex.explore ~reduction ~domains ?max_configs ~policy
-                              ~ckpt ?resume ~n ~inputs ~pattern ~check ()))
-                else
-                  Ok
-                    (Crash_explored
-                       (Ex.explore_with_crashes ~reduction ~model:e.e_model
-                          ~domains ?max_configs ~policy
-                          ~drop_on_crash:e.e_drop ~initially_dead:e.e_dead
-                          ~ckpt ?resume ~n ~inputs
-                          ~crash_budget:e.e_crash_budget ~check ()))
-              with Sim.Explorer.Not_explorable msg -> not_explorable msg)))
+      let* (module A : Sim.Algorithm.S) =
+        algo_conv ~n ~l ~wait_for:e.e_wait e.e_algo
+      in
+      let* policy = policy_conv e.e_policy in
+      let module Ex = Sim.Explorer.Make (A) in
+      let inputs = Sim.Value.distinct_inputs n in
+      let check = k_check ~k:e.e_k in
+      let reduction = e.e_reduction in
+      let max_configs = e.e_max_configs in
+      let not_explorable msg = Error ("not explorable: " ^ msg) in
+      try
+        if explore_crashless e then
+          match Sim.Failure_pattern.initial_dead ~n ~dead:e.e_dead with
+          | exception Invalid_argument msg -> not_explorable msg
+          | pattern ->
+              Ok
+                (Explored
+                   (Ex.explore ~reduction ~domains ?max_configs ~policy ~ckpt
+                      ?resume ~n ~inputs ~pattern ~check ()))
+        else
+          Ok
+            (Crash_explored
+               (Ex.explore_with_crashes ~reduction ~model:e.e_model ~domains
+                  ?max_configs ~policy ~drop_on_crash:e.e_drop
+                  ~initially_dead:e.e_dead ~ckpt ?resume ~n ~inputs
+                  ~crash_budget:e.e_crash_budget ~check ()))
+      with Sim.Explorer.Not_explorable msg -> not_explorable msg)
   | Fuzz f ->
-      let* (module A : Sim.Algorithm.S), cfg = fuzz_setup ~stop f in
+      let* (module A : Sim.Algorithm.S), cfg = fuzz_setup f in
       let module F = Sim.Fuzz.Make (A) in
       Ok
         (Fuzzed
-           (F.run ~domains ~ckpt ?resume_payload:resume cfg ~seed:f.f_seed
+           (F.campaign ~domains ~ckpt ?resume_payload:resume cfg ~seed:f.f_seed
               ~trials:f.f_trials))
 
 let replay ~path f =
-  let* (module A : Sim.Algorithm.S), cfg =
-    fuzz_setup ~stop:(fun () -> false) f
-  in
+  let* (module A : Sim.Algorithm.S), cfg = fuzz_setup f in
   (* a schedule recorded under another model is refused, not silently
      replayed under this one *)
   let* sched = Sim.Trace_io.load_schedule ~expect:f.f_model ~path () in
@@ -580,16 +601,13 @@ let replay ~path f =
   in
   Ok (Replayed { violation = F.check_run cfg run; steps = List.length sched })
 
-let counterexample = function
-  | Fuzzed (Sim.Fuzz.Violation_found v) -> Some v
-  | Explored _ | Crash_explored _ | Fuzzed _ | Replayed _ | Probed _ -> None
-
 (* ---------- summaries ---------- *)
 
 type summary = {
   verdict : string;
   exit_code : int;
   detail : string;
+  lines : string list;
   items : int;
 }
 
@@ -599,11 +617,13 @@ let pp_stats (s : Sim.Explorer.stats) =
     (if s.Sim.Explorer.budget_exhausted then " (budget exhausted)" else "")
 
 let summary verdict exit_code ~items fmt =
-  Printf.ksprintf (fun detail -> { verdict; exit_code; detail; items }) fmt
+  Printf.ksprintf
+    (fun detail -> { verdict; exit_code; detail; lines = [ detail ]; items })
+    fmt
 
 (* exit codes: 0 nothing found, 2 a violation, 3 a stuck configuration,
    4 a budget cut the search short (the verdict is then indeterminate) *)
-let summarize = function
+let headline = function
   | Explored (Sim.Explorer.Safe s) when s.Sim.Explorer.budget_exhausted ->
       (* no violation in the explored prefix, but the prefix is not the
          space: refuse the optimistic verdict *)
@@ -633,13 +653,13 @@ let summarize = function
         "INDETERMINATE: the budget truncated the search before the reachable \
          graph closed — %s"
         (pp_stats s)
-  | Fuzzed (Sim.Fuzz.Violation_found v) ->
+  | Fuzzed (Sim.Fuzz.Violation_found v, _) ->
       summary "violation" 2 ~items:v.Sim.Fuzz.trial
         "VIOLATION at trial %d (%s): %s" v.Sim.Fuzz.trial v.Sim.Fuzz.property
         v.Sim.Fuzz.reason
-  | Fuzzed (Sim.Fuzz.Clean { trials }) ->
+  | Fuzzed (Sim.Fuzz.Clean { trials }, _) ->
       summary "clean" 0 ~items:trials "CLEAN: %d trials, no violation" trials
-  | Fuzzed (Sim.Fuzz.Budget_exhausted { trials }) ->
+  | Fuzzed (Sim.Fuzz.Budget_exhausted { trials }, _) ->
       summary "budget-exhausted" 4 ~items:trials
         "BUDGET EXHAUSTED: no violation in the %d trials that ran before the \
          budget"
@@ -653,12 +673,39 @@ let summarize = function
   | Probed { attempt } ->
       summary "ok" 0 ~items:1 "probe completed on attempt %d" attempt
 
+(* what a fuzz campaign prints after its headline: the coverage map,
+   then the counterexample's schedule *)
+let fuzz_lines (outcome, coverage) =
+  let open Sim.Fuzz in
+  Option.fold coverage ~none:[] ~some:(fun c ->
+      [ Printf.sprintf "coverage: %d state ids, %d transition pairs, corpus %d"
+          c.cov_ids c.cov_pairs (List.length c.cov_corpus) ])
+  @
+  match outcome with
+  | Violation_found v when v.replays ->
+      [ Printf.sprintf
+          "schedule: %d steps, shrunk to %d (1-minimal, %d candidate replays)"
+          (List.length v.schedule) (List.length v.shrunk) v.shrink_candidates ]
+  | Violation_found v ->
+      [ Printf.sprintf
+          "schedule: %d steps, not shrunk (its replay does not violate, %d \
+           candidate replays)"
+          (List.length v.schedule) v.shrink_candidates ]
+  | Clean _ | Budget_exhausted _ -> []
+
+let summarize outcome =
+  let s = headline outcome in
+  match outcome with
+  | Fuzzed f -> { s with lines = s.detail :: fuzz_lines f }
+  | Explored _ | Crash_explored _ | Replayed _ | Probed _ -> s
+
 let summary_to_json s =
   Json.Obj
     [
       ("verdict", Json.Str s.verdict);
       ("exit", Json.Int s.exit_code);
       ("detail", Json.Str s.detail);
+      ("lines", Json.List (List.map (fun l -> Json.Str l) s.lines));
       ("items", Json.Int s.items);
     ]
 
@@ -672,4 +719,15 @@ let summary_of_json j =
   let* exit_code = field "exit" Json.get_int in
   let* detail = field "detail" Json.get_string in
   let* items = field "items" Json.get_int in
-  Ok { verdict; exit_code; detail; items }
+  (* a record written before summaries held their lines has the
+     headline alone; the lines of any other start with it *)
+  let* lines =
+    match Option.map Json.get_list (Json.mem "lines" j) with
+    | None -> Ok [ detail ]
+    | Some (Some (first :: _ as ls))
+      when Json.get_string first = Some detail
+           && List.for_all (fun l -> Json.get_string l <> None) ls ->
+        Ok (List.filter_map Json.get_string ls)
+    | Some _ -> Error "summary: bad field \"lines\""
+  in
+  Ok { verdict; exit_code; detail; lines; items }

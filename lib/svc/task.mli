@@ -1,30 +1,26 @@
-(** Campaign drivers as resumable library-level tasks.
+(** A campaign's lifecycle, shared by the CLI and the campaign daemon.
 
-    The explore and fuzz campaigns used to live as loops entangled
-    with the CLI: argument records, checkpoint fingerprints, resume
-    validation and driver dispatch all inline in [bin/ksa.ml].  This
-    module is that logic lifted to a library: a {e spec} describes a
-    campaign, [kind]/[fingerprint] derive the checkpoint identity the
-    CLI has always written ({e byte-identical} formats — existing
-    checkpoint files keep resuming), [load_resume] validates a
-    checkpoint against a spec with structured failures (so callers
-    choose warn-and-fresh or strict-refusal), [run] executes the
-    campaign (spec in, checkpoint in/out, outcome out), and
-    [summarize] maps every outcome to its one verdict line and exit
-    code.
+    A {e spec} describes a campaign; [kind]/[fingerprint] derive the
+    checkpoint identity the CLI has always written ({e byte-identical}
+    formats — existing checkpoint files keep resuming);
+    [open_campaign] builds its checkpoint sink and takes up or refuses
+    (by name) its resume checkpoint; [run] executes it (spec in,
+    checkpoint in/out, outcome out); and [summarize] maps every
+    outcome to the lines it prints and its exit code.
 
     Every spec field is declared once, in one table ({!field}):
     [spec_of_json] reads specs through it and is their one
     constructor and validator, and the CLI builds its explore and fuzz
     flags from it — so a flag and its job-spec key cannot drift apart.
 
-    The CLI is a thin client: it reads flags into a spec, calls [run]
-    (or [replay]), and prints the summary's line; the campaign daemon
-    stores the same summary in its job records, so the two cannot
-    word a verdict differently.  A [Probe] task rides along — a
-    trivially cheap, deterministic task that fails its first [fail]
-    attempts — so the daemon's retry, backoff and throughput paths can
-    be exercised without spinning up a real search. *)
+    The CLI is a thin client: it reads flags into a spec, opens and
+    runs it (or [replay]s a schedule), and prints the summary's lines;
+    the daemon opens and runs its jobs the same way and stores the
+    same summary in its job records, so the two cannot word a result
+    differently.  A [Probe] task rides along — a trivially cheap,
+    deterministic task that fails its first [fail] attempts — so the
+    daemon's retry, backoff and throughput paths can be exercised
+    without spinning up a real search. *)
 
 type explore_spec = {
   e_algo : string;
@@ -135,23 +131,37 @@ val spec_of_json : Json.t -> (spec, string) result
     range or repeated, a negative budget) are [Error]s naming the
     field — a submitted job fails at submission, not at execution. *)
 
-val load_resume :
-  path:string ->
-  kind:string ->
-  fingerprint:string ->
-  (Ksa_sim.Checkpoint.t, string) result
-(** Validate a checkpoint for resumption: load it, check [kind] and
-    [fingerprint], restore the interner dumps.  The [Error] carries
-    the reason exactly as the CLI's lenient path has always worded it
+type campaign = {
+  ckpt : Ksa_sim.Checkpoint.ctl;
+      (** Sink, interrupt and carried-over ledger: {!run}'s [ckpt]. *)
+  payload : string option;  (** The resumed payload: {!run}'s [resume]. *)
+  rejected : string option;  (** Why [resume] was refused; then fresh. *)
+}
+
+val open_campaign :
+  ?checkpoint:string ->
+  ?policy:Ksa_sim.Checkpoint.policy ->
+  ?resume:string ->
+  interrupt:(unit -> bool) ->
+  spec ->
+  campaign
+(** Open a campaign of [spec]: checkpoint it to [checkpoint] at
+    [policy] (default {!Ksa_sim.Checkpoint.default_policy}) under its
+    {!kind} and {!fingerprint}, and resume it from [resume] when that
+    checkpoint loads, matches both, and its interner dumps restore.
+    Otherwise [rejected] names why, as the CLI has always worded it
     (["cannot resume: ..."], ["... is a ... checkpoint, not ..."],
-    ["... was written under different campaign parameters"]); lenient
-    callers print it as a warning and start fresh, strict callers
-    ([--strict-resume], the daemon) refuse the campaign. *)
+    ["... was written under different campaign parameters"]); the
+    caller warns and runs fresh, or refuses the campaign.  [interrupt]
+    is the one early stop — a signal, a drain, a cancel or a
+    wall-clock budget folded into one poll: the driver flushes a final
+    checkpoint and returns a truncated outcome. *)
 
 type outcome =
   | Explored of Ksa_sim.Explorer.outcome
   | Crash_explored of Ksa_sim.Explorer.resilient_outcome
-  | Fuzzed of Ksa_sim.Fuzz.outcome
+  | Fuzzed of (Ksa_sim.Fuzz.outcome * Ksa_sim.Fuzz.coverage_summary option)
+      (** With the campaign's coverage at its end in coverage mode. *)
   | Replayed of {
       violation : (Ksa_sim.Fuzz.property * string) option;
           (** The first property the replayed run violates. *)
@@ -162,17 +172,14 @@ type outcome =
 val run :
   ?attempt:int ->
   ?domains:int ->
-  ?stop:(unit -> bool) ->
   ?ckpt:Ksa_sim.Checkpoint.ctl ->
   ?resume:string ->
   spec ->
   (outcome, string) result
-(** Execute the campaign.  [ckpt] is the caller's checkpoint
-    controller (sink, interrupt, seeded ledger); [resume] is the
-    payload of a checkpoint already validated by {!load_resume}.
-    [domains] defaults to 1; the CLI passes its [--domains].  Every
-    campaign resumes at [domains], whatever domain count wrote the
-    checkpoint.  [stop] is a wall-clock (or any other) budget hook, polled by the fuzz driver between trials.
+(** Execute the campaign.  [ckpt] and [resume] are a {!campaign}'s
+    [ckpt] and [payload].  [domains] defaults to 1; the CLI passes
+    its [--domains].  Every campaign resumes at [domains], whatever
+    domain count wrote the checkpoint.
     [attempt] (default 0) is the retry ordinal, consumed by [Probe].
     Errors: unknown algorithm names, an [l] or [wait] outside [1..n]
     for the algorithm that reads it, a fuzz campaign of an algorithm
@@ -194,10 +201,6 @@ val replay : path:string -> fuzz_spec -> (outcome, string) result
     cannot take to its end (["replay: step i: ..."], see
     {!Ksa_sim.Replay.strict}): a short run is never judged. *)
 
-val counterexample : outcome -> Ksa_sim.Fuzz.violation option
-(** The violating fuzz trial with its full and shrunk schedules, when
-    the outcome is a fuzz campaign that found one. *)
-
 type summary = {
   verdict : string;
       (** safe | violation | stuck | indeterminate | all-paths-decide
@@ -206,14 +209,22 @@ type summary = {
       (** 0 nothing found, 2 a violation, 3 a stuck configuration, 4 a
           budget cut the search short. *)
   detail : string;
-      (** The verdict line [ksa explore]/[ksa fuzz] print, e.g.
+      (** The verdict line, e.g.
           ["SAFE: 4930 configs visited, 601 terminal runs"]. *)
+  lines : string list;
+      (** Every line [ksa explore]/[ksa fuzz] print: [detail], then for
+          a fuzz campaign the coverage line of coverage mode and the
+          counterexample's schedule line — all but [--save-schedule]'s
+          own line. *)
   items : int;  (** Configurations visited or trials completed. *)
 }
 
 val summarize : outcome -> summary
-(** The one outcome → (line, exit code) map, shared by the CLI and the
-    daemon's job records. *)
+(** The one outcome → (lines, exit code) map, shared by the CLI and
+    the daemon's job records. *)
 
 val summary_to_json : summary -> Json.t
 val summary_of_json : Json.t -> (summary, string) result
+(** A record written before summaries held their [lines] loads with
+    [detail] as its one line; [lines] that do not start with [detail]
+    are refused. *)

@@ -727,6 +727,27 @@ let check_fuzz_equal name a b =
         (va.Sim.Fuzz.shrunk = vb.Sim.Fuzz.shrunk)
   | _ -> Alcotest.fail (name ^ ": outcomes differ in kind")
 
+(* two coverage campaigns end on bit-identical coverage state: the
+   same watermark, id and pair counts, and corpus entries in the same
+   admission order *)
+let check_coverage_equal name a b =
+  match (a, b) with
+  | Some (a : Sim.Fuzz.coverage_summary), Some (b : Sim.Fuzz.coverage_summary)
+    ->
+      Alcotest.(check int) (name ^ ": watermark") a.cov_trials b.cov_trials;
+      Alcotest.(check int) (name ^ ": distinct ids") a.cov_ids b.cov_ids;
+      Alcotest.(check int) (name ^ ": distinct pairs") a.cov_pairs b.cov_pairs;
+      Alcotest.(check bool) (name ^ ": corpus nonempty") true (a.cov_corpus <> []);
+      Alcotest.(check int)
+        (name ^ ": corpus size")
+        (List.length a.cov_corpus) (List.length b.cov_corpus);
+      List.iter2
+        (fun (fpa, scha) (fpb, schb) ->
+          Alcotest.(check bool) (name ^ ": corpus pattern") true (FP.equal fpa fpb);
+          Alcotest.(check bool) (name ^ ": corpus schedule") true (scha = schb))
+        a.cov_corpus b.cov_corpus
+  | _ -> Alcotest.fail (name ^ ": expected two coverage campaigns")
+
 let test_fuzz_seq_resume () =
   let trials = 600 in
   let baseline = FK2.run fuzz_cfg_clean ~seed:7 ~trials in
@@ -891,24 +912,24 @@ let test_fuzz_poisoned_ticket () =
             (poisoned_count () > before)))
     supervision_modes
 
-(* ---------- stop (wall-clock budget) expiry flushes ----------
+(* ---------- budget expiry flushes ----------
 
-   cfg.stop ending a campaign must flush a final checkpoint exactly
-   like an interrupt: previously the drivers returned
-   Budget_exhausted without writing, so a --max-seconds expiry lost
-   the whole campaign's watermark. *)
+   A wall-clock budget (--max-seconds) ends a campaign through the
+   interrupt poll, and must flush a final checkpoint: previously the
+   drivers returned Budget_exhausted without writing, so an expiry
+   lost the whole campaign's watermark. *)
 
 let test_fuzz_seq_stop_flush () =
   let trials = 600 in
   let baseline = FK2.run fuzz_cfg_clean ~seed:7 ~trials in
   with_tmp ".ckpt" (fun path ->
-      let ckpt = Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz") () in
-      let cfg =
-        { fuzz_cfg_clean with Sim.Fuzz.stop = Some (poll_interrupt 150) }
+      let ckpt =
+        Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz")
+          ~interrupt:(poll_interrupt 150) ()
       in
-      (match FK2.run ~ckpt cfg ~seed:7 ~trials with
+      (match FK2.run ~ckpt fuzz_cfg_clean ~seed:7 ~trials with
       | Sim.Fuzz.Budget_exhausted { trials = t } ->
-          (* one stop poll per trial boundary: the count is exact *)
+          (* one interrupt poll per trial boundary: the count is exact *)
           Alcotest.(check int) "stopped at the poll budget" 150 t
       | _ -> Alcotest.fail "stopped fuzz should be Budget_exhausted");
       Alcotest.(check bool) "stop expiry flushed a checkpoint" true
@@ -925,12 +946,12 @@ let test_fuzz_par_stop_flush () =
   let trials = 600 in
   let baseline = FK2.run fuzz_cfg_clean ~seed:7 ~trials in
   with_tmp ".ckpt" (fun path ->
-      let ckpt = Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz") () in
-      let cfg =
-        { fuzz_cfg_clean with Sim.Fuzz.stop = Some (poll_interrupt 100) }
+      let ckpt =
+        Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz")
+          ~interrupt:(poll_interrupt 100) ()
       in
       let reported =
-        match FK2.run_par ~domains:2 ~ckpt cfg ~seed:7 ~trials with
+        match FK2.run_par ~domains:2 ~ckpt fuzz_cfg_clean ~seed:7 ~trials with
         | Sim.Fuzz.Budget_exhausted { trials = t } -> t
         | _ -> Alcotest.fail "stopped par fuzz should be Budget_exhausted"
       in
@@ -963,7 +984,7 @@ let fuzz_cfg_cov_violating =
 
 let test_fuzz_cov_resume () =
   let trials = 5000 in
-  let baseline = FK2.run fuzz_cfg_cov_violating ~seed:3 ~trials in
+  let baseline, base_cov = FK2.campaign fuzz_cfg_cov_violating ~seed:3 ~trials in
   let vtrial =
     match baseline with
     | Sim.Fuzz.Violation_found v -> v.Sim.Fuzz.trial
@@ -985,75 +1006,64 @@ let test_fuzz_cov_resume () =
       | _ -> Alcotest.fail "interrupted coverage fuzz should be Budget_exhausted");
       let t = load_restored path in
       let payload = Checkpoint.payload t in
-      Alcotest.(check bool) "payload carries a corpus" true
-        (Sim.Fuzz.coverage_of_payload payload <> None);
-      (* the resumed campaign regrows the identical corpus and finds
-         the identical violation, shrink included, on either driver *)
-      check_fuzz_equal "coverage resume (seq)" baseline
-        (FK2.run ~resume_payload:payload fuzz_cfg_cov_violating ~seed:3 ~trials);
+      (* the resumed campaign regrows the identical corpus from the
+         one the payload carries, and finds the identical violation,
+         shrink included, on either driver *)
+      let resumed, cov =
+        FK2.campaign ~resume_payload:payload fuzz_cfg_cov_violating ~seed:3
+          ~trials
+      in
+      check_fuzz_equal "coverage resume (seq)" baseline resumed;
+      check_coverage_equal "coverage resume (seq)" base_cov cov;
       check_fuzz_equal "coverage resume (par)" baseline
         (FK2.run_par ~domains:2 ~resume_payload:payload fuzz_cfg_cov_violating
            ~seed:3 ~trials))
 
 let test_fuzz_cov_corpus_identical () =
-  (* two campaigns flushed at the same watermark — one uninterrupted,
-     one killed at trial 120 and resumed — must hold bit-identical
+  (* two campaigns cut at the same watermark — one uninterrupted, one
+     killed at trial 120 and resumed — must hold bit-identical
      coverage state: same id/pair counts, same corpus entries in the
      same admission order *)
-  let cfg stop_after =
-    { fuzz_cfg_cov with Sim.Fuzz.stop = Some (poll_interrupt stop_after) }
+  let ckpt ~path stop_after =
+    Checkpoint.ctl ~sink:(sink ~path ~kind:"fuzz")
+      ~interrupt:(poll_interrupt stop_after) ()
   in
-  let summary p =
-    match Sim.Fuzz.coverage_of_payload p with
-    | Some s -> s
-    | None -> Alcotest.fail "expected a coverage payload"
+  let cut name ~at = function
+    | Sim.Fuzz.Budget_exhausted { trials = t }, cov ->
+        Alcotest.(check int) (Printf.sprintf "%s stopped at %d" name at) at t;
+        cov
+    | _ -> Alcotest.fail (name ^ " should stop")
   in
   with_tmp ".ckpt" (fun path_a ->
       with_tmp ".ckpt" (fun path_b ->
-          let ckpt_a =
-            Checkpoint.ctl ~sink:(sink ~path:path_a ~kind:"fuzz") ()
+          let sa =
+            cut "A" ~at:200
+              (FK2.campaign ~ckpt:(ckpt ~path:path_a 200) fuzz_cfg_cov ~seed:7
+                 ~trials:600)
           in
-          (match FK2.run ~ckpt:ckpt_a (cfg 200) ~seed:7 ~trials:600 with
-          | Sim.Fuzz.Budget_exhausted { trials = t } ->
-              Alcotest.(check int) "A stopped at 200" 200 t
-          | _ -> Alcotest.fail "campaign A should stop");
-          let pa = Checkpoint.payload (load_restored path_a) in
-          let ckpt_b =
-            Checkpoint.ctl ~sink:(sink ~path:path_b ~kind:"fuzz") ()
-          in
-          (match FK2.run ~ckpt:ckpt_b (cfg 120) ~seed:7 ~trials:600 with
-          | Sim.Fuzz.Budget_exhausted { trials = t } ->
-              Alcotest.(check int) "B stopped at 120" 120 t
-          | _ -> Alcotest.fail "campaign B should stop");
+          ignore
+            (cut "B" ~at:120
+               (FK2.campaign ~ckpt:(ckpt ~path:path_b 120) fuzz_cfg_cov
+                  ~seed:7 ~trials:600));
           let pb_cut = Checkpoint.payload (load_restored path_b) in
-          let ckpt_b' =
-            Checkpoint.ctl ~sink:(sink ~path:path_b ~kind:"fuzz") ()
+          let sb =
+            cut "B resumed" ~at:200
+              (FK2.campaign ~ckpt:(ckpt ~path:path_b 80) ~resume_payload:pb_cut
+                 fuzz_cfg_cov ~seed:7 ~trials:600)
           in
-          (match
-             FK2.run ~ckpt:ckpt_b' ~resume_payload:pb_cut (cfg 80) ~seed:7
-               ~trials:600
-           with
-          | Sim.Fuzz.Budget_exhausted { trials = t } ->
-              Alcotest.(check int) "B resumed and stopped at 200" 200 t
-          | _ -> Alcotest.fail "campaign B resume should stop");
-          let pb = Checkpoint.payload (load_restored path_b) in
-          let sa = summary pa and sb = summary pb in
-          Alcotest.(check int) "watermark" sa.Sim.Fuzz.cov_trials
-            sb.Sim.Fuzz.cov_trials;
-          Alcotest.(check int) "distinct ids" sa.Sim.Fuzz.cov_ids
-            sb.Sim.Fuzz.cov_ids;
-          Alcotest.(check int) "distinct pairs" sa.Sim.Fuzz.cov_pairs
-            sb.Sim.Fuzz.cov_pairs;
-          Alcotest.(check bool) "corpus nonempty" true
-            (sa.Sim.Fuzz.cov_corpus <> []);
-          Alcotest.(check int) "corpus size"
-            (List.length sa.Sim.Fuzz.cov_corpus)
-            (List.length sb.Sim.Fuzz.cov_corpus);
-          List.iter2
-            (fun (fpa, scha) (fpb, schb) ->
-              Alcotest.(check bool) "corpus pattern" true (FP.equal fpa fpb);
-              Alcotest.(check bool) "corpus schedule" true (scha = schb))
-            sa.Sim.Fuzz.cov_corpus sb.Sim.Fuzz.cov_corpus))
+          check_coverage_equal "A vs B resumed" sa sb;
+          (* the two checkpoints flushed at watermark 200 carry the
+             same coverage: resuming either at its own watermark runs
+             no trial and returns the payload's state as it stands *)
+          let flushed path =
+            snd
+              (FK2.campaign
+                 ~resume_payload:(Checkpoint.payload (load_restored path))
+                 fuzz_cfg_cov ~seed:7 ~trials:200)
+          in
+          let fa = flushed path_a and fb = flushed path_b in
+          check_coverage_equal "A vs B flushed" fa fb;
+          check_coverage_equal "A flushed vs A" sa fa))
 
 (* ---------- periodic item-based checkpoints ---------- *)
 
@@ -1310,20 +1320,17 @@ let test_explore_payload_in_fuzz () =
       Alcotest.(check int)
         (engine ^ ": resume_trial")
         0 (FK2.resume_trial payload);
-      Alcotest.(check bool)
-        (engine ^ ": coverage_of_payload")
-        true
-        (Sim.Fuzz.coverage_of_payload payload = None);
       let ran = Atomic.make 0 in
       let on_trial _ _ = Atomic.incr ran in
-      let outcome, err =
+      let (outcome, cov), err =
         with_stderr (fun () ->
-            FK2.run ~on_trial ~resume_payload:payload fuzz_cfg_cov ~seed:7
-              ~trials)
+            FK2.campaign ~on_trial ~resume_payload:payload fuzz_cfg_cov
+              ~seed:7 ~trials)
       in
-      check_fuzz_equal (engine ^ " payload resumed by fuzz")
-        (FK2.run fuzz_cfg_cov ~seed:7 ~trials)
-        outcome;
+      let fresh, fresh_cov = FK2.campaign fuzz_cfg_cov ~seed:7 ~trials in
+      check_fuzz_equal (engine ^ " payload resumed by fuzz") fresh outcome;
+      (* no corpus was read from the payload *)
+      check_coverage_equal (engine ^ " payload resumed by fuzz") fresh_cov cov;
       Alcotest.(check int) (engine ^ ": every trial ran") trials (Atomic.get ran);
       check_contains (engine ^ ": warning") err
         ~sub:

@@ -354,6 +354,9 @@ let test_spec_refusals () =
       ([ "fuzz"; "-n"; "3"; "--wait-quorum"; "0" ], quorum 0);
       ([ "explore"; "--algo"; "naive-min"; "-n"; "3"; "--wait-for"; "0" ], wait);
       ([ "fuzz"; "-n"; "3"; "--dead=7" ], "field \"dead\": pid 7 is out of range 0..2");
+      (* a repeated dead pid, refused for both explore engines alike *)
+      (flp @ [ "--dead"; "0,0"; "--crash-budget"; "1" ], "field \"dead\" lists pid 0 twice");
+      (flp @ [ "--dead"; "0,0" ], "field \"dead\" lists pid 0 twice");
       ( [ "simulate"; "--wait-quorum"; "0" ],
         "kset-flp: field \"l\" (--wait-quorum) must be in 1..6, got 0" );
       ([ "explore"; "-n"; "3"; "--model"; "bogus" ], "unknown fault model \"bogus\"");

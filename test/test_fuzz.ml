@@ -226,38 +226,43 @@ let test_validity_custom_property () =
   Alcotest.(check int) "single-step counterexample" 1
     (List.length v.Fuzz.shrunk)
 
+(* an interrupt that fires at the first poll ends the campaign before
+   any trial runs *)
 let test_stop_budget_exhausted () =
-  let cfg = { trivial_cfg with Fuzz.stop = Some (fun () -> true) } in
-  (match FT.run cfg ~seed:1 ~trials:100 with
+  let ckpt () = Sim.Checkpoint.ctl ~interrupt:(fun () -> true) () in
+  (match FT.run ~ckpt:(ckpt ()) trivial_cfg ~seed:1 ~trials:100 with
   | Fuzz.Budget_exhausted { trials } ->
       Alcotest.(check int) "no trial ran" 0 trials
   | _ -> Alcotest.fail "expected budget-exhausted (seq)");
-  match FT.run_par ~domains:2 cfg ~seed:1 ~trials:100 with
+  match FT.run_par ~domains:2 ~ckpt:(ckpt ()) trivial_cfg ~seed:1 ~trials:100 with
   | Fuzz.Budget_exhausted { trials } ->
       Alcotest.(check int) "no trial ran (par)" 0 trials
   | _ -> Alcotest.fail "expected budget-exhausted (par)"
 
-(* a stop hook that grants exactly one poll: whichever driver runs,
+(* an interrupt that grants exactly one poll: whichever driver runs,
    exactly one trial completes, so the Budget_exhausted counts of the
    sequential and parallel drivers must agree exactly — the parallel
    driver reports the contiguous clean watermark, not its racy count
    of claimed tickets *)
 let one_poll_stop () =
   let polls = Atomic.make 0 in
-  fun () -> Atomic.fetch_and_add polls 1 >= 1
+  let interrupt () = Atomic.fetch_and_add polls 1 >= 1 in
+  Sim.Checkpoint.ctl ~interrupt ()
 
 let test_stop_seq_par_count_parity () =
-  let cfg n = { n with Fuzz.stop = Some (one_poll_stop ()) } in
   let clean = { (Fuzz.default_config ~k:1 ~n:3 ()) with Fuzz.max_crashes = 1 } in
   let seq =
-    match FK2.run (cfg clean) ~seed:7 ~trials:100 with
+    match FK2.run ~ckpt:(one_poll_stop ()) clean ~seed:7 ~trials:100 with
     | Fuzz.Budget_exhausted { trials } -> trials
     | _ -> Alcotest.fail "expected budget-exhausted (seq)"
   in
   Alcotest.(check int) "seq ran exactly one trial" 1 seq;
   List.iter
     (fun domains ->
-      match FK2.run_par ~domains (cfg clean) ~seed:7 ~trials:100 with
+      match
+        FK2.run_par ~domains ~ckpt:(one_poll_stop ()) clean ~seed:7
+          ~trials:100
+      with
       | Fuzz.Budget_exhausted { trials } ->
           Alcotest.(check int)
             (Printf.sprintf "par(%d) count = seq count" domains)
