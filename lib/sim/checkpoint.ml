@@ -48,10 +48,12 @@ let magic = "KSACKPT1"
    pending admitted item instead of an orphan key.  v9: [fuzz]
    payloads lead with the engine that wrote them (["fuzz"]), as the
    explorer's do, so each driver recognises the other's payload and
-   starts fresh instead of reading its fields as its own.  Older files
-   unmarshal into the wrong shapes, so they are rejected by the
-   version check and the CLI falls back to a fresh campaign. *)
-let version = 9
+   starts fresh instead of reading its fields as its own.  v10:
+   explore-crash node records are byte rows (int64 masks, int32
+   successor ids).  Older files unmarshal into the wrong shapes, so
+   they are rejected by the version check and the CLI falls back to a
+   fresh campaign. *)
+let version = 10
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

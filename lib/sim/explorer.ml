@@ -498,6 +498,136 @@ module Nodestore = struct
       | Some a -> a.(i land (chunk_size - 1))
 end
 
+(* ---- crash-graph node rows ----
+
+   An expanded crash-graph node is one [Bytes] row: its crashed mask
+   and its undecided live pids' mask as little-endian int64 at bytes 0
+   and 8, then its successor ids as little-endian int32 from byte 16.
+   The node is complete iff its undecided mask is 0.  A row's contents
+   are opaque to the GC, which never scans them on a major mark, and
+   an id costs half a word: the graph is most of a crash campaign's
+   working set, and the Stuck verdict needs all of it in memory.  The
+   ids are admission tickets, below [max_nodes]. *)
+module Row = struct
+  type t = Bytes.t
+
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+  external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+  external swap64 : int64 -> int64 = "%bswap_int64"
+  external swap32 : int32 -> int32 = "%bswap_int32"
+
+  let max_nodes = 0x7fff_ffff
+  let header = 16
+
+  (* The masks' reads are checked, so a row of any length reads
+     without leaving it; the id reads are not, and every caller has
+     the offset in bounds. *)
+  let[@inline] get_int b i =
+    Int64.to_int (if Sys.big_endian then swap64 (get64 b i) else get64 b i)
+
+  let[@inline] set_int b i v =
+    let v = Int64.of_int v in
+    set64 b i (if Sys.big_endian then swap64 v else v)
+
+  let[@inline] get32 b i =
+    Int32.to_int (if Sys.big_endian then swap32 (get32u b i) else get32u b i)
+
+  let[@inline] set32 b i v =
+    let v = Int32.of_int v in
+    set32u b i (if Sys.big_endian then swap32 v else v)
+
+  let make ~mask ~undecided succs len =
+    if len < 0 || len > Array.length succs then invalid_arg "Row.make";
+    let r = Bytes.create (header + (4 * len)) in
+    set_int r 0 mask;
+    set_int r 8 undecided;
+    for j = 0 to len - 1 do
+      set32 r (header + (4 * j)) (Array.unsafe_get succs j)
+    done;
+    r
+
+  (* the unexpanded slot: no expanded row has a negative undecided
+     mask, so the sentinel survives a marshal round trip as a
+     recognisable value *)
+  let empty = make ~mask:0 ~undecided:(-1) [||] 0
+  let mask r = get_int r 0
+  let undecided r = get_int r 8
+  let is_empty r = undecided r < 0
+  let length r = (Bytes.length r - header) asr 2
+  let[@inline] succ r j = get32 r (header + (4 * j))
+  let succs r = Array.init (length r) (succ r)
+
+  (* Backwards reachability from the complete nodes; [None] when every
+     node can still reach completion.  The predecessors are built in
+     CSR form — the preds of [id] are the int32 slots [off.(id) ..
+     off.(id + 1) - 1] of [pred] — and marking runs on an explicit
+     int32 stack that holds each node at most once, against one mark
+     byte per node.  [off] stays a native int array: the edge count
+     can pass 2^31 before the node count does.  The reported witness is
+     the minimum over (mask, ascending undecided pid list) of all stuck
+     nodes, so runs that discover nodes in different orders return the
+     same one.  The pid lists are ordered on their masks by
+     {!Mask.compare_lists}, not by the masks' value (which would rank
+     [p1] below [p0; p2]). *)
+  let classify ~count (row : int -> t) =
+    let off = Array.make (count + 1) 0 in
+    for id = 0 to count - 1 do
+      let r = row id in
+      for j = 0 to length r - 1 do
+        let s = succ r j in
+        off.(s) <- off.(s) + 1
+      done
+    done;
+    (* prefix sums: [off.(s)] is the end of [s]'s slice; the fill
+       below walks each one back to its start *)
+    for id = 1 to count do
+      off.(id) <- off.(id) + off.(id - 1)
+    done;
+    let pred = Bytes.create (4 * off.(count)) in
+    for id = 0 to count - 1 do
+      let r = row id in
+      for j = 0 to length r - 1 do
+        let s = succ r j in
+        off.(s) <- off.(s) - 1;
+        set32 pred (4 * off.(s)) id
+      done
+    done;
+    let can_decide = Bytes.make count '\000' in
+    let stack = Bytes.create (4 * count) and top = ref 0 in
+    let mark id =
+      if Bytes.unsafe_get can_decide id = '\000' then begin
+        Bytes.unsafe_set can_decide id '\001';
+        set32 stack (4 * !top) id;
+        incr top
+      end
+    in
+    for id = 0 to count - 1 do
+      if undecided (row id) = 0 then mark id
+    done;
+    while !top > 0 do
+      decr top;
+      let id = get32 stack (4 * !top) in
+      for j = off.(id) to off.(id + 1) - 1 do
+        mark (get32 pred (4 * j))
+      done
+    done;
+    let stuck = ref None in
+    for id = 0 to count - 1 do
+      if Bytes.unsafe_get can_decide id = '\000' then begin
+        let r = row id in
+        let m = mask r and u = undecided r in
+        match !stuck with
+        | Some (mask, und)
+          when mask < m || (mask = m && Mask.compare_lists und u <= 0) ->
+            ()
+        | Some _ | None -> stuck := Some (m, u)
+      end
+    done;
+    !stuck
+end
+
 (* A safety verdict: the violating decisions, the reason, and the
    depth of the configuration (0 where depth is not tracked).  Raised
    by a driver's step, it stops the search. *)
@@ -915,10 +1045,7 @@ module Make (A : Algorithm.S) = struct
 
   (* The crashed set travels as a bitmask ({!Mask}) folded into the
      node key; node identities and graph edges are dense ints, never
-     strings.  A node's record holds its successor ids in one int
-     array and its undecided live pids as a mask: the node is complete
-     iff [undecided = 0]. *)
-  type node_rec = { succs : int array; mask : int; undecided : int }
+     strings, and an expanded node is stored as one {!Row}. *)
 
   (* A successor of a crash-graph node: a delivery step of the node's
      configuration, keyed before it is built; a (configuration, mask)
@@ -1055,67 +1182,6 @@ module Make (A : Algorithm.S) = struct
         end
         else fill_succs ~reduction ~step ~visit id succs i rest
 
-  (* Backwards reachability from the complete nodes over the int-id
-     graph; [None] when every node can still reach completion.  The
-     predecessors are built in CSR form — the preds of [id] are
-     [pred.(off.(id)) .. pred.(off.(id + 1) - 1)] — and marking runs
-     on an explicit stack that holds each node at most once.  The
-     reported witness is the minimum over (mask, ascending undecided
-     pid list) of all stuck nodes, so runs that discover nodes in
-     different orders return the same one.  The pid lists are ordered
-     on their masks by {!Mask.compare_lists}, not by the masks' value
-     (which would rank [p1] below [p0; p2]). *)
-  let classify_graph ~count ~(recs : int -> node_rec) =
-    let off = Array.make (count + 1) 0 in
-    for id = 0 to count - 1 do
-      Array.iter (fun s -> off.(s) <- off.(s) + 1) (recs id).succs
-    done;
-    (* prefix sums: [off.(s)] is the end of [s]'s slice; the fill
-       below walks each one back to its start *)
-    for id = 1 to count do
-      off.(id) <- off.(id) + off.(id - 1)
-    done;
-    let pred = Array.make off.(count) 0 in
-    for id = 0 to count - 1 do
-      Array.iter
-        (fun s ->
-          off.(s) <- off.(s) - 1;
-          pred.(off.(s)) <- id)
-        (recs id).succs
-    done;
-    let can_decide = Array.make count false in
-    let stack = Array.make count 0 and top = ref 0 in
-    let mark id =
-      if not can_decide.(id) then begin
-        can_decide.(id) <- true;
-        stack.(!top) <- id;
-        incr top
-      end
-    in
-    for id = 0 to count - 1 do
-      if (recs id).undecided = 0 then mark id
-    done;
-    while !top > 0 do
-      decr top;
-      let id = stack.(!top) in
-      for j = off.(id) to off.(id + 1) - 1 do
-        mark pred.(j)
-      done
-    done;
-    let stuck = ref None in
-    for id = 0 to count - 1 do
-      if not can_decide.(id) then begin
-        let r = recs id in
-        match !stuck with
-        | Some (mask, und)
-          when mask < r.mask
-               || (mask = r.mask && Mask.compare_lists und r.undecided <= 0) ->
-            ()
-        | Some _ | None -> stuck := Some (r.mask, r.undecided)
-      end
-    done;
-    !stuck
-
   (* The verdict of a finished crash campaign; [recs] reads its node
      graph by id.  A truncated graph cannot be classified:
      stuck-ness is a property of {e all} continuations, and unexpanded
@@ -1125,7 +1191,7 @@ module Make (A : Algorithm.S) = struct
   let graph_outcome ~n stats recs =
     if stats.budget_exhausted then Indeterminate stats
     else
-      match classify_graph ~count:stats.configs_visited ~recs with
+      match Row.classify ~count:stats.configs_visited recs with
       | Some (mask, undecided) ->
           Stuck
             {
@@ -1147,11 +1213,6 @@ module Make (A : Algorithm.S) = struct
           in
           Hashtbl.add patterns mask p;
           p
-
-  (* the unexpanded slot: no expanded record has a negative
-     [undecided] mask, so the sentinel survives a marshal round trip
-     as a recognisable value *)
-  let empty_rec = { succs = [||]; mask = 0; undecided = -1 }
 
   (* ---- the driver ----
 
@@ -1178,10 +1239,10 @@ module Make (A : Algorithm.S) = struct
      starts fresh.  [keys] are the admitted keys indexed by id (ids are
      dense tickets; none is refunded).  The crash-free engine adds its
      counted-terminal and admitted bare keys, the crash engine its
-     node-record graph up to [count] (unexpanded ids read as
-     [empty_rec]).  [pending] lists the items in pop order; crash-free
-     candidates among them are not yet admitted, so resume re-applies
-     dedup and the budget as the uninterrupted run would have. *)
+     node rows up to [count] (unexpanded ids read as [Row.empty]).
+     [pending] lists the items in pop order; crash-free candidates
+     among them are not yet admitted, so resume re-applies dedup and
+     the budget as the uninterrupted run would have. *)
   type 'i payload = {
     engine : string;
     reduction : Canon.reduction;
@@ -1189,7 +1250,7 @@ module Make (A : Algorithm.S) = struct
     keys : E.key array;
     terminal : E.key array;
     bare : E.key array;
-    recs : node_rec array;
+    recs : Row.t array;
     count : int;
     terminals : int;
     exhausted : bool;
@@ -1516,14 +1577,16 @@ module Make (A : Algorithm.S) = struct
      ticket (the root, admitted first, is id 0), so graph edges are
      globally meaningful the moment they are made and classification
      needs no id translation — the classified graph is the same at every
-     domain count modulo discovery order, which {!classify_graph}'s
+     domain count modulo discovery order, which {!Row.classify}'s
      minimum-witness rule already normalises.  Every successor is
-     admitted before it is queued; its node record is written to [recs]
-     when it is expanded. *)
+     admitted before it is queued; its row is written to [recs] when it
+     is expanded, from the successor ids gathered in the worker's
+     [scratch]. *)
   let crash_step run ~recs ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
       ~model ~forge_alts ~check (w : _ Workers.w) =
     let reduction = run.reduction in
     let pattern_of = make_pattern_of ~n in
+    let scratch = ref (Array.make 64 0) in
     (* The successor's id, or -1 when the budget turned it away; a
        new one is queued. *)
     let visit config mask =
@@ -1563,22 +1626,21 @@ module Make (A : Algorithm.S) = struct
           ~model ~forge_alts ~pattern_of ~check config mask
       in
       let pattern = pattern_of mask in
-      let succs = Array.make (List.length succ_list) 0 in
+      let want = List.length succ_list in
+      if want > Array.length !scratch then
+        scratch := Array.make (max want (2 * Array.length !scratch)) 0;
       let len =
         fill_succs ~reduction
           ~step:(visit_step config mask pattern)
-          ~visit id succs 0 succ_list
-      in
-      let succs =
-        if len = Array.length succs then succs else Array.sub succs 0 len
+          ~visit id !scratch 0 succ_list
       in
       (* a requeued node is expanded again: count its terminal only on
          the store's first write, so [terminal_runs] is idempotent per
-         id.  [empty_rec] is a physical sentinel no expanded record ever
-         aliases, and only one domain can hold id at a time (handoff
-         through the pool orders the re-expansion after the death). *)
-      let first_write = Nodestore.get recs id == empty_rec in
-      Nodestore.set recs id { succs; mask; undecided };
+         id.  No expanded row reads as [Row.empty], and only one domain
+         can hold id at a time (handoff through the pool orders the
+         re-expansion after the death). *)
+      let first_write = Row.is_empty (Nodestore.get recs id) in
+      Nodestore.set recs id (Row.make ~mask ~undecided !scratch len);
       if undecided = 0 && first_write then begin
         Atomic.incr run.terminals;
         Metrics.incr m_terminals
@@ -1593,20 +1655,25 @@ module Make (A : Algorithm.S) = struct
       ?(policy = Per_sender) ?(drop_on_crash = true) ?(initially_dead = [])
       ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~crash_budget ~check () =
     require_explorable ~n ~initially_dead ();
+    if max_configs > Row.max_nodes then
+      raise
+        (Not_explorable
+           (Printf.sprintf
+              "Explorer: max_configs above %d: crash-graph ids are int32"
+              Row.max_nodes));
     let base_mask = List.fold_left Mask.add 0 initially_dead in
     let forge_alts =
       match model with
       | Fault_model.Byzantine _ -> List.length (E.forge_pool ~n ~inputs)
       | Fault_model.Crash | Fault_model.Mobile _ -> 0
     in
-    let recs : node_rec Nodestore.t = Nodestore.create ~empty:empty_rec in
+    let recs : Row.t Nodestore.t = Nodestore.create ~empty:Row.empty in
     match
       drive ~engine:"explore-crash" ~model ~reduction ~domains ~max_configs
         ~ckpt ~resume (fun run p ->
-          (* an unexpanded slot stays unwritten: the step's
-             [first_write] tests the physical sentinel *)
+          (* an unexpanded slot stays unwritten *)
           Array.iteri
-            (fun id r -> if r <> empty_rec then Nodestore.set recs id r)
+            (fun id r -> if not (Row.is_empty r) then Nodestore.set recs id r)
             p.recs;
           {
             root =

@@ -63,8 +63,9 @@
 exception Not_explorable of string
 (** A campaign the explorer cannot run, raised before the search
     starts: an algorithm with a failure detector, a system too large
-    for crashed-set bitmasks, an initially-dead pid out of range, or a
-    crash after time 0 in the crash-free engine's pattern.  The
+    for crashed-set bitmasks, an initially-dead pid out of range, a
+    crash after time 0 in the crash-free engine's pattern, or a crash
+    engine budget above {!Row.max_nodes}.  The
     explorer raises no other exception for its arguments. *)
 
 type delivery_policy = Engine.delivery_policy =
@@ -121,6 +122,49 @@ module Mask : sig
       pid lists ([compare (to_list ~n a) (to_list ~n b)] for any [n]
       above both), without building the lists: the order of the Stuck
       witness's undecided set. *)
+end
+
+module Row : sig
+  (** An expanded crash-graph node as one byte row: its crashed mask
+      and its undecided live pids' mask (little-endian int64 at bytes
+      0 and 8), then its successor ids (little-endian int32 from byte
+      16).  The node is complete iff its undecided mask is 0. *)
+
+  type t
+
+  val max_nodes : int
+  (** [2^31 - 1]: a crash graph's node ids lie below it, so each fits
+      an int32 slot. *)
+
+  val make : mask:int -> undecided:int -> int array -> int -> t
+  (** [make ~mask ~undecided succs len] is the row of a node whose
+      successor ids are [succs.(0 .. len - 1)], each in
+      [0 .. max_nodes - 1].  Raises [Invalid_argument] when [len] is
+      outside [0 .. Array.length succs]. *)
+
+  val empty : t
+  (** The unexpanded slot: no successors, mask 0 and undecided mask
+      [-1], which no expanded node has. *)
+
+  val is_empty : t -> bool
+  (** The row's undecided mask is negative: it is {!empty}, or a copy
+      of it. *)
+
+  val mask : t -> int
+  val undecided : t -> int
+
+  val succs : t -> int array
+  (** The successor ids, in the order they were written. *)
+
+  val classify : count:int -> (int -> t) -> (int * int) option
+  (** [classify ~count row] reads the graph of nodes [0 .. count - 1]
+      ([row id] is node [id]'s row; every successor id is below
+      [count]) and returns [None] when every node can reach a
+      complete node, or else the Stuck witness: the (mask, undecided)
+      pair of a node that can reach none, the least by mask and then
+      by ascending undecided pid list ({!Mask.compare_lists}).  An
+      {!empty} row is a node with no successors that is not
+      complete. *)
 end
 
 val default_domains : unit -> int
@@ -228,7 +272,10 @@ module Make (A : Algorithm.S) : sig
 
       Domains, [ckpt], [resume] and supervision are as described
       above; a node's dense id {e is} its admission ticket, and on
-      interruption the verdict is [Indeterminate].
+      interruption the verdict is [Indeterminate].  Each expanded node
+      is stored as a {!Row}, so [max_configs] (default 300_000) may be
+      at most {!Row.max_nodes} ([2^31 - 1]): a larger budget raises
+      {!Not_explorable} before the search starts.
 
       [model] selects the fault model ({!Fault_model.t}).  Under
       [Crash] (the default) the budget is [crash_budget].  Under

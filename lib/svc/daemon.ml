@@ -57,6 +57,10 @@ type st = {
   drain : bool Atomic.t;
   mutable running : running option;
   not_before : (int, int) Hashtbl.t;  (* job id -> Clock.now_ns threshold *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+      (* a self-pipe: a job domain writes one byte when it finishes,
+         so the loop's [select] wakes to start the next job at once *)
 }
 
 let log st fmt =
@@ -72,6 +76,8 @@ let upd st j =
   | Error e -> Printf.eprintf "ksa-serve: job %d: %s\n%!" j.Jobstore.id e
 
 (* ---------- execution ---------- *)
+
+let wake_byte = Bytes.make 1 'w'
 
 let start_job st (j : Jobstore.job) =
   let cancel = Atomic.make false in
@@ -128,6 +134,9 @@ let start_job st (j : Jobstore.job) =
           with e -> Error ("uncaught: " ^ Printexc.to_string e)
         in
         Atomic.set r_done true;
+        (* a full pipe already holds a wake-up *)
+        (try ignore (Unix.single_write st.wake_w wake_byte 0 1 : int)
+         with Unix.Unix_error _ -> ());
         res)
   in
   st.running <-
@@ -377,26 +386,44 @@ let route st (req : Http.request) =
         (Json.Obj [ ("ok", Json.Bool true); ("draining", Json.Bool true) ])
   | _, _ -> err_response 404 "no such endpoint"
 
-let http_step st lfd timeout =
-  match Unix.select [ lfd ] [] [] timeout with
+(* Serve one request on the listener [lfd]. *)
+let http_step st lfd =
+  match Unix.accept lfd with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          (* bound a stalled peer so it cannot freeze the loop *)
+          (try
+             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+             Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
+           with Unix.Unix_error _ -> ());
+          match Http.read_request fd with
+          | Error e -> Http.write_response fd (err_response 400 e)
+          | Ok req -> Http.write_response fd (route st req))
+
+(* Drain the self-pipe's wake-ups: the loop's next turn reads the
+   state they announce. *)
+let drain_wake st =
+  let buf = Bytes.create 64 in
+  let rec go () =
+    match Unix.read st.wake_r buf 0 64 with
+    | 64 -> go ()
+    | _ | (exception Unix.Unix_error _) -> ()
+  in
+  go ()
+
+(* Wait up to [timeout] for a job to finish or, with a listener
+   [lfd], for a request, and serve the request. *)
+let wait_step st lfd timeout =
+  match Unix.select (st.wake_r :: Option.to_list lfd) [] [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | [], _, _ -> ()
-  | _ -> (
-      match Unix.accept lfd with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              (* bound a stalled peer so it cannot freeze the loop *)
-              (try
-                 Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-                 Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
-               with Unix.Unix_error _ -> ());
-              match Http.read_request fd with
-              | Error e -> Http.write_response fd (err_response 400 e)
-              | Ok req -> Http.write_response fd (route st req)))
+  | ready, _, _ -> (
+      if List.mem st.wake_r ready then drain_wake st;
+      match lfd with
+      | Some lfd when List.mem lfd ready -> http_step st lfd
+      | Some _ | None -> ())
 
 (* ---------- the loop ---------- *)
 
@@ -407,12 +434,25 @@ let install_signals st =
   try Sys.set_signal Sys.sigint (Sys.Signal_handle handler)
   with Invalid_argument _ | Sys_error _ -> ()
 
+let wake_pipe () =
+  match Unix.pipe ~cloexec:true () with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error ("self-pipe: " ^ Unix.error_message e)
+  | r, w ->
+      Unix.set_nonblock r;
+      Unix.set_nonblock w;
+      Ok (r, w)
+
 let serve cfg =
-  match Jobstore.open_dir ~dir:cfg.dir with
+  let opened =
+    Result.bind (Jobstore.open_dir ~dir:cfg.dir) (fun store ->
+        Result.map (fun pipe -> (store, pipe)) (wake_pipe ()))
+  in
+  match opened with
   | Error e ->
       Printf.eprintf "ksa-serve: %s\n%!" e;
       1
-  | Ok store -> (
+  | Ok (store, (wake_r, wake_w)) -> (
       let st =
         {
           cfg;
@@ -420,7 +460,14 @@ let serve cfg =
           drain = Atomic.make false;
           running = None;
           not_before = Hashtbl.create 16;
+          wake_r;
+          wake_w;
         }
+      in
+      let close_wake () =
+        List.iter
+          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+          [ wake_r; wake_w ]
       in
       let listener =
         match cfg.addr with
@@ -433,20 +480,16 @@ let serve cfg =
       match listener with
       | Error e ->
           Printf.eprintf "ksa-serve: %s\n%!" e;
+          close_wake ();
           1
       | Ok lfd ->
           install_signals st;
           (match cfg.addr with
           | Some a -> log st "listening on %s, campaign dir %s" a cfg.dir
           | None -> log st "no listener, draining queue in %s" cfg.dir);
-          (* idle pacing: ramp 0.1ms - 5ms between loop turns when
-             there is no listener to select on *)
-          let sp = Backoff.Spin.make ~relax:0 ~floor:1e-4 ~cap:5e-3 () in
           let rec loop () =
             (match st.running with
-            | Some r when Atomic.get r.r_done ->
-                finalize st r;
-                Backoff.Spin.reset sp
+            | Some r when Atomic.get r.r_done -> finalize st r
             | _ -> ());
             if Atomic.get st.drain && st.running = None then begin
               log st "drained; %d job(s) in store"
@@ -456,9 +499,7 @@ let serve cfg =
             else begin
               (if st.running = None && not (Atomic.get st.drain) then
                  match next_runnable st with
-                 | Some j ->
-                     start_job st j;
-                     Backoff.Spin.reset sp
+                 | Some j -> start_job st j
                  | None -> ());
               if cfg.exit_when_idle && st.running = None && not (pending st)
               then begin
@@ -466,14 +507,15 @@ let serve cfg =
                 0
               end
               else begin
-                (match lfd with
-                | Some fd -> http_step st fd 0.02
-                | None -> Backoff.Spin.wait sp);
+                (* a finished job wakes the wait at once; the timeout
+                   paces retry backoffs and the drain flag *)
+                wait_step st lfd (if lfd = None then 5e-3 else 0.02);
                 loop ()
               end
             end
           in
           let code = loop () in
+          close_wake ();
           (match lfd with
           | Some fd -> (
               (try Unix.close fd with Unix.Unix_error _ -> ());

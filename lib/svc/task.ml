@@ -96,7 +96,8 @@ module Fields = struct
        only).  Verdicts and reachable decision values are invariant across \
        modes; visited-configuration counts are not."
   let max_configs = field "max-configs" Int ~docv:"M"
-      "Stop after exploring M configurations."
+      "Stop after exploring M configurations (at most 2147483647 when \
+       processes can crash or misbehave)."
   let drop = field "drop-on-crash" Bool ~default:(Json.Bool false)
       "Also explore dropping each crashed process's pending messages \
        (last-step omission)."
@@ -363,8 +364,24 @@ let check spec =
         let* _ = policy_conv e.e_policy in
         let* () = check_dead e.e_dead in
         let* () = at_least 0 Fields.crash_budget e.e_crash_budget in
-        Option.fold ~none:(Ok ()) ~some:(at_least 0 Fields.max_configs)
-          e.e_max_configs
+        let* () =
+          Option.fold ~none:(Ok ()) ~some:(at_least 0 Fields.max_configs)
+            e.e_max_configs
+        in
+        (* a crash graph's node ids are int32 *)
+        let cap = Sim.Explorer.Row.max_nodes in
+        if explore_crashless e then Ok ()
+        else
+          Option.fold ~none:(Ok ())
+            ~some:(fun m ->
+              if m <= cap then Ok ()
+              else
+                Error
+                  (Printf.sprintf
+                     "field %s must be at most %d for a crash exploration, \
+                      got %d"
+                     (describe Fields.max_configs) cap m))
+            e.e_max_configs
     | Fuzz f ->
         let* a = point ~n:f.f_n ~k:f.f_k ~l:f.f_l ~wait:f.f_wait f.f_algo in
         let* _ = fuzzable a in

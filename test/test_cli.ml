@@ -366,6 +366,19 @@ let test_spec_refusals () =
       (submit {|{"task":"fuzz","trails":5}|}, "unknown field \"trails\" for task fuzz");
     ]
 
+(* A crash graph's node ids are int32, so a crash exploration's
+   budget above 2^31 - 1 is refused by field name; a crash-free one
+   keeps running. *)
+let test_crash_budget_bound () =
+  let over = [ "--max-configs"; "2147483648" ] in
+  expect_error
+    (flp @ [ "--crash-budget"; "1" ] @ over)
+    ~names:
+      "field \"max-configs\" must be at most 2147483647 for a crash \
+       exploration, got 2147483648";
+  expect (flp @ over) ~code:0
+    ~lines:[ "SAFE: 4930 configs visited, 601 terminal runs" ]
+
 (* Spawn [ksa args] and SIGINT it once the checkpoint at [path]
    exists: the campaign flushes a final checkpoint and exits 130 (0
    when it finished first). *)
@@ -522,5 +535,7 @@ let suites =
           test_spec_refusals;
         Alcotest.test_case "every table field: flag and JSON key agree" `Quick
           test_flag_json_parity;
+        Alcotest.test_case "crash max-configs above 2^31-1 exits 1" `Quick
+          test_crash_budget_bound;
       ] );
   ]

@@ -371,6 +371,184 @@ let prop_mask_to_list_sound =
       Mask.to_list ~n m
       = List.filter (fun p -> Mask.mem m p) (List.init n Fun.id))
 
+(* ---------- crash-graph node rows ---------- *)
+
+module Row = Sim.Explorer.Row
+
+(* The reference classifier: the int-record algorithm the rows
+   replaced, over a node's successor ids as an [int array] and its
+   masks as ints.  Backwards reachability from the complete nodes with
+   CSR predecessors and an explicit stack; the witness is the least
+   stuck node by mask, then by ascending undecided pid list. *)
+let reference_classify ~succs ~mask ~undecided =
+  let count = Array.length succs in
+  let off = Array.make (count + 1) 0 in
+  Array.iter (Array.iter (fun s -> off.(s) <- off.(s) + 1)) succs;
+  for id = 1 to count do
+    off.(id) <- off.(id) + off.(id - 1)
+  done;
+  let pred = Array.make off.(count) 0 in
+  Array.iteri
+    (fun id ss ->
+      Array.iter
+        (fun s ->
+          off.(s) <- off.(s) - 1;
+          pred.(off.(s)) <- id)
+        ss)
+    succs;
+  let can_decide = Array.make count false in
+  let stack = Array.make count 0 and top = ref 0 in
+  let mark id =
+    if not can_decide.(id) then begin
+      can_decide.(id) <- true;
+      stack.(!top) <- id;
+      incr top
+    end
+  in
+  Array.iteri (fun id u -> if u = 0 then mark id) undecided;
+  while !top > 0 do
+    decr top;
+    let id = stack.(!top) in
+    for j = off.(id) to off.(id + 1) - 1 do
+      mark pred.(j)
+    done
+  done;
+  let stuck = ref None in
+  for id = 0 to count - 1 do
+    if not can_decide.(id) then
+      match !stuck with
+      | Some (m, u)
+        when m < mask.(id)
+             || (m = mask.(id) && Mask.compare_lists u undecided.(id) <= 0) ->
+          ()
+      | Some _ | None -> stuck := Some (mask.(id), undecided.(id))
+  done;
+  !stuck
+
+(* A graph as the reference reads it: [None] is an unexpanded slot,
+   which the rows store as [Row.empty] (no successors, mask 0,
+   undecided -1). *)
+type graph = (int array * int * int) option array
+
+let rows_of (g : graph) =
+  Array.map
+    (function
+      | None -> Row.empty
+      | Some (ss, m, u) -> Row.make ~mask:m ~undecided:u ss (Array.length ss))
+    g
+
+let agree (g : graph) =
+  let field f d = Array.map (function None -> d | Some r -> f r) g in
+  let rows = rows_of g in
+  Row.classify ~count:(Array.length rows) (Array.get rows)
+  = reference_classify
+      ~succs:(field (fun (ss, _, _) -> ss) [||])
+      ~mask:(field (fun (_, m, _) -> m) 0)
+      ~undecided:(field (fun (_, _, u) -> u) (-1))
+
+(* 0-300 nodes.  Masks draw from small sets that include bit 60, the
+   top pid bit; a quarter of the expanded nodes are complete, a tenth
+   of the slots are unexpanded, and a node may list itself or repeat a
+   successor.  Nodes from [trap] on only reach each other and none is
+   complete: cycles that reach no complete node. *)
+let gen_graph : graph QCheck.Gen.t =
+  let open QCheck.Gen in
+  let big = 1 lsl 60 in
+  let masks = [| 0; 1; 2; 5; big; big lor 3 |] in
+  let unds = [| 1; 2; 3; 4; 6; big; big lor 1 |] in
+  int_range 0 300 >>= fun count ->
+  int_range 0 count >>= fun trap ->
+  let node id =
+    frequency
+      [
+        (1, return None);
+        ( 9,
+          let lo = if id >= trap then trap else 0 in
+          let* k = int_range 0 5 in
+          let* ss =
+            array_repeat k
+              (frequency [ (1, return id); (4, int_range lo (count - 1)) ])
+          in
+          let* m = oneofa masks in
+          let* u =
+            if id >= trap then oneofa unds
+            else frequency [ (1, return 0); (3, oneofa unds) ]
+          in
+          return (Some (ss, m, u)) );
+      ]
+  in
+  let rec nodes id acc =
+    if id < 0 then return (Array.of_list acc)
+    else node id >>= fun n -> nodes (id - 1) (n :: acc)
+  in
+  nodes (count - 1) []
+
+let print_graph (g : graph) =
+  String.concat "; "
+    (Array.to_list
+       (Array.mapi
+          (fun id -> function
+            | None -> Printf.sprintf "%d: -" id
+            | Some (ss, m, u) ->
+                Printf.sprintf "%d: [%s] %#x %#x" id
+                  (String.concat "," (Array.to_list (Array.map string_of_int ss)))
+                  m u)
+          g))
+
+let prop_row_classify_matches_reference =
+  QCheck.Test.make ~name:"byte-row classifier = int-array reference"
+    ~count:500
+    (QCheck.make ~print:print_graph gen_graph)
+    agree
+
+let prop_row_round_trip =
+  QCheck.Test.make ~name:"a row reads back its masks and successors"
+    ~count:300
+    QCheck.(
+      triple (int_range 0 max_int) (int_range 0 max_int)
+        (array_of_size Gen.(int_range 0 40) (int_range 0 Row.max_nodes)))
+    (fun (m, u, ss) ->
+      let r = Row.make ~mask:m ~undecided:u ss (Array.length ss) in
+      Row.mask r = m && Row.undecided r = u && Row.succs r = ss
+      && not (Row.is_empty r))
+
+(* A chain of 10,000 nodes, each pointing at the next: with only the
+   last complete, marking walks the whole chain back one node at a
+   time; with every node complete, the mark stack holds all of them at
+   once; with the last one stuck, every node is. *)
+let test_row_chain () =
+  let n = 10_000 in
+  let chain ~complete =
+    Array.init n (fun id ->
+        let ss = if id + 1 < n then [| id + 1 |] else [| id |] in
+        Some (ss, 1, if complete id then 0 else 2))
+  in
+  List.iter
+    (fun (name, complete, want) ->
+      let g = chain ~complete in
+      Alcotest.(check bool) (name ^ ": reference agrees") true (agree g);
+      let rows = rows_of g in
+      Alcotest.(check (option (pair int int)))
+        name want
+        (Row.classify ~count:n (Array.get rows)))
+    [
+      ("last complete", (fun id -> id = n - 1), None);
+      ("all complete", (fun _ -> true), None);
+      ("none complete", (fun _ -> false), Some (1, 2));
+    ]
+
+let test_row_budget_bound () =
+  let module Ex = Sim.Explorer.Make (K2) in
+  match
+    Ex.explore_with_crashes ~max_configs:(Row.max_nodes + 1) ~n:3
+      ~inputs:(distinct 3) ~crash_budget:1 ~check:no_check ()
+  with
+  | exception Sim.Explorer.Not_explorable msg ->
+      Alcotest.(check string)
+        "reason" "Explorer: max_configs above 2147483647: crash-graph ids are int32"
+        msg
+  | _ -> Alcotest.fail "a budget above Row.max_nodes ran"
+
 (* ---------- key soundness ---------- *)
 
 module E2 = Sim.Engine.Make (K2)
@@ -776,4 +954,12 @@ let suites =
         Alcotest.test_case "recorded and exploration keys agree" `Quick
           test_key_exploration_agnostic;
       ] );
+    ( "explore.row",
+      [
+        Alcotest.test_case "a 10,000-node chain" `Quick test_row_chain;
+        Alcotest.test_case "budget above max_nodes is not explorable" `Quick
+          test_row_budget_bound;
+      ] );
+    Test_util.qsuite "explore.row.properties"
+      [ prop_row_classify_matches_reference; prop_row_round_trip ];
   ]

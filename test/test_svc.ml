@@ -711,7 +711,8 @@ let test_daemon_refuses_fd_fuzz () =
 (* Specs [Task.run] could not run without raising — a size below 1,
    L or wait-for outside 1..n, a fuzz dead pid out of range — a
    repeated explore dead pid, which the crash explorer ran as if
-   listed once, and a misspelt key: each is refused by field name. *)
+   listed once, a misspelt key, and a crash exploration's budget above
+   the crash graph's int32 ids: each is refused by field name. *)
 let crash_specs =
   let obj task kvs = Json.Obj (("task", Json.Str task) :: kvs) in
   [
@@ -732,6 +733,11 @@ let crash_specs =
       "field \"dead\" lists pid 0 twice" );
     ( obj "fuzz" [ ("trails", Json.Int 5) ],
       "unknown field \"trails\" for task fuzz" );
+    ( obj "explore"
+        [ ("n", Json.Int 3); ("crash-budget", Json.Int 1);
+          ("max-configs", Json.Int 2147483648) ],
+      "field \"max-configs\" must be at most 2147483647 for a crash \
+       exploration, got 2147483648" );
   ]
 
 let test_task_spec_ranges () =
