@@ -152,7 +152,11 @@ struct
 
      Both satisfy the {!Algorithm.S.canon} contract: [step] emits the
      same sends and decision from the erased state, and erasure
-     commutes with the writes [step] performs on the erased fields. *)
+     commutes with the writes [step] performs on the erased fields.
+
+     [reports] and [need] keep the tree shape their insertion order
+     built, so they are rebuilt from their bindings in key order:
+     equal binding sets then give [=] states, which intern once. *)
   let canon st =
     if st.decided then
       {
@@ -166,7 +170,10 @@ struct
         st with
         heard = (if st.in_stage2 then [] else List.sort compare st.heard);
         reports =
-          Pid.Map.map (fun (v, h) -> (v, List.sort compare h)) st.reports;
+          Pid.Map.fold
+            (fun q (v, h) acc -> Pid.Map.add q (v, List.sort compare h) acc)
+            st.reports Pid.Map.empty;
+        need = Pid.Set.of_list (Pid.Set.elements st.need);
       }
 
   let canon_message = function

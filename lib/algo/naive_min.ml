@@ -53,8 +53,10 @@ struct
       ({ st with decided = true }, sends, Some min_v)
     else (st, sends, None)
 
-  (* [seen] is a balanced map — already a canonical representation *)
-  let canon st = st
+  (* [seen] keeps the tree shape its insertion order built: rebuilt
+     from its bindings in key order, equal maps become [=] *)
+  let canon st =
+    { st with seen = Pid.Map.fold Pid.Map.add st.seen Pid.Map.empty }
   let canon_message (msg : message) = msg
 
   (* a corrupted sender may claim any candidate value, including the

@@ -54,11 +54,18 @@ let rec probe slots mask h r i =
   | Full e when e.h = h && compare e.v r = 0 -> i
   | Full _ -> probe slots mask h r ((i + 1) land mask)
 
+(* The id of [r] in [slots], or -1.  The id comes from the same read
+   of a slot that matched: reading the slot a second time could, off
+   the mutex, find it filled in between by another value's insert. *)
+let rec find_from slots mask h r i =
+  match slots.(i) with
+  | Empty -> -1
+  | Full e when e.h = h && compare e.v r = 0 -> e.id
+  | Full _ -> find_from slots mask h r ((i + 1) land mask)
+
 let find slots h r =
   let mask = Array.length slots - 1 in
-  match slots.(probe slots mask h r (h land mask)) with
-  | Full e -> e.id
-  | Empty -> -1
+  find_from slots mask h r (h land mask)
 
 let grow t =
   let old = Atomic.get t.table in

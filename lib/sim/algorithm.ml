@@ -55,9 +55,13 @@ module type S = sig
       bisimilar — [step] from either (with [canon]-equal received
       lists) must produce [canon]-equal states, [canon_message]-equal
       sends in the same order, and equal decisions.  [canon] must be
-      idempotent.  Typical use: sort an order-insensitive list (a
-      deduplicated heard-set kept in arrival order).  Algorithms whose
-      states are already canonical return them unchanged. *)
+      idempotent, and a function of the state's bindings: states with
+      equal contents must canon to [=] values, or they intern apart.
+      Typical use: sort an order-insensitive list (a deduplicated
+      heard-set kept in arrival order), and rebuild a [Set]/[Map]
+      field from its sorted bindings (its tree shape records the
+      insertion order).  Algorithms whose states are already canonical
+      return them unchanged. *)
 
   val canon_message : message -> message
   (** Same contract for payloads: a delivered [canon_message m] must

@@ -50,10 +50,14 @@ let magic = "KSACKPT1"
    explorer's do, so each driver recognises the other's payload and
    starts fresh instead of reading its fields as its own.  v10:
    explore-crash node records are byte rows (int64 masks, int32
-   successor ids).  Older files unmarshal into the wrong shapes, so
-   they are rejected by the version check and the CLI falls back to a
-   fresh campaign. *)
-let version = 10
+   successor ids).  v11: under [sym] and [sym+por], kset-flp's and
+   naive-min's [canon] rebuild their sets and maps from the bindings,
+   so states that used to intern apart share one id: a v10 payload's
+   orbit keys and interner dumps describe configurations this version
+   merges, and resuming it would admit them again.  Older files
+   unmarshal into the wrong shapes or keys, so they are rejected by
+   the version check and the CLI falls back to a fresh campaign. *)
+let version = 11
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

@@ -1047,16 +1047,71 @@ module Make (A : Algorithm.S) = struct
      node key; node identities and graph edges are dense ints, never
      strings, and an expanded node is stored as one {!Row}. *)
 
-  (* A successor of a crash-graph node: a delivery step of the node's
-     configuration, keyed before it is built; a (configuration, mask)
-     pair to key and admit; or the node itself — an empty delivery
-     {!E.idle_step} proves idle, whose key is the node's own.  The
-     self-loop stays an edge of the graph: the driver records the
-     node's id in its place, exactly the id its key would have found. *)
-  type succ = Self | Step of Pid.t * int list | Next of E.config * int
+  (* The successors of one crash-graph node, written as ints by
+     {!expand_crash_node} into a worker's scratch and walked by
+     [crash_step] last-written first.  Successor [j] is [kind.(j)] with
+     operands [arg.(j)], [alt.(j)] and message ids [ids.(j)]:
+
+     - [Idle]: the node itself — an empty delivery {!E.idle_step}
+       proves idle has the node's own key.  The self-loop stays an
+       edge of the graph: the walk records the node's id in its place,
+       exactly the id its key would have found.
+     - [Deliver]: pid [arg] steps, delivering [ids]; keyed before it
+       is built.
+     - [Crash]: victim [arg] joins the mask, its messages kept.
+     - [Crash_drop]: the same, its in-flight messages [ids] dropped.
+     - [Omit]: sender [arg]'s in-flight messages [ids] are omitted.
+     - [Forge]: pending message [arg] takes forge-pool payload [alt].
+
+     The configurations of the last four are built only when the walk
+     reaches them, so none outlives its own admission. *)
+  type move = Idle | Deliver | Crash | Crash_drop | Omit | Forge
+
+  type moves = {
+    mutable kind : move array;
+    mutable arg : int array;
+    mutable alt : int array;
+    mutable ids : int list array;
+    mutable len : int;
+  }
+
+  let moves () =
+    {
+      kind = Array.make 64 Idle;
+      arg = Array.make 64 0;
+      alt = Array.make 64 0;
+      ids = Array.make 64 [];
+      len = 0;
+    }
+
+  let add_move m kind arg alt ids =
+    let j = m.len in
+    if j = Array.length m.kind then begin
+      let grow x fill =
+        let y = Array.make (2 * j) fill in
+        Array.blit x 0 y 0 j;
+        y
+      in
+      m.kind <- grow m.kind Idle;
+      m.arg <- grow m.arg 0;
+      m.alt <- grow m.alt 0;
+      m.ids <- grow m.ids []
+    end;
+    m.kind.(j) <- kind;
+    m.arg.(j) <- arg;
+    m.alt.(j) <- alt;
+    m.ids.(j) <- ids;
+    m.len <- j + 1
+
+  (* the ids of move [j], cleared so the scratch keeps no list alive *)
+  let take_ids m j =
+    let ids = m.ids.(j) in
+    m.ids.(j) <- [];
+    ids
 
   (* Per-node expansion of the crash engine: decisions check,
-     completeness, and the successors.
+     completeness, and the successors, written into [moves]; the
+     undecided live pids.
 
      The fault model dispatches here and only here:
 
@@ -1082,7 +1137,7 @@ module Make (A : Algorithm.S) = struct
        for every [t >= 1].  At [t = 0] the graph coincides with the
        budget-0 crash graph. *)
   let expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
-      ~model ~forge_alts ~pattern_of ~check config mask =
+      ~model ~forge_alts ~pattern_of ~check moves config mask =
     let decisions = E.decisions config in
     (match check decisions with
     | Some reason -> raise (Verdict (decisions, reason, 0))
@@ -1096,7 +1151,7 @@ module Make (A : Algorithm.S) = struct
       then undecided := Mask.add !undecided p
     done;
     let undecided = !undecided in
-    let succs = ref [] in
+    moves.len <- 0;
     if undecided <> 0 then begin
       let pattern = pattern_of mask in
       for pid = 0 to n - 1 do
@@ -1104,8 +1159,8 @@ module Make (A : Algorithm.S) = struct
           E.iter_batches policy config pid (fun deliver ->
               match deliver with
               | [] when E.idle_step ~pattern config pid ->
-                  succs := Self :: !succs
-              | _ -> succs := Step (pid, deliver) :: !succs)
+                  add_move moves Idle 0 0 []
+              | _ -> add_move moves Deliver pid 0 deliver)
       done;
       (* one pass over the pending multiset buckets messages by sender
          for the drop-on-crash / omission successors *)
@@ -1122,15 +1177,9 @@ module Make (A : Algorithm.S) = struct
             let by_src = if drop_on_crash then by_src_of () else [||] in
             for victim = 0 to n - 1 do
               if not (Mask.mem mask victim) then begin
-                let mask' = Mask.add mask victim in
-                succs := Next (config, mask') :: !succs;
+                add_move moves Crash victim 0 [];
                 if drop_on_crash && by_src.(victim) <> [] then
-                  match
-                    E.apply ~pattern:(pattern_of mask') config
-                      (Adversary.Drop by_src.(victim))
-                  with
-                  | Some config' -> succs := Next (config', mask') :: !succs
-                  | None -> assert false
+                  add_move moves Crash_drop victim 0 by_src.(victim)
               end
             done
           end
@@ -1138,49 +1187,22 @@ module Make (A : Algorithm.S) = struct
           if t > 0 then begin
             let by_src = by_src_of () in
             for s = 0 to n - 1 do
-              if by_src.(s) <> [] then
-                succs := Next (E.omit config by_src.(s), mask) :: !succs
+              if by_src.(s) <> [] then add_move moves Omit s 0 by_src.(s)
             done
           end);
-      (match model with
+      match model with
       | Fault_model.Byzantine _ when forge_alts > 0 ->
           List.iter
             (fun (e : A.message Envelope.t) ->
               if Mask.mem mask e.src then
                 for alt = 0 to forge_alts - 1 do
-                  match
-                    E.apply ~pattern config
-                      (Adversary.Forge { id = e.id; alt })
-                  with
-                  | Some config' -> succs := Next (config', mask) :: !succs
-                  | None -> assert false
+                  add_move moves Forge e.id alt []
                 done)
             (E.pending config)
       | Fault_model.Byzantine _ | Fault_model.Crash | Fault_model.Mobile _ ->
-          ())
+          ()
     end;
-    (undecided, !succs)
-
-  (* Writes the ids of node [id]'s successors into [succs] from [i];
-     the count written.  [step] and [visit] key and admit a successor,
-     returning its id, or -1 when the budget turned it away (no
-     edge). *)
-  let rec fill_succs ~reduction ~step ~visit id succs i = function
-    | [] -> i
-    | succ :: rest ->
-        let s =
-          match succ with
-          | Self ->
-              idle_hit ~reduction;
-              id
-          | Step (pid, deliver) -> step pid deliver
-          | Next (c, m) -> visit c m
-        in
-        if s >= 0 then begin
-          succs.(i) <- s;
-          fill_succs ~reduction ~step ~visit id succs (i + 1) rest
-        end
-        else fill_succs ~reduction ~step ~visit id succs i rest
+    undecided
 
   (* The verdict of a finished crash campaign; [recs] reads its node
      graph by id.  A truncated graph cannot be classified:
@@ -1620,27 +1642,55 @@ module Make (A : Algorithm.S) = struct
         lnot r
       end
     in
+    let moves = moves () in
+    (* the configuration a built move leads to *)
+    let built = function Some config' -> config' | None -> assert false in
     let expand id config mask =
-      let undecided, succ_list =
+      let undecided =
         expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
-          ~model ~forge_alts ~pattern_of ~check config mask
+          ~model ~forge_alts ~pattern_of ~check moves config mask
       in
       let pattern = pattern_of mask in
-      let want = List.length succ_list in
-      if want > Array.length !scratch then
-        scratch := Array.make (max want (2 * Array.length !scratch)) 0;
-      let len =
-        fill_succs ~reduction
-          ~step:(visit_step config mask pattern)
-          ~visit id !scratch 0 succ_list
-      in
+      if moves.len > Array.length !scratch then
+        scratch := Array.make (max moves.len (2 * Array.length !scratch)) 0;
+      let succs = !scratch in
+      let len = ref 0 in
+      for j = moves.len - 1 downto 0 do
+        let arg = moves.arg.(j) in
+        let s =
+          match moves.kind.(j) with
+          | Idle ->
+              idle_hit ~reduction;
+              id
+          | Deliver -> visit_step config mask pattern arg (take_ids moves j)
+          | Crash -> visit config (Mask.add mask arg)
+          | Crash_drop ->
+              let mask' = Mask.add mask arg in
+              visit
+                (built
+                   (E.apply ~pattern:(pattern_of mask') config
+                      (Adversary.Drop (take_ids moves j))))
+                mask'
+          | Omit -> visit (E.omit config (take_ids moves j)) mask
+          | Forge ->
+              visit
+                (built
+                   (E.apply ~pattern config
+                      (Adversary.Forge { id = arg; alt = moves.alt.(j) })))
+                mask
+        in
+        if s >= 0 then begin
+          succs.(!len) <- s;
+          incr len
+        end
+      done;
       (* a requeued node is expanded again: count its terminal only on
          the store's first write, so [terminal_runs] is idempotent per
          id.  No expanded row reads as [Row.empty], and only one domain
          can hold id at a time (handoff through the pool orders the
          re-expansion after the death). *)
       let first_write = Row.is_empty (Nodestore.get recs id) in
-      Nodestore.set recs id (Row.make ~mask ~undecided !scratch len);
+      Nodestore.set recs id (Row.make ~mask ~undecided succs !len);
       if undecided = 0 && first_write then begin
         Atomic.incr run.terminals;
         Metrics.incr m_terminals

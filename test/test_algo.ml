@@ -455,13 +455,9 @@ let test_synod_validity () =
    payload) order.  For each shipped algorithm without a failure
    detector the order makes no difference beyond representation:
    [step] on any permutation of a batch gives the same decision,
-   [canon_message]-equal sends up to order, and a state that is
-   [canon]-equal — or, where [canon] keeps a [Pid.Set]/[Pid.Map] in
-   the tree shape its insertion order built (kset-flp's [need] and
-   [reports], naive-min's [seen]), one that no continuation tells
-   apart: random further batches drawn from the pending messages
-   give both states equal sends and decisions.  Batches are drawn
-   from the inboxes of random recorded prefixes.  The stacked synod
+   [canon_message]-equal sends up to order, and a [canon]-equal
+   state.  Batches are drawn from the inboxes of random recorded
+   prefixes.  The stacked synod
    is the exception, by design: a Paxos acceptor that receives two
    prepares in one batch promises both in ascending order but nacks
    the lower one after the higher, so only the canonical fold pins
@@ -483,20 +479,7 @@ module Order_free (A : Sim.Algorithm.S) = struct
         (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
     in
     let pattern = FP.none ~n in
-    (* [s1] and [s2] agree on [depth] further random batches of [pool] *)
-    let rec alike pool depth s1 s2 =
-      A.canon s1 = A.canon s2 || depth = 0
-      ||
-      let batch = some pool in
-      let s1, m1, d1 = outcome s1 batch and s2, m2, d2 = outcome s2 batch in
-      m1 = m2 && d1 = d2 && alike pool (depth - 1) s1 s2
-    in
     let order_free c pid =
-      let pool =
-        List.map
-          (fun (e : A.message Sim.Envelope.t) -> (e.src, e.payload))
-          (E.pending c)
-      in
       let inbox =
         List.filter_map
           (fun (e : A.message Sim.Envelope.t) ->
@@ -510,8 +493,7 @@ module Order_free (A : Sim.Algorithm.S) = struct
           List.for_all
             (fun _ ->
               let s2, m2, d2 = outcome s (shuffle batch) in
-              m1 = m2 && d1 = d2
-              && List.for_all (fun _ -> alike pool 4 s1 s2) [ 1; 2; 3 ])
+              m1 = m2 && d1 = d2 && A.canon s1 = A.canon s2)
             [ 1; 2; 3 ])
         [ inbox; some inbox ]
     in
@@ -569,6 +551,41 @@ let prop_batch_order_free =
             ns)
         order_free_algos)
 
+(* Equal bindings reached in two arrival orders: the two states
+   [canon] makes of them are [=] and intern to one id, though
+   kset-flp's [need] and naive-min's [seen] are built in two insertion
+   orders, which leave two tree shapes. *)
+let check_canon_merges (module A : Sim.Algorithm.S) ~n ~me batch =
+  let payload p =
+    let _, sends, _ =
+      A.step (A.init ~n ~me:p ~input:p) ~received:[] ~fd:None
+    in
+    (p, snd (List.hd sends))
+  in
+  let batch = List.map payload batch in
+  let after received =
+    let s, _, _ = A.step (A.init ~n ~me ~input:me) ~received ~fd:None in
+    A.canon s
+  in
+  let s1 = after batch and s2 = after (List.rev batch) in
+  Alcotest.(check bool) (A.name ^ ": canon states are =") true (s1 = s2);
+  let r = Ksa_prim.Intern.create () in
+  Alcotest.(check int)
+    (A.name ^ ": one interned id")
+    (Ksa_prim.Intern.id r s1) (Ksa_prim.Intern.id r s2)
+
+module K3 = Algo.Kset_flp.Make (struct
+  let l = 3
+end)
+
+(* L=3 at n=4: p3 enters stage 2 on Hellos [p2; p0] and [p0; p2] *)
+let test_kset_canon_merges () =
+  check_canon_merges (module K3) ~n:4 ~me:3 [ 2; 0 ]
+
+(* wait 2 at n=3: p0 takes a two-message batch and its reverse *)
+let test_naive_min_canon_merges () =
+  check_canon_merges (module N2) ~n:3 ~me:0 [ 1; 2 ]
+
 let suites =
   [
     ( "algo.kset_flp",
@@ -597,7 +614,13 @@ let suites =
         Alcotest.test_case "exhaustive n=4" `Slow test_flp_consensus_exhaustive_n4;
       ] );
     ( "algo.batch_order",
-      [ QCheck_alcotest.to_alcotest prop_batch_order_free ] );
+      [
+        QCheck_alcotest.to_alcotest prop_batch_order_free;
+        Alcotest.test_case "kset-flp canon merges arrival orders" `Quick
+          test_kset_canon_merges;
+        Alcotest.test_case "naive-min canon merges arrival orders" `Quick
+          test_naive_min_canon_merges;
+      ] );
     ( "algo.trivial",
       [ Alcotest.test_case "decides own" `Quick test_trivial_decides_own ] );
     ( "algo.naive_min",

@@ -92,10 +92,10 @@ let test_explore_truncated () =
     [
       ("none", 500, 94);
       ("none", 2000, 268);
-      ("sym", 500, 29);
+      ("sym", 500, 30);
       ("sym", 2000, 74);
       ("sym+por", 500, 29);
-      ("sym+por", 2000, 57);
+      ("sym+por", 2000, 67);
     ]
 
 let test_explore_stuck () =

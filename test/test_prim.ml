@@ -645,59 +645,71 @@ let test_intern_restore_conflicts () =
     (Intern.restore taken dumped)
 
 let test_intern_concurrent () =
-  (* two domains intern overlapping streams into a registry that
-     starts with two slots, so inserts and resizes race with lock-free
-     hits.  Both walk the values in the same blocks of 16, meeting at
-     a barrier before each block; in each block domain [d] takes the
-     values with [i mod 4 <> d], half of them shared, in its own
-     shuffled order, so the two often first-see the same value at the
-     same moment.  Each stream runs twice; the second pass mostly
-     hits *)
-  let n = 20_000 and block = 16 in
-  let value i = (i mod 7, string_of_int i, [ i; -i ]) in
-  let r = Intern.create ~size:1 () in
+  (* Two domains intern overlapping streams into a fresh registry per
+     round, each starting with two slots, so inserts and resizes race
+     with lock-free lookups.  Every value hashes to 0 modulo 64, so in
+     every table a round reaches all of them share one probe cluster:
+     a lookup of an absent value walks it to its end, the very slot
+     the other domain's insert fills next.  The domains meet at a
+     barrier before each round; in a round domain [d] takes the values
+     with [i mod 4 <> d], half of them shared, in its own shuffled
+     order, so the two often first-see the same value at the same
+     moment.  Each stream runs twice; the second pass mostly hits. *)
+  let rounds = 4000 and block = 16 in
+  let values =
+    let rec pick i acc k =
+      if k = 0 then Array.of_list (List.rev acc)
+      else
+        let v = (i mod 7, string_of_int i, [ i; -i ]) in
+        if Intern.hash v land 63 = 0 then pick (i + 1) (v :: acc) (k - 1)
+        else pick (i + 1) acc k
+    in
+    pick 0 [] block
+  in
+  let regs = Array.init rounds (fun _ -> Intern.create ~size:1 ()) in
   let arrived = Atomic.make 0 in
   let worker d =
     let rng = Rng.create ~seed:d in
-    let blocks =
-      List.init (2 * n / block) (fun b ->
-          let b = b mod (n / block) in
-          Rng.shuffle rng
-            (List.filter
-               (fun i -> i mod 4 <> d)
-               (Listx.range (b * block) ((b + 1) * block))))
+    let streams =
+      Array.init rounds (fun _ ->
+          let xs =
+            Rng.shuffle rng
+              (List.filter (fun i -> i mod 4 <> d) (Listx.range 0 block))
+          in
+          xs @ xs)
     in
     Domain.spawn (fun () ->
-        List.concat
-          (List.mapi
-             (fun round xs ->
-               Atomic.incr arrived;
-               while Atomic.get arrived < 2 * (round + 1) do
-                 Domain.cpu_relax ()
-               done;
-               List.map (fun i -> (i, Intern.id r (value i))) xs)
-             blocks))
+        Array.mapi
+          (fun round xs ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < 2 * (round + 1) do
+              Domain.cpu_relax ()
+            done;
+            List.map (fun i -> (i, Intern.id regs.(round) values.(i))) xs)
+          streams)
   in
   let a = worker 0 and b = worker 1 in
-  let answers = Domain.join a @ Domain.join b in
-  let ids = Array.make n (-1) in
-  List.iter
-    (fun (i, id) ->
-      if ids.(i) < 0 then ids.(i) <- id
-      else if ids.(i) <> id then
-        Alcotest.failf "value %d got ids %d and %d" i ids.(i) id)
-    answers;
-  Alcotest.(check int) "count" n (Intern.count r);
-  Alcotest.(check (list int))
-    "ids are 0..count-1, one per value" (Listx.range 0 n)
-    (List.sort compare (Array.to_list ids));
-  let d = Intern.dump r in
-  Alcotest.(check int) "dump length" n (Array.length d);
-  Array.iteri
-    (fun i id ->
-      if compare d.(id) (Obj.repr (value i)) <> 0 then
-        Alcotest.failf "dump.(%d) is not value %d" id i)
-    ids
+  let a = Domain.join a and b = Domain.join b in
+  for round = 0 to rounds - 1 do
+    let ids = Array.make block (-1) in
+    List.iter
+      (fun (i, id) ->
+        if ids.(i) < 0 then ids.(i) <- id
+        else if ids.(i) <> id then
+          Alcotest.failf "round %d: value %d got ids %d and %d" round i
+            ids.(i) id)
+      (a.(round) @ b.(round));
+    if Intern.count regs.(round) <> block then
+      Alcotest.failf "round %d: count %d" round (Intern.count regs.(round));
+    if List.sort compare (Array.to_list ids) <> Listx.range 0 block then
+      Alcotest.failf "round %d: ids are not 0..count-1, one per value" round;
+    let d = Intern.dump regs.(round) in
+    Array.iteri
+      (fun i id ->
+        if compare d.(id) (Obj.repr values.(i)) <> 0 then
+          Alcotest.failf "round %d: dump.(%d) is not value %d" round id i)
+      ids
+  done
 
 module K2 = Ksa_algo.Kset_flp.Make (struct
   let l = 2
