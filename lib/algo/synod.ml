@@ -2,8 +2,6 @@ module Pid = Ksa_sim.Pid
 module Value = Ksa_sim.Value
 module Fd_view = Ksa_sim.Fd_view
 
-let ballot_owner ~n b = b mod n
-
 module A = struct
   type message =
     | Prepare of int

@@ -17,7 +17,3 @@
     [History.combine (Sigma.blocks ~k:1 …) (Omega.gen ~k:1 …)]). *)
 
 module A : Ksa_sim.Algorithm.S
-
-val ballot_owner : n:int -> int -> Ksa_sim.Pid.t
-(** Ballots are numbered so that ballot b belongs to process
-    [b mod n]; exposed for tests. *)

@@ -2,9 +2,6 @@ module Run = Ksa_sim.Run
 module Pid = Ksa_sim.Pid
 module Trace = Ksa_sim.Trace
 
-let state_trace_until_decision run p =
-  Trace.states_until_decision run.Run.trace p
-
 let for_process ra rb p = Trace.indistinguishable_for ra.Run.trace rb.Run.trace p
 
 let for_all ra rb ds = List.for_all (for_process ra rb) ds

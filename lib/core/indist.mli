@@ -14,11 +14,6 @@
 module Run = Ksa_sim.Run
 module Pid = Ksa_sim.Pid
 
-val state_trace_until_decision : Run.t -> Pid.t -> int list
-(** Interned-id sequence of the process's states — initial state
-    first, then one per step — up to and including its deciding step
-    (the whole recorded trace if it never decides). *)
-
 val for_process : Run.t -> Run.t -> Pid.t -> bool
 (** α ∼ β for p: equal state traces until decision (exact interned-id
     equality, delegating to {!Ksa_sim.Trace.indistinguishable_for}).

@@ -18,7 +18,6 @@ let compute g =
   { scc; dag = Digraph.create ~n:count ~edges:dag_edges; members }
 
 let component_of t v = t.scc.Scc.comp_of.(v)
-let size_of t c = List.length t.members.(c)
 
 let sources t =
   List.filter (fun c -> Digraph.in_degree t.dag c = 0) (Digraph.vertices t.dag)

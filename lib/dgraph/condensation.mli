@@ -24,9 +24,6 @@ val compute : Digraph.t -> t
 val component_of : t -> int -> int
 (** Component index of an original vertex. *)
 
-val size_of : t -> int -> int
-(** Number of original vertices in a component. *)
-
 val sources : t -> int list
 (** Indices of source components (in-degree 0 in the DAG), sorted. *)
 

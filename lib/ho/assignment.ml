@@ -92,9 +92,6 @@ let uniform_round t ~round =
       let s0 = t.ho ~round ~me:p0 in
       List.for_all (fun p -> t.ho ~round ~me:p = s0) rest
 
-let exists_uniform_round t ~horizon =
-  List.exists (fun r -> uniform_round t ~round:r) (Listx.range 1 (horizon + 1))
-
 let confined_to t ~groups ~horizon =
   let group_of = Array.make t.n [] in
   List.iter (fun g -> List.iter (fun p -> group_of.(p) <- g) g) groups;

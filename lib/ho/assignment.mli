@@ -59,8 +59,6 @@ val majority : t -> horizon:int -> bool
 val uniform_round : t -> round:int -> bool
 (** All processes have the same HO set in that round. *)
 
-val exists_uniform_round : t -> horizon:int -> bool
-
 val confined_to : t -> groups:Pid.t list list -> horizon:int -> bool
 (** HO(p, r) ⊆ group(p) for r ≤ horizon: the (dec-D)/(dec-D̄)
     situation, expressed as a communication predicate. *)

@@ -87,11 +87,6 @@ module Make (A : Ho_algorithm.S) = struct
 
   let all_decided o = List.length o.decisions = o.n
 
-  let decision_round o p =
-    List.find_map
-      (fun (q, _, r) -> if Pid.equal p q then Some r else None)
-      o.decisions
-
   let states_equal_until_decision oa ob p =
     Trace.indistinguishable_for oa.trace ob.trace p
 end

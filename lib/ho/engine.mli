@@ -46,7 +46,7 @@ module Make (A : Ho_algorithm.S) : sig
       passed through (the hook returns the message unchanged).  Budget
       discipline (at most [t] distinct corrupted [src]s) is the
       caller's obligation, exactly as for the asynchronous
-      {!Ksa_sim.Adversary.action.Forge}.  Omitting [corrupt] is
+      {!Ksa_sim.Adversary.action.Forging_step}.  Omitting [corrupt] is
       byte-for-byte the old engine. *)
 
   val decided_values : outcome -> Ksa_sim.Value.t list
@@ -55,8 +55,6 @@ module Make (A : Ho_algorithm.S) : sig
   val distinct_decisions : outcome -> int
 
   val all_decided : outcome -> bool
-
-  val decision_round : outcome -> Ksa_sim.Pid.t -> int option
 
   val states_equal_until_decision :
     outcome -> outcome -> Ksa_sim.Pid.t -> bool

@@ -19,8 +19,8 @@ type obs =
 
 type action =
   | Step of { pid : Pid.t; deliver : int list }
+  | Forging_step of { pid : Pid.t; deliver : int list; forged : (int * int) list }
   | Drop of int list
-  | Forge of { id : int; alt : int }
   | Halt
 
 type t = { describe : string; next : obs -> action }
@@ -165,10 +165,19 @@ let rec any_from victims (View v as obs) p =
 let has_droppable ?victims obs = any_from victims obs 0
 
 (* Under the Byzantine model the corrupted set rides the failure
-   pattern (corruption subsumes crashing), so the forgeable messages
-   are exactly the droppable ones: pending sends of already-corrupted
-   processes. *)
-let forgeable = droppable
+   pattern (corruption subsumes crashing), so a forged delivery carries
+   a droppable message — a pending send of an already-corrupted
+   process — to a process that can still step. *)
+let forgeable ?victims (View v as obs) =
+  let acc = ref [] in
+  for p = 0 to v.n - 1 do
+    if can_step obs p then
+      List.iter
+        (fun ((e : _ Envelope.t), _) ->
+          if droppable_send victims obs e then acc := (e.id, p) :: !acc)
+        v.inbox.(p)
+  done;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
 
 (* ---- every pending message ---- *)
 

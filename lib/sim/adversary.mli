@@ -41,23 +41,21 @@ type action =
       (** Process [pid] takes a step, receiving exactly the pending
           messages with the given ids (each must be addressed to
           [pid]). *)
+  | Forging_step of { pid : Pid.t; deliver : int list; forged : (int * int) list }
+      (** The same step, with the Byzantine adversary's one act: [pid]
+          receives each message [id] of [forged]'s [(id, alt)] with
+          its payload replaced by entry [alt] of
+          {!Algorithm.S.forge_pool}.  A forgery exists only at its
+          delivery, so it is per receiver: equivocation needs no extra
+          machinery.  The engine does not gate it on the failure
+          pattern; budget discipline (only corrupted senders, at most
+          [t] of them) is the generating adversary's obligation,
+          pinned by test/test_byzantine.ml. *)
   | Drop of int list
       (** Remove pending messages whose senders have already crashed:
           the "omit sending to a subset of receivers in the very last
           step" allowance of the model, realized as a retroactive
           drop. *)
-  | Forge of { id : int; alt : int }
-      (** Replace the payload of pending message [id] with entry
-          [alt] of the algorithm's forge pool
-          ({!Algorithm.S.forge_pool}) — the Byzantine adversary's
-          move.  Forging one pending message at a time is exactly
-          per-receiver corruption, so equivocation (different
-          receivers seeing different payloads from the same sender in
-          the same round) needs no extra machinery.  The engine does
-          not gate this on the failure pattern; budget discipline
-          (only corrupted senders, at most [t] of them) is the
-          generating adversary's obligation and is pinned by the
-          qcheck properties in test/test_byzantine.ml. *)
   | Halt  (** End the run (the adversary stops scheduling). *)
 
 type t = { describe : string; next : obs -> action }
@@ -148,11 +146,11 @@ val droppable : ?victims:(Pid.t -> bool) -> obs -> int list
 val has_droppable : ?victims:(Pid.t -> bool) -> obs -> bool
 (** [droppable ?victims obs <> []], without building the list. *)
 
-val forgeable : ?victims:(Pid.t -> bool) -> obs -> int list
-(** Ids of pending messages a Byzantine adversary may {!Forge}.
-    Corruption rides the failure pattern (a corrupted process subsumes
-    a crashed one), so this is exactly {!droppable}: pending sends of
-    already-corrupted processes. *)
+val forgeable : ?victims:(Pid.t -> bool) -> obs -> (int * Pid.t) list
+(** [(id, dst)] of the pending messages a {!Forging_step} may forge,
+    ascending by id.  Corruption rides the failure pattern (a corrupted
+    process subsumes a crashed one), so these are the {!droppable}
+    messages addressed to a process {!is_alive} holds of. *)
 
 val fold_pending :
   ('a -> id:int -> src:Pid.t -> dst:Pid.t -> sent_at:int -> 'a) ->

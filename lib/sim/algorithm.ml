@@ -70,9 +70,9 @@ module type S = sig
       so representation-equal messages share one interned id. *)
 
   val forge_pool : n:int -> values:Value.t list -> message list
-  (** The payloads a Byzantine-corrupted sender may inject in place of
-      a pending message, parameterized by the candidate value domain
-      (the proposed inputs plus one out-of-domain value; see
+  (** The payloads a Byzantine-corrupted sender's message may be
+      delivered with, parameterized by the candidate value domain (the
+      proposed inputs plus one out-of-domain value; see
       {!Fault_model.forge_values}).  The pool must be a finite,
       deterministic function of its arguments — forge indices are
       recorded in schedules and replayed — and is consulted only under

@@ -36,7 +36,6 @@ val all_reductions : reduction list
     bits 40..50, payload id in bits 0..39. *)
 
 val pack_triple : int -> int -> int -> int
-val payload_mask : int
 val triple_src : int -> int
 val triple_dst : int -> int
 val triple_payload : int -> int

@@ -54,10 +54,13 @@ let magic = "KSACKPT1"
    naive-min's [canon] rebuild their sets and maps from the bindings,
    so states that used to intern apart share one id: a v10 payload's
    orbit keys and interner dumps describe configurations this version
-   merges, and resuming it would admit them again.  Older files
-   unmarshal into the wrong shapes or keys, so they are rejected by
-   the version check and the CLI falls back to a fresh campaign. *)
-let version = 11
+   merges, and resuming it would admit them again.  v12: configs
+   lost their per-pid step counts, and Byzantine graphs forge at
+   delivery only, so a v11 payload's nodes are the wrong shape or
+   unreachable.  Older files unmarshal into the wrong shapes or keys,
+   so they are rejected by the version check and the CLI falls back
+   to a fresh campaign. *)
+let version = 12
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

@@ -53,7 +53,6 @@ module Make (A : Algorithm.S) = struct
            list is strictly id-descending; {!pending} merges the lists
            back into ascending id order, and {!observe} hands them to
            the adversary as they are. *)
-    steps : int array; (* per-pid step counts; copy-on-write *)
     next_id : int;
     init_ids : int array; (* interned initial states; never mutated *)
     state_ids : int array;
@@ -69,7 +68,7 @@ module Make (A : Algorithm.S) = struct
            one id *)
     events : Event.t list; (* reversed; empty unless [record] *)
     forges : (int * int) list;
-        (* (message id, forge-pool index) of every Forge applied, in
+        (* (message id, forge-pool index) of every forged delivery, in
            reverse order; empty unless [record].  Replay projection
            needs it to re-emit the forgeries a recorded run saw. *)
   }
@@ -120,11 +119,6 @@ module Make (A : Algorithm.S) = struct
       match find_entry id inbox.(p) with
       | x -> x
       | exception Not_found -> find_pending inbox id (p - 1)
-
-  let rec replace_id id x' : entry list -> entry list = function
-    | [] -> []
-    | ((e, _) as x) :: rest ->
-        if e.Envelope.id = id then x' :: rest else x :: replace_id id x' rest
 
   (* The entries of [l] named by [ids], both id-descending, consed
      onto [acc] — so in ascending id order.  One walk of [l].
@@ -275,7 +269,6 @@ module Make (A : Algorithm.S) = struct
       states;
       decided = Array.make n None;
       inbox = Array.make n [];
-      steps = Array.make n 0;
       next_id = 0;
       init_ids;
       state_ids = init_ids;
@@ -304,7 +297,6 @@ module Make (A : Algorithm.S) = struct
 
   let pending c = merge_pending c (fun e acc -> e :: acc) []
   let events c = List.rev c.events
-  let steps_taken c p = c.steps.(p)
 
   let inbox c p =
     List.rev_map (fun ((e : A.message Envelope.t), _) -> (e.id, e.src)) c.inbox.(p)
@@ -420,21 +412,65 @@ module Make (A : Algorithm.S) = struct
     if strictly_desc ids then ids
     else List.sort_uniq (fun a b -> Int.compare b a) ids
 
+  (* ---- forged deliveries ----
+
+     The forge pool is a pure function of (n, inputs): the explorer,
+     the fuzz adversary and replay all recompute it and agree on the
+     indices recorded in schedules. *)
+  let forge_pool ~n ~inputs =
+    A.forge_pool ~n ~values:(Fault_model.forge_values inputs)
+
+  (* The entries a step delivering [ids] to [pid] reads in place of
+     the forged ones: each [(id, alt)] resolved to [id]'s entry with
+     pool entry [alt] as its payload, canonical under a reduction and
+     interned, exactly as a sent one. *)
+  let forgeries c pid ids = function
+    | [] -> []
+    | forged ->
+        let pool = Array.of_list (forge_pool ~n:c.n ~inputs:c.inputs) in
+        let fail fmt = Printf.ksprintf (fun s -> raise (Invalid_action s)) fmt in
+        let once id =
+          List.length (List.filter (fun (i, _) -> i = id) forged) = 1
+        in
+        List.map
+          (fun (id, alt) ->
+            if alt < 0 || alt >= Array.length pool then
+              fail "forge: index %d outside the pool" alt;
+            match find_entry id c.inbox.(pid) with
+            | (e, _) when List.mem id ids && once id ->
+                let m = pool.(alt) in
+                let payload = if c.reduce then A.canon_message m else m in
+                ( { e with Envelope.payload },
+                  pack_triple e.src e.dst (intern_payload payload) )
+            | _ | (exception Not_found) ->
+                fail "forge: message #%d not delivered, or forged twice" id)
+          forged
+
+  (* [x], or the forged entry that replaces it *)
+  let rec forged_as forged ((e, _) as x : entry) =
+    match forged with
+    | [] -> x
+    | ((f, _) as y) :: rest ->
+        if f.Envelope.id = e.Envelope.id then y else forged_as rest x
+
   (* Writes the contents of the entries of [l] named by [ids] (both
      descending) at [a.(pos)], [a.(pos - 1)], ..., so they end up in
-     ascending id order.  [false] when [l] lacks one of them. *)
-  let rec fill_batch a pos ids (l : entry list) =
+     ascending id order, a forged entry with its forged payload.
+     [false] when [l] lacks one of them. *)
+  let rec fill_batch a pos ids forged (l : entry list) =
     match ids with
     | [] -> true
     | id :: ids' -> (
         match l with
         | [] -> false
-        | (e, t) :: rest ->
+        | ((e, t) as x) :: rest ->
             if e.Envelope.id = id then begin
-              a.(pos) <- Canon.triple_content t;
-              fill_batch a (pos - 1) ids' rest
+              a.(pos) <-
+                Canon.triple_content
+                  (match forged with [] -> t | _ -> snd (forged_as forged x));
+              fill_batch a (pos - 1) ids' forged rest
             end
-            else if e.id > id then fill_batch a pos ids rest
+            else if e.id > id then fill_batch a pos ids forged rest
             else false)
 
   (* Every step folds its delivered batch in canonical (sender,
@@ -455,10 +491,14 @@ module Make (A : Algorithm.S) = struct
         | o -> o)
       pairs
 
-  (* The transition on the batch [ids] (all of them in [pid]'s inbox),
-     the failure detector queried at the step's [time]. *)
-  let transition ?fd c pid ids ~time =
+  (* The transition on the batch [ids] (all of them in [pid]'s inbox)
+     with its [forged] payloads, the failure detector queried at the
+     step's [time]. *)
+  let transition ?fd c pid ids forged ~time =
     let pairs = deliverable c pid ids in
+    let pairs =
+      if forged = [] then pairs else List.map (forged_as forged) pairs
+    in
     let fd_view =
       if not A.uses_fd then None
       else
@@ -501,7 +541,7 @@ module Make (A : Algorithm.S) = struct
      returns the stored entry having allocated nothing.  The batch is
      checked against the inbox on the way; the polymorphic canonical
      sort runs on a miss only. *)
-  let step ?fd ~pattern c pid ids =
+  let step ?fd ?(forged = []) ~pattern c pid ids =
     let time = c.time + 1 in
     if not (Pid.valid ~n:c.n pid) then
       raise (Invalid_action (Printf.sprintf "invalid pid p%d" pid));
@@ -513,7 +553,8 @@ module Make (A : Algorithm.S) = struct
     | Some _ | None -> ());
     Metrics.incr m_steps;
     let ids = desc ids in
-    if A.uses_fd then transition ?fd c pid ids ~time
+    let forged = forgeries c pid ids forged in
+    if A.uses_fd then transition ?fd c pid ids forged ~time
     else begin
       let s = Domain.DLS.get scratch_dls in
       let nids = List.length ids in
@@ -524,7 +565,7 @@ module Make (A : Algorithm.S) = struct
       a.(0) <- last;
       a.(1) <- Bool.to_int c.reduce;
       a.(2) <- c.state_ids.(pid);
-      if not (fill_batch a last ids c.inbox.(pid)) then refuse c pid ids;
+      if not (fill_batch a last ids forged c.inbox.(pid)) then refuse c pid ids;
       if nids >= 2 then Canon.sort_slots a 3 (last + 1);
       match Memo.find s.memo a with
       | o ->
@@ -533,7 +574,7 @@ module Make (A : Algorithm.S) = struct
       | exception Not_found ->
           Metrics.incr m_memo_misses;
           let key = Array.sub a 0 (last + 1) in
-          let o = transition c pid ids ~time in
+          let o = transition c pid ids forged ~time in
           Memo.add s.memo key o;
           o
     end
@@ -653,15 +694,12 @@ module Make (A : Algorithm.S) = struct
     state_ids.(pid) <- o.m_state_id;
     let states = Array.copy c.states in
     states.(pid) <- o.m_state;
-    let steps = Array.copy c.steps in
-    steps.(pid) <- steps.(pid) + 1;
     {
       c with
       time;
       states;
       decided;
       inbox;
-      steps;
       next_id;
       state_ids;
       events;
@@ -671,7 +709,7 @@ module Make (A : Algorithm.S) = struct
      delivery is a pure function of (reduction flag, state id), so when
      it already exists and shows the same state id, no sends and no new
      decision, the step's successor agrees with [c] on every row {!key}
-     reads — only time and the step count move.  Anything else (memo
+     reads — only time moves.  Anything else (memo
      miss, a pid {!step} would refuse, a decision it would reject)
      answers [false] and leaves the caller to take the real step.  The
      probe is the key [[mode; state id]] of an empty batch, written
@@ -725,46 +763,24 @@ module Make (A : Algorithm.S) = struct
                (Printf.sprintf "drop: sender p%d of message #%d has not crashed"
                   e.src e.id)))
 
-  (* The forge pool is a pure function of (n, inputs): the explorer,
-     the fuzz adversary and replay all recompute it and agree on the
-     indices recorded in schedules. *)
-  let forge_pool ~n ~inputs =
-    A.forge_pool ~n ~values:(Fault_model.forge_values inputs)
-
-  let exec_forge c ~id ~alt =
-    match find_pending c.inbox id (c.n - 1) with
-    | exception Not_found ->
-        raise (Invalid_action (Printf.sprintf "forge: message #%d not pending" id))
-    | (e, _) ->
-        let pool = forge_pool ~n:c.n ~inputs:c.inputs in
-        let size = List.length pool in
-        if alt < 0 || alt >= size then
-          raise
-            (Invalid_action
-               (Printf.sprintf "forge: index %d outside the pool (size %d)" alt
-                  size));
-        let payload = List.nth pool alt in
-        let payload = if c.reduce then A.canon_message payload else payload in
-        let plid = intern_payload payload in
-        let e' = { e with Envelope.payload } in
-        let triple = pack_triple e.src e.dst plid in
-        let inbox = Array.copy c.inbox in
-        inbox.(e.dst) <- replace_id id (e', triple) inbox.(e.dst);
-        let forges = if c.record then (id, alt) :: c.forges else c.forges in
-        { c with inbox; forges }
-
-  (* Note: [Forge] is deliberately not gated on the failure pattern —
-     fuzz replays run under a different pattern than the generating
-     trial, and budget discipline (forge only messages of corrupted
-     senders, at most [t] of them) is the generating adversary's
-     obligation, pinned by the qcheck properties in
+  (* Note: a forged delivery is deliberately not gated on the failure
+     pattern — fuzz replays run under a different pattern than the
+     generating trial, and budget discipline (forge only messages of
+     corrupted senders, at most [t] of them) is the generating
+     adversary's obligation, pinned by the qcheck properties in
      test/test_byzantine.ml. *)
   let apply ?fd ~pattern c = function
     | Adversary.Halt -> None
     | Adversary.Step { pid; deliver } ->
         Some (commit c pid deliver (step ?fd ~pattern c pid deliver))
+    | Adversary.Forging_step { pid; deliver; forged } ->
+        let o = step ?fd ~forged ~pattern c pid deliver in
+        let c' = commit c pid deliver o in
+        Some
+          (if c.record && forged <> [] then
+             { c' with forges = List.rev_append forged c'.forges }
+           else c')
     | Adversary.Drop ids -> Some (exec_drop ~pattern c ids)
-    | Adversary.Forge { id; alt } -> Some (exec_forge c ~id ~alt)
 
   (* Ungated removal of pending messages — the mobile model's
      transient omission, where the sender is healthy (it never
@@ -820,9 +836,7 @@ module Make (A : Algorithm.S) = struct
             | Some c' ->
                 let consumed =
                   match action with
-                  (* a Forge consumes budget: an adversary re-forging
-                     the same message forever must still terminate *)
-                  | Adversary.Step _ | Adversary.Forge _ -> 1
+                  | Adversary.Step _ | Adversary.Forging_step _ -> 1
                   | Adversary.Drop _ | Adversary.Halt -> 0
                 in
                 loop c' (steps_left - consumed))

@@ -78,10 +78,6 @@ module Make (A : Algorithm.S) : sig
   (** Chronological event log of the prefix executed so far
       (empty unless the configuration records). *)
 
-  val steps_taken : config -> Pid.t -> int
-  (** Number of steps the process has executed, maintained
-      incrementally — O(1), never a rescan of the event log. *)
-
   val inbox : config -> Pid.t -> (int * Pid.t) list
   (** [(id, src)] of the pending messages addressed to a process, in
       sending order — read from that process's own list,
@@ -114,10 +110,11 @@ module Make (A : Algorithm.S) : sig
   val apply :
     ?fd:Fd_view.oracle -> pattern:Failure_pattern.t -> config ->
     Adversary.action -> config option
-  (** Execute one adversary action.  [None] on [Halt].  [Forge] is
-      {e not} gated on the failure pattern (replays run under a
-      different pattern than the generating trial); budget discipline
-      is the generating adversary's obligation.
+  (** Execute one adversary action.  [None] on [Halt].  [Step] and
+      [Forging_step] are the one {!step}.  Forgeries are {e not} gated
+      on the failure pattern (replays run under a different pattern
+      than the generating trial); budget discipline is the generating
+      adversary's obligation.
       @raise Invalid_action if the action violates the model,
       @raise Double_decision on a write-once violation. *)
 
@@ -145,9 +142,14 @@ module Make (A : Algorithm.S) : sig
       returns the stored entry itself. *)
 
   val step :
-    ?fd:Fd_view.oracle -> pattern:Failure_pattern.t -> config -> Pid.t ->
-    int list -> outcome
-  (** Validation and transition of [apply]'s [Step].  Counts one
+    ?fd:Fd_view.oracle -> ?forged:(int * int) list ->
+    pattern:Failure_pattern.t -> config -> Pid.t -> int list -> outcome
+  (** Validation and transition of [apply]'s [Step], or of its
+      [Forging_step] with [forged] (default [[]]): a forged payload,
+      canonical under a reduction and interned, is read in place of
+      the sent one, in the fold and the memo key alike; a forgery of a
+      message outside the batch, twice, or outside {!forge_pool} is
+      refused.  The in-flight message is unchanged.  Counts one
       [sim.steps] and one memo hit or miss.  A memo hit allocates
       nothing when the batch is distinct and descending; the canonical
       fold sort and the deliverability check that builds the
@@ -179,7 +181,7 @@ module Make (A : Algorithm.S) : sig
       same interned state, no sends, no new or conflicting decision.
       [apply ~pattern c (Step {pid; deliver = []})] then returns a
       configuration whose {!key} equals [c]'s under every [crashed]
-      mask and every reduction — keys exclude time and step counts.
+      mask and every reduction — keys exclude time.
       Costs one memo probe, of the key [[reduce; state id]] written
       into the domain's scratch, and never steps, interns, allocates
       or counts a step.

@@ -1056,16 +1056,15 @@ module Make (A : Algorithm.S) = struct
        proves idle has the node's own key.  The self-loop stays an
        edge of the graph: the walk records the node's id in its place,
        exactly the id its key would have found.
-     - [Deliver]: pid [arg] steps, delivering [ids]; keyed before it
-       is built.
+     - [Deliver]: pid [arg] steps, delivering [ids], forged as [alt]
+       encodes (see {!forgeries}); keyed before it is built.
      - [Crash]: victim [arg] joins the mask, its messages kept.
      - [Crash_drop]: the same, its in-flight messages [ids] dropped.
      - [Omit]: sender [arg]'s in-flight messages [ids] are omitted.
-     - [Forge]: pending message [arg] takes forge-pool payload [alt].
 
-     The configurations of the last four are built only when the walk
+     The configurations of the last three are built only when the walk
      reaches them, so none outlives its own admission. *)
-  type move = Idle | Deliver | Crash | Crash_drop | Omit | Forge
+  type move = Idle | Deliver | Crash | Crash_drop | Omit
 
   type moves = {
     mutable kind : move array;
@@ -1109,6 +1108,28 @@ module Make (A : Algorithm.S) = struct
     m.ids.(j) <- [];
     ids
 
+  (* A delivery's forgeries: [code] holds one base-[forge_alts + 1]
+     digit per message of [deliver] whose sender (read off [box], the
+     receiver's {!E.inbox}) is in [mask], in [deliver]'s order, the
+     least significant first.  Digit 0 delivers the message as sent,
+     digit [d] forges it to pool entry [d - 1].  [forgeries] decodes
+     {!E.step}'s [(id, alt)] list, [assignments] counts the codes. *)
+  let rec forgeries ~forge_alts box mask code = function
+    | [] -> []
+    | id :: rest when not (Mask.mem mask (List.assoc id box)) ->
+        forgeries ~forge_alts box mask code rest
+    | id :: rest ->
+        let d = code mod (forge_alts + 1) in
+        let code = code / (forge_alts + 1) in
+        let tl = forgeries ~forge_alts box mask code rest in
+        if d = 0 then tl else (id, d - 1) :: tl
+
+  let assignments ~forge_alts box mask deliver =
+    List.fold_left
+      (fun a id ->
+        if Mask.mem mask (List.assoc id box) then a * (forge_alts + 1) else a)
+      1 deliver
+
   (* Per-node expansion of the crash engine: decisions check,
      completeness, and the successors, written into [moves]; the
      undecided live pids.
@@ -1121,8 +1142,10 @@ module Make (A : Algorithm.S) = struct
      - [Byzantine t]: the mask is the {e corrupted} set, grown by the
        same machinery with budget [t] (a corrupted process subsumes a
        crashed one: it may stop, its messages may be dropped), {e
-       plus} forge successors — every pending message of a corrupted
-       sender may have its payload replaced by any forge-pool entry.
+       plus} forged deliveries — a delivery fans out over every
+       assignment of a forge-pool entry (or none) to each of its
+       messages whose sender is corrupted.  In-flight payloads stay
+       as sent: a forgery exists only in the step that receives it.
        Byzantine behaviours are therefore a superset of crash
        behaviours at equal budget, and at budget 0 (no mask growth,
        hence no forgeable sender) the graph is bit-identical to the
@@ -1154,13 +1177,27 @@ module Make (A : Algorithm.S) = struct
     moves.len <- 0;
     if undecided <> 0 then begin
       let pattern = pattern_of mask in
+      (* [forge_alts] is 0 unless the model is Byzantine *)
+      let forging = forge_alts > 0 && mask <> base_mask in
       for pid = 0 to n - 1 do
-        if not (Mask.mem mask pid) then
+        if not (Mask.mem mask pid) then begin
+          let first = moves.len in
           E.iter_batches policy config pid (fun deliver ->
               match deliver with
               | [] when E.idle_step ~pattern config pid ->
                   add_move moves Idle 0 0 []
-              | _ -> add_move moves Deliver pid 0 deliver)
+              | _ -> add_move moves Deliver pid 0 deliver);
+          (* then each forged variant of the pid's deliveries *)
+          if forging then begin
+            let box = E.inbox config pid and last = moves.len - 1 in
+            for j = first to last do
+              let deliver = moves.ids.(j) in
+              for code = 1 to assignments ~forge_alts box mask deliver - 1 do
+                add_move moves Deliver pid code deliver
+              done
+            done
+          end
+        end
       done;
       (* one pass over the pending multiset buckets messages by sender
          for the drop-on-crash / omission successors *)
@@ -1171,7 +1208,7 @@ module Make (A : Algorithm.S) = struct
           (E.pending config);
         a
       in
-      (match model with
+      match model with
       | Fault_model.Crash | Fault_model.Byzantine _ ->
           if Mask.popcount mask - Mask.popcount base_mask < budget then begin
             let by_src = if drop_on_crash then by_src_of () else [||] in
@@ -1189,18 +1226,7 @@ module Make (A : Algorithm.S) = struct
             for s = 0 to n - 1 do
               if by_src.(s) <> [] then add_move moves Omit s 0 by_src.(s)
             done
-          end);
-      match model with
-      | Fault_model.Byzantine _ when forge_alts > 0 ->
-          List.iter
-            (fun (e : A.message Envelope.t) ->
-              if Mask.mem mask e.src then
-                for alt = 0 to forge_alts - 1 do
-                  add_move moves Forge e.id alt []
-                done)
-            (E.pending config)
-      | Fault_model.Byzantine _ | Fault_model.Crash | Fault_model.Mobile _ ->
-          ()
+          end
     end;
     undecided
 
@@ -1623,11 +1649,10 @@ module Make (A : Algorithm.S) = struct
         lnot r
       end
     in
-    (* The same for a delivery step of [config], keyed before it is
-       built: a dedup hit costs a memo probe, a key write and a table
-       probe, and allocates nothing. *)
-    let visit_step config mask pattern pid deliver =
-      let o = E.step ~pattern config pid deliver in
+    (* The same for the delivery step of [config] whose {!E.step} is
+       [o], keyed before it is built: a dedup hit costs a memo probe,
+       a key write and a table probe, and allocates nothing. *)
+    let visit_step config mask pid deliver o =
       let r =
         admit run ""
           (E.write_step_key ~crashed:mask ~reduction config pid deliver o)
@@ -1662,7 +1687,15 @@ module Make (A : Algorithm.S) = struct
           | Idle ->
               idle_hit ~reduction;
               id
-          | Deliver -> visit_step config mask pattern arg (take_ids moves j)
+          | Deliver ->
+              let deliver = take_ids moves j in
+              visit_step config mask arg deliver
+                (match moves.alt.(j) with
+                | 0 -> E.step ~pattern config arg deliver
+                | code ->
+                    let box = E.inbox config arg in
+                    let forged = forgeries ~forge_alts box mask code deliver in
+                    E.step ~forged ~pattern config arg deliver)
           | Crash -> visit config (Mask.add mask arg)
           | Crash_drop ->
               let mask' = Mask.add mask arg in
@@ -1672,12 +1705,6 @@ module Make (A : Algorithm.S) = struct
                       (Adversary.Drop (take_ids moves j))))
                 mask'
           | Omit -> visit (E.omit config (take_ids moves j)) mask
-          | Forge ->
-              visit
-                (built
-                   (E.apply ~pattern config
-                      (Adversary.Forge { id = arg; alt = moves.alt.(j) })))
-                mask
         in
         if s >= 0 then begin
           succs.(!len) <- s;

@@ -282,11 +282,11 @@ module Make (A : Algorithm.S) : sig
       [Byzantine t] the budget is [t] and the masked set is the
       {e corrupted} set: a corrupted process subsumes a crashed one
       (it stops, its in-flight messages may be dropped) and in
-      addition each of its pending messages may be forged to any
-      entry of {!Algorithm.S.forge_pool} — per-message, hence
-      per-receiver (equivocation).  Byzantine behaviours are a strict
-      superset of crash behaviours at equal budget, and at budget 0
-      the node graph is bit-identical to the crash graph.  Under
+      addition each of its messages may be delivered forged to any
+      entry of {!Algorithm.S.forge_pool} (in-flight payloads stay as
+      sent), per receiver (equivocation).  Byzantine behaviours are a
+      strict superset of crash behaviours at equal budget, and at
+      budget 0 the node graph is bit-identical to the crash graph.  Under
       [Mobile t] nobody ever crashes; for [t >= 1] any sender's
       in-flight messages may be transiently omitted (one sender per
       expansion — async interleaving composes these into every

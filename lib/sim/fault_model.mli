@@ -6,10 +6,10 @@
       crash budget ([--crash-budget]).
     - [Byzantine t]: up to [t] corrupted processes.  A corrupted
       process subsumes every crash behaviour (it may stop, its
-      messages may be dropped) and additionally its in-flight messages
-      may be {e forged}: the payload of a pending message is replaced
-      by an entry of the algorithm's forge pool.  Forging is
-      per-message, hence per-receiver — two receivers may see
+      messages may be dropped) and additionally its messages may be
+      {e forged}: a step receives a message with its payload replaced
+      by an entry of the algorithm's forge pool.  A forgery exists
+      only at its delivery, hence per receiver — two receivers may see
       different payloads from the same corrupted sender in the same
       round (equivocation).
     - [Mobile t]: transient faults with no permanent faulty set.  In

@@ -563,8 +563,9 @@ module Make (A : Algorithm.S) = struct
      [Mobile] — crash campaigns reproduce unchanged.
 
      Byzantine: the forge arm (weighted like the drop arm) picks one
-     pending message of an already-corrupted sender and replaces its
-     payload with a random forge-pool entry; budget discipline is
+     pending message of an already-corrupted sender whose destination
+     can step, and steps that destination on it, its payload forged to
+     a random forge-pool entry at the delivery; budget discipline is
      inherited from the trial pattern (at most [t] corrupted
      processes), pinned by the qcheck properties in
      test/test_byzantine.ml.
@@ -602,9 +603,9 @@ module Make (A : Algorithm.S) = struct
       | None -> Adversary.pending_for_sampled obs pid draw
       | Some _ -> List.filter (fun _ -> draw ()) (buffer obs pid)
     in
-    (* The droppable and forgeable lists are built only in the arm
-       that uses them; a pid is picked by rank, drawing exactly what
-       [Rng.pick] draws on the list. *)
+    (* The droppable list is built only in the arm that uses it, the
+       forgeable one only under Byzantine; a pid is picked by rank,
+       drawing exactly what [Rng.pick] draws on the list. *)
     let next obs =
       if Adversary.all_correct_decided obs then Adversary.Halt
       else
@@ -614,15 +615,19 @@ module Make (A : Algorithm.S) = struct
             let can_drop = Adversary.has_droppable obs in
             let w_step = w.deliver_all + w.deliver_some + w.deliver_none in
             let w_drop = if can_drop then w.drop else 0 in
-            (* forgeable = droppable *)
-            let w_forge = if forge_alts > 0 && can_drop then w.drop else 0 in
+            (* every forgeable message is droppable *)
+            let forgeable =
+              if forge_alts > 0 && can_drop then Adversary.forgeable obs else []
+            in
+            let w_forge = if forgeable <> [] then w.drop else 0 in
             let roll = Rng.int rng (w_step + w_drop + w_forge) in
             if roll < w_drop then
               Adversary.Drop (nonempty_subset rng (Adversary.droppable obs))
             else if roll < w_drop + w_forge then
-              let forgeable = Adversary.forgeable obs in
-              let id = List.nth forgeable (Rng.int rng (List.length forgeable)) in
-              Adversary.Forge { id; alt = Rng.int rng forge_alts }
+              let i = Rng.int rng (List.length forgeable) in
+              let id, pid = List.nth forgeable i in
+              let forged = [ (id, Rng.int rng forge_alts) ] in
+              Adversary.Forging_step { pid; deliver = [ id ]; forged }
             else
               let pid =
                 match Adversary.count_alive ~undecided:true obs with

@@ -75,9 +75,10 @@ type config = {
           crash times exactly as before — the trial stream is
           bit-identical to pre-model campaigns.  [Byzantine t] treats
           the (at most [t]) randomly crashed processes as corrupted:
-          an extra weighted arm forges one of their pending messages
-          into a random {!Engine.Make.forge_pool} entry, and greybox
-          mutation may stamp forged payloads onto spliced deliveries.
+          an extra weighted arm steps the destination of one of their
+          pending messages on it, forged at that delivery into a
+          random {!Engine.Make.forge_pool} entry, and greybox mutation
+          may stamp forged payloads onto spliced deliveries.
           [Mobile t] crashes nobody; instead a per-trial seed drives
           {!Fault_model.mobile_faulty} and every message sent while
           its sender was in the round's faulty set is permanently

@@ -44,8 +44,6 @@ let strongest ~n ~delta =
     fd = No_fd;
   }
 
-let with_fd t = { t with fd = With_fd }
-
 let consensus_impossible t ~f =
   if f < 1 then Some false
   else

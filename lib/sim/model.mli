@@ -72,8 +72,6 @@ val theorem2 : n:int -> t
 val strongest : n:int -> delta:int -> t
 (** All five parameters favourable. *)
 
-val with_fd : t -> t
-
 val consensus_impossible : t -> f:int -> bool option
 (** What is known (from [11] and FLP) about consensus with up to [f]
     crashes (f ≥ 1) in the model, for n ≥ 2 processes:

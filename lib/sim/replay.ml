@@ -4,11 +4,10 @@ type step_desc = { pid : Pid.t; deliver : delivery list }
 (* A delivery is named by its message's send rank on its channel:
    the k-th message [src] sent to [dst] has [seq = k], in whatever
    order the run delivered the channel.  One pass over the sends ranks
-   every message.  A message forged twice carries its last forgery. *)
+   every message.  A message is delivered once, so it is forged at
+   most once. *)
 let project ~keep run =
   let ranks = Hashtbl.create 64 and sent = Hashtbl.create 16 in
-  let forged = Hashtbl.create 8 in
-  List.iter (fun (id, alt) -> Hashtbl.replace forged id alt) run.Run.forges;
   List.iter
     (fun (ev : Event.t) ->
       List.iter
@@ -32,7 +31,7 @@ let project ~keep run =
                   {
                     src;
                     seq = Hashtbl.find ranks id;
-                    forged = Hashtbl.find_opt forged id;
+                    forged = List.assoc_opt id run.Run.forges;
                   })
                 ev.delivered;
           })
@@ -109,46 +108,32 @@ let executable log obs desc =
     in
     go [] desc.deliver
 
-(* A resolved step is one engine [Step] preceded by one [Forge] per
-   delivery that recorded a forged payload: the adversary re-corrupts
-   each message just before it is delivered, exactly reproducing the
-   payloads the recorded run saw.  The queue in [make_adversary] feeds
-   these to the engine one action at a time. *)
-let actions_of_step pid resolved =
-  let forges =
+(* A resolved step is one engine step, its recorded forgeries
+   delivered with it *)
+let action_of_step pid resolved =
+  let deliver = List.map fst resolved in
+  match
     List.filter_map
-      (fun (id, forged) ->
-        Option.map (fun alt -> Adversary.Forge { id; alt }) forged)
+      (function id, Some alt -> Some (id, alt) | _, None -> None)
       resolved
-  in
-  forges @ [ Adversary.Step { pid; deliver = List.map fst resolved } ]
+  with
+  | [] -> Adversary.Step { pid; deliver }
+  | forged -> Adversary.Forging_step { pid; deliver; forged }
 
 let make_adversary ~describe pick =
   let log = Channel_log.create () in
-  let queue = ref [] in
-  let next obs =
-    match !queue with
-    | a :: tl ->
-        queue := tl;
-        a
-    | [] -> (
-        Channel_log.note log obs;
-        match pick log obs with
-        | [] -> Adversary.Halt
-        | a :: tl ->
-            queue := tl;
-            a)
-  in
+  let next obs = Channel_log.note log obs; pick log obs in
   { Adversary.describe; next }
 
 (* Best-effort resolution for mutated schedules: each delivery is
    resolved independently, and the unresolvable ones are simply not
-   delivered.  Stepping a process with a subset of its recorded
+   delivered; a message named twice is delivered once, with one of
+   its forgeries.  Stepping a process with a subset of its recorded
    receives is always engine-valid, so a mutant keeps as much of its
    parent's structure as the current run admits. *)
 let resolve_subset log obs desc =
   List.filter_map (resolve log obs desc.pid) desc.deliver
-  |> List.sort_uniq compare
+  |> List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b)
 
 let lenient ?rest descs =
   let queue = ref descs in
@@ -157,12 +142,12 @@ let lenient ?rest descs =
       match !queue with
       | [] -> (
           match rest with
-          | None -> []
-          | Some (a : Adversary.t) -> [ a.next obs ])
+          | None -> Adversary.Halt
+          | Some (a : Adversary.t) -> a.next obs)
       | desc :: tl ->
           queue := tl;
           if Adversary.is_alive obs desc.pid then
-            actions_of_step desc.pid (resolve_subset log obs desc)
+            action_of_step desc.pid (resolve_subset log obs desc)
           else advance ()
     in
     advance ()
@@ -176,7 +161,7 @@ let replay_in_order ~on_stuck streams =
   let pick log obs =
     let rec advance () =
       match !queues with
-      | [] -> []
+      | [] -> Adversary.Halt
       | [] :: rest ->
           queues := rest;
           advance ()
@@ -185,10 +170,10 @@ let replay_in_order ~on_stuck streams =
           | Ok resolved ->
               queues := rest_stream :: rest;
               incr i;
-              actions_of_step desc.pid resolved
+              action_of_step desc.pid resolved
           | Error why ->
               on_stuck (Printf.sprintf "step %d: %s" (!i + 1) why);
-              [])
+              Adversary.Halt)
     in
     advance ()
   in

@@ -20,9 +20,10 @@ type delivery = { src : Pid.t; seq : int; forged : int option }
     the stepping process.  [forged] is [Some alt] when the recorded run
     delivered the message with its payload replaced by entry [alt] of
     the algorithm's forge pool (Byzantine model): the replay
-    adversaries then emit an [Adversary.Forge] for the resolved
-    message id immediately before the step, reproducing the corrupted
-    payload.  [None] under the crash model. *)
+    adversaries deliver it forged the same way, in the one
+    [Adversary.Forging_step] of the step, so a replayed step costs one
+    step of the budget as the recorded one did.  [None] under the
+    crash model. *)
 
 type step_desc = { pid : Pid.t; deliver : delivery list }
 

@@ -13,8 +13,8 @@ type t = {
   trace : Trace.t;
   decisions : (Pid.t * Value.t * int) list;
   forges : (int * int) list;
-      (* (message id, forge-pool index) of every Byzantine forge
-         applied during the run, chronological; [] under crash runs *)
+      (* (message id, forge-pool index) of every forged delivery,
+         chronological; [] under crash runs *)
 }
 
 let decision_of t p =

@@ -33,9 +33,10 @@ type t = {
           decisions of processes that later crashed — k-agreement is
           uniform. *)
   forges : (int * int) list;
-      (** (message id, forge-pool index) of every Byzantine forge
-          applied during the run, in chronological order; [[]] for
-          crash-model runs.  {!Replay.project} consults it so a
+      (** (message id, forge-pool index) of every message the run
+          delivered forged, in chronological order; [[]] for
+          crash-model runs.  A message is delivered once, so it
+          appears at most once.  {!Replay.project} consults it so a
           projected schedule re-emits the forgeries the run saw. *)
 }
 

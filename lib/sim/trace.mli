@@ -45,9 +45,6 @@ val make : init_ids:int array -> steps:step list array -> t
 val empty : init_ids:int array -> t
 (** A trace with initial states only (no recorded steps). *)
 
-val decision_index : t -> Pid.t -> int option
-(** Index into [steps.(p)] of the deciding step, if p decided. *)
-
 val decided : t -> Pid.t -> bool
 
 val states_until_decision : t -> Pid.t -> int list

@@ -39,9 +39,6 @@ module Make (S : sig
 end) : sig
   include Ksa_sim.Algorithm.S
 
-  val completed_ops : state -> int
-  (** Number of completed operations (length of the log). *)
-
   val ops_of :
     Ksa_sim.Run.t -> state_of:(Pid.t -> state) -> Register.op list
   (** The global operation history: each process's log, with

@@ -7,13 +7,6 @@ let version = 1
 
 type state = Queued | Running | Done | Failed of int | Dead
 
-let state_to_string = function
-  | Queued -> "queued"
-  | Running -> "running"
-  | Done -> "done"
-  | Failed n -> Printf.sprintf "failed(%d)" n
-  | Dead -> "dead"
-
 type job = {
   id : int;
   spec : Task.spec;

@@ -25,8 +25,6 @@
 
 type state = Queued | Running | Done | Failed of int | Dead
 
-val state_to_string : state -> string
-
 type job = {
   id : int;
   spec : Task.spec;

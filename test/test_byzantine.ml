@@ -325,6 +325,32 @@ let test_byz_fuzz_bit_reproducible () =
     "violating schedule carries a forge" true
     (has_forged a.Fuzz.schedule)
 
+(* A Byzantine termination counterexample replays: a forgery is part
+   of the step that delivers it, so the schedule's replay takes as many
+   steps of the budget as the run did and runs it out again. *)
+let test_byz_termination_replays () =
+  let module K1 = Ksa_algo.Kset_flp.Make (struct
+    let l = 1
+  end) in
+  let module F = Fuzz.Make (K1) in
+  let cfg =
+    {
+      (Fuzz.default_config ~k:3 ~n:3 ()) with
+      Fuzz.model = FM.byzantine 2;
+      max_steps = 60;
+      properties = [ Fuzz.K_agreement 3; Fuzz.Validity; Fuzz.Termination ];
+    }
+  in
+  let v = expect_violation (F.run cfg ~seed:9 ~trials:300) in
+  Alcotest.(check string) "property" "termination" v.Fuzz.property;
+  Alcotest.(check bool) "the schedule replays to a violation" true
+    v.Fuzz.replays;
+  match F.replay_strict ~pattern:v.Fuzz.pattern cfg v.Fuzz.shrunk with
+  | Ok run ->
+      Alcotest.(check bool) "the shrunk replay violates" true
+        (F.check_run cfg run <> None)
+  | Error why -> Alcotest.fail why
+
 let test_byz_fuzz_seq_par_parity () =
   let seq = expect_violation (FK2.run byz_cfg ~seed:7 ~trials:byz_trials) in
   let par =
@@ -669,6 +695,8 @@ let suites =
           test_fuzz_model_mismatch_starts_fresh;
         Alcotest.test_case "explorer model mismatch starts fresh" `Quick
           test_explorer_model_mismatch_starts_fresh;
+        Alcotest.test_case "byzantine termination counterexample replays"
+          `Quick test_byz_termination_replays;
       ] );
     ( "byzantine.trace_io",
       [

@@ -138,8 +138,8 @@ let test_explore_crash_truncated () =
       (flp, "crash", 5000, 1248);
       (flp, "mobile:1", 500, 97);
       (flp, "mobile:1", 5000, 460);
-      (k3, "byzantine", 500, 162);
-      (k3, "byzantine", 5000, 1794);
+      (k3, "byzantine", 500, 322);
+      (k3, "byzantine", 5000, 3073);
     ]
 
 let test_explore_byzantine () =
@@ -495,6 +495,28 @@ let test_flag_json_parity () =
         ] );
     ]
 
+(* Byzantine k=3 is classified: a forgery exists only at its
+   delivery, which keeps the graph within the default budget *)
+let test_explore_byzantine_stuck () =
+  let k3 = [ "explore"; "--algo"; "kset-flp"; "-n"; "3"; "-k"; "3" ] in
+  let sym = [ "--reduction"; "sym"; "--domains"; "1" ] in
+  expect
+    (k3 @ [ "--model"; "byzantine:1"; "--crash-budget"; "1" ] @ sym)
+    ~code:3
+    ~lines:
+      [
+        "STUCK: crashes {p0} strand {p1} undecided — 22788 configs visited, \
+         2145 terminal runs";
+      ];
+  expect
+    (k3 @ [ "-l"; "1"; "--model"; "byzantine:2"; "--crash-budget"; "2" ] @ sym)
+    ~code:3
+    ~lines:
+      [
+        "STUCK: crashes {p0} strand {p1,p2} undecided — 2849 configs \
+         visited, 1216 terminal runs";
+      ]
+
 let suites =
   [
     ( "cli",
@@ -537,5 +559,7 @@ let suites =
           test_flag_json_parity;
         Alcotest.test_case "crash max-configs above 2^31-1 exits 1" `Quick
           test_crash_budget_bound;
+        Alcotest.test_case "explore: byzantine k=3 is classified" `Quick
+          test_explore_byzantine_stuck;
       ] );
   ]

@@ -596,9 +596,9 @@ let prop_key_first_is_build_then_key =
    the replay [apply]s the same actions to a recording configuration:
    deliveries of the policies' batches (handed over oldest first, as
    a recorded run lists them), crashes with the crashed sender's
-   pending messages dropped, and, under Byzantine, forgeries of one
-   corrupted sender's messages.  After every action the replay's key
-   equals the explorer's. *)
+   pending messages dropped, and, under Byzantine, deliveries that
+   forge one of a corrupted sender's messages.  After every action
+   the replay's key equals the explorer's. *)
 module Explorer_path (A : Sim.Algorithm.S) = struct
   module E = Sim.Engine.Make (A)
 
@@ -625,10 +625,6 @@ module Explorer_path (A : Sim.Algorithm.S) = struct
           (fun p -> not (List.mem_assoc p crashes))
           (List.init n Fun.id)
       in
-      let both action =
-        let act c = Option.get (E.apply ~pattern c action) in
-        (act x, act r)
-      in
       len = 0 || live = []
       ||
       match Random.State.int rng 8 with
@@ -654,17 +650,33 @@ module Explorer_path (A : Sim.Algorithm.S) = struct
       | 1 when byzantine && pool > 0 -> (
           match
             List.filter
-              (fun (e : A.message Sim.Envelope.t) -> e.src = corrupt)
+              (fun (e : A.message Sim.Envelope.t) ->
+                e.src = corrupt && List.mem e.dst live)
               (E.pending x)
           with
           | [] -> go x r crashes (len - 1)
-          | l ->
-              let id = (pick l).Sim.Envelope.id in
-              let x, r =
-                both
-                  (Sim.Adversary.Forge { id; alt = Random.State.int rng pool })
-              in
-              same ~crashed x r && go x r crashes (len - 1))
+          | l -> (
+              (* the receiver takes its whole inbox, one message forged *)
+              let e = pick l in
+              let pid = e.Sim.Envelope.dst in
+              let deliver = List.map fst (E.inbox x pid) in
+              let forged = [ (e.id, Random.State.int rng pool) ] in
+              match
+                let o = E.step ~forged ~pattern x pid deliver in
+                let k = E.write_step_key ~crashed ~reduction x pid deliver o in
+                ( Bytes.sub_string (Canon.key_buffer ()) 0 k,
+                  E.commit x pid deliver o )
+              with
+              | exception E.Double_decision _ -> true
+              | key, x ->
+                  let r =
+                    Option.get
+                      (E.apply ~pattern r
+                         (Sim.Adversary.Forging_step { pid; deliver; forged }))
+                  in
+                  key = E.key ~crashed ~reduction r
+                  && same ~crashed x r
+                  && go x r crashes (len - 1)))
       | _ -> (
           let pid = pick live in
           let policies =

@@ -477,9 +477,14 @@ let index_action mode rng ~pool ~pattern ~fair c =
       | _ -> step ())
   | Forges -> (
       match Adv.forgeable obs with
-      | _ :: _ as ids when pool > 0 && Rng.int rng 3 = 0 ->
+      | _ :: _ as ms when pool > 0 && Rng.int rng 3 = 0 ->
+          let id, pid = Rng.pick rng ms in
+          let deliver =
+            id :: List.filter (fun _ -> Rng.bool rng) (Adv.pending_for obs pid)
+          in
           EK.apply ~pattern c
-            (Adv.Forge { id = Rng.pick rng ids; alt = Rng.int rng pool })
+            (Adv.Forging_step
+               { pid; deliver; forged = [ (id, Rng.int rng pool) ] })
       | _ -> step ())
   | Omits -> (
       match Adv.pending obs with
@@ -638,6 +643,9 @@ let prop_adversary_helpers =
             (show want)
       in
       let ints l = String.concat "," (List.map string_of_int l) in
+      let pairs l =
+        String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) l)
+      in
       check "alive" ints (Adv.alive obs) alive;
       check "undecided_alive" ints (Adv.undecided_alive obs)
         (List.filter (fun p -> not (decided p)) alive);
@@ -656,9 +664,14 @@ let prop_adversary_helpers =
       check "droppable ~victims" ints
         (Adv.droppable ~victims obs)
         (ids_where (fun m -> victims m.src && crashed_sender m));
-      check "forgeable ~victims" ints
+      check "forgeable ~victims" pairs
         (Adv.forgeable ~victims obs)
-        (ids_where (fun m -> victims m.src && crashed_sender m));
+        (List.filter_map
+           (fun (m : Adv.pending) ->
+             if victims m.src && crashed_sender m && List.mem m.dst alive then
+               Some (m.id, m.dst)
+             else None)
+           pending);
       (* the view's own accessors *)
       check "time" string_of_int (Adv.time obs) time;
       check "n" string_of_int (Adv.n obs) n;

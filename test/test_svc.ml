@@ -855,12 +855,14 @@ let test_jobstore_skipped_id_kept () =
 
 (* Any point of the campaign-spec space, at tiny budgets: every spec
    either runs to an outcome through the opener or is refused with a
-   named [Error] — never an exception — a checkpoint it wrote reopens
-   as its own, and a fuzz counterexample's saved shrunk schedule
-   replays to a violation again, save for the one known defect
-   [forge_shortfall] names.  Out-of-range L, repeated dead pids and
-   failure-detector fuzz specs are drawn on purpose: they must be
-   refused, not raise. *)
+   named [Error] — never an exception — at both one and two domains,
+   and prints the same result lines at both, save an explore run the
+   budget truncated (which nodes a cut keeps depends on scheduling);
+   a checkpoint it wrote reopens as its own, and a fuzz
+   counterexample's saved shrunk schedule replays to a violation
+   again.  Out-of-range L, repeated dead pids and failure-detector
+   fuzz specs are drawn on purpose: they must be refused, not
+   raise. *)
 let spec_space =
   let open QCheck.Gen in
   let* task = oneofl [ "explore"; "fuzz" ] in
@@ -872,7 +874,6 @@ let spec_space =
   let* dead = list_size (int_range 0 2) (int_range 0 (n - 1)) in
   let* crashes = int_range 0 2 in
   let* model = oneofl [ "crash"; "crash"; "byzantine:1"; "byzantine:2"; "mobile:1" ] in
-  let* domains = int_range 1 2 in
   let* checkpoint = bool in
   let common =
     [ ("algo", Json.Str algo); ("n", Json.Int n); ("k", Json.Int k);
@@ -901,71 +902,83 @@ let spec_space =
         ("seed", Json.Int seed); ("trials", Json.Int trials);
         ("max-steps", Json.Int max_steps) ]
   in
-  (Json.Obj ((("task", Json.Str task) :: common) @ rest), domains, checkpoint)
+  (Json.Obj ((("task", Json.Str task) :: common) @ rest), checkpoint)
 
-(* The one known kind of counterexample that does not replay: a
-   Byzantine termination violation whose run applied more [Forge]s
-   than its schedule has forged deliveries.  The engine charges every
-   forge one step of the budget, the schedule keeps only the last
-   forgery of each delivered message, so its replay stops short of
-   the step budget that the violation needs.  Nothing else is
-   exempt. *)
-let forge_shortfall (f : Task.fuzz_spec) (v : Sim.Fuzz.violation) =
-  let forged_deliveries =
-    List.concat_map (fun (s : Sim.Replay.step_desc) -> s.Sim.Replay.deliver)
-      v.Sim.Fuzz.schedule
-    |> List.filter (fun (d : Sim.Replay.delivery) -> d.Sim.Replay.forged <> None)
-  in
-  (match f.Task.f_model with Sim.Fault_model.Byzantine _ -> true | _ -> false)
-  && v.Sim.Fuzz.property = "termination"
-  && (not v.Sim.Fuzz.replays)
-  && List.length v.Sim.Fuzz.run.Sim.Run.forges > List.length forged_deliveries
+(* An explore outcome whose search the budget cut short *)
+let truncated_explore = function
+  | Task.Explored (Sim.Explorer.Safe s)
+  | Task.Crash_explored
+      ( Sim.Explorer.Indeterminate s
+      | Sim.Explorer.All_paths_decide s
+      | Sim.Explorer.Stuck { stats = s; _ } ) ->
+      s.Sim.Explorer.budget_exhausted
+  | Task.Explored (Sim.Explorer.Violation _)
+  | Task.Crash_explored (Sim.Explorer.Safety_violation _)
+  | Task.Fuzzed _ | Task.Replayed _ | Task.Probed _ ->
+      false
 
 let prop_spec_space =
   QCheck.Test.make ~count:240
     ~name:"every spec runs or is refused by name, and counterexamples replay"
-    (QCheck.make spec_space ~print:(fun (j, d, c) ->
-         Printf.sprintf "%s at --domains %d%s" (Json.to_string j) d
+    (QCheck.make spec_space ~print:(fun (j, c) ->
+         Printf.sprintf "%s%s" (Json.to_string j)
            (if c then " with a checkpoint" else "")))
-    (fun (json, domains, checkpoint) ->
+    (fun (json, checkpoint) ->
       let named = function
         | Error e -> e <> "" || QCheck.Test.fail_report "an unnamed error"
         | Ok _ -> true
       in
       match Task.spec_of_json json with
       | Error _ as e -> named e
-      | Ok spec ->
-          with_tmp_dir (fun dir ->
-              let path = Filename.concat dir "c.ckpt" in
-              let c =
-                Task.open_campaign
-                  ?checkpoint:(if checkpoint then Some path else None)
-                  ~policy:{ Checkpoint.every_items = 7; every_seconds = infinity }
-                  ~interrupt:(fun () -> false) spec
-              in
-              match Task.run ~domains ~ckpt:c.Task.ckpt spec with
-              | Error _ as e -> named e
-              | Ok outcome -> (
-                  ignore (Task.summarize outcome);
-                  (* a checkpoint the campaign wrote reopens as its own *)
-                  (not (Sys.file_exists path))
-                  || (Task.open_campaign ~resume:path
-                        ~interrupt:(fun () -> false) spec).Task.rejected = None
-                  || QCheck.Test.fail_report "its own checkpoint is rejected")
-                  &&
-                  match (outcome, spec) with
-                  | Task.Fuzzed (Sim.Fuzz.Violation_found v, _), Task.Fuzz f
-                    -> (
-                      let sched = Filename.concat dir "v.sched" in
-                      ok_or_fail
-                        (Sim.Trace_io.save_schedule ~model:f.Task.f_model
-                           ~path:sched v.Sim.Fuzz.shrunk);
-                      match Task.replay ~path:sched f with
-                      | Ok (Task.Replayed { violation = Some _; _ }) -> true
-                      | _ when forge_shortfall f v -> true
-                      | Ok _ -> QCheck.Test.fail_report "the replay violates nothing"
-                      | Error e -> QCheck.Test.fail_reportf "replay: %s" e)
-                  | _ -> true))
+      | Ok spec -> (
+          (* the run at [domains], having passed the checks a run owes
+             on its own *)
+          let run_at domains =
+            with_tmp_dir (fun dir ->
+                let path = Filename.concat dir "c.ckpt" in
+                let c =
+                  Task.open_campaign
+                    ?checkpoint:(if checkpoint then Some path else None)
+                    ~policy:{ Checkpoint.every_items = 7; every_seconds = infinity }
+                    ~interrupt:(fun () -> false) spec
+                in
+                let r = Task.run ~domains ~ckpt:c.Task.ckpt spec in
+                (match r with
+                | Error _ as e -> ignore (named e)
+                | Ok outcome -> (
+                    (* a checkpoint the campaign wrote reopens as its own *)
+                    if
+                      Sys.file_exists path
+                      && (Task.open_campaign ~resume:path
+                            ~interrupt:(fun () -> false) spec).Task.rejected
+                         <> None
+                    then QCheck.Test.fail_report "its own checkpoint is rejected";
+                    match (outcome, spec) with
+                    | Task.Fuzzed (Sim.Fuzz.Violation_found v, _), Task.Fuzz f -> (
+                        let sched = Filename.concat dir "v.sched" in
+                        ok_or_fail
+                          (Sim.Trace_io.save_schedule ~model:f.Task.f_model
+                             ~path:sched v.Sim.Fuzz.shrunk);
+                        match Task.replay ~path:sched f with
+                        | Ok (Task.Replayed { violation = Some _; _ }) -> ()
+                        | Ok _ -> QCheck.Test.fail_report "the replay violates nothing"
+                        | Error e -> QCheck.Test.fail_reportf "replay: %s" e)
+                    | _ -> ()));
+                r)
+          in
+          match (run_at 1, run_at 2) with
+          | Error e1, Error e2 ->
+              e1 = e2
+              || QCheck.Test.fail_reportf "refused as %S at one domain, %S at two"
+                   e1 e2
+          | Ok o1, Ok o2 ->
+              let l1 = (Task.summarize o1).Task.lines
+              and l2 = (Task.summarize o2).Task.lines in
+              l1 = l2 || truncated_explore o1 || truncated_explore o2
+              || QCheck.Test.fail_reportf "lines differ: %s at one domain, %s at two"
+                   (String.concat " | " l1) (String.concat " | " l2)
+          | Ok _, Error e | Error e, Ok _ ->
+              QCheck.Test.fail_reportf "refused at one domain count only: %s" e))
 
 (* ---------- result lines: the daemon stores what the CLI prints ---------- *)
 
