@@ -24,8 +24,14 @@ let with_lock f =
 let make_counter () = Array.init shards (fun _ -> Atomic.make 0)
 
 (* [Domain.self] is a cheap TLS read; ids are assigned densely enough
-   that folding them over a power-of-two shard count spreads
-   concurrent explorer domains across distinct cache lines. *)
+   that folding them over a power-of-two shard count gives concurrent
+   explorer domains distinct shards, so they never race on one
+   atomic.  Nothing places the shards on distinct cache lines: each is
+   a two-word [Atomic.t] block allocated next to the last, so
+   neighbouring shards can share a line.  Padding each shard into a
+   16-word block of its own measured no change (the n=4 t=2
+   empty-or-all sym border cell at 2 domains: medians 0.478 s and
+   0.483 s over 6 alternating runs). *)
 let slot () = (Domain.self () :> int) land (shards - 1)
 
 let kind_name = function

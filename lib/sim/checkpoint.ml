@@ -57,10 +57,12 @@ let magic = "KSACKPT1"
    merges, and resuming it would admit them again.  v12: configs
    lost their per-pid step counts, and Byzantine graphs forge at
    delivery only, so a v11 payload's nodes are the wrong shape or
-   unreachable.  Older files unmarshal into the wrong shapes or keys,
-   so they are rejected by the version check and the CLI falls back
-   to a fresh campaign. *)
-let version = 12
+   unreachable.  v13: crash-free candidates carry the admission key
+   their parent probed, and the successors already admitted when they
+   were generated are no longer pending.  Older files unmarshal into
+   the wrong shapes or keys, so they are rejected by the version check
+   and the CLI falls back to a fresh campaign. *)
+let version = 13
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

@@ -874,24 +874,14 @@ module Make (A : Algorithm.S) = struct
 
   let key_equal = String.equal
 
-  (* Destination-pid bitmask of the messages sent by the step that
-     produced [c'] from [c].  Message ids are allocated monotonically
-     and a step's sends cannot be delivered within the same step, so
-     they are exactly the pending envelopes with ids at or above [c]'s
-     next free id — and an inbox holds one iff its newest entry
-     does. *)
-  let sends_between c c' =
-    if c'.next_id = c.next_id then 0
-    else begin
-      let mask = ref 0 in
-      for p = 0 to c'.n - 1 do
-        match c'.inbox.(p) with
-        | ((e : A.message Envelope.t), _) :: _ when e.id >= c.next_id ->
-            mask := !mask lor (1 lsl p)
-        | _ -> ()
-      done;
-      !mask
-    end
+  (* Destination-pid bitmask of a step's sends, read off the outcome:
+     what the step adds to each inbox. *)
+  let send_mask o =
+    let rec go acc = function
+      | [] -> acc
+      | (dst, _, _) :: rest -> go (acc lor (1 lsl dst)) rest
+    in
+    go 0 o.m_sends
 
   (* content signature of a delivery batch for the DPOR sleep sets:
      sorted (src, payload id) pairs, independent of message-id

@@ -255,11 +255,12 @@ module Make (A : Algorithm.S) : sig
 
   val key_equal : key -> key -> bool
 
-  val sends_between : config -> config -> int
-  (** Destination-pid bitmask of the messages sent by the step that
-      produced the second configuration from the first (which must be
-      its immediate predecessor) — the [sends] mask of a
-      {!Canon.Action.t}. *)
+  val send_mask : outcome -> int
+  (** Destination-pid bitmask of the messages a step sends — the
+      [sends] mask of a {!Canon.Action.t}.  Meaningful once
+      {!write_step_key} or {!commit} has accepted the outcome's sends
+      (a send to an invalid pid makes them raise).  Allocates
+      nothing. *)
 
   val delivery_signature : config -> int list -> int list
   (** Content signature of a delivery batch (message ids addressed to

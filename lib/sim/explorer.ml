@@ -939,107 +939,10 @@ module Make (A : Algorithm.S) = struct
     Metrics.incr m_idle;
     dedup_hit ~reduction
 
-  (* Successors of a non-terminal configuration under [policy]: every
-     (stepper, delivery-choice) pair.  [steppers] is constant over the
-     whole search because only initial crashes are admitted.  An empty
-     delivery {!E.idle_step} proves idle is not scheduled: its
-     successor would be deduplicated against this very configuration
-     when popped.  [k] receives each successor with [depth] (the
-     successors' depth) and an empty sleep set. *)
-  let schedule_successors ~reduction ~policy ~pattern ~steppers ~depth config
-      k =
-    List.iter
-      (fun pid ->
-        E.iter_batches policy config pid (fun deliver ->
-            match deliver with
-            | [] when E.idle_step ~pattern config pid -> idle_hit ~reduction
-            | _ -> (
-                match
-                  E.apply ~pattern config (Adversary.Step { pid; deliver })
-                with
-                | Some config' -> k config' depth []
-                | None -> assert false)))
-      steppers
-
   let action_of config pid deliver =
     Canon.Action.make ~pid
       ~deliveries:(E.delivery_signature config deliver)
       ~sends:0
-
-  (* DPOR expansion (Godefroid-style sleep sets) for the crash-free
-     explorer.  Actions in [sleep] arrive provably covered: they were
-     explored from an earlier sibling of this node, and every action
-     executed on the path in between commutes with them
-     ({!Canon.Action.independent}: distinct stepping pids, and neither
-     action sends to the other's stepper — so along the path the slept
-     action's pid kept its local state, its inbox, and therefore its
-     offered batches under every delivery policy), so the interleaving
-     they would start is a permutation of one already scheduled.  We
-     skip them outright.  Each executed successor inherits the sleep
-     set plus its already-executed earlier siblings — filtered down to
-     the actions that commute with the executed one, whose send mask
-     is read off the produced configuration (dependent actions wake
-     up; in particular any slept action whose pid just received a
-     send, since its offered batches changed).  Skipped (slept)
-     siblings propagate through the inherited set, not through
-     [executed]: they were never explored {e here}, only at the
-     ancestor that put them to sleep.
-
-     The always-offered empty delivery is special-cased: when it
-     provably reproduces the parent key (the stepper is settled — no
-     state change, no observable send), the successor is a self-loop
-     in the keyed graph and is not scheduled at all.  Without this,
-     every settled stepper re-admits the configuration once per
-     distinct reachable sleep digest ("sleep-in-key" fragmentation).
-     Dropping a self-loop prunes no states: the child {e is} the
-     parent, and this very node explores everything outside its own
-     sleep set while slept actions are covered at ancestors.  The
-     transition memo answers most of these without a step
-     ({!E.idle_step}); the rest are stepped and their keys compared.
-
-     Sleep sets prune {e transitions}, never states: every reachable
-     configuration is still reached (along the representative
-     interleaving), so the decision-value oracle, terminal detection
-     and violation checks are untouched.  The crash engine does not use
-     this — its Stuck classification is a property of the full
-     transition graph, which edge-pruning would distort. *)
-  let schedule_successors_sleep ~reduction ~policy ~pattern ~steppers ~depth
-      ~sleep ~parent_key config k =
-    let executed = ref [] in
-    List.iter
-      (fun pid ->
-        E.iter_batches policy config pid (fun deliver ->
-            let act = action_of config pid deliver in
-            if List.exists (Canon.Action.equal act) sleep then
-              Metrics.incr m_sleep_pruned
-            else if deliver = [] && E.idle_step ~pattern config pid then begin
-              Metrics.incr m_idle;
-              Metrics.incr m_noop_pruned
-            end
-            else
-              match
-                E.apply ~pattern config (Adversary.Step { pid; deliver })
-              with
-              | None -> assert false
-              | Some config' ->
-                  if
-                    deliver = []
-                    && E.key_equal (E.key ~reduction config') parent_key
-                  then Metrics.incr m_noop_pruned
-                  else begin
-                    let act =
-                      Canon.Action.with_sends act
-                        (E.sends_between config config')
-                    in
-                    let child_sleep =
-                      List.filter
-                        (Canon.Action.independent act)
-                        (List.rev_append !executed sleep)
-                    in
-                    k config' depth child_sleep;
-                    executed := act :: !executed
-                  end))
-      steppers
 
   (* ---- the crash graph ---- *)
 
@@ -1269,11 +1172,13 @@ module Make (A : Algorithm.S) = struct
      makes its own outcome of the verdict or stats returned. *)
 
   (* A crash-free work item: a {e candidate} (configuration, depth,
-     sleep set), admitted when popped, or a configuration already
-     admitted, with its bare key, whose expansion failed and was put
-     back ({!Workers.requeue}). *)
+     sleep set, admission key and the length of its bare key), admitted
+     when popped, or a configuration already admitted, with its bare
+     key, whose expansion failed and was put back ({!Workers.requeue}).
+     A candidate's key was written and found missing from the table
+     when its parent generated it. *)
   type free_item =
-    | Cand of E.config * int * Canon.Action.t list
+    | Cand of E.config * int * Canon.Action.t list * E.key * int
     | Held of E.config * int * Canon.Action.t list * E.key
 
   (* A crash-graph work item: a node admitted before it was queued —
@@ -1466,35 +1371,166 @@ module Make (A : Algorithm.S) = struct
 
   (* ---- crash-free exploration ---- *)
 
+  (* A worker's scratch for {!free_successors}: the pid stepping now,
+     the successors kept so far, newest first, and under sym+por the
+     actions of the siblings executed so far, newest first. *)
+  type free_scratch = {
+    mutable pid : int;
+    mutable kept : free_item list;
+    mutable executed : Canon.Action.t list;
+  }
+
+  let free_scratch () = { pid = 0; kept = []; executed = [] }
+  let no_action = Canon.Action.make ~pid:0 ~deliveries:[] ~sends:0
+
+  let rec each_stepper sl policy config on_batch = function
+    | [] -> ()
+    | pid :: rest ->
+        sl.pid <- pid;
+        E.iter_batches policy config pid on_batch;
+        each_stepper sl policy config on_batch rest
+
+  (* Successors of a non-terminal configuration under [policy], key
+     first: every (stepper, delivery-choice) pair is stepped through
+     the memo ({!E.step}), its successor's admission key written from
+     the parent and the outcome ({!E.write_step_key}) and probed
+     lock-free in the run's table.  A successor already there is a
+     dedup hit and is never built; the rest are built ({!E.commit})
+     and kept in [sl] as candidates of [depth] that carry their key.
+     So a dedup hit costs a memo probe, a key write and a table
+     probe, and under none and sym allocates nothing (under sym+por
+     the sibling's action and the child's sleep set are still built).
+     [steppers] is constant over the whole search because only
+     initial crashes are admitted.  An empty
+     delivery {!E.idle_step} proves idle is not stepped: its successor
+     has the parent's key.
+
+     Under [sym+por] the expansion is DPOR (Godefroid-style sleep
+     sets).  Actions in [sleep] arrive provably covered: they were
+     explored from an earlier sibling of this node, and every action
+     executed on the path in between commutes with them
+     ({!Canon.Action.independent}: distinct stepping pids, and neither
+     action sends to the other's stepper — so along the path the slept
+     action's pid kept its local state, its inbox, and therefore its
+     offered batches under every delivery policy), so the interleaving
+     they would start is a permutation of one already scheduled.  We
+     skip them outright.  Each executed successor inherits the sleep
+     set plus its already-executed earlier siblings — filtered down to
+     the actions that commute with the executed one, whose send mask
+     is read off the step's outcome (dependent actions wake up; in
+     particular any slept action whose pid just received a send, since
+     its offered batches changed).  Its admission key is its bare key
+     followed by the digest of that set.  Skipped (slept) siblings propagate
+     through the inherited set, not through the executed ones: they
+     were never explored {e here}, only at the ancestor that put them
+     to sleep.
+
+     The always-offered empty delivery is special-cased under
+     [sym+por]: when it provably reproduces the parent's bare key
+     [bare] (the stepper is settled — no state change, no observable
+     send), the successor is a self-loop in the keyed graph and is not
+     scheduled at all.  Without this, every settled stepper re-admits
+     the configuration once per distinct reachable sleep digest
+     ("sleep-in-key" fragmentation).  Dropping a self-loop prunes no
+     states: the child {e is} the parent, and this very node explores
+     everything outside its own sleep set while slept actions are
+     covered at ancestors.  The transition memo answers most of these
+     without a step ({!E.idle_step}); the rest are stepped and their
+     key bytes compared with [bare].
+
+     Sleep sets prune {e transitions}, never states: every reachable
+     configuration is still reached (along the representative
+     interleaving), so the decision-value oracle, terminal detection
+     and violation checks are untouched.  The crash engine does not use
+     this — its Stuck classification is a property of the full
+     transition graph, which edge-pruning would distort. *)
+  let free_successors run sl ~policy ~pattern ~steppers ~sleep ~bare ~depth
+      config =
+    let reduction = run.reduction in
+    let por = reduction = Canon.Symmetry_por in
+    sl.kept <- [];
+    sl.executed <- [];
+    (* one closure per node, reading the stepping pid off [sl] *)
+    let on_batch deliver =
+      let pid = sl.pid in
+      let act = if por then action_of config pid deliver else no_action in
+      if por && List.exists (Canon.Action.equal act) sleep then
+        Metrics.incr m_sleep_pruned
+      else if deliver = [] && E.idle_step ~pattern config pid then begin
+        if por then begin
+          Metrics.incr m_idle;
+          Metrics.incr m_noop_pruned
+        end
+        else idle_hit ~reduction
+      end
+      else
+        let o = E.step ~pattern config pid deliver in
+        let bare_len =
+          E.write_step_key ~crashed:0 ~reduction config pid deliver o
+        in
+        if
+          por && deliver = []
+          && Shardset.equal_prefix bare (Canon.key_buffer ()) bare_len
+        then Metrics.incr m_noop_pruned
+        else begin
+          let sleep' =
+            if por then begin
+              let act = Canon.Action.with_sends act (E.send_mask o) in
+              let sleep' =
+                List.filter
+                  (Canon.Action.independent act)
+                  (List.rev_append sl.executed sleep)
+              in
+              sl.executed <- act :: sl.executed;
+              sleep'
+            end
+            else []
+          in
+          let len =
+            if por then Canon.Action.write_digest sleep' ~at:bare_len
+            else bare_len
+          in
+          (* fetched after the digest, which may have moved the buffer *)
+          let b = Canon.key_buffer () in
+          if Shardset.mem_bytes run.seen b len then dedup_hit ~reduction
+          else
+            sl.kept <-
+              Cand
+                ( E.commit config pid deliver o,
+                  depth,
+                  sleep',
+                  Bytes.sub_string b 0 len,
+                  bare_len )
+              :: sl.kept
+        end
+    in
+    each_stepper sl policy config on_batch steppers
+
   (* The crash-free step.  A candidate's dedup key is its (possibly
      orbit) configuration key [bare], plus — when sleep sets are active
      — the exact serialized sleep set, so a configuration re-reached
      under a different sleep set is re-expanded rather than wrongly
-     deduped against a run that pruned differently.  Both are written
-     into the scratch buffer, one after the other, and probed there
-     lock-free: a dedup hit allocates nothing.
+     deduped against a run that pruned differently.  Its parent wrote
+     and probed that key ({!free_successors}); the candidate carries it
+     to its admission here, which counts it once more as a dedup hit if
+     a configuration admitted since then took the key first.
 
      An admitted configuration is expanded: the decisions check,
      completeness over the [correct] processes, the [max_depth] cut,
-     and the successors under the scheduler [reduction] selects, pushed
-     newest first so that they pop in generation order — one domain
-     walks exactly the depth-first order of the recursive search.
-     [term_set] and [bare_set] hold bare (sleep-free) keys: under
-     sym+por one configuration can be admitted once per distinct sleep
-     digest, but it is one terminal state and one distinct
-     configuration.  [term_set] makes terminal counting and [found]
-     fire once per configuration, absorbing the re-expansion of a
-     requeued [Held] item too; [bare_set] feeds the sleep-readmission
-     counter.  [found.(w.i)] collects worker [w]'s terminal decision
-     sets, newest first, unless [found] is empty. *)
+     and the successors, pushed newest first so that they pop in
+     generation order — one domain admits exactly in the depth-first
+     order of the recursive search.  [term_set] and [bare_set] hold
+     bare (sleep-free) keys: under sym+por one configuration can be
+     admitted once per distinct sleep digest, but it is one terminal
+     state and one distinct configuration.  [term_set] makes terminal
+     counting and [found] fire once per configuration, absorbing the
+     re-expansion of a requeued [Held] item too; [bare_set] feeds the
+     sleep-readmission counter.  [found.(w.i)] collects worker [w]'s
+     terminal decision sets, newest first, unless [found] is empty. *)
   let free_step run ~term_set ~bare_set ~found ~policy ~pattern ~max_depth
       ~check (w : _ Workers.w) =
-    let reduction = run.reduction in
     let correct = Failure_pattern.correct pattern in
-    let succs = ref [] and push_item = Workers.push w in
-    let push config depth sleep =
-      succs := Cand (config, depth, sleep) :: !succs
-    in
+    let sl = free_scratch () and push_item = Workers.push w in
     let expand config depth sleep bare =
       Metrics.gauge_max g_depth_peak depth;
       let decisions = E.decisions config in
@@ -1512,53 +1548,31 @@ module Make (A : Algorithm.S) = struct
       end
       else if depth >= max_depth then w.exhausted <- true
       else begin
-        succs := [];
-        (match reduction with
-        | Canon.Symmetry_por ->
-            schedule_successors_sleep ~reduction ~policy ~pattern
-              ~steppers:correct ~depth:(depth + 1) ~sleep ~parent_key:bare
-              config push
-        | Canon.No_reduction | Canon.Symmetry ->
-            schedule_successors ~reduction ~policy ~pattern ~steppers:correct
-              ~depth:(depth + 1) config push);
-        List.iter push_item !succs;
+        free_successors run sl ~policy ~pattern ~steppers:correct ~sleep
+          ~bare ~depth:(depth + 1) config;
+        List.iter push_item sl.kept;
+        sl.kept <- [];
         Workers.maybe_spill w
       end
     in
     (* the bare key of a newly admitted candidate, or [""] *)
-    let admit_candidate config sleep =
-      let bare_len = E.write_key ~crashed:0 ~reduction config in
-      let len =
-        match reduction with
-        | Canon.Symmetry_por -> Canon.Action.write_digest sleep ~at:bare_len
-        | Canon.No_reduction | Canon.Symmetry -> bare_len
-      in
-      let b = Canon.key_buffer () in
-      if Shardset.mem_bytes run.seen b len then begin
-        dedup_hit ~reduction;
+    let admit_candidate key bare_len =
+      let r = admit run key (String.length key) in
+      if r >= 0 then ""
+      else if r = Shardset.refused then begin
+        w.exhausted <- true;
         ""
       end
-      else
-        let bare = Bytes.sub_string b 0 bare_len in
-        let key = if len = bare_len then bare else Bytes.sub_string b 0 len in
-        let r = admit run key len in
-        if r >= 0 then ""
-        else if r = Shardset.refused then begin
-          w.exhausted <- true;
-          ""
-        end
-        else begin
-          (match reduction with
-          | Canon.Symmetry_por ->
-              if not (Shardset.add bare_set bare 0) then
-                Metrics.incr m_sleep_readmit
-          | Canon.No_reduction | Canon.Symmetry -> ());
-          bare
-        end
+      else if bare_len = String.length key then key
+      else begin
+        let bare = String.sub key 0 bare_len in
+        if not (Shardset.add bare_set bare 0) then Metrics.incr m_sleep_readmit;
+        bare
+      end
     in
     function
-    | Cand (config, depth, sleep) as item -> (
-        match admit_candidate config sleep with
+    | Cand (config, depth, sleep, key, bare_len) as item -> (
+        match admit_candidate key bare_len with
         | exception e -> Workers.requeue w item e
         | "" -> ()
         | bare -> (
@@ -1597,9 +1611,16 @@ module Make (A : Algorithm.S) = struct
           {
             root =
               (fun () ->
-                [
-                  Cand (E.init ~record:false ~reduction ~n ~inputs (), 0, []);
-                ]);
+                let root = E.init ~record:false ~reduction ~n ~inputs () in
+                let bare_len = E.write_key ~crashed:0 ~reduction root in
+                let len =
+                  match reduction with
+                  | Canon.Symmetry_por ->
+                      Canon.Action.write_digest [] ~at:bare_len
+                  | Canon.No_reduction | Canon.Symmetry -> bare_len
+                in
+                let key = Bytes.sub_string (Canon.key_buffer ()) 0 len in
+                [ Cand (root, 0, [], key, bare_len) ]);
             make =
               free_step run ~term_set ~bare_set ~found ~policy ~pattern
                 ~max_depth ~check;

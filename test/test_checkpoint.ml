@@ -441,8 +441,10 @@ let test_explore_one_domain_truncated_resume () =
     baseline.Sim.Explorer.budget_exhausted;
   with_tmp ".ckpt" (fun path ->
       let ckpt =
+        (* the interrupt is polled once per pop, and a pop admits at
+           most one configuration: 1,500 polls cut before the budget *)
         Checkpoint.ctl ~sink:(sink ~path ~kind:"explore")
-          ~interrupt:(poll_interrupt 4_000) ()
+          ~interrupt:(poll_interrupt 1_500) ()
       in
       let cut = explore_run ~ckpt ~max_configs ~domains:1 () in
       Alcotest.(check bool) "cut before the budget" true

@@ -872,6 +872,145 @@ let test_idle_explore () =
         (run ?domains Sim.Canon.Symmetry_por))
     [ None; Some 2 ]
 
+(* The crash-free cells at one domain, complete and cut by the config
+   budget, under every reduction: admission order, the counters and
+   the stats pinned at their values from before successors were keyed
+   from their parent.  A dedup hit is now counted when the successor
+   is generated, not when it is popped: same totals. *)
+let test_free_cells_pinned () =
+  let module K = Ksa_algo.Kset_flp.Make (struct
+    let l = 2
+  end) in
+  let module Ex = Sim.Explorer.Make (K) in
+  let run reduction max_configs () =
+    stats_token
+      (stats_of "explore"
+         (Ex.explore ?max_configs ~reduction ~n:3 ~inputs:(distinct 3)
+            ~pattern:(FP.none ~n:3) ~check:(k_check ~k:1) ()))
+  in
+  List.iter
+    (fun (reduction, max_configs, verdict, counts) ->
+      let label =
+        Printf.sprintf "%s %s"
+          (Sim.Canon.reduction_to_string reduction)
+          (match max_configs with
+          | None -> "complete"
+          | Some m -> Printf.sprintf "cut at %d" m)
+      in
+      let before = Metrics.snapshot () in
+      let got = run reduction max_configs () in
+      let d = Metrics.delta ~before ~after:(Metrics.snapshot ()) in
+      Alcotest.(check string) (label ^ ": stats") verdict got;
+      List.iter2
+        (fun name want ->
+          Alcotest.(check int)
+            (label ^ ": " ^ name)
+            want
+            (Option.value ~default:0 (List.assoc_opt name d)))
+        [
+          "explore.admitted";
+          "explore.dedup.hits";
+          "explore.idle_skipped";
+          "explore.sleep_pruned";
+          "explore.noop_pruned";
+          "explore.sleep_readmitted";
+          "explore.budget.truncations";
+          "sim.steps";
+        ]
+        counts)
+    Sim.Canon.
+      [
+        ( No_reduction,
+          None,
+          "visited=4930 terminals=601 exhausted=false",
+          [ 4930; 20603; 12552; 0; 0; 0; 0; 12980 ] );
+        ( No_reduction,
+          Some 1000,
+          "visited=1000 terminals=142 exhausted=true",
+          [ 1000; 4141; 2562; 0; 0; 0; 18; 2596 ] );
+        ( Symmetry,
+          None,
+          "visited=2238 terminals=74 exhausted=false",
+          [ 2238; 11800; 6402; 0; 0; 0; 0; 7635 ] );
+        ( Symmetry,
+          Some 1000,
+          "visited=1000 terminals=49 exhausted=true",
+          [ 1000; 4947; 2842; 0; 0; 0; 25; 3129 ] );
+        ( Symmetry_por,
+          None,
+          "visited=2873 terminals=74 exhausted=false",
+          [ 2873; 3609; 8295; 3029; 8295; 635; 0; 6481 ] );
+        ( Symmetry_por,
+          Some 1000,
+          "visited=1000 terminals=33 exhausted=true",
+          [ 1000; 1067; 2860; 1076; 2860; 188; 29; 2095 ] );
+      ]
+
+(* Every process sends [copies] messages to every other on its first
+   step and never sends again; a delivery only counts what arrived.
+   Deliveries send nothing, so the actions of distinct steppers all
+   commute and sym+por sleep sets grow long. *)
+module Gossip_once = struct
+  type state = { me : int; n : int; sent : bool; heard : int }
+  type message = int
+
+  let copies = 2
+  let name = "gossip-once"
+  let uses_fd = false
+  let init ~n ~me ~input:_ = { me; n; sent = false; heard = 0 }
+
+  let step st ~received ~fd:_ =
+    let st = { st with heard = st.heard + List.length received } in
+    if st.sent then (st, [], None)
+    else
+      ( { st with sent = true },
+        List.concat_map
+          (fun p ->
+            if p = st.me then [] else List.init copies (fun c -> (p, c)))
+          (List.init st.n Fun.id),
+        None )
+
+  let canon st = st
+  let canon_message m = m
+  let forge_pool ~n:_ ~values:_ = []
+  let pp_message = Format.pp_print_int
+  let pp_state ppf st = Format.fprintf ppf "p%d heard %d" st.me st.heard
+end
+
+(* Under sym+por a successor's key is its bare key followed by the
+   digest of its sleep set, and a long sleep set (every subset of an
+   inbox is a batch here) grows the domain's key buffer while the
+   digest is written.  A search started on a fresh domain, whose
+   buffer starts small and grows during the search, finds what it
+   finds on a domain whose buffer is already large enough. *)
+let test_free_key_buffer_growth () =
+  let module Ex = Sim.Explorer.Make (Gossip_once) in
+  let n = 3 in
+  let run () =
+    let size () = Bytes.length (Sim.Canon.key_buffer ()) in
+    let before = size () in
+    let got =
+      stats_token
+        (stats_of "explore"
+           (Ex.explore ~reduction:Sim.Canon.Symmetry_por ~domains:1
+              ~policy:Sim.Explorer.All_subsets ~n ~inputs:(distinct n)
+              ~pattern:(FP.none ~n) ~check:no_check ()))
+    in
+    (got, size () > before)
+  in
+  let fresh, grew = Domain.join (Domain.spawn run) in
+  Alcotest.(check bool) "the fresh domain's key buffer grew" true grew;
+  ignore
+    (Sim.Canon.Action.digest
+       (List.init 2000 (fun pid ->
+            Sim.Canon.Action.make ~pid ~deliveries:[ 1; 2; 3 ] ~sends:0))
+      : string);
+  let warm, grew = run () in
+  Alcotest.(check bool) "the warm domain's key buffer did not grow" false grew;
+  Alcotest.(check string) "same search" warm fresh;
+  Alcotest.(check string)
+    "the search" "visited=9350 terminals=0 exhausted=false" warm
+
 (* ---------- the domain-count default ---------- *)
 
 let test_default_domains () =
@@ -903,6 +1042,10 @@ let suites =
           test_witness_ranks_pid_lists;
         Alcotest.test_case "crash-free explore unchanged" `Quick
           test_idle_explore;
+        Alcotest.test_case "crash-free cells pinned at one domain" `Quick
+          test_free_cells_pinned;
+        Alcotest.test_case "sym+por key buffer grows mid-search" `Quick
+          test_free_key_buffer_growth;
       ] );
     ( "explore.parity",
       [

@@ -877,6 +877,49 @@ let test_key_first_allocates_nothing () =
     (Test_util.words_per_loop 1000 (fun () ->
          ignore (T.idle_step ~pattern:none c1 0 : bool)))
 
+(* The crash-free explorer's probe of a successor: the step, its key
+   from the parent and a lock-free probe of the table.  At one domain
+   with a warm memo a dedup hit allocates nothing under none and sym.
+   (Under sym+por the explorer also builds the child's sleep set to
+   digest it.) *)
+let test_free_probe_allocates_nothing () =
+  let module E = Key_first_k2.E in
+  let n = 3 and none = FP.none ~n:3 in
+  List.iter
+    (fun reduction ->
+      let c =
+        List.fold_left
+          (fun c pid ->
+            Option.get
+              (E.apply ~pattern:none c
+                 (Sim.Adversary.Step { pid; deliver = [] })))
+          (E.init ~record:false ~reduction ~n ~inputs:(distinct n) ())
+          [ 0; 1; 2 ]
+      in
+      let batch =
+        List.nth (Key_first_k2.batches Sim.Engine.Empty_or_all c 0) 1
+      in
+      let seen = Ksa_prim.Shardset.create ~name:"test.free_probe" () in
+      let write () =
+        let o = E.step ~pattern:none c 0 batch in
+        E.write_step_key ~crashed:0 ~reduction c 0 batch o
+      in
+      let len = write () in
+      ignore
+        (Ksa_prim.Shardset.admit_bytes seen (Canon.key_buffer ()) len
+           ~ticket:(fun () -> 0)
+          : int);
+      let probe () =
+        let len = write () in
+        Ksa_prim.Shardset.mem_bytes seen (Canon.key_buffer ()) len
+      in
+      Alcotest.(check bool) "the probe hits" true (probe ());
+      Alcotest.(check (float 0.))
+        ("crash-free dedup hit words, " ^ mode_name reduction)
+        0.
+        (Test_util.words_per_loop 1000 (fun () -> ignore (probe () : bool))))
+    [ Canon.No_reduction; Canon.Symmetry ]
+
 (* ---------- canonicalization properties ---------- *)
 
 let prop_witness_idempotent =
@@ -1083,8 +1126,12 @@ let test_sends_recorded_and_dependent () =
     E2.init ~record:false ~reduction:Canon.Symmetry_por ~n:3
       ~inputs:(distinct 3) ()
   in
+  (* the mask of a step's sends, read off its outcome *)
+  let sends c pid deliver =
+    E2.send_mask (E2.step ~pattern:(FP.none ~n:3) c pid deliver)
+  in
+  let hello = sends c0 0 [] in
   let c1 = estep c0 0 [] in
-  let hello = E2.sends_between c0 c1 in
   Alcotest.(check bool)
     "first step broadcasts to pid 1" true
     (hello land (1 lsl 1) <> 0);
@@ -1097,9 +1144,8 @@ let test_sends_recorded_and_dependent () =
     (Canon.Action.independent a (act 1 []));
   (* an empty re-step of a started stage-1 process sends nothing and
      commutes with other steppers *)
+  Alcotest.(check int) "silent step has an empty mask" 0 (sends c1 0 []);
   let c2 = estep c1 0 [] in
-  Alcotest.(check int) "silent step has an empty mask" 0
-    (E2.sends_between c1 c2);
   Alcotest.(check bool)
     "silent steps of distinct pids commute" true
     (Canon.Action.independent (act 0 []) (act 1 []));
@@ -1107,8 +1153,7 @@ let test_sends_recorded_and_dependent () =
      itself sends (the Report broadcast) *)
   let inbox2 = List.map fst (E2.inbox c2 2) in
   Alcotest.(check bool) "pid 2 has pending Hello" true (inbox2 <> []);
-  let c3 = estep c2 2 inbox2 in
-  let report = E2.sends_between c2 c3 in
+  let report = sends c2 2 inbox2 in
   Alcotest.(check bool)
     "delivery-triggered broadcast names pid 0" true
     (report land (1 lsl 0) <> 0)
@@ -1539,6 +1584,8 @@ let suites =
           `Quick test_memo_one_fold;
         Alcotest.test_case "key-first dedup hit and idle_step allocate nothing"
           `Quick test_key_first_allocates_nothing;
+        Alcotest.test_case "crash-free dedup hit allocates nothing" `Quick
+          test_free_probe_allocates_nothing;
         qcheck prop_idle_step_keeps_key;
         Alcotest.test_case "idle_step refusals" `Quick test_idle_step_cases;
         Alcotest.test_case "idle_step refuses a double decision" `Quick
