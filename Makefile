@@ -12,7 +12,7 @@ bench:
 	dune exec bench/main.exe -- bench
 
 experiments:
-	dune exec bench/main.exe -- tables
+	dune exec bin/ksa.exe -- experiments
 
 examples:
 	dune exec examples/quickstart.exe

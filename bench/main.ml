@@ -1,18 +1,10 @@
-(* Benchmark & reproduction harness.
+(* Benchmark harness: times the building blocks with bechamel (one
+   Test.make per experiment, plus ablation benches for the engine, the
+   explorer and the graph substrate).  The experiment tables and their
+   REPRODUCED / MISMATCH verdicts are [ksa experiments].
 
-   Running this executable does two things:
-
-   1. regenerates every experiment table of the paper reproduction
-      (E1-E9, see DESIGN.md and EXPERIMENTS.md) and prints the
-      REPRODUCED / MISMATCH verdict per claim;
-
-   2. times the building blocks with bechamel (one Test.make per
-      experiment, plus ablation benches for the engine, the explorer
-      and the graph substrate).
-
-     dune exec bench/main.exe            # tables + benches
-     dune exec bench/main.exe -- tables  # tables only
-     dune exec bench/main.exe -- bench   # benches only *)
+     dune exec bench/main.exe -- bench          # human table
+     dune exec bench/main.exe -- bench --json   # ...and BENCH_*.json *)
 
 open Bechamel
 open Toolkit
@@ -796,21 +788,9 @@ let run_benchmarks ~json () =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
-  let mode =
-    match List.filter (fun a -> a <> "--json" && a <> "--") args with
-    | [] -> "all"
-    | [ ("tables" | "bench" | "all") as m ] -> m
-    | m :: _ ->
-        Format.eprintf "usage: main.exe [tables|bench|all] [--json]@.";
-        Format.eprintf "unknown mode %S@." m;
-        exit 2
-  in
-  if mode = "tables" || mode = "all" then begin
-    let verdicts = Core.Experiments.all Format.std_formatter in
-    let bad = List.filter (fun v -> not v.Core.Experiments.holds) verdicts in
-    if bad <> [] then begin
-      Format.printf "@.%d claim(s) failed to reproduce!@." (List.length bad);
-      exit 1
-    end
-  end;
-  if mode = "bench" || mode = "all" then run_benchmarks ~json ()
+  match List.filter (fun a -> a <> "--json" && a <> "--") args with
+  | [] | [ "bench" ] -> run_benchmarks ~json ()
+  | m :: _ ->
+      Format.eprintf "usage: main.exe [bench] [--json]@.";
+      Format.eprintf "unknown mode %S@." m;
+      exit 2

@@ -184,37 +184,14 @@ let synod_oracle ~pattern ~seed =
 
 (* ---------- experiments ---------- *)
 
-let experiment_table =
-  Core.Experiments.
-    [
-      ("E1", e1_theorem2 ?n_max:None);
-      ("E2", e2_theorem8 ?n_max:None ?seeds:None);
-      ("E3", e3_protocol_cost ?sizes:None ?seeds:None);
-      ("E4", e4_graph_lemmas ?samples:None ?n:None);
-      ("E5", e5_theorem10 ?n_max:None);
-      ("E6", e6_coverage ?n_max:None);
-      ("E7", e7_lemma9 ?samples:None);
-      ("E8", e8_screening);
-      ("E9", e9_independence);
-      ("E10", e10_round_models ?seeds:None);
-      ("E11", e11_fd_implementation ?seeds:None);
-      ("E12", e12_flp_gap);
-      ("E13", e13_shared_memory ?seeds:None);
-      ("E14", e14_fault_models ?max_configs:None);
-    ]
-
 let experiments only =
-  match List.find_opt (fun id -> not (List.mem_assoc id experiment_table)) only with
+  let table = Core.Experiments.table in
+  match List.find_opt (fun id -> not (List.mem_assoc id table)) only with
   | Some id ->
       Printf.eprintf "ksa: unknown experiment id %S (valid ids: %s)\n%!" id
-        (String.concat " " (List.map fst experiment_table));
+        (String.concat " " (List.map fst table));
       1
-  | None ->
-      List.iter
-        (fun (id, run) ->
-          if only = [] || List.mem id only then ignore (run Format.std_formatter))
-        experiment_table;
-      0
+  | None -> Core.Experiments.(exit_code (all ~only Format.std_formatter))
 
 let only_arg =
   Arg.(
@@ -224,7 +201,8 @@ let only_arg =
 
 let experiments_cmd =
   Cmd.v
-    (Cmd.info "experiments" ~doc:"Run the reproduction harness (E1-E14).")
+    (Cmd.info "experiments"
+       ~doc:"Run the reproduction harness (E1-E14); exit 1 on any MISMATCH.")
     Term.(const experiments $ only_arg)
 
 (* ---------- border ---------- *)

@@ -870,23 +870,34 @@ let e14_fault_models ?(max_configs = 4_000_000) ppf =
         (if !strict_separation then "" else "NOT ");
   }
 
-let all ppf =
-  let v1 = e1_theorem2 ppf in
-  let v2 = e2_theorem8 ppf in
-  let v3 = e3_protocol_cost ppf in
-  let v4 = e4_graph_lemmas ppf in
-  let v5 = e5_theorem10 ppf in
-  let v6 = e6_coverage ppf in
-  let v7 = e7_lemma9 ppf in
-  let v8 = e8_screening ppf in
-  let v9 = e9_independence ppf in
-  let v10 = e10_round_models ppf in
-  let v11 = e11_fd_implementation ppf in
-  let v12 = e12_flp_gap ppf in
-  let v13 = e13_shared_memory ppf in
-  let v14 = e14_fault_models ppf in
-  let vs = [ v1; v2; v3; v4; v5; v6; v7; v8; v9; v10; v11; v12; v13; v14 ] in
+let table =
+  [
+    ("E1", e1_theorem2 ?n_max:None);
+    ("E2", e2_theorem8 ?n_max:None ?seeds:None);
+    ("E3", e3_protocol_cost ?sizes:None ?seeds:None);
+    ("E4", e4_graph_lemmas ?samples:None ?n:None);
+    ("E5", e5_theorem10 ?n_max:None);
+    ("E6", e6_coverage ?n_max:None);
+    ("E7", e7_lemma9 ?samples:None);
+    ("E8", e8_screening);
+    ("E9", e9_independence);
+    ("E10", e10_round_models ?seeds:None);
+    ("E11", e11_fd_implementation ?seeds:None);
+    ("E12", e12_flp_gap);
+    ("E13", e13_shared_memory ?seeds:None);
+    ("E14", e14_fault_models ?max_configs:None);
+  ]
+
+let all ?(only = []) ppf =
+  let vs =
+    List.filter_map
+      (fun (id, run) ->
+        if only = [] || List.mem id only then Some (run ppf) else None)
+      table
+  in
   hr ppf;
   Format.fprintf ppf "Summary:@.";
   List.iter (fun v -> Format.fprintf ppf "  %a@." pp_verdict v) vs;
   vs
+
+let exit_code vs = if List.for_all (fun v -> v.holds) vs then 0 else 1

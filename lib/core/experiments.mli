@@ -104,5 +104,15 @@ val e14_fault_models : ?max_configs:int -> Format.formatter -> verdict
     predecessor-free report at (n, k, t) = (3, 1, 1) breaks the
     agreement crash faults can only get stuck on. *)
 
-val all : Format.formatter -> verdict list
-(** Runs every experiment in order, printing all tables. *)
+val table : (string * (Format.formatter -> verdict)) list
+(** Every experiment above at its default sizes, by id ("E1" to
+    "E14"), in order. *)
+
+val all : ?only:string list -> Format.formatter -> verdict list
+(** Runs the experiments of {!table} whose ids are in [only] (default
+    every one), in order, printing their tables and then one summary
+    line per verdict. *)
+
+val exit_code : verdict list -> int
+(** 0 when every verdict holds, else 1 (a MISMATCH): the exit status
+    of [ksa experiments]. *)

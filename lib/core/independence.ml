@@ -7,14 +7,6 @@ module Listx = Ksa_prim.Listx
 
 type verdict = { set : Pid.t list; independent : bool; steps : int }
 
-(* Transition-level independence, re-exported for the explorer's DPOR
-   sleep sets: the alphabet of delivery actions and the commutation
-   test over them live next to the orbit-key machinery in
-   {!Ksa_sim.Canon}. *)
-module Action = Ksa_sim.Canon.Action
-
-let actions_commute = Action.independent
-
 (* Adversary: processes in S receive only from S until all of S have
    decided (or crashed); everyone else receives freely.  Scheduling is
    round-robin so the run stays fair. *)

@@ -35,15 +35,8 @@ type verdict = {
     disjoint) and neither action sends a message to the other's
     stepper (a send to pid [q] replaces the whole-bucket delivery
     batches the explorer's policies offer [q], so the covering
-    interleaving may be absent).  The action alphabet lives in
-    {!Ksa_sim.Canon.Action}; it is re-exported here so the DPOR layer
-    has its commutation oracle next to the run-level notion. *)
-
-module Action = Ksa_sim.Canon.Action
-
-val actions_commute : Action.t -> Action.t -> bool
-(** [actions_commute a b] iff the order of executing [a] and [b] is
-    observationally irrelevant ([Action.independent]). *)
+    interleaving may be absent).  The action alphabet and that test
+    are {!Ksa_sim.Canon.Action} and its [independent]. *)
 
 val check_set :
   ?fd:Ksa_sim.Fd_view.oracle ->

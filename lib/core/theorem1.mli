@@ -90,19 +90,6 @@ type report = {
           any model admitting these runs. *)
 }
 
-val validate_condition_c_exhaustive :
-  ?max_configs:int ->
-  ?inputs:Value.t array ->
-  (module Ksa_sim.Algorithm.S) ->
-  partition:Partitioning.t ->
-  subsystem_crash_budget:int ->
-  c_witness
-(** Exhaustive constructive check behind [~exhaustive_c]: explore the
-    system with D initially dead and up to [subsystem_crash_budget]
-    adversarial crashes in D̄, classifying whether the algorithm can
-    be trapped ([`Trapped]) — requires a failure-detector-free
-    algorithm.  [max_configs] defaults to 500_000. *)
-
 val evaluate :
   ?fd:Ksa_sim.Fd_view.oracle ->
   ?pattern:Ksa_sim.Failure_pattern.t ->
@@ -115,9 +102,13 @@ val evaluate :
   (module Ksa_sim.Algorithm.S) ->
   partition:Partitioning.t ->
   report
-(** [~exhaustive_c] (default false) additionally runs
-    {!validate_condition_c_exhaustive} (skipped for failure-detector
-    algorithms, which the explorer cannot soundly deduplicate) and
-    records the result in [condition_c_witness]. *)
+(** [~exhaustive_c] (default false) additionally runs the exhaustive
+    constructive check of condition (C) and records the result in
+    [condition_c_witness]: it explores the system with D initially
+    dead and up to [subsystem_crash_budget] adversarial crashes in D̄,
+    at most [exhaustive_c_configs] (default 500_000) configurations,
+    classifying whether the algorithm can be trapped ([`Trapped]).
+    It is skipped for failure-detector algorithms, which the explorer
+    cannot soundly deduplicate. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -3,9 +3,7 @@
     Deadlines, budgets and phase timers must use the monotonic clock:
     it cannot jump when NTP steps the wall clock, so a [--max-seconds]
     budget measured against it is always the duration the user asked
-    for.  Wall time remains available, but only for human-facing
-    timestamps (log lines, report headers) where "what time is it"
-    matters more than "how long did it take". *)
+    for. *)
 
 val now_ns : unit -> int
 (** Monotonic nanoseconds since an arbitrary epoch (boot, typically).
@@ -15,7 +13,3 @@ val now_ns : unit -> int
 
 val elapsed_s : since:int -> float
 (** Seconds elapsed since a previous {!now_ns} reading. *)
-
-val wall_s : unit -> float
-(** Wall-clock seconds since the Unix epoch
-    ([Unix.gettimeofday]) — human-facing timestamps only. *)

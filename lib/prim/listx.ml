@@ -16,8 +16,6 @@ let chunks k xs =
   in
   go xs
 
-let distinct_count xs = List.length (List.sort_uniq compare xs)
-
 let disjoint xs ys = not (List.exists (fun x -> List.mem x ys) xs)
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
@@ -29,8 +27,6 @@ let rec pairwise_disjoint = function
   | [] -> true
   | xs :: rest -> List.for_all (disjoint xs) rest && pairwise_disjoint rest
 
-let cartesian xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
 let rec combinations k xs =
   if k = 0 then [ [] ]
   else
@@ -39,13 +35,3 @@ let rec combinations k xs =
     | x :: rest ->
         List.map (fun c -> x :: c) (combinations (k - 1) rest)
         @ combinations k rest
-
-let min_by key = function
-  | [] -> invalid_arg "Listx.min_by: empty list"
-  | x :: rest ->
-      List.fold_left (fun best y -> if key y < key best then y else best) x rest
-
-let max_by key = function
-  | [] -> invalid_arg "Listx.max_by: empty list"
-  | x :: rest ->
-      List.fold_left (fun best y -> if key y > key best then y else best) x rest

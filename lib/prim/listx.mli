@@ -13,9 +13,6 @@ val chunks : int -> 'a list -> 'a list list
     the last block may be shorter.  @raise Invalid_argument if
     [k <= 0]. *)
 
-val distinct_count : 'a list -> int
-(** Number of distinct elements (by structural comparison). *)
-
 val disjoint : 'a list -> 'a list -> bool
 (** Whether two lists share no element. *)
 
@@ -28,13 +25,6 @@ val intersect : 'a list -> 'a list -> 'a list
 
 val pairwise_disjoint : 'a list list -> bool
 
-val cartesian : 'a list -> 'b list -> ('a * 'b) list
-
 val combinations : int -> 'a list -> 'a list list
 (** All size-[k] sublists, in order.  [combinations 2 [1;2;3]] is
     [[1;2]; [1;3]; [2;3]].  Empty if [k] exceeds the length. *)
-
-val min_by : ('a -> 'b) -> 'a list -> 'a
-(** Element minimizing a key.  @raise Invalid_argument on empty. *)
-
-val max_by : ('a -> 'b) -> 'a list -> 'a

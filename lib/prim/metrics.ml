@@ -94,7 +94,6 @@ let time t f =
     f
 
 let timer_ns t = value t.ns
-let timer_calls t = value t.calls
 
 let probe name f =
   ignore
@@ -118,7 +117,7 @@ let snapshot () =
             | Gauge g -> (name, gauge_value g) :: acc
             | Timer t ->
                 (name ^ ".ns", timer_ns t)
-                :: (name ^ ".calls", timer_calls t)
+                :: (name ^ ".calls", value t.calls)
                 :: acc
             | Probe r -> (name, !r ()) :: acc)
           registry [])

@@ -65,8 +65,6 @@ val time : timer -> (unit -> 'a) -> 'a
 val timer_ns : timer -> int
 (** Accumulated nanoseconds. *)
 
-val timer_calls : timer -> int
-
 val probe : string -> (unit -> int) -> unit
 (** Register a lazy gauge evaluated at {!snapshot} time.  Re-registering
     a name replaces the closure. *)

@@ -27,9 +27,6 @@ val split_at : t -> int -> t
     directly — the key to exact sequential/parallel fuzzing parity.
     @raise Invalid_argument if [i] is negative. *)
 
-val next64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0 .. bound-1].
     @raise Invalid_argument if [bound <= 0]. *)

@@ -86,7 +86,9 @@ type admission =
   | Rejected  (** The ticket source declined — key not inserted. *)
 
 val admit : t -> string -> ticket:(unit -> int option) -> admission
-(** {!admit_key} with an optional ticket and a boxed answer. *)
+(** {!admit_key} with an optional ticket and a boxed answer.  Kept only
+    for the benchmark's layer timings ([ksa_bench/layers.ml]); it goes
+    with ROADMAP item 9. *)
 
 val add : t -> string -> int -> bool
 (** [add t key v] inserts [key -> v] if absent; [true] iff this call

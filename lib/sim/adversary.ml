@@ -136,45 +136,42 @@ let is_pending_for (View v) p id = p >= 0 && p < v.n && holds id v.inbox.(p)
 
 (* ---- the sends of crashed processes, across the inboxes ---- *)
 
-let droppable_send victims (View v) (e : _ Envelope.t) =
-  (match victims with None -> true | Some f -> f e.src)
-  && Failure_pattern.is_crashed v.pattern e.src ~time:v.time
+let droppable_send (View v) (e : _ Envelope.t) =
+  Failure_pattern.is_crashed v.pattern e.src ~time:v.time
 
-let rec crashed_ids victims obs acc = function
+let rec crashed_ids obs acc = function
   | [] -> acc
   | ((e : _ Envelope.t), _) :: rest ->
-      crashed_ids victims obs
-        (if droppable_send victims obs e then e.id :: acc else acc)
-        rest
+      crashed_ids obs (if droppable_send obs e then e.id :: acc else acc) rest
 
-let rec any_crashed victims obs = function
+let rec any_crashed obs = function
   | [] -> false
   | ((e : _ Envelope.t), _) :: rest ->
-      droppable_send victims obs e || any_crashed victims obs rest
+      droppable_send obs e || any_crashed obs rest
 
-let droppable ?victims (View v as obs) =
+let droppable (View v as obs) =
   let acc = ref [] in
   for p = 0 to v.n - 1 do
-    acc := crashed_ids victims obs !acc v.inbox.(p)
+    acc := crashed_ids obs !acc v.inbox.(p)
   done;
   List.sort Int.compare !acc
 
-let rec any_from victims (View v as obs) p =
-  p < v.n && (any_crashed victims obs v.inbox.(p) || any_from victims obs (p + 1))
+let rec any_from (View v as obs) p =
+  p < v.n && (any_crashed obs v.inbox.(p) || any_from obs (p + 1))
 
-let has_droppable ?victims obs = any_from victims obs 0
+let has_droppable obs = any_from obs 0
 
 (* Under the Byzantine model the corrupted set rides the failure
    pattern (corruption subsumes crashing), so a forged delivery carries
    a droppable message — a pending send of an already-corrupted
    process — to a process that can still step. *)
-let forgeable ?victims (View v as obs) =
+let forgeable (View v as obs) =
   let acc = ref [] in
   for p = 0 to v.n - 1 do
     if can_step obs p then
       List.iter
         (fun ((e : _ Envelope.t), _) ->
-          if droppable_send victims obs e then acc := (e.id, p) :: !acc)
+          if droppable_send obs e then acc := (e.id, p) :: !acc)
         v.inbox.(p)
   done;
   List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
@@ -371,11 +368,3 @@ let eventually_lockstep ~rng ~gst ~p_defer =
     else round_robin_next cursor obs ~allow:(fun _ _ -> true)
   in
   { describe = Printf.sprintf "eventually-lockstep(gst=%d)" gst; next }
-
-let crash_after_decision ~inner ~victims =
-  let next obs =
-    match droppable ~victims:(fun src -> List.mem src victims) obs with
-    | [] -> inner.next obs
-    | ids -> Drop ids
-  in
-  { describe = inner.describe ^ "+crash-drops"; next }

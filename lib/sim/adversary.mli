@@ -107,15 +107,13 @@ val is_alive : obs -> Pid.t -> bool
 val alive : obs -> Pid.t list
 (** The processes {!is_alive} holds of, ascending. *)
 
-val undecided_alive : obs -> Pid.t list
-
 val count_alive : ?undecided:bool -> obs -> int
-(** [List.length (alive obs)], or of [undecided_alive obs] when
+(** [List.length (alive obs)], counting only the undecided ones when
     [undecided] (default false); allocates nothing. *)
 
 val nth_alive : ?undecided:bool -> obs -> int -> Pid.t
-(** [nth_alive obs r] is [List.nth (alive obs) r] (of
-    [undecided_alive] when [undecided]), without the list:
+(** [nth_alive obs r] is [List.nth (alive obs) r] (of its undecided
+    ones when [undecided]), without the list:
     [nth_alive obs (Rng.int rng (count_alive obs))] draws exactly what
     [Rng.pick rng (alive obs)] draws.
     @raise Invalid_argument if [r] is out of range. *)
@@ -138,15 +136,14 @@ val pending_for_sampled : obs -> Pid.t -> (unit -> bool) -> int list
 val is_pending_for : obs -> Pid.t -> int -> bool
 (** Message [id] is pending and addressed to [p]; allocates nothing. *)
 
-val droppable : ?victims:(Pid.t -> bool) -> obs -> int list
+val droppable : obs -> int list
 (** Ids of pending messages the engine would accept in a {!Drop}:
-    those whose sender is already crashed at [time obs], optionally
-    restricted to senders satisfying [victims]. *)
+    those whose sender is already crashed at [time obs]. *)
 
-val has_droppable : ?victims:(Pid.t -> bool) -> obs -> bool
-(** [droppable ?victims obs <> []], without building the list. *)
+val has_droppable : obs -> bool
+(** [droppable obs <> []], without building the list. *)
 
-val forgeable : ?victims:(Pid.t -> bool) -> obs -> (int * Pid.t) list
+val forgeable : obs -> (int * Pid.t) list
 (** [(id, dst)] of the pending messages a {!Forging_step} may forge,
     ascending by id.  Corruption rides the failure pattern (a corrupted
     process subsumes a crashed one), so these are the {!droppable}
@@ -210,8 +207,3 @@ val eventually_lockstep : rng:Ksa_prim.Rng.t -> gst:int -> p_defer:float -> t
     before all correct processes decide, so it also drives
     non-terminating protocols (e.g. heartbeat-based failure-detector
     implementations) under a step budget. *)
-
-val crash_after_decision : inner:t -> victims:Pid.t list -> t
-(** Wraps [inner], but drops all undelivered messages {e from} each
-    victim as soon as that victim is crashed per the pattern — the
-    standard way to make a crashed partition invisible. *)

@@ -31,8 +31,6 @@ let reduction_of_string = function
         (Printf.sprintf "unknown reduction %S (expected none, sym, or sym+por)"
            s)
 
-let all_reductions = [ No_reduction; Symmetry; Symmetry_por ]
-
 (* ---- packed pending triples ----
 
    A pending message packs into a single int: src in bits 51..61, dst

@@ -28,7 +28,6 @@ type reduction = No_reduction | Symmetry | Symmetry_por
 
 val reduction_to_string : reduction -> string
 val reduction_of_string : string -> (reduction, string) result
-val all_reductions : reduction list
 
 (** {1 Packed pending triples}
 

@@ -146,68 +146,6 @@ module Make (A : Algorithm.S) = struct
             if e.Envelope.id = id then remove_desc ids' rest
             else x :: remove_desc ids rest)
 
-  (* ---- merging the inboxes into sending order ----
-
-     A binary max-heap over the non-empty inboxes.  A slot packs the
-     inbox's head id above its pid (pids fit 11 bits, as in
-     {!Canon.pack_triple}), so sifting compares and moves plain ints
-     and a merge costs O(|pending| log n). *)
-
-  let pid_bits = 11
-
-  let rec sift_down (heap : int array) size i =
-    let l = (2 * i) + 1 in
-    if l < size then begin
-      let r = l + 1 in
-      let m = if r < size && heap.(r) > heap.(l) then r else l in
-      if heap.(m) > heap.(i) then begin
-        let t = heap.(i) in
-        heap.(i) <- heap.(m);
-        heap.(m) <- t;
-        sift_down heap size m
-      end
-    end
-
-  (* [heads] holds the inbox tails not yet merged *)
-  let rec drain (heads : entry list array) heap size f acc =
-    if size = 0 then acc
-    else
-      let p = heap.(0) land ((1 lsl pid_bits) - 1) in
-      match heads.(p) with
-      | [] -> acc (* only non-empty inboxes are in the heap *)
-      | (e, _) :: rest ->
-          heads.(p) <- rest;
-          let size =
-            match rest with
-            | [] ->
-                heap.(0) <- heap.(size - 1);
-                size - 1
-            | (e', _) :: _ ->
-                heap.(0) <- (e'.Envelope.id lsl pid_bits) lor p;
-                size
-          in
-          sift_down heap size 0;
-          drain heads heap size f (f e acc)
-
-  (* Fold [f] over the pending messages from the newest down.  [f]
-     conses, so the result comes out in ascending id order — sending
-     order. *)
-  let merge_pending c f acc =
-    let heads = Array.copy c.inbox in
-    let heap = Array.make (max 1 c.n) 0 in
-    let size = ref 0 in
-    for p = 0 to c.n - 1 do
-      match heads.(p) with
-      | [] -> ()
-      | (e, _) :: _ ->
-          heap.(!size) <- (e.Envelope.id lsl pid_bits) lor p;
-          incr size
-    done;
-    for i = (!size / 2) - 1 downto 0 do
-      sift_down heap !size i
-    done;
-    drain heads heap !size f acc
-
   (* Transition memo.  For a failure-detector-free algorithm a step is
      a pure function of (local state, received sequence) — and both
      the DFS explorer and the recorded-mode portfolios (the Theorem 1
@@ -295,7 +233,10 @@ module Make (A : Algorithm.S) = struct
     done;
     !acc
 
-  let pending c = merge_pending c (fun e acc -> e :: acc) []
+  let pending c =
+    Array.fold_left (List.fold_left (fun acc (e, _) -> e :: acc)) [] c.inbox
+    |> List.sort (fun (a : A.message Envelope.t) b -> Int.compare a.id b.id)
+
   let events c = List.rev c.events
 
   let inbox c p =
@@ -872,7 +813,6 @@ module Make (A : Algorithm.S) = struct
     let len = write_key ~crashed ~reduction c in
     Bytes.sub_string (Canon.key_buffer ()) 0 len
 
-  let key_equal = String.equal
 
   (* Destination-pid bitmask of a step's sends, read off the outcome:
      what the step adds to each inbox. *)

@@ -62,7 +62,9 @@ module Make (A : Algorithm.S) : sig
   val init_explore :
     ?reduction:Canon.reduction -> n:int -> inputs:Value.t array -> unit ->
     config
-  (** [init ?reduction ~record:false ~n ~inputs ()]. *)
+  (** [init ?reduction ~record:false ~n ~inputs ()].  Kept only for
+      the benchmark's layer replay ([ksa_bench/layers.ml]); it goes
+      with ROADMAP item 9. *)
 
   val time : config -> int
   val n : config -> int
@@ -70,9 +72,9 @@ module Make (A : Algorithm.S) : sig
   val decision_of : config -> Pid.t -> Value.t option
   val decisions : config -> (Pid.t * Value.t * int) list
   val pending : config -> A.message Envelope.t list
-  (** The undelivered messages in sending order (ascending id): a
-      merge of the per-destination inboxes, which are the
-      configuration's only pending index. *)
+  (** The undelivered messages in sending order (ascending id),
+      gathered from the per-destination inboxes, which are the
+      configuration's only pending index, and sorted. *)
 
   val events : config -> Event.t list
   (** Chronological event log of the prefix executed so far
@@ -252,8 +254,6 @@ module Make (A : Algorithm.S) : sig
   (** {!key}, left in {!Canon.key_buffer} instead of copied out: its
       length.  Allocates nothing; the explorers probe their tables from
       the buffer and copy a key out only to keep it. *)
-
-  val key_equal : key -> key -> bool
 
   val send_mask : outcome -> int
   (** Destination-pid bitmask of the messages a step sends — the

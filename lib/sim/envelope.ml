@@ -1,11 +1,14 @@
+(** In-flight messages.
+
+    The paper models communication as one buffer per process holding
+    messages sent but not yet received.  We tag every sent message
+    with a globally unique id so that schedules ("deliver message m to
+    p now") are plain data and runs can be replayed and spliced. *)
+
 type 'payload t = {
-  id : int;
+  id : int;  (** Unique within a run, in sending order. *)
   src : Pid.t;
   dst : Pid.t;
-  sent_at : int;
+  sent_at : int;  (** Step index of the sending step. *)
   payload : 'payload;
 }
-
-let pp pp_payload ppf e =
-  Format.fprintf ppf "#%d %a→%a@%d: %a" e.id Pid.pp e.src Pid.pp e.dst e.sent_at
-    pp_payload e.payload

@@ -1062,6 +1062,17 @@ module Make (A : Algorithm.S) = struct
        processes per round, so the successor structure is the same
        for every [t >= 1].  At [t = 0] the graph coincides with the
        budget-0 crash graph. *)
+  (* The pending ids of [config] bucketed by sender, in one walk of the
+     inboxes, for the drop-on-crash and omission successors.  A
+     bucket's order is immaterial: a removal's successor does not
+     depend on it. *)
+  let by_src_of ~n ~pattern config =
+    let a = Array.make n [] in
+    Adversary.fold_pending
+      (fun () ~id ~src ~dst:_ ~sent_at:_ -> a.(src) <- id :: a.(src))
+      (E.observe ~pattern config) ();
+    a
+
   let expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
       ~model ~forge_alts ~pattern_of ~check moves config mask =
     let decisions = E.decisions config in
@@ -1102,19 +1113,12 @@ module Make (A : Algorithm.S) = struct
           end
         end
       done;
-      (* one pass over the pending multiset buckets messages by sender
-         for the drop-on-crash / omission successors *)
-      let by_src_of () =
-        let a = Array.make n [] in
-        List.iter
-          (fun (e : A.message Envelope.t) -> a.(e.src) <- e.id :: a.(e.src))
-          (E.pending config);
-        a
-      in
       match model with
       | Fault_model.Crash | Fault_model.Byzantine _ ->
           if Mask.popcount mask - Mask.popcount base_mask < budget then begin
-            let by_src = if drop_on_crash then by_src_of () else [||] in
+            let by_src =
+              if drop_on_crash then by_src_of ~n ~pattern config else [||]
+            in
             for victim = 0 to n - 1 do
               if not (Mask.mem mask victim) then begin
                 add_move moves Crash victim 0 [];
@@ -1125,7 +1129,7 @@ module Make (A : Algorithm.S) = struct
           end
       | Fault_model.Mobile t ->
           if t > 0 then begin
-            let by_src = by_src_of () in
+            let by_src = by_src_of ~n ~pattern config in
             for s = 0 to n - 1 do
               if by_src.(s) <> [] then add_move moves Omit s 0 by_src.(s)
             done
@@ -1516,19 +1520,18 @@ module Make (A : Algorithm.S) = struct
      a configuration admitted since then took the key first.
 
      An admitted configuration is expanded: the decisions check,
-     completeness over the [correct] processes, the [max_depth] cut,
-     and the successors, pushed newest first so that they pop in
-     generation order — one domain admits exactly in the depth-first
-     order of the recursive search.  [term_set] and [bare_set] hold
+     completeness over the [correct] processes, and the successors,
+     pushed newest first so that they pop in generation order — one
+     domain admits exactly in the depth-first order of the recursive
+     search.  [term_set] and [bare_set] hold
      bare (sleep-free) keys: under sym+por one configuration can be
      admitted once per distinct sleep digest, but it is one terminal
      state and one distinct configuration.  [term_set] makes terminal
-     counting and [found] fire once per configuration, absorbing the
-     re-expansion of a requeued [Held] item too; [bare_set] feeds the
-     sleep-readmission counter.  [found.(w.i)] collects worker [w]'s
-     terminal decision sets, newest first, unless [found] is empty. *)
-  let free_step run ~term_set ~bare_set ~found ~policy ~pattern ~max_depth
-      ~check (w : _ Workers.w) =
+     counting fire once per configuration, absorbing the re-expansion
+     of a requeued [Held] item too; [bare_set] feeds the
+     sleep-readmission counter. *)
+  let free_step run ~term_set ~bare_set ~policy ~pattern ~check
+      (w : _ Workers.w) =
     let correct = Failure_pattern.correct pattern in
     let sl = free_scratch () and push_item = Workers.push w in
     let expand config depth sleep bare =
@@ -1541,12 +1544,9 @@ module Make (A : Algorithm.S) = struct
       then begin
         if Shardset.add term_set bare 0 then begin
           Atomic.incr run.terminals;
-          Metrics.incr m_terminals;
-          if Array.length found > 0 then
-            found.(w.i) <- decisions :: found.(w.i)
+          Metrics.incr m_terminals
         end
       end
-      else if depth >= max_depth then w.exhausted <- true
       else begin
         free_successors run sl ~policy ~pattern ~steppers:correct ~sleep
           ~bare ~depth:(depth + 1) config;
@@ -1591,13 +1591,9 @@ module Make (A : Algorithm.S) = struct
     a
 
   let explore ?(reduction = Canon.No_reduction) ?(domains = 1)
-      ?(max_depth = 200) ?(max_configs = 2_000_000) ?(policy = Per_sender)
-      ?on_terminal ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~pattern
-      ~check () =
+      ?(max_configs = 2_000_000) ?(policy = Per_sender)
+      ?(ckpt = Checkpoint.ctl ()) ?resume ~n ~inputs ~pattern ~check () =
     require_explorable ~n ~pattern ();
-    let found =
-      if Option.is_some on_terminal then Array.make (max 1 domains) [] else [||]
-    in
     match
       drive ~engine:"explore" ~model:Fault_model.Crash ~reduction ~domains
         ~max_configs ~ckpt ~resume (fun run p ->
@@ -1621,9 +1617,7 @@ module Make (A : Algorithm.S) = struct
                 in
                 let key = Bytes.sub_string (Canon.key_buffer ()) 0 len in
                 [ Cand (root, 0, [], key, bare_len) ]);
-            make =
-              free_step run ~term_set ~bare_set ~found ~policy ~pattern
-                ~max_depth ~check;
+            make = free_step run ~term_set ~bare_set ~policy ~pattern ~check;
             save =
               (fun p ->
                 {
@@ -1634,11 +1628,7 @@ module Make (A : Algorithm.S) = struct
           })
     with
     | Error (decisions, reason, depth) -> Violation { decisions; reason; depth }
-    | Ok stats ->
-        Option.iter
-          (fun f -> Array.iter (fun l -> List.iter f (List.rev l)) found)
-          on_terminal;
-        Safe stats
+    | Ok stats -> Safe stats
 
   (* ---- crash-adversarial exploration ---- *)
 

@@ -89,12 +89,11 @@ type stats = {
           [terminal_runs] agrees between [Symmetry] and
           [Symmetry_por]. *)
   budget_exhausted : bool;
-      (** True if [max_configs] or [max_depth] pruned the search — the
-          verdict then covers only the explored portion.  Admission is
-          clamped {e at} the budget in every driver, so
-          [configs_visited] never exceeds [max_configs], and the flag
-          is set only when an unseen reachable configuration was
-          actually turned away (or a depth cutoff fired). *)
+      (** True if [max_configs] pruned the search — the verdict then
+          covers only the explored portion.  Admission is clamped {e at}
+          the budget in every driver, so [configs_visited] never
+          exceeds [max_configs], and the flag is set only when an
+          unseen reachable configuration was actually turned away. *)
 }
 
 type outcome =
@@ -207,10 +206,8 @@ module Make (A : Algorithm.S) : sig
   val explore :
     ?reduction:Canon.reduction ->
     ?domains:int ->
-    ?max_depth:int ->
     ?max_configs:int ->
     ?policy:delivery_policy ->
-    ?on_terminal:((Pid.t * Value.t * int) list -> unit) ->
     ?ckpt:Checkpoint.ctl ->
     ?resume:string ->
     n:int ->
@@ -222,17 +219,13 @@ module Make (A : Algorithm.S) : sig
   (** Depth-first search over all schedules.  [check decisions]
       returns [Some reason] to report a safety violation of the
       current decision set ((process, value, time) triples); the
-      shallowest violation found is reported.  [on_terminal] fires
-      once per decision-complete configuration {e key}, from the
-      calling domain after the search, and not at all when a
-      violation is found; under [Symmetry_por] sleep-digest
-      re-admissions of a terminal configuration do not re-fire it, so
-      terminal counts and callbacks agree with [Symmetry].  Defaults:
-      [domains] 1, [max_depth] 200, [max_configs] 2_000_000, [policy]
-      [Per_sender].  Domains, [ckpt], [resume] and supervision are as
-      described above; on interruption the verdict is [Safe] with
-      [budget_exhausted] set, and [on_terminal] calls delivered before
-      a checkpoint are not replayed. *)
+      shallowest violation found is reported.  [max_configs] is the
+      only budget: deduplication by key already cuts every cycle.
+      Defaults:
+      [domains] 1, [max_configs] 2_000_000, [policy] [Per_sender].
+      Domains, [ckpt], [resume] and supervision are as described
+      above; on interruption the verdict is [Safe] with
+      [budget_exhausted] set. *)
 
   val explore_with_crashes :
     ?reduction:Canon.reduction ->
@@ -319,7 +312,9 @@ module Make (A : Algorithm.S) : sig
     unit ->
     resilient_outcome
   (** {!explore_with_crashes} with [domains] defaulting to
-      {!default_domains}. *)
+      {!default_domains}.  Kept only for the benchmark's units
+      ([ksa_bench/units.ml]) and [bench/main.ml]; it goes with ROADMAP
+      item 9. *)
 
   val reachable_decision_values :
     ?reduction:Canon.reduction ->

@@ -29,15 +29,8 @@ let faulty t =
 let correct t =
   List.filter (fun p -> not (is_faulty t p)) (Pid.universe t.size)
 
-let crashed_at t ~time =
-  List.filter
-    (fun p -> match t.crash.(p) with Some ct -> ct <= time | None -> false)
-    (Pid.universe t.size)
-
 let is_crashed t p ~time =
   match crash_time t p with Some ct -> ct <= time | None -> false
-
-let f_count t = List.length (faulty t)
 
 let restrict_to t inside =
   let crash =

@@ -36,13 +36,7 @@ val faulty : t -> Pid.t list
 val correct : t -> Pid.t list
 (** Π \ F, sorted. *)
 
-val crashed_at : t -> time:int -> Pid.t list
-(** F(t): the processes whose crash time is ≤ t, sorted. *)
-
 val is_crashed : t -> Pid.t -> time:int -> bool
-
-val f_count : t -> int
-(** |F|: the number of faulty processes. *)
 
 val restrict_to : t -> Pid.t list -> t
 (** Pattern for the same universe in which every process {e outside}

@@ -743,9 +743,6 @@ module Make (A : Algorithm.S) = struct
       replays;
     }
 
-  let resume_trial payload =
-    match decode_payload payload with Ok p -> p.pl_trial | Error _ -> 0
-
   (* ---------- greybox trial generation ---------- *)
 
   (* one mutation pass over a schedule; each arm draws from [rng] in a

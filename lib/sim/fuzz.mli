@@ -172,7 +172,8 @@ module Make (A : Algorithm.S) : sig
       Safety verdicts transfer from the fuzzed run even though drops
       are not part of the schedule: dropped messages were never
       delivered, so replay feeds every process the same receive
-      sequence. *)
+      sequence.  Kept only for the benchmark's hunt units
+      ([ksa_bench/units.ml]); it goes with ROADMAP item 9. *)
 
   val replay_strict :
     ?pattern:Failure_pattern.t ->
@@ -196,13 +197,6 @@ module Make (A : Algorithm.S) : sig
       candidate replays and whether the input schedule itself did
       (the [replays] of {!violation}).  If it did not, the schedule is
       returned unshrunk. *)
-
-  val resume_trial : string -> int
-  (** Decode the payload of a ["fuzz"]-kind checkpoint into its trial
-      watermark: every trial below it completed clean; 0 for a payload
-      another engine wrote.  Raises on garbage — gate with
-      {!Checkpoint.kind} first.  To resume, pass
-      the whole payload as [resume_payload]. *)
 
   val run :
     ?on_trial:(int -> Run.t -> unit) ->
@@ -282,5 +276,7 @@ module Make (A : Algorithm.S) : sig
     seed:int ->
     trials:int ->
     outcome
-  (** {!run} with [domains] defaulting to {!Explorer.default_domains}. *)
+  (** {!run} with [domains] defaulting to {!Explorer.default_domains}.
+      Kept only for the benchmark's fuzz units ([ksa_bench/units.ml]);
+      it goes with ROADMAP item 9. *)
 end

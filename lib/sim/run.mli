@@ -49,8 +49,6 @@ val distinct_decisions : t -> int
 
 val all_correct_decided : t -> bool
 
-val decision_time : t -> Pid.t -> int option
-
 val last_decision_time : t -> Pid.t list -> int option
 (** Latest decision time among the given processes ([None] if one of
     them never decided). *)

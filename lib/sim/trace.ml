@@ -54,9 +54,6 @@ let indistinguishable_for a b p =
   | false, true -> la >= lb && prefix_equal ra rb lb
   | false, false -> prefix_equal ra rb (min la lb)
 
-let indistinguishable_for_all a b ds =
-  List.for_all (indistinguishable_for a b) ds
-
 let equal a b = a.init_ids = b.init_ids && a.steps = b.steps
 
 let pp ppf t =

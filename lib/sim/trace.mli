@@ -61,10 +61,6 @@ val indistinguishable_for : t -> t -> Pid.t -> bool
     the other trace; if in neither, the rows must agree up to the
     shorter one's length.  Exact integer comparison, O(steps). *)
 
-val indistinguishable_for_all : t -> t -> Pid.t list -> bool
-(** α {^D}∼ β (Definition 2): {!indistinguishable_for} holds for
-    every process of D. *)
-
 val equal : t -> t -> bool
 (** Structural equality of whole traces (same initial states, same
     rows, same decision marks). *)

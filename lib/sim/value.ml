@@ -4,5 +4,3 @@ let compare = Int.compare
 let equal = Int.equal
 let pp ppf v = Format.fprintf ppf "%d" v
 let distinct_inputs n = Array.init n Fun.id
-let constant_inputs n v = Array.make n v
-let count_distinct vs = List.length (List.sort_uniq compare vs)

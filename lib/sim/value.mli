@@ -14,7 +14,3 @@ val pp : Format.formatter -> t -> unit
 val distinct_inputs : int -> t array
 (** [distinct_inputs n] assigns value [i] to process [i]: the
     worst-case input of the impossibility arguments. *)
-
-val constant_inputs : int -> t -> t array
-
-val count_distinct : t list -> int

@@ -51,7 +51,7 @@ let explore_kset ~l ~n ~dead ~k =
   end) in
   let module Ex = Sim.Explorer.Make (K) in
   let pattern = FP.initial_dead ~n ~dead in
-  Ex.explore ~max_depth:60 ~max_configs:400_000 ~policy:Sim.Explorer.Per_sender
+  Ex.explore ~max_configs:400_000 ~policy:Sim.Explorer.Per_sender
     ~n ~inputs:(distinct n) ~pattern
     ~check:(fun decisions ->
       let values =

@@ -729,6 +729,16 @@ let check_fuzz_equal name a b =
         (va.Sim.Fuzz.shrunk = vb.Sim.Fuzz.shrunk)
   | _ -> Alcotest.fail (name ^ ": outcomes differ in kind")
 
+(* A fuzz payload resumed over [trials] trials of [cfg] at seed 7, in
+   the calling domain: the outcome, and the payload's clean-trial
+   watermark read as the lowest trial the resumed campaign runs
+   ([trials] when it runs none). *)
+let resume_fuzz ?(cfg = fuzz_cfg_clean) ~trials payload =
+  let first = ref trials in
+  let on_trial i _ = first := min !first i in
+  let outcome = FK2.run ~on_trial ~resume_payload:payload cfg ~seed:7 ~trials in
+  (outcome, !first)
+
 (* two coverage campaigns end on bit-identical coverage state: the
    same watermark, id and pair counts, and corpus entries in the same
    admission order *)
@@ -766,12 +776,10 @@ let test_fuzz_seq_resume () =
           Alcotest.(check bool) "cut mid-campaign" true (t > 0 && t < trials)
       | _ -> Alcotest.fail "interrupted fuzz should be Budget_exhausted");
       let t = load_restored path in
-      let watermark = FK2.resume_trial (Checkpoint.payload t) in
+      let resumed, watermark = resume_fuzz ~trials (Checkpoint.payload t) in
       Alcotest.(check bool) "watermark mid-campaign" true
         (watermark > 0 && watermark < trials);
-      check_fuzz_equal "fuzz seq resume" baseline
-        (FK2.run ~resume_payload:(Checkpoint.payload t) fuzz_cfg_clean ~seed:7
-           ~trials))
+      check_fuzz_equal "fuzz seq resume" baseline resumed)
 
 let test_fuzz_par_resume () =
   let trials = 600 in
@@ -904,7 +912,10 @@ let test_fuzz_poisoned_ticket () =
           Alcotest.(check bool)
             (name ^ ": poisoned campaign flushed a checkpoint")
             true (Sys.file_exists path);
-          let wm = FK2.resume_trial (Checkpoint.payload (load_restored path)) in
+          let _, wm =
+            resume_fuzz ~cfg:{ fuzz_cfg_clean with Sim.Fuzz.coverage } ~trials
+              (Checkpoint.payload (load_restored path))
+          in
           Alcotest.(check bool)
             (Printf.sprintf "%s: watermark %d <= poisoned trial" name wm)
             true (wm <= poisoned);
@@ -937,12 +948,9 @@ let test_fuzz_seq_stop_flush () =
       Alcotest.(check bool) "stop expiry flushed a checkpoint" true
         (Sys.file_exists path);
       let t = load_restored path in
-      Alcotest.(check int) "flushed watermark = reported trials" 150
-        (FK2.resume_trial (Checkpoint.payload t));
-      check_fuzz_equal "fuzz seq stop resume" baseline
-        (FK2.run
-           ~resume_payload:(Checkpoint.payload t)
-           fuzz_cfg_clean ~seed:7 ~trials))
+      let resumed, watermark = resume_fuzz ~trials (Checkpoint.payload t) in
+      Alcotest.(check int) "flushed watermark = reported trials" 150 watermark;
+      check_fuzz_equal "fuzz seq stop resume" baseline resumed)
 
 let test_fuzz_par_stop_flush () =
   let trials = 600 in
@@ -963,12 +971,10 @@ let test_fuzz_par_stop_flush () =
       (* which trials ran is timing-dependent, but the reported count
          must be exactly the flushed clean-trial watermark — not a
          racy ticket count that can claim unfinished work *)
+      let resumed, watermark = resume_fuzz ~trials (Checkpoint.payload t) in
       Alcotest.(check int) "reported trials = flushed watermark" reported
-        (FK2.resume_trial (Checkpoint.payload t));
-      check_fuzz_equal "fuzz par stop resume (seq)" baseline
-        (FK2.run
-           ~resume_payload:(Checkpoint.payload t)
-           fuzz_cfg_clean ~seed:7 ~trials);
+        watermark;
+      check_fuzz_equal "fuzz par stop resume (seq)" baseline resumed;
       check_fuzz_equal "fuzz par stop resume (par)" baseline
         (FK2.run_par ~domains:2
            ~resume_payload:(Checkpoint.payload t)
@@ -1319,9 +1325,6 @@ let test_explore_payload_in_fuzz () =
   let trials = 200 in
   List.iter
     (fun (engine, payload) ->
-      Alcotest.(check int)
-        (engine ^ ": resume_trial")
-        0 (FK2.resume_trial payload);
       let ran = Atomic.make 0 in
       let on_trial _ _ = Atomic.incr ran in
       let (outcome, cov), err =

@@ -324,6 +324,15 @@ let test_bad_family () =
   expect_error (indep @ [ "f=x" ]) ~names:"\"f=x\"";
   expect_error (indep @ [ "bogus" ]) ~names:"\"bogus\""
 
+(* the harness prints each verdict's summary line and exits 0 only
+   when every verdict holds *)
+let test_experiments_verdicts () =
+  let c, out, err = ksa [ "experiments"; "--only"; "E6" ] in
+  Alcotest.(check int) (Printf.sprintf "exit (stderr %S)" err) 0 c;
+  Alcotest.(check bool)
+    "summary line" true
+    (contains ~sub:"\n  [E6] REPRODUCED" out)
+
 let test_bad_experiment_ids () =
   expect_error [ "experiments"; "--only"; "E99" ] ~names:"E14";
   expect_error [ "experiments"; "--only"; "e1" ] ~names:"\"e1\""
@@ -545,6 +554,8 @@ let suites =
         Alcotest.test_case "malformed group lists exit 1" `Quick
           test_bad_groups;
         Alcotest.test_case "malformed families exit 1" `Quick test_bad_family;
+        Alcotest.test_case "experiments: verdict lines, exit 0" `Quick
+          test_experiments_verdicts;
         Alcotest.test_case "unknown experiment ids exit 1" `Quick
           test_bad_experiment_ids;
         Alcotest.test_case "explore: not explorable exits 1" `Quick

@@ -274,7 +274,9 @@ let prop_transpose_preserves_scc =
       && List.for_all
            (fun (u, v) ->
              Scc.same_component r u v = Scc.same_component rt u v)
-           (Ksa_prim.Listx.cartesian (D.vertices g) (D.vertices g)))
+           (List.concat_map
+              (fun u -> List.map (fun v -> (u, v)) (D.vertices g))
+              (D.vertices g)))
 
 let prop_induced_subgraph_edges =
   QCheck.Test.make ~name:"induced subgraph keeps exactly internal edges"

@@ -41,7 +41,7 @@ let test_parity_explore_n3 () =
   let module Ex = Sim.Explorer.Make (K2) in
   let seq =
     stats_of "seq"
-      (Ex.explore ~max_depth:100_000 ~n:3 ~inputs:(distinct 3)
+      (Ex.explore ~n:3 ~inputs:(distinct 3)
          ~pattern:(FP.none ~n:3) ~check:no_check ())
   in
   Alcotest.(check bool) "untruncated" false seq.Sim.Explorer.budget_exhausted;
@@ -49,7 +49,7 @@ let test_parity_explore_n3 () =
     (fun domains ->
       let par =
         stats_of "par"
-          (Ex.explore ~domains ~max_depth:100_000 ~n:3 ~inputs:(distinct 3)
+          (Ex.explore ~domains ~n:3 ~inputs:(distinct 3)
              ~pattern:(FP.none ~n:3) ~check:no_check ())
       in
       check_stats_equal (Printf.sprintf "n3 domains=%d" domains) seq par)
@@ -62,42 +62,34 @@ let test_parity_explore_n4 () =
   let policy = Sim.Explorer.Empty_or_all in
   let seq =
     stats_of "seq"
-      (Ex.explore ~max_depth:100_000 ~policy ~n:4 ~inputs:(distinct 4)
+      (Ex.explore ~policy ~n:4 ~inputs:(distinct 4)
          ~pattern:(FP.none ~n:4) ~check:no_check ())
   in
   Alcotest.(check bool) "untruncated" false seq.Sim.Explorer.budget_exhausted;
   let par =
     stats_of "par"
-      (Ex.explore ~domains:3 ~max_depth:100_000 ~policy ~n:4
+      (Ex.explore ~domains:3 ~policy ~n:4
          ~inputs:(distinct 4) ~pattern:(FP.none ~n:4) ~check:no_check ())
   in
   check_stats_equal "n4 empty-or-all" seq par
 
 let test_parity_terminal_sets () =
-  (* beyond the counts: the parallel driver must surface exactly the
-     sequential terminal decision sets through [on_terminal].
-     Decision timestamps are path-dependent (terminal configurations
-     are deduplicated on content, not on the route taken), so only
-     the (pid, value) sets are compared. *)
+  (* beyond the counts: the parallel driver must reach exactly the
+     sequential terminal decision sets, (pid, value) pairs as
+     {!Test_util.terminal_sets} collects them *)
   let module Ex = Sim.Explorer.Make (K2) in
-  let collect f =
-    let acc = ref [] in
-    (match f (fun ds -> acc := List.map (fun (p, v, _) -> (p, v)) ds :: !acc) with
-    | Sim.Explorer.Safe _ -> ()
-    | Sim.Explorer.Violation _ -> Alcotest.fail "unexpected violation");
-    List.sort_uniq compare !acc
+  let collect domains =
+    match
+      Test_util.terminal_sets ~correct:[ 0; 1; 2 ] (fun ~check ->
+          Ex.explore ~domains ~n:3 ~inputs:(distinct 3)
+            ~pattern:(FP.none ~n:3) ~check ())
+    with
+    | Sim.Explorer.Safe _, sets -> sets
+    | Sim.Explorer.Violation _, _ -> Alcotest.fail "unexpected violation"
   in
-  let seq =
-    collect (fun on_terminal ->
-        Ex.explore ~on_terminal ~max_depth:100_000 ~n:3 ~inputs:(distinct 3)
-          ~pattern:(FP.none ~n:3) ~check:no_check ())
-  in
-  let par =
-    collect (fun on_terminal ->
-        Ex.explore ~domains:2 ~on_terminal ~max_depth:100_000 ~n:3
-          ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ())
-  in
-  Alcotest.(check bool) "same terminal decision sets" true (seq = par)
+  let seq = collect 1 in
+  Alcotest.(check bool) "some terminal decision set" true (seq <> []);
+  Alcotest.(check bool) "same terminal decision sets" true (seq = collect 2)
 
 let test_parity_violation () =
   (* a false claim about the trivial algorithm: every driver must
@@ -567,9 +559,9 @@ let test_key_ignores_send_interleaving () =
   let c01 = step (step (init ()) 0 []) 1 [] in
   let c10 = step (step (init ()) 1 []) 0 [] in
   Alcotest.(check bool) "keys collide" true
-    (E2.key_equal (E2.key c01) (E2.key c10));
+    (String.equal (E2.key c01) (E2.key c10));
   Alcotest.(check bool) "orbit keys collide" true
-    (E2.key_equal
+    (String.equal
        (E2.key ~reduction:Sim.Canon.Symmetry c01)
        (E2.key ~reduction:Sim.Canon.Symmetry c10))
 
@@ -578,9 +570,9 @@ let test_key_separates_distinct_configs () =
   let c0 = step init 0 [] in
   let c1 = step init 1 [] in
   Alcotest.(check bool) "initial vs stepped" false
-    (E2.key_equal (E2.key init) (E2.key c0));
+    (String.equal (E2.key init) (E2.key c0));
   Alcotest.(check bool) "different steppers" false
-    (E2.key_equal (E2.key c0) (E2.key c1));
+    (String.equal (E2.key c0) (E2.key c1));
   (* delivering a message changes the pending multiset and the state *)
   let c01 = step (step init 0 []) 1 [] in
   let inbox2 = List.map fst (E2.inbox c01 2) in
@@ -588,15 +580,15 @@ let test_key_separates_distinct_configs () =
   let delivered = step c01 2 inbox2 in
   let undelivered = step c01 2 [] in
   Alcotest.(check bool) "delivery distinguishes" false
-    (E2.key_equal (E2.key delivered) (E2.key undelivered))
+    (String.equal (E2.key delivered) (E2.key undelivered))
 
 let test_key_extra_discriminates () =
   (* the crash explorers fold the crashed-set mask into the key *)
   let c = E2.init ~record:false ~n:3 ~inputs:(distinct 3) () in
   Alcotest.(check bool) "masks separate" false
-    (E2.key_equal (E2.key ~crashed:0 c) (E2.key ~crashed:1 c));
+    (String.equal (E2.key ~crashed:0 c) (E2.key ~crashed:1 c));
   Alcotest.(check bool) "same mask collides" true
-    (E2.key_equal (E2.key ~crashed:5 c) (E2.key ~crashed:5 c))
+    (String.equal (E2.key ~crashed:5 c) (E2.key ~crashed:5 c))
 
 let test_key_exploration_agnostic () =
   (* the interning fallback for recorded configurations produces the
@@ -604,11 +596,11 @@ let test_key_exploration_agnostic () =
   let ce = E2.init ~record:false ~n:3 ~inputs:(distinct 3) () in
   let cr = E2.init ~n:3 ~inputs:(distinct 3) () in
   Alcotest.(check bool) "init keys agree" true
-    (E2.key_equal (E2.key ce) (E2.key cr));
+    (String.equal (E2.key ce) (E2.key cr));
   let ce' = step ce 0 [] in
   let cr' = step cr 0 [] in
   Alcotest.(check bool) "stepped keys agree" true
-    (E2.key_equal (E2.key ce') (E2.key cr'))
+    (String.equal (E2.key ce') (E2.key cr'))
 
 (* ---------- idle-step elision is invisible ----------
 
@@ -628,8 +620,8 @@ let test_key_exploration_agnostic () =
 module Metrics = Ksa_prim.Metrics
 
 let k_check ~k decisions =
-  if Sim.Value.count_distinct (List.map (fun (_, v, _) -> v) decisions) > k
-  then Some "k-agreement"
+  let values = List.sort_uniq compare (List.map (fun (_, v, _) -> v) decisions) in
+  if List.length values > k then Some "k-agreement"
   else None
 
 let stats_token (s : Sim.Explorer.stats) =

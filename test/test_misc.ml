@@ -16,10 +16,8 @@ let test_pid_value_basics () =
   Alcotest.(check bool) "invalid" false (Sim.Pid.valid ~n:3 3);
   Alcotest.(check bool) "invalid neg" false (Sim.Pid.valid ~n:3 (-1));
   Alcotest.(check string) "pp" "p4" (Format.asprintf "%a" Sim.Pid.pp 4);
-  Alcotest.(check int) "distinct count" 2
-    (Sim.Value.count_distinct [ 1; 1; 7 ]);
-  Alcotest.(check (array int)) "constant inputs" [| 9; 9 |]
-    (Sim.Value.constant_inputs 2 9)
+  Alcotest.(check (array int)) "distinct inputs" [| 0; 1; 2 |]
+    (Sim.Value.distinct_inputs 3)
 
 (* ---------- borders: argument validation ---------- *)
 
@@ -164,7 +162,11 @@ let test_verdict_pp () =
   Alcotest.(check bool) "reproduced" true (contains s "REPRODUCED");
   let bad = { v with Core.Experiments.holds = false } in
   let s = Format.asprintf "%a" Core.Experiments.pp_verdict bad in
-  Alcotest.(check bool) "mismatch" true (contains s "MISMATCH")
+  Alcotest.(check bool) "mismatch" true (contains s "MISMATCH");
+  (* the exit status of [ksa experiments] *)
+  Alcotest.(check int) "all hold" 0 (Core.Experiments.exit_code [ v; v ]);
+  Alcotest.(check int) "one mismatch" 1 (Core.Experiments.exit_code [ v; bad ]);
+  Alcotest.(check int) "none run" 0 (Core.Experiments.exit_code [])
 
 let suites =
   [

@@ -32,6 +32,7 @@ end)
 let distinct = Sim.Value.distinct_inputs
 let no_check _ = None
 let reduced_modes = [ Canon.Symmetry; Canon.Symmetry_por ]
+let all_modes = Canon.No_reduction :: reduced_modes
 let mode_name = Canon.reduction_to_string
 
 (* ---------- rows generator ---------- *)
@@ -152,7 +153,7 @@ let prop_key_decodes =
     ~count:1000 arb_rows (fun rows ->
       List.for_all
         (fun m -> decode (key m rows) = reference_ints m rows)
-        (Canon.No_reduction :: reduced_modes))
+        all_modes)
 
 (* Rows far larger than the writer's scratch space starts with (300
    triples, payload ids into the thousands), so the scratch array and
@@ -176,7 +177,7 @@ let test_key_large_rows () =
         ("decodes, " ^ mode_name m)
         (reference_ints m rows)
         (decode (key m rows)))
-    (Canon.No_reduction :: reduced_modes);
+    all_modes;
   Alcotest.(check string) "orbit key = reference" (orbit_key rows)
     (key Canon.Symmetry rows);
   (* a sleep digest far larger than the buffer, appended after the key
@@ -411,7 +412,7 @@ let prop_engine_key_is_canon_key =
             (fun reduction ->
               Key_walk_k2.holds ~n ~reduction walk
               && Key_walk_n2.holds ~n ~reduction walk)
-            Canon.all_reductions)
+            all_modes)
         [ 3; 4 ])
 
 (* The key written into the scratch buffer allocates nothing, in every
@@ -441,7 +442,7 @@ let test_engine_key_allocates_nothing () =
         0.
         (Test_util.words_per_loop 1000 (fun () ->
              ignore (E.write_key ~crashed:0b100 ~reduction c : int))))
-    Canon.all_reductions
+    all_modes
 
 (* ---------- key-first steps ---------- *)
 
@@ -588,7 +589,7 @@ let prop_key_first_is_build_then_key =
             (fun reduction ->
               Key_first_k2.holds ~n ~reduction walk
               && Key_first_n2.holds ~n ~reduction walk)
-            Canon.all_reductions)
+            all_modes)
         [ 3; 4 ])
 
 (* An explorer path replayed in a recording configuration of the same
@@ -728,7 +729,7 @@ let prop_explorer_path_replays =
                   Explorer_path_k2.holds ~n ~reduction ~byzantine walk
                   && Explorer_path_n2.holds ~n ~reduction ~byzantine walk)
                 [ false; true ])
-            Canon.all_reductions)
+            all_modes)
         [ 3; 4 ])
 
 (* A recorded run and a crash exploration give the same results in a
@@ -863,7 +864,7 @@ let test_key_first_allocates_nothing () =
         ("key-first dedup hit words, " ^ mode_name reduction)
         0.
         (Test_util.words_per_loop 1000 (fun () -> ignore (probe () : int))))
-    Canon.all_reductions;
+    all_modes;
   let module T = Sim.Engine.Make (Ksa_algo.Trivial.A) in
   let step c =
     Option.get
@@ -1036,10 +1037,7 @@ let prop_independent_iff_disjoint =
         p <> q && sp land (1 lsl q) = 0 && sq land (1 lsl p) = 0
       in
       Canon.Action.independent (act ~sends:sp p ds) (act ~sends:sq q es)
-      = expected
-      && Ksa_core.Independence.actions_commute (act ~sends:sp p ds)
-           (act ~sends:sq q es)
-         = expected)
+      = expected)
 
 let test_send_breaks_independence () =
   (* the reviewer's counterexample shape: distinct steppers are NOT
@@ -1107,14 +1105,14 @@ let test_independent_steps_commute () =
       Alcotest.(check bool)
         (mode_name reduction ^ ": step/deliver commute")
         true
-        (E2.key_equal (E2.key ~reduction ab) (E2.key ~reduction ba)))
-    Canon.all_reductions;
+        (String.equal (E2.key ~reduction ab) (E2.key ~reduction ba)))
+    all_modes;
   (* same stepper, different batches: dependent (keys differ) *)
   let all = estep c 2 inbox2 in
   let none = estep c 2 [] in
   Alcotest.(check bool)
     "same-pid actions are dependent" false
-    (E2.key_equal (E2.key all) (E2.key none))
+    (String.equal (E2.key all) (E2.key none))
 
 let test_sends_recorded_and_dependent () =
   (* kset_flp(l=2)'s first step broadcasts Hello, and a step that
@@ -1189,7 +1187,7 @@ module Idle_walk (A : Sim.Algorithm.S) = struct
         (not (E.idle_step ~pattern c pid))
         ||
         match stepped with
-        | Some c' -> E.key_equal (key c') (key c)
+        | Some c' -> String.equal (key c') (key c)
         | None -> false)
       (List.init n Fun.id)
 
@@ -1269,7 +1267,7 @@ let prop_idle_step_keeps_key =
           && Walk_n2.holds ~reduction walk
           && Walk_trivial.holds ~reduction walk
           && Walk_tick.holds ~reduction walk)
-        Canon.all_reductions)
+        all_modes)
 
 (* A functor instance of its own, so its memo holds only what this
    test puts there *)
@@ -1448,21 +1446,17 @@ let test_differential_terminal_sets () =
           let module Ex = Sim.Explorer.Make (A) in
           let label = name ^ "/" ^ pname in
           let collect ?reduction ?domains () =
-            let acc = ref [] in
-            let on_terminal ds =
-              acc := List.map (fun (p, v, _) -> (p, v)) ds :: !acc
-            in
-            (match
-               Ex.explore ?reduction ?domains ~policy ~on_terminal ~n:3
-                 ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check
-                 ()
-             with
-            | Sim.Explorer.Safe s ->
+            match
+              Test_util.terminal_sets ~correct:[ 0; 1; 2 ] (fun ~check ->
+                  Ex.explore ?reduction ?domains ~policy ~n:3
+                    ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check ())
+            with
+            | Sim.Explorer.Safe s, sets ->
                 Alcotest.(check bool)
                   (label ^ ": untruncated") false
-                  s.Sim.Explorer.budget_exhausted
-            | Sim.Explorer.Violation _ -> Alcotest.fail (label ^ ": violation"));
-            List.sort_uniq compare !acc
+                  s.Sim.Explorer.budget_exhausted;
+                sets
+            | Sim.Explorer.Violation _, _ -> Alcotest.fail (label ^ ": violation")
           in
           let baseline = collect () in
           List.iter
@@ -1482,40 +1476,30 @@ let test_differential_terminal_sets () =
     policies
 
 let test_terminal_count_parity () =
-  (* terminal_runs — and the number of on_terminal firings — count
-     distinct terminal configuration keys, so they must agree between
-     sym and sym+por even though sym+por re-admits configurations once
-     per sleep digest *)
+  (* terminal_runs counts distinct terminal configuration keys, so it
+     must agree between sym and sym+por even though sym+por re-admits
+     configurations once per sleep digest *)
   let module Ex = Sim.Explorer.Make (K2) in
   List.iter
     (fun (pname, policy) ->
       let count ?domains reduction =
-        let fired = ref 0 in
-        let on_terminal _ = incr fired in
         match
-          Ex.explore ~reduction ?domains ~policy ~on_terminal ~n:3
-            ~inputs:(distinct 3) ~pattern:(FP.none ~n:3) ~check:no_check ()
+          Ex.explore ~reduction ?domains ~policy ~n:3 ~inputs:(distinct 3)
+            ~pattern:(FP.none ~n:3) ~check:no_check ()
         with
-        | Sim.Explorer.Safe s -> (s.Sim.Explorer.terminal_runs, !fired)
+        | Sim.Explorer.Safe s -> s.Sim.Explorer.terminal_runs
         | Sim.Explorer.Violation _ -> Alcotest.fail (pname ^ ": violation")
       in
-      let runs_sym, fired_sym = count Canon.Symmetry in
+      let runs_sym = count Canon.Symmetry in
       Alcotest.(check bool)
         (pname ^ ": some terminal reached") true (runs_sym > 0);
-      Alcotest.(check int)
-        (pname ^ ": sym fires once per terminal") runs_sym fired_sym;
       List.iter
         (fun domains ->
-          let runs_por, fired_por = count ?domains Canon.Symmetry_por in
           let tag = match domains with None -> "seq" | Some d ->
             Printf.sprintf "par(%d)" d in
           Alcotest.(check int)
             (Printf.sprintf "%s: terminal_runs sym = sym+por (%s)" pname tag)
-            runs_sym runs_por;
-          Alcotest.(check int)
-            (Printf.sprintf "%s: on_terminal firings sym = sym+por (%s)" pname
-               tag)
-            runs_por fired_por)
+            runs_sym (count ?domains Canon.Symmetry_por))
         [ None; Some 2 ])
     policies
 

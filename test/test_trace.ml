@@ -205,7 +205,8 @@ let test_cross_substrate_traces () =
   Alcotest.(check bool) "identical interned traces" true
     (Trace.equal ho.HE.trace async.Sim.Run.trace);
   Alcotest.(check bool) "indistinguishable for every process" true
-    (Trace.indistinguishable_for_all ho.HE.trace async.Sim.Run.trace
+    (List.for_all
+       (Trace.indistinguishable_for ho.HE.trace async.Sim.Run.trace)
        (List.init n Fun.id))
 
 let test_cross_substrate_divergence_detected () =

@@ -100,3 +100,22 @@ let decision_values_par run =
   in
   ignore (run ~check);
   List.sort compare !seen
+
+(* [explore ~check] run with a [check] that never objects and collects
+   the (pid, value) decision sets of the configurations where every
+   process of [correct] has decided: the outcome and the distinct
+   sets, sorted.  Decision times are path-dependent (terminal
+   configurations are deduplicated on content, not on the route taken)
+   and are dropped.  [check] may run on several domains at once. *)
+let terminal_sets ~correct explore =
+  let seen = Hashtbl.create 64 and lock = Mutex.create () in
+  let check ds =
+    if List.for_all (fun p -> List.exists (fun (q, _, _) -> q = p) ds) correct
+    then begin
+      let set = List.map (fun (p, v, _) -> (p, v)) ds in
+      Mutex.protect lock (fun () -> Hashtbl.replace seen set ())
+    end;
+    None
+  in
+  let outcome = explore ~check in
+  (outcome, List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
