@@ -1,4 +1,4 @@
-.PHONY: all build test bench experiments examples clean
+.PHONY: all build test bench experiments examples loc clean
 
 all: build
 
@@ -22,6 +22,10 @@ examples:
 	dune exec examples/fd_playground.exe
 	dune exec examples/round_model.exe
 	dune exec examples/register_demo.exe
+
+# lines of OCaml source in lib/ and bin/ (*.ml and *.mli), the size ROADMAP tracks
+loc:
+	@find lib bin \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
 clean:
 	dune clean

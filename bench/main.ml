@@ -298,7 +298,7 @@ let bench_ablation_explorer_par_n4 () =
        ())
 
 let bench_theorem2_demonstrate () =
-  ignore (Core.Theorem2.demonstrate ~n:6 ~f:4 ~k:2 ())
+  ignore (Core.Theorem2.demonstrate ~n:6 ~f:4 ~k:2)
 
 let bench_e13_abd_torture () =
   (* E13: one ABD torture run at n=4 with a crash *)

@@ -30,6 +30,6 @@ let () =
       Format.printf "  %a decided %a at step %d@." Sim.Pid.pp p Sim.Value.pp v t)
     run.Sim.Run.decisions;
   (* check the k-set agreement spec mechanically *)
-  match Ksa_core.Kset_spec.check ~k:1 run with
-  | Ok () -> Format.printf "spec check: consensus reached despite 2 initial crashes@."
-  | Error e -> Format.printf "spec check FAILED: %s@." e
+  match Ksa_sim.Kset_spec.check ~k:1 run with
+  | None -> Format.printf "spec check: consensus reached despite 2 initial crashes@."
+  | Some e -> Format.printf "spec check FAILED: %s@." e

@@ -16,4 +16,5 @@ end) : Ksa_sim.Algorithm.S
     with a different engine size is rejected by [init]. *)
 
 val max_initial_crashes : n:int -> int
-(** The tolerance ⌈n/2⌉ − 1 (a strict minority). *)
+(** The tolerance ⌈n/2⌉ − 1 (a strict minority): Theorem 8's
+    kn > (k+1)f at k = 1. *)

@@ -23,17 +23,17 @@ let header ppf id title =
 (* E1: Theorem 2                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let e1_theorem2 ?(n_max = 9) ppf =
+let e1_theorem2 ppf =
   header ppf "E1" "Theorem 2: impossibility with one live crash, k <= (n-1)/(n-f)";
   Format.fprintf ppf "%4s %4s %4s %6s  %6s %6s %8s %11s %9s@." "n" "f" "l"
     "k_max" "lemma3" "lemma4" "witness" "sync-model" "(A)-(D)";
   let failures = ref 0 and rows = ref 0 in
-  for n = 3 to n_max do
+  for n = 3 to 9 do
     for f = 1 to n - 1 do
       let kmax = Border.max_impossible_k ~n ~f in
       if kmax >= 2 then begin
         incr rows;
-        match Theorem2.demonstrate ~n ~f ~k:kmax () with
+        match Theorem2.demonstrate ~n ~f ~k:kmax with
         | Error _ -> incr failures
         | Ok r ->
             if not r.Theorem2.theorem_applies then incr failures;
@@ -72,13 +72,13 @@ let e1_theorem2 ?(n_max = 9) ppf =
 (* E2: Theorem 8                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let e2_theorem8 ?(n_max = 8) ?(seeds = 8) ppf =
+let e2_theorem8 ppf =
   header ppf "E2"
     "Theorem 8: with f initial crashes, solvable iff kn > (k+1)f";
   Format.fprintf ppf "%4s %4s %4s %10s %9s   %s@." "n" "f" "k" "max-seen" "bound-ok"
     "border construction";
   let failures = ref 0 and rows = ref 0 in
-  for n = 3 to n_max do
+  for n = 3 to 8 do
     for f = 1 to n - 1 do
       incr rows;
       let k = Border.min_solvable_k ~n ~f in
@@ -90,7 +90,7 @@ let e2_theorem8 ?(n_max = 8) ?(seeds = 8) ppf =
       (* solvable side: k-set agreement must hold for every schedule tried *)
       let max_seen = ref 0 in
       let ok = ref true in
-      for seed = 1 to seeds do
+      for seed = 1 to 8 do
         let rng = Rng.create ~seed:(seed + (n * 100) + f) in
         let dead = Rng.sample rng f (Listx.range 0 n) in
         let pattern = FP.initial_dead ~n ~dead in
@@ -100,7 +100,7 @@ let e2_theorem8 ?(n_max = 8) ?(seeds = 8) ppf =
         in
         let run = E.run ~n ~inputs:(Sim.Value.distinct_inputs n) ~pattern adv in
         max_seen := max !max_seen (Sim.Run.distinct_decisions run);
-        if Kset_spec.check ~k run <> Ok () then ok := false
+        if Sim.Kset_spec.check ~k run <> None then ok := false
       done;
       (* border side: the largest unsolvable k is kb = k - 1; when it
          sits exactly on kb*n = (kb+1)*f the (kb+1)-way pasting must
@@ -143,7 +143,8 @@ let e2_theorem8 ?(n_max = 8) ?(seeds = 8) ppf =
 (* E3: protocol cost                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let e3_protocol_cost ?(sizes = [ 6; 12; 24; 48 ]) ?(seeds = 5) ppf =
+let e3_protocol_cost ppf =
+  let sizes = [ 6; 12; 24; 48 ] and seeds = 5 in
   header ppf "E3" "Section VI protocol: cost to global decision (f = n/3)";
   Format.fprintf ppf "%5s %4s %4s %10s %10s %9s %7s@." "n" "f" "L" "avg-steps"
     "avg-msgs" "distinct" "bound";
@@ -168,7 +169,7 @@ let e3_protocol_cost ?(sizes = [ 6; 12; 24; 48 ]) ?(seeds = 5) ppf =
         steps := !steps + Sim.Run.step_count run;
         msgs := !msgs + Sim.Run.message_count run;
         dmax := max !dmax (Sim.Run.distinct_decisions run);
-        if not (Sim.Run.all_correct_decided run) then ok := false
+        if Sim.Kset_spec.termination run <> None then ok := false
       done;
       if !dmax > bound then ok := false;
       Format.fprintf ppf "%5d %4d %4d %10d %10d %9d %7d@." n f l (!steps / seeds)
@@ -185,7 +186,8 @@ let e3_protocol_cost ?(sizes = [ 6; 12; 24; 48 ]) ?(seeds = 5) ppf =
 (* E4: graph lemmas                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let e4_graph_lemmas ?(samples = 300) ?(n = 400) ppf =
+let e4_graph_lemmas ppf =
+  let samples = 300 and n = 400 in
   header ppf "E4" "Lemmas 6-7: source components of min-in-degree digraphs";
   Format.fprintf ppf "%6s %6s %9s %12s %12s@." "delta" "n" "samples"
     "lemma6+7 ok" "max #sources";
@@ -233,17 +235,17 @@ let synod_consensus_ok ~n ~dead ~seeds =
       E.run ~max_steps:50_000 ~fd ~n ~inputs:(Sim.Value.distinct_inputs n)
         ~pattern (Adv.fair ~rng)
     in
-    if Kset_spec.check ~k:1 run <> Ok () then ok := false
+    if Sim.Kset_spec.check ~k:1 run <> None then ok := false
   done;
   !ok
 
-let e5_theorem10 ?(n_max = 7) ppf =
+let e5_theorem10 ppf =
   header ppf "E5"
     "Theorem 10 + Corollary 13: (Sigma_k, Omega_k) solves k-set iff k=1 or k=n-1";
   Format.fprintf ppf "%4s %4s  %-12s %10s %8s %8s %8s@." "n" "k" "regime"
     "decisions" "indist" "def7" "lemma9";
   let failures = ref 0 and rows = ref 0 in
-  for n = 4 to n_max do
+  for n = 4 to 7 do
     (* k = 1: Synod reaches consensus *)
     incr rows;
     let k1_ok =
@@ -293,7 +295,7 @@ let e5_theorem10 ?(n_max = 7) ppf =
 (* E6: coverage vs Bouzid-Travers                                      *)
 (* ------------------------------------------------------------------ *)
 
-let e6_coverage ?(n_max = 64) ppf =
+let e6_coverage ppf =
   header ppf "E6"
     "Impossibility coverage: Theorem 10 (2<=k<=n-2) vs Bouzid-Travers (2k^2<=n)";
   Format.fprintf ppf "%6s %14s %14s %8s@." "n" "Thm10 pairs" "BT pairs" "new";
@@ -312,21 +314,22 @@ let e6_coverage ?(n_max = 64) ppf =
       t_total := !t_total + !t;
       b_total := !b_total + !b;
       Format.fprintf ppf "%6d %14d %14d %8d@." n !t !b (!t - !b))
-    [ 4; 8; 16; 32; 48; n_max ];
+    [ 4; 8; 16; 32; 48; 64 ];
   Format.fprintf ppf "totals: Theorem 10 covers %d pairs, prior bound %d@."
     !t_total !b_total;
   {
     id = "E6";
     claim = "Theorem 10 strictly extends the 2k^2<=n impossibility of [5]";
     holds = !subsumption_ok && !t_total > !b_total;
-    detail = Printf.sprintf "%d vs %d covered (n up to %d)" !t_total !b_total n_max;
+    detail = Printf.sprintf "%d vs %d covered (n up to 64)" !t_total !b_total;
   }
 
 (* ------------------------------------------------------------------ *)
 (* E7: Lemma 9                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let e7_lemma9 ?(samples = 120) ppf =
+let e7_lemma9 ppf =
+  let samples = 120 in
   header ppf "E7" "Lemma 9: every (Sigma'_k, Omega'_k) history is a (Sigma_k, Omega_k) history";
   let rng = Rng.create ~seed:777 in
   let pass = ref 0 in
@@ -494,7 +497,8 @@ let e9_independence ppf =
 (* E10: round models (Discussion)                                      *)
 (* ------------------------------------------------------------------ *)
 
-let e10_round_models ?(seeds = 30) ppf =
+let e10_round_models ppf =
+  let seeds = 30 in
   header ppf "E10"
     "Round models (Discussion): the partitioning argument in the Heard-Of model";
   let module MF = Ksa_ho.Min_flood.Make (struct
@@ -529,7 +533,7 @@ let e10_round_models ?(seeds = 30) ppf =
   for _ = 1 to seeds do
     let a = Ksa_ho.Assignment.random ~rng ~n ~min_size:((n / 2) + 1) () in
     let o = EUV.run ~n ~inputs ~assignment:a ~rounds:12 () in
-    if EUV.distinct_decisions o <= 1 then incr safe
+    if Sim.Kset_spec.k_agreement ~k:1 o.EUV.decisions = None then incr safe
   done;
   Format.fprintf ppf
     "uniform-voting agreement under %d random no-split assignments: %d/%d@."
@@ -566,7 +570,8 @@ let e10_round_models ?(seeds = 30) ppf =
 (* E11: failure detectors from partial synchrony (ablation)            *)
 (* ------------------------------------------------------------------ *)
 
-let e11_fd_implementation ?(seeds = 10) ppf =
+let e11_fd_implementation ppf =
+  let seeds = 10 in
   header ppf "E11"
     "FD implementation ablation: window size vs. extracted-history validity";
   let n = 5 in
@@ -604,7 +609,7 @@ let e11_fd_implementation ?(seeds = 10) ppf =
               ~inputs:(Sim.Value.distinct_inputs n)
               ~pattern (Adv.fair ~rng)
           in
-          if Kset_spec.check ~k:1 run = Ok () then incr synod_ok
+          if Sim.Kset_spec.check ~k:1 run = None then incr synod_ok
         end
       done;
       if window = 3 * n && !sigma_ok = seeds && !omega_ok = seeds then
@@ -629,7 +634,7 @@ let e11_fd_implementation ?(seeds = 10) ppf =
         ~pattern
         (Adv.eventually_lockstep ~rng ~gst ~p_defer:0.5)
     in
-    if Kset_spec.check ~k:1 run = Ok () then incr online_ok
+    if Sim.Kset_spec.check ~k:1 run = None then incr online_ok
   done;
   Format.fprintf ppf
     "online (in-protocol detector, no oracle): consensus %d/%d@." !online_ok
@@ -659,12 +664,7 @@ let e12_flp_gap ppf =
   end) in
   let module Ex = Sim.Explorer.Make (K) in
   let inputs = Sim.Value.distinct_inputs 3 in
-  let consensus_check decisions =
-    let values =
-      List.sort_uniq compare (List.map (fun (_, v, _) -> v) decisions)
-    in
-    if List.length values > 1 then Some "two distinct decisions" else None
-  in
+  let consensus_check = Sim.Kset_spec.k_agreement ~k:1 in
   (* initial-crash side: every dead-set, whole schedule space *)
   let initial_ok = ref true in
   List.iter
@@ -728,7 +728,8 @@ let e12_flp_gap ppf =
 (* E13: shared memory from message passing (the [9] substrate)         *)
 (* ------------------------------------------------------------------ *)
 
-let e13_shared_memory ?(seeds = 10) ppf =
+let e13_shared_memory ppf =
+  let seeds = 10 in
   header ppf "E13"
     "Shared memory from message passing: ABD with majority (Σ-style) quorums";
   let module Torture = Ksa_sm.Abd.Make (struct
@@ -756,7 +757,7 @@ let e13_shared_memory ?(seeds = 10) ppf =
             ~pattern adv
         in
         let ops = Torture.ops_of run ~state_of:(E.state_of config) in
-        if Sim.Run.all_correct_decided run then incr done_ok;
+        if Sim.Kset_spec.termination run = None then incr done_ok;
         if Ksa_sm.Register.check_atomic ops = Ok () then incr atomic_ok;
         if Ksa_sm.Register.check_write_once_timestamps ops = Ok () then
           incr swmr_ok
@@ -787,7 +788,7 @@ let e13_shared_memory ?(seeds = 10) ppf =
 (* E14: the (n, k, t, model) solvability border                        *)
 (* ------------------------------------------------------------------ *)
 
-let e14_fault_models ?(max_configs = 4_000_000) ppf =
+let e14_fault_models ppf =
   header ppf "E14"
     "Fault-model border sweep at n=3: kset_flp(l = n - t) under crash / \
      byzantine / mobile budgets";
@@ -803,17 +804,9 @@ let e14_fault_models ?(max_configs = 4_000_000) ppf =
       let l = n - t
     end) in
     let module Ex = Sim.Explorer.Make (K) in
-    let check decisions =
-      let values =
-        List.sort_uniq compare (List.map (fun (_, v, _) -> v) decisions)
-      in
-      if List.length values > k then
-        Some (Printf.sprintf "%d distinct decisions" (List.length values))
-      else None
-    in
     match
-      Ex.explore_with_crashes ~model ~max_configs ~n ~inputs ~crash_budget:t
-        ~check ()
+      Ex.explore_with_crashes ~model ~max_configs:4_000_000 ~n ~inputs ~crash_budget:t
+        ~check:(Sim.Kset_spec.k_agreement ~k) ()
     with
     | Sim.Explorer.Safety_violation _ -> Some false
     | Sim.Explorer.Indeterminate _ -> None
@@ -872,20 +865,69 @@ let e14_fault_models ?(max_configs = 4_000_000) ppf =
 
 let table =
   [
-    ("E1", e1_theorem2 ?n_max:None);
-    ("E2", e2_theorem8 ?n_max:None ?seeds:None);
-    ("E3", e3_protocol_cost ?sizes:None ?seeds:None);
-    ("E4", e4_graph_lemmas ?samples:None ?n:None);
-    ("E5", e5_theorem10 ?n_max:None);
-    ("E6", e6_coverage ?n_max:None);
-    ("E7", e7_lemma9 ?samples:None);
+    (* Theorem 2 / Corollary 5: for every (n, f) with n <= 9 and the
+       formula's largest impossible k >= 2, the Theorem-1 screen on the
+       paper's own protocol (L = n-f) finds a (dec-D)/(dec-Dbar)
+       witness. *)
+    ("E1", e1_theorem2);
+    (* Theorem 8: on the solvable side (kn > (k+1)f) the protocol
+       decides <= k values for every tried schedule and dead-set; at
+       the border (kn = (k+1)f) the Lemma-12 pasting produces k+1
+       distinct decisions. *)
+    ("E2", e2_theorem8);
+    (* Section VI protocol cost: steps and messages to global decision
+       as n grows (f = n/3), and the distinct decisions against the
+       floor(n/L) bound. *)
+    ("E3", e3_protocol_cost);
+    (* Lemmas 6-7 at scale: random digraphs with minimum in-degree
+       delta; source-component counts and sizes against the bounds. *)
+    ("E4", e4_graph_lemmas);
+    (* Theorem 10 / Corollary 13: for 2 <= k <= n-2 the Lemma-12
+       construction drives Synod to k distinct decisions under a
+       validated (Sigma_k, Omega_k) history; at k = 1 Synod reaches
+       consensus across seeds and crash patterns. *)
+    ("E5", e5_theorem10);
+    (* Against Bouzid-Travers: the (n, k) pairs covered by 2k^2 <= n
+       versus 2 <= k <= n-2, per n. *)
+    ("E6", e6_coverage);
+    (* Lemma 9 over random partitions and failure patterns: every
+       generated (Sigma'_k, Omega'_k) history validates as a
+       (Sigma_k, Omega_k) history. *)
+    ("E7", e7_lemma9);
+    (* The Remarks after Theorem 1: a flawed candidate is caught, a
+       sound protocol passes, the paper's protocol outside its regime
+       is caught. *)
     ("E8", e8_screening);
+    (* Section IV: which classic T-independence families each
+       algorithm satisfies, against the paper's classification. *)
     ("E9", e9_independence);
-    ("E10", e10_round_models ?seeds:None);
-    ("E11", e11_fd_implementation ?seeds:None);
+    (* The Discussion's conjecture for round models: in the Heard-Of
+       substrate a partitioned assignment drives min-flooding and
+       UniformVoting to one decision per group, each group
+       state-identical to its solo run; no-split plus eventual
+       completeness gives consensus. *)
+    ("E10", e10_round_models);
+    (* Failure detectors from partial synchrony ({!Ksa_fd.Impl}): per
+       sliding-window size, how often the extracted Sigma and Omega
+       histories validate (Definitions 4-5) and drive Synod to
+       consensus; windows shorter than a post-GST gossip lap (about
+       2n) lose liveness. *)
+    ("E11", e11_fd_implementation);
+    (* The gap between Theorems 2 and 8 at (n, f, k) = (3, 1, 1):
+       consensus is safe over the whole schedule space with one initial
+       crash, and one anytime crash reaches a configuration from which
+       no continuation decides (FLP, condition (C)). *)
     ("E12", e12_flp_gap);
-    ("E13", e13_shared_memory ?seeds:None);
-    ("E14", e14_fault_models ?max_configs:None);
+    (* Theorem 10(C)'s appeal to [9]: ABD registers over the simulator
+       with majority quorums, under fair and lossy schedules with
+       minority crashes; every operation history is atomic. *)
+    ("E13", e13_shared_memory);
+    (* The (n, k, t, model) border at n = 3, exhaustive per cell: the
+       crash column traces k*n > (k+1)*t, Byzantine corruption is
+       nowhere more permissive than crashing at equal budget, and
+       strictly less somewhere ((3, 1, 1): a forged report breaks the
+       agreement a crash can only get stuck on). *)
+    ("E14", e14_fault_models);
   ]
 
 let all ?(only = []) ppf =

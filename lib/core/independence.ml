@@ -80,7 +80,7 @@ let confining_after ~set ~prefix =
   { Adversary.describe = "confine-to-S-eventually"; next }
 
 let check_set_strong ?fd ?pattern ?inputs ?(max_steps = 100_000)
-    ?(prefixes = [ 0; 3; 10; 25 ]) (module A : Ksa_sim.Algorithm.S) ~n ~set =
+    (module A : Ksa_sim.Algorithm.S) ~n ~set =
   let module E = Ksa_sim.Engine.Make (A) in
   let inputs = Option.value inputs ~default:(Value.distinct_inputs n) in
   let pattern = Option.value pattern ~default:(Failure_pattern.none ~n) in
@@ -97,7 +97,7 @@ let check_set_strong ?fd ?pattern ?inputs ?(max_steps = 100_000)
           (fun p ->
             Run.decision_of run p <> None || Failure_pattern.is_faulty pattern p)
           set)
-      prefixes
+      [ 0; 3; 10; 25 ]
   in
   { set; independent; steps = !steps }
 

@@ -53,7 +53,6 @@ val check_set_strong :
   ?pattern:Ksa_sim.Failure_pattern.t ->
   ?inputs:Ksa_sim.Value.t array ->
   ?max_steps:int ->
-  ?prefixes:int list ->
   (module Ksa_sim.Algorithm.S) ->
   n:int ->
   set:Pid.t list ->
@@ -62,7 +61,7 @@ val check_set_strong :
     there is a run in which the processes of S {e eventually} receive
     only from S and still all decide (or crash).  The definition asks
     for one such run; we exhibit one for {e every} sampled prefix
-    length (default [[0; 3; 10; 25]]; prefix steps are round-robin
+    length ([[0; 3; 10; 25]]; prefix steps are round-robin
     with full delivery, confinement afterwards), which is a sufficient
     check strictly stronger than the bare existential.  With prefix 0
     included, a strong verdict subsumes the plain one
@@ -100,7 +99,8 @@ val obstruction_free_family : n:int -> Pid.t list list
 (** All singletons. *)
 
 val asymmetric_family : n:int -> anchor:Pid.t -> Pid.t list list
-(** \{S : \{anchor\} ⊆ S ⊆ Π\} — wait-freedom of one process. *)
+(** \{S : \{anchor\} ⊆ S ⊆ Π\} — wait-freedom of one process, the
+    asymmetric example after Observation 1. *)
 
 val subfamily_monotone : Pid.t list list -> Pid.t list list -> bool
 (** Observation 1(b)'s hypothesis: T' ⊆ T (as set inclusion of

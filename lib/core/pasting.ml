@@ -224,7 +224,7 @@ let lemma11 ?inputs ?(stab = 1) ?(tgst = 1) ?(max_steps = 200_000)
                 beta';
                 dbar_matches_alpha;
                 d_matches_beta;
-                all_decided = Run.all_correct_decided beta';
+                all_decided = Ksa_sim.Kset_spec.termination beta' = None;
               }
         | Run.Hit_step_budget | Run.No_enabled_process ->
             Error "beta' replay did not complete")

@@ -122,7 +122,7 @@ type report = {
    subsystem budget more processes, and exhibit a configuration from
    which no continuation decides (the FLP-style trap the arithmetic
    predicts). *)
-let validate_condition_c_exhaustive ?(max_configs = 500_000) ?inputs
+let validate_condition_c_exhaustive ?inputs
     (module A : Ksa_sim.Algorithm.S) ~(partition : Partitioning.t)
     ~subsystem_crash_budget : c_witness =
   let module Ex = Ksa_sim.Explorer.Make (A) in
@@ -131,7 +131,7 @@ let validate_condition_c_exhaustive ?(max_configs = 500_000) ?inputs
   let inputs = Option.value inputs ~default:(Value.distinct_inputs n) in
   match
     Metrics.time t_exhaustive_c (fun () ->
-        Ex.explore_with_crashes ~max_configs ~n ~inputs ~initially_dead:d
+        Ex.explore_with_crashes ~max_configs:500_000 ~n ~inputs ~initially_dead:d
           ~crash_budget:subsystem_crash_budget
           ~check:(fun _ -> None)
           ())
@@ -183,8 +183,7 @@ let validate_condition_d ?fd ?inputs ~max_steps ~seeds
     seeds
 
 let evaluate ?fd ?pattern ?inputs ?(max_steps = 200_000)
-    ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(exhaustive_c = false)
-    ?exhaustive_c_configs ~subsystem_crash_budget
+    ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(exhaustive_c = false) ~subsystem_crash_budget
     (module A : Ksa_sim.Algorithm.S) ~(partition : Partitioning.t) =
   let portfolio =
     screen ?fd ?pattern ?inputs ~max_steps (module A) ~partition
@@ -204,8 +203,8 @@ let evaluate ?fd ?pattern ?inputs ?(max_steps = 200_000)
     if not (exhaustive_c && A.uses_fd = false) then None
     else
       Some
-        (validate_condition_c_exhaustive ?max_configs:exhaustive_c_configs
-           ?inputs (module A) ~partition ~subsystem_crash_budget)
+        (validate_condition_c_exhaustive ?inputs (module A) ~partition
+           ~subsystem_crash_budget)
   in
   let condition_d =
     validate_condition_d ?fd ?inputs ~max_steps ~seeds (module A) ~partition

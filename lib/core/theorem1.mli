@@ -97,7 +97,6 @@ val evaluate :
   ?max_steps:int ->
   ?seeds:int list ->
   ?exhaustive_c:bool ->
-  ?exhaustive_c_configs:int ->
   subsystem_crash_budget:int ->
   (module Ksa_sim.Algorithm.S) ->
   partition:Partitioning.t ->
@@ -106,7 +105,7 @@ val evaluate :
     constructive check of condition (C) and records the result in
     [condition_c_witness]: it explores the system with D initially
     dead and up to [subsystem_crash_budget] adversarial crashes in D̄,
-    at most [exhaustive_c_configs] (default 500_000) configurations,
+    at most 500,000 configurations,
     classifying whether the algorithm can be trapped ([`Trapped]).
     It is skipped for failure-detector algorithms, which the explorer
     cannot soundly deduplicate. *)

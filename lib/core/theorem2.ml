@@ -14,13 +14,7 @@ type result = {
   theorem_applies : bool;
 }
 
-let default_algo ~n ~f =
-  let module K = Ksa_algo.Kset_flp.Make (struct
-    let l = max 1 (n - f)
-  end) in
-  (module K : Sim.Algorithm.S)
-
-let demonstrate ?algo ~n ~f ~k () =
+let demonstrate ~n ~f ~k =
   match Partitioning.theorem2 ~n ~f ~k with
   | None ->
       Error
@@ -28,9 +22,9 @@ let demonstrate ?algo ~n ~f ~k () =
            "(n=%d, f=%d, k=%d) is outside Theorem 2's region: k(n-f)+1 > n" n f
            k)
   | Some partition ->
-      let (module A : Sim.Algorithm.S) =
-        match algo with Some a -> a | None -> default_algo ~n ~f
-      in
+      let module A = Ksa_algo.Kset_flp.Make (struct
+        let l = max 1 (n - f)
+      end) in
       let module E = Sim.Engine.Make (A) in
       let l = n - f in
       let lemma3 =

@@ -37,13 +37,7 @@ type result = {
   theorem_applies : bool;  (** Everything above holds. *)
 }
 
-val demonstrate :
-  ?algo:(module Ksa_sim.Algorithm.S) ->
-  n:int ->
-  f:int ->
-  k:int ->
-  unit ->
-  (result, string) Stdlib.result
-(** [Error] when (n, f, k) is outside Theorem 2's region
-    (k(n−f)+1 > n) — there is then nothing to demonstrate.  The
-    default algorithm is the Section VI protocol with L = n−f. *)
+val demonstrate : n:int -> f:int -> k:int -> (result, string) Stdlib.result
+(** The Section VI protocol with L = n−f.  [Error] when (n, f, k) is
+    outside Theorem 2's region (k(n−f)+1 > n) — there is then nothing
+    to demonstrate. *)

@@ -21,16 +21,3 @@ let component_of t v = t.scc.Scc.comp_of.(v)
 
 let sources t =
   List.filter (fun c -> Digraph.in_degree t.dag c = 0) (Digraph.vertices t.dag)
-
-let sinks t =
-  List.filter (fun c -> Digraph.out_degree t.dag c = 0) (Digraph.vertices t.dag)
-
-let is_acyclic g =
-  let t = compute g in
-  t.scc.Scc.count = Digraph.n g
-
-(* Tarjan assigns component indices in reverse topological order:
-   every DAG edge goes from a higher index to a lower one, so counting
-   down is a topological order. *)
-let topological_order t =
-  List.init t.scc.Scc.count (fun i -> t.scc.Scc.count - 1 - i)

@@ -26,15 +26,3 @@ val component_of : t -> int -> int
 
 val sources : t -> int list
 (** Indices of source components (in-degree 0 in the DAG), sorted. *)
-
-val sinks : t -> int list
-(** Indices of sink components (out-degree 0 in the DAG), sorted. *)
-
-val is_acyclic : Digraph.t -> bool
-(** [true] iff the graph has no directed cycle (every SCC is a
-    singleton without a self-loop; self-loops are excluded by
-    construction in {!Digraph}). *)
-
-val topological_order : t -> int list
-(** Component indices in a topological order of the DAG (every edge
-    goes from an earlier to a later element). *)

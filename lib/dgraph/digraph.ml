@@ -54,24 +54,6 @@ let of_pred_lists pred_lists =
     pred_lists;
   build size !edges
 
-let edge_count g = Array.fold_left (fun acc a -> acc + Array.length a) 0 g.succs
-
-let mem_sorted arr x =
-  (* binary search in a sorted array *)
-  let rec go lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let y = arr.(mid) in
-      if y = x then true else if y < x then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length arr)
-
-let has_edge g u v =
-  check_vertex g.size u;
-  check_vertex g.size v;
-  mem_sorted g.succs.(u) v
-
 let succ g v =
   check_vertex g.size v;
   Array.to_list g.succs.(v)
@@ -101,10 +83,6 @@ let edges g =
     done
   done;
   !acc
-
-let transpose g = { g with succs = g.preds; preds = g.succs }
-
-let add_edges g extra = build g.size (List.rev_append (edges g) extra)
 
 let induced g vs =
   let vs = List.sort_uniq compare vs in

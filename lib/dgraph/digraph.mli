@@ -36,12 +36,6 @@ val of_pred_lists : int list array -> t
 val n : t -> int
 (** Number of vertices. *)
 
-val edge_count : t -> int
-(** Number of directed edges. *)
-
-val has_edge : t -> int -> int -> bool
-(** [has_edge g u v] is [true] iff {i u → v} is an edge. *)
-
 val succ : t -> int -> int list
 (** Out-neighbours, sorted increasing. *)
 
@@ -58,12 +52,6 @@ val min_in_degree : t -> int
 
 val edges : t -> (int * int) list
 (** All edges, sorted lexicographically. *)
-
-val transpose : t -> t
-(** Graph with every edge reversed. *)
-
-val add_edges : t -> (int * int) list -> t
-(** Functional update: a new graph with the extra edges added. *)
 
 val induced : t -> int list -> t * int array
 (** [induced g vs] is the subgraph induced by the vertex set [vs]

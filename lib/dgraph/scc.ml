@@ -76,5 +76,3 @@ let components g =
     buckets.(comp_of.(v)) <- v :: buckets.(comp_of.(v))
   done;
   Array.to_list buckets
-
-let same_component r u v = r.comp_of.(u) = r.comp_of.(v)

@@ -23,6 +23,3 @@ val compute : Digraph.t -> result
 val components : Digraph.t -> int list list
 (** The components as sorted vertex lists, indexed consistently with
     [comp_of] (element [i] of the list is component [i]). *)
-
-val same_component : result -> int -> int -> bool
-(** Whether two vertices are strongly connected. *)

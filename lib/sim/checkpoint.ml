@@ -222,13 +222,15 @@ let write_now c sink snap =
          to protect; the operator sees why resume will be stale *)
       Printf.eprintf "ksa: checkpoint not written: %s\n%!" msg
 
+(* under [c.lock] *)
+let threshold_reached c sink ~items =
+  items - c.last_items >= sink.policy.every_items
+  || Clock.elapsed_s ~since:c.last_ns >= sink.policy.every_seconds
+
 let due c ~items =
   match c.sink with
   | None -> false
-  | Some sink ->
-      with_lock c (fun () ->
-          items - c.last_items >= sink.policy.every_items
-          || Clock.elapsed_s ~since:c.last_ns >= sink.policy.every_seconds)
+  | Some sink -> with_lock c (fun () -> threshold_reached c sink ~items)
 
 let tick c ~items snap =
   match c.sink with
@@ -236,10 +238,7 @@ let tick c ~items snap =
   | Some sink -> (
       Mutex.lock c.lock;
       match
-        if
-          items - c.last_items >= sink.policy.every_items
-          || Clock.elapsed_s ~since:c.last_ns >= sink.policy.every_seconds
-        then begin
+        if threshold_reached c sink ~items then begin
           write_now c sink snap;
           c.last_ns <- Clock.now_ns ();
           c.last_items <- items

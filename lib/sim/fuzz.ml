@@ -663,32 +663,17 @@ module Make (A : Algorithm.S) = struct
     Metrics.incr m_trials;
     (pattern, run)
 
-  let check_property (cfg : config) run = function
-    | K_agreement k ->
-        let d = Run.distinct_decisions run in
-        if d > k then
-          Some (Printf.sprintf "%d distinct decided values, k = %d" d k)
-        else None
-    | Validity -> (
-        let proposed v = Array.exists (Value.equal v) run.Run.inputs in
-        match List.find_opt (fun v -> not (proposed v)) (Run.decided_values run) with
-        | Some v ->
-            Some
-              (Format.asprintf "decided value %a was never proposed" Value.pp v)
-        | None -> None)
+  let check_property (run : Run.t) = function
+    | K_agreement k -> Kset_spec.k_agreement ~k run.decisions
+    | Validity -> Kset_spec.validity ~inputs:run.inputs run.decisions
     | Termination ->
-        if run.Run.status = Run.Hit_step_budget && not (Run.all_correct_decided run)
-        then
-          Some
-            (Printf.sprintf "correct process undecided after %d steps"
-               cfg.max_steps)
-        else None
+        if run.status = Run.Hit_step_budget then Kset_spec.termination run else None
     | Custom (_, f) -> f run
 
   let check_run (cfg : config) run =
     List.find_map
       (fun p ->
-        Option.map (fun reason -> (p, reason)) (check_property cfg run p))
+        Option.map (fun reason -> (p, reason)) (check_property run p))
       cfg.properties
 
   let replay_schedule ?pattern (cfg : config) sched =
@@ -713,7 +698,7 @@ module Make (A : Algorithm.S) = struct
       incr candidates;
       Metrics.incr m_shrink_candidates;
       match replay_strict ~pattern cfg s with
-      | Ok run -> Option.is_some (check_property cfg run prop)
+      | Ok run -> Option.is_some (check_property run prop)
       | Error _ -> false
     in
     let shrunk, replays =

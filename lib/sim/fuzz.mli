@@ -45,14 +45,18 @@ val default_weights : weights
 
 type property =
   | K_agreement of int
-      (** At most [k] distinct decided values (uniform: decisions of
-          later-crashed processes count). *)
-  | Validity  (** Every decided value was some process's input. *)
+      (** {!Kset_spec.k_agreement}: at most [k] distinct decision values
+          (uniform: decisions of later-crashed processes count).
+          Reason: ["N distinct decisions exceed k=K"]. *)
+  | Validity
+      (** {!Kset_spec.validity}.  Reason: ["decided value V was never
+          proposed"]. *)
   | Termination
-      (** The run must not exhaust the step budget with a correct
-          process undecided.  Only meaningful under weightings that
-          keep the schedule fair ({!fair_weights}); an unfair random
-          schedule may legitimately starve a process. *)
+      (** {!Kset_spec.termination} of a run that exhausted its step
+          budget.  Reason: ["correct process undecided after N
+          steps"], N the budget.  Only meaningful under weightings
+          that keep the schedule fair ({!fair_weights}); an unfair
+          random schedule may legitimately starve a process. *)
   | Custom of string * (Run.t -> string option)
       (** Named user predicate: return [Some reason] on violation. *)
 

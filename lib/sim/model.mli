@@ -80,7 +80,8 @@ val consensus_impossible : t -> f:int -> bool option
     relies on are encoded: any model with asynchronous communication
     and at least one (possibly non-initial) crash has impossible
     consensus regardless of the other four parameters ([11, Table I],
-    used for condition (C) of Theorems 2 and 10); fully synchronous
-    models are solvable. *)
+    the entry behind condition (C) of Theorems 2 and 10, which
+    [Theorem1] reads from [Border.flp_consensus_impossible]); fully
+    synchronous models are solvable. *)
 
 val pp : Format.formatter -> t -> unit

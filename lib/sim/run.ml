@@ -38,20 +38,6 @@ let last_decision_time t ps =
   if List.exists Option.is_none times then None
   else Some (List.fold_left (fun acc x -> max acc (Option.get x)) 0 times)
 
-let received_before_decision t p =
-  let deadline = decision_time t p in
-  List.fold_left
-    (fun acc (ev : Event.t) ->
-      if Pid.equal ev.pid p then
-        let counts =
-          match deadline with None -> true | Some d -> ev.time <= d
-        in
-        if counts then
-          List.fold_left (fun acc (_, src) -> Pid.Set.add src acc) acc ev.delivered
-        else acc
-      else acc)
-    Pid.Set.empty t.events
-
 let receives_nothing_from_until t p ~from ~until =
   not
     (List.exists

@@ -53,12 +53,6 @@ val last_decision_time : t -> Pid.t list -> int option
 (** Latest decision time among the given processes ([None] if one of
     them never decided). *)
 
-val received_before_decision : t -> Pid.t -> Pid.Set.t
-(** Senders from which the process received at least one message
-    strictly before (not in the same step as) completing its
-    decision step.  Receipt {e in} the deciding step counts as before
-    decision (the step atomically receives, then decides). *)
-
 val receives_nothing_from_until :
   t -> Pid.t -> from:Pid.t list -> until:int -> bool
 (** [receives_nothing_from_until run p ~from ~until] holds iff [p]

@@ -50,7 +50,7 @@ val decided : t -> Pid.t -> bool
 val states_until_decision : t -> Pid.t -> int list
 (** The state-id sequence of process p up to and including its
     deciding step — initial state first; the whole recorded row if p
-    never decides. *)
+    never decides: the sequence Definition 2 compares. *)
 
 val indistinguishable_for : t -> t -> Pid.t -> bool
 (** α ∼ β for p (Definition 2, finite-prefix form): p traverses the

@@ -510,17 +510,6 @@ type outcome =
   | Replayed of { violation : (Sim.Fuzz.property * string) option; steps : int }
   | Probed of { attempt : int }
 
-let k_check ~k decisions =
-  let distinct =
-    List.sort_uniq Sim.Value.compare
-      (List.map (fun (_, v, _) -> v) decisions)
-  in
-  if List.length distinct > k then
-    Some
-      (Printf.sprintf "%d distinct decisions exceed k=%d"
-         (List.length distinct) k)
-  else None
-
 let run_probe ~attempt ~ckpt p =
   if attempt < p.p_fail then
     failwith
@@ -576,7 +565,7 @@ let run ?(attempt = 0) ?(domains = 1) ?(ckpt = Checkpoint.ctl ()) ?resume spec
       let* policy = policy_conv e.e_policy in
       let module Ex = Sim.Explorer.Make (A) in
       let inputs = Sim.Value.distinct_inputs n in
-      let check = k_check ~k:e.e_k in
+      let check = Sim.Kset_spec.k_agreement ~k:e.e_k in
       let reduction = e.e_reduction in
       let max_configs = e.e_max_configs in
       let not_explorable msg = Error ("not explorable: " ^ msg) in

@@ -117,9 +117,9 @@ let test_randomized_grid () =
         let rng = Rng.create ~seed:(seed * 1000) in
         let dead = Rng.sample rng f (List.init n Fun.id) in
         let run, bound = run_kset ~seed ~n ~f ~dead in
-        (match Ksa_core.Kset_spec.check ~k:bound run with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "n=%d f=%d seed=%d: %s" n f seed e);
+        (match Ksa_sim.Kset_spec.check ~k:bound run with
+        | None -> ()
+        | Some e -> Alcotest.failf "n=%d f=%d seed=%d: %s" n f seed e);
         ()
       done)
     cases
@@ -136,9 +136,9 @@ let test_kset_under_lossy_delivery () =
         ~pattern:(FP.initial_dead ~n:5 ~dead:[ 2; 4 ])
         (Adv.fair_lossy ~rng ~p_defer:0.6)
     in
-    match Ksa_core.Kset_spec.check ~k:1 run with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "seed %d: %s" seed e
+    match Ksa_sim.Kset_spec.check ~k:1 run with
+    | None -> ()
+    | Some e -> Alcotest.failf "seed %d: %s" seed e
   done
 
 let test_ablation_decisions_bound_per_l () =
@@ -202,9 +202,9 @@ let test_stacked_consensus_partial_synchrony () =
           ES.run ~max_steps:60_000 ~n ~inputs:(distinct n) ~pattern
             (Adv.eventually_lockstep ~rng ~gst:40 ~p_defer:0.5)
         in
-        match Ksa_core.Kset_spec.check ~k:1 run with
-        | Ok () -> ()
-        | Error e ->
+        match Ksa_sim.Kset_spec.check ~k:1 run with
+        | None -> ()
+        | Some e ->
             Alcotest.failf "n=%d dead=%s seed=%d: %s" n
               (String.concat "," (List.map string_of_int dead))
               seed e
@@ -261,9 +261,9 @@ let test_flp_consensus_instance () =
         ~pattern:(FP.initial_dead ~n:5 ~dead)
         (Adv.fair ~rng)
     in
-    match Ksa_core.Kset_spec.check ~k:1 run with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "seed %d: %s" seed e
+    match Ksa_sim.Kset_spec.check ~k:1 run with
+    | None -> ()
+    | Some e -> Alcotest.failf "seed %d: %s" seed e
   done
 
 let test_flp_consensus_exhaustive_n4 () =
@@ -354,9 +354,9 @@ let run_synod ~seed ~n ~dead =
 let test_synod_consensus_failure_free () =
   for seed = 1 to 15 do
     let run = run_synod ~seed ~n:4 ~dead:[] in
-    match Ksa_core.Kset_spec.check ~k:1 run with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "seed %d: %s (%a)" seed e Sim.Run.pp_summary run
+    match Ksa_sim.Kset_spec.check ~k:1 run with
+    | None -> ()
+    | Some e -> Alcotest.failf "seed %d: %s (%a)" seed e Sim.Run.pp_summary run
   done
 
 let test_synod_consensus_with_crashes () =
@@ -364,9 +364,9 @@ let test_synod_consensus_with_crashes () =
     (fun (n, dead) ->
       for seed = 1 to 10 do
         let run = run_synod ~seed ~n ~dead in
-        match Ksa_core.Kset_spec.check ~k:1 run with
-        | Ok () -> ()
-        | Error e ->
+        match Ksa_sim.Kset_spec.check ~k:1 run with
+        | None -> ()
+        | Some e ->
             Alcotest.failf "n=%d dead=%s seed=%d: %s" n
               (String.concat "," (List.map string_of_int dead))
               seed e
@@ -383,9 +383,9 @@ let test_synod_under_lossy () =
       E.run ~max_steps:50_000 ~fd ~n:4 ~inputs:(distinct 4) ~pattern
         (Adv.fair_lossy ~rng ~p_defer:0.4)
     in
-    match Ksa_core.Kset_spec.check ~k:1 run with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "seed %d: %s" seed e
+    match Ksa_sim.Kset_spec.check ~k:1 run with
+    | None -> ()
+    | Some e -> Alcotest.failf "seed %d: %s" seed e
   done
 
 let test_synod_safe_while_partitioned () =
@@ -437,9 +437,9 @@ let test_synod_safe_with_heterogeneous_quorums () =
         ~inputs:(distinct n) ~pattern
         (Adv.fair_lossy ~rng ~p_defer:0.3)
     in
-    match Ksa_core.Kset_spec.check ~k:1 run with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "seed %d: %s" seed e
+    match Ksa_sim.Kset_spec.check ~k:1 run with
+    | None -> ()
+    | Some e -> Alcotest.failf "seed %d: %s" seed e
   done
 
 let test_synod_validity () =

@@ -49,13 +49,7 @@ let distinct = Sim.Value.distinct_inputs
 let no_check _ = None
 let qcheck = QCheck_alcotest.to_alcotest
 
-let k_check k decisions =
-  let d =
-    List.sort_uniq Sim.Value.compare (List.map (fun (_, v, _) -> v) decisions)
-  in
-  if List.length d > k then
-    Some (Printf.sprintf "%d distinct decisions exceed k=%d" (List.length d) k)
-  else None
+let k_check k = Sim.Kset_spec.k_agreement ~k
 
 let subjects =
   [

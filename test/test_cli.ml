@@ -197,15 +197,15 @@ let test_fuzz_violation_and_replay () =
         ~code:2
         ~lines:
           [
-            "VIOLATION at trial 0 (1-agreement): 3 distinct decided values, \
-             k = 1";
+            "VIOLATION at trial 0 (1-agreement): 3 distinct decisions exceed \
+             k=1";
             "schedule: 3 steps, shrunk to 2 (1-minimal, 7 candidate replays)";
             "shrunk schedule written to " ^ path;
           ];
       expect
         (trivial_fuzz @ [ "--replay"; path ])
         ~code:2
-        ~lines:[ "VIOLATION (1-agreement): 2 distinct decided values, k = 1" ])
+        ~lines:[ "VIOLATION (1-agreement): 2 distinct decisions exceed k=1" ])
 
 let flp_fuzz =
   [ "fuzz"; "--algo"; "kset-flp"; "-n"; "3"; "-l"; "2"; "-k"; "1" ]

@@ -103,37 +103,6 @@ let test_partition_sizes_lemma3 () =
       Alcotest.(check int) "dbar size" 6 dbar;
       Alcotest.(check bool) "lemma 3: |Dbar| >= n-f+1" true (dbar >= 9 - 6 + 1)
 
-(* ---------- Kset_spec ---------- *)
-
-let sample_run ?(n = 4) ?(dead = []) () =
-  let module K = Algo.Kset_flp.Make (struct
-    let l = 2
-  end) in
-  let module E = Sim.Engine.Make (K) in
-  E.run ~n ~inputs:(distinct n)
-    ~pattern:(FP.initial_dead ~n ~dead)
-    (Adv.round_robin ())
-
-let test_spec_checks () =
-  let run = sample_run () in
-  check_ok "2-agreement" (Core.Kset_spec.check_k_agreement ~k:2 run);
-  check_ok "validity" (Core.Kset_spec.check_validity run);
-  check_ok "termination" (Core.Kset_spec.check_termination run);
-  check_ok "all" (Core.Kset_spec.check ~k:2 run)
-
-let test_spec_detects_violation () =
-  let run = sample_run () in
-  (* claiming consensus about a 2-decision run may fail *)
-  match Core.Kset_spec.check_k_agreement ~k:0 run with
-  | Ok () -> Alcotest.fail "0-agreement is impossible"
-  | Error _ -> ()
-
-let test_decision_profile () =
-  let runs = [ sample_run (); sample_run ~dead:[ 1 ] () ] in
-  let profile = Core.Kset_spec.decision_profile runs in
-  Alcotest.(check int) "two buckets or one" (List.length runs)
-    (List.fold_left (fun acc (_, c) -> acc + c) 0 profile)
-
 (* ---------- Partitioning ---------- *)
 
 let test_partitioning_make () =
@@ -200,6 +169,15 @@ let test_restriction_drops_messages () =
     (Sim.Run.all_correct_decided run)
 
 (* ---------- Indistinguishability ---------- *)
+
+let sample_run ?(n = 4) ?(dead = []) () =
+  let module K = Algo.Kset_flp.Make (struct
+    let l = 2
+  end) in
+  let module E = Sim.Engine.Make (K) in
+  E.run ~n ~inputs:(distinct n)
+    ~pattern:(FP.initial_dead ~n ~dead)
+    (Adv.round_robin ())
 
 let test_indist_same_seed () =
   let go () = sample_run () in
@@ -516,12 +494,6 @@ let suites =
         Alcotest.test_case "theorem 10 vs Bouzid-Travers" `Quick test_theorem10_vs_bouzid_travers;
         Alcotest.test_case "corollary 13" `Quick test_corollary13;
         Alcotest.test_case "lemma 3 sizes" `Quick test_partition_sizes_lemma3;
-      ] );
-    ( "core.spec",
-      [
-        Alcotest.test_case "checks pass" `Quick test_spec_checks;
-        Alcotest.test_case "detects violation" `Quick test_spec_detects_violation;
-        Alcotest.test_case "decision profile" `Quick test_decision_profile;
       ] );
     ( "core.partitioning",
       [

@@ -73,9 +73,9 @@ let test_extracted_pair_drives_synod () =
       ~inputs:(Sim.Value.distinct_inputs n)
       ~pattern (Adv.fair ~rng)
   in
-  match Ksa_core.Kset_spec.check ~k:1 run with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "synod over implemented FDs: %s" e
+  match Ksa_sim.Kset_spec.check ~k:1 run with
+  | None -> ()
+  | Some e -> Alcotest.failf "synod over implemented FDs: %s" e
 
 let test_heartbeat_never_decides () =
   let run = heartbeat_run ~seed:1 ~n:3 ~dead:[] ~gst:5 ~steps:60 in

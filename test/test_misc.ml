@@ -35,26 +35,6 @@ let test_border_argument_checks () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* ---------- Kset_spec.check_many ---------- *)
-
-let test_check_many () =
-  let module K = Ksa_algo.Kset_flp.Make (struct
-    let l = 2
-  end) in
-  let module E = Sim.Engine.Make (K) in
-  let mk seed =
-    E.run ~n:4 ~inputs:(distinct 4)
-      ~pattern:(FP.none ~n:4)
-      (Sim.Adversary.fair ~rng:(Rng.create ~seed))
-  in
-  let runs = [ mk 1; mk 2; mk 3 ] in
-  Test_util.check_ok "all pass" (Core.Kset_spec.check_many ~k:2 runs);
-  (match Core.Kset_spec.check_many ~k:0 runs with
-  | Ok () -> Alcotest.fail "k=0 cannot pass"
-  | Error e ->
-      Alcotest.(check bool) "mentions the run index" true
-        (String.length e > 4 && String.sub e 0 4 = "run "))
-
 (* ---------- History.tabulate and map ---------- *)
 
 let test_history_tabulate () =
@@ -174,10 +154,9 @@ let suites =
       [
         Alcotest.test_case "pid/value basics" `Quick test_pid_value_basics;
         Alcotest.test_case "border argument checks" `Quick test_border_argument_checks;
-        Alcotest.test_case "check_many" `Quick test_check_many;
         Alcotest.test_case "history tabulate/map" `Quick test_history_tabulate;
-        Alcotest.test_case "theorem 10 domain" `Quick test_theorem10_partition_domain;
         Alcotest.test_case "last decision time" `Quick test_last_decision_time_none;
+        Alcotest.test_case "theorem 10 domain" `Quick test_theorem10_partition_domain;
         Alcotest.test_case "finish preserves inputs" `Quick test_finish_preserves_inputs;
         Alcotest.test_case "model pp / DDS cube" `Quick test_model_pp_and_cube;
         Alcotest.test_case "loneliness from-time" `Quick test_loneliness_from_time;

@@ -155,7 +155,7 @@ let test_consensus_impossibility_facts () =
 let test_theorem2_demonstrate () =
   List.iter
     (fun (n, f, k) ->
-      match Ksa_core.Theorem2.demonstrate ~n ~f ~k () with
+      match Ksa_core.Theorem2.demonstrate ~n ~f ~k with
       | Error e -> Alcotest.failf "(%d,%d,%d): %s" n f k e
       | Ok r ->
           Alcotest.(check bool) "lemma3" true r.Ksa_core.Theorem2.lemma3;
@@ -167,7 +167,7 @@ let test_theorem2_demonstrate () =
     [ (5, 3, 2); (7, 5, 3); (4, 3, 3) ]
 
 let test_theorem2_outside_region () =
-  match Ksa_core.Theorem2.demonstrate ~n:5 ~f:2 ~k:2 () with
+  match Ksa_core.Theorem2.demonstrate ~n:5 ~f:2 ~k:2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "k(n-f)+1 > n: theorem should not apply"
 

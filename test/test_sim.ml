@@ -158,20 +158,6 @@ let test_fd_required () =
 
 (* ---------- Run analyses ---------- *)
 
-let test_received_before_decision () =
-  let pattern = FP.none ~n:3 in
-  let run = E.run ~n:3 ~inputs:(distinct 3) ~pattern (Adv.round_robin ()) in
-  (* round-robin: p0 steps (no messages yet, doesn't decide), p1 and
-     p2 receive pings and decide; p0 decides on its next step *)
-  List.iter
-    (fun p ->
-      let senders = Sim.Run.received_before_decision run p in
-      Alcotest.(check bool)
-        (Printf.sprintf "p%d heard someone before deciding" p)
-        true
-        (not (Sim.Pid.Set.is_empty senders)))
-    [ 0; 1; 2 ]
-
 let test_receives_nothing_from_until () =
   let pattern = FP.initial_dead ~n:3 ~dead:[ 2 ] in
   let run = E.run ~n:3 ~inputs:(distinct 3) ~pattern (Adv.round_robin ()) in
@@ -727,6 +713,54 @@ let prop_adversary_helpers =
         (ids_where crashed_sender <> []);
       true)
 
+(* ---------- Kset_spec ---------- *)
+
+let spec_run ?max_steps () =
+  let module K = Ksa_algo.Kset_flp.Make (struct
+    let l = 2
+  end) in
+  let module EK = Sim.Engine.Make (K) in
+  EK.run ?max_steps ~n:4 ~inputs:(distinct 4) ~pattern:(FP.none ~n:4)
+    (Adv.round_robin ())
+
+let test_spec_checks () =
+  let run = spec_run () in
+  let none what got = Alcotest.(check (option string)) what None got in
+  none "2-agreement" (Sim.Kset_spec.k_agreement ~k:2 run.Sim.Run.decisions);
+  none "validity" (Sim.Kset_spec.validity ~inputs:run.inputs run.decisions);
+  none "termination" (Sim.Kset_spec.termination run);
+  none "all" (Sim.Kset_spec.check ~k:2 run)
+
+let test_spec_detects_violation () =
+  let run = spec_run () in
+  let d = List.length (List.sort_uniq compare (List.map (fun (_, v, _) -> v) run.decisions)) in
+  Alcotest.(check (option string)) "0-agreement"
+    (Some (Printf.sprintf "%d distinct decisions exceed k=0" d))
+    (Sim.Kset_spec.k_agreement ~k:0 run.decisions);
+  let v = match run.decisions with (_, v, _) :: _ -> v | [] -> Alcotest.fail "no decision" in
+  Alcotest.(check (option string)) "validity"
+    (Some (Printf.sprintf "decided value %d was never proposed" v))
+    (Sim.Kset_spec.validity ~inputs:[| 99 |] run.decisions);
+  Alcotest.(check (option string)) "termination"
+    (Some "correct process undecided after 1 steps")
+    (Sim.Kset_spec.termination (spec_run ~max_steps:1 ()))
+
+let prop_k_agreement_counts_values =
+  QCheck.Test.make ~name:"k_agreement holds iff at most k distinct values" ~count:500
+    QCheck.(pair (int_range 0 6) (small_list (triple (int_range 0 5) (int_range 0 5) small_nat)))
+    (fun (k, ds) ->
+      let module S = Set.Make (Int) in
+      let distinct = S.cardinal (S.of_list (List.map (fun (_, v, _) -> v) ds)) in
+      (Sim.Kset_spec.k_agreement ~k ds = None) = (distinct <= k))
+
+let test_spec_allocation () =
+  let run = spec_run () in
+  let words f = Test_util.words_per_loop 1000 (fun () -> ignore (Sys.opaque_identity (f ()))) in
+  Alcotest.(check (float 0.)) "k-agreement words" 0.
+    (words (fun () -> Sim.Kset_spec.k_agreement ~k:4 run.decisions));
+  Alcotest.(check (float 0.)) "validity words" 0.
+    (words (fun () -> Sim.Kset_spec.validity ~inputs:run.inputs run.decisions))
+
 let suites =
   [
     ( "sim.failure_pattern",
@@ -756,8 +790,15 @@ let suites =
       ] );
     ( "sim.run",
       [
-        Alcotest.test_case "received before decision" `Quick test_received_before_decision;
         Alcotest.test_case "receives nothing from dead" `Quick test_receives_nothing_from_until;
+      ] );
+    ( "sim.kset_spec",
+      [
+        Alcotest.test_case "checks pass" `Quick test_spec_checks;
+        Alcotest.test_case "detects violation" `Quick test_spec_detects_violation;
+        QCheck_alcotest.to_alcotest prop_k_agreement_counts_values;
+        Alcotest.test_case "holding list checks allocate nothing" `Quick
+          test_spec_allocation;
       ] );
     ( "sim.adversary",
       [
