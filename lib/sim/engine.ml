@@ -754,7 +754,7 @@ module Make (A : Algorithm.S) = struct
       forges = List.rev c.forges;
     }
 
-  let run_full ?(max_steps = 100_000) ?fd ~n ~inputs ~pattern
+  let run_full ?(max_steps = 100_000) ?fd ?record ~n ~inputs ~pattern
       (adv : Adversary.t) =
     let all_correct_decided c =
       List.for_all
@@ -782,10 +782,10 @@ module Make (A : Algorithm.S) = struct
                 in
                 loop c' (steps_left - consumed))
     in
-    loop (init ~n ~inputs ()) max_steps
+    loop (init ?record ~n ~inputs ()) max_steps
 
-  let run ?max_steps ?fd ~n ~inputs ~pattern adv =
-    fst (run_full ?max_steps ?fd ~n ~inputs ~pattern adv)
+  let run ?max_steps ?fd ?record ~n ~inputs ~pattern adv =
+    fst (run_full ?max_steps ?fd ?record ~n ~inputs ~pattern adv)
 
   (* ---- canonical configuration keys ----
 

@@ -48,8 +48,9 @@ module Make (A : Algorithm.S) : sig
 
       [record] (default [true]) keeps the event and forge logs that
       {!events} and {!finish} read; the {!Explorer} forks its
-      configurations by the million with [~record:false], and {!events}
-      then returns [[]].  Nothing else depends on it.
+      configurations by the million with [~record:false], a blind
+      {!Fuzz} trial runs so, and {!events} then returns [[]].  Nothing
+      else depends on it.
 
       When [reduction] is a symmetry mode, the configuration applies
       [A.canon] to every produced local state and [A.canon_message] to
@@ -200,14 +201,17 @@ module Make (A : Algorithm.S) : sig
       @raise Invalid_action on an empty list or a non-pending id. *)
 
   val run :
-    ?max_steps:int -> ?fd:Fd_view.oracle ->
+    ?max_steps:int -> ?fd:Fd_view.oracle -> ?record:bool ->
     n:int -> inputs:Value.t array -> pattern:Failure_pattern.t ->
     Adversary.t -> Run.t
   (** Drive the adversary from C{_0} until it halts or [max_steps]
-      steps (default 100_000) have executed. *)
+      steps (default 100_000) have executed.  [record] is {!init}'s
+      (default [true]).  An unrecorded run has the recorded run's
+      [status], [inputs] and [decisions], but empty [events] and
+      [forges] and empty trace rows, so {!Run.step_count} reads 0. *)
 
   val run_full :
-    ?max_steps:int -> ?fd:Fd_view.oracle ->
+    ?max_steps:int -> ?fd:Fd_view.oracle -> ?record:bool ->
     n:int -> inputs:Value.t array -> pattern:Failure_pattern.t ->
     Adversary.t -> Run.t * config
   (** Like {!run} but also returns the final configuration, so that

@@ -651,17 +651,26 @@ module Make (A : Algorithm.S) = struct
     in
     { Adversary.describe = "fuzz"; next }
 
-  let trial (cfg : config) ~seed i =
-    check_weights cfg.weights;
+  (* the [i]-th blind trial's pattern and adversary *)
+  let draw (cfg : config) ~seed i =
     let rng = Rng.split_at (Rng.create ~seed) i in
     let pattern = trial_pattern cfg rng in
-    let adv = adversary cfg rng in
-    let run =
-      Metrics.time t_trial (fun () ->
-          E.run ~max_steps:cfg.max_steps ~n:cfg.n ~inputs:cfg.inputs ~pattern adv)
-    in
+    (pattern, adversary cfg rng)
+
+  let play ~record (cfg : config) pattern adv =
+    E.run ~record ~max_steps:cfg.max_steps ~n:cfg.n ~inputs:cfg.inputs ~pattern
+      adv
+
+  (* a trial's run, timed and counted as one of the campaign's *)
+  let counted ~record cfg pattern adv =
+    let run = Metrics.time t_trial (fun () -> play ~record cfg pattern adv) in
     Metrics.incr m_trials;
     (pattern, run)
+
+  let trial ?(record = true) (cfg : config) ~seed i =
+    check_weights cfg.weights;
+    let pattern, adv = draw cfg ~seed i in
+    counted ~record cfg pattern adv
 
   let check_property (run : Run.t) = function
     | K_agreement k -> Kset_spec.k_agreement ~k run.decisions
@@ -812,13 +821,7 @@ module Make (A : Algorithm.S) = struct
           Replay.lenient ~rest:(adversary cfg rng) !sched )
       end
     in
-    let run =
-      Metrics.time t_trial (fun () ->
-          E.run ~max_steps:cfg.max_steps ~n:cfg.n ~inputs:cfg.inputs ~pattern
-            adv)
-    in
-    Metrics.incr m_trials;
-    (pattern, run)
+    counted ~record:true cfg pattern adv
 
   (* ---------- the campaign driver ---------- *)
 
@@ -879,10 +882,19 @@ module Make (A : Algorithm.S) = struct
     let watermark = ref start in
     let done_tbl : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     let box = if cfg.coverage then Some (box_of_state ~start cov0) else None in
+    (* a trial records its event log only when something reads it: the
+       coverage update, an [on_trial] observer or a [Custom] property *)
+    let record =
+      cfg.coverage || on_trial <> None
+      || List.exists
+           (function
+             | Custom _ -> true | K_agreement _ | Validity | Termination -> false)
+           cfg.properties
+    in
     let prepare, buffer, payload =
       match box with
       | None ->
-          let blind = Some (trial cfg ~seed) in
+          let blind = Some (trial ~record cfg ~seed) in
           let nothing () = () in
           ( (fun _ -> blind),
             (fun _ _ _ -> nothing),
@@ -1019,10 +1031,29 @@ module Make (A : Algorithm.S) = struct
     | None -> ());
     let cut = Atomic.get cut in
     if cut then Checkpoint.flush ckpt snap;
+    (* The built-in properties read only the decisions, inputs and
+       status, which an unrecorded run carries exactly.  A violation
+       reports the recorded run, so an unrecorded campaign re-runs its
+       first violating trial once, recorded, outside [fuzz.trials] and
+       the [fuzz.trial] timer (trial [i] is a pure function of (config,
+       seed, i)), and checks it again: Termination's reason counts the
+       event log. *)
+    let rerun i pattern =
+      let _, adv = draw cfg ~seed i in
+      let r = play ~record:true cfg pattern adv in
+      match check_run cfg r with
+      | Some (prop, reason) -> (r, prop, reason)
+      | None ->
+          failwith
+            (Printf.sprintf "Fuzz: trial %d does not violate when recorded" i)
+    in
     let by_trial (a, _, _, _, _) (b, _, _, _, _) = compare a b in
     let outcome =
       match List.sort by_trial found with
       | (i, pattern, r, prop, reason) :: _ ->
+          let r, prop, reason =
+            if record then (r, prop, reason) else rerun i pattern
+          in
           Violation_found (violation_of cfg i pattern r prop reason)
       | [] ->
           (* the contiguous clean watermark — what the checkpoint

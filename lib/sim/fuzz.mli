@@ -58,7 +58,8 @@ type property =
           that keep the schedule fair ({!fair_weights}); an unfair
           random schedule may legitimately starve a process. *)
   | Custom of string * (Run.t -> string option)
-      (** Named user predicate: return [Some reason] on violation. *)
+      (** Named user predicate: return [Some reason] on violation.  It
+          receives a recorded run. *)
 
 val property_name : property -> string
 
@@ -151,10 +152,14 @@ type coverage_summary = {
     an uninterrupted one holds. *)
 
 module Make (A : Algorithm.S) : sig
-  val trial : config -> seed:int -> int -> Failure_pattern.t * Run.t
+  val trial :
+    ?record:bool -> config -> seed:int -> int -> Failure_pattern.t * Run.t
   (** The [i]-th trial of campaign [seed], as a pure function of
       [(config, seed, i)] — the unit of parity across domain counts:
-      every campaign executes exactly this run for trial [i]. *)
+      every campaign executes exactly this run for trial [i].
+      [record] (default [true]) is {!Engine.Make.run}'s: an
+      unrecorded trial has the same status and decisions, but no
+      event log, forges or trace rows. *)
 
   val adversary : config -> Ksa_prim.Rng.t -> Adversary.t
   (** The weighted adversary a fresh trial runs under, drawing from
@@ -212,8 +217,15 @@ module Make (A : Algorithm.S) : sig
     trials:int ->
     outcome
   (** Campaign over trials [0 .. trials-1], reporting the first
-      violation in trial order (then shrunk).  [on_trial] sees every
-      executed run — e.g. to collect the decision corpus.
+      violation in trial order (then shrunk).  [on_trial] sees each
+      trial's recorded run — e.g. to collect the decision corpus.
+
+      A trial records its event log only when something reads it:
+      coverage mode, an [on_trial] observer or a [Custom] property.
+      Otherwise the built-in properties judge the unrecorded run, and
+      the first violating trial is re-run once, recorded, after the
+      join and checked again; the violation reports that run.  The
+      re-run counts in neither [fuzz.trials] nor [fuzz.trial].
 
       [domains] (default [1]) workers claim trial indices from a
       shared ticket counter; one worker runs in the calling domain,

@@ -181,23 +181,23 @@ let test_differential_against_explorer () =
         (List.sort_uniq compare !decided))
     [ 1; 2; 3; 4; 5 ]
 
+(* kset-flp with L=3 at n=3 and p0 initially dead: the two survivors
+   wait forever for a second hello — every fair schedule exhausts the
+   budget undecided *)
+let termination_cfg =
+  {
+    (Fuzz.default_config ~k:1 ~n:3 ()) with
+    Fuzz.pattern = Sim.Failure_pattern.initial_dead ~n:3 ~dead:[ 0 ];
+    weights = Fuzz.fair_weights;
+    max_steps = 40;
+    properties = [ Fuzz.Termination ];
+  }
+
 let test_termination_violation_budget_shaped () =
-  (* kset-flp with L=3 at n=3 and p0 initially dead: the two survivors
-     wait forever for a second hello — every fair schedule exhausts the
-     budget undecided.  The counterexample is budget-shaped: no step
-     can be removed without losing budget exhaustion, so shrinking
-     must return the full schedule. *)
-  let n = 3 in
-  let cfg =
-    {
-      (Fuzz.default_config ~k:1 ~n ()) with
-      Fuzz.pattern = Sim.Failure_pattern.initial_dead ~n ~dead:[ 0 ];
-      weights = Fuzz.fair_weights;
-      max_steps = 40;
-      properties = [ Fuzz.Termination ];
-    }
-  in
-  let v = expect_violation (FK3.run cfg ~seed:11 ~trials:5) in
+  (* The counterexample is budget-shaped: no step can be removed
+     without losing budget exhaustion, so shrinking must return the
+     full schedule. *)
+  let v = expect_violation (FK3.run termination_cfg ~seed:11 ~trials:5) in
   Alcotest.(check int) "violates immediately" 0 v.Fuzz.trial;
   Alcotest.(check string) "termination" "termination" v.Fuzz.property;
   Alcotest.(check int) "full budget schedule" 40 (List.length v.Fuzz.schedule);
@@ -225,6 +225,109 @@ let test_validity_custom_property () =
   Alcotest.(check string) "custom name" "no-decision" v.Fuzz.property;
   Alcotest.(check int) "single-step counterexample" 1
     (List.length v.Fuzz.shrunk)
+
+(* A blind campaign runs its trials unrecorded and re-runs the first
+   violating one recorded; an [on_trial] observer keeps every trial
+   recorded.  Both report the same violation, field by field.  At one
+   domain both count the same trials (the re-run is not counted); at
+   two, trials above the violation run as the domains' timing lets
+   them, so each counts at least the trials up to the violation. *)
+let check_violation_fields msg (a : Fuzz.violation) (b : Fuzz.violation) =
+  check_violation_equal msg a b;
+  Alcotest.(check int)
+    (msg ^ ": shrink candidates") a.Fuzz.shrink_candidates
+    b.Fuzz.shrink_candidates;
+  Alcotest.(check bool) (msg ^ ": replays") a.Fuzz.replays b.Fuzz.replays;
+  let ra = a.Fuzz.run and rb = b.Fuzz.run in
+  Alcotest.(check bool) (msg ^ ": events") true
+    (ra.Sim.Run.events = rb.Sim.Run.events);
+  Alcotest.(check bool) (msg ^ ": trace") true
+    (Sim.Trace.equal ra.Sim.Run.trace rb.Sim.Run.trace);
+  Alcotest.(check bool) (msg ^ ": forges") true
+    (ra.Sim.Run.forges = rb.Sim.Run.forges);
+  Alcotest.(check bool) (msg ^ ": decisions") true
+    (ra.Sim.Run.decisions = rb.Sim.Run.decisions)
+
+let m_trials = Ksa_prim.Metrics.counter "fuzz.trials"
+
+(* [campaign on_trial domains] runs one campaign; returns the blind
+   one-domain violation *)
+let unrecorded_parity campaign =
+  let counted on_trial domains =
+    let t0 = Ksa_prim.Metrics.value m_trials in
+    let v = expect_violation (campaign on_trial domains) in
+    (v, Ksa_prim.Metrics.value m_trials - t0)
+  in
+  let at domains =
+    let msg = Printf.sprintf "d=%d" domains in
+    let blind, n_blind = counted None domains in
+    let seen, n_seen = counted (Some (fun _ _ -> ())) domains in
+    check_violation_fields msg blind seen;
+    Alcotest.(check bool)
+      (msg ^ ": the recorded run has its events") true
+      (blind.Fuzz.run.Sim.Run.events <> []);
+    if domains = 1 then begin
+      Alcotest.(check int) (msg ^ ": fuzz.trials") n_seen n_blind;
+      Alcotest.(check int) (msg ^ ": trials to the violation")
+        (blind.Fuzz.trial + 1) n_blind
+    end
+    else
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (msg ^ ": fuzz.trials") true
+            (n > blind.Fuzz.trial))
+        [ n_blind; n_seen ];
+    blind
+  in
+  let one = at 1 in
+  check_violation_fields "d=1 vs d=2" one (at 2);
+  one
+
+let test_unrecorded_blind_hunt () =
+  (* the n=4 near-partition subject blind at seed 3 *)
+  let cfg = Fuzz.default_config ~k:1 ~n:4 () in
+  ignore
+    (unrecorded_parity (fun on_trial domains ->
+         FK2.run ?on_trial ~domains cfg ~seed:3 ~trials:50000))
+
+let test_unrecorded_byzantine () =
+  let cfg =
+    { (Fuzz.default_config ~k:1 ~n:3 ()) with Fuzz.model = Sim.Fault_model.Byzantine 1 }
+  in
+  let v =
+    unrecorded_parity (fun on_trial domains ->
+        FK2.run ?on_trial ~domains cfg ~seed:7 ~trials:2000)
+  in
+  Alcotest.(check bool) "the re-run carries its forges" true
+    (v.Fuzz.run.Sim.Run.forges <> [])
+
+let test_unrecorded_termination () =
+  let v =
+    unrecorded_parity (fun on_trial domains ->
+        FK3.run ?on_trial ~domains termination_cfg ~seed:11 ~trials:5)
+  in
+  Alcotest.(check string) "the reason counts the re-run's steps"
+    "correct process undecided after 40 steps" v.Fuzz.reason
+
+let test_unrecorded_custom () =
+  let cfg =
+    {
+      trivial_cfg with
+      Fuzz.properties =
+        [
+          Fuzz.Custom
+            ( "first-step-decides",
+              fun run ->
+                match run.Sim.Run.events with
+                | { Sim.Event.decision = Some _; _ } :: _ ->
+                    Some "the first step decided"
+                | _ -> None );
+        ];
+    }
+  in
+  ignore
+    (unrecorded_parity (fun on_trial domains ->
+         FT.run ?on_trial ~domains cfg ~seed:1 ~trials:10))
 
 (* an interrupt that fires at the first poll ends the campaign before
    any trial runs *)
@@ -495,6 +598,14 @@ let suites =
         Alcotest.test_case "termination counterexample is budget-shaped"
           `Quick test_termination_violation_budget_shaped;
         Alcotest.test_case "custom property" `Quick test_validity_custom_property;
+        Alcotest.test_case "unrecorded trials: blind n=4 hunt parity" `Quick
+          test_unrecorded_blind_hunt;
+        Alcotest.test_case "unrecorded trials: Byzantine parity" `Quick
+          test_unrecorded_byzantine;
+        Alcotest.test_case "unrecorded trials: termination parity" `Quick
+          test_unrecorded_termination;
+        Alcotest.test_case "unrecorded trials: custom property parity" `Quick
+          test_unrecorded_custom;
         Alcotest.test_case "stop => budget exhausted" `Quick
           test_stop_budget_exhausted;
         Alcotest.test_case "stop count: seq/par parity" `Quick

@@ -761,6 +761,60 @@ let test_spec_allocation () =
   Alcotest.(check (float 0.)) "validity words" 0.
     (words (fun () -> Sim.Kset_spec.validity ~inputs:run.inputs run.decisions))
 
+module FK2 = Sim.Fuzz.Make (K2)
+
+(* An unrecorded run keeps no event or forge log, and carries the
+   decisions and status the checks read exactly: Byzantine fuzz
+   adversaries, some of whose recorded runs forge *)
+let test_unrecorded_run () =
+  let n = 3 in
+  let cfg =
+    {
+      (Sim.Fuzz.default_config ~k:1 ~n ()) with
+      Sim.Fuzz.model = Sim.Fault_model.Byzantine 1;
+    }
+  in
+  let pattern = FP.of_crash_times ~n [ (0, 4) ] in
+  let forged = ref 0 in
+  for seed = 1 to 30 do
+    let run record =
+      EK.run ~record ~max_steps:cfg.max_steps ~n ~inputs:cfg.inputs ~pattern
+        (FK2.adversary cfg (Rng.create ~seed))
+    in
+    let r = run true and u = run false in
+    if r.Sim.Run.forges <> [] then incr forged;
+    Alcotest.(check bool) "no events" true (u.Sim.Run.events = []);
+    Alcotest.(check bool) "no forges" true (u.Sim.Run.forges = []);
+    Alcotest.(check int) "step count" 0 (Sim.Run.step_count u);
+    Alcotest.(check bool) "same decisions" true
+      (u.Sim.Run.decisions = r.Sim.Run.decisions);
+    Alcotest.(check bool) "same status" true (u.Sim.Run.status = r.Sim.Run.status)
+  done;
+  Alcotest.(check bool) "some recorded run forges" true (!forged > 0)
+
+(* A blind campaign that nothing observes runs its trials unrecorded:
+   with a warm transition memo it allocates at least 15% fewer words
+   than the same campaign with an [on_trial] observer, which keeps
+   every trial recorded (about 2,300 against 3,100 words a trial) *)
+let test_blind_campaign_allocation () =
+  let cfg =
+    { (Sim.Fuzz.default_config ~k:2 ~n:4 ()) with Sim.Fuzz.max_crashes = 2 }
+  in
+  let words on_trial =
+    let w0 = Gc.minor_words () in
+    (match FK2.run ?on_trial cfg ~seed:5 ~trials:500 with
+    | Sim.Fuzz.Clean { trials } -> Alcotest.(check int) "clean" 500 trials
+    | _ -> Alcotest.fail "Theorem 8: a k=2 campaign at L=2 is clean");
+    Gc.minor_words () -. w0
+  in
+  ignore (words None);
+  let blind = words None in
+  let seen = words (Some (fun _ _ -> ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "blind %.0f <= 0.85 x observed %.0f words" blind seen)
+    true
+    (blind <= 0.85 *. seen)
+
 let suites =
   [
     ( "sim.failure_pattern",
@@ -799,6 +853,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_k_agreement_counts_values;
         Alcotest.test_case "holding list checks allocate nothing" `Quick
           test_spec_allocation;
+        Alcotest.test_case "an unrecorded run carries what the checks read"
+          `Quick test_unrecorded_run;
+        Alcotest.test_case "blind trials record nothing: 15% fewer words"
+          `Quick test_blind_campaign_allocation;
       ] );
     ( "sim.adversary",
       [
