@@ -13,7 +13,7 @@ let max_impossible_k ~n ~f =
 let theorem8_solvable ~n ~f ~k =
   check_nf ~n ~f;
   if k < 1 then invalid_arg "Border: k >= 1";
-  k * n > (k + 1) * f
+  Ksa_algo.Kset_flp.solvable ~n ~f ~k
 
 let min_solvable_k ~n ~f =
   check_nf ~n ~f;

@@ -16,7 +16,9 @@ val max_impossible_k : n:int -> f:int -> int
 
 val theorem8_solvable : n:int -> f:int -> k:int -> bool
 (** Theorem 8: with up to f initially dead processes, k-set agreement
-    is solvable iff [k * n > (k + 1) * f]. *)
+    is solvable iff [k * n > (k + 1) * f].  Checks [0 <= f < n] and
+    [k >= 1], then reads the bound from [Ksa_algo.Kset_flp.solvable],
+    its one encoding. *)
 
 val min_solvable_k : n:int -> f:int -> int
 (** The smallest k solvable with f initial crashes:

@@ -123,6 +123,26 @@ let default_domains () =
   | Some d when d >= 1 -> d
   | Some _ | None -> Domain.recommended_domain_count ()
 
+(* The caller runs worker 0: parked in [Domain.join] it would do no
+   work, yet still take part in every stop-the-world minor collection. *)
+let fan_out ~domains ~stop work =
+  let guard w =
+    match work w with
+    | r -> Ok r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        stop ();
+        Error (e, bt)
+  in
+  let spawned =
+    List.init (domains - 1) (fun w -> Domain.spawn (fun () -> guard (w + 1)))
+  in
+  let own = guard 0 in
+  (* [List.map] applies in list order: the caller's failure wins *)
+  List.map
+    (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (own :: List.map Domain.join spawned)
+
 (* ---- pause-the-world coordination for a multi-domain run ----
 
    A checkpoint must capture a consistent cut of every worker's
@@ -207,8 +227,10 @@ end
    merges the worker slots into the driver's payload and
    writes it; when the campaign is interrupted it writes a final
    checkpoint the same way, then raises the driver's stop flag (via
-   [on_interrupt]) and retires. *)
-let spawn_coordinator ~ckpt ~pause ~items ~merge ~on_interrupt =
+   [on_interrupt]) and retires.  If the poll or a write raises, it
+   calls [stop] before it dies, so the workers wind down and the
+   driver's join re-raises promptly. *)
+let spawn_coordinator ~ckpt ~pause ~items ~merge ~on_interrupt ~stop =
   if not (Checkpoint.engaged ckpt) then None
   else
     let quit = Atomic.make false in
@@ -238,7 +260,11 @@ let spawn_coordinator ~ckpt ~pause ~items ~merge ~on_interrupt =
               loop ()
             end
           in
-          loop ())
+          try loop ()
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            stop ();
+            Printexc.raise_with_backtrace e bt)
     in
     Some (quit, d)
 
@@ -645,7 +671,9 @@ exception Verdict of (Pid.t * Value.t * int) list * string * int
 
    One domain spawns nothing: the worker runs in the calling domain,
    never spills, and polls the interrupt before each pop and offers a
-   periodic write after each step — a sequential worklist loop.
+   periodic write after each step — a sequential worklist loop.  At
+   more, worker 0 still runs in the calling domain ({!fan_out}) and the
+   coordinator domain polls and writes.
 
    Supervision: a step that fails with a non-verdict exception puts
    its in-flight item back on the stack in its admitted form
@@ -856,24 +884,30 @@ module Workers = struct
       if t.domains = 1 then [ worker None 0 () ]
       else begin
         let pause = Pause.create t.domains in
+        let stop () = Atomic.set t.stop true in
         let coordinator =
           spawn_coordinator ~ckpt ~pause
             ~items:(fun () -> count t)
-            ~merge:cut ~on_interrupt
+            ~merge:cut ~on_interrupt ~stop
         in
-        let joined =
-          List.init t.domains (fun i ->
-              Domain.spawn (fun () ->
-                  Metrics.incr m_domains;
-                  worker (Some pause) i ()))
-          |> List.map Domain.join
+        let retire () =
+          Option.iter
+            (fun (quit, d) ->
+              Atomic.set quit true;
+              Domain.join d)
+            coordinator
         in
-        Option.iter
-          (fun (quit, d) ->
-            Atomic.set quit true;
-            Domain.join d)
-          coordinator;
-        joined
+        Metrics.add m_domains t.domains;
+        match
+          fan_out ~domains:t.domains ~stop (fun i -> worker (Some pause) i ())
+        with
+        | joined ->
+            retire ();
+            joined
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            (try retire () with _ -> ());
+            Printexc.raise_with_backtrace e bt
       end
     in
     List.iteri

@@ -36,15 +36,18 @@
     admission is atomic per key, so every reachable configuration is
     admitted and expanded exactly once, and move the frontier through
     work-stealing pools.  Whenever no budget truncates, verdict and
-    stats are the same at every domain count; one domain spawns no
-    domain and walks one fixed depth-first order, so its truncated
-    stats are deterministic too.  [check] must be thread-safe when
-    [domains] exceeds 1.  [ckpt] attaches a {!Checkpoint} controller:
-    the driver writes periodic snapshots per its sink policy — between
-    steps in the calling domain at one domain, through a coordinator
-    that parks every worker at more — and polls the interrupt; on
-    interruption it flushes a final checkpoint and returns a truncated
-    verdict.  A fault raised by a checkpoint write leaves the driver.
+    stats are the same at every domain count.  Worker 0 runs in the
+    calling domain, so [d] domains spawn [d − 1] workers ({!fan_out});
+    one domain spawns no domain and walks one fixed depth-first order,
+    so its truncated stats are deterministic too.  [check] must be
+    thread-safe when [domains] exceeds 1.  [ckpt] attaches a
+    {!Checkpoint} controller: the driver writes periodic snapshots per
+    its sink policy — between steps in the calling domain at one
+    domain, through a coordinator domain that parks every worker at
+    more — and polls the interrupt; on interruption it flushes a final
+    checkpoint and returns a truncated verdict.  A fault raised by a
+    checkpoint write or by the interrupt poll leaves the driver once
+    every domain it spawned has been joined.
     [resume] is a payload the same driver wrote at any domain count:
     once the interner dumps are restored
     ({!Checkpoint.restore_interners}) the campaign continues at
@@ -171,6 +174,15 @@ val default_domains : unit -> int
     environment variable if set to a positive integer, otherwise
     (unset or malformed, ["0"] and ["abc"] included)
     [Domain.recommended_domain_count ()]. *)
+
+val fan_out : domains:int -> stop:(unit -> unit) -> (int -> 'a) -> 'a list
+(** [fan_out ~domains ~stop work] runs [work 0] in the calling domain
+    and [work 1] … [work (domains − 1)] on spawned domains, and returns
+    their results in worker order.  A worker that raises calls [stop],
+    which must make the others return soon; every spawned domain is
+    joined before the first failure in worker order is re-raised, so
+    no domain outlives the call.  Both multi-domain drivers (the
+    explorers' and {!Fuzz}'s) run on it. *)
 
 type resilient_outcome =
   | All_paths_decide of stats

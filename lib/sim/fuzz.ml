@@ -86,6 +86,7 @@ let m_violations = Metrics.counter "fuzz.violations"
 let m_shrink_candidates = Metrics.counter "fuzz.shrink.candidates"
 let m_domains = Metrics.counter "fuzz.domains.spawned"
 let t_trial = Metrics.timer "fuzz.trial"
+let t_campaign = Metrics.timer "fuzz.campaign"
 let t_shrink = Metrics.timer "fuzz.shrink"
 let g_first = Metrics.gauge "fuzz.first_violation.trial"
 let g_schedule_len = Metrics.gauge "fuzz.schedule.len"
@@ -101,12 +102,15 @@ let m_cov_mutants = Metrics.counter "fuzz.cov.mutants"
 let m_cov_fresh = Metrics.counter "fuzz.cov.fresh"
 let m_poisoned = Metrics.counter "fuzz.tickets_poisoned"
 
+(* campaign rates: [fuzz.trial] sums trial time over the domains, so
+   the rates divide by [fuzz.campaign], the wall time of the trial
+   phases as the calling domain sees it *)
 let () =
   Metrics.probe "fuzz.schedules_per_sec" (fun () ->
-      let ns = Metrics.timer_ns t_trial in
+      let ns = Metrics.timer_ns t_campaign in
       if ns <= 0 then 0 else Metrics.value m_trials * 1_000_000_000 / ns);
   Metrics.probe "fuzz.cov.ids_per_sec" (fun () ->
-      let ns = Metrics.timer_ns t_trial in
+      let ns = Metrics.timer_ns t_campaign in
       if ns <= 0 then 0
       else Metrics.gauge_value g_cov_ids * 1_000_000_000 / ns)
 
@@ -843,8 +847,8 @@ module Make (A : Algorithm.S) = struct
         | Ok p -> (p.pl_trial, p.pl_cov))
 
   (* One ticket/watermark loop runs every campaign, blind or coverage,
-     on any number of domains; at [domains = 1] its single worker runs
-     in the calling domain.  Workers claim trial indices from a shared
+     on any number of domains; worker 0 runs in the calling domain and
+     the others are spawned ({!Explorer.fan_out}).  Workers claim trial indices from a shared
      ticket counter and stop claiming above [best], the lowest
      violating index found so far.  Every ticket below it still runs,
      so the minimum over the reported violations is exactly the first
@@ -949,7 +953,11 @@ module Make (A : Algorithm.S) = struct
       let b = Atomic.get best in
       if i < b && not (Atomic.compare_and_set best b i) then lower i
     in
-    let abandoned i = i > Atomic.get best || Atomic.get poison <> None in
+    (* [stop]: a worker raised, and the campaign re-raises it *)
+    let stop = Atomic.make false in
+    let abandoned i =
+      i > Atomic.get best || Atomic.get poison <> None || Atomic.get stop
+    in
     (* one poll of the interrupt: a wall-clock expiry folded into it
        (--max-seconds) preserves the watermark exactly like a signal *)
     let halted () =
@@ -1014,13 +1022,13 @@ module Make (A : Algorithm.S) = struct
       in
       loop []
     in
+    if domains > 1 then Metrics.add m_domains domains;
     let found =
-      if domains <= 1 then worker 0 ()
-      else
-        List.init domains (fun w ->
-            Metrics.incr m_domains;
-            Domain.spawn (worker w))
-        |> List.concat_map Domain.join
+      Metrics.time t_campaign (fun () ->
+          Explorer.fan_out ~domains
+            ~stop:(fun () -> Atomic.set stop true)
+            (fun w -> worker w ()))
+      |> List.concat
     in
     (match Atomic.get poison with
     | Some (e, bt) ->

@@ -228,11 +228,14 @@ module Make (A : Algorithm.S) : sig
       re-run counts in neither [fuzz.trials] nor [fuzz.trial].
 
       [domains] (default [1]) workers claim trial indices from a
-      shared ticket counter; one worker runs in the calling domain,
-      more are spawned.  Workers stop claiming tickets above the
-      lowest violating index found so far, but every ticket below it
-      still runs, so for a fixed seed the outcome is bit-identical at
-      every domain count.  Only an interrupt makes which trials ran
+      shared ticket counter; worker 0 runs in the calling domain and
+      the other [domains − 1] are spawned ({!Explorer.fan_out}).  A
+      fault that escapes a worker (the interrupt poll, a checkpoint
+      write) stops the others, and the campaign re-raises it once every
+      spawned domain has been joined.  Workers stop claiming tickets
+      above the lowest violating index found so far, but every ticket
+      below it still runs, so for a fixed seed the outcome is
+      bit-identical at every domain count.  Only an interrupt makes which trials ran
       depend on timing: with none, a campaign is a pure function of
       its seed.  [on_trial] is invoked from the domain that ran the
       trial: with [domains > 1] it runs concurrently on several

@@ -44,21 +44,6 @@ let strongest ~n ~delta =
     fd = No_fd;
   }
 
-let consensus_impossible t ~f =
-  if f < 1 then Some false
-  else
-    match (t.communication, t.processes) with
-    | Async_comm, _ ->
-        (* [11, Table I] / FLP: asynchronous communication dooms
-           consensus with one crash, whatever the other parameters *)
-        Some true
-    | Sync_comm _, Sync_processes _ ->
-        (* fully synchronous: round-based consensus exists *)
-        Some false
-    | Sync_comm _, Async_processes ->
-        (* depends on the remaining parameters in [11]; not encoded *)
-        None
-
 let pp_process ppf = function
   | Async_processes -> Format.pp_print_string ppf "procs:async"
   | Sync_processes phi -> Format.fprintf ppf "procs:sync(Φ=%d)" phi

@@ -72,16 +72,4 @@ val theorem2 : n:int -> t
 val strongest : n:int -> delta:int -> t
 (** All five parameters favourable. *)
 
-val consensus_impossible : t -> f:int -> bool option
-(** What is known (from [11] and FLP) about consensus with up to [f]
-    crashes (f ≥ 1) in the model, for n ≥ 2 processes:
-    [Some true] — provably impossible; [Some false] — an algorithm
-    exists; [None] — not encoded here.  Only the entries the paper
-    relies on are encoded: any model with asynchronous communication
-    and at least one (possibly non-initial) crash has impossible
-    consensus regardless of the other four parameters ([11, Table I],
-    the entry behind condition (C) of Theorems 2 and 10, which
-    [Theorem1] reads from [Border.flp_consensus_impossible]); fully
-    synchronous models are solvable. *)
-
 val pp : Format.formatter -> t -> unit

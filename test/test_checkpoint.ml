@@ -980,6 +980,70 @@ let test_fuzz_par_stop_flush () =
            ~resume_payload:(Checkpoint.payload t)
            fuzz_cfg_clean ~seed:7 ~trials))
 
+(* ---------- a fault that leaves a multi-domain driver ----------
+
+   The interrupt poll raises once, on its [n]th call or the first one
+   after it from the chosen side: the calling domain or a spawned one.
+   The driver must stop its other workers, join every domain it spawned
+   and re-raise.  Once it has returned nothing it started may run on,
+   which a live counter that stays put for 50 ms shows. *)
+
+exception Poll_fault
+
+let raise_on_poll ~caller n =
+  let me = Domain.self () in
+  let polls = Atomic.make 0 and fired = Atomic.make false in
+  fun () ->
+    if
+      Atomic.fetch_and_add polls 1 >= n
+      && (Domain.self () = me) = caller
+      && Atomic.compare_and_set fired false true
+    then raise Poll_fault;
+    false
+
+let check_raises_then_quiet name ~counter run =
+  (match run () with
+  | _ -> Alcotest.fail (name ^ ": a raising poll must leave the driver")
+  | exception Poll_fault -> ());
+  let c = Metrics.counter counter in
+  let before = Metrics.value c in
+  Unix.sleepf 0.05;
+  Alcotest.(check int) (name ^ ": " ^ counter ^ " stays put") before
+    (Metrics.value c)
+
+let test_fuzz_fault_joins () =
+  List.iter
+    (fun caller ->
+      let ckpt = Checkpoint.ctl ~interrupt:(raise_on_poll ~caller 200) () in
+      check_raises_then_quiet
+        (Printf.sprintf "fuzz d=2, %s poll raises"
+           (if caller then "caller's" else "spawned"))
+        ~counter:"fuzz.trials"
+        (fun () ->
+          FK2.run ~domains:2 ~ckpt fuzz_cfg_clean ~seed:7 ~trials:1_000_000))
+    [ true; false ]
+
+let test_explore_fault_joins () =
+  (* at two domains the coordinator domain polls; its fault must stop
+     the workers, not wait for them to finish the space *)
+  let module Ex = Sim.Explorer.Make (K2) in
+  let run ?ckpt () =
+    Ex.explore_with_crashes ~domains:2 ?ckpt ~n:4 ~inputs:(distinct 4)
+      ~crash_budget:1 ~check:no_check ()
+  in
+  let admitted = Metrics.counter "explore.admitted" in
+  let full =
+    let before = Metrics.value admitted in
+    ignore (run ());
+    Metrics.value admitted - before
+  in
+  let before = Metrics.value admitted in
+  let ckpt = Checkpoint.ctl ~interrupt:(raise_on_poll ~caller:false 2) () in
+  check_raises_then_quiet "explore-crash d=2" ~counter:"explore.admitted"
+    (fun () -> run ~ckpt ());
+  Alcotest.(check bool) "the fault cut the search short" true
+    (Metrics.value admitted - before < full)
+
 (* ---------- coverage (greybox) campaigns ---------- *)
 
 let fuzz_cfg_cov = { fuzz_cfg_clean with Sim.Fuzz.coverage = true }
@@ -1459,5 +1523,9 @@ let suites =
           `Quick test_explore_payload_in_fuzz;
         Alcotest.test_case "resume: fuzz payload in explore starts fresh"
           `Quick test_fuzz_payload_in_explore;
+        Alcotest.test_case "fuzz: a raising poll joins every domain" `Quick
+          test_fuzz_fault_joins;
+        Alcotest.test_case "explore-crash: a raising poll joins every domain"
+          `Quick test_explore_fault_joins;
       ] );
   ]

@@ -32,6 +32,16 @@ let test_theorem8_examples () =
     (Core.Border.theorem8_solvable ~n:6 ~f:4 ~k:2);
   Alcotest.(check int) "min k n=6 f=4" 3 (Core.Border.min_solvable_k ~n:6 ~f:4)
 
+let test_flp_consensus_entry () =
+  (* [11, Table I]: consensus dies with one crash in an asynchronous
+     subsystem of two or more processes *)
+  Alcotest.(check bool) "one crash, two processes" true
+    (Core.Border.flp_consensus_impossible ~n_subsystem:2 ~crashes:1);
+  Alcotest.(check bool) "no crash" false
+    (Core.Border.flp_consensus_impossible ~n_subsystem:5 ~crashes:0);
+  Alcotest.(check bool) "lone process" false
+    (Core.Border.flp_consensus_impossible ~n_subsystem:1 ~crashes:1)
+
 let test_borders_initial_crash_dichotomy () =
   (* in the initial-crash model, Theorem 8's iff makes solvable /
      impossible an exact dichotomy *)
@@ -494,6 +504,7 @@ let suites =
         Alcotest.test_case "theorem 10 vs Bouzid-Travers" `Quick test_theorem10_vs_bouzid_travers;
         Alcotest.test_case "corollary 13" `Quick test_corollary13;
         Alcotest.test_case "lemma 3 sizes" `Quick test_partition_sizes_lemma3;
+        Alcotest.test_case "FLP consensus entry" `Quick test_flp_consensus_entry;
       ] );
     ( "core.partitioning",
       [

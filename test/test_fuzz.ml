@@ -483,6 +483,23 @@ let test_coverage_clean_seq_par_parity () =
       Alcotest.(check int) "par trials" 200 b
   | _ -> Alcotest.fail "expected clean campaigns in both drivers"
 
+let test_rate_probes () =
+  (* the rates are the campaign's: trials and coverage ids over the
+     calling domain's [fuzz.campaign] time, not over [fuzz.trial],
+     which sums trial time over the domains *)
+  let cfg = { (Fuzz.default_config ~n:3 ()) with Fuzz.coverage = true } in
+  ignore (FK2.run ~domains:2 cfg ~seed:5 ~trials:300);
+  let s = Ksa_prim.Metrics.snapshot () in
+  let get name = List.assoc name s in
+  let ns = get "fuzz.campaign.ns" in
+  Alcotest.(check bool) "fuzz.campaign timed" true (ns > 0);
+  Alcotest.(check int) "fuzz.schedules_per_sec"
+    (get "fuzz.trials" * 1_000_000_000 / ns)
+    (get "fuzz.schedules_per_sec");
+  Alcotest.(check int) "fuzz.cov.ids_per_sec"
+    (get "fuzz.cov.ids" * 1_000_000_000 / ns)
+    (get "fuzz.cov.ids_per_sec")
+
 let test_weights_validated () =
   let cfg =
     {
@@ -626,5 +643,7 @@ let suites =
         Alcotest.test_case "a decision allocates its step only" `Quick
           test_decision_allocation;
         QCheck_alcotest.to_alcotest prop_projection_replays;
+        Alcotest.test_case "rate probes divide by the campaign timer" `Quick
+          test_rate_probes;
       ] );
   ]

@@ -134,22 +134,6 @@ let test_trivial_is_everything () =
   Alcotest.(check int) "all 32 combinations" 32
     (List.length (MC.admissible_models run ~phi:3 ~delta:3))
 
-(* ---------- the encoded DDS facts ---------- *)
-
-let test_consensus_impossibility_facts () =
-  Alcotest.(check (option bool)) "masync" (Some true)
-    (Model.consensus_impossible Model.masync ~f:1);
-  Alcotest.(check (option bool)) "theorem2 model" (Some true)
-    (Model.consensus_impossible (Model.theorem2 ~n:5) ~f:1);
-  Alcotest.(check (option bool)) "fully synchronous" (Some false)
-    (Model.consensus_impossible (Model.strongest ~n:5 ~delta:2) ~f:1);
-  Alcotest.(check (option bool)) "no crashes" (Some false)
-    (Model.consensus_impossible Model.masync ~f:0);
-  Alcotest.(check (option bool)) "unknown cell" None
-    (Model.consensus_impossible
-       { Model.masync with Model.communication = Model.Sync_comm 2 }
-       ~f:1)
-
 (* ---------- Theorem 2 end-to-end ---------- *)
 
 let test_theorem2_demonstrate () =
@@ -189,7 +173,6 @@ let suites =
         Alcotest.test_case "broadcast shape" `Quick test_broadcast_shape;
         Alcotest.test_case "atomicity" `Quick test_atomicity_check;
         Alcotest.test_case "trivial in all 32" `Quick test_trivial_is_everything;
-        Alcotest.test_case "DDS facts" `Quick test_consensus_impossibility_facts;
       ] );
     ( "core.theorem2",
       [
