@@ -1,6 +1,5 @@
 module Pid = Ksa_sim.Pid
 module Value = Ksa_sim.Value
-module Digraph = Ksa_dgraph.Digraph
 module Source = Ksa_dgraph.Source
 
 let kset_l ~n ~f =
@@ -12,6 +11,8 @@ let consensus_l ~n = (n + 2) / 2
 let decisions_bound ~n ~l = n / l
 
 let solvable ~n ~f ~k = k * n > (k + 1) * f
+
+let max_n = Sys.int_size - 2
 
 module Make (P : sig
   val l : int
@@ -39,6 +40,7 @@ struct
 
   let init ~n ~me ~input =
     if P.l < 1 || P.l > n then invalid_arg "Kset_flp: need 1 <= L <= n";
+    if n > max_n then invalid_arg "Kset_flp: need n <= Sys.int_size - 2";
     {
       n;
       me;
@@ -56,31 +58,27 @@ struct
       (fun q -> if Pid.equal q st.me then None else Some (q, msg))
       (List.init st.n Fun.id)
 
+  let mask_of pids = List.fold_left (fun m q -> m lor (1 lsl q)) 0 pids
+
   (* Once all needed reports are present, the local knowledge graph is
      exactly the ancestor closure of [me] in the global stage-one
-     graph; decide via its minimal source component. *)
+     graph; decide via its minimal source component.  The graph is
+     one predecessor bitmask per pid, q's heard list cut to [need]
+     (which [absorb_report] grows by every heard list, so the cut
+     keeps each set bit a pid with a report), and the smallest member
+     of the decision source is the pid whose proposal is decided. *)
   let try_decide st =
     if st.decided || not st.in_stage2 then None
     else if not (Pid.Set.for_all (fun q -> Pid.Map.mem q st.reports) st.need)
     then None
     else begin
-      let known = Pid.Set.elements st.need in
-      let compact = Hashtbl.create 16 in
-      List.iteri (fun i q -> Hashtbl.replace compact q i) known;
-      let preds =
-        Array.of_list
-          (List.map
-             (fun q ->
-               let _, heard_q = Pid.Map.find q st.reports in
-               List.filter_map (Hashtbl.find_opt compact) heard_q)
-             known)
-      in
-      let g = Digraph.of_pred_lists preds in
-      let src = Source.decision_source g (Hashtbl.find compact st.me) in
-      let min_vertex = List.fold_left min (List.hd src) src in
-      let winner = List.nth known min_vertex in
-      let value, _ = Pid.Map.find winner st.reports in
-      Some value
+      let need = Pid.Set.fold (fun q m -> m lor (1 lsl q)) st.need 0 in
+      let pred = Array.make st.n 0 in
+      Pid.Set.iter
+        (fun q -> pred.(q) <- mask_of (snd (Pid.Map.find q st.reports)) land need)
+        st.need;
+      let winner = Source.min_source_ancestor pred st.me in
+      Some (fst (Pid.Map.find winner st.reports))
     end
 
   let absorb_report st q (v, heard_q) =
@@ -129,8 +127,8 @@ struct
   (* [heard] is a deduplicated set kept in arrival order, and every
      consumer is order-insensitive: membership ([List.mem]), the
      stage-2 threshold ([List.length]), the [need] closure (set
-     union), and [try_decide]'s predecessor lists (a digraph edge set,
-     and [decision_source] is a function of the graph).  Sorting it —
+     union), and [try_decide]'s predecessor bitmasks (an edge set, and
+     the decision rule is a function of the graph).  Sorting it —
      and the heard lists inside received reports — is therefore
      behaviour-preserving, and collapses the (L-1)! arrival orders
      that lead to the same stage-2 report.

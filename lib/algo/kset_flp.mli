@@ -20,6 +20,11 @@
     smallest source component it is connected to, hence at most
     ⌊n/L⌋ distinct decisions system-wide.
 
+    The rule is computed on predecessor bitmasks, one OCaml int per
+    pid ({!Ksa_dgraph.Source.min_source_ancestor}): no digraph or
+    condensation is built at a decision.  So a system has at most
+    {!max_n} processes.
+
     With L = n − f the protocol tolerates f initially dead processes
     and solves k-set agreement for every k ≥ ⌊n/(n−f)⌋ — and by
     Theorem 8 this is tight: solvability holds iff kn > (k+1)f.
@@ -39,9 +44,14 @@ val decisions_bound : n:int -> l:int -> int
 val solvable : n:int -> f:int -> k:int -> bool
 (** Theorem 8's border: [kn > (k+1)f]. *)
 
+val max_n : int
+(** [Sys.int_size - 2] (61 on 64-bit hosts): the largest n the
+    protocol runs with, the explorer's crash-set bitmask bound too. *)
+
 module Make (P : sig
   val l : int
 end) : Ksa_sim.Algorithm.S
-(** The protocol with the given L.  [init] checks [1 <= l <= n]; with
+(** The protocol with the given L.  [init] raises [Invalid_argument]
+    unless [1 <= l <= n] and [n <= max_n]; with
     L = 1 the protocol degenerates to decide-own-value (the f = n−1
     case of Theorem 8, where only k = n is solvable). *)

@@ -43,6 +43,33 @@ let decision_source g v =
   | [] -> assert false (* Lemma 7: impossible *)
   | first :: _ -> first (* sorted by smallest member: deterministic rule *)
 
+(* [u] lies in a source component iff it reaches each of its
+   ancestors back: every [w] with [u]'s bit [w] set has bit [u] set.
+   Top-level recursion, so the kernel allocates no closure. *)
+let rec in_source anc u w =
+  w = Array.length anc
+  || (anc.(u) land (1 lsl w) = 0 || anc.(w) land (1 lsl u) <> 0)
+     && in_source anc u (w + 1)
+
+let rec first_source anc cands u =
+  if u = Array.length anc then assert false (* Lemma 7: impossible *)
+  else if cands land (1 lsl u) <> 0 && in_source anc u 0 then u
+  else first_source anc cands (u + 1)
+
+let min_source_ancestor anc v =
+  let n = Array.length anc in
+  if n > Sys.int_size || v < 0 || v >= n then
+    invalid_arg "Source.min_source_ancestor";
+  (* bitset Warshall: once round [k] is done, [anc.(q)] holds every
+     vertex with a path to [q] whose inner vertices are all [<= k] *)
+  for k = 0 to n - 1 do
+    let bit = 1 lsl k and through = anc.(k) in
+    for q = 0 to n - 1 do
+      if anc.(q) land bit <> 0 then anc.(q) <- anc.(q) lor through
+    done
+  done;
+  first_source anc (anc.(v) lor (1 lsl v)) 0
+
 let max_source_components ~n ~delta =
   if n < 0 || delta < 0 then invalid_arg "Source.max_source_components";
   n / (delta + 1)

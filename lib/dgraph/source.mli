@@ -31,6 +31,20 @@ val decision_source : Digraph.t -> int -> int list
     applies the same local rule, and the number of distinct results
     over all [v] is bounded by the number of source components. *)
 
+val min_source_ancestor : int array -> int -> int
+(** [min_source_ancestor pred v] is the smallest vertex of a source
+    component from which [v] is reachable: the smallest vertex of
+    [decision_source g v], computed without building [g].  [pred.(u)]
+    is the predecessor set of vertex [u] as a bitmask (bit [w] set iff
+    [w → u]; bits at or above [Array.length pred] are ignored), so a
+    graph has at most [Sys.int_size] vertices.  The kernel closes
+    [pred] in place into ancestor sets by bitset Warshall, then
+    returns the smallest [u] among [v] and its ancestors whose own
+    ancestors all have [u] as an ancestor.  It takes O(n²) word
+    operations and allocates nothing; [pred] is overwritten.
+    @raise Invalid_argument unless [Array.length pred <= Sys.int_size]
+    and [0 <= v < Array.length pred]. *)
+
 val max_source_components : n:int -> delta:int -> int
 (** The bound ⌊n / (δ+1)⌋ on the number of source components of a
     graph with [n] vertices and minimum in-degree [delta] ≥ 0

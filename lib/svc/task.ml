@@ -208,6 +208,14 @@ let algo_conv ~n ~l ~wait_for name =
   in
   match name with
   | "kset-flp" ->
+      (* one decision-rule bitmask bit per pid *)
+      let* () =
+        if n <= Algo.Kset_flp.max_n then Ok ()
+        else
+          Error
+            (Printf.sprintf "%s: field %s must be at most %d, got %d" name
+               (describe Fields.n) Algo.Kset_flp.max_n n)
+      in
       let* () = in_range Fields.l l in
       let module K = Algo.Kset_flp.Make (struct
         let l = l

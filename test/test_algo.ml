@@ -26,6 +26,14 @@ let test_l_bounds_checked () =
     (match K0.init ~n:3 ~me:0 ~input:0 with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  (* one decision-rule bitmask bit per pid *)
+  let module K2 = Algo.Kset_flp.Make (struct
+    let l = 2
+  end) in
+  Alcotest.(check bool) "n above the mask bound rejected" true
+    (match K2.init ~n:(Algo.Kset_flp.max_n + 1) ~me:0 ~input:0 with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   (* L=1 degenerates to wait-freedom: under the delay-everything
      adversary every process decides its own value solo (n-set) *)
   let module K1 = Algo.Kset_flp.Make (struct

@@ -202,6 +202,28 @@ let test_reachable_sources_multiple () =
   Alcotest.(check (list int)) "deterministic pick" [ 0; 1 ]
     (Source.decision_source g 4)
 
+let pred_masks g =
+  Array.init (D.n g) (fun u -> List.fold_left (fun m w -> m lor (1 lsl w)) 0 (D.pred g u))
+
+(* the clique/chain graph above, then two cliques where the one
+   holding the smallest vertex is fed back from the other, so it is
+   no source; the kernel closes its argument in place, so a second
+   call on the closed masks must allocate nothing and answer the same *)
+let test_min_source_ancestor () =
+  let chain = pred_masks (D.create ~n:4 ~edges:[ (0, 1); (1, 0); (1, 2); (2, 3) ]) in
+  Alcotest.(check int) "p3's winner" 0 (Source.min_source_ancestor chain 3);
+  let two =
+    D.create ~n:5 ~edges:[ (2, 3); (3, 2); (0, 1); (1, 0); (1, 4); (3, 4); (4, 0) ]
+  in
+  let masks = pred_masks two in
+  Alcotest.(check int) "p4 reaches only {2,3}" 2 (Source.min_source_ancestor masks 4);
+  Alcotest.(check (float 0.)) "allocates nothing" 0.
+    (Test_util.words_per_loop 1000 (fun () -> ignore (Source.min_source_ancestor masks 4)));
+  Alcotest.(check int) "closed masks, same answer" 2 (Source.min_source_ancestor masks 4);
+  Alcotest.check_raises "vertex out of range"
+    (Invalid_argument "Source.min_source_ancestor") (fun () ->
+      ignore (Source.min_source_ancestor [| 0 |] 1))
+
 let test_max_source_components_bound () =
   Alcotest.(check int) "floor(10/3)" 3 (Source.max_source_components ~n:10 ~delta:2);
   Alcotest.(check int) "floor(5/5)" 1 (Source.max_source_components ~n:5 ~delta:4)
@@ -295,6 +317,17 @@ let prop_induced_subgraph_edges =
       in
       List.sort compare got = List.sort compare expected)
 
+(* The kset-flp decision kernel against the Tarjan-condensation
+   reference, on random digraphs with cycles and a random vertex *)
+let prop_min_source_ancestor =
+  QCheck.Test.make ~name:"min_source_ancestor = min of decision_source" ~count:500
+    QCheck.(quad small_int (int_range 1 12) small_nat (int_range 1 6))
+    (fun (seed, n, v, tenths) ->
+      let g = Gen.gnp (Rng.create ~seed) ~n ~p:(float tenths /. 10.) in
+      let v = v mod n in
+      Source.min_source_ancestor (pred_masks g) v
+      = List.fold_left min max_int (Source.decision_source g v))
+
 let prop_knowledge_graph_shape =
   QCheck.Test.make ~name:"knowledge graph: dead vertices isolated" ~count:60
     QCheck.(pair small_int (int_range 3 10))
@@ -346,6 +379,7 @@ let suites =
         Alcotest.test_case "cliques" `Quick test_union_of_cliques_sources;
         Alcotest.test_case "decision source" `Quick test_decision_source_reachability;
         Alcotest.test_case "multiple sources" `Quick test_reachable_sources_multiple;
+        Alcotest.test_case "min source ancestor" `Quick test_min_source_ancestor;
         Alcotest.test_case "max bound" `Quick test_max_source_components_bound;
         Alcotest.test_case "majority unique" `Quick test_unique_source_majority_clique;
       ] );
@@ -360,5 +394,6 @@ let suites =
         prop_transpose_preserves_scc;
         prop_induced_subgraph_edges;
         prop_knowledge_graph_shape;
+        prop_min_source_ancestor;
       ];
   ]

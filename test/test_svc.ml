@@ -709,7 +709,8 @@ let test_daemon_refuses_fd_fuzz () =
       | st, reply -> Alcotest.fail (Printf.sprintf "submit: %d %s" st reply))
 
 (* Specs [Task.run] could not run without raising — a size below 1,
-   L or wait-for outside 1..n, a fuzz dead pid out of range — a
+   a kset-flp size above its decision rule's bitmask bound, L or
+   wait-for outside 1..n, a fuzz dead pid out of range — a
    repeated explore dead pid, which the crash explorer ran as if
    listed once, a misspelt key, and a crash exploration's budget above
    the crash graph's int32 ids: each is refused by field name. *)
@@ -718,6 +719,9 @@ let crash_specs =
   [
     ( obj "explore" [ ("n", Json.Int (-3)) ],
       "field \"n\" (--size) must be at least 1, got -3" );
+    ( obj "fuzz" [ ("n", Json.Int (Ksa_algo.Kset_flp.max_n + 1)) ],
+      Printf.sprintf "kset-flp: field \"n\" (--size) must be at most %d, got %d"
+        Ksa_algo.Kset_flp.max_n (Ksa_algo.Kset_flp.max_n + 1) );
     ( obj "explore" [ ("n", Json.Int 3); ("l", Json.Int 0) ],
       "kset-flp: field \"l\" (--wait-quorum) must be in 1..3, got 0" );
     ( obj "explore" [ ("n", Json.Int 3); ("l", Json.Int 9) ],
