@@ -177,12 +177,15 @@ module Make (A : Algorithm.S) = struct
 
      The domain's scratch holds the key being probed and the successor
      rows {!write_step_key} hands to {!Canon.write_key}; each grows on
-     demand and never shrinks. *)
+     demand and never shrinks.  It also holds the last decided row
+     {!decisions} listed, and that list. *)
   type scratch = {
     memo : outcome Memo.t;
     mutable mkey : int array;
     mutable sids : int array;
     mutable rows : (Value.t * int) option array;
+    mutable dec_row : (Value.t * int) option array;
+    mutable dec_list : (Pid.t * Value.t * int) list;
   }
 
   let scratch_dls =
@@ -192,6 +195,8 @@ module Make (A : Algorithm.S) = struct
           mkey = Array.make 16 0;
           sids = [||];
           rows = [||];
+          dec_row = [||];
+          dec_list = [];
         })
 
   let init ?(reduction = Canon.No_reduction) ?(record = true) ~n ~inputs () =
@@ -224,14 +229,23 @@ module Make (A : Algorithm.S) = struct
   let state_of c p = c.states.(p)
   let decision_of c p = Option.map fst c.decided.(p)
 
+  let rec decided_from row p acc =
+    if p < 0 then acc
+    else
+      decided_from row (p - 1)
+        (match row.(p) with Some (v, t) -> (p, v, t) :: acc | None -> acc)
+
+  (* A one-entry memo keyed by the row's physical identity: a decided
+     row is never written once published, so one row always lists
+     alike.  A crash successor shares its parent's row, and so does
+     every step that decides nothing. *)
   let decisions c =
-    let acc = ref [] in
-    for p = c.n - 1 downto 0 do
-      match c.decided.(p) with
-      | Some (v, t) -> acc := (p, v, t) :: !acc
-      | None -> ()
-    done;
-    !acc
+    let s = Domain.DLS.get scratch_dls in
+    if s.dec_row != c.decided then begin
+      s.dec_list <- decided_from c.decided (c.n - 1) [];
+      s.dec_row <- c.decided
+    end;
+    s.dec_list
 
   let pending c =
     Array.fold_left (List.fold_left (fun acc (e, _) -> e :: acc)) [] c.inbox
@@ -301,6 +315,20 @@ module Make (A : Algorithm.S) = struct
         for bits = (1 lsl m) - 1 downto 0 do
           f (subset bits (m - 1) box)
         done
+
+  (* One inbox oldest first, each id consed onto its sender's bucket:
+     the recursion visits the tail before the head. *)
+  let rec bucket_box a : entry list -> unit = function
+    | [] -> ()
+    | (e, _) :: rest ->
+        bucket_box a rest;
+        a.(e.Envelope.src) <- e.id :: a.(e.src)
+
+  let pending_by_src c a =
+    Array.fill a 0 c.n [];
+    for p = 0 to c.n - 1 do
+      bucket_box a c.inbox.(p)
+    done
 
   (* O(1): the view shares the configuration's copy-on-write inboxes
      and decided row, which are never written once published. *)

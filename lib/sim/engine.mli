@@ -72,6 +72,13 @@ module Make (A : Algorithm.S) : sig
   val state_of : config -> Pid.t -> A.state
   val decision_of : config -> Pid.t -> Value.t option
   val decisions : config -> (Pid.t * Value.t * int) list
+  (** [(p, v, t)] for each process [p] that decided [v] at time [t],
+      ascending by pid.  The list is shared: the domain keeps the last
+      one it built, keyed by the physical identity of [c]'s decided
+      row, which is never written once published.  So a repeat call on
+      the same row (a crash successor's, or that of any step deciding
+      nothing) is O(1) and allocates nothing. *)
+
   val pending : config -> A.message Envelope.t list
   (** The undelivered messages in sending order (ascending id),
       gathered from the per-destination inboxes, which are the
@@ -98,6 +105,12 @@ module Make (A : Algorithm.S) : sig
       on the lowest bit.  Allocates only the batches.
       @raise Invalid_argument for [All_subsets] on a buffer too large
       to count its subsets in an int. *)
+
+  val pending_by_src : config -> int list array -> unit
+  (** [pending_by_src c a] sets [a.(s)], for every pid [s] of [c], to
+      the ids of the pending messages [s] sent: one walk of the
+      inboxes, allocating only the lists.
+      @raise Invalid_argument if [a] is shorter than [n c]. *)
 
   val observe : pattern:Failure_pattern.t -> config -> Adversary.obs
   (** The adversary's view of [c], in O(1): one small block sharing

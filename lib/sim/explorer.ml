@@ -1000,7 +1000,13 @@ module Make (A : Algorithm.S) = struct
      - [Omit]: sender [arg]'s in-flight messages [ids] are omitted.
 
      The configurations of the last three are built only when the walk
-     reaches them, so none outlives its own admission. *)
+     reaches them, so none outlives its own admission.
+
+     The scratch also holds what one worker's expansion reads: the node
+     being expanded (one slot, filled by the first), its failure
+     pattern, the pid whose batches [on_batch] is offered, and the
+     pending ids bucketed by sender.  [on_batch] is built once per
+     worker and reads the rest off the scratch. *)
   type move = Idle | Deliver | Crash | Crash_drop | Omit
 
   type moves = {
@@ -1009,16 +1015,12 @@ module Make (A : Algorithm.S) = struct
     mutable alt : int array;
     mutable ids : int list array;
     mutable len : int;
+    mutable node : E.config array;
+    mutable pattern : Failure_pattern.t;
+    mutable pid : int;
+    by_src : int list array;
+    on_batch : int list -> unit;
   }
-
-  let moves () =
-    {
-      kind = Array.make 64 Idle;
-      arg = Array.make 64 0;
-      alt = Array.make 64 0;
-      ids = Array.make 64 [];
-      len = 0;
-    }
 
   let add_move m kind arg alt ids =
     let j = m.len in
@@ -1038,6 +1040,40 @@ module Make (A : Algorithm.S) = struct
     m.alt.(j) <- alt;
     m.ids.(j) <- ids;
     m.len <- j + 1
+
+  (* [slot] holding [config]: a one-slot array, made on the first
+     call.  An option would box the configuration on every write. *)
+  let hold slot config =
+    if Array.length slot = 0 then [| config |]
+    else begin
+      slot.(0) <- config;
+      slot
+    end
+
+  (* The successor of the node's live pid [m.pid] on the batch
+     [deliver]: [Idle] when an empty delivery is provably idle. *)
+  let crash_batch m deliver =
+    match deliver with
+    | [] when E.idle_step ~pattern:m.pattern m.node.(0) m.pid ->
+        add_move m Idle 0 0 []
+    | _ -> add_move m Deliver m.pid 0 deliver
+
+  let moves ~n =
+    let rec m =
+      {
+        kind = Array.make 64 Idle;
+        arg = Array.make 64 0;
+        alt = Array.make 64 0;
+        ids = Array.make 64 [];
+        len = 0;
+        node = [||];
+        pattern = Failure_pattern.none ~n;
+        pid = 0;
+        by_src = Array.make n [];
+        on_batch = (fun deliver -> crash_batch m deliver);
+      }
+    in
+    m
 
   (* the ids of move [j], cleared so the scratch keeps no list alive *)
   let take_ids m j =
@@ -1096,16 +1132,10 @@ module Make (A : Algorithm.S) = struct
        processes per round, so the successor structure is the same
        for every [t >= 1].  At [t = 0] the graph coincides with the
        budget-0 crash graph. *)
-  (* The pending ids of [config] bucketed by sender, in one walk of the
-     inboxes, for the drop-on-crash and omission successors.  A
-     bucket's order is immaterial: a removal's successor does not
-     depend on it. *)
-  let by_src_of ~n ~pattern config =
-    let a = Array.make n [] in
-    Adversary.fold_pending
-      (fun () ~id ~src ~dst:_ ~sent_at:_ -> a.(src) <- id :: a.(src))
-      (E.observe ~pattern config) ();
-    a
+  (* The pids of a decisions list as a mask *)
+  let rec decided_mask acc = function
+    | [] -> acc
+    | (p, _, _) :: rest -> decided_mask (Mask.add acc p) rest
 
   let expand_crash_node ~n ~policy ~drop_on_crash ~base_mask ~crash_budget
       ~model ~forge_alts ~pattern_of ~check moves config mask =
@@ -1116,25 +1146,21 @@ module Make (A : Algorithm.S) = struct
     let budget = Fault_model.budget_or ~crash_budget model in
     (* the live pids are the ones outside [mask]; the node is complete
        when every one of them has decided *)
-    let undecided = ref 0 in
-    for p = 0 to n - 1 do
-      if (not (Mask.mem mask p)) && Option.is_none (E.decision_of config p)
-      then undecided := Mask.add !undecided p
-    done;
-    let undecided = !undecided in
+    let undecided =
+      ((1 lsl n) - 1) land lnot (mask lor decided_mask 0 decisions)
+    in
     moves.len <- 0;
     if undecided <> 0 then begin
       let pattern = pattern_of mask in
+      moves.node <- hold moves.node config;
+      moves.pattern <- pattern;
       (* [forge_alts] is 0 unless the model is Byzantine *)
       let forging = forge_alts > 0 && mask <> base_mask in
       for pid = 0 to n - 1 do
         if not (Mask.mem mask pid) then begin
           let first = moves.len in
-          E.iter_batches policy config pid (fun deliver ->
-              match deliver with
-              | [] when E.idle_step ~pattern config pid ->
-                  add_move moves Idle 0 0 []
-              | _ -> add_move moves Deliver pid 0 deliver);
+          moves.pid <- pid;
+          E.iter_batches policy config pid moves.on_batch;
           (* then each forged variant of the pid's deliveries *)
           if forging then begin
             let box = E.inbox config pid and last = moves.len - 1 in
@@ -1150,9 +1176,8 @@ module Make (A : Algorithm.S) = struct
       match model with
       | Fault_model.Crash | Fault_model.Byzantine _ ->
           if Mask.popcount mask - Mask.popcount base_mask < budget then begin
-            let by_src =
-              if drop_on_crash then by_src_of ~n ~pattern config else [||]
-            in
+            let by_src = moves.by_src in
+            if drop_on_crash then E.pending_by_src config by_src;
             for victim = 0 to n - 1 do
               if not (Mask.mem mask victim) then begin
                 add_move moves Crash victim 0 [];
@@ -1163,7 +1188,8 @@ module Make (A : Algorithm.S) = struct
           end
       | Fault_model.Mobile t ->
           if t > 0 then begin
-            let by_src = by_src_of ~n ~pattern config in
+            let by_src = moves.by_src in
+            E.pending_by_src config by_src;
             for s = 0 to n - 1 do
               if by_src.(s) <> [] then add_move moves Omit s 0 by_src.(s)
             done
@@ -1409,24 +1435,104 @@ module Make (A : Algorithm.S) = struct
 
   (* ---- crash-free exploration ---- *)
 
-  (* A worker's scratch for {!free_successors}: the pid stepping now,
-     the successors kept so far, newest first, and under sym+por the
-     actions of the siblings executed so far, newest first. *)
+  (* A worker's scratch for {!free_successors}: the node being
+     expanded (one slot, filled by the first), its sleep set, bare key
+     and its successors' depth, the pid stepping now, the successors
+     kept so far, newest first, and under sym+por the actions of the
+     siblings executed so far, newest first.  [on_batch] is built once
+     per worker and reads the rest off the scratch. *)
   type free_scratch = {
+    mutable node : E.config array;
+    mutable sleep : Canon.Action.t list;
+    mutable bare : E.key;
+    mutable depth : int;
     mutable pid : int;
     mutable kept : free_item list;
     mutable executed : Canon.Action.t list;
+    on_batch : int list -> unit;
   }
 
-  let free_scratch () = { pid = 0; kept = []; executed = [] }
   let no_action = Canon.Action.make ~pid:0 ~deliveries:[] ~sends:0
 
-  let rec each_stepper sl policy config on_batch = function
+  let rec each_stepper sl policy config = function
     | [] -> ()
     | pid :: rest ->
         sl.pid <- pid;
-        E.iter_batches policy config pid on_batch;
-        each_stepper sl policy config on_batch rest
+        E.iter_batches policy config pid sl.on_batch;
+        each_stepper sl policy config rest
+
+  (* One (stepper, batch) pair of {!free_successors}: the node, the
+     stepper [sl.pid], the sleep set, bare key and depth are read off
+     the scratch. *)
+  let free_batch run sl ~pattern deliver =
+    let reduction = run.reduction in
+    let por = reduction = Canon.Symmetry_por in
+    let config = sl.node.(0) and pid = sl.pid and sleep = sl.sleep in
+    let act = if por then action_of config pid deliver else no_action in
+    if por && List.exists (Canon.Action.equal act) sleep then
+      Metrics.incr m_sleep_pruned
+    else if deliver = [] && E.idle_step ~pattern config pid then begin
+      if por then begin
+        Metrics.incr m_idle;
+        Metrics.incr m_noop_pruned
+      end
+      else idle_hit ~reduction
+    end
+    else
+      let o = E.step ~pattern config pid deliver in
+      let bare_len =
+        E.write_step_key ~crashed:0 ~reduction config pid deliver o
+      in
+      if
+        por && deliver = []
+        && Shardset.equal_prefix sl.bare (Canon.key_buffer ()) bare_len
+      then Metrics.incr m_noop_pruned
+      else begin
+        let sleep' =
+          if por then begin
+            let act = Canon.Action.with_sends act (E.send_mask o) in
+            let sleep' =
+              List.filter
+                (Canon.Action.independent act)
+                (List.rev_append sl.executed sleep)
+            in
+            sl.executed <- act :: sl.executed;
+            sleep'
+          end
+          else []
+        in
+        let len =
+          if por then Canon.Action.write_digest sleep' ~at:bare_len
+          else bare_len
+        in
+        (* fetched after the digest, which may have moved the buffer *)
+        let b = Canon.key_buffer () in
+        if Shardset.mem_bytes run.seen b len then dedup_hit ~reduction
+        else
+          sl.kept <-
+            Cand
+              ( E.commit config pid deliver o,
+                sl.depth,
+                sleep',
+                Bytes.sub_string b 0 len,
+                bare_len )
+            :: sl.kept
+      end
+
+  let free_scratch run ~pattern =
+    let rec sl =
+      {
+        node = [||];
+        sleep = [];
+        bare = "";
+        depth = 0;
+        pid = 0;
+        kept = [];
+        executed = [];
+        on_batch = (fun deliver -> free_batch run sl ~pattern deliver);
+      }
+    in
+    sl
 
   (* Successors of a non-terminal configuration under [policy], key
      first: every (stepper, delivery-choice) pair is stepped through
@@ -1482,67 +1588,14 @@ module Make (A : Algorithm.S) = struct
      and violation checks are untouched.  The crash engine does not use
      this — its Stuck classification is a property of the full
      transition graph, which edge-pruning would distort. *)
-  let free_successors run sl ~policy ~pattern ~steppers ~sleep ~bare ~depth
-      config =
-    let reduction = run.reduction in
-    let por = reduction = Canon.Symmetry_por in
+  let free_successors sl ~policy ~steppers ~sleep ~bare ~depth config =
+    sl.node <- hold sl.node config;
+    sl.sleep <- sleep;
+    sl.bare <- bare;
+    sl.depth <- depth;
     sl.kept <- [];
     sl.executed <- [];
-    (* one closure per node, reading the stepping pid off [sl] *)
-    let on_batch deliver =
-      let pid = sl.pid in
-      let act = if por then action_of config pid deliver else no_action in
-      if por && List.exists (Canon.Action.equal act) sleep then
-        Metrics.incr m_sleep_pruned
-      else if deliver = [] && E.idle_step ~pattern config pid then begin
-        if por then begin
-          Metrics.incr m_idle;
-          Metrics.incr m_noop_pruned
-        end
-        else idle_hit ~reduction
-      end
-      else
-        let o = E.step ~pattern config pid deliver in
-        let bare_len =
-          E.write_step_key ~crashed:0 ~reduction config pid deliver o
-        in
-        if
-          por && deliver = []
-          && Shardset.equal_prefix bare (Canon.key_buffer ()) bare_len
-        then Metrics.incr m_noop_pruned
-        else begin
-          let sleep' =
-            if por then begin
-              let act = Canon.Action.with_sends act (E.send_mask o) in
-              let sleep' =
-                List.filter
-                  (Canon.Action.independent act)
-                  (List.rev_append sl.executed sleep)
-              in
-              sl.executed <- act :: sl.executed;
-              sleep'
-            end
-            else []
-          in
-          let len =
-            if por then Canon.Action.write_digest sleep' ~at:bare_len
-            else bare_len
-          in
-          (* fetched after the digest, which may have moved the buffer *)
-          let b = Canon.key_buffer () in
-          if Shardset.mem_bytes run.seen b len then dedup_hit ~reduction
-          else
-            sl.kept <-
-              Cand
-                ( E.commit config pid deliver o,
-                  depth,
-                  sleep',
-                  Bytes.sub_string b 0 len,
-                  bare_len )
-              :: sl.kept
-        end
-    in
-    each_stepper sl policy config on_batch steppers
+    each_stepper sl policy config steppers
 
   (* The crash-free step.  A candidate's dedup key is its (possibly
      orbit) configuration key [bare], plus — when sleep sets are active
@@ -1567,23 +1620,23 @@ module Make (A : Algorithm.S) = struct
   let free_step run ~term_set ~bare_set ~policy ~pattern ~check
       (w : _ Workers.w) =
     let correct = Failure_pattern.correct pattern in
-    let sl = free_scratch () and push_item = Workers.push w in
+    let correct_mask = List.fold_left Mask.add 0 correct in
+    let sl = free_scratch run ~pattern and push_item = Workers.push w in
     let expand config depth sleep bare =
       Metrics.gauge_max g_depth_peak depth;
       let decisions = E.decisions config in
       (match check decisions with
       | Some reason -> raise (Verdict (decisions, reason, depth))
       | None -> ());
-      if List.for_all (fun p -> E.decision_of config p <> None) correct
-      then begin
+      if decided_mask 0 decisions land correct_mask = correct_mask then begin
         if Shardset.add term_set bare 0 then begin
           Atomic.incr run.terminals;
           Metrics.incr m_terminals
         end
       end
       else begin
-        free_successors run sl ~policy ~pattern ~steppers:correct ~sleep
-          ~bare ~depth:(depth + 1) config;
+        free_successors sl ~policy ~steppers:correct ~sleep ~bare
+          ~depth:(depth + 1) config;
         List.iter push_item sl.kept;
         sl.kept <- [];
         Workers.maybe_spill w
@@ -1712,7 +1765,7 @@ module Make (A : Algorithm.S) = struct
         lnot r
       end
     in
-    let moves = moves () in
+    let moves = moves ~n in
     (* the configuration a built move leads to *)
     let built = function Some config' -> config' | None -> assert false in
     let expand id config mask =

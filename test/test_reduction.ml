@@ -921,6 +921,53 @@ let test_free_probe_allocates_nothing () =
         (Test_util.words_per_loop 1000 (fun () -> ignore (probe () : bool))))
     [ Canon.No_reduction; Canon.Symmetry ]
 
+(* Words allocated per admitted configuration by whole campaigns at
+   one domain, measured on a second run so that the transition memo
+   and the interner are warm: what is left is what an expansion
+   allocates.  Each ceiling is the figure measured when expansion
+   stopped building a callback per node and a decisions list per
+   node (57.30 and 117.34 words), times 1.05; before, the two read
+   82.96 and 143.73. *)
+let test_campaign_words_per_admitted () =
+  let module Ex = Sim.Explorer.Make (K2) in
+  let check = Sim.Kset_spec.k_agreement ~k:2 in
+  let words_per_admitted run =
+    ignore (run () : int);
+    let w0 = Gc.minor_words () in
+    let admitted = run () in
+    (Gc.minor_words () -. w0) /. float admitted
+  in
+  let crash () =
+    match
+      Ex.explore_with_crashes ~n:3 ~inputs:(distinct 3) ~crash_budget:1
+        ~check ()
+    with
+    | Sim.Explorer.All_paths_decide s
+    | Sim.Explorer.Stuck { stats = s; _ }
+    | Sim.Explorer.Indeterminate s ->
+        s.Sim.Explorer.configs_visited
+    | Sim.Explorer.Safety_violation _ -> Alcotest.fail "crash cell: violation"
+  in
+  let free () =
+    match
+      Ex.explore ~max_configs:20_000 ~n:4 ~inputs:(distinct 4)
+        ~pattern:(FP.none ~n:4) ~check ()
+    with
+    | Sim.Explorer.Safe s when s.Sim.Explorer.budget_exhausted ->
+        s.configs_visited
+    | _ -> Alcotest.fail "crash-free campaign: expected a truncated Safe"
+  in
+  List.iter
+    (fun (what, run, ceiling) ->
+      let w = words_per_admitted run in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f words per admitted <= %.1f" what w ceiling)
+        true (w <= ceiling))
+    [
+      ("crash n=3 t=1 per-sender", crash, 60.2);
+      ("crash-free n=4 per-sender, 20k budget", free, 123.2);
+    ]
+
 (* ---------- canonicalization properties ---------- *)
 
 let prop_witness_idempotent =
@@ -1570,6 +1617,8 @@ let suites =
           `Quick test_key_first_allocates_nothing;
         Alcotest.test_case "crash-free dedup hit allocates nothing" `Quick
           test_free_probe_allocates_nothing;
+        Alcotest.test_case "campaign words per admitted config" `Quick
+          test_campaign_words_per_admitted;
         qcheck prop_idle_step_keeps_key;
         Alcotest.test_case "idle_step refusals" `Quick test_idle_step_cases;
         Alcotest.test_case "idle_step refuses a double decision" `Quick

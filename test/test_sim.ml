@@ -499,6 +499,116 @@ let prop_pending_index =
       in
       go (EK.init ~n ~inputs ()) 0)
 
+(* ---------- the decisions list ---------- *)
+
+(* The configurations of one random run of [mode] (as in
+   [prop_pending_index]), first to last: a pure function of its
+   arguments, so two calls give structurally equal runs whose decided
+   rows are distinct arrays. *)
+let decision_walk ~seed ~n ~mode ~record =
+  let rng = Rng.create ~seed in
+  let pattern =
+    match mode with
+    | Fair | Omits -> FP.none ~n
+    | Drops | Forges ->
+        FP.of_crash_times ~n
+          (List.map
+             (fun p -> (p, Rng.int rng 12))
+             (Rng.sample rng (1 + Rng.int rng 2) (List.init n Fun.id)))
+  in
+  let inputs = distinct n in
+  let pool = List.length (EK.forge_pool ~n ~inputs) in
+  let fair = Adv.fair ~rng in
+  let rec go c k acc =
+    let acc = c :: acc in
+    if k >= 60 then List.rev acc
+    else
+      match index_action mode rng ~pool ~pattern ~fair c with
+      | Some c' -> go c' (k + 1) acc
+      | None -> List.rev acc
+  in
+  go (EK.init ~record ~n ~inputs ()) 0 []
+
+(* [None] when [EK.decisions c] is right at [c], cold and warm, and
+   [twin] (a configuration of an equal run) is listed apart from it;
+   [other] is an unrelated configuration. *)
+let decisions_fault c ~twin ~other =
+  let listed = EK.decisions c in
+  let rec ascending = function
+    | (p, _, _) :: ((q, _, _) :: _ as rest) -> p < q && ascending rest
+    | [ _ ] | [] -> true
+  in
+  let agrees p =
+    EK.decision_of c p
+    = Option.map (fun (_, v, _) -> v)
+        (List.find_opt (fun (q, _, _) -> q = p) listed)
+  in
+  ignore (EK.decisions other);
+  let cold = EK.decisions c in
+  let warm = EK.decisions c in
+  let twin_listed = EK.decisions twin in
+  if not (ascending listed) then Some "not ascending by pid"
+  else if not (List.for_all agrees (List.init (EK.n c) Fun.id)) then
+    Some "disagrees with decision_of"
+  else if cold <> listed || warm <> listed then
+    Some "differs between a cold and a warm call"
+  else if warm != cold then Some "a warm call built a new list"
+  else if twin_listed <> listed then Some "an equal run lists otherwise"
+  else if listed <> [] && twin_listed == warm then
+    Some "an equal row of another run served the same list"
+  else if
+    Test_util.words_per_loop 100 (fun () -> ignore (EK.decisions c)) <> 0.
+  then Some "a repeat call allocates"
+  else None
+
+(* Every configuration of two equal random runs, each checked against
+   its twin of the other run and against a configuration of its own
+   run half a run away.  The number of configurations that had
+   decided something. *)
+let check_decision_walk ~seed ~n ~mode ~record =
+  let a = Array.of_list (decision_walk ~seed ~n ~mode ~record) in
+  let b = Array.of_list (decision_walk ~seed ~n ~mode ~record) in
+  let len = Array.length a in
+  let decided = ref 0 in
+  Array.iteri
+    (fun i c ->
+      match decisions_fault c ~twin:b.(i) ~other:a.((i + (len / 2)) mod len) with
+      | Some fault -> failwith (Printf.sprintf "config %d of %d: %s" i len fault)
+      | None -> if EK.decisions c <> [] then incr decided)
+    a;
+  !decided
+
+let prop_decisions_memo =
+  QCheck.Test.make
+    ~name:"decisions: sorted, = decision_of, equal cold and warm, 0 words"
+    ~count:120
+    QCheck.(set_shrink Shrink.nil (quad int (int_range 3 4) (int_range 0 3) bool))
+    (fun (seed, n, m, record) ->
+      let mode = [| Fair; Drops; Forges; Omits |].(m) in
+      match check_decision_walk ~seed ~n ~mode ~record with
+      | _ -> true
+      | exception Failure msg -> QCheck.Test.fail_reportf "%s" msg)
+
+(* The same checks on two domains at once, each on its own runs *)
+let test_decisions_two_domains () =
+  let walks first () =
+    List.fold_left
+      (fun acc seed ->
+        acc
+        + check_decision_walk ~seed ~n:(3 + (seed mod 2))
+            ~mode:[| Fair; Drops; Forges; Omits |].(seed mod 4)
+            ~record:(seed mod 3 = 0))
+      0
+      (List.init 40 (fun i -> first + i))
+  in
+  let other = Domain.spawn (walks 1000) in
+  let here = walks 0 () in
+  let there = Domain.join other in
+  Alcotest.(check bool)
+    (Printf.sprintf "decided configurations seen: %d and %d" here there)
+    true
+    (here > 0 && there > 0)
+
 (* An observation is one small block sharing the configuration's
    rows; the accessors allocate only the id lists they return. *)
 let test_observe_allocation () =
@@ -841,6 +951,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_pending_index;
         Alcotest.test_case "observe and its accessors allocate" `Quick
           test_observe_allocation;
+        QCheck_alcotest.to_alcotest prop_decisions_memo;
+        Alcotest.test_case "decisions on two domains at once" `Quick
+          test_decisions_two_domains;
       ] );
     ( "sim.run",
       [
