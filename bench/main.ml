@@ -269,7 +269,7 @@ let bench_reduction_crash_n3 reduction () =
 let bench_reduction_crash_n4 () =
   let module Ex = Sim.Explorer.Make (K2) in
   ignore
-    (Ex.explore_with_crashes ~reduction:Sim.Canon.Symmetry_por
+    (Ex.explore_with_crashes ~reduction:Sim.Canon.Symmetry
        ~policy:Sim.Explorer.Empty_or_all ~n:4
        ~inputs:(Sim.Value.distinct_inputs 4)
        ~crash_budget:1
@@ -512,7 +512,7 @@ let subjects =
   @ [
     ("reduction:crash-n3-none", bench_reduction_crash_n3 Sim.Canon.No_reduction);
     ("reduction:crash-n3-sym", bench_reduction_crash_n3 Sim.Canon.Symmetry);
-    ("reduction:crash-n4-sym+por", bench_reduction_crash_n4);
+    ("reduction:crash-n4-sym", bench_reduction_crash_n4);
     ("e13:abd-torture-n4", bench_e13_abd_torture);
     ("theorem2:end-to-end-n6", bench_theorem2_demonstrate);
     ("ablation:explorer-exhaustive-n3", bench_ablation_explorer_n3);

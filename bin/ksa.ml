@@ -522,8 +522,6 @@ let with_progress enabled f =
           let hits = Metrics.counter "sim.memo.hits" in
           let misses = Metrics.counter "sim.memo.misses" in
           let orbit = Metrics.counter "explore.orbit_hits" in
-          let sleep = Metrics.counter "explore.sleep_pruned" in
-          let readmit = Metrics.counter "explore.sleep_readmitted" in
           (* park at 100ms between stop-flag checks; no cpu_relax phase
              — this domain is pure bookkeeping *)
           let sp = Backoff.Spin.make ~relax:0 ~floor:0.1 ~cap:0.1 () in
@@ -541,18 +539,14 @@ let with_progress enabled f =
                   else 100. *. float_of_int h /. float_of_int (h + m)
                 in
                 (* running reduction ratio: arrivals collapsed per
-                   distinct admitted configuration — sleep-digest
-                   re-admissions of an already-seen configuration are
-                   not distinct, so they come out of the denominator;
-                   only meaningful (and only nonzero) under
-                   --reduction *)
+                   admitted configuration; only meaningful (and only
+                   nonzero) under --reduction *)
                 let reduction_note =
-                  let o = Metrics.value orbit and s = Metrics.value sleep in
-                  let distinct = n - Metrics.value readmit in
-                  if o + s = 0 || distinct <= 0 then ""
+                  let o = Metrics.value orbit in
+                  if o = 0 then ""
                   else
                     Printf.sprintf ", reduction x%.2f"
-                      (float_of_int (n + o + s) /. float_of_int distinct)
+                      (float_of_int (n + o) /. float_of_int n)
                 in
                 Printf.eprintf
                   "progress: %d configs (%.0f/s), %d dedup hits, %d \

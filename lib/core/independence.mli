@@ -22,22 +22,6 @@ type verdict = {
   steps : int;  (** Steps of the exhibited (or attempted) run. *)
 }
 
-(** {1 Transition-level independence}
-
-    Definition 6 is about sets of {e processes}; the explorer's
-    partial-order reduction needs the finer, standard notion over
-    individual {e transitions}: two delivery actions are independent
-    iff they commute — executing them in either order reaches the same
-    configuration {e and} both orders exist in the policy-restricted
-    transition system.  In this message-passing model that holds
-    exactly when the stepping processes differ (a step mutates only
-    the stepper's row; delivery batches of distinct steppers are
-    disjoint) and neither action sends a message to the other's
-    stepper (a send to pid [q] replaces the whole-bucket delivery
-    batches the explorer's policies offer [q], so the covering
-    interleaving may be absent).  The action alphabet and that test
-    are {!Ksa_sim.Canon.Action} and its [independent]. *)
-
 val check_set :
   ?fd:Ksa_sim.Fd_view.oracle ->
   ?pattern:Ksa_sim.Failure_pattern.t ->

@@ -102,11 +102,6 @@ val mem_bytes : t -> Bytes.t -> int -> bool
 (** {!mem} for the key held by the first [len] bytes of the buffer.
     Allocates nothing. *)
 
-val equal_prefix : string -> Bytes.t -> int -> bool
-(** [equal_prefix k b len]: the key [k] is the first [len] bytes of
-    [b], which must hold at least [len] bytes — the comparison a probe
-    makes.  Allocates nothing. *)
-
 val find : t -> string -> int option
 (** The value bound to the key, if present.  Takes the shard lock. *)
 

@@ -1,4 +1,4 @@
-(* Reduction layer: symmetry orbit keys and DPOR delivery actions.
+(* Reduction layer: symmetry orbit keys.
 
    This module is pure integer/array arithmetic — it knows nothing
    about any particular algorithm.  The engine writes the packed
@@ -11,25 +11,20 @@
    key out.  {!canonicalize} and {!serialize} spell the orbit
    representative out as a value, together with the witnessing
    permutation; they are the reference {!key} is tested against, not a
-   production path.  The explorer uses {!Action} to name delivery
-   transitions by content so sleep sets survive message-id
-   renumbering, work-stealing handoff and checkpoint resume. *)
+   production path. *)
 
-type reduction = No_reduction | Symmetry | Symmetry_por
+type reduction = No_reduction | Symmetry
 
-let reduction_to_string = function
-  | No_reduction -> "none"
-  | Symmetry -> "sym"
-  | Symmetry_por -> "sym+por"
+let reduction_to_string = function No_reduction -> "none" | Symmetry -> "sym"
 
 let reduction_of_string = function
   | "none" -> Ok No_reduction
   | "sym" -> Ok Symmetry
-  | "sym+por" -> Ok Symmetry_por
-  | s ->
+  | "sym+por" ->
       Error
-        (Printf.sprintf "unknown reduction %S (expected none, sym, or sym+por)"
-           s)
+        "reduction \"sym+por\" was removed: its sleep sets admitted more \
+         configurations than sym; sym gives the same crash-driver results"
+  | s -> Error (Printf.sprintf "unknown reduction %S (expected none or sym)" s)
 
 (* ---- packed pending triples ----
 
@@ -53,13 +48,13 @@ let triple_content t = ((t lsr 51) lsl 40) lor (t land payload_mask)
 
 (* ---- zigzag LEB128 varints ----
 
-   Keys and sleep digests are int sequences written as zigzag LEB128
-   varints.  [zigzag] folds the sign into bit 0 (0, -1, 1, -2, ... map
-   to 0, 1, 2, 3, ...) and each byte carries seven bits of the result,
-   low group first, with the high bit set on every byte but the last.
-   The ids, masks and counts in a key are small, so most ints take one
-   or two bytes.  Negative results of [zigzag] stand for 63-bit
-   unsigned values ([lsr] reads them so) and take nine bytes. *)
+   Keys are int sequences written as zigzag LEB128 varints.  [zigzag]
+   folds the sign into bit 0 (0, -1, 1, -2, ... map to 0, 1, 2, 3, ...)
+   and each byte carries seven bits of the result, low group first,
+   with the high bit set on every byte but the last.  The ids, masks
+   and counts in a key are small, so most ints take one or two bytes.
+   Negative results of [zigzag] stand for 63-bit unsigned values
+   ([lsr] reads them so) and take nine bytes. *)
 
 let[@inline] zigzag i = (i lsl 1) lxor (i asr (Sys.int_size - 1))
 
@@ -90,26 +85,21 @@ let[@inline] put b pos i =
   end
   else put_varint b pos z
 
-(* A key or digest is written into a domain-local scratch buffer (its
-   slices to sort go through a scratch int array first) and read from
-   there: a caller that only probes a table with it allocates nothing,
-   and one that keeps it copies it out.  Both grow on demand and never
-   shrink. *)
+(* A key is written into a domain-local scratch buffer (its slices to
+   sort go through a scratch int array first) and read from there: a
+   caller that only probes a table with it allocates nothing, and one
+   that keeps it copies it out.  Both grow on demand and never shrink. *)
 type scratch = { mutable ints : int array; mutable buf : Bytes.t }
 
 let scratch =
   Domain.DLS.new_key (fun () ->
       { ints = Array.make 64 0; buf = Bytes.create 1024 })
 
-(* room for [len] more ints written from byte [at], the bytes before
-   [at] kept *)
-let buf_for s ~at ~len =
-  let need = at + (9 * len) + 1 in
-  if Bytes.length s.buf < need then begin
-    let b = Bytes.create (max need (2 * Bytes.length s.buf)) in
-    Bytes.blit s.buf 0 b 0 at;
-    s.buf <- b
-  end;
+(* room for [len] ints *)
+let buf_for s ~len =
+  let need = (9 * len) + 1 in
+  if Bytes.length s.buf < need then
+    s.buf <- Bytes.create (max need (2 * Bytes.length s.buf));
   s.buf
 
 let key_buffer () = (Domain.DLS.get scratch).buf
@@ -126,83 +116,6 @@ let sort_slots (a : int array) lo hi =
     done;
     a.(!j + 1) <- x
   done
-
-(* ---- delivery actions for the DPOR sleep sets ----
-
-   A transition of the crash-free explorer is "pid steps, delivering
-   this batch".  Pid-distinctness alone is NOT an independence
-   relation for the policy-restricted transition system the explorer
-   searches: under [Per_sender] and [Empty_or_all] the choices offered
-   to a process are whole current buckets of its inbox, so when action
-   [a] sends a message to [b.pid], the batch [b] delivered is no
-   longer offered after [a] — only the grown bucket is — and the
-   interleaving a·b that sleep-set coverage relies on does not exist
-   in the restricted tree.  Two transitions therefore commute exactly
-   when (i) their stepping pids differ (a step mutates only the
-   stepper's own row and delivers only from the stepper's own inbox),
-   and (ii) neither sends a message to the other's stepper (so both
-   inboxes — and with them the offered batch sets under every
-   delivery policy — are untouched by the other action).  Condition
-   (ii) is decidable from the [sends] destination mask recorded when
-   the action was executed: a step is a pure function of (local
-   state, delivered contents), both of which are unchanged along any
-   path of independent actions, so the recorded mask stays exact
-   wherever the sleep set travels. *)
-module Action = struct
-  type t = {
-    pid : int;  (** the stepping process *)
-    deliveries : int list;
-        (** sorted [triple_content] signatures of the delivered batch *)
-    sends : int;
-        (** bitmask of the destination pids of the messages this
-            action's execution sends — recorded from the produced
-            configuration.  [0] until the action has been executed;
-            identity ({!equal}/{!compare}) never looks at it, because
-            at a fixed configuration (pid, deliveries) determine the
-            sends. *)
-  }
-
-  let make ~pid ~deliveries ~sends =
-    { pid; deliveries = List.sort compare deliveries; sends }
-
-  let with_sends a sends = { a with sends }
-  let equal a b = a.pid = b.pid && a.deliveries = b.deliveries
-
-  let compare a b =
-    Stdlib.compare (a.pid, a.deliveries) (b.pid, b.deliveries)
-
-  let independent a b =
-    a.pid <> b.pid
-    && a.sends land (1 lsl b.pid) = 0
-    && b.sends land (1 lsl a.pid) = 0
-
-  (* Exact serialization of a sleep set, appended to the dedup key
-     when sleep sets are active ("sleep-in-key").  Sleep sets combined
-     with state caching are only sound if a state re-reached with a
-     sleep set that is not a superset of the stored one is re-explored;
-     folding the (canonically sorted) sleep set into the key is the
-     conservative way to get that, at the price of admitting one
-     configuration once per distinct sleep set. *)
-  let write_digest actions ~at =
-    let actions = List.sort_uniq compare actions in
-    let len =
-      List.fold_left (fun acc a -> acc + 3 + List.length a.deliveries) 1 actions
-    in
-    let b = buf_for (Domain.DLS.get scratch) ~at ~len in
-    let pos = ref (put b at (List.length actions)) in
-    List.iter
-      (fun a ->
-        pos := put b !pos a.pid;
-        pos := put b !pos a.sends;
-        pos := put b !pos (List.length a.deliveries);
-        List.iter (fun d -> pos := put b !pos d) a.deliveries)
-      actions;
-    !pos
-
-  let digest actions =
-    let len = write_digest actions ~at:0 in
-    Bytes.sub_string (key_buffer ()) 0 len
-end
 
 (* ---- process-permutation symmetry ----
 
@@ -404,8 +317,7 @@ let serialize ~crashed c =
    slice follows its count.  The exact key's first int, a crashed mask,
    zigzags to an even value, so its first byte is even; the orbit
    key's tag -1 zigzags to 1, so the two layouts never share a first
-   byte.  The sym+por admission key, the bare key followed by the
-   sleep digest, relies on that.  The orbit layout is
+   byte.  The orbit layout is
    [serialize ~crashed (canonicalize rows)] byte for byte (the qcheck
    suite compares the two); checkpoints store both, so neither may
    drift without a checkpoint version bump. *)
@@ -432,7 +344,7 @@ let put_sorted b pos a lo hi =
    |pending|; sorted triples *)
 let exact_key ~value ~n ~crashed ~state_ids ~decided ~m =
   let s = Domain.DLS.get scratch in
-  let b = buf_for s ~at:0 ~len:(3 + (3 * n) + m) and a = s.ints in
+  let b = buf_for s ~len:(3 + (3 * n) + m) and a = s.ints in
   let pos = ref (put b 0 crashed) in
   let d = ref 0 in
   for p = 0 to n - 1 do
@@ -456,7 +368,7 @@ let exact_key ~value ~n ~crashed ~state_ids ~decided ~m =
 (* the layout {!serialize} gives {!canonicalize}'s core *)
 let orbit_key ~value ~n ~crashed ~state_ids ~decided ~m =
   let s = Domain.DLS.get scratch in
-  let b = buf_for s ~at:0 ~len:(5 + (3 * n) + m) and a = s.ints in
+  let b = buf_for s ~len:(5 + (3 * n) + m) and a = s.ints in
   let src_mask = ref 0 in
   for j = n to n + m - 1 do
     let t = a.(j) in
@@ -505,8 +417,7 @@ let orbit_key ~value ~n ~crashed ~state_ids ~decided ~m =
 let write_key ~reduction ~value ~n ~crashed ~state_ids ~decided ~m =
   match reduction with
   | No_reduction -> exact_key ~value ~n ~crashed ~state_ids ~decided ~m
-  | Symmetry | Symmetry_por ->
-      orbit_key ~value ~n ~crashed ~state_ids ~decided ~m
+  | Symmetry -> orbit_key ~value ~n ~crashed ~state_ids ~decided ~m
 
 let key ~reduction ~value r =
   let n = r.n and m = Array.length r.triples in

@@ -1,4 +1,4 @@
-(** Reduction layer: symmetry orbit keys and DPOR delivery actions.
+(** Reduction layer: symmetry orbit keys.
 
     Pure integer/array arithmetic over the interned rows of a
     configuration — no dependency on any algorithm.  The engine writes
@@ -6,8 +6,7 @@
     {!write_key}, which writes exact and orbit keys into the calling
     domain's {!key_buffer}; {!key} does the same from a {!rows} record,
     and {!canonicalize} + {!serialize} are the reference both are
-    tested against.  The explorer's sleep sets are lists of
-    {!Action.t}. *)
+    tested against. *)
 
 (** How aggressively the explorers collapse the state space.
 
@@ -19,15 +18,13 @@
       message) share one key, crashed processes' inert local states
       and undeliverable inbound messages are elided, and the
       algorithm's [canon]/[canon_message] hooks normalize local state
-      and payload representations as they are produced.
-    - [Symmetry_por]: [Symmetry] plus DPOR sleep sets over delivery
-      actions in the crash-free explorer (sleep sets are inert in the
-      crash drivers, where pruning transitions would break the Stuck
-      classification — see DESIGN.md). *)
-type reduction = No_reduction | Symmetry | Symmetry_por
+      and payload representations as they are produced. *)
+type reduction = No_reduction | Symmetry
 
 val reduction_to_string : reduction -> string
 val reduction_of_string : string -> (reduction, string) result
+(** ["none"] or ["sym"].  The removed sleep-set mode is refused with
+    an [Error] that names it. *)
 
 (** {1 Packed pending triples}
 
@@ -43,54 +40,6 @@ val triple_content : int -> int
 (** [(src, payload)] with the destination dropped: the content
     signature of one delivered message, stable across message-id
     renumbering. *)
-
-(** Delivery actions, the alphabet of the DPOR sleep sets.  Two
-    actions commute iff their stepping pids differ {e and} neither
-    sends a message to the other's stepper: the explorer's delivery
-    policies offer whole current inbox buckets, so a send to a pid
-    replaces that pid's offered batches — pid-distinctness alone
-    would let the sleep sets prune interleavings whose covering
-    permutation does not exist in the policy-restricted tree. *)
-module Action : sig
-  type t = {
-    pid : int;  (** the stepping process *)
-    deliveries : int list;
-        (** sorted {!triple_content} signatures of the delivered batch *)
-    sends : int;
-        (** destination-pid bitmask of the messages the action's
-            execution sends ([0] until executed; not part of the
-            action's identity — at a fixed configuration the sends
-            are a function of (pid, deliveries)) *)
-  }
-
-  val make : pid:int -> deliveries:int list -> sends:int -> t
-
-  val with_sends : t -> int -> t
-  (** The same action with its send mask recorded (used once the
-      successor configuration is known). *)
-
-  val equal : t -> t -> bool
-  (** Identity over [(pid, deliveries)]; [sends] is derived. *)
-
-  val compare : t -> t -> int
-
-  val independent : t -> t -> bool
-  (** [independent a b] iff executing [a] then [b] reaches the same
-      configuration (under {!Engine.key}) as [b] then [a], {e and}
-      both orders exist in the policy-restricted transition system:
-      distinct stepping pids, and neither action's recorded sends
-      target the other's stepper. *)
-
-  val digest : t list -> string
-  (** Exact (collision-free) serialization of a sleep set, in {!key}'s
-      varints, appended to dedup keys so a configuration re-reached
-      under a different sleep set is re-explored ("sleep-in-key"). *)
-
-  val write_digest : t list -> at:int -> int
-  (** Writes {!digest} into {!key_buffer} from byte [at], keeping the
-      bytes before it (a key just written by {!write_key}); the
-      position after it.  Allocates only to sort the set. *)
-end
 
 (** {1 Process-permutation symmetry} *)
 
@@ -117,15 +66,14 @@ type 'd rows = {
       number of decided pids; a (pid, value) pair per decided pid,
       pid-ascending; number of pending triples; the triples, sorted.
       Equal iff the rows are equal up to the order of the triples.
-    - [Symmetry], [Symmetry_por]: the orbit key, byte-identical to
+    - [Symmetry]: the orbit key, byte-identical to
       [serialize ~crashed (canonicalize rows)] with the values
       projected.
 
     Keys of one [n] are prefix-free: every slice follows its count,
     and the exact key's leading crashed mask encodes to an even first
-    byte while the orbit key's leading tag [-1] encodes to [0x01].  A
-    key may therefore be extended ({!Action.write_digest}) without
-    ambiguity.  Checkpoints store keys, so both layouts are fixed: the
+    byte while the orbit key's leading tag [-1] encodes to [0x01].
+    Checkpoints store keys, so both layouts are fixed: the
     test suite pins them with golden bytes. *)
 
 val triple_slots : n:int -> m:int -> int array
@@ -151,8 +99,8 @@ val write_key :
     written, so it must not write keys itself. *)
 
 val key_buffer : unit -> Bytes.t
-(** The calling domain's scratch buffer, holding the key (and digest)
-    written last.  Fetch it after writing: growing replaces it. *)
+(** The calling domain's scratch buffer, holding the key written
+    last.  Fetch it after writing: growing replaces it. *)
 
 val key : reduction:reduction -> value:('d -> int) -> 'd rows -> string
 (** {!write_key} over the rows, copied out of the buffer. *)

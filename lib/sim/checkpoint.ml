@@ -26,9 +26,9 @@ module Clock = Ksa_prim.Clock
 let magic = "KSACKPT1"
 
 (* v2: driver payloads carry the reduction mode (and, in [explore]
-   snapshots, per-item DPOR sleep sets).  v3: [Canon.Action.t] gained
-   the [sends] destination mask and [explore] snapshots gained the
-   terminal/bare dedup tables.  v4: [fuzz] payloads changed from a
+   snapshots, per-item DPOR sleep sets).  v3: the sleep sets' delivery
+   actions gained a [sends] destination mask and [explore] snapshots
+   gained the terminal/bare dedup tables.  v4: [fuzz] payloads changed from a
    bare watermark integer to a record that also carries the greybox
    coverage state (bitmap, transition pairs, corpus, unfolded
    updates).  v5: engine configurations (inside [explore] and
@@ -50,7 +50,7 @@ let magic = "KSACKPT1"
    explorer's do, so each driver recognises the other's payload and
    starts fresh instead of reading its fields as its own.  v10:
    explore-crash node records are byte rows (int64 masks, int32
-   successor ids).  v11: under [sym] and [sym+por], kset-flp's and
+   successor ids).  v11: under the symmetry reductions, kset-flp's and
    naive-min's [canon] rebuild their sets and maps from the bindings,
    so states that used to intern apart share one id: a v10 payload's
    orbit keys and interner dumps describe configurations this version
@@ -59,10 +59,13 @@ let magic = "KSACKPT1"
    delivery only, so a v11 payload's nodes are the wrong shape or
    unreachable.  v13: crash-free candidates carry the admission key
    their parent probed, and the successors already admitted when they
-   were generated are no longer pending.  Older files unmarshal into
-   the wrong shapes or keys, so they are rejected by the version check
-   and the CLI falls back to a fresh campaign. *)
-let version = 13
+   were generated are no longer pending.  v14: the sleep-set
+   reduction is gone: crash-free candidates and held items lost their
+   sleep sets and bare-key lengths, and [explore] payloads their
+   terminal and bare-key sets.  Older files unmarshal into the wrong
+   shapes or keys, so they are rejected by the version check and the
+   CLI falls back to a fresh campaign. *)
+let version = 14
 
 let m_written = Metrics.counter "campaign.checkpoints.written"
 let m_loaded = Metrics.counter "campaign.checkpoints.loaded"

@@ -840,29 +840,4 @@ module Make (A : Algorithm.S) = struct
   let key ?(crashed = 0) ?(reduction = Canon.No_reduction) c =
     let len = write_key ~crashed ~reduction c in
     Bytes.sub_string (Canon.key_buffer ()) 0 len
-
-
-  (* Destination-pid bitmask of a step's sends, read off the outcome:
-     what the step adds to each inbox. *)
-  let send_mask o =
-    let rec go acc = function
-      | [] -> acc
-      | (dst, _, _) :: rest -> go (acc lor (1 lsl dst)) rest
-    in
-    go 0 o.m_sends
-
-  (* content signature of a delivery batch for the DPOR sleep sets:
-     sorted (src, payload id) pairs, independent of message-id
-     numbering *)
-  let delivery_signature c ids =
-    List.sort compare
-      (List.map
-         (fun id ->
-           match find_pending c.inbox id (c.n - 1) with
-           | _, t -> Canon.triple_content t
-           | exception Not_found ->
-               raise
-                 (Invalid_action
-                    (Printf.sprintf "message #%d not pending" id)))
-         ids)
 end

@@ -271,18 +271,4 @@ module Make (A : Algorithm.S) : sig
   (** {!key}, left in {!Canon.key_buffer} instead of copied out: its
       length.  Allocates nothing; the explorers probe their tables from
       the buffer and copy a key out only to keep it. *)
-
-  val send_mask : outcome -> int
-  (** Destination-pid bitmask of the messages a step sends — the
-      [sends] mask of a {!Canon.Action.t}.  Meaningful once
-      {!write_step_key} or {!commit} has accepted the outcome's sends
-      (a send to an invalid pid makes them raise).  Allocates
-      nothing. *)
-
-  val delivery_signature : config -> int list -> int list
-  (** Content signature of a delivery batch (message ids addressed to
-      one process): sorted [(src, payload id)] pairs packed as ints,
-      stable across message-id renumbering — the representation of
-      delivery actions in the explorer's DPOR sleep sets.
-      @raise Invalid_action if an id is not pending. *)
 end

@@ -81,25 +81,12 @@ let m_spills = Metrics.counter "explore.spills"
    while a symmetry reduction is active — an upper bound on orbit
    identifications: encounters collapsed onto an already-admitted
    representative, whether by genuine orbit identification or by plain
-   revisiting (the two are not separable at the table; under sym+por
-   the admission key includes the sleep digest, so a hit means the
-   same configuration AND the same sleep set).  [sleep_pruned] counts
-   delivery transitions skipped by a DPOR sleep set before any
-   successor was built.  [sleep_readmit] counts sym+por admissions of
-   a configuration whose bare orbit key was already admitted under a
-   different sleep digest ("sleep-in-key" fragmentation) — subtract it
-   from [admitted] to recover distinct configurations.  [noop_pruned]
-   counts empty-delivery successors skipped because they provably
-   reproduce the parent key (self-loops in the keyed graph).
+   revisiting (the two are not separable at the table).
    [idle_skipped] counts empty deliveries answered by {!Engine}'s
    [idle_step] — proven idle by the transition memo, so never stepped,
    keyed or probed.  Each one is also counted where its successor
-   always landed: a dedup (and, reduced, orbit) hit, or under sym+por a
-   [noop_pruned]. *)
+   always landed: a dedup (and, reduced, orbit) hit. *)
 let m_orbit = Metrics.counter "explore.orbit_hits"
-let m_sleep_pruned = Metrics.counter "explore.sleep_pruned"
-let m_sleep_readmit = Metrics.counter "explore.sleep_readmitted"
-let m_noop_pruned = Metrics.counter "explore.noop_pruned"
 let m_idle = Metrics.counter "explore.idle_skipped"
 let g_frontier_peak = Metrics.gauge "explore.frontier.peak"
 let g_depth_peak = Metrics.gauge "explore.depth.peak"
@@ -973,11 +960,6 @@ module Make (A : Algorithm.S) = struct
     Metrics.incr m_idle;
     dedup_hit ~reduction
 
-  let action_of config pid deliver =
-    Canon.Action.make ~pid
-      ~deliveries:(E.delivery_signature config deliver)
-      ~sends:0
-
   (* ---- the crash graph ---- *)
 
   (* The crashed set travels as a bitmask ({!Mask}) folded into the
@@ -1235,15 +1217,12 @@ module Make (A : Algorithm.S) = struct
      root, its per-worker step and the extra tables it keeps, and
      makes its own outcome of the verdict or stats returned. *)
 
-  (* A crash-free work item: a {e candidate} (configuration, depth,
-     sleep set, admission key and the length of its bare key), admitted
-     when popped, or a configuration already admitted, with its bare
-     key, whose expansion failed and was put back ({!Workers.requeue}).
-     A candidate's key was written and found missing from the table
-     when its parent generated it. *)
-  type free_item =
-    | Cand of E.config * int * Canon.Action.t list * E.key * int
-    | Held of E.config * int * Canon.Action.t list * E.key
+  (* A crash-free work item: a {e candidate} (configuration, depth and
+     key), admitted when popped, or a configuration already admitted
+     whose expansion failed and was put back ({!Workers.requeue}).  A
+     candidate's key was written and found missing from the table when
+     its parent generated it. *)
+  type free_item = Cand of E.config * int * E.key | Held of E.config * int
 
   (* A crash-graph work item: a node admitted before it was queued —
      its id, configuration and crashed mask. *)
@@ -1254,9 +1233,8 @@ module Make (A : Algorithm.S) = struct
      holds items of the writing engine's type, so a payload is used
      only once all three match, and otherwise the driver warns and
      starts fresh.  [keys] are the admitted keys indexed by id (ids are
-     dense tickets; none is refunded).  The crash-free engine adds its
-     counted-terminal and admitted bare keys, the crash engine its
-     node rows up to [count] (unexpanded ids read as [Row.empty]).
+     dense tickets; none is refunded).  The crash engine adds its node
+     rows up to [count] (unexpanded ids read as [Row.empty]).
      [pending] lists the items in pop order; crash-free candidates
      among them are not yet admitted, so resume re-applies dedup and
      the budget as the uninterrupted run would have. *)
@@ -1265,8 +1243,6 @@ module Make (A : Algorithm.S) = struct
     reduction : Canon.reduction;
     model : string; (* Fault_model.to_string of the campaign's model *)
     keys : E.key array;
-    terminal : E.key array;
-    bare : E.key array;
     recs : Row.t array;
     count : int;
     terminals : int;
@@ -1292,15 +1268,13 @@ module Make (A : Algorithm.S) = struct
     save : 'i payload -> 'i payload;
   }
 
-  (* A table holding [keys], each bound to its index when [ids] and to
-     0 otherwise, sized so that restoring them never resizes it. *)
-  let restore_set ~name ~capacity ~ids keys =
+  (* A table holding [keys], each bound to its index, sized so that
+     restoring them never resizes it. *)
+  let restore_set ~name ~capacity keys =
     let s =
       Shardset.create ~name ~capacity:(max capacity (2 * Array.length keys)) ()
     in
-    Array.iteri
-      (fun i k -> ignore (Shardset.add s k (if ids then i else 0)))
-      keys;
+    Array.iteri (fun i k -> ignore (Shardset.add s k i)) keys;
     s
 
   (* The counted admission of [key] into the run's table — of the
@@ -1359,8 +1333,6 @@ module Make (A : Algorithm.S) = struct
         reduction;
         model;
         keys = [||];
-        terminal = [||];
-        bare = [||];
         recs = [||];
         count = 0;
         terminals = 0;
@@ -1370,7 +1342,7 @@ module Make (A : Algorithm.S) = struct
     in
     let p = Option.value resumed ~default:empty in
     let seen =
-      restore_set ~name:"explore.dedup" ~capacity:65_536 ~ids:true p.keys
+      restore_set ~name:"explore.dedup" ~capacity:65_536 p.keys
     in
     let rt = Workers.create ~domains ~max_configs ~seen () in
     Atomic.set rt.Workers.count p.count;
@@ -1436,23 +1408,17 @@ module Make (A : Algorithm.S) = struct
   (* ---- crash-free exploration ---- *)
 
   (* A worker's scratch for {!free_successors}: the node being
-     expanded (one slot, filled by the first), its sleep set, bare key
-     and its successors' depth, the pid stepping now, the successors
-     kept so far, newest first, and under sym+por the actions of the
-     siblings executed so far, newest first.  [on_batch] is built once
-     per worker and reads the rest off the scratch. *)
+     expanded (one slot, filled by the first), its successors' depth,
+     the pid stepping now and the successors kept so far, newest first.
+     [on_batch] is built once per worker and reads the rest off the
+     scratch. *)
   type free_scratch = {
     mutable node : E.config array;
-    mutable sleep : Canon.Action.t list;
-    mutable bare : E.key;
     mutable depth : int;
     mutable pid : int;
     mutable kept : free_item list;
-    mutable executed : Canon.Action.t list;
     on_batch : int list -> unit;
   }
-
-  let no_action = Canon.Action.make ~pid:0 ~deliveries:[] ~sends:0
 
   let rec each_stepper sl policy config = function
     | [] -> ()
@@ -1462,73 +1428,27 @@ module Make (A : Algorithm.S) = struct
         each_stepper sl policy config rest
 
   (* One (stepper, batch) pair of {!free_successors}: the node, the
-     stepper [sl.pid], the sleep set, bare key and depth are read off
-     the scratch. *)
+     stepper [sl.pid] and the depth are read off the scratch. *)
   let free_batch run sl ~pattern deliver =
     let reduction = run.reduction in
-    let por = reduction = Canon.Symmetry_por in
-    let config = sl.node.(0) and pid = sl.pid and sleep = sl.sleep in
-    let act = if por then action_of config pid deliver else no_action in
-    if por && List.exists (Canon.Action.equal act) sleep then
-      Metrics.incr m_sleep_pruned
-    else if deliver = [] && E.idle_step ~pattern config pid then begin
-      if por then begin
-        Metrics.incr m_idle;
-        Metrics.incr m_noop_pruned
-      end
-      else idle_hit ~reduction
-    end
+    let config = sl.node.(0) and pid = sl.pid in
+    if deliver = [] && E.idle_step ~pattern config pid then idle_hit ~reduction
     else
       let o = E.step ~pattern config pid deliver in
-      let bare_len =
-        E.write_step_key ~crashed:0 ~reduction config pid deliver o
-      in
-      if
-        por && deliver = []
-        && Shardset.equal_prefix sl.bare (Canon.key_buffer ()) bare_len
-      then Metrics.incr m_noop_pruned
-      else begin
-        let sleep' =
-          if por then begin
-            let act = Canon.Action.with_sends act (E.send_mask o) in
-            let sleep' =
-              List.filter
-                (Canon.Action.independent act)
-                (List.rev_append sl.executed sleep)
-            in
-            sl.executed <- act :: sl.executed;
-            sleep'
-          end
-          else []
-        in
-        let len =
-          if por then Canon.Action.write_digest sleep' ~at:bare_len
-          else bare_len
-        in
-        (* fetched after the digest, which may have moved the buffer *)
-        let b = Canon.key_buffer () in
-        if Shardset.mem_bytes run.seen b len then dedup_hit ~reduction
-        else
-          sl.kept <-
-            Cand
-              ( E.commit config pid deliver o,
-                sl.depth,
-                sleep',
-                Bytes.sub_string b 0 len,
-                bare_len )
-            :: sl.kept
-      end
+      let len = E.write_step_key ~crashed:0 ~reduction config pid deliver o in
+      let b = Canon.key_buffer () in
+      if Shardset.mem_bytes run.seen b len then dedup_hit ~reduction
+      else
+        let key = Bytes.sub_string b 0 len in
+        sl.kept <- Cand (E.commit config pid deliver o, sl.depth, key) :: sl.kept
 
   let free_scratch run ~pattern =
     let rec sl =
       {
         node = [||];
-        sleep = [];
-        bare = "";
         depth = 0;
         pid = 0;
         kept = [];
-        executed = [];
         on_batch = (fun deliver -> free_batch run sl ~pattern deliver);
       }
     in
@@ -1536,146 +1456,67 @@ module Make (A : Algorithm.S) = struct
 
   (* Successors of a non-terminal configuration under [policy], key
      first: every (stepper, delivery-choice) pair is stepped through
-     the memo ({!E.step}), its successor's admission key written from
-     the parent and the outcome ({!E.write_step_key}) and probed
-     lock-free in the run's table.  A successor already there is a
-     dedup hit and is never built; the rest are built ({!E.commit})
-     and kept in [sl] as candidates of [depth] that carry their key.
-     So a dedup hit costs a memo probe, a key write and a table
-     probe, and under none and sym allocates nothing (under sym+por
-     the sibling's action and the child's sleep set are still built).
-     [steppers] is constant over the whole search because only
-     initial crashes are admitted.  An empty
-     delivery {!E.idle_step} proves idle is not stepped: its successor
-     has the parent's key.
-
-     Under [sym+por] the expansion is DPOR (Godefroid-style sleep
-     sets).  Actions in [sleep] arrive provably covered: they were
-     explored from an earlier sibling of this node, and every action
-     executed on the path in between commutes with them
-     ({!Canon.Action.independent}: distinct stepping pids, and neither
-     action sends to the other's stepper — so along the path the slept
-     action's pid kept its local state, its inbox, and therefore its
-     offered batches under every delivery policy), so the interleaving
-     they would start is a permutation of one already scheduled.  We
-     skip them outright.  Each executed successor inherits the sleep
-     set plus its already-executed earlier siblings — filtered down to
-     the actions that commute with the executed one, whose send mask
-     is read off the step's outcome (dependent actions wake up; in
-     particular any slept action whose pid just received a send, since
-     its offered batches changed).  Its admission key is its bare key
-     followed by the digest of that set.  Skipped (slept) siblings propagate
-     through the inherited set, not through the executed ones: they
-     were never explored {e here}, only at the ancestor that put them
-     to sleep.
-
-     The always-offered empty delivery is special-cased under
-     [sym+por]: when it provably reproduces the parent's bare key
-     [bare] (the stepper is settled — no state change, no observable
-     send), the successor is a self-loop in the keyed graph and is not
-     scheduled at all.  Without this, every settled stepper re-admits
-     the configuration once per distinct reachable sleep digest
-     ("sleep-in-key" fragmentation).  Dropping a self-loop prunes no
-     states: the child {e is} the parent, and this very node explores
-     everything outside its own sleep set while slept actions are
-     covered at ancestors.  The transition memo answers most of these
-     without a step ({!E.idle_step}); the rest are stepped and their
-     key bytes compared with [bare].
-
-     Sleep sets prune {e transitions}, never states: every reachable
-     configuration is still reached (along the representative
-     interleaving), so the decision-value oracle, terminal detection
-     and violation checks are untouched.  The crash engine does not use
-     this — its Stuck classification is a property of the full
-     transition graph, which edge-pruning would distort. *)
-  let free_successors sl ~policy ~steppers ~sleep ~bare ~depth config =
+     the memo ({!E.step}), its successor's key written from the parent
+     and the outcome ({!E.write_step_key}) and probed lock-free in the
+     run's table.  A successor already there is a dedup hit and is
+     never built; the rest are built ({!E.commit}) and kept in [sl] as
+     candidates of [depth] that carry their key.  So a dedup hit costs
+     a memo probe, a key write and a table probe, and allocates
+     nothing.  [steppers] is constant over the whole search because
+     only initial crashes are admitted.  An empty delivery
+     {!E.idle_step} proves idle is not stepped: its successor has the
+     parent's key. *)
+  let free_successors sl ~policy ~steppers ~depth config =
     sl.node <- hold sl.node config;
-    sl.sleep <- sleep;
-    sl.bare <- bare;
     sl.depth <- depth;
     sl.kept <- [];
-    sl.executed <- [];
     each_stepper sl policy config steppers
 
-  (* The crash-free step.  A candidate's dedup key is its (possibly
-     orbit) configuration key [bare], plus — when sleep sets are active
-     — the exact serialized sleep set, so a configuration re-reached
-     under a different sleep set is re-expanded rather than wrongly
-     deduped against a run that pruned differently.  Its parent wrote
-     and probed that key ({!free_successors}); the candidate carries it
-     to its admission here, which counts it once more as a dedup hit if
-     a configuration admitted since then took the key first.
+  (* The crash-free step.  A candidate's key is its (possibly orbit)
+     configuration key.  Its parent wrote and probed that key
+     ({!free_successors}); the candidate carries it to its admission
+     here, which counts it once more as a dedup hit if a configuration
+     admitted since then took the key first.
 
      An admitted configuration is expanded: the decisions check,
      completeness over the [correct] processes, and the successors,
      pushed newest first so that they pop in generation order — one
      domain admits exactly in the depth-first order of the recursive
-     search.  [term_set] and [bare_set] hold
-     bare (sleep-free) keys: under sym+por one configuration can be
-     admitted once per distinct sleep digest, but it is one terminal
-     state and one distinct configuration.  [term_set] makes terminal
-     counting fire once per configuration, absorbing the re-expansion
-     of a requeued [Held] item too; [bare_set] feeds the
-     sleep-readmission counter. *)
-  let free_step run ~term_set ~bare_set ~policy ~pattern ~check
-      (w : _ Workers.w) =
+     search.  A key is admitted once, and a terminal is counted as the
+     expansion's last act, after [check], the one part of it that can
+     raise: a requeued [Held] item is never counted twice. *)
+  let free_step run ~policy ~pattern ~check (w : _ Workers.w) =
     let correct = Failure_pattern.correct pattern in
     let correct_mask = List.fold_left Mask.add 0 correct in
     let sl = free_scratch run ~pattern and push_item = Workers.push w in
-    let expand config depth sleep bare =
+    let expand config depth =
       Metrics.gauge_max g_depth_peak depth;
       let decisions = E.decisions config in
       (match check decisions with
       | Some reason -> raise (Verdict (decisions, reason, depth))
       | None -> ());
       if decided_mask 0 decisions land correct_mask = correct_mask then begin
-        if Shardset.add term_set bare 0 then begin
-          Atomic.incr run.terminals;
-          Metrics.incr m_terminals
-        end
+        Atomic.incr run.terminals;
+        Metrics.incr m_terminals
       end
       else begin
-        free_successors sl ~policy ~steppers:correct ~sleep ~bare
-          ~depth:(depth + 1) config;
+        free_successors sl ~policy ~steppers:correct ~depth:(depth + 1) config;
         List.iter push_item sl.kept;
         sl.kept <- [];
         Workers.maybe_spill w
       end
     in
-    (* the bare key of a newly admitted candidate, or [""] *)
-    let admit_candidate key bare_len =
-      let r = admit run key (String.length key) in
-      if r >= 0 then ""
-      else if r = Shardset.refused then begin
-        w.exhausted <- true;
-        ""
-      end
-      else if bare_len = String.length key then key
-      else begin
-        let bare = String.sub key 0 bare_len in
-        if not (Shardset.add bare_set bare 0) then Metrics.incr m_sleep_readmit;
-        bare
-      end
-    in
     function
-    | Cand (config, depth, sleep, key, bare_len) as item -> (
-        match admit_candidate key bare_len with
+    | Cand (config, depth, key) as item -> (
+        match admit run key (String.length key) with
         | exception e -> Workers.requeue w item e
-        | "" -> ()
-        | bare -> (
-            try expand config depth sleep bare
-            with e -> Workers.requeue w (Held (config, depth, sleep, bare)) e))
-    | Held (config, depth, sleep, bare) as item -> (
-        try expand config depth sleep bare with e -> Workers.requeue w item e)
-
-  let members s =
-    let a = Array.make (Shardset.length s) "" and i = ref 0 in
-    Shardset.iter
-      (fun k _ ->
-        a.(!i) <- k;
-        incr i)
-      s;
-    a
+        | r when r >= 0 -> ()
+        | r when r = Shardset.refused -> w.exhausted <- true
+        | _ -> (
+            try expand config depth
+            with e -> Workers.requeue w (Held (config, depth)) e))
+    | Held (config, depth) as item -> (
+        try expand config depth with e -> Workers.requeue w item e)
 
   let explore ?(reduction = Canon.No_reduction) ?(domains = 1)
       ?(max_configs = 2_000_000) ?(policy = Per_sender)
@@ -1683,35 +1524,16 @@ module Make (A : Algorithm.S) = struct
     require_explorable ~n ~pattern ();
     match
       drive ~engine:"explore" ~model:Fault_model.Crash ~reduction ~domains
-        ~max_configs ~ckpt ~resume (fun run p ->
-          let term_set =
-            restore_set ~name:"explore.terminal" ~capacity:1_024 ~ids:false
-              p.terminal
-          in
-          let bare_set =
-            restore_set ~name:"explore.bare" ~capacity:1_024 ~ids:false p.bare
-          in
+        ~max_configs ~ckpt ~resume (fun run _ ->
           {
             root =
               (fun () ->
                 let root = E.init ~record:false ~reduction ~n ~inputs () in
-                let bare_len = E.write_key ~crashed:0 ~reduction root in
-                let len =
-                  match reduction with
-                  | Canon.Symmetry_por ->
-                      Canon.Action.write_digest [] ~at:bare_len
-                  | Canon.No_reduction | Canon.Symmetry -> bare_len
-                in
+                let len = E.write_key ~crashed:0 ~reduction root in
                 let key = Bytes.sub_string (Canon.key_buffer ()) 0 len in
-                [ Cand (root, 0, [], key, bare_len) ]);
-            make = free_step run ~term_set ~bare_set ~policy ~pattern ~check;
-            save =
-              (fun p ->
-                {
-                  p with
-                  terminal = members term_set;
-                  bare = members bare_set;
-                });
+                [ Cand (root, 0, key) ]);
+            make = free_step run ~policy ~pattern ~check;
+            save = Fun.id;
           })
     with
     | Error (decisions, reason, depth) -> Violation { decisions; reason; depth }

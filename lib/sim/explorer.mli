@@ -22,13 +22,11 @@
 
     Every driver takes a {!Canon.reduction}: [Symmetry] switches
     admission to orbit keys (plus the algorithm's canon hooks, applied
-    by the engine as states and messages are produced), and
-    [Symmetry_por] additionally prunes commuting delivery
-    interleavings with DPOR sleep sets in the crash-free engine.
-    Both preserve verdicts and the decision-value oracle (soundness
-    argument in DESIGN.md); the configuration counts shrink — that is
-    the point — so cross-{e mode} stats differ while domain-count
-    parity within a mode still holds exactly.
+    by the engine as states and messages are produced).  It preserves
+    verdicts and the decision-value oracle (soundness argument in
+    DESIGN.md); the configuration counts shrink — that is the point —
+    so cross-{e mode} stats differ while domain-count parity within a
+    mode still holds exactly.
 
     {b Domains, checkpoints and supervision.}  Both engines run on one
     driver.  [domains] (default 1) worker domains admit configurations
@@ -86,11 +84,7 @@ type stats = {
   configs_visited : int;
   terminal_runs : int;
       (** Deduplicated configs where every correct process has
-          decided.  Always counted per distinct configuration key:
-          under [Symmetry_por] a terminal configuration re-admitted
-          with a different sleep digest is not counted again, so
-          [terminal_runs] agrees between [Symmetry] and
-          [Symmetry_por]. *)
+          decided, counted once per configuration key. *)
   budget_exhausted : bool;
       (** True if [max_configs] pruned the search — the verdict then
           covers only the explored portion.  Admission is clamped {e at}
@@ -297,15 +291,7 @@ module Make (A : Algorithm.S) : sig
       expansion — async interleaving composes these into every
       faulty-set trajectory), and at [t = 0] the graph coincides with
       the budget-0 crash graph.  Parity and separation are pinned by
-      test/test_byzantine.ml.
-
-      The crash engine uses the orbit keys of the symmetry modes but
-      never DPOR sleep sets — [Symmetry_por] behaves like [Symmetry]
-      here.  The {!Stuck} classification is backward reachability over
-      the {e full} transition graph; sleep sets prune edges, which
-      preserves reachable states (and so every other verdict) but
-      could cut the only path by which a configuration reaches
-      decision-completeness, flipping can-decide nodes to stuck. *)
+      test/test_byzantine.ml. *)
 
   val explore_with_crashes_par :
     ?domains:int ->

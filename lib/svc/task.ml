@@ -89,12 +89,10 @@ module Fields = struct
   let policy = field "policy" String ~docv:"POLICY" ~default:(Json.Str "per-sender")
       "Delivery policy: per-sender, empty-or-all, or all-subsets."
   let reduction = field "reduction" String ~docv:"MODE" ~default:(Json.Str "none")
-      "State-space reduction: $(b,none) (exact interned keys), $(b,sym) \
+      "State-space reduction: $(b,none) (exact interned keys) or $(b,sym) \
        (dedup on canonical orbit keys under permutations of crashed \
-       processes), or $(b,sym+por) (orbit keys plus DPOR sleep sets over \
-       delivery actions; sleep sets apply to the crash-free explorer \
-       only).  Verdicts and reachable decision values are invariant across \
-       modes; visited-configuration counts are not."
+       processes).  Verdicts and reachable decision values are invariant \
+       across modes; visited-configuration counts are not."
   let max_configs = field "max-configs" Int ~docv:"M"
       "Stop after exploring M configurations (at most 2147483647 when \
        processes can crash or misbehave)."

@@ -77,7 +77,7 @@ let outcome_fingerprint (o : Sim.Explorer.resilient_outcome) =
   | Sim.Explorer.Indeterminate _ -> "indeterminate"
 
 let all_modes =
-  [ Canon.No_reduction; Canon.Symmetry; Canon.Symmetry_por ]
+  [ Canon.No_reduction; Canon.Symmetry ]
 
 (* ---------- differential parity at budget 0 ---------- *)
 

@@ -392,9 +392,8 @@ let test_explore_resume_domains () =
   (* a crash-free campaign cut at one domain (mid-run, after a fixed
      number of interrupt polls) or at two and four (the coordinator's
      first tick parks the workers wherever they are) resumes at one
-     domain and at two to the uninterrupted stats — unreduced, and
-     under both reductions, whose sleep sets ride inside the
-     checkpointed work items *)
+     domain and at two to the uninterrupted stats — unreduced and
+     under sym *)
   List.iter
     (fun reduction ->
       let mode = Sim.Canon.reduction_to_string reduction in
@@ -427,7 +426,7 @@ let test_explore_resume_domains () =
                        ~domains ()))
                 [ 1; 2 ]))
         [ 1; 2; 4 ])
-    [ Sim.Canon.No_reduction; Sim.Canon.Symmetry; Sim.Canon.Symmetry_por ]
+    [ Sim.Canon.No_reduction; Sim.Canon.Symmetry ]
 
 let test_explore_one_domain_truncated_resume () =
   (* one domain pops its candidates in the order of the recursive
@@ -491,7 +490,7 @@ let test_explore_crash_resume_reduced () =
   (* the crash drivers under reduction: orbit-keyed node graph through
      a parallel pause-the-world cut, resumed sequentially *)
   let module Ex = Sim.Explorer.Make (K2) in
-  let reduction = Sim.Canon.Symmetry_por in
+  let reduction = Sim.Canon.Symmetry in
   let baseline =
     match
       Ex.explore_with_crashes ~reduction ~n:3 ~inputs:(distinct 3)
@@ -562,25 +561,61 @@ let test_resume_reduction_mismatch () =
 
 (* ---------- a payload of the other engine starts fresh ---------- *)
 
-(* what [f] writes to stderr, with its result *)
-let with_stderr f =
-  let path = tmp_path ".err" in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
-  flush stderr;
-  let saved = Unix.dup Unix.stderr in
-  Unix.dup2 fd Unix.stderr;
-  Unix.close fd;
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        flush stderr;
-        Unix.dup2 saved Unix.stderr;
-        Unix.close saved)
-      f
+(* A real explore checkpoint re-framed as v13, the last layout whose
+   work items carried sleep sets: the library refuses it by version and
+   runs fresh to the uninterrupted verdict, [ksa explore --resume] warns
+   and does the same, and [--strict-resume] refuses to run, exit 5. *)
+let test_explore_v13_frame () =
+  let module Task = Ksa_svc.Task in
+  let args =
+    [ "explore"; "--algo"; "kset-flp"; "-n"; "3"; "-l"; "2"; "-k"; "1" ]
   in
-  let err = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  (r, err)
+  let spec =
+    ok_or_fail
+      (Result.bind
+         (Ksa_svc.Json.parse
+            {|{"task":"explore","algo":"kset-flp","n":3,"l":2,"k":1}|})
+         Task.spec_of_json)
+  in
+  let safe = "SAFE: 4930 configs visited, 601 terminal runs" in
+  let lines c =
+    let o = Task.run ?resume:c.Task.payload ~ckpt:c.Task.ckpt spec in
+    (Task.summarize (ok_or_fail o)).Task.lines
+  in
+  let reopen path =
+    Task.open_campaign ~resume:path ~interrupt:(fun () -> false) spec
+  in
+  let v13 = "unsupported checkpoint version 13" in
+  with_tmp ".ckpt" (fun path ->
+      let cut =
+        Task.open_campaign ~checkpoint:path ~interrupt:(poll_interrupt 40) spec
+      in
+      ignore (lines cut);
+      Alcotest.(check (option string)) "its own v14 checkpoint resumes" None
+        (reopen path).Task.rejected;
+      let magic = "KSACKPT1" in
+      let v, body = ok_or_fail (Durable.read_framed ~path ~magic) in
+      Alcotest.(check int) "written at the current version" Checkpoint.version
+        v;
+      ok_or_fail (Durable.write_framed ~path ~magic ~version:13 body);
+      let c = reopen path in
+      (match c.Task.rejected with
+      | Some r -> check_contains "reason" ~sub:(v13 ^ " (want 14)") r
+      | None -> Alcotest.fail "a v13 checkpoint was taken up");
+      Alcotest.(check bool) "no payload" true (c.Task.payload = None);
+      Alcotest.(check (list string)) "fresh campaign" [ safe ] (lines c);
+      let code, out, err = Test_cli.ksa (args @ [ "--resume"; path ]) in
+      Alcotest.(check int) "lenient: exit" 0 code;
+      Alcotest.(check string) "lenient: fresh verdict" (safe ^ "\n") out;
+      check_contains "lenient: warned" ~sub:v13 err;
+      let code, out, err =
+        Test_cli.ksa (args @ [ "--resume"; path; "--strict-resume" ])
+      in
+      Alcotest.(check int) "strict: exit" 5 code;
+      Alcotest.(check string) "strict: no verdict" "" out;
+      check_contains "strict: named" ~sub:v13 err)
+
+let with_stderr = Test_util.with_stderr
 
 (* the payload of a one-domain campaign cut after [polls] interrupt
    polls *)
@@ -1464,6 +1499,8 @@ let suites =
           test_load_wrong_version;
         Alcotest.test_case "load: garbage body is Error" `Quick
           test_load_garbage_body;
+        Alcotest.test_case "resume: a v13 explore checkpoint starts fresh"
+          `Quick test_explore_v13_frame;
         Alcotest.test_case "ctl: a raising hook releases the lock" `Quick
           test_raising_hook_unlocks;
         Alcotest.test_case "explore-crash: kill/resume parity (seq)" `Quick
@@ -1482,7 +1519,7 @@ let suites =
           test_explore_one_domain_truncated_resume;
         Alcotest.test_case "explore: cut with a pending orphan resumes" `Quick
           test_explore_orphan_cut;
-        Alcotest.test_case "explore-crash: kill/resume parity under sym+por"
+        Alcotest.test_case "explore-crash: kill/resume parity under sym"
           `Quick test_explore_crash_resume_reduced;
         Alcotest.test_case "resume: reduction-mode mismatch starts fresh"
           `Quick test_resume_reduction_mismatch;

@@ -94,8 +94,6 @@ let test_explore_truncated () =
       ("none", 2000, 268);
       ("sym", 500, 30);
       ("sym", 2000, 74);
-      ("sym+por", 500, 29);
-      ("sym+por", 2000, 67);
     ]
 
 let test_explore_stuck () =
@@ -355,6 +353,7 @@ let test_spec_refusals () =
       "kset-flp: field \"l\" (--wait-quorum) must be in 1..3, got %d" v
   in
   let wait = "naive-min: field \"wait\" (--wait-for) must be in 1..3, got 0" in
+  let removed = "reduction \"sym+por\" was removed" in
   List.iter
     (fun (args, names) -> expect_error args ~names)
     [
@@ -377,6 +376,9 @@ let test_spec_refusals () =
       ([ "explore"; "-n"; "3"; "--model"; "bogus" ], "unknown fault model \"bogus\"");
       ([ "fuzz"; "-n"; "3"; "--model"; "bogus" ], "unknown fault model \"bogus\"");
       ([ "explore"; "-n"; "3"; "--reduction"; "bogus" ], "unknown reduction \"bogus\"");
+      (* the removed mode is refused by name, by the CLI and by submit *)
+      ([ "explore"; "-n"; "3"; "--reduction"; "sym+por" ], removed);
+      (submit {|{"task":"explore","n":3,"reduction":"sym+por"}|}, removed);
       (submit {|{"task":"explore","algo":"naive-min","n":3,"wait":0}|}, wait);
       (submit {|{"task":"fuzz","trails":5}|}, "unknown field \"trails\" for task fuzz");
     ]

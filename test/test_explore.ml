@@ -91,6 +91,45 @@ let test_parity_terminal_sets () =
   Alcotest.(check bool) "some terminal decision set" true (seq <> []);
   Alcotest.(check bool) "same terminal decision sets" true (seq = collect 2)
 
+(* A terminal configuration is counted once although its expansion
+   can run twice: a [check] that raises on the first terminal
+   configuration kills its worker, the configuration goes back on the
+   stack already admitted, and whoever pops it next checks it again
+   and counts it.  Every count matches the run without the fault. *)
+let test_terminal_counted_once () =
+  let module Ex = Sim.Explorer.Make (K2) in
+  let n = 3 in
+  let run ?check reduction domains =
+    let check = Option.value check ~default:no_check in
+    stats_of "explore"
+      (Ex.explore ~reduction ~domains ~n ~inputs:(distinct n)
+         ~pattern:(FP.none ~n) ~check ())
+  in
+  List.iter
+    (fun reduction ->
+      let baseline = run reduction 1 in
+      List.iter
+        (fun domains ->
+          let fired = Atomic.make false in
+          let bomb decisions =
+            if
+              List.length decisions = n
+              && Atomic.compare_and_set fired false true
+            then failwith "injected fault";
+            None
+          in
+          let label =
+            Printf.sprintf "%s at d=%d"
+              (Sim.Canon.reduction_to_string reduction)
+              domains
+          in
+          let got = run ~check:bomb reduction domains in
+          Alcotest.(check bool) (label ^ ": the fault fired") true
+            (Atomic.get fired);
+          check_stats_equal label baseline got)
+        [ 1; 2 ])
+    [ Sim.Canon.No_reduction; Sim.Canon.Symmetry ]
+
 let test_parity_violation () =
   (* a false claim about the trivial algorithm: every driver must
      refute it (no lost violations) *)
@@ -611,8 +650,8 @@ let test_key_exploration_agnostic () =
    crash cells are border cells — kset_flp with L = n - t under a
    k-agreement check, crashed processes keeping their in-flight
    messages.  Each campaign applies its own algorithm functor, so its
-   transition memo starts cold whatever ran before it.  The [sym] and
-   [sym+por] counts were measured again once kset-flp's [canon]
+   transition memo starts cold whatever ran before it.  The [sym]
+   counts were measured again once kset-flp's [canon]
    rebuilt its sets and maps from their bindings, which merges
    configurations: their verdicts, witnesses and terminal counts
    stayed, and their step bounds, from before elision, still hold. *)
@@ -652,7 +691,7 @@ type before_idle = {
 }
 
 (* [also]: further counters that must keep their literal values *)
-let check_invisible ?(also = []) label want run =
+let check_invisible label want run =
   let before = Metrics.snapshot () in
   let verdict = run () in
   let d = Metrics.delta ~before ~after:(Metrics.snapshot ()) in
@@ -662,8 +701,7 @@ let check_invisible ?(also = []) label want run =
     (fun (name, v) -> Alcotest.(check int) (label ^ ": " ^ name) v (count name))
     (("explore.admitted", want.admitted)
     :: ("explore.dedup.hits", want.dedup)
-    :: ("explore.orbit_hits", want.orbit)
-    :: also);
+    :: [ ("explore.orbit_hits", want.orbit) ]);
   let steps = count "sim.steps" in
   Alcotest.(check bool)
     (Printf.sprintf "%s: sim.steps %d < %d" label steps want.steps)
@@ -843,25 +881,12 @@ let test_idle_explore () =
       orbit = 0;
       steps = 25532;
     }
-  and por =
-    {
-      verdict = "visited=2873 terminals=74 exhausted=false";
-      admitted = 2873;
-      dedup = 3609;
-      orbit = 3609;
-      steps = 18414;
-    }
   in
   List.iter
     (fun domains ->
       let tag = match domains with None -> "seq" | Some _ -> "par(2)" in
       check_invisible ("explore none " ^ tag) unreduced
-        (run ?domains Sim.Canon.No_reduction);
-      (* under sym+por an idle step is also the self-loop it always was *)
-      check_invisible
-        ~also:[ ("explore.noop_pruned", 8295); ("explore.sleep_pruned", 3029) ]
-        ("explore sym+por " ^ tag) por
-        (run ?domains Sim.Canon.Symmetry_por))
+        (run ?domains Sim.Canon.No_reduction))
     [ None; Some 2 ]
 
 (* The crash-free cells at one domain, complete and cut by the config
@@ -903,9 +928,6 @@ let test_free_cells_pinned () =
           "explore.admitted";
           "explore.dedup.hits";
           "explore.idle_skipped";
-          "explore.sleep_pruned";
-          "explore.noop_pruned";
-          "explore.sleep_readmitted";
           "explore.budget.truncations";
           "sim.steps";
         ]
@@ -915,93 +937,20 @@ let test_free_cells_pinned () =
         ( No_reduction,
           None,
           "visited=4930 terminals=601 exhausted=false",
-          [ 4930; 20603; 12552; 0; 0; 0; 0; 12980 ] );
+          [ 4930; 20603; 12552; 0; 12980 ] );
         ( No_reduction,
           Some 1000,
           "visited=1000 terminals=142 exhausted=true",
-          [ 1000; 4141; 2562; 0; 0; 0; 18; 2596 ] );
+          [ 1000; 4141; 2562; 18; 2596 ] );
         ( Symmetry,
           None,
           "visited=2238 terminals=74 exhausted=false",
-          [ 2238; 11800; 6402; 0; 0; 0; 0; 7635 ] );
+          [ 2238; 11800; 6402; 0; 7635 ] );
         ( Symmetry,
           Some 1000,
           "visited=1000 terminals=49 exhausted=true",
-          [ 1000; 4947; 2842; 0; 0; 0; 25; 3129 ] );
-        ( Symmetry_por,
-          None,
-          "visited=2873 terminals=74 exhausted=false",
-          [ 2873; 3609; 8295; 3029; 8295; 635; 0; 6481 ] );
-        ( Symmetry_por,
-          Some 1000,
-          "visited=1000 terminals=33 exhausted=true",
-          [ 1000; 1067; 2860; 1076; 2860; 188; 29; 2095 ] );
+          [ 1000; 4947; 2842; 25; 3129 ] );
       ]
-
-(* Every process sends [copies] messages to every other on its first
-   step and never sends again; a delivery only counts what arrived.
-   Deliveries send nothing, so the actions of distinct steppers all
-   commute and sym+por sleep sets grow long. *)
-module Gossip_once = struct
-  type state = { me : int; n : int; sent : bool; heard : int }
-  type message = int
-
-  let copies = 2
-  let name = "gossip-once"
-  let uses_fd = false
-  let init ~n ~me ~input:_ = { me; n; sent = false; heard = 0 }
-
-  let step st ~received ~fd:_ =
-    let st = { st with heard = st.heard + List.length received } in
-    if st.sent then (st, [], None)
-    else
-      ( { st with sent = true },
-        List.concat_map
-          (fun p ->
-            if p = st.me then [] else List.init copies (fun c -> (p, c)))
-          (List.init st.n Fun.id),
-        None )
-
-  let canon st = st
-  let canon_message m = m
-  let forge_pool ~n:_ ~values:_ = []
-  let pp_message = Format.pp_print_int
-  let pp_state ppf st = Format.fprintf ppf "p%d heard %d" st.me st.heard
-end
-
-(* Under sym+por a successor's key is its bare key followed by the
-   digest of its sleep set, and a long sleep set (every subset of an
-   inbox is a batch here) grows the domain's key buffer while the
-   digest is written.  A search started on a fresh domain, whose
-   buffer starts small and grows during the search, finds what it
-   finds on a domain whose buffer is already large enough. *)
-let test_free_key_buffer_growth () =
-  let module Ex = Sim.Explorer.Make (Gossip_once) in
-  let n = 3 in
-  let run () =
-    let size () = Bytes.length (Sim.Canon.key_buffer ()) in
-    let before = size () in
-    let got =
-      stats_token
-        (stats_of "explore"
-           (Ex.explore ~reduction:Sim.Canon.Symmetry_por ~domains:1
-              ~policy:Sim.Explorer.All_subsets ~n ~inputs:(distinct n)
-              ~pattern:(FP.none ~n) ~check:no_check ()))
-    in
-    (got, size () > before)
-  in
-  let fresh, grew = Domain.join (Domain.spawn run) in
-  Alcotest.(check bool) "the fresh domain's key buffer grew" true grew;
-  ignore
-    (Sim.Canon.Action.digest
-       (List.init 2000 (fun pid ->
-            Sim.Canon.Action.make ~pid ~deliveries:[ 1; 2; 3 ] ~sends:0))
-      : string);
-  let warm, grew = run () in
-  Alcotest.(check bool) "the warm domain's key buffer did not grow" false grew;
-  Alcotest.(check string) "same search" warm fresh;
-  Alcotest.(check string)
-    "the search" "visited=9350 terminals=0 exhausted=false" warm
 
 (* ---------- the domain-count default ---------- *)
 
@@ -1036,8 +985,6 @@ let suites =
           test_idle_explore;
         Alcotest.test_case "crash-free cells pinned at one domain" `Quick
           test_free_cells_pinned;
-        Alcotest.test_case "sym+por key buffer grows mid-search" `Quick
-          test_free_key_buffer_growth;
       ] );
     ( "explore.parity",
       [
@@ -1048,6 +995,8 @@ let suites =
           test_parity_terminal_sets;
         Alcotest.test_case "violations are never lost" `Quick
           test_parity_violation;
+        Alcotest.test_case "a requeued terminal is counted once" `Quick
+          test_terminal_counted_once;
         Alcotest.test_case "crash explorer, budget 1" `Slow
           test_parity_crashes_n3;
         Alcotest.test_case "crash explorer, budget 0" `Quick

@@ -31,7 +31,7 @@ end)
 
 let distinct = Sim.Value.distinct_inputs
 let no_check _ = None
-let reduced_modes = [ Canon.Symmetry; Canon.Symmetry_por ]
+let reduced_modes = [ Canon.Symmetry ]
 let all_modes = Canon.No_reduction :: reduced_modes
 let mode_name = Canon.reduction_to_string
 
@@ -139,7 +139,7 @@ let reference_ints reduction (r : int Canon.rows) =
       (r.crashed :: Array.to_list r.state_ids)
       @ (List.length decided :: List.concat_map (fun (p, v) -> [ p; v ]) decided)
       @ with_count (sorted (List.map small (Array.to_list r.triples)))
-  | Canon.Symmetry | Canon.Symmetry_por ->
+  | Canon.Symmetry ->
       let c = Canon.canonicalize r in
       [ -1; r.crashed ]
       @ List.map (fun p -> if dead p then -1 else r.state_ids.(p)) pids
@@ -179,19 +179,7 @@ let test_key_large_rows () =
         (decode (key m rows)))
     all_modes;
   Alcotest.(check string) "orbit key = reference" (orbit_key rows)
-    (key Canon.Symmetry rows);
-  (* a sleep digest far larger than the buffer, appended after the key
-     just written: the buffer grows and keeps the key in front *)
-  let sleep =
-    List.init 1000 (fun i ->
-        Canon.Action.make ~pid:(i mod n) ~deliveries:[ i; 7 * i; 1 lsl 40 ]
-          ~sends:i)
-  in
-  let k = key Canon.Symmetry rows in
-  let len = Canon.Action.write_digest sleep ~at:(String.length k) in
-  let written = Bytes.sub_string (Canon.key_buffer ()) 0 len in
-  Alcotest.(check string) "key then digest" (k ^ Canon.Action.digest sleep)
-    written
+    (key Canon.Symmetry rows)
 
 (* Two rows of one n, the second often a near miss of the first (a
    triple or a decision dropped), where a layout without its counts
@@ -307,9 +295,8 @@ let test_orbit_key_golden () =
    move crashes one more live process (keeping one alive) or steps a
    live one on a random subset of its buffer.  At every configuration
    on the way, the key the engine writes straight from its inboxes into
-   the scratch buffer — followed by a random sleep digest, as the
-   sym+por admission key is — must equal, byte for byte, {!Canon.key}
-   over rows rebuilt from the configuration's public view and
+   the scratch buffer must equal, byte for byte, {!Canon.key} over rows
+   rebuilt from the configuration's public view and
    re-interned, under the walk's crashed mask plus random extra
    bits. *)
 module Key_walk (A : Sim.Algorithm.S) = struct
@@ -333,30 +320,10 @@ module Key_walk (A : Sim.Algorithm.S) = struct
              (E.pending c));
     }
 
-  let random_sleep rng n =
-    List.init (Random.State.int rng 4) (fun _ ->
-        Canon.Action.make ~pid:(Random.State.int rng n)
-          ~deliveries:
-            (List.init (Random.State.int rng 3) (fun _ ->
-                 Random.State.int rng 500))
-          ~sends:(Random.State.int rng (1 lsl n)))
-
-  let agrees ~reduction ~crashed ~sleep c =
+  let agrees ~reduction ~crashed c =
     let reference = Canon.key ~reduction ~value:Fun.id (rows c ~crashed) in
-    let expected =
-      match reduction with
-      | Canon.Symmetry_por -> reference ^ Canon.Action.digest sleep
-      | Canon.No_reduction | Canon.Symmetry -> reference
-    in
-    let bare_len = E.write_key ~crashed ~reduction c in
-    let len =
-      match reduction with
-      | Canon.Symmetry_por -> Canon.Action.write_digest sleep ~at:bare_len
-      | Canon.No_reduction | Canon.Symmetry -> bare_len
-    in
-    let written = Bytes.sub_string (Canon.key_buffer ()) 0 len in
-    written = expected
-    && bare_len = String.length reference
+    let len = E.write_key ~crashed ~reduction c in
+    Bytes.sub_string (Canon.key_buffer ()) 0 len = reference
     && E.key ~crashed ~reduction c = reference
     && decode reference = reference_ints reduction (rows c ~crashed)
 
@@ -372,7 +339,7 @@ module Key_walk (A : Sim.Algorithm.S) = struct
     in
     let rec go c mask len =
       let crashed = mask lor Random.State.int rng (1 lsl n) in
-      agrees ~reduction ~crashed ~sleep:(random_sleep rng n) c
+      agrees ~reduction ~crashed c
       && (len = 0
          ||
          let live =
@@ -402,7 +369,9 @@ module Key_walk_n2 = Key_walk (N2)
 
 let prop_engine_key_is_canon_key =
   QCheck.Test.make
-    ~name:"engine: one-pass key (+ digest) = Canon.key over rebuilt rows"
+    ~name:
+      "engine: one-pass key (+ extra crashed bits) = Canon.key over rebuilt \
+       rows"
     ~count:150
     QCheck.(pair (int_bound 0x3fffffff) (int_range 0 30))
     (fun walk ->
@@ -880,9 +849,7 @@ let test_key_first_allocates_nothing () =
 
 (* The crash-free explorer's probe of a successor: the step, its key
    from the parent and a lock-free probe of the table.  At one domain
-   with a warm memo a dedup hit allocates nothing under none and sym.
-   (Under sym+por the explorer also builds the child's sleep set to
-   digest it.) *)
+   with a warm memo a dedup hit allocates nothing under none and sym. *)
 let test_free_probe_allocates_nothing () =
   let module E = Key_first_k2.E in
   let n = 3 and none = FP.none ~n:3 in
@@ -1067,62 +1034,6 @@ let test_movable_decided_multiset () =
     "different multisets separate" false
     (orbit_key (rows (Some 5) (Some 5)) = orbit_key (rows (Some 7) (Some 5)))
 
-(* ---------- delivery actions ---------- *)
-
-let act ?(sends = 0) pid deliveries = Canon.Action.make ~pid ~deliveries ~sends
-
-let prop_independent_iff_disjoint =
-  QCheck.Test.make
-    ~name:"actions: independent iff distinct steppers and no cross-send"
-    ~count:500
-    QCheck.(
-      pair
-        (triple (int_range 0 7) (small_list small_nat) (int_range 0 255))
-        (triple (int_range 0 7) (small_list small_nat) (int_range 0 255)))
-    (fun ((p, ds, sp), (q, es, sq)) ->
-      let expected =
-        p <> q && sp land (1 lsl q) = 0 && sq land (1 lsl p) = 0
-      in
-      Canon.Action.independent (act ~sends:sp p ds) (act ~sends:sq q es)
-      = expected)
-
-let test_send_breaks_independence () =
-  (* the reviewer's counterexample shape: distinct steppers are NOT
-     enough once one of them sends to the other — under the bucket
-     policies the send replaces the receiver's offered batches, so
-     the covering interleaving does not exist *)
-  let a = act ~sends:(1 lsl 2) 0 [] in
-  let b = act 2 [ 5 ] in
-  Alcotest.(check bool)
-    "send to the other's stepper is dependent" false
-    (Canon.Action.independent a b);
-  Alcotest.(check bool)
-    "dependence is symmetric in the send direction" false
-    (Canon.Action.independent b a);
-  Alcotest.(check bool)
-    "identity ignores the send mask" true
-    (Canon.Action.equal a (act 0 []))
-
-let prop_digest_order_insensitive =
-  QCheck.Test.make ~name:"actions: digest ignores sleep-set order" ~count:200
-    QCheck.(small_list (pair (int_range 0 7) (small_list small_nat)))
-    (fun specs ->
-      let acts = List.map (fun (p, ds) -> act p ds) specs in
-      Canon.Action.digest acts
-      = Canon.Action.digest (List.rev acts)
-      && Canon.Action.digest acts = Canon.Action.digest (acts @ acts))
-
-let test_digest_separates () =
-  Alcotest.(check bool)
-    "different sets, different digests" false
-    (Canon.Action.digest [ act 0 [ 1 ] ] = Canon.Action.digest [ act 0 [ 2 ] ]);
-  Alcotest.(check bool)
-    "pid matters" false
-    (Canon.Action.digest [ act 0 [ 1 ] ] = Canon.Action.digest [ act 1 [ 1 ] ]);
-  Alcotest.(check bool)
-    "empty vs singleton" false
-    (Canon.Action.digest [] = Canon.Action.digest [ act 0 [] ])
-
 (* ---------- engine-level commutation ---------- *)
 
 module E2 = Sim.Engine.Make (K2)
@@ -1135,10 +1046,9 @@ let estep c pid deliver =
   | None -> Alcotest.fail "step refused"
 
 let test_independent_steps_commute () =
-  (* the DPOR soundness premise, checked on the real engine: two
-     delivery actions of distinct steppers reach the same
-     configuration key in either order — including when one of them
-     delivers a batch *)
+  (* two delivery actions of distinct steppers, neither sending to the
+     other, reach the same configuration key in either order —
+     including when one of them delivers a batch *)
   let init () =
     E2.init ~record:false ~reduction:Canon.Symmetry ~n:3 ~inputs:(distinct 3) ()
   in
@@ -1160,48 +1070,6 @@ let test_independent_steps_commute () =
   Alcotest.(check bool)
     "same-pid actions are dependent" false
     (String.equal (E2.key all) (E2.key none))
-
-let test_sends_recorded_and_dependent () =
-  (* kset_flp(l=2)'s first step broadcasts Hello, and a step that
-     delivers a Hello enters stage 2 and broadcasts a Report: both
-     must surface in the engine's send mask, and a broadcasting
-     action must be dependent on every other pid's actions — this is
-     the exact shape for which pid-distinctness alone was unsound *)
-  let c0 =
-    E2.init ~record:false ~reduction:Canon.Symmetry_por ~n:3
-      ~inputs:(distinct 3) ()
-  in
-  (* the mask of a step's sends, read off its outcome *)
-  let sends c pid deliver =
-    E2.send_mask (E2.step ~pattern:(FP.none ~n:3) c pid deliver)
-  in
-  let hello = sends c0 0 [] in
-  let c1 = estep c0 0 [] in
-  Alcotest.(check bool)
-    "first step broadcasts to pid 1" true
-    (hello land (1 lsl 1) <> 0);
-  Alcotest.(check bool)
-    "first step broadcasts to pid 2" true
-    (hello land (1 lsl 2) <> 0);
-  let a = act ~sends:hello 0 [] in
-  Alcotest.(check bool)
-    "broadcasting step depends on a receiver's action" false
-    (Canon.Action.independent a (act 1 []));
-  (* an empty re-step of a started stage-1 process sends nothing and
-     commutes with other steppers *)
-  Alcotest.(check int) "silent step has an empty mask" 0 (sends c1 0 []);
-  let c2 = estep c1 0 [] in
-  Alcotest.(check bool)
-    "silent steps of distinct pids commute" true
-    (Canon.Action.independent (act 0 []) (act 1 []));
-  (* delivering pid 0's Hello tips pid 2 into stage 2: the delivery
-     itself sends (the Report broadcast) *)
-  let inbox2 = List.map fst (E2.inbox c2 2) in
-  Alcotest.(check bool) "pid 2 has pending Hello" true (inbox2 <> []);
-  let report = sends c2 2 inbox2 in
-  Alcotest.(check bool)
-    "delivery-triggered broadcast names pid 0" true
-    (report land (1 lsl 0) <> 0)
 
 (* ---------- idle-step elision ---------- *)
 
@@ -1479,13 +1347,10 @@ let policies =
   ]
 
 let test_differential_terminal_sets () =
-  (* crash-free exploration under sym+por must surface exactly the
-     unreduced terminal decision sets: sleep sets prune alternate
-     interleavings, never the states they lead to.  Run under both
-     bucket-granular delivery policies — kset_flp broadcasts on
-     delivery (stage-2 entry), so with asymmetric inputs this is the
-     shape where a pid-distinctness independence relation pruned
-     interleavings whose covering permutation does not exist. *)
+  (* crash-free exploration under sym must surface exactly the
+     unreduced terminal decision sets: orbit keys merge
+     configurations, never the decision sets they reach.  Run under
+     both bucket-granular delivery policies. *)
   List.iter
     (fun (pname, policy) ->
       List.iter
@@ -1522,34 +1387,6 @@ let test_differential_terminal_sets () =
         subjects)
     policies
 
-let test_terminal_count_parity () =
-  (* terminal_runs counts distinct terminal configuration keys, so it
-     must agree between sym and sym+por even though sym+por re-admits
-     configurations once per sleep digest *)
-  let module Ex = Sim.Explorer.Make (K2) in
-  List.iter
-    (fun (pname, policy) ->
-      let count ?domains reduction =
-        match
-          Ex.explore ~reduction ?domains ~policy ~n:3 ~inputs:(distinct 3)
-            ~pattern:(FP.none ~n:3) ~check:no_check ()
-        with
-        | Sim.Explorer.Safe s -> s.Sim.Explorer.terminal_runs
-        | Sim.Explorer.Violation _ -> Alcotest.fail (pname ^ ": violation")
-      in
-      let runs_sym = count Canon.Symmetry in
-      Alcotest.(check bool)
-        (pname ^ ": some terminal reached") true (runs_sym > 0);
-      List.iter
-        (fun domains ->
-          let tag = match domains with None -> "seq" | Some d ->
-            Printf.sprintf "par(%d)" d in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: terminal_runs sym = sym+por (%s)" pname tag)
-            runs_sym (count ?domains Canon.Symmetry_por))
-        [ None; Some 2 ])
-    policies
-
 let test_reduction_reduces () =
   (* not a soundness property, but the reason the layer exists: on the
      kset_flp crash space the reduced admission count must be strictly
@@ -1584,16 +1421,8 @@ let suites =
           test_crashed_state_elided;
         Alcotest.test_case "movable decided multiset" `Quick
           test_movable_decided_multiset;
-        qcheck prop_independent_iff_disjoint;
-        Alcotest.test_case "cross-send breaks independence" `Quick
-          test_send_breaks_independence;
-        qcheck prop_digest_order_insensitive;
-        Alcotest.test_case "digest separates distinct sets" `Quick
-          test_digest_separates;
         Alcotest.test_case "independent engine steps commute" `Quick
           test_independent_steps_commute;
-        Alcotest.test_case "send masks recorded and dependence-inducing" `Quick
-          test_sends_recorded_and_dependent;
         qcheck prop_key_is_reference;
         qcheck prop_exact_key_order_free;
         qcheck prop_key_decodes;
@@ -1632,8 +1461,6 @@ let suites =
           test_differential_decision_values;
         Alcotest.test_case "terminal decision sets agree" `Quick
           test_differential_terminal_sets;
-        Alcotest.test_case "terminal counts agree sym vs sym+por" `Quick
-          test_terminal_count_parity;
         Alcotest.test_case "symmetry actually reduces" `Quick
           test_reduction_reduces;
       ] );

@@ -712,8 +712,13 @@ let test_daemon_refuses_fd_fuzz () =
    a kset-flp size above its decision rule's bitmask bound, L or
    wait-for outside 1..n, a fuzz dead pid out of range — a
    repeated explore dead pid, which the crash explorer ran as if
-   listed once, a misspelt key, and a crash exploration's budget above
-   the crash graph's int32 ids: each is refused by field name. *)
+   listed once, a misspelt key, a crash exploration's budget above
+   the crash graph's int32 ids, and the removed reduction mode: each
+   is refused by field name. *)
+let removed_reduction =
+  "reduction \"sym+por\" was removed: its sleep sets admitted more \
+   configurations than sym; sym gives the same crash-driver results"
+
 let crash_specs =
   let obj task kvs = Json.Obj (("task", Json.Str task) :: kvs) in
   [
@@ -742,6 +747,8 @@ let crash_specs =
           ("max-configs", Json.Int 2147483648) ],
       "field \"max-configs\" must be at most 2147483647 for a crash \
        exploration, got 2147483648" );
+    ( obj "explore" [ ("n", Json.Int 3); ("reduction", Json.Str "sym+por") ],
+      removed_reduction );
   ]
 
 let test_task_spec_ranges () =
@@ -812,10 +819,10 @@ let test_task_old_specs_load () =
         "explore",
         "algo=kset-flp n=4 k=2 l=3 wait=2 dead= crash-budget=0 \
          policy=per-sender max-configs=- drop=false reduction=none" );
-      ( {|{"task":"explore","algo":"naive-min","n":3,"k":1,"l":2,"wait":3,"dead":[1],"crash-budget":1,"model":"byzantine:1","policy":"empty-or-all","reduction":"sym+por","max-configs":4000,"drop-on-crash":true}|},
+      ( {|{"task":"explore","algo":"naive-min","n":3,"k":1,"l":2,"wait":3,"dead":[1],"crash-budget":1,"model":"byzantine:1","policy":"empty-or-all","reduction":"sym","max-configs":4000,"drop-on-crash":true}|},
         "explore-crash",
         "algo=naive-min n=3 k=1 l=2 wait=3 dead=1 crash-budget=1 \
-         policy=empty-or-all max-configs=4000 drop=true reduction=sym+por \
+         policy=empty-or-all max-configs=4000 drop=true reduction=sym \
          model=byzantine:1" );
       ( {|{"task":"fuzz","algo":"kset-flp","n":5,"k":2,"wait":2,"dead":[0],"seed":9,"trials":50,"max-steps":120,"max-crashes":1,"weights":"mixed","termination":false,"coverage":false,"model":"crash"}|},
         "fuzz",
@@ -855,6 +862,47 @@ let test_jobstore_skipped_id_kept () =
       Alcotest.(check string) "record untouched" bytes
         (In_channel.with_open_bin path In_channel.input_all))
 
+(* A stored record whose spec asks for the removed [sym+por] reduction
+   is skipped on open with the codec's reason; its id stays taken and
+   the records beside it load. *)
+let test_jobstore_removed_reduction () =
+  with_tmp_dir (fun dir ->
+      let t = ok_or_fail (Jobstore.open_dir ~dir) in
+      let sym =
+        match explore_spec with
+        | Task.Explore e ->
+            Task.Explore { e with Task.e_reduction = Sim.Canon.Symmetry }
+        | _ -> assert false
+      in
+      let j1 = ok_or_fail (Jobstore.submit t sym) in
+      ignore (ok_or_fail (Jobstore.submit t fuzz_spec));
+      let id = j1.Jobstore.id in
+      let path = Filename.concat dir (Printf.sprintf "job-%06d.ksaj" id) in
+      let magic = "KSAJOB01" in
+      let version, text = ok_or_fail (Prim.Durable.read_framed ~path ~magic) in
+      let field = {|"reduction":"sym"|} in
+      let rec find at =
+        if at + String.length field > String.length text then
+          Alcotest.fail ("no " ^ field ^ " in " ^ text)
+        else if String.sub text at (String.length field) = field then at
+        else find (at + 1)
+      in
+      let at = find 0 in
+      let text =
+        String.sub text 0 at ^ {|"reduction":"sym+por"|}
+        ^ String.sub text (at + String.length field)
+            (String.length text - at - String.length field)
+      in
+      ok_or_fail (Prim.Durable.write_framed ~path ~magic ~version text);
+      let t', err =
+        Test_util.with_stderr (fun () -> ok_or_fail (Jobstore.open_dir ~dir))
+      in
+      check_contains "stderr" ~sub:removed_reduction err;
+      Alcotest.(check bool) "skipped" true (Jobstore.get t' id = None);
+      Alcotest.(check bool) "sibling loads" true (Jobstore.get t' 2 <> None);
+      Alcotest.(check int) "next id" 3
+        (ok_or_fail (Jobstore.submit t' explore_spec)).Jobstore.id)
+
 (* ---------- the spec space (qcheck) ---------- *)
 
 (* Any point of the campaign-spec space, at tiny budgets: every spec
@@ -888,6 +936,7 @@ let spec_space =
   let+ rest =
     if task = "explore" then
       let* policy = oneofl [ "per-sender"; "empty-or-all"; "all-subsets" ] in
+      (* the removed sym+por must be refused by name *)
       let* reduction = oneofl [ "none"; "sym"; "sym+por" ] in
       let* drop = bool in
       let+ max_configs = int_range 1 300 in
@@ -932,7 +981,14 @@ let prop_spec_space =
         | Error e -> e <> "" || QCheck.Test.fail_report "an unnamed error"
         | Ok _ -> true
       in
+      let removed =
+        Option.bind (Json.mem "reduction" json) Json.get_string = Some "sym+por"
+      in
       match Task.spec_of_json json with
+      | Error e when removed ->
+          e = removed_reduction
+          || QCheck.Test.fail_reportf "sym+por refused as %S" e
+      | _ when removed -> QCheck.Test.fail_report "sym+por accepted"
       | Error _ as e -> named e
       | Ok spec -> (
           (* the run at [domains], having passed the checks a run owes
@@ -1125,6 +1181,8 @@ let suites =
           test_jobstore_crash_sweep;
         Alcotest.test_case "an unreadable record keeps its id" `Quick
           test_jobstore_skipped_id_kept;
+        Alcotest.test_case "a stored sym+por spec is skipped by name" `Quick
+          test_jobstore_removed_reduction;
         Alcotest.test_case "a parent summary record still loads" `Quick
           test_parent_summary_loads;
       ] );

@@ -119,3 +119,23 @@ let terminal_sets ~correct explore =
   in
   let outcome = explore ~check in
   (outcome, List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
+
+(* what [f] writes to stderr, with its result *)
+let with_stderr f =
+  let path = Filename.temp_file "ksa_err" ".err" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let err = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, err)
